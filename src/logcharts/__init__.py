@@ -23,9 +23,7 @@ from .fibers import (KnFiberModel, Pi1Comparison, RootFiberTower,
 from .monoid import (AffineMonoid, Face, MonoidSpec, face_with_support,
                      faces, kummer, mu, stalk, validate)
 from .profin import (EquivalenceCertificate, FiniteAbelianProSystem,
-                     K1HomotopyType, K1ProSystem, classifying_pro_space,
-                     completion, equivalent_up_to, k1_equivalent_up_to,
-                     mu_tower, product_system, profinite_type)
+                     completion, equivalent_up_to, mu_tower, product_system)
 from .semialg import (BinomialSystem, CxPoint, KnPoint, Target,
                       check_membership, emit_equations, sample_kn_stratum,
                       sample_stratum, tau)
@@ -37,16 +35,15 @@ __all__ = [
     "AffineMonoid", "ArityMismatch", "BinomialSystem", "ChartError",
     "CxPoint", "EquivalenceCertificate", "Face", "FalsifiedProperty",
     "FgAbelianGroup", "FiniteAbelianProSystem", "GaussianRational",
-    "IntMatrix", "InvalidMonoidSpec", "InvalidPoint", "K1HomotopyType",
-    "K1ProSystem", "KnFiberModel", "KnPoint", "MonoidSpec", "NonnegRoot",
-    "NotAFace", "NotOnVariety", "NotSharp", "Pi1Comparison",
-    "RelationInconsistent", "RelationSynthesisIncomplete", "RootFiberTower",
-    "SaturationFailure", "StratumEmptyAtDeskScale", "StratumTable", "Target",
-    "TorsorReport", "algebraic_kummer_fiber", "check_membership",
-    "classifying_pro_space", "cokernel", "comparison_on_pi1", "completion",
-    "emit_equations", "equivalent_up_to", "face_with_support", "faces",
-    "is_isomorphic", "k1_equivalent_up_to", "kn_fiber", "kn_kummer_fiber",
-    "kummer", "mu", "mu_tower", "product_system", "profinite_type",
+    "IntMatrix", "InvalidMonoidSpec", "InvalidPoint", "KnFiberModel",
+    "KnPoint", "MonoidSpec", "NonnegRoot", "NotAFace", "NotOnVariety",
+    "NotSharp", "Pi1Comparison", "RelationInconsistent",
+    "RelationSynthesisIncomplete", "RootFiberTower", "SaturationFailure",
+    "StratumEmptyAtDeskScale", "StratumTable", "Target", "TorsorReport",
+    "algebraic_kummer_fiber", "check_membership", "cokernel",
+    "comparison_on_pi1", "completion", "emit_equations", "equivalent_up_to",
+    "face_with_support", "faces", "is_isomorphic", "kn_fiber",
+    "kn_kummer_fiber", "kummer", "mu", "mu_tower", "product_system",
     "root_fiber_tower", "sample_kn_stratum", "sample_stratum",
     "smith_normal_form", "stalk",
     "stratify", "stratum_of_point", "tau", "tensor_mod", "torsor_check",

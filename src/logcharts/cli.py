@@ -23,7 +23,7 @@ from fractions import Fraction
 from . import monoid as monoid_mod
 from .abgrp import FgAbelianGroup
 from .errors import ChartError, FalsifiedProperty
-from .fibers import (kn_fiber, root_fiber_tower, torsor_check,
+from .fibers import (comparison_on_pi1, torsor_check,
                      verify_fiber_equivalence)
 from .monoid import DEFAULT_DEGREE_BOUND, MonoidSpec, face_with_support
 from .semialg import (DEFAULT_TOLERANCE, KnPoint, Target, emit_equations,
@@ -94,11 +94,23 @@ def _setting(args_value, chart_options, key, env_name, default, cast):
     if args_value is not None:
         return args_value
     if key in chart_options:
-        return cast(chart_options[key])
-    env = os.environ.get(ENV_PREFIX + env_name)
-    if env is not None:
-        return cast(env)
-    return default
+        source, raw = f"chart option {key!r}", chart_options[key]
+    elif ENV_PREFIX + env_name in os.environ:
+        source, raw = ENV_PREFIX + env_name, os.environ[ENV_PREFIX + env_name]
+    else:
+        return default
+    try:
+        return cast(raw)
+    except (TypeError, ValueError) as err:
+        raise ChartError(f"{source} has an invalid value {raw!r}") from err
+
+
+def _check_levels(args, bound):
+    """Levels and the comparison bound index towers, which start at 1."""
+    for label, value in (("level", getattr(args, "n", None)),
+                         ("bound", bound if args.command == "compare" else None)):
+        if value is not None and value < 1:
+            raise ChartError(f"{label} must be at least 1, got {value}")
 
 
 def _group_json(g: FgAbelianGroup):
@@ -108,7 +120,10 @@ def _group_json(g: FgAbelianGroup):
 def _parse_face(text, m):
     if text is None or text.strip() == "":
         return face_with_support(m, [])
-    indices = [int(x) for x in text.split(",") if x.strip() != ""]
+    try:
+        indices = [int(x) for x in text.split(",") if x.strip() != ""]
+    except ValueError as err:
+        raise ChartError(f"face {text!r} is not a list of generator indices") from err
     return face_with_support(m, indices)
 
 
@@ -116,7 +131,10 @@ def _parse_point(text, m, tol):
     """An inline JSON log point: {"radii": [...], "turns": [...]} with
     entries as exact fraction strings or numbers, or {"radii": [...],
     "angles": [[re, im], ...]} for floating mode."""
-    doc = json.loads(text)
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as err:
+        raise ChartError(f"point is not valid JSON: {err}") from err
     if not isinstance(doc, dict) or "radii" not in doc:
         raise ChartError('point must be a JSON object with "radii" and "turns" or "angles"')
     if "turns" in doc:
@@ -202,15 +220,16 @@ def cmd_mu(chart, m, args):
 
 def cmd_fiber(chart, m, args):
     face = _parse_face(args.face, m)
-    model = kn_fiber(m, face)
-    tower = root_fiber_tower(m, face)
+    # The level-n comparison map runs from the torus fiber's pi1 to level n
+    # of the root fiber tower, so it carries both fiber models.
+    comparison = comparison_on_pi1(m, face, args.n)
     return {
         "name": chart.name,
         "face": list(face.support),
         "n": args.n,
-        "kn_torus_rank": model.torus_rank,
-        "kn_pi1": _group_json(model.pi1),
-        "root_level": _group_json(tower.tower.level(args.n)),
+        "kn_torus_rank": comparison.torus_rank,
+        "kn_pi1": _group_json(comparison.source),
+        "root_level": _group_json(comparison.target),
     }
 
 
@@ -303,6 +322,7 @@ def main(argv=None) -> int:
                                 "DEGREE_BOUND", DEFAULT_DEGREE_BOUND, int)
         bound = _setting(args.bound, opts, None, "BOUND", DEFAULT_BOUND, int)
         seed = _setting(args.seed, opts, "seed", "SEED", DEFAULT_SEED, int)
+        _check_levels(args, bound)
         m = _validated(chart, degree_bound)
 
         falsified = False

@@ -183,6 +183,10 @@ class NonnegRoot:
         return self.base ** (l // self.degree) == other.base ** (l // other.degree)
 
     def __hash__(self):
+        # A rational value is normalized to degree 1 and compares equal to
+        # its Fraction, so it must hash like one.
+        if self.degree == 1:
+            return hash(self.base)
         return hash((self.base, self.degree))
 
     def __float__(self):

@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import ratlp
-from .abgrp import (FgAbelianGroup, IntMatrix, cokernel, generator_matrix,
-                    kernel_basis, rank, smith_normal_form, solve_integer)
+from .abgrp import (FgAbelianGroup, IntMatrix, generator_matrix, kernel_basis,
+                    rank, smith_normal_form, solve_integer, tensor_mod)
 from .errors import (InvalidMonoidSpec, NotAFace, NotSharp,
                      RelationInconsistent, RelationSynthesisIncomplete,
                      SaturationFailure)
@@ -393,6 +393,10 @@ def faces(m: AffineMonoid) -> list[Face]:
 def face_with_support(m: AffineMonoid, support) -> Face:
     """The face with the given support, or NotAFace."""
     support = tuple(sorted(int(i) for i in support))
+    out_of_range = [i for i in support if not 0 <= i < m.generator_count]
+    if out_of_range:
+        raise NotAFace(f"generator indices {out_of_range} are out of range: "
+                       f"the chart has {m.generator_count} generators")
     for f in faces(m):
         if f.support == support:
             return f
@@ -453,12 +457,11 @@ def kummer(m: AffineMonoid, n: int) -> tuple[AffineMonoid, IntMatrix]:
 def mu(m: AffineMonoid, n: int) -> FgAbelianGroup:
     """The finite abelian group mu_n(P).
 
-    Computed as the cokernel of the Kummer inclusion on group lattices,
-    which for a sharp fs monoid of group rank r is (Z/n)^r.  Cartier
-    duality identifies a finite abelian group with its dual only
-    non-canonically, so the abstract group is returned; every downstream
-    use (orders, torsor cardinalities, pro-system levels) is
-    isomorphism-invariant.
+    It is the cokernel of the Kummer inclusion on group lattices, which is
+    multiplication by n on Z^r for a sharp fs monoid of group rank r, so
+    it is Z^r/nZ^r = (Z/n)^r in closed form.  Cartier duality identifies a
+    finite abelian group with its dual only non-canonically, so the
+    abstract group is returned; every downstream use (orders, torsor
+    cardinalities, pro-system levels) is isomorphism-invariant.
     """
-    _, inclusion = kummer(m, n)
-    return cokernel(inclusion)
+    return tensor_mod(FgAbelianGroup.free(m.gp_lattice_rank), n)

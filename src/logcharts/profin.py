@@ -1,24 +1,24 @@
 """Pro-systems of finite abelian groups indexed by divisibility.
 
-The towers the theory produces are all of the same shape: a level for
-every positive integer n, the level at n a finite abelian group, and for
-n | m a natural surjection level(m) -> level(n).  The profinite completion
-of a finitely generated abelian group G is the tower n -> G/nG; the
-mu-tower of a chart is n -> mu_n(P).  For such towers the transitions are
-determined up to automorphism by the invariant factors, so level-wise
-comparison of invariant factors plus transition coherence is the checkable
-shadow of pro-equivalence; the limitation is recorded on every
-certificate.
+Every tower the theory produces is the profinite completion of a finitely
+generated abelian group G: the level at n is the truncation G/nG, and for
+n | m the transition G/mG -> G/nG is the natural reduction.  The
+mu-tower of a chart of group rank r is the completion of Z^r, because
+mu_n(P) = (Z/n)^r, and a finite product of completions is the completion
+of the direct sum.  So a tower is held as the group G it completes, and
+each level is the closed form tensor_mod(G, n).
+
+Level-wise comparison of invariant factors plus transition coherence is
+the checkable shadow of pro-equivalence; the limitation is recorded on
+every certificate.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
-from typing import Callable
 
 from .abgrp import FgAbelianGroup, is_isomorphic, tensor_mod
-from .monoid import AffineMonoid, mu
+from .monoid import AffineMonoid
 
 COMPARISON_NOTE = (
     "level-wise invariant-factor comparison with transition coherence up to "
@@ -26,34 +26,21 @@ COMPARISON_NOTE = (
 )
 
 
+@dataclass(frozen=True)
 class FiniteAbelianProSystem:
-    """A divisibility-indexed tower of finite abelian groups.
+    """The tower n -> G/nG completing a finitely generated abelian group G.
 
-    ``level(n)`` is memoized and safe under concurrent readers (a lock
-    gives at-most-once computation per level).  Transitions for n | m are
-    the natural reductions; their composition law is checkable on normal
-    forms because tensor_mod(tensor_mod(g, k), n) == tensor_mod(g, n).
+    Every level is finite, whatever the free rank of G.  Transitions for
+    n | m are the natural reductions; their composition law is checkable
+    on normal forms because tensor_mod(tensor_mod(g, k), n) ==
+    tensor_mod(g, n).
     """
 
-    def __init__(self, level_fn: Callable[[int], FgAbelianGroup], description: str):
-        self._level_fn = level_fn
-        self.description = description
-        self._memo: dict[int, FgAbelianGroup] = {}
-        self._lock = threading.Lock()
+    group: FgAbelianGroup
+    description: str
 
     def level(self, n: int) -> FgAbelianGroup:
-        n = int(n)
-        if n < 1:
-            raise ValueError("levels are indexed by positive integers")
-        with self._lock:
-            got = self._memo.get(n)
-            if got is None:
-                got = self._level_fn(n)
-                if got.free_rank != 0:
-                    raise ValueError(
-                        f"level {n} of {self.description!r} is not finite: {got}")
-                self._memo[n] = got
-        return got
+        return tensor_mod(self.group, n)
 
     def transition_consistent(self, m: int, n: int) -> bool:
         """Does the natural reduction level(m) -> level(n) exist, i.e. is
@@ -70,23 +57,6 @@ class FiniteAbelianProSystem:
                     return False
         return True
 
-    def restrict_to_cofinal(self, indices) -> FiniteAbelianProSystem:
-        """The same pro-object presented on a cofinal index subset.
-
-        The level at arbitrary n is recovered from the smallest listed
-        index m with n | m as tensor_mod(level(m), n).
-        """
-        indices = sorted(set(int(i) for i in indices))
-
-        def level_fn(n):
-            for m in indices:
-                if m % n == 0:
-                    return tensor_mod(self.level(m), n)
-            raise ValueError(f"index set is not cofinal at level {n}")
-
-        return FiniteAbelianProSystem(
-            level_fn, f"{self.description} restricted to {indices[:4]}...")
-
     def __str__(self):
         return f"<pro-system: {self.description}>"
 
@@ -97,22 +67,22 @@ def _divisors(m: int) -> list[int]:
 
 def completion(g: FgAbelianGroup) -> FiniteAbelianProSystem:
     """The profinite completion of G as the tower of truncations G/mG."""
-    return FiniteAbelianProSystem(lambda m: tensor_mod(g, m), f"completion of {g}")
+    return FiniteAbelianProSystem(g, f"completion of {g}")
 
 
 def mu_tower(m: AffineMonoid) -> FiniteAbelianProSystem:
-    """The tower n -> mu_n(P) underlying the infinite root construction."""
-    return FiniteAbelianProSystem(lambda n: mu(m, n), f"mu-tower of {m}")
+    """The tower n -> mu_n(P) underlying the infinite root construction:
+    the completion of Z^r for the group rank r of P."""
+    return FiniteAbelianProSystem(FgAbelianGroup.free(m.gp_lattice_rank),
+                                  f"mu-tower of {m}")
 
 
 def product_system(*systems: FiniteAbelianProSystem) -> FiniteAbelianProSystem:
-    """Level-wise direct product of towers."""
+    """Level-wise direct product of towers: the completion of the direct
+    sum of the groups they complete."""
     desc = " x ".join(s.description for s in systems) or "trivial product"
-
-    def level_fn(n):
-        return FgAbelianGroup.trivial().direct_sum(*(s.level(n) for s in systems))
-
-    return FiniteAbelianProSystem(level_fn, desc)
+    group = FgAbelianGroup.trivial().direct_sum(*(s.group for s in systems))
+    return FiniteAbelianProSystem(group, desc)
 
 
 @dataclass(frozen=True)
@@ -179,52 +149,3 @@ def equivalent_up_to(a: FiniteAbelianProSystem, b: FiniteAbelianProSystem,
             if not ok:
                 break
     return ok, EquivalenceCertificate(ok, bound, tuple(records), witness)
-
-
-@dataclass(frozen=True)
-class K1HomotopyType:
-    """The homotopy type K(pi1, 1); only abelian pi1 is admitted.
-
-    Every fiber the comparison meets is of this form (a torus or a
-    classifying space of a finite abelian group), and on this class the
-    pi1 functor is faithful, so equivalence of types is isomorphism of
-    groups.
-    """
-
-    pi1: FgAbelianGroup
-
-    def __str__(self):
-        return f"K({self.pi1}, 1)"
-
-
-class K1ProSystem:
-    """A pro-system of K(A, 1) homotopy types, one per level, transitions
-    inherited from the underlying group tower."""
-
-    def __init__(self, group_system: FiniteAbelianProSystem):
-        self.group_system = group_system
-        self.description = f"B({group_system.description})"
-
-    def level(self, n: int) -> K1HomotopyType:
-        return K1HomotopyType(self.group_system.level(n))
-
-    def __str__(self):
-        return f"<pro-space: {self.description}>"
-
-
-def classifying_pro_space(s: FiniteAbelianProSystem) -> K1ProSystem:
-    """Apply B level-wise: the classifying space of a limit of finite
-    groups is the limit of the classifying spaces."""
-    return K1ProSystem(s)
-
-
-def profinite_type(t: K1HomotopyType) -> K1ProSystem:
-    """Profinite completion of K(A, 1) for finitely generated abelian A,
-    computed as B of the completed group."""
-    return classifying_pro_space(completion(t.pi1))
-
-
-def k1_equivalent_up_to(a: K1ProSystem, b: K1ProSystem,
-                        bound: int) -> tuple[bool, EquivalenceCertificate]:
-    """Equivalence of K(A,1) towers reduces to their group towers."""
-    return equivalent_up_to(a.group_system, b.group_system, bound)

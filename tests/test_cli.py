@@ -122,6 +122,19 @@ def test_exit_code_2_on_input_errors(tmp_path):
     bad.write_text('{"name": "bad", "ambient_rank": 1, "generators": [[1], [-1]]}')
     code, _, err = run_cli(["info", str(bad)])
     assert code == 2 and "line" in err  # NotSharp message surfaced
+    cone = corpus_path("a1_cone")
+    for args, env in [
+        (["mu", cone, "0"], None),
+        (["fiber", cone, "0"], None),
+        (["torsor", cone, "0"], None),
+        (["compare", cone, "--bound", "0"], None),
+        (["info", cone], {"LOGCHARTS_BOUND": "abc"}),
+        (["compare", cone, "--face", "0,x"], None),
+        (["compare", cone, "--face", "7"], None),
+        (["torsor", cone, "2", "--point", "notjson"], None),
+    ]:
+        code, _, err = run_cli(args, env)
+        assert code == 2 and err.startswith("error: "), (args, err)
 
 
 def test_exit_code_1_reserved_for_falsified_properties(tmp_path):

@@ -50,6 +50,13 @@ def test_nonneg_root_arithmetic():
     assert abs(float(r2) - 2 ** 0.5) < 1e-12
 
 
+def test_nonneg_root_hash_agrees_with_equality():
+    assert NonnegRoot.of(2) == Fraction(2)
+    assert len({NonnegRoot.of(2), Fraction(2), 2}) == 1
+    assert hash(NonnegRoot(Fraction(9, 4), 2)) == hash(Fraction(3, 2))
+    assert hash(NonnegRoot(Fraction(2), 2)) == hash(NonnegRoot(Fraction(4), 4))
+
+
 def test_turns():
     assert turn_mod1(Fraction(-1, 4)) == Fraction(3, 4)
     assert turn_mod1(Fraction(9, 4)) == Fraction(1, 4)

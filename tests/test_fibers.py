@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import logcharts.fibers as fibers_mod
 from logcharts.abgrp import FgAbelianGroup
 from logcharts.errors import FalsifiedProperty, InvalidPoint
 from logcharts.fibers import (algebraic_kummer_fiber, comparison_on_pi1,
@@ -107,6 +108,26 @@ def test_verify_fiber_equivalence_monotone_in_bound():
     for smaller in (1, 7, 30):
         ok, _ = verify_fiber_equivalence(m, vertex, smaller)
         assert ok
+
+
+def test_fiber_comparison_computes_the_stalk_once(monkeypatch):
+    calls = []
+    real_stalk = fibers_mod.stalk
+
+    def counting_stalk(m, f):
+        calls.append(f.support)
+        return real_stalk(m, f)
+
+    monkeypatch.setattr(fibers_mod, "stalk", counting_stalk)
+    m = a1_cone()
+    vertex = face_with_support(m, [])
+    ok, _ = verify_fiber_equivalence(m, vertex, 100)
+    assert ok and calls == [()]
+    for build in (lambda: root_fiber_tower(m, vertex),
+                  lambda: comparison_on_pi1(m, vertex, 7)):
+        calls.clear()
+        build()
+        assert calls == [()]
 
 
 def test_kn_kummer_fiber_log_point():

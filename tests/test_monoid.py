@@ -113,6 +113,15 @@ def test_stalk_requires_a_face():
         face_with_support(a, [1])
 
 
+def test_face_index_out_of_range():
+    a = a1_cone()
+    for support in ([7], [0, 3], [-1]):
+        with pytest.raises(NotAFace, match="out of range"):
+            face_with_support(a, support)
+    with pytest.raises(NotAFace, match="supporting functional"):
+        face_with_support(a, [1])
+
+
 def test_stalk_rank_monotone_under_inclusion():
     for m in [quadrant(), a1_cone()]:
         fs = faces(m)

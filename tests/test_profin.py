@@ -1,16 +1,13 @@
 """Towers of finite abelian groups and their level-wise comparison."""
 
 import math
-import threading
 
 import pytest
 
 from logcharts.abgrp import FgAbelianGroup, tensor_mod
 from logcharts.monoid import MonoidSpec, validate
-from logcharts.profin import (FiniteAbelianProSystem, K1HomotopyType,
-                              classifying_pro_space, completion,
-                              equivalent_up_to, k1_equivalent_up_to, mu_tower,
-                              product_system, profinite_type)
+from logcharts.profin import (completion, equivalent_up_to, mu_tower,
+                              product_system)
 
 Z = FgAbelianGroup.free(1)
 
@@ -36,9 +33,12 @@ def test_completion_of_finite_group_is_eventually_constant():
 
 
 def test_levels_must_be_finite():
-    bad = FiniteAbelianProSystem(lambda n: FgAbelianGroup.free(1), "broken")
+    # levels are truncations G/nG, finite even when G has free rank
+    for g in [Z, FgAbelianGroup.free(3), FgAbelianGroup(2, (4,))]:
+        for n in (1, 3, 12):
+            assert completion(g).level(n).is_finite()
     with pytest.raises(ValueError):
-        bad.level(3)
+        completion(Z).level(0)
 
 
 def test_transition_coherence():
@@ -76,37 +76,43 @@ def test_inequivalent_with_witness():
 
 
 def test_cofinal_factorial_reindexing():
+    # every level n is recovered from the first factorial m with n | m
+    # through the transition level(m) -> level(n)
+    z_hat = completion(Z)
     facts = [math.factorial(m) for m in range(1, 41)]
-    restricted = completion(Z).restrict_to_cofinal(facts)
-    ok, _ = equivalent_up_to(completion(Z), restricted, 40)
-    assert ok
+    for n in range(1, 41):
+        m = next(f for f in facts if f % n == 0)
+        assert z_hat.transition_consistent(m, n)
+        assert tensor_mod(z_hat.level(m), n) == z_hat.level(n)
 
 
 def test_restriction_needs_cofinality():
-    restricted = completion(Z).restrict_to_cofinal([2, 4, 8])
-    with pytest.raises(ValueError):
-        restricted.level(3)
+    # the indices 2, 4, 8 are not cofinal: no transition reaches level 3
+    for m in (2, 4, 8):
+        with pytest.raises(ValueError):
+            completion(Z).transition_consistent(m, 3)
 
 
 def test_classifying_pro_space_levels():
-    b = classifying_pro_space(completion(Z))
-    assert b.level(6).pi1 == FgAbelianGroup.cyclic(6)
-    trivial = classifying_pro_space(completion(FgAbelianGroup.trivial()))
-    assert trivial.level(9).pi1 == FgAbelianGroup.trivial()
-    squares = classifying_pro_space(completion(FgAbelianGroup.free(2)))
-    assert squares.level(5).pi1 == FgAbelianGroup(0, (5, 5))
+    # B is applied level-wise, so pi1 of level n of B(G-hat) is G/nG
+    assert completion(Z).level(6) == FgAbelianGroup.cyclic(6)
+    trivial = completion(FgAbelianGroup.trivial())
+    assert trivial.level(9) == FgAbelianGroup.trivial()
+    squares = completion(FgAbelianGroup.free(2))
+    assert squares.level(5) == FgAbelianGroup(0, (5, 5))
 
 
 def test_profinite_type_of_torus():
+    # the profinite type of K(Z^k, 1) is B of the completion of Z^k
     for k in (0, 1, 2, 3):
-        t = profinite_type(K1HomotopyType(FgAbelianGroup.free(k)))
-        assert t.level(4).pi1 == tensor_mod(FgAbelianGroup.free(k), 4)
+        t = completion(FgAbelianGroup.free(k))
+        assert t.level(4) == FgAbelianGroup.from_cyclic_orders([4] * k)
 
 
 def test_profinite_type_of_finite_k1_stabilizes():
-    t = profinite_type(K1HomotopyType(FgAbelianGroup.cyclic(6)))
+    t = completion(FgAbelianGroup.cyclic(6))
     for n in (6, 12, 36, 60):
-        assert t.level(n).pi1 == FgAbelianGroup.cyclic(6)
+        assert t.level(n) == FgAbelianGroup.cyclic(6)
 
 
 def test_goodness_surrogate():
@@ -118,25 +124,6 @@ def test_goodness_surrogate():
                                      [[[1, 0, 1], [0, 2, 0]]]))),
     ]
     for k, m in charts:
-        ok, _ = k1_equivalent_up_to(
-            profinite_type(K1HomotopyType(FgAbelianGroup.free(k))),
-            classifying_pro_space(mu_tower(m)), 60)
+        ok, _ = equivalent_up_to(
+            completion(FgAbelianGroup.free(k)), mu_tower(m), 60)
         assert ok
-
-
-def test_concurrent_level_memoization():
-    calls = []
-
-    def level_fn(n):
-        calls.append(n)
-        return tensor_mod(Z, n)
-
-    system = FiniteAbelianProSystem(level_fn, "concurrency probe")
-    threads = [threading.Thread(target=lambda: [system.level(n) for n in range(1, 20)])
-               for _ in range(8)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    # at-most-once computation per level
-    assert sorted(calls) == list(range(1, 20))
