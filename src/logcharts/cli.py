@@ -137,15 +137,18 @@ def _parse_point(text, m, tol):
         raise ChartError(f"point is not valid JSON: {err}") from err
     if not isinstance(doc, dict) or "radii" not in doc:
         raise ChartError('point must be a JSON object with "radii" and "turns" or "angles"')
-    if "turns" in doc:
-        pairs = [(Fraction(str(r)), Fraction(str(t)))
-                 for r, t in zip(doc["radii"], doc["turns"])]
-        return KnPoint.exact_point(pairs)
-    if "angles" in doc:
-        pairs = [(float(r), complex(a[0], a[1]))
-                 for r, a in zip(doc["radii"], doc["angles"])]
-        return KnPoint.floating(pairs)
-    raise ChartError('point needs either "turns" (exact) or "angles" (floating)')
+    radii, circle = doc["radii"], doc.get("turns", doc.get("angles"))
+    if not isinstance(radii, list) or not isinstance(circle, list) or len(radii) != len(circle):
+        raise ChartError('point needs a list "radii" and an equally long list "turns" '
+                         '(exact) or "angles" (floating)')
+    try:
+        if "turns" in doc:
+            return KnPoint.exact_point([(Fraction(str(r)), Fraction(str(t)))
+                                        for r, t in zip(radii, circle)])
+        return KnPoint.floating([(float(r), complex(a[0], a[1]))
+                                 for r, a in zip(radii, circle)])
+    except (TypeError, ValueError, IndexError, ZeroDivisionError) as err:
+        raise ChartError(f"point has a malformed coordinate: {err}") from err
 
 
 def _emit(payload, table: bool):

@@ -87,12 +87,15 @@ def _int_nth_root(x: int, n: int) -> int:
         raise ValueError("negative radicand")
     if x in (0, 1) or n == 1:
         return x
-    guess = int(round(x ** (1.0 / n))) or 1
-    while guess ** n > x:
-        guess -= 1
-    while (guess + 1) ** n <= x:
-        guess += 1
-    return guess
+    if x.bit_length() <= n:
+        return 1  # 2 <= x < 2^n
+    # Integer Newton iteration descends from 2^ceil(bits/n) > root to the floor.
+    guess = 1 << -(-x.bit_length() // n)
+    while True:
+        step = ((n - 1) * guess + x // guess ** (n - 1)) // n
+        if step >= guess:
+            return guess
+        guess = step
 
 def rational_nth_root(q: Fraction, n: int) -> Fraction | None:
     """The exact rational n-th root of q >= 0, or None if irrational."""

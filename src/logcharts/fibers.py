@@ -8,9 +8,12 @@ profinite completion.  This module builds both fiber models, enumerates
 actual Kummer-cover fibers over chart points, verifies the torsor law for
 the deck action, and checks the tower equivalence level by level.
 
-Fiber enumeration is exact whenever the base point is exact: circle
-coordinates are rational turns, so n-th roots divide the turn by n and
-add k/n, and nonnegative real roots are exact radicals.
+A fiber point is a tuple of root indices u in (Z/n)^k solving the relation
+congruences mod n; one Smith-form solver lists exactly those solutions,
+and the deck group is its solution set with zero offsets.  Enumeration is
+exact whenever the base point is exact: circle coordinates are rational
+turns, so n-th roots divide the turn by n and add u_i/n, and nonnegative
+real roots are exact radicals.
 """
 
 from __future__ import annotations
@@ -21,8 +24,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .abgrp import (FgAbelianGroup, IntMatrix, generator_matrix,
-                    is_isomorphic, rank, tensor_mod)
-from .errors import FalsifiedProperty, InvalidPoint, NotAFace, NotOnVariety
+                    is_isomorphic, rank, smith_normal_form, tensor_mod)
+from .errors import (ChartError, FalsifiedProperty, InvalidPoint, NotAFace,
+                     NotOnVariety)
 from .exactnum import turn_mod1, unit_from_turn_float
 from .monoid import AffineMonoid, Face, face_with_support, stalk
 from .profin import (EquivalenceCertificate, FiniteAbelianProSystem,
@@ -163,8 +167,9 @@ def verify_fiber_equivalence(m: AffineMonoid, f: Face,
     return ok and realized, certificate
 
 
-def _exact_turns(point: KnPoint):
-    return [point.angle(i) for i in range(point.arity)]
+def _float_turn(z: complex) -> float:
+    """The angle of a nonzero complex number in turns, in [0, 1)."""
+    return math.atan2(z.imag, z.real) / (2 * math.pi) % 1.0
 
 
 def _relation_turn_offset(relation, turns, exact: bool):
@@ -192,24 +197,63 @@ def _relation_turn_offset(relation, turns, exact: bool):
     return nearest
 
 
-def _root_choice_consistent(relations, offsets, u, n) -> bool:
-    """Does the tuple of root indices satisfy every relation congruence
-    sum (r_j - s_j) u_j = -offset (mod n)?"""
-    for (r, s), c in zip(relations, offsets):
-        acc = sum((rj - sj) * uj for rj, sj, uj in zip(r, s, u))
-        if (acc + c) % n != 0:
-            return False
-    return True
+# Fibers and deck groups are enumerated in full; refuse sizes beyond this.
+_FIBER_CAP = 100_000
 
 
-def _validate_kn_point(m: AffineMonoid, p: KnPoint, tol: float):
+def _fiber_size(n: int, r: int) -> int:
+    """n^r, the size of a degree-n Kummer fiber, checked against the cap."""
+    if n < 1:
+        raise ValueError("cover degree must be a positive integer")
+    size = n ** r
+    if size > _FIBER_CAP:
+        raise ChartError(
+            f"a degree-{n} Kummer fiber has n^{r} = {size} points, above "
+            f"the enumeration cap of {_FIBER_CAP}; lower the cover degree")
+    return size
+
+
+def _root_choices(rows, offsets, n: int, k: int):
+    """Solve the relation congruences sum_j rows[i][j] u_j = -offsets[i]
+    (mod n) for root indices u in (Z/n)^k.
+
+    With the Smith form U rows V = D and u = V w, the system splits into
+    one congruence d_j w_j = b_j (mod n) per axis, where b = -U offsets:
+    gcd(d_j, n) solutions or none, every residue on an axis past the rank,
+    and rows past k need b_j = 0.  Returns every solution, sorted
+    lexicographically, and generators of the homogeneous solution group:
+    (n / gcd(d_j, n)) V e_j for each axis with more than one solution.
+    """
+    u_mat, d, v = smith_normal_form(IntMatrix.from_rows(rows, k))
+    b = u_mat.apply([-c for c in offsets]) + (0,) * k
+    diag = d.diagonal_entries() + (0,) * k
+    solvable = not any(x % n for x in b[k:])
+    axes, generators = [], []
+    for j in range(k):
+        g = math.gcd(diag[j], n)
+        step = n // g
+        solvable = solvable and b[j] % g == 0
+        w0 = b[j] // g * pow(diag[j] // g, -1, step) % step if step > 1 else 0
+        axes.append(range(w0, n, step))
+        if g > 1:
+            generators.append(tuple(step * x % n for x in v.column(j)))
+    solutions = sorted(tuple(x % n for x in v.apply(w))
+                       for w in itertools.product(*axes)) if solvable else []
+    return solutions, generators
+
+
+def _validate_point(m: AffineMonoid, p, target: Target, tol: float):
     if p.arity != m.generator_count:
         raise InvalidPoint(
             f"point has {p.arity} coordinates, chart has {m.generator_count}")
-    system = emit_equations(m, Target.KN_POINTS)
-    ok, residual = check_membership(system, p, tol)
+    ok, residual = check_membership(emit_equations(m, target), p, tol)
     if not ok:
-        raise InvalidPoint(f"log point violates the relations (residual {residual:.3e})")
+        raise InvalidPoint(f"point violates the relations (residual {residual:.3e})")
+
+
+def _relation_rows(relations):
+    """The relation matrix: one row r - s per relation r = s."""
+    return [[rj - sj for rj, sj in zip(r, s)] for r, s in relations]
 
 
 def kn_kummer_fiber(m: AffineMonoid, p: KnPoint, n: int,
@@ -217,50 +261,39 @@ def kn_kummer_fiber(m: AffineMonoid, p: KnPoint, n: int,
     """The full fiber of the degree-n Kummer cover of the log model over p.
 
     Radii have unique nonnegative n-th roots; each circle coordinate has n
-    roots, and a tuple of choices survives iff it satisfies every relation
-    in the extended monoid.  The count is always n^r with r the group rank
-    of the chart, independent of the stratum: the circle factors are what
-    trivialize the ramification.  A count mismatch is a hard error.
+    roots, and a tuple of root indices lies in the fiber iff it solves the
+    relation congruences mod n, which are solved once by Smith form.  The
+    points come in lexicographic order of their root indices.  The count
+    is always n^r with r the group rank of the chart, independent of the
+    stratum: the circle factors are what trivialize the ramification.  A
+    count mismatch is a hard error, and n^r above the enumeration cap is
+    refused before anything is enumerated.
     """
     n = int(n)
-    if n < 1:
-        raise ValueError("cover degree must be a positive integer")
-    _validate_kn_point(m, p, tol)
+    _validate_point(m, p, Target.KN_POINTS, tol)
+    expected = _fiber_size(n, m.gp_lattice_rank)
     k = m.generator_count
-    relations = list(m.relations)
-
     if p.exact:
-        turns = _exact_turns(p)
-        offsets = [_relation_turn_offset(rel, turns, True) for rel in relations]
+        turns = [p.angle(i) for i in range(k)]
         base_radii = [p.radius(i).root(n) for i in range(k)]
-        base_turns = [t / n for t in turns]
     else:
-        turns = [math.atan2(p.angle(i).imag, p.angle(i).real) / (2 * math.pi) % 1.0
-                 for i in range(k)]
-        offsets = [_relation_turn_offset(rel, turns, False) for rel in relations]
+        turns = [_float_turn(p.angle(i)) for i in range(k)]
         base_radii = [p.radius(i) ** (1.0 / n) for i in range(k)]
-        base_turns = [t / n for t in turns]
+    offsets = [_relation_turn_offset(rel, turns, p.exact) for rel in m.relations]
+    base_turns = [t / n for t in turns]
 
-    fiber = []
-    for u in itertools.product(range(n), repeat=k):
-        if not _root_choice_consistent(relations, offsets, u, n):
-            continue
-        if p.exact:
-            pairs = [(base_radii[i], turn_mod1(base_turns[i] + Fraction(u[i], n)))
-                     for i in range(k)]
-            fiber.append(KnPoint(tuple(pairs), True))
-        else:
-            pairs = [(base_radii[i],
-                      unit_from_turn_float(base_turns[i] + u[i] / n))
-                     for i in range(k)]
-            fiber.append(KnPoint(tuple(pairs), False))
-
-    expected = n ** m.gp_lattice_rank
-    if len(fiber) != expected:
+    choices, _ = _root_choices(_relation_rows(m.relations), offsets, n, k)
+    if len(choices) != expected:
         raise FalsifiedProperty(
-            f"Kummer fiber has {len(fiber)} points, expected n^r = {expected}; "
+            f"Kummer fiber has {len(choices)} points, expected n^r = {expected}; "
             f"this falsifies the torsor law and indicates a relation-set bug")
-    return fiber
+    if p.exact:
+        return [KnPoint(tuple((base_radii[i], turn_mod1(base_turns[i] + Fraction(u[i], n)))
+                              for i in range(k)), True)
+                for u in choices]
+    return [KnPoint(tuple((base_radii[i], unit_from_turn_float(base_turns[i] + u[i] / n))
+                          for i in range(k)), False)
+            for u in choices]
 
 
 def algebraic_kummer_fiber(m: AffineMonoid, p: CxPoint, n: int,
@@ -271,19 +304,11 @@ def algebraic_kummer_fiber(m: AffineMonoid, p: CxPoint, n: int,
     point's stratum face): n^r on the dense torus, a single point over the
     vertex.  Relations touching a vanishing coordinate hold automatically
     (both sides vanish); the others impose congruences on the root
-    choices exactly as in the log model.
+    choices exactly as in the log model.  A count above the enumeration
+    cap is refused before anything is enumerated.
     """
     n = int(n)
-    if n < 1:
-        raise ValueError("cover degree must be a positive integer")
-    if p.arity != m.generator_count:
-        raise InvalidPoint(
-            f"point has {p.arity} coordinates, chart has {m.generator_count}")
-    system = emit_equations(m, Target.COMPLEX_POINTS)
-    ok, residual = check_membership(system, p, tol)
-    if not ok:
-        raise InvalidPoint(f"point violates the relations (residual {residual:.3e})")
-
+    _validate_point(m, p, Target.COMPLEX_POINTS, tol)
     k = m.generator_count
     zero_tol = 0.0 if p.exact else tol
     support = [i for i in range(k) if not p.is_zero_at(i, zero_tol)]
@@ -294,32 +319,23 @@ def algebraic_kummer_fiber(m: AffineMonoid, p: CxPoint, n: int,
     support_set = set(support)
     face_rank = rank(generator_matrix([m.generators[i] for i in support],
                                       m.ambient_rank)) if support else 0
+    expected = _fiber_size(n, face_rank)
 
     # Only relations fully supported on the nonvanishing coordinates
     # constrain the roots; the others vanish on both sides.
-    active = []
-    for r, s in m.relations:
-        involved = {j for j in range(k) if r[j] or s[j]}
-        if involved <= support_set:
-            active.append((r, s))
+    active = [(r, s) for r, s in m.relations
+              if all(j in support_set for j in range(k) if r[j] or s[j])]
 
     values = p.values if not p.exact else [v.to_complex() for v in p.values]
-    turns = [math.atan2(values[i].imag, values[i].real) / (2 * math.pi) % 1.0
-             if i in support_set else 0.0 for i in range(k)]
+    turns = [_float_turn(values[i]) if i in support_set else 0.0 for i in range(k)]
     offsets = [_relation_turn_offset(rel, turns, False) for rel in active]
     magnitudes = [abs(values[i]) ** (1.0 / n) if i in support_set else 0.0
                   for i in range(k)]
 
-    choices = []
-    free_axes = list(support)
-    for u_partial in itertools.product(range(n), repeat=len(free_axes)):
-        u = [0] * k
-        for axis, ui in zip(free_axes, u_partial):
-            u[axis] = ui
-        if _root_choice_consistent(active, offsets, u, n):
-            choices.append(tuple(u))
-
-    expected = n ** face_rank
+    # Unit rows pin the root index of every vanishing coordinate to 0.
+    pins = [[int(i == j) for i in range(k)] for j in range(k) if j not in support_set]
+    choices, _ = _root_choices(_relation_rows(active) + pins,
+                               offsets + [0] * len(pins), n, k)
     if len(choices) != expected:
         raise FalsifiedProperty(
             f"algebraic Kummer fiber has {len(choices)} points, expected "
@@ -329,17 +345,9 @@ def algebraic_kummer_fiber(m: AffineMonoid, p: CxPoint, n: int,
     if exact_fiber is not None:
         return exact_fiber
 
-    fiber = []
-    for u in choices:
-        coords = []
-        for i in range(k):
-            if i not in support_set:
-                coords.append(0j)
-            else:
-                coords.append(magnitudes[i]
-                              * unit_from_turn_float(turns[i] / n + u[i] / n))
-        fiber.append(CxPoint.floating(coords))
-    return fiber
+    return [CxPoint.floating([magnitudes[i] * unit_from_turn_float(turns[i] / n + u[i] / n)
+                              if i in support_set else 0j for i in range(k)])
+            for u in choices]
 
 
 def _try_exact_algebraic_fiber(m, p, n, support_set, choices):
@@ -410,17 +418,6 @@ class TorsorReport:
         }
 
 
-def _characters(m: AffineMonoid, n: int) -> list[tuple[int, ...]]:
-    """The deck group as character data: tuples u in (Z/n)^k assigning the
-    root-of-unity exponent u_i/n to the i-th generator, constrained to
-    respect every relation.  This is the kernel of restriction from the
-    extended circle-character lattice to the original one."""
-    k = m.generator_count
-    zero_offsets = [0] * len(m.relations)
-    return [u for u in itertools.product(range(n), repeat=k)
-            if _root_choice_consistent(list(m.relations), zero_offsets, u, n)]
-
-
 def _act_exact(point: KnPoint, u, n) -> KnPoint:
     pairs = [(r, turn_mod1(a + Fraction(ui, n))) for (r, a), ui in zip(point.values, u)]
     return KnPoint(tuple(pairs), True)
@@ -437,75 +434,68 @@ def _kn_key_exact(point: KnPoint):
 
 
 def _kn_close(a: KnPoint, b: KnPoint, tol: float) -> bool:
-    for (ra, aa), (rb, ab) in zip(a.values, b.values):
-        if abs(ra - rb) > tol or abs(aa - ab) > tol:
-            return False
-    return True
+    return all(abs(ra - rb) <= tol and abs(aa - ab) <= tol
+               for (ra, aa), (rb, ab) in zip(a.values, b.values))
 
 
 def torsor_check(m: AffineMonoid, p: KnPoint, n: int,
                  tol: float = DEFAULT_TOLERANCE) -> tuple[bool, TorsorReport]:
     """Verify the deck action on the enumerated Kummer fiber over p.
 
-    The group of order n^r acts by multiplying circle components by roots
-    of unity.  Checks: (a) the action preserves the fiber, (b) no
-    nonidentity character fixes a point, (c) one orbit covers the whole
-    fiber.  The orbit table records, for each fiber point, the character
-    index carrying the base point to it.
+    The deck group is the set of root-index tuples u solving the relation
+    congruences mod n with zero offsets; u multiplies the i-th circle
+    component by exp(2 pi i u_i / n).  The flags are read off the orbit
+    map u -> u . base of the first fiber point: ``transitive`` iff it is
+    onto the fiber; ``free`` iff it is injective, since stabilizers of an
+    abelian group are constant on an orbit; ``preserves_fiber`` iff every
+    image lies in the fiber and each Smith-form generator of the group
+    carries every fiber point into it.  That is (1 + #generators) n^r
+    actions.  Exact points are located by equality; floating points by
+    their root indices relative to the base point, confirmed within
+    tolerance.  The orbit table gives, per fiber point, the first
+    character carrying the base point to it.
     """
     n = int(n)
     fiber = kn_kummer_fiber(m, p, n, tol)
-    chars = _characters(m, n)
+    chars, generators = _root_choices(_relation_rows(m.relations),
+                                      [0] * len(m.relations), n, m.generator_count)
     expected_order = n ** m.gp_lattice_rank
     if len(chars) != expected_order:
         raise FalsifiedProperty(
             f"deck group has order {len(chars)}, expected n^r = {expected_order}")
 
-    if p.exact:
-        index = {_kn_key_exact(pt): i for i, pt in enumerate(fiber)}
-
-        def locate(pt):
-            return index.get(_kn_key_exact(pt))
-
-        act = _act_exact
-        same = lambda a, b: _kn_key_exact(a) == _kn_key_exact(b)
-    else:
-        def locate(pt):
-            for i, candidate in enumerate(fiber):
-                if _kn_close(pt, candidate, max(tol, 1e-7)):
-                    return i
-            return None
-
-        act = _act_float
-        same = lambda a, b: _kn_close(a, b, max(tol, 1e-7))
-
-    preserves = True
-    free = True
-    for u in chars:
-        identity = all(x == 0 for x in u)
-        for pt in fiber:
-            moved = act(pt, u, n)
-            if locate(moved) is None:
-                preserves = False
-            if not identity and same(moved, pt):
-                free = False
-
-    orbit_table = [-1] * len(fiber)
     base = fiber[0]
-    for ci, u in enumerate(chars):
-        moved = act(base, u, n)
-        where = locate(moved)
+    if p.exact:
+        # An exact key determines the point, so a key match is a match.
+        key, act, same = _kn_key_exact, _act_exact, (lambda a, b: True)
+    else:
+        def key(pt):
+            return tuple(round((_float_turn(a) - _float_turn(b)) * n) % n
+                         for (_, a), (_, b) in zip(pt.values, base.values))
+
+        act, same = _act_float, lambda a, b: _kn_close(a, b, max(tol, 1e-7))
+    index = {key(pt): i for i, pt in enumerate(fiber)}
+
+    def locate(pt):
+        i = index.get(key(pt))
+        return i if i is not None and same(pt, fiber[i]) else None
+
+    images = [locate(act(base, u, n)) for u in chars]
+    located = [i for i in images if i is not None]
+    orbit_table = [-1] * len(fiber)
+    for ci, where in enumerate(images):
         if where is not None and orbit_table[where] == -1:
             orbit_table[where] = ci
-    transitive = all(x >= 0 for x in orbit_table)
+    preserves = len(located) == len(images) and all(
+        locate(act(pt, g, n)) is not None for g in generators for pt in fiber)
 
     report = TorsorReport(
         degree=n,
         group_order=len(chars),
         fiber_size=len(fiber),
         preserves_fiber=preserves,
-        free=free,
-        transitive=transitive,
+        free=len(set(located)) == len(located),
+        transitive=all(x >= 0 for x in orbit_table),
         orbit_table=tuple(orbit_table),
     )
     return report.ok, report

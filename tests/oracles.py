@@ -3,8 +3,9 @@
 Everything here deliberately avoids the library's computation paths:
 cosets are counted through a hand-rolled Hermite-style column reduction
 and breadth-first enumeration of the quotient, faces are recognized by
-the combinatorial face axiom on degree-bounded monoid elements, and group
-isomorphism is cross-checked on element-order multisets.
+the combinatorial face axiom on degree-bounded monoid elements, group
+isomorphism is cross-checked on element-order multisets, and root-index
+congruences are solved by scanning every candidate.
 """
 
 from __future__ import annotations
@@ -175,3 +176,11 @@ def random_unimodular(rng, n):
             i = rng.randrange(n)
             m[i] = [-x for x in m[i]]
     return m
+
+
+def root_choices_by_scan(rows, offsets, n, k):
+    """Every u in (Z/n)^k with sum_j rows[i][j] u_j = -offsets[i] (mod n)
+    for each row i, by scanning all n^k tuples in lexicographic order."""
+    return [u for u in itertools.product(range(n), repeat=k)
+            if all((sum(a * x for a, x in zip(row, u)) + c) % n == 0
+                   for row, c in zip(rows, offsets))]

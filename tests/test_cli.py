@@ -132,6 +132,16 @@ def test_exit_code_2_on_input_errors(tmp_path):
         (["compare", cone, "--face", "0,x"], None),
         (["compare", cone, "--face", "7"], None),
         (["torsor", cone, "2", "--point", "notjson"], None),
+        (["torsor", cone, "2", "--point",
+          '{"radii": ["1", "1", "1"], "turns": ["0", "0", "0", "1/2"]}'], None),
+        (["torsor", cone, "2", "--point",
+          '{"radii": ["abc", "1", "1"], "turns": ["0", "0", "0"]}'], None),
+        (["torsor", cone, "2", "--point",
+          '{"radii": [1, 1, 1], "angles": [1, 2, 3]}'], None),
+        (["torsor", cone, "2", "--point", '{"radii": 5, "turns": ["0"]}'], None),
+        (["torsor", cone, "2", "--point",
+          '{"radii": ["-1", "1", "1"], "turns": ["0", "0", "0"]}'], None),
+        (["torsor", cone, "1000"], None),
     ]:
         code, _, err = run_cli(args, env)
         assert code == 2 and err.startswith("error: "), (args, err)

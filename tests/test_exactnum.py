@@ -33,6 +33,24 @@ def test_rational_nth_root():
     assert rational_nth_root(Fraction(10 ** 30), 2) == 10 ** 15
 
 
+def test_nth_roots_beyond_float_range():
+    assert rational_nth_root(Fraction(7 ** 1000), 5) == 7 ** 200
+    assert rational_nth_root(Fraction(10 ** 400), 2) == 10 ** 200
+    assert rational_nth_root(Fraction(10 ** 400 + 1), 2) is None
+    assert rational_nth_root(Fraction(3 ** 600, 2 ** 900), 300) == Fraction(9, 8)
+    assert NonnegRoot(10 ** 400, 2) == NonnegRoot(10 ** 200)
+    assert NonnegRoot(Fraction(10 ** 401), 2).degree == 2
+
+
+def test_integer_nth_root_is_the_floor():
+    from logcharts.exactnum import _int_nth_root
+    for x in list(range(200)) + [2 ** 64 - 1, 2 ** 64, 3 ** 200 - 1, 3 ** 200, 10 ** 400 + 7]:
+        for n in (1, 2, 3, 5, 8, 64, 1000):
+            root = _int_nth_root(x, n)
+            assert root ** n <= x < (root + 1) ** n, (x, n)
+
+
+
 def test_nonneg_root_normalization():
     assert NonnegRoot(Fraction(8), 3).as_rational() == 2
     assert NonnegRoot(Fraction(4, 9), 2) == NonnegRoot.of(Fraction(2, 3))

@@ -1,13 +1,15 @@
 """Fiber models, Kummer fibers, the deck-action torsor law, and the
 fiberwise profinite comparison."""
 
+import cmath
+import random
 from fractions import Fraction
 
 import pytest
 
 import logcharts.fibers as fibers_mod
-from logcharts.abgrp import FgAbelianGroup
-from logcharts.errors import FalsifiedProperty, InvalidPoint
+from logcharts.abgrp import FgAbelianGroup, IntMatrix, rank
+from logcharts.errors import ChartError, FalsifiedProperty, InvalidPoint
 from logcharts.fibers import (algebraic_kummer_fiber, comparison_on_pi1,
                               kn_fiber, kn_kummer_fiber, root_fiber_tower,
                               torsor_check, verify_fiber_equivalence)
@@ -15,6 +17,7 @@ from logcharts.monoid import (MonoidSpec, face_with_support, faces, kummer,
                               validate)
 from logcharts.semialg import (CxPoint, KnPoint, Target, check_membership,
                                emit_equations, sample_kn_stratum, tau)
+from oracles import root_choices_by_scan
 
 
 def n_monoid():
@@ -271,3 +274,92 @@ def test_fiber_cardinality_mismatch_is_hard_error():
     p = KnPoint.exact_point([(1, 0), (1, 0), (1, 0)])
     with pytest.raises(FalsifiedProperty):
         kn_kummer_fiber(m, p, 2)
+
+
+def _span_mod(generators, n, k):
+    """The subgroup of (Z/n)^k generated by the given tuples."""
+    span, frontier = {(0,) * k}, [(0,) * k]
+    while frontier:
+        u = frontier.pop()
+        for g in generators:
+            w = tuple((a + b) % n for a, b in zip(u, g))
+            if w not in span:
+                span.add(w)
+                frontier.append(w)
+    return span
+
+
+def test_root_choices_match_the_scan_oracle():
+    rng = random.Random(20261017)
+    kinds = set()
+    for _ in range(500):
+        k, n = rng.randint(1, 4), rng.randint(1, 7)
+        rows = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(rng.randint(0, 4))]
+        if rows and rng.random() < 0.3:
+            rows[0] = [2 * x for x in rows[0]]  # an index-2 sublattice
+        offsets = [rng.randint(-9, 9) if rng.random() < 0.5 else 0 for _ in rows]
+        solutions, generators = fibers_mod._root_choices(rows, offsets, n, k)
+        assert solutions == root_choices_by_scan(rows, offsets, n, k), (rows, offsets, n)
+        homogeneous = root_choices_by_scan(rows, [0] * len(rows), n, k)
+        assert len(generators) <= k
+        assert _span_mod(generators, n, k) == set(homogeneous), (rows, n)
+        free_count = n ** (k - rank(IntMatrix.from_rows(rows, k)))
+        kinds.add("unsolvable" if not solutions
+                  else "complete" if len(solutions) == free_count else "incomplete")
+    assert kinds == {"unsolvable", "complete", "incomplete"}
+
+
+def test_torsor_check_acts_once_per_group_element_and_generator(monkeypatch):
+    calls = []
+    real_act = fibers_mod._act_exact
+
+    def counting_act(point, u, n):
+        calls.append(u)
+        return real_act(point, u, n)
+
+    monkeypatch.setattr(fibers_mod, "_act_exact", counting_act)
+    m = a1_cone()
+    p = sample_kn_stratum(m, face_with_support(m, [0, 1, 2]), 1, seed=42)[0]
+    ok, report = torsor_check(m, p, 6)
+    assert ok and report.group_order == 36
+    assert sorted(report.orbit_table) == list(range(36))
+    assert len(calls) <= 3 * 36
+
+
+def test_torsor_flags_are_decided_by_the_action(monkeypatch):
+    m = a1_cone()
+    p = sample_kn_stratum(m, face_with_support(m, [0, 1, 2]), 1, seed=42)[0]
+    # An action that fixes every point is neither free nor transitive.
+    monkeypatch.setattr(fibers_mod, "_act_exact", lambda point, u, n: point)
+    ok, report = torsor_check(m, p, 3)
+    assert not ok and report.preserves_fiber
+    assert not report.free and not report.transitive
+    # An action by half-steps leaves the fiber.
+    monkeypatch.setattr(fibers_mod, "_act_exact", lambda point, u, n: KnPoint(
+        tuple((r, a + Fraction(sum(u), 2 * n)) for r, a in point.values), True))
+    ok, report = torsor_check(m, p, 3)
+    assert not ok and not report.preserves_fiber
+
+
+def test_torsor_check_floating_log_point_at_degree_64():
+    m = n_monoid()
+    turn = Fraction(5, 7)
+    ok, floating = torsor_check(
+        m, KnPoint.floating([(2.0, cmath.exp(2j * cmath.pi * float(turn)))]), 64)
+    assert ok and floating.group_order == floating.fiber_size == 64
+    _, exact = torsor_check(m, KnPoint.exact_point([(2, turn)]), 64)
+    assert floating.orbit_table == exact.orbit_table
+
+
+def test_fiber_size_cap_refuses_before_enumerating():
+    m = a1_cone()
+    dense = face_with_support(m, [0, 1, 2])
+    p = sample_kn_stratum(m, dense, 1, seed=42)[0]
+    for build in (lambda: kn_kummer_fiber(m, p, 1000),
+                  lambda: torsor_check(m, p, 1000),
+                  lambda: algebraic_kummer_fiber(m, tau(p), 1000)):
+        with pytest.raises(ChartError, match="enumeration cap"):
+            build()
+    # Over the vertex the complex fiber is one point at any degree.
+    origin = CxPoint.exact_point([0, 0, 0])
+    assert len(algebraic_kummer_fiber(m, origin, 10 ** 6)) == 1
