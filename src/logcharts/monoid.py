@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -77,11 +78,12 @@ class AffineMonoid:
     """A validated fine saturated sharp monoid.
 
     ``relations`` is the verified relation set (synthesized from the kernel
-    of the generator matrix when the presentation supplied none).
-    ``is_saturated``
-    records a desk-scale check: saturation was verified for all cone
-    lattice points up to ``degree_bound``.  Treat instances as immutable;
-    they are only constructed by :func:`validate`.
+    of the generator matrix when the presentation supplied none; empty for
+    a free chart).  ``is_saturated`` is proved exactly for a free chart
+    (linearly independent generators) and otherwise records a desk-scale
+    check: saturation was verified for all cone lattice points up to
+    ``degree_bound``.  Treat instances as immutable; they are only
+    constructed by :func:`validate`.
     """
 
     spec: MonoidSpec
@@ -176,35 +178,37 @@ def _synthesize_relations(spec: MonoidSpec) -> tuple[Relation, ...]:
 _ENUMERATION_CAP = 2_000_000
 
 
-def _bounded_exponent_vectors(degrees, bound):
-    """All n in N^k with sum n_i * degrees_i <= bound."""
-    k = len(degrees)
-    out = []
+def _bounded_exponent_vectors(spec: MonoidSpec, degrees, bound):
+    """Yield (n, image) for every n in N^k with sum n_i * degrees_i <= bound,
+    where image = sum n_i * gen_i is built by running sums as the
+    enumeration goes; only the current vector is held.  The vectors are
+    counted first (ways[b] of exact degree b), and more than
+    ``_ENUMERATION_CAP`` of them raise InvalidMonoidSpec before any is
+    made."""
+    ways = [1] + [0] * bound
+    for step in degrees:
+        for b in range(step, bound + 1):
+            ways[b] += ways[b - step]
+    if sum(ways) > _ENUMERATION_CAP:
+        raise InvalidMonoidSpec(
+            "degree-bounded enumeration exceeds the desk-scale cap; "
+            "lower the degree bound")
+    gens = spec.generators
+    k = len(gens)
     vec = [0] * k
 
-    def rec(i, remaining):
+    def rec(i, remaining, image):
         if i == k:
-            out.append(tuple(vec))
-            if len(out) > _ENUMERATION_CAP:
-                raise InvalidMonoidSpec(
-                    "degree-bounded enumeration exceeds the desk-scale cap; "
-                    "lower the degree bound")
+            yield tuple(vec), image
             return
-        step = degrees[i]
-        top = remaining // step
-        for c in range(top + 1):
+        step, gen = degrees[i], gens[i]
+        for c in range(remaining // step + 1):
             vec[i] = c
-            rec(i + 1, remaining - c * step)
+            yield from rec(i + 1, remaining - c * step, image)
+            image = tuple(map(operator.add, image, gen))
         vec[i] = 0
 
-    rec(0, bound)
-    return out
-
-
-def _image(spec: MonoidSpec, exponents) -> tuple[int, ...]:
-    d = spec.ambient_rank
-    return tuple(sum(exponents[j] * spec.generators[j][i] for j in range(len(exponents)))
-                 for i in range(d))
+    yield from rec(0, bound, (0,) * spec.ambient_rank)
 
 
 class _UnionFind:
@@ -232,10 +236,9 @@ def _check_congruence_complete(spec: MonoidSpec, relations, degrees, bound):
     over degree-bounded elements is closed under moves and can be checked
     by union-find.  Fails loudly if any fiber is disconnected.
     """
-    vectors = _bounded_exponent_vectors(degrees, bound)
     fibers: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    for n in vectors:
-        fibers.setdefault(_image(spec, n), []).append(n)
+    for n, image in _bounded_exponent_vectors(spec, degrees, bound):
+        fibers.setdefault(image, []).append(n)
     k = len(spec.generators)
     for image, members in fibers.items():
         if len(members) < 2:
@@ -312,11 +315,15 @@ def _check_saturation(m_partial: AffineMonoid, monoid_images, bound):
 def validate(spec: MonoidSpec, degree_bound: int = DEFAULT_DEGREE_BOUND) -> AffineMonoid:
     """Validate a presentation and return the affine monoid it defines.
 
-    Sharpness is decided exactly by rational feasibility.  Supplied
-    relations are verified exactly; absent relations are synthesized from
-    the integer kernel of the generator matrix and checked against the
-    brute-force congruence oracle up to the degree bound.  Saturation is
-    checked up to the same bound.
+    Sharpness is decided exactly by rational feasibility, and supplied
+    relations are verified exactly.  A free chart (generators linearly
+    independent) is decided in closed form: P is N^k, so the empty
+    relation set is complete, and P is saturated in P^gp because a lattice
+    point of the cone has unique, hence nonnegative integer, coordinates.
+    Otherwise absent relations are synthesized from the integer kernel of
+    the generator matrix and checked against the brute-force congruence
+    oracle up to the degree bound, and saturation is checked up to the
+    same bound.
 
     Raises NotSharp, RelationInconsistent, RelationSynthesisIncomplete,
     SaturationFailure, or InvalidMonoidSpec.
@@ -330,16 +337,15 @@ def validate(spec: MonoidSpec, degree_bound: int = DEFAULT_DEGREE_BOUND) -> Affi
     if certificate is None:
         raise NotSharp("the rational cone spanned by the generators contains a line")
 
+    gp_rank = rank(generator_matrix(spec.generators, d))
+    free = gp_rank == len(spec.generators)
     if spec.relations is not None:
         for rel in spec.relations:
             _verify_relation(spec, rel)
         relations = spec.relations
-        synthesized = False
     else:
-        relations = _synthesize_relations(spec)
-        synthesized = True
+        relations = () if free else _synthesize_relations(spec)
 
-    gp_rank = rank(generator_matrix(spec.generators, d))
     grading = _grading_functional(spec, certificate)
     monoid = AffineMonoid(
         spec=spec,
@@ -355,12 +361,13 @@ def validate(spec: MonoidSpec, degree_bound: int = DEFAULT_DEGREE_BOUND) -> Affi
     degrees = [monoid.degree(g) for g in spec.generators]
     if any(x < 1 for x in degrees):
         raise InvalidMonoidSpec("grading functional is not positive on the generators")
-    if synthesized:
-        images = _check_congruence_complete(spec, relations, degrees, degree_bound)
-    else:
-        images = {_image(spec, n)
-                  for n in _bounded_exponent_vectors(degrees, degree_bound)}
-    _check_saturation(monoid, images, degree_bound)
+    if not free:
+        if spec.relations is None:
+            images = _check_congruence_complete(spec, relations, degrees, degree_bound)
+        else:
+            images = {image for _, image in
+                      _bounded_exponent_vectors(spec, degrees, degree_bound)}
+        _check_saturation(monoid, images, degree_bound)
     monoid.is_saturated = True
     return monoid
 

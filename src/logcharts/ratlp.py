@@ -1,12 +1,18 @@
 """Exact linear programming over the rationals.
 
-A small dense two-phase simplex with Bland's rule, operating on
-``fractions.Fraction`` throughout.  Sized for desk-scale cone problems
-(tens of variables); correctness over cleverness.
+A small dense two-phase simplex with Bland's rule.  Each tableau row is
+held as a list of integers over one positive denominator, reduced by
+their gcd after every pivot (integer-preserving elimination in the sense
+of Bareiss, Math. Comp. 22, 1968), so sign and ratio tests are integer
+comparisons and cross-products.  The pivots, and so every answer, are
+those of the same simplex run on ``fractions.Fraction`` entries.  Sized
+for desk-scale cone problems (tens of variables); correctness over
+cleverness.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 OPTIMAL = "optimal"
@@ -17,46 +23,65 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-def _pivot(tab, basis, prow, pcol):
-    piv = tab[prow][pcol]
-    tab[prow] = [x / piv for x in tab[prow]]
-    for i in range(len(tab)):
-        if i != prow and tab[i][pcol] != 0:
-            factor = tab[i][pcol]
-            row = tab[i]
-            prow_vals = tab[prow]
-            tab[i] = [row[j] - factor * prow_vals[j] for j in range(len(row))]
+def _rational(x):
+    return x if isinstance(x, (int, Fraction)) else Fraction(x)
+
+
+def _integer_row(values):
+    """Integers over one positive denominator, with the given values."""
+    den = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def _reduced(row, den):
+    g = math.gcd(*row, den)
+    if g > 1:
+        return [x // g for x in row], den // g
+    return row, den
+
+
+def _pivot(tab, dens, basis, prow, pcol):
+    """Divide row ``prow`` by its ``pcol`` entry and clear that column
+    from every other row; row i holds the values tab[i][j] / dens[i]."""
+    pivot_row = tab[prow]
+    piv = pivot_row[pcol]
+    if piv < 0:
+        pivot_row, piv = [-x for x in pivot_row], -piv
+    pivot_row, piv = _reduced(pivot_row, piv)
+    tab[prow], dens[prow] = pivot_row, piv
+    for i, row in enumerate(tab):
+        factor = row[pcol]
+        if factor and i != prow:
+            tab[i], dens[i] = _reduced([x * piv - factor * y for x, y in zip(row, pivot_row)],
+                                       dens[i] * piv)
     basis[prow] = pcol
 
 
-def _run_simplex(tab, basis, ncols):
+def _run_simplex(tab, dens, basis, ncols):
     """Minimize the objective encoded in the last tableau row.
 
     The objective row holds reduced costs; column ``ncols`` is the RHS.
-    Bland's rule (smallest eligible index) guarantees termination.
+    Bland's rule (smallest eligible index) guarantees termination.  A
+    row's denominator cancels from its ratio rhs / entry, so ratios are
+    compared as integer cross-products.
     """
     m = len(tab) - 1
-    obj = tab[m]
     while True:
-        pcol = None
-        for j in range(ncols):
-            if obj[j] < 0:
-                pcol = j
-                break
+        obj = tab[m]
+        pcol = next((j for j in range(ncols) if obj[j] < 0), None)
         if pcol is None:
             return OPTIMAL
         prow = None
-        best = None
         for i in range(m):
-            if tab[i][pcol] > 0:
-                ratio = tab[i][ncols] / tab[i][pcol]
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[prow]):
-                    best = ratio
-                    prow = i
+            a = tab[i][pcol]
+            if a > 0:
+                b = tab[i][ncols]
+                if prow is None or b * best_a < best_b * a or (
+                        b * best_a == best_b * a and basis[i] < basis[prow]):
+                    best_b, best_a, prow = b, a, i
         if prow is None:
             return UNBOUNDED
-        _pivot(tab, basis, prow, pcol)
-        obj = tab[m]
+        _pivot(tab, dens, basis, prow, pcol)
 
 
 def solve_standard_form(c, a_rows, b):
@@ -67,33 +92,34 @@ def solve_standard_form(c, a_rows, b):
     """
     m = len(a_rows)
     n = len(c)
-    c = [Fraction(x) for x in c]
-    rows = [[Fraction(x) for x in row] for row in a_rows]
-    rhs = [Fraction(x) for x in b]
+    c = [_rational(x) for x in c]
+    rows = [[_rational(x) for x in row] for row in a_rows]
+    rhs = [_rational(x) for x in b]
     for row in rows:
         if len(row) != n:
             raise ValueError("constraint width does not match objective length")
-    for i in range(m):
-        if rhs[i] < 0:
-            rows[i] = [-x for x in rows[i]]
-            rhs[i] = -rhs[i]
 
-    # Phase 1: artificial variables n..n+m-1, minimize their sum.
+    # Phase 1: artificial variables n..n+m-1, minimize their sum.  A row
+    # with negative right-hand side is negated first.
     total = n + m
-    tab = []
+    tab, dens = [], []
     for i in range(m):
-        row = rows[i] + [_ONE if j == i else _ZERO for j in range(m)] + [rhs[i]]
-        tab.append(row)
-    obj = [_ZERO] * (total + 1)
-    for i in range(m):
-        for j in range(total + 1):
-            obj[j] -= tab[i][j]
-        obj[n + i] = _ZERO
+        nums, den = _integer_row(rows[i] + [rhs[i]])
+        if rhs[i] < 0:
+            nums = [-x for x in nums]
+        tab.append(nums[:n] + [den if j == i else 0 for j in range(m)] + nums[n:])
+        dens.append(den)
+    common = math.lcm(*dens)
+    obj = [-sum(row[j] * (common // den) for row, den in zip(tab, dens))
+           for j in range(total + 1)]
+    obj[n:total] = [0] * m
+    obj, common = _reduced(obj, common)
     tab.append(obj)
+    dens.append(common)
     basis = [n + i for i in range(m)]
 
-    status = _run_simplex(tab, basis, total)
-    if status != OPTIMAL or -tab[m][total] > 0:
+    status = _run_simplex(tab, dens, basis, total)
+    if status != OPTIMAL or tab[m][total] < 0:
         return INFEASIBLE, None, None
 
     # Drive lingering artificials out of the basis; drop redundant rows.
@@ -103,26 +129,31 @@ def solve_standard_form(c, a_rows, b):
             pcol = next((j for j in range(n) if tab[i][j] != 0), None)
             if pcol is None:
                 continue  # redundant constraint
-            _pivot(tab, basis, i, pcol)
+            _pivot(tab, dens, basis, i, pcol)
         keep.append(i)
 
     # Phase 2 tableau: original columns only, fresh reduced costs.
-    tab2 = [[tab[i][j] for j in range(n)] + [tab[i][n + m]] for i in keep]
+    tab2, dens2 = [], []
+    for i in keep:
+        row, den = _reduced(tab[i][:n] + [tab[i][total]], dens[i])
+        tab2.append(row)
+        dens2.append(den)
     basis2 = [basis[i] for i in keep]
-    obj2 = list(c) + [_ZERO]
+    obj2, oden = _integer_row(c + [0])
     for i, row in enumerate(tab2):
         cb = c[basis2[i]]
         if cb != 0:
-            for j in range(n + 1):
-                obj2[j] -= cb * row[j]
+            f, g = cb.numerator * oden, cb.denominator * dens2[i]
+            obj2, oden = _reduced([x * g - f * y for x, y in zip(obj2, row)], oden * g)
     tab2.append(obj2)
+    dens2.append(oden)
 
-    status = _run_simplex(tab2, basis2, n)
+    status = _run_simplex(tab2, dens2, basis2, n)
     if status != OPTIMAL:
         return status, None, None
     x = [_ZERO] * n
     for i, bj in enumerate(basis2):
-        x[bj] = tab2[i][n]
+        x[bj] = Fraction(tab2[i][n], dens2[i])
     value = sum(ci * xi for ci, xi in zip(c, x))
     return OPTIMAL, x, value
 

@@ -4,15 +4,19 @@ Everything here deliberately avoids the library's computation paths:
 cosets are counted through a hand-rolled Hermite-style column reduction
 and breadth-first enumeration of the quotient, faces are recognized by
 the combinatorial face axiom on degree-bounded monoid elements, group
-isomorphism is cross-checked on element-order multisets, and root-index
-congruences are solved by scanning every candidate.
+isomorphism is cross-checked on element-order multisets, root-index
+congruences are solved by scanning every candidate, and linear programs
+are solved by the Fraction-tableau simplex the library used to run.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import deque
+from fractions import Fraction
 from math import gcd
+
+from logcharts.ratlp import INFEASIBLE, OPTIMAL, UNBOUNDED
 
 
 def hnf_column_basis(entries, rows, cols):
@@ -184,3 +188,121 @@ def root_choices_by_scan(rows, offsets, n, k):
     return [u for u in itertools.product(range(n), repeat=k)
             if all((sum(a * x for a, x in zip(row, u)) + c) % n == 0
                    for row, c in zip(rows, offsets))]
+
+
+# The two-phase Bland simplex on ``Fraction`` tableaux that
+# ``logcharts.ratlp`` ran before it moved to integer rows; the integer
+# version must take the same pivots and return the same answers.
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+
+
+def _pivot(tab, basis, prow, pcol):
+    piv = tab[prow][pcol]
+    tab[prow] = [x / piv for x in tab[prow]]
+    for i in range(len(tab)):
+        if i != prow and tab[i][pcol] != 0:
+            factor = tab[i][pcol]
+            row = tab[i]
+            prow_vals = tab[prow]
+            tab[i] = [row[j] - factor * prow_vals[j] for j in range(len(row))]
+    basis[prow] = pcol
+
+
+def _run_simplex(tab, basis, ncols):
+    """Minimize the objective encoded in the last tableau row.
+
+    The objective row holds reduced costs; column ``ncols`` is the RHS.
+    Bland's rule (smallest eligible index) guarantees termination.
+    """
+    m = len(tab) - 1
+    obj = tab[m]
+    while True:
+        pcol = None
+        for j in range(ncols):
+            if obj[j] < 0:
+                pcol = j
+                break
+        if pcol is None:
+            return OPTIMAL
+        prow = None
+        best = None
+        for i in range(m):
+            if tab[i][pcol] > 0:
+                ratio = tab[i][ncols] / tab[i][pcol]
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[prow]):
+                    best = ratio
+                    prow = i
+        if prow is None:
+            return UNBOUNDED
+        _pivot(tab, basis, prow, pcol)
+        obj = tab[m]
+
+
+def solve_standard_form(c, a_rows, b):
+    """min c.x subject to A x = b, x >= 0, all data rational.
+
+    Returns (status, x, objective); x and objective are None unless
+    status is OPTIMAL.
+    """
+    m = len(a_rows)
+    n = len(c)
+    c = [Fraction(x) for x in c]
+    rows = [[Fraction(x) for x in row] for row in a_rows]
+    rhs = [Fraction(x) for x in b]
+    for row in rows:
+        if len(row) != n:
+            raise ValueError("constraint width does not match objective length")
+    for i in range(m):
+        if rhs[i] < 0:
+            rows[i] = [-x for x in rows[i]]
+            rhs[i] = -rhs[i]
+
+    # Phase 1: artificial variables n..n+m-1, minimize their sum.
+    total = n + m
+    tab = []
+    for i in range(m):
+        row = rows[i] + [_ONE if j == i else _ZERO for j in range(m)] + [rhs[i]]
+        tab.append(row)
+    obj = [_ZERO] * (total + 1)
+    for i in range(m):
+        for j in range(total + 1):
+            obj[j] -= tab[i][j]
+        obj[n + i] = _ZERO
+    tab.append(obj)
+    basis = [n + i for i in range(m)]
+
+    status = _run_simplex(tab, basis, total)
+    if status != OPTIMAL or -tab[m][total] > 0:
+        return INFEASIBLE, None, None
+
+    # Drive lingering artificials out of the basis; drop redundant rows.
+    keep = []
+    for i in range(m):
+        if basis[i] >= n:
+            pcol = next((j for j in range(n) if tab[i][j] != 0), None)
+            if pcol is None:
+                continue  # redundant constraint
+            _pivot(tab, basis, i, pcol)
+        keep.append(i)
+
+    # Phase 2 tableau: original columns only, fresh reduced costs.
+    tab2 = [[tab[i][j] for j in range(n)] + [tab[i][n + m]] for i in keep]
+    basis2 = [basis[i] for i in keep]
+    obj2 = list(c) + [_ZERO]
+    for i, row in enumerate(tab2):
+        cb = c[basis2[i]]
+        if cb != 0:
+            for j in range(n + 1):
+                obj2[j] -= cb * row[j]
+    tab2.append(obj2)
+
+    status = _run_simplex(tab2, basis2, n)
+    if status != OPTIMAL:
+        return status, None, None
+    x = [_ZERO] * n
+    for i, bj in enumerate(basis2):
+        x[bj] = tab2[i][n]
+    value = sum(ci * xi for ci, xi in zip(c, x))
+    return OPTIMAL, x, value

@@ -4,7 +4,9 @@ import random
 
 import pytest
 
-from logcharts.abgrp import FgAbelianGroup, IntMatrix, cokernel, is_isomorphic, tensor_mod
+from logcharts import monoid
+from logcharts.abgrp import (FgAbelianGroup, IntMatrix, cokernel, is_isomorphic, rank,
+                             tensor_mod)
 from logcharts.errors import (InvalidMonoidSpec, NotAFace, NotSharp,
                               RelationInconsistent, SaturationFailure)
 from logcharts.monoid import (MonoidSpec, face_with_support, faces, kummer,
@@ -206,3 +208,56 @@ def test_relation_verification_is_exact_on_random_valid_relations():
         c = rng.randrange(1, 4)
         rel = ([c * x for x in base_r], [c * x for x in base_s])
         validate(MonoidSpec.make(2, [[1, 0], [1, 1], [1, 2]], [rel]))
+
+
+def _refuse_enumeration(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a free chart must not enumerate exponent vectors")
+    monkeypatch.setattr(monoid, "_bounded_exponent_vectors", refuse)
+
+
+def test_free_chart_closed_form_agrees_with_the_bounded_checks(monkeypatch):
+    rng = random.Random(11)
+    sets = [(2, [[2, 1], [0, 3]])]
+    while len(sets) < 40:
+        k = rng.randint(1, 4)
+        d = rng.randint(k, min(k + 1, 4))
+        gens = [[rng.randint(-3, 3) for _ in range(d)] for _ in range(k)]
+        if rank(IntMatrix.from_rows(gens)) == k:
+            sets.append((d, gens))
+    for d, gens in sets:
+        spec = MonoidSpec.make(d, gens)
+        with monkeypatch.context() as patch:
+            _refuse_enumeration(patch)
+            m = validate(spec, degree_bound=8)
+        assert m.is_saturated and m.relations == () and m.gp_lattice_rank == len(gens)
+        # the bounded checks, up to twice the largest generator degree
+        degrees = [m.degree(g) for g in gens]
+        bound = 2 * max(degrees)
+        images = monoid._check_congruence_complete(spec, (), degrees, bound)
+        monoid._check_saturation(m, images, bound)
+
+
+def test_free_chart_keeps_and_verifies_supplied_relations(monkeypatch):
+    _refuse_enumeration(monkeypatch)
+    trivial = ((1, 2), (1, 2))
+    m = validate(MonoidSpec.make(2, [[2, 1], [0, 3]], [trivial]))
+    assert m.relations == (trivial,)
+    with pytest.raises(RelationInconsistent):
+        validate(MonoidSpec.make(2, [[2, 1], [0, 3]], [((1, 0), (0, 1))]))
+
+
+def test_free_chart_is_decided_at_any_degree_bound(monkeypatch):
+    _refuse_enumeration(monkeypatch)
+    gens = [[1 if i == j else 0 for j in range(4)] for i in range(4)]
+    m = validate(MonoidSpec.make(4, gens), degree_bound=40)
+    assert m.is_saturated and m.relations == () and m.gp_lattice_rank == 4
+
+
+def test_enumeration_cap_still_refuses(monkeypatch):
+    monkeypatch.setattr(monoid, "_ENUMERATION_CAP", 1000)
+    with pytest.raises(InvalidMonoidSpec, match="desk-scale cap"):
+        validate(MonoidSpec.make(2, [[1, 0], [1, 1], [1, 2]], [[[1, 0, 1], [0, 2, 0]]]),
+                 degree_bound=60)
+    with pytest.raises(InvalidMonoidSpec, match="desk-scale cap"):
+        validate(MonoidSpec.make(2, [[1, 0], [1, 1], [1, 2]]), degree_bound=60)
