@@ -94,11 +94,6 @@ class IntMatrix:
         return tuple(sum(self.entries[i][k] * vector[k] for k in range(self.cols))
                      for i in range(self.rows))
 
-    def transpose(self) -> IntMatrix:
-        return IntMatrix(self.cols, self.rows,
-                         tuple(tuple(self.entries[i][j] for i in range(self.rows))
-                               for j in range(self.cols)))
-
     def column(self, j: int) -> tuple[int, ...]:
         return tuple(self.entries[i][j] for i in range(self.rows))
 

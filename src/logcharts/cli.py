@@ -147,7 +147,7 @@ def _parse_point(text, m, tol):
                                         for r, t in zip(radii, circle)])
         return KnPoint.floating([(float(r), complex(a[0], a[1]))
                                  for r, a in zip(radii, circle)])
-    except (TypeError, ValueError, IndexError, ZeroDivisionError) as err:
+    except (TypeError, ValueError, IndexError, ZeroDivisionError, OverflowError) as err:
         raise ChartError(f"point has a malformed coordinate: {err}") from err
 
 

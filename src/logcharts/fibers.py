@@ -18,16 +18,17 @@ real roots are exact radicals.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from .abgrp import (FgAbelianGroup, IntMatrix, generator_matrix,
                     is_isomorphic, rank, smith_normal_form, tensor_mod)
 from .errors import (ChartError, FalsifiedProperty, InvalidPoint, NotAFace,
                      NotOnVariety)
-from .exactnum import turn_mod1, unit_from_turn_float
+from .exactnum import (GaussianRational, rational_nth_root, turn_mod1,
+                       unit_from_turn_exact, unit_from_turn_float)
 from .monoid import AffineMonoid, Face, face_with_support, stalk
 from .profin import (EquivalenceCertificate, FiniteAbelianProSystem,
                      completion, equivalent_up_to, mu_tower)
@@ -234,12 +235,15 @@ def _root_choices(rows, offsets, n: int, k: int):
         step = n // g
         solvable = solvable and b[j] % g == 0
         w0 = b[j] // g * pow(diag[j] // g, -1, step) % step if step > 1 else 0
-        axes.append(range(w0, n, step))
+        column = v.column(j)
+        axes.append((range(w0, n, step), column))
         if g > 1:
-            generators.append(tuple(step * x % n for x in v.column(j)))
-    solutions = sorted(tuple(x % n for x in v.apply(w))
-                       for w in itertools.product(*axes)) if solvable else []
-    return solutions, generators
+            generators.append(tuple(step * x % n for x in column))
+    solutions = [(0,) * k] if solvable else []
+    for axis, column in axes:
+        solutions = [tuple([(a + w * c) % n for a, c in zip(u, column)])
+                     for u in solutions for w in axis]
+    return sorted(solutions), generators
 
 
 def _validate_point(m: AffineMonoid, p, target: Target, tol: float):
@@ -260,10 +264,11 @@ def kn_kummer_fiber(m: AffineMonoid, p: KnPoint, n: int,
                     tol: float = DEFAULT_TOLERANCE) -> list[KnPoint]:
     """The full fiber of the degree-n Kummer cover of the log model over p.
 
-    Radii have unique nonnegative n-th roots; each circle coordinate has n
-    roots, and a tuple of root indices lies in the fiber iff it solves the
-    relation congruences mod n, which are solved once by Smith form.  The
-    points come in lexicographic order of their root indices.  The count
+    Radii have unique nonnegative n-th roots; circle coordinate i has the n
+    roots t_i/n + j/n, tabulated once, and a tuple of root indices lies in
+    the fiber iff it solves the relation congruences mod n, solved once by
+    Smith form.  Points come in lexicographic order of root indices and
+    are assembled from the tables, k n angles in all, not k n^r.  The count
     is always n^r with r the group rank of the chart, independent of the
     stratum: the circle factors are what trivialize the ramification.  A
     count mismatch is a hard error, and n^r above the enumeration cap is
@@ -287,13 +292,11 @@ def kn_kummer_fiber(m: AffineMonoid, p: KnPoint, n: int,
         raise FalsifiedProperty(
             f"Kummer fiber has {len(choices)} points, expected n^r = {expected}; "
             f"this falsifies the torsor law and indicates a relation-set bug")
-    if p.exact:
-        return [KnPoint(tuple((base_radii[i], turn_mod1(base_turns[i] + Fraction(u[i], n)))
-                              for i in range(k)), True)
-                for u in choices]
-    return [KnPoint(tuple((base_radii[i], unit_from_turn_float(base_turns[i] + u[i] / n))
-                          for i in range(k)), False)
-            for u in choices]
+    # Coordinate i takes only the n values (radius, angle t_i/n + j/n).
+    table = [[(base_radii[i], turn_mod1(base_turns[i] + Fraction(j, n)) if p.exact
+               else unit_from_turn_float(base_turns[i] + j / n)) for j in range(n)]
+             for i in range(k)]
+    return [KnPoint(tuple(map(list.__getitem__, table, u)), p.exact) for u in choices]
 
 
 def algebraic_kummer_fiber(m: AffineMonoid, p: CxPoint, n: int,
@@ -341,7 +344,7 @@ def algebraic_kummer_fiber(m: AffineMonoid, p: CxPoint, n: int,
             f"algebraic Kummer fiber has {len(choices)} points, expected "
             f"n^(face rank) = {expected}; relation-set or tolerance bug")
 
-    exact_fiber = _try_exact_algebraic_fiber(m, p, n, support_set, choices)
+    exact_fiber = _try_exact_algebraic_fiber(m, p, n, support_set, choices) if p.exact else None
     if exact_fiber is not None:
         return exact_fiber
 
@@ -354,14 +357,11 @@ def _try_exact_algebraic_fiber(m, p, n, support_set, choices):
     """Exact realization when every root value is Gaussian rational:
     axis-aligned coordinates with perfect n-th power magnitudes and
     quarter-turn root angles.  Returns None when that fails."""
-    from .exactnum import (GaussianRational, rational_nth_root,
-                           unit_from_turn_exact)
-
-    if not p.exact:
-        return None
-    polar = {}
+    # Coordinate i takes only the n roots |z_i|^(1/n) exp(2 pi i (t_i + j)/n).
+    table = []
     for i in range(m.generator_count):
         if i not in support_set:
+            table.append([GaussianRational.of(0)])
             continue
         v = p.values[i]
         if v.im == 0:
@@ -373,21 +373,13 @@ def _try_exact_algebraic_fiber(m, p, n, support_set, choices):
         root_mag = rational_nth_root(Fraction(mag), n)
         if root_mag is None:
             return None
-        polar[i] = (root_mag, turn)
-    fiber = []
-    for u in choices:
-        coords = []
-        for i in range(m.generator_count):
-            if i not in support_set:
-                coords.append(GaussianRational.of(0))
-                continue
-            root_mag, turn = polar[i]
-            unit = unit_from_turn_exact(turn_mod1(turn / n + Fraction(u[i], n)))
-            if unit is None:
-                return None
-            coords.append(GaussianRational.of(root_mag) * unit)
-        fiber.append(CxPoint(tuple(coords), True))
-    return fiber
+        units = (unit_from_turn_exact(turn / n + Fraction(j, n)) for j in range(n))
+        table.append([None if unit is None else GaussianRational.of(root_mag) * unit
+                      for unit in units])
+    fiber = [tuple(map(list.__getitem__, table, u)) for u in choices]
+    if any(c is None for coords in fiber for c in coords):
+        return None
+    return [CxPoint(coords, True) for coords in fiber]
 
 
 @dataclass(frozen=True)
@@ -418,19 +410,23 @@ class TorsorReport:
         }
 
 
-def _act_exact(point: KnPoint, u, n) -> KnPoint:
-    pairs = [(r, turn_mod1(a + Fraction(ui, n))) for (r, a), ui in zip(point.values, u)]
-    return KnPoint(tuple(pairs), True)
+def _act_residues(residues, u, step, modulus):
+    """u turning angle residues mod ``modulus``: u_i / n turns is u_i step."""
+    return tuple([(a + ui * step) % modulus for a, ui in zip(residues, u)])
 
 
 def _act_float(point: KnPoint, u, n) -> KnPoint:
-    pairs = [(r, a * unit_from_turn_float(Fraction(ui, n)))
-             for (r, a), ui in zip(point.values, u)]
-    return KnPoint(tuple(pairs), False)
+    return KnPoint(tuple((r, a * unit_from_turn_float(Fraction(ui, n)))
+                         for (r, a), ui in zip(point.values, u)), False)
 
 
-def _kn_key_exact(point: KnPoint):
-    return tuple((r.base, r.degree, a) for r, a in point.values)
+def _angle_residues(point: KnPoint, radii, modulus):
+    """The angles a of an exact point as the integers a * modulus, or None
+    when the point's radii are not ``radii`` or an angle is off that grid."""
+    if [r for r, _ in point.values] != radii or any(modulus % a.denominator
+                                                    for _, a in point.values):
+        return None
+    return tuple([a.numerator * (modulus // a.denominator) for _, a in point.values])
 
 
 def _kn_close(a: KnPoint, b: KnPoint, tol: float) -> bool:
@@ -450,10 +446,13 @@ def torsor_check(m: AffineMonoid, p: KnPoint, n: int,
     abelian group are constant on an orbit; ``preserves_fiber`` iff every
     image lies in the fiber and each Smith-form generator of the group
     carries every fiber point into it.  That is (1 + #generators) n^r
-    actions.  Exact points are located by equality; floating points by
-    their root indices relative to the base point, confirmed within
-    tolerance.  The orbit table gives, per fiber point, the first
-    character carrying the base point to it.
+    actions.  Exact angles lie on the grid (1/D)Z, D = n lcm(denominators
+    of p's turns): each fiber point's angles a are lifted once to the
+    residues a D mod D, u adds u_i D / n, and a point off the grid or off
+    the base point's radii (which the action keeps) is never located.
+    Floating points are located by root indices relative to the base
+    point, within tolerance.  The orbit table gives, per fiber point, the
+    first character carrying the base point to it.
     """
     n = int(n)
     fiber = kn_kummer_fiber(m, p, n, tol)
@@ -464,30 +463,33 @@ def torsor_check(m: AffineMonoid, p: KnPoint, n: int,
         raise FalsifiedProperty(
             f"deck group has order {len(chars)}, expected n^r = {expected_order}")
 
-    base = fiber[0]
     if p.exact:
-        # An exact key determines the point, so a key match is a match.
-        key, act, same = _kn_key_exact, _act_exact, (lambda a, b: True)
+        step = math.lcm(*(a.denominator for _, a in p.values))
+        radii = [r for r, _ in fiber[0].values]
+        points = [_angle_residues(pt, radii, n * step) for pt in fiber]
+        index = {res: i for i, res in enumerate(points) if res is not None}
+        locate, act = index.get, partial(_act_residues, step=step, modulus=n * step)
     else:
+        base, points, act = fiber[0], fiber, partial(_act_float, n=n)
+
         def key(pt):
             return tuple(round((_float_turn(a) - _float_turn(b)) * n) % n
                          for (_, a), (_, b) in zip(pt.values, base.values))
 
-        act, same = _act_float, lambda a, b: _kn_close(a, b, max(tol, 1e-7))
-    index = {key(pt): i for i, pt in enumerate(fiber)}
+        index = {key(pt): i for i, pt in enumerate(fiber)}
 
-    def locate(pt):
-        i = index.get(key(pt))
-        return i if i is not None and same(pt, fiber[i]) else None
+        def locate(pt):
+            i = index.get(key(pt))
+            return i if i is not None and _kn_close(pt, fiber[i], max(tol, 1e-7)) else None
 
-    images = [locate(act(base, u, n)) for u in chars]
+    images = [locate(act(points[0], u)) for u in chars]
     located = [i for i in images if i is not None]
     orbit_table = [-1] * len(fiber)
     for ci, where in enumerate(images):
         if where is not None and orbit_table[where] == -1:
             orbit_table[where] = ci
     preserves = len(located) == len(images) and all(
-        locate(act(pt, g, n)) is not None for g in generators for pt in fiber)
+        pt is not None and locate(act(pt, g)) is not None for g in generators for pt in points)
 
     report = TorsorReport(
         degree=n,

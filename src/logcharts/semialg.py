@@ -17,6 +17,7 @@ use complex/float coordinates against a tolerance, 1e-9 by default.
 
 from __future__ import annotations
 
+import cmath
 import enum
 import math
 import random
@@ -71,7 +72,10 @@ class CxPoint:
 
     @staticmethod
     def floating(values) -> CxPoint:
-        return CxPoint(tuple(complex(v) for v in values), False)
+        values = tuple(complex(v) for v in values)
+        if not all(map(cmath.isfinite, values)):
+            raise InvalidPoint("complex coordinates must be finite")
+        return CxPoint(values, False)
 
     def value(self, i):
         return self.values[i]
@@ -109,23 +113,20 @@ class KnPoint:
 
     @staticmethod
     def exact_point(pairs) -> KnPoint:
-        vals = []
-        for radius, angle in pairs:
-            radius = radius if isinstance(radius, NonnegRoot) else NonnegRoot.of(Fraction(radius))
-            vals.append((radius, turn_mod1(Fraction(angle))))
-        return KnPoint(tuple(vals), True)
+        return KnPoint(tuple((NonnegRoot.of(radius), turn_mod1(Fraction(angle)))
+                             for radius, angle in pairs), True)
 
     @staticmethod
     def floating(pairs) -> KnPoint:
         vals = []
         for radius, angle in pairs:
             radius = float(radius)
-            if radius < 0:
-                raise InvalidPoint("radius must be nonnegative")
+            if not 0 <= radius < math.inf:
+                raise InvalidPoint("radius must be finite and nonnegative")
             angle = complex(angle)
             mag = abs(angle)
-            if mag == 0:
-                raise InvalidPoint("angle must be a unit complex number")
+            if not 0 < mag < math.inf:
+                raise InvalidPoint("angle must be a finite nonzero complex number")
             vals.append((radius, angle / mag))
         return KnPoint(tuple(vals), False)
 

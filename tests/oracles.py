@@ -5,8 +5,10 @@ cosets are counted through a hand-rolled Hermite-style column reduction
 and breadth-first enumeration of the quotient, faces are recognized by
 the combinatorial face axiom on degree-bounded monoid elements, group
 isomorphism is cross-checked on element-order multisets, root-index
-congruences are solved by scanning every candidate, and linear programs
-are solved by the Fraction-tableau simplex the library used to run.
+congruences are solved by scanning every candidate, linear programs
+are solved by the Fraction-tableau simplex the library used to run, and
+Kummer fibers and torsor checks act on Fraction turns as the library did
+before it moved exact angles to integer residues.
 """
 
 from __future__ import annotations
@@ -16,7 +18,9 @@ from collections import deque
 from fractions import Fraction
 from math import gcd
 
+from logcharts.fibers import TorsorReport
 from logcharts.ratlp import INFEASIBLE, OPTIMAL, UNBOUNDED
+from logcharts.semialg import KnPoint
 
 
 def hnf_column_basis(entries, rows, cols):
@@ -306,3 +310,77 @@ def solve_standard_form(c, a_rows, b):
         x[bj] = tab2[i][n]
     value = sum(ci * xi for ci, xi in zip(c, x))
     return OPTIMAL, x, value
+
+
+# The exact Kummer fiber and torsor check on ``Fraction`` turns that
+# ``logcharts.fibers`` ran before exact angles became integer residues: one
+# Fraction turn per coordinate and root choice, one new point per action,
+# located by a key of its radius and Fraction angle values.  Root choices
+# and the deck group come from the scan above, and the group's generators,
+# which are swept over every fiber point, are picked greedily, not read
+# off a Smith form.
+
+def _relation_rows(m):
+    return [[rj - sj for rj, sj in zip(r, s)] for r, s in m.relations]
+
+
+def kn_kummer_fiber_by_fractions(m, p, n):
+    """The fiber of the degree-n Kummer cover of the log model over the
+    exact point p, in lexicographic order of root indices."""
+    k = m.generator_count
+    rows = _relation_rows(m)
+    turns = [p.angle(i) for i in range(k)]
+    offsets = [int(sum(c * t for c, t in zip(row, turns))) for row in rows]
+    return [KnPoint(tuple((p.radius(i).root(n), (turns[i] / n + Fraction(u[i], n)) % 1)
+                          for i in range(k)), True)
+            for u in root_choices_by_scan(rows, offsets, n, k)]
+
+
+def _greedy_generators(elements, n):
+    """Elements of a subgroup of (Z/n)^k, in the given order, each outside
+    the span of those before it; together they generate the subgroup."""
+    span, generators = {(0,) * len(elements[0])}, []
+    for u in elements:
+        if u not in span:
+            generators.append(u)
+            multiples = [tuple(j * x % n for x in u) for j in range(n)]
+            span = {tuple((a + b) % n for a, b in zip(s, w)) for s in span for w in multiples}
+    return generators
+
+
+def _act_exact(point, u, n):
+    pairs = [(r, (a + Fraction(ui, n)) % 1) for (r, a), ui in zip(point.values, u)]
+    return KnPoint(tuple(pairs), True)
+
+
+def _kn_key_exact(point):
+    return tuple((r.base, r.degree, a) for r, a in point.values)
+
+
+def torsor_report_by_fractions(m, p, n):
+    """The TorsorReport of the deck action on the exact fiber over p."""
+    fiber = kn_kummer_fiber_by_fractions(m, p, n)
+    chars = root_choices_by_scan(_relation_rows(m), [0] * len(m.relations),
+                                 n, m.generator_count)
+    index = {_kn_key_exact(pt): i for i, pt in enumerate(fiber)}
+
+    def locate(pt):
+        return index.get(_kn_key_exact(pt))
+
+    images = [locate(_act_exact(fiber[0], u, n)) for u in chars]
+    located = [i for i in images if i is not None]
+    orbit_table = [-1] * len(fiber)
+    for ci, where in enumerate(images):
+        if where is not None and orbit_table[where] == -1:
+            orbit_table[where] = ci
+    return TorsorReport(
+        degree=n,
+        group_order=len(chars),
+        fiber_size=len(fiber),
+        preserves_fiber=len(located) == len(images) and all(
+            locate(_act_exact(pt, g, n)) is not None
+            for g in _greedy_generators(chars, n) for pt in fiber),
+        free=len(set(located)) == len(located),
+        transitive=all(x >= 0 for x in orbit_table),
+        orbit_table=tuple(orbit_table),
+    )

@@ -115,6 +115,23 @@ def test_torsor_inline_point(capsys):
     assert out["ok"] is True and out["torsor"]["group_order"] == 6
 
 
+def test_torsor_non_finite_radius_is_an_input_error(capsys):
+    code = main(["torsor", corpus_path("a1_cone"), "3", "--point",
+                 '{"radii": [NaN, 1, 1], "angles": [[1, 0], [1, 0], [1, 0]]}'])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: radius must be finite"), captured.err
+
+
+def test_torsor_non_finite_or_huge_angle_is_an_input_error(capsys):
+    for angle in ("[NaN, 0]", "[1, Infinity]", "[-Infinity, NaN]", "[1.5e308, 1.5e308]"):
+        code = main(["torsor", corpus_path("a1_cone"), "3", "--point",
+                     '{"radii": [1, 1, 1], "angles": [%s, [1, 0], [1, 0]]}' % angle])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "", angle
+        assert captured.err.startswith("error: "), (angle, captured.err)
+
+
 def test_exit_code_2_on_input_errors(tmp_path):
     code, _, err = run_cli(["info", str(tmp_path / "missing.json")])
     assert code == 2 and "error" in err

@@ -10,6 +10,7 @@ import pytest
 import logcharts.fibers as fibers_mod
 from logcharts.abgrp import FgAbelianGroup, IntMatrix, rank
 from logcharts.errors import ChartError, FalsifiedProperty, InvalidPoint
+from logcharts.exactnum import GaussianRational, NonnegRoot
 from logcharts.fibers import (algebraic_kummer_fiber, comparison_on_pi1,
                               kn_fiber, kn_kummer_fiber, root_fiber_tower,
                               torsor_check, verify_fiber_equivalence)
@@ -17,7 +18,8 @@ from logcharts.monoid import (MonoidSpec, face_with_support, faces, kummer,
                               validate)
 from logcharts.semialg import (CxPoint, KnPoint, Target, check_membership,
                                emit_equations, sample_kn_stratum, tau)
-from oracles import root_choices_by_scan
+from oracles import (kn_kummer_fiber_by_fractions, root_choices_by_scan,
+                     torsor_report_by_fractions)
 
 
 def n_monoid():
@@ -311,34 +313,152 @@ def test_root_choices_match_the_scan_oracle():
 
 def test_torsor_check_acts_once_per_group_element_and_generator(monkeypatch):
     calls = []
-    real_act = fibers_mod._act_exact
+    real_act = fibers_mod._act_residues
 
-    def counting_act(point, u, n):
+    def counting_act(residues, u, step, modulus):
         calls.append(u)
-        return real_act(point, u, n)
+        return real_act(residues, u, step, modulus)
 
-    monkeypatch.setattr(fibers_mod, "_act_exact", counting_act)
+    monkeypatch.setattr(fibers_mod, "_act_residues", counting_act)
     m = a1_cone()
     p = sample_kn_stratum(m, face_with_support(m, [0, 1, 2]), 1, seed=42)[0]
     ok, report = torsor_check(m, p, 6)
     assert ok and report.group_order == 36
     assert sorted(report.orbit_table) == list(range(36))
-    assert len(calls) <= 3 * 36
+    assert 36 <= len(calls) <= 3 * 36
 
 
 def test_torsor_flags_are_decided_by_the_action(monkeypatch):
+    real_act = fibers_mod._act_residues
     m = a1_cone()
     p = sample_kn_stratum(m, face_with_support(m, [0, 1, 2]), 1, seed=42)[0]
     # An action that fixes every point is neither free nor transitive.
-    monkeypatch.setattr(fibers_mod, "_act_exact", lambda point, u, n: point)
+    monkeypatch.setattr(fibers_mod, "_act_residues",
+                        lambda residues, u, step, modulus: residues)
     ok, report = torsor_check(m, p, 3)
     assert not ok and report.preserves_fiber
     assert not report.free and not report.transitive
     # An action by half-steps leaves the fiber.
-    monkeypatch.setattr(fibers_mod, "_act_exact", lambda point, u, n: KnPoint(
-        tuple((r, a + Fraction(sum(u), 2 * n)) for r, a in point.values), True))
+    monkeypatch.setattr(fibers_mod, "_act_residues", lambda residues, u, step, modulus: tuple(
+        (a + Fraction(sum(u) * step, 2)) % modulus for a in residues))
     ok, report = torsor_check(m, p, 3)
     assert not ok and not report.preserves_fiber
+    # An action that is right at the base point only leaves the fiber in
+    # the generator sweep, while the orbit map stays onto and injective.
+    acted_on = []
+
+    def right_at_base_only(residues, u, step, modulus):
+        acted_on.append(residues)
+        moved = real_act(residues, u, step, modulus)
+        return moved if residues == acted_on[0] else tuple(a + Fraction(1, 2) for a in moved)
+
+    monkeypatch.setattr(fibers_mod, "_act_residues", right_at_base_only)
+    ok, report = torsor_check(m, p, 3)
+    assert report.free and report.transitive and not report.preserves_fiber
+
+
+# The torsor workload's charts and cover degrees per group rank.
+TORSOR_CHARTS = {
+    "log_point": (1, [[1]], None),
+    "plane_axes": (2, [[1, 0], [0, 1]], None),
+    "a1_cone": (2, [[1, 0], [1, 1], [1, 2]], [[[1, 0, 1], [0, 2, 0]]]),
+    "square_cone": (3, [[1, 0, 0], [1, 1, 0], [1, 0, 1], [1, 1, 1]],
+                    [[[1, 0, 0, 1], [0, 1, 1, 0]]]),
+    "n3": (3, [[1, 0, 0], [0, 1, 0], [0, 0, 1]], None),
+}
+DEGREES = {1: range(2, 17), 2: range(2, 7), 3: range(2, 5)}
+
+
+def _homomorphism_point(m, support, rng, denominators):
+    """An exact log point on the stratum of ``support``: per ambient
+    coordinate a rational radius factor and a turn with the given
+    denominator, pushed through the generator exponents."""
+    rho = [Fraction(rng.randint(1, 9), rng.randint(1, 4)) for _ in range(m.ambient_rank)]
+    theta = [Fraction(rng.randrange(q), q) for q in denominators]
+    pairs = []
+    for i, gen in enumerate(m.generators):
+        radius = Fraction(int(i in support))
+        for r, e in zip(rho, gen):
+            radius *= r ** e
+        pairs.append((radius, sum(e * t for e, t in zip(gen, theta))))
+    return KnPoint.exact_point(pairs)
+
+
+def test_exact_fibers_and_torsor_reports_match_the_fraction_oracle():
+    rng = random.Random(20261018)
+    mixed = 0
+    for ambient, gens, rels in TORSOR_CHARTS.values():
+        m = validate(MonoidSpec.make(ambient, gens, rels))
+        for face in faces(m):
+            for n in DEGREES[m.gp_lattice_rank]:
+                q = rng.choice((1, 2, 3, 4, 6, 8))
+                for denominators in ([q] * ambient,
+                                     [rng.choice((1, 2, 3, 5, 7, 12)) for _ in range(ambient)]):
+                    p = _homomorphism_point(m, face.support, rng, denominators)
+                    mixed += len({a.denominator for _, a in p.values}) > 1
+                    fiber = kn_kummer_fiber(m, p, n)
+                    assert fiber == kn_kummer_fiber_by_fractions(m, p, n), (p, n)
+                    ok, report = torsor_check(m, p, n)
+                    assert ok and report == torsor_report_by_fractions(m, p, n), (p, n)
+    assert mixed > 50
+
+
+def test_exact_algebraic_fibers_match_the_floating_path_point_by_point():
+    rng = random.Random(20261019)
+    units = [GaussianRational(1), GaussianRational(0, 1), GaussianRational(-1),
+             GaussianRational(0, -1)]
+    exact_count = 0
+    for ambient, gens, rels in TORSOR_CHARTS.values():
+        m = validate(MonoidSpec.make(ambient, gens, rels))
+        for face in faces(m):
+            for n in DEGREES[m.gp_lattice_rank]:
+                # Quarter-turn units times perfect n-th powers: the roots are
+                # Gaussian rational whenever their turns are quarter turns,
+                # as for every point at n = 2 with real units.
+                params = [rng.choice(units[::2] if n == 2 else units)
+                          * GaussianRational(rng.choice((1, 2)) ** n) for _ in range(ambient)]
+                values = []
+                for i, gen in enumerate(m.generators):
+                    z = GaussianRational(int(i in face.support))
+                    for t, e in zip(params, gen):
+                        z = z * t ** e
+                    values.append(z)
+                exact = algebraic_kummer_fiber(m, CxPoint.exact_point(values), n)
+                floating = algebraic_kummer_fiber(
+                    m, CxPoint.floating([z.to_complex() for z in values]), n)
+                assert len(exact) == len(floating)
+                exact_count += sum(pt.exact for pt in exact)
+                for a, b in zip(exact, floating):
+                    assert all(abs(x - y) <= 1e-9 * max(1.0, abs(y))
+                               for x, y in zip(a.to_complex(), b.values)), (values, n)
+    assert exact_count > 100
+
+
+def test_angle_residues_refuse_points_off_the_radii_or_the_grid():
+    r = NonnegRoot.of(2)
+    assert fibers_mod._angle_residues(KnPoint(((r, Fraction(5, 12)),), True), [r], 24) == (10,)
+    assert fibers_mod._angle_residues(KnPoint(((r, Fraction(1, 48)),), True), [r], 24) is None
+    assert fibers_mod._angle_residues(KnPoint(((r, Fraction(1, 5)),), True), [r], 24) is None
+    assert fibers_mod._angle_residues(
+        KnPoint(((NonnegRoot.of(3), Fraction(5, 12)),), True), [r], 24) is None
+
+
+def test_torsor_check_never_locates_a_point_off_the_radii_or_the_grid(monkeypatch):
+    m = a1_cone()
+    p = sample_kn_stratum(m, face_with_support(m, [0, 1, 2]), 1, seed=42)[0]
+    real_fiber = fibers_mod.kn_kummer_fiber
+    for r0, shift in ((7, 0), (None, Fraction(1, 1000))):
+        def moved_fiber(m, p, n, tol, r0=r0, shift=shift):
+            fiber = real_fiber(m, p, n, tol)
+            (r, a), *rest = fiber[-1].values
+            fiber[-1] = KnPoint(((r if r0 is None else NonnegRoot.of(r0), (a + shift) % 1),
+                                 *rest), True)
+            return fiber
+
+        monkeypatch.setattr(fibers_mod, "kn_kummer_fiber", moved_fiber)
+        ok, report = torsor_check(m, p, 3)
+        assert not ok and not report.transitive and not report.preserves_fiber
+        assert report.orbit_table[-1] == -1
 
 
 def test_torsor_check_floating_log_point_at_degree_64():

@@ -81,6 +81,18 @@ def test_kn_membership_exact_and_floating():
     assert not ok
 
 
+def test_floating_points_refuse_non_finite_values():
+    nan, inf = float("nan"), float("inf")
+    for radius, angle in ((nan, 1), (inf, 1), (-1, 1), (1, complex(nan, 0)),
+                          (1, complex(0, inf)), (1, 0)):
+        with pytest.raises(InvalidPoint):
+            KnPoint.floating([(radius, angle)])
+    for value in (complex(nan, 0), complex(1, inf), -inf):
+        with pytest.raises(InvalidPoint):
+            CxPoint.floating([1, value])
+    assert CxPoint.floating([0, 1j]).values == (0j, 1j)
+
+
 def test_tau_quarter_turn_exact():
     p = KnPoint.exact_point([(2, Fraction(1, 4))])
     image = tau(p)
