@@ -23,8 +23,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 
-from .abgrp import (FgAbelianGroup, IntMatrix, generator_matrix,
-                    is_isomorphic, rank, smith_normal_form, tensor_mod)
+from .abgrp import (FgAbelianGroup, IntMatrix, generator_matrix, rank,
+                    smith_normal_form)
 from .errors import (ChartError, FalsifiedProperty, InvalidPoint, NotAFace,
                      NotOnVariety)
 from .exactnum import (GaussianRational, rational_nth_root, turn_mod1,
@@ -46,10 +46,6 @@ class KnFiberModel:
     stratum_face: Face
     torus_rank: int
     pi1: FgAbelianGroup
-
-    def __post_init__(self):
-        if self.pi1 != FgAbelianGroup.free(self.torus_rank):
-            raise ValueError("pi1 of an r-torus must be free of rank r")
 
 
 @dataclass(frozen=True)
@@ -87,17 +83,6 @@ class Pi1Comparison:
 
     def matrix_mod(self) -> tuple[tuple[int, ...], ...]:
         return tuple(tuple(x % self.modulus for x in row) for row in self.matrix.entries)
-
-    def induces_isomorphism(self) -> bool:
-        """Does the matrix present an isomorphism source/mod -> target?
-
-        For these towers that means the reduction of the matrix is
-        invertible mod n and the truncated source matches the target."""
-        if self.modulus == 1:
-            return self.target == FgAbelianGroup.trivial()
-        unimodular_mod_n = math.gcd(self.matrix.det(), self.modulus) == 1
-        return unimodular_mod_n and is_isomorphic(
-            tensor_mod(self.source, self.modulus), self.target)
 
 
 def comparison_on_pi1(m: AffineMonoid, f: Face, n: int) -> Pi1Comparison:

@@ -10,7 +10,9 @@ each level is the closed form tensor_mod(G, n).
 
 Level-wise comparison of invariant factors plus transition coherence is
 the checkable shadow of pro-equivalence; the limitation is recorded on
-every certificate.
+every certificate.  Coherence is checked on the pairs (m, m), which says
+level m is m-torsion, and (m, m/p) for each prime p | m: (A/(m/p)A)/nA =
+A/nA for n | m/p, so by induction on m/n these imply every pair n | m.
 """
 
 from __future__ import annotations
@@ -18,12 +20,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .abgrp import FgAbelianGroup, is_isomorphic, tensor_mod
+from .errors import ChartError
 from .monoid import AffineMonoid
 
 COMPARISON_NOTE = (
     "level-wise invariant-factor comparison with transition coherence up to "
     "a finite bound; not a categorical pro-isomorphism"
 )
+_LEVEL_CAP = 100_000  # the most levels one comparison computes
 
 
 @dataclass(frozen=True)
@@ -51,18 +55,36 @@ class FiniteAbelianProSystem:
 
     def check_coherence(self, bound: int) -> bool:
         """Transition compatibility for every pair n | m <= bound."""
-        for m in range(1, bound + 1):
-            for n in _divisors(m):
-                if not self.transition_consistent(m, n):
-                    return False
-        return True
+        return _first_incoherent((self,), bound) is None
 
     def __str__(self):
         return f"<pro-system: {self.description}>"
 
 
-def _divisors(m: int) -> list[int]:
-    return [n for n in range(1, m + 1) if m % n == 0]
+def _covers(m: int) -> list[int]:
+    """m and m/p for each prime p | m, by trial division."""
+    out, rest, p = [m], m, 2
+    while rest > 1:
+        p = p if p * p <= rest else rest
+        if rest % p == 0:
+            out.append(m // p)
+        while rest % p == 0:
+            rest //= p
+        p += 1
+    return out
+
+
+def _first_incoherent(towers, bound: int) -> int | None:
+    """The target n of the first failing pair n | m <= bound, in order of
+    m then n, or None.  The covering pairs find the first failing m; every
+    level below it coheres, so its divisors hold the first failing pair."""
+    def coherent(m, n):
+        return all(t.transition_consistent(m, n) for t in towers)
+
+    for m in range(1, bound + 1):
+        if not all(coherent(m, n) for n in _covers(m)):
+            return next(n for n in range(1, m + 1) if m % n == 0 and not coherent(m, n))
+    return None
 
 
 def completion(g: FgAbelianGroup) -> FiniteAbelianProSystem:
@@ -122,30 +144,23 @@ def equivalent_up_to(a: FiniteAbelianProSystem, b: FiniteAbelianProSystem,
     """Level-wise equivalence of two towers up to the bound.
 
     True iff every level n <= bound has isomorphic invariant factors on
-    both sides and both towers' transitions are coherent among the levels
-    n | m <= bound.  For towers of finite abelian groups with natural
-    surjections this is the checkable shadow of pro-equivalence.
+    both sides and both towers cohere on every pair n | m <= bound, checked
+    on the covering pairs of the module note.  For natural surjections this
+    is the checkable shadow of pro-equivalence.  A bound above 100,000
+    levels is refused before any level is computed.
     """
     bound = int(bound)
     if bound < 1:
         raise ValueError("bound must be a positive integer")
+    if bound > _LEVEL_CAP:
+        raise ChartError(f"comparison bound {bound} is above the cap of "
+                         f"{_LEVEL_CAP} levels; lower the bound")
     records = []
-    witness = None
     for n in range(1, bound + 1):
         ga, gb = a.level(n), b.level(n)
-        iso = is_isomorphic(ga, gb)
         records.append(LevelRecord(n, tuple(ga.invariant_factors()),
-                                   tuple(gb.invariant_factors()), iso))
-        if not iso and witness is None:
-            witness = n
+                                   tuple(gb.invariant_factors()), is_isomorphic(ga, gb)))
+    witness = (next((rec.n for rec in records if not rec.isomorphic), None)
+               or _first_incoherent((a, b), bound))
     ok = witness is None
-    if ok:
-        for m in range(1, bound + 1):
-            for n in _divisors(m):
-                if not (a.transition_consistent(m, n) and b.transition_consistent(m, n)):
-                    ok = False
-                    witness = n
-                    break
-            if not ok:
-                break
     return ok, EquivalenceCertificate(ok, bound, tuple(records), witness)

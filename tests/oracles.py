@@ -8,7 +8,9 @@ isomorphism is cross-checked on element-order multisets, root-index
 congruences are solved by scanning every candidate, linear programs
 are solved by the Fraction-tableau simplex the library used to run, and
 Kummer fibers and torsor checks act on Fraction turns as the library did
-before it moved exact angles to integer residues.
+before it moved exact angles to integer residues, and tower coherence is
+checked on every divisor pair n | m, as the library did before it checked
+only the covering pairs.
 """
 
 from __future__ import annotations
@@ -18,7 +20,9 @@ from collections import deque
 from fractions import Fraction
 from math import gcd
 
+from logcharts.abgrp import is_isomorphic
 from logcharts.fibers import TorsorReport
+from logcharts.profin import EquivalenceCertificate, LevelRecord
 from logcharts.ratlp import INFEASIBLE, OPTIMAL, UNBOUNDED
 from logcharts.semialg import KnPoint
 
@@ -384,3 +388,34 @@ def torsor_report_by_fractions(m, p, n):
         transitive=all(x >= 0 for x in orbit_table),
         orbit_table=tuple(orbit_table),
     )
+
+
+def _divisor_pairs(bound):
+    """Every pair (m, n) with n | m <= bound, in order of m then n, each
+    m's divisors found by scanning 1..m."""
+    return ((m, n) for m in range(1, bound + 1) for n in range(1, m + 1) if m % n == 0)
+
+
+def coherent_by_all_pairs(tower, bound):
+    """Transition coherence of one tower on every pair n | m <= bound."""
+    return all(tower.transition_consistent(m, n) for m, n in _divisor_pairs(bound))
+
+
+def equivalent_by_all_pairs(a, b, bound):
+    """equivalent_up_to with coherence checked on every pair n | m <= bound:
+    the witness is the first non-isomorphic level, else the target n of
+    the first pair on which either tower's transition fails."""
+    records, witness = [], None
+    for n in range(1, bound + 1):
+        ga, gb = a.level(n), b.level(n)
+        iso = is_isomorphic(ga, gb)
+        records.append(LevelRecord(n, tuple(ga.invariant_factors()),
+                                   tuple(gb.invariant_factors()), iso))
+        if not iso and witness is None:
+            witness = n
+    if witness is None:
+        witness = next((n for m, n in _divisor_pairs(bound)
+                        if not (a.transition_consistent(m, n)
+                                and b.transition_consistent(m, n))), None)
+    ok = witness is None
+    return ok, EquivalenceCertificate(ok, bound, tuple(records), witness)

@@ -145,6 +145,7 @@ def test_exit_code_2_on_input_errors(tmp_path):
         (["fiber", cone, "0"], None),
         (["torsor", cone, "0"], None),
         (["compare", cone, "--bound", "0"], None),
+        (["compare", cone, "--bound", "1000000000"], None),
         (["info", cone], {"LOGCHARTS_BOUND": "abc"}),
         (["compare", cone, "--face", "0,x"], None),
         (["compare", cone, "--face", "7"], None),

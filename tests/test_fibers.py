@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 import logcharts.fibers as fibers_mod
-from logcharts.abgrp import FgAbelianGroup, IntMatrix, rank
+from logcharts.abgrp import FgAbelianGroup, IntMatrix, rank, tensor_mod
 from logcharts.errors import ChartError, FalsifiedProperty, InvalidPoint
 from logcharts.exactnum import GaussianRational, NonnegRoot
 from logcharts.fibers import (algebraic_kummer_fiber, comparison_on_pi1,
@@ -63,14 +63,16 @@ def test_comparison_on_pi1():
     assert c.matrix.entries == ((1,),)
     assert c.source == FgAbelianGroup.free(1)
     assert c.target == FgAbelianGroup.cyclic(5)
-    assert c.induces_isomorphism()
+    # the identity read mod n carries the truncated source onto the target
+    assert c.matrix_mod() == ((1,),) and tensor_mod(c.source, 5) == c.target
     # n = 1: the zero map to the trivial group
     c1 = comparison_on_pi1(m, vertex, 1)
     assert c1.target == FgAbelianGroup.trivial()
     assert c1.matrix_mod() == ((0,),)
     q = quadrant()
     c2 = comparison_on_pi1(q, face_with_support(q, []), 2)
-    assert c2.target == FgAbelianGroup(0, (2, 2)) and c2.induces_isomorphism()
+    assert c2.target == FgAbelianGroup(0, (2, 2))
+    assert c2.matrix_mod() == ((1, 0), (0, 1)) and tensor_mod(c2.source, 2) == c2.target
 
 
 def test_comparison_commutes_with_transitions():

@@ -1,13 +1,17 @@
 """Towers of finite abelian groups and their level-wise comparison."""
 
 import math
+import random
+from collections import Counter
 
 import pytest
 
 from logcharts.abgrp import FgAbelianGroup, tensor_mod
+from logcharts.errors import ChartError
 from logcharts.monoid import MonoidSpec, validate
-from logcharts.profin import (completion, equivalent_up_to, mu_tower,
-                              product_system)
+from logcharts.profin import (FiniteAbelianProSystem, completion,
+                              equivalent_up_to, mu_tower, product_system)
+from oracles import coherent_by_all_pairs, equivalent_by_all_pairs
 
 Z = FgAbelianGroup.free(1)
 
@@ -127,3 +131,105 @@ def test_goodness_surrogate():
         ok, _ = equivalent_up_to(
             completion(FgAbelianGroup.free(k)), mu_tower(m), 60)
         assert ok
+
+
+# free parts, torsion parts and both
+COHERENCE_GROUPS = [
+    FgAbelianGroup.trivial(), Z, FgAbelianGroup.free(2), FgAbelianGroup(0, (4,)),
+    FgAbelianGroup(0, (2, 6)), FgAbelianGroup(1, (4,)), FgAbelianGroup(2, (3,)),
+    FgAbelianGroup(1, (2, 12)),
+]
+
+
+def _wrong_levels(g, n, rng):
+    """Candidate wrong values for level n of the completion of g."""
+    return [
+        FgAbelianGroup.trivial(),
+        tensor_mod(g, 2 * n),
+        tensor_mod(g, n).direct_sum(FgAbelianGroup.cyclic(2)),
+        FgAbelianGroup.from_cyclic_orders(rng.choices(range(2, 13), k=rng.randint(1, 2))),
+        Z,
+    ]
+
+
+def test_covering_pair_coherence_matches_all_pairs_oracle(monkeypatch):
+    # every tower wrong at one level n0 <= bound, on one side or on both
+    rng = random.Random(20151101)
+    true_level = FiniteAbelianProSystem.level
+    tally = Counter()
+    for g in COHERENCE_GROUPS:
+        bound = rng.randint(12, 40)
+        a, b = completion(g), completion(g)
+        assert a.check_coherence(bound) and coherent_by_all_pairs(a, bound)
+        assert equivalent_up_to(a, b, bound) == equivalent_by_all_pairs(a, b, bound)
+        for n0 in range(1, bound + 1):
+            wrong = rng.choice(_wrong_levels(g, n0, rng))
+            for victims in ((a,), (a, b)):
+                monkeypatch.setattr(
+                    FiniteAbelianProSystem, "level",
+                    lambda self, n, n0=n0, wrong=wrong, victims=victims:
+                        wrong if n == n0 and any(self is v for v in victims)
+                        else true_level(self, n))
+                coherent = a.check_coherence(bound)
+                assert coherent == coherent_by_all_pairs(a, bound)
+                result = equivalent_up_to(a, b, bound)
+                assert result == equivalent_by_all_pairs(a, b, bound)
+                tally[coherent, result[0], len(victims)] += 1
+    # each verdict occurs, and incoherence alone decides some comparisons
+    assert tally[True, True, 1] and tally[True, False, 1] and tally[False, False, 1]
+    assert tally[False, False, 2] and tally[True, True, 2]
+    assert not tally[False, True, 1] and not tally[False, True, 2]
+
+
+def test_coherence_needs_the_torsion_pair_m_m(monkeypatch):
+    # level(n) = Z/2n above bound/2 passes every prime step (m, m/p), since
+    # m/p <= bound/2, but level m is not m-torsion
+    bound = 30
+    true_level = FiniteAbelianProSystem.level
+    monkeypatch.setattr(FiniteAbelianProSystem, "level",
+                        lambda self, n: FgAbelianGroup.cyclic(2 * n) if n > bound // 2
+                        else true_level(self, n))
+    a, b = completion(Z), completion(Z)
+    assert not a.check_coherence(bound) and not coherent_by_all_pairs(a, bound)
+    ok, cert = equivalent_up_to(a, b, bound)
+    assert not ok and cert.witness_level == bound // 2 + 1
+    assert (ok, cert) == equivalent_by_all_pairs(a, b, bound)
+
+
+def test_coherence_checks_only_the_covering_pairs(monkeypatch):
+    # the pair (m, m) and one pair (m, m/p) per prime p | m
+    calls = Counter()
+    original = FiniteAbelianProSystem.transition_consistent
+
+    def counting(self, m, n):
+        calls[self.description] += 1
+        return original(self, m, n)
+
+    monkeypatch.setattr(FiniteAbelianProSystem, "transition_consistent", counting)
+    a, b = completion(Z), mu_tower(validate(MonoidSpec.make(1, [[1]])))
+    ok, _ = equivalent_up_to(a, b, 100)
+    assert ok and calls == {a.description: 271, b.description: 271}
+    for bound, pairs in ((10, 21), (30, 73), (100, 271)):
+        calls.clear()
+        assert a.check_coherence(bound) and calls == {a.description: pairs}
+
+
+def test_comparison_bound_is_capped_before_any_level(monkeypatch):
+    levels = []
+    monkeypatch.setattr(FiniteAbelianProSystem, "level",
+                        lambda self, n: levels.append(n))
+    for bound in (100_001, 10 ** 9):
+        with pytest.raises(ChartError):
+            equivalent_up_to(completion(Z), completion(Z), bound)
+    assert levels == []
+
+    class Reached(Exception):
+        pass
+
+    def reach(self, n):
+        raise Reached
+
+    # the cap itself is accepted: the comparison reaches its first level
+    monkeypatch.setattr(FiniteAbelianProSystem, "level", reach)
+    with pytest.raises(Reached):
+        equivalent_up_to(completion(Z), completion(Z), 100_000)
