@@ -26,7 +26,16 @@ class RelationInconsistent(ChartError):
 
 class RelationSynthesisIncomplete(ChartError):
     """A synthesized relation set does not generate the full congruence
-    up to the configured degree bound."""
+    up to the configured degree bound.
+
+    The least-degree image whose presentations stay disconnected is kept
+    on the ``witness`` attribute and its degree on ``degree``, when known.
+    """
+
+    def __init__(self, message, witness=None, degree=None):
+        self.witness = None if witness is None else tuple(witness)
+        self.degree = degree
+        super().__init__(message)
 
 
 class SaturationFailure(ChartError):

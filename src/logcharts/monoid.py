@@ -178,85 +178,99 @@ def _synthesize_relations(spec: MonoidSpec) -> tuple[Relation, ...]:
 _ENUMERATION_CAP = 2_000_000
 
 
-def _bounded_exponent_vectors(spec: MonoidSpec, degrees, bound):
-    """Yield (n, image) for every n in N^k with sum n_i * degrees_i <= bound,
-    where image = sum n_i * gen_i is built by running sums as the
-    enumeration goes; only the current vector is held.  The vectors are
-    counted first (ways[b] of exact degree b), and more than
-    ``_ENUMERATION_CAP`` of them raise InvalidMonoidSpec before any is
-    made."""
-    ways = [1] + [0] * bound
-    for step in degrees:
-        for b in range(step, bound + 1):
-            ways[b] += ways[b - step]
-    if sum(ways) > _ENUMERATION_CAP:
-        raise InvalidMonoidSpec(
-            "degree-bounded enumeration exceeds the desk-scale cap; "
-            "lower the degree bound")
-    gens = spec.generators
-    k = len(gens)
-    vec = [0] * k
+def _monoid_images(spec: MonoidSpec, degrees, bound):
+    """The elements of P up to the degree bound, one layer per degree.
 
-    def rec(i, remaining, image):
-        if i == k:
-            yield tuple(vec), image
-            return
-        step, gen = degrees[i], gens[i]
-        for c in range(remaining // step + 1):
-            vec[i] = c
-            yield from rec(i + 1, remaining - c * step, image)
-            image = tuple(map(operator.add, image, gen))
-        vec[i] = 0
-
-    yield from rec(0, bound, (0,) * spec.ambient_rank)
+    layers[0] = {0} and layers[b] is the union over i of
+    layers[b - degrees_i] + gen_i, so an element is made once per generator
+    it is a sum with, not once per presentation.  Each layer maps an element
+    x to the bit mask of I_x = {i : x - gen_i in P}.  More than
+    ``_ENUMERATION_CAP`` elements held raise InvalidMonoidSpec.
+    """
+    layers = [{(0,) * spec.ambient_rank: 0}]
+    held = 1
+    for b in range(1, bound + 1):
+        layer: dict[tuple[int, ...], int] = {}
+        for i, (gen, step) in enumerate(zip(spec.generators, degrees)):
+            if step <= b:
+                bit = 1 << i
+                for y in layers[b - step]:
+                    x = tuple(map(operator.add, y, gen))
+                    layer[x] = layer.get(x, 0) | bit
+        held += len(layer)
+        if held > _ENUMERATION_CAP:
+            raise InvalidMonoidSpec(
+                "degree-bounded enumeration exceeds the desk-scale cap; "
+                "lower the degree bound")
+        layers.append(layer)
+    return layers
 
 
-class _UnionFind:
-    def __init__(self, n):
-        self.parent = list(range(n))
-
-    def find(self, x):
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[ra] = rb
+def _joined(masks) -> int:
+    """The union of the masks that overlap the first one, transitively."""
+    comp, grew = masks[0], True
+    while grew:
+        grew = False
+        for mask in masks:
+            if mask & comp and mask | comp != comp:
+                comp |= mask
+                grew = True
+    return comp
 
 
 def _check_congruence_complete(spec: MonoidSpec, relations, degrees, bound):
-    """Brute-force congruence oracle.
+    """Congruence oracle over the monoid's elements, degree by degree.
 
-    Two exponent vectors with the same image must be connected by the
-    elementary moves m + r <-> m + s generated by the relation set.  Every
-    move preserves the image and the degree, so each fiber of the image map
-    over degree-bounded elements is closed under moves and can be checked
-    by union-find.  Fails loudly if any fiber is disconnected.
+    Two presentations (exponent vectors) of one element x must be connected
+    by the moves m + r <-> m + s of the relation set.  For x of degree b
+    let I_x = {i : x - gen_i in P}; join i and j in I_x when
+    x - gen_i - gen_j is in P, that is when one presentation uses both, and
+    join supp r with supp s for each relation r = s of image x.  This is
+    the graph G_b of Charalambous, Katsabekis and Thoma, Proc. AMS 135
+    (2007).  If every fiber of degree < b is connected, the presentations
+    of x are connected exactly when I_x is one component:
+
+    - The support of every presentation lies in I_x and is joined
+      pairwise, and every i in I_x is in the support of a presentation.
+    - Presentations sharing an index i are connected: less e_i, both
+      present x - gen_i, of lower degree, where moves connect them, and a
+      move plus e_i is a move.  A relation r = s of image x is itself the
+      move from r to s.  So if I_x is one component, so is the fiber.
+    - A move m + r -> m + s keeps the indices of m on both sides when
+      m != 0 and is a relation of image x when m == 0, so no move leaves
+      a component of I_x.
+
+    By induction on b the verdict is that of union-find over every
+    exponent vector up to the bound, and the first degree that fails holds
+    truly disconnected fibers; the least of them is the witness.  Returns
+    the set of elements up to the bound.
     """
-    fibers: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    for n, image in _bounded_exponent_vectors(spec, degrees, bound):
-        fibers.setdefault(image, []).append(n)
-    k = len(spec.generators)
-    for image, members in fibers.items():
-        if len(members) < 2:
-            continue
-        index = {n: i for i, n in enumerate(members)}
-        uf = _UnionFind(len(members))
-        for n in members:
-            for r, s in relations:
-                for a, b in ((r, s), (s, r)):
-                    if all(n[j] >= a[j] for j in range(k)):
-                        moved = tuple(n[j] - a[j] + b[j] for j in range(k))
-                        uf.union(index[n], index[moved])
-        root = uf.find(0)
-        if any(uf.find(i) != root for i in range(len(members))):
+    layers = _monoid_images(spec, degrees, bound)
+    gens = spec.generators
+    joins: dict[tuple[int, ...], list[int]] = {}
+    for r, s in relations:
+        image = tuple(sum(c * g[a] for c, g in zip(r, gens))
+                      for a in range(spec.ambient_rank))
+        mask = sum(1 << i for i, (x, y) in enumerate(zip(r, s)) if x or y)
+        joins.setdefault(image, []).append(mask)
+    for b in range(1, len(layers)):
+        split = []
+        for x, reach in layers[b].items():
+            if reach & (reach - 1) == 0:
+                continue  # every presentation of x contains the one index
+            # i joins I_(x - gen_i), the j with x - gen_i - gen_j in P
+            masks = [(1 << i) | layers[b - degrees[i]][tuple(map(operator.sub, x, gens[i]))]
+                     for i in range(len(gens)) if reach >> i & 1]
+            if _joined(masks + joins.get(x, [])) != reach:
+                split.append(x)
+        if split:
+            witness = min(split)
             raise RelationSynthesisIncomplete(
-                f"relation set does not connect the {len(members)} presentations "
-                f"of {image} at degree <= {bound}")
-    return {img for img in fibers}
+                f"relation set does not connect the presentations of {witness} "
+                f"at degree {b}; every fiber of lower degree is connected "
+                f"(degree bound {bound})",
+                witness, b)
+    return set().union(*layers)
 
 
 def _check_saturation(m_partial: AffineMonoid, monoid_images, bound):
@@ -321,9 +335,12 @@ def validate(spec: MonoidSpec, degree_bound: int = DEFAULT_DEGREE_BOUND) -> Affi
     relation set is complete, and P is saturated in P^gp because a lattice
     point of the cone has unique, hence nonnegative integer, coordinates.
     Otherwise absent relations are synthesized from the integer kernel of
-    the generator matrix and checked against the brute-force congruence
-    oracle up to the degree bound, and saturation is checked up to the
-    same bound.
+    the generator matrix and checked up to the degree bound by the
+    congruence oracle, which walks the monoid's elements degree by degree
+    and names the least-degree element whose presentations the relations
+    leave disconnected; saturation is checked up to the same bound against
+    those elements (with supplied relations, the elements are listed
+    without the connectivity check).
 
     Raises NotSharp, RelationInconsistent, RelationSynthesisIncomplete,
     SaturationFailure, or InvalidMonoidSpec.
@@ -365,8 +382,7 @@ def validate(spec: MonoidSpec, degree_bound: int = DEFAULT_DEGREE_BOUND) -> Affi
         if spec.relations is None:
             images = _check_congruence_complete(spec, relations, degrees, degree_bound)
         else:
-            images = {image for _, image in
-                      _bounded_exponent_vectors(spec, degrees, degree_bound)}
+            images = set().union(*_monoid_images(spec, degrees, degree_bound))
         _check_saturation(monoid, images, degree_bound)
     monoid.is_saturated = True
     return monoid

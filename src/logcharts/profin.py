@@ -54,7 +54,9 @@ class FiniteAbelianProSystem:
         return is_isomorphic(tensor_mod(self.level(m), n), self.level(n))
 
     def check_coherence(self, bound: int) -> bool:
-        """Transition compatibility for every pair n | m <= bound."""
+        """Transition compatibility for every pair n | m <= bound.  A bound
+        above 100,000 levels is refused before any level is computed."""
+        _refuse_above_cap(bound)
         return _first_incoherent((self,), bound) is None
 
     def __str__(self):
@@ -72,6 +74,12 @@ def _covers(m: int) -> list[int]:
             rest //= p
         p += 1
     return out
+
+
+def _refuse_above_cap(bound: int):
+    if bound > _LEVEL_CAP:
+        raise ChartError(f"comparison bound {bound} is above the cap of "
+                         f"{_LEVEL_CAP} levels; lower the bound")
 
 
 def _first_incoherent(towers, bound: int) -> int | None:
@@ -152,9 +160,7 @@ def equivalent_up_to(a: FiniteAbelianProSystem, b: FiniteAbelianProSystem,
     bound = int(bound)
     if bound < 1:
         raise ValueError("bound must be a positive integer")
-    if bound > _LEVEL_CAP:
-        raise ChartError(f"comparison bound {bound} is above the cap of "
-                         f"{_LEVEL_CAP} levels; lower the bound")
+    _refuse_above_cap(bound)
     records = []
     for n in range(1, bound + 1):
         ga, gb = a.level(n), b.level(n)

@@ -10,18 +10,23 @@ are solved by the Fraction-tableau simplex the library used to run, and
 Kummer fibers and torsor checks act on Fraction turns as the library did
 before it moved exact angles to integer residues, and tower coherence is
 checked on every divisor pair n | m, as the library did before it checked
-only the covering pairs.
+only the covering pairs, and relation completeness is decided by
+union-find over every degree-bounded exponent vector, as the library did
+before it walked the monoid's elements degree by degree.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from collections import deque
 from fractions import Fraction
 from math import gcd
 
 from logcharts.abgrp import is_isomorphic
+from logcharts.errors import InvalidMonoidSpec, RelationSynthesisIncomplete
 from logcharts.fibers import TorsorReport
+from logcharts.monoid import _ENUMERATION_CAP, MonoidSpec
 from logcharts.profin import EquivalenceCertificate, LevelRecord
 from logcharts.ratlp import INFEASIBLE, OPTIMAL, UNBOUNDED
 from logcharts.semialg import KnPoint
@@ -419,3 +424,105 @@ def equivalent_by_all_pairs(a, b, bound):
                                 and b.transition_consistent(m, n))), None)
     ok = witness is None
     return ok, EquivalenceCertificate(ok, bound, tuple(records), witness)
+
+
+# --------------------------------------------------------------------------
+# Relation completeness over exponent vectors, as ``logcharts.monoid`` ran
+# it before the oracle walked the monoid's elements: every n in N^k up to
+# the degree bound is listed, grouped by image, and each fiber is checked
+# for connectivity under the moves m + r <-> m + s by union-find.
+
+def _bounded_exponent_vectors(spec: MonoidSpec, degrees, bound):
+    """Yield (n, image) for every n in N^k with sum n_i * degrees_i <= bound,
+    where image = sum n_i * gen_i is built by running sums as the
+    enumeration goes; only the current vector is held.  The vectors are
+    counted first (ways[b] of exact degree b), and more than
+    ``_ENUMERATION_CAP`` of them raise InvalidMonoidSpec before any is
+    made."""
+    ways = [1] + [0] * bound
+    for step in degrees:
+        for b in range(step, bound + 1):
+            ways[b] += ways[b - step]
+    if sum(ways) > _ENUMERATION_CAP:
+        raise InvalidMonoidSpec(
+            "degree-bounded enumeration exceeds the desk-scale cap; "
+            "lower the degree bound")
+    gens = spec.generators
+    k = len(gens)
+    vec = [0] * k
+
+    def rec(i, remaining, image):
+        if i == k:
+            yield tuple(vec), image
+            return
+        step, gen = degrees[i], gens[i]
+        for c in range(remaining // step + 1):
+            vec[i] = c
+            yield from rec(i + 1, remaining - c * step, image)
+            image = tuple(map(operator.add, image, gen))
+        vec[i] = 0
+
+    yield from rec(0, bound, (0,) * spec.ambient_rank)
+
+
+class _UnionFind:
+    def __init__(self, n):
+        self.parent = list(range(n))
+
+    def find(self, x):
+        while self.parent[x] != x:
+            self.parent[x] = self.parent[self.parent[x]]
+            x = self.parent[x]
+        return x
+
+    def union(self, a, b):
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            self.parent[ra] = rb
+
+
+def congruence_complete_by_vectors(spec: MonoidSpec, relations, degrees, bound):
+    """Brute-force congruence oracle.
+
+    Two exponent vectors with the same image must be connected by the
+    elementary moves m + r <-> m + s generated by the relation set.  Every
+    move preserves the image and the degree, so each fiber of the image map
+    over degree-bounded elements is closed under moves and can be checked
+    by union-find.  Fails loudly if any fiber is disconnected.
+    """
+    fibers: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    for n, image in _bounded_exponent_vectors(spec, degrees, bound):
+        fibers.setdefault(image, []).append(n)
+    k = len(spec.generators)
+    for image, members in fibers.items():
+        if len(members) < 2:
+            continue
+        index = {n: i for i, n in enumerate(members)}
+        uf = _UnionFind(len(members))
+        for n in members:
+            for r, s in relations:
+                for a, b in ((r, s), (s, r)):
+                    if all(n[j] >= a[j] for j in range(k)):
+                        moved = tuple(n[j] - a[j] + b[j] for j in range(k))
+                        uf.union(index[n], index[moved])
+        root = uf.find(0)
+        if any(uf.find(i) != root for i in range(len(members))):
+            raise RelationSynthesisIncomplete(
+                f"relation set does not connect the {len(members)} presentations "
+                f"of {image} at degree <= {bound}")
+    return {img for img in fibers}
+
+
+def fiber_connected_by_vectors(spec: MonoidSpec, relations, degrees, image, degree):
+    """Are the presentations of ``image``, an element of the given degree,
+    connected under the moves, by union-find over its exponent vectors?"""
+    members = [n for n, img in _bounded_exponent_vectors(spec, degrees, degree)
+               if img == image]
+    index = {n: i for i, n in enumerate(members)}
+    uf = _UnionFind(len(members))
+    for n in members:
+        for r, s in relations:
+            for a, b in ((r, s), (s, r)):
+                if all(x >= y for x, y in zip(n, a)):
+                    uf.union(index[n], index[tuple(x - y + z for x, y, z in zip(n, a, b))])
+    return len({uf.find(i) for i in range(len(members))}) == 1

@@ -8,11 +8,13 @@ from logcharts import monoid
 from logcharts.abgrp import (FgAbelianGroup, IntMatrix, cokernel, is_isomorphic, rank,
                              tensor_mod)
 from logcharts.errors import (InvalidMonoidSpec, NotAFace, NotSharp,
-                              RelationInconsistent, SaturationFailure)
+                              RelationInconsistent, RelationSynthesisIncomplete,
+                              SaturationFailure)
 from logcharts.monoid import (MonoidSpec, face_with_support, faces, kummer,
                               mu, stalk, validate)
 
-from oracles import face_supports_by_axiom
+from oracles import (congruence_complete_by_vectors, face_supports_by_axiom,
+                     fiber_connected_by_vectors)
 
 
 def n_monoid():
@@ -212,8 +214,8 @@ def test_relation_verification_is_exact_on_random_valid_relations():
 
 def _refuse_enumeration(monkeypatch):
     def refuse(*args):
-        raise AssertionError("a free chart must not enumerate exponent vectors")
-    monkeypatch.setattr(monoid, "_bounded_exponent_vectors", refuse)
+        raise AssertionError("a free chart must not enumerate monoid elements")
+    monkeypatch.setattr(monoid, "_monoid_images", refuse)
 
 
 def test_free_chart_closed_form_agrees_with_the_bounded_checks(monkeypatch):
@@ -261,3 +263,77 @@ def test_enumeration_cap_still_refuses(monkeypatch):
                  degree_bound=60)
     with pytest.raises(InvalidMonoidSpec, match="desk-scale cap"):
         validate(MonoidSpec.make(2, [[1, 0], [1, 1], [1, 2]]), degree_bound=60)
+
+
+def test_hilbert_cone_names_the_least_degree_disconnected_fiber():
+    # (2,3) = (1,0) + (1,3) = (1,1) + (1,2) at degree 5; the kernel basis
+    # leaves these two presentations apart, and every lower fiber connected
+    with pytest.raises(RelationSynthesisIncomplete, match=r"\(2, 3\) at degree 5") as info:
+        validate(MonoidSpec.make(2, [[1, 0], [1, 1], [1, 2], [1, 3]]))
+    assert info.value.witness == (2, 3) and info.value.degree == 5
+
+
+def _random_relation_sets(rng, spec):
+    """Kernel relations, the same less one, or either plus random valid
+    pairs: a random combination of the kernel relations split into its two
+    signs, plus a common random part on both sides."""
+    kernel = monoid._synthesize_relations(spec)
+    relations = list(kernel)
+    mode = rng.choice(("kernel", "minus-one", "extra"))
+    if relations and (mode == "minus-one" or mode == "extra" and rng.random() < 0.5):
+        relations.pop(rng.randrange(len(relations)))
+    if mode == "extra":
+        for _ in range(rng.randint(1, 3)):
+            z = [0] * len(spec.generators)
+            for r, s in kernel:
+                c = rng.randint(-2, 2)
+                z = [x + c * (a - b) for x, a, b in zip(z, r, s)]
+            common = [rng.randint(0, 1) for _ in z]
+            relations.append((tuple(max(x, 0) + t for x, t in zip(z, common)),
+                              tuple(max(-x, 0) + t for x, t in zip(z, common))))
+    return tuple(relations)
+
+
+def _vector_count(degrees, bound):
+    """The exponent vectors of degree <= bound, counted degree by degree."""
+    ways = [1] + [0] * bound
+    for step in degrees:
+        for b in range(step, bound + 1):
+            ways[b] += ways[b - step]
+    return sum(ways)
+
+
+def test_element_oracle_agrees_with_the_vector_oracle():
+    rng = random.Random(8)
+    failed = 0
+    for _ in range(1000):
+        d, k = rng.randint(1, 3), rng.randint(1, 6)
+        gens = []
+        while len(gens) < k:
+            g = [rng.randint(-2, 3) for _ in range(d)]
+            if sum(g) >= 1:
+                gens.append(g)
+        spec = MonoidSpec.make(d, gens)
+        degrees = [sum(g) for g in spec.generators]
+        bound = rng.randint(1, 14)
+        # keep the exponent vectors the reference oracle lists desk-sized
+        while _vector_count(degrees, bound) > 6000:
+            bound -= 1
+        relations = _random_relation_sets(rng, spec)
+        try:
+            want = congruence_complete_by_vectors(spec, relations, degrees, bound)
+        except RelationSynthesisIncomplete:
+            want = None
+        try:
+            got = monoid._check_congruence_complete(spec, relations, degrees, bound)
+        except RelationSynthesisIncomplete as err:
+            failed += 1
+            assert want is None, (spec, relations, bound)
+            assert not fiber_connected_by_vectors(spec, relations, degrees,
+                                                  err.witness, err.degree)
+            # no fiber of lower degree is disconnected
+            congruence_complete_by_vectors(spec, relations, degrees, err.degree - 1)
+        else:
+            assert got == want, (spec, relations, bound)
+    # both verdicts are well represented
+    assert 200 <= failed <= 800

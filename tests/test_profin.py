@@ -233,3 +233,13 @@ def test_comparison_bound_is_capped_before_any_level(monkeypatch):
     monkeypatch.setattr(FiniteAbelianProSystem, "level", reach)
     with pytest.raises(Reached):
         equivalent_up_to(completion(Z), completion(Z), 100_000)
+
+
+def test_coherence_bound_is_capped_before_any_level(monkeypatch):
+    levels = []
+    monkeypatch.setattr(FiniteAbelianProSystem, "level",
+                        lambda self, n: levels.append(n))
+    for bound in (100_001, 10 ** 9):
+        with pytest.raises(ChartError, match="above the cap"):
+            completion(Z).check_coherence(bound)
+    assert levels == []
