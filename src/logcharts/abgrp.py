@@ -295,6 +295,10 @@ class FgAbelianGroup:
     ``free_rank`` copies of Z plus cyclic factors Z/d_1 x ... x Z/d_t with
     d_1 | d_2 | ... | d_t and every d_i >= 2.  Trivial invariants are
     dropped, so equality of normal forms is isomorphism.
+
+    ``FgAbelianGroup(...)``, ``free`` and ``cyclic`` validate; ``trivial``,
+    ``from_cyclic_orders``, ``cokernel`` and ``tensor_mod`` build normal
+    forms by construction and skip the checks through ``_normal``.
     """
 
     free_rank: int
@@ -311,9 +315,16 @@ class FgAbelianGroup:
             if b % a != 0:
                 raise ValueError(f"torsion invariants {self.torsion} violate the divisibility chain")
 
+    @classmethod
+    def _normal(cls, free_rank: int, torsion: tuple[int, ...]) -> FgAbelianGroup:
+        """A group from fields that are already a normal form, unchecked."""
+        g = object.__new__(cls)
+        g.__dict__.update(free_rank=free_rank, torsion=torsion)
+        return g
+
     @staticmethod
     def trivial() -> FgAbelianGroup:
-        return FgAbelianGroup(0, ())
+        return FgAbelianGroup._normal(0, ())
 
     @staticmethod
     def free(r: int) -> FgAbelianGroup:
@@ -337,13 +348,9 @@ class FgAbelianGroup:
         diagonal matrix of the finite orders.
         """
         orders = [abs(int(n)) for n in orders]
-        free = sum(1 for n in orders if n == 0)
-        finite = [n for n in orders if n >= 2]
-        if not finite:
-            return FgAbelianGroup(free, ())
-        _, d, _ = smith_normal_form(IntMatrix.diagonal(finite))
+        _, d, _ = smith_normal_form(IntMatrix.diagonal([n for n in orders if n >= 2]))
         torsion = tuple(x for x in d.diagonal_entries() if x > 1)
-        return FgAbelianGroup(free, torsion)
+        return FgAbelianGroup._normal(orders.count(0), torsion)
 
     def direct_sum(self, *others: FgAbelianGroup) -> FgAbelianGroup:
         orders = [0] * self.free_rank + list(self.torsion)
@@ -390,15 +397,15 @@ def cokernel(m: IntMatrix) -> FgAbelianGroup:
     diag = d.diagonal_entries()
     nonzero = sum(1 for x in diag if x != 0)
     torsion = tuple(x for x in diag if x > 1)
-    return FgAbelianGroup(m.rows - nonzero, torsion)
+    return FgAbelianGroup._normal(m.rows - nonzero, torsion)
 
 
 def tensor_mod(g: FgAbelianGroup, m: int) -> FgAbelianGroup:
     """The level-m truncation G/mG.
 
     Each Z factor contributes Z/m; each Z/d contributes Z/gcd(d, m).  The
-    gcds of a divisor chain form a divisor chain, so no renormalization is
-    needed.
+    gcds of a divisor chain form a divisor chain dividing m, so the result
+    is a normal form as built and is not validated again.
     """
     m = int(m)
     if m < 1:
@@ -408,7 +415,7 @@ def tensor_mod(g: FgAbelianGroup, m: int) -> FgAbelianGroup:
     torsion = [gcd(d, m) for d in g.torsion]
     torsion = [d for d in torsion if d > 1]
     torsion.extend([m] * g.free_rank)
-    return FgAbelianGroup(0, tuple(torsion))
+    return FgAbelianGroup._normal(0, tuple(torsion))
 
 
 def is_isomorphic(a: FgAbelianGroup, b: FgAbelianGroup) -> bool:

@@ -273,53 +273,46 @@ def _check_congruence_complete(spec: MonoidSpec, relations, degrees, bound):
     return set().union(*layers)
 
 
+def _saturation_box(gens, degrees, bound):
+    """The integer bounding box (lo, hi) of the cone truncated at the bound.
+
+    {lam >= 0 : degrees . lam <= bound}, every degree >= 1, is the simplex
+    with vertices 0 and (bound / degrees_j) e_j, so each coordinate of
+    G @ lam runs between 0 and the bound * gen_j / degrees_j, rounded in.
+    """
+    if bound < 0:
+        raise InvalidMonoidSpec(f"degree bound {bound} is negative; the truncated cone is empty")
+    lo, hi = [], []
+    for column in zip(*gens):
+        lo.append(min(0, *(-(-bound * x // deg) for x, deg in zip(column, degrees))))
+        hi.append(max(0, *(bound * x // deg for x, deg in zip(column, degrees))))
+    return lo, hi
+
+
 def _check_saturation(m_partial: AffineMonoid, monoid_images, bound):
     """Desk-scale saturation check.
 
     Enumerates the integer points of the cone truncated at the degree
-    bound (bounding box per coordinate by exact LP, then cone membership
-    per point) and demands each point of the generated sublattice be a
-    nonnegative integer combination of generators, i.e. appear among the
-    enumerated monoid elements.
+    bound (a bounding box in closed form, then cone membership per point)
+    and demands each point of the generated sublattice be a nonnegative
+    integer combination of generators, i.e. appear among the enumerated
+    monoid elements.
     """
-    spec = m_partial.spec
-    d, k = spec.ambient_rank, len(spec.generators)
-    if k == 0 or d == 0:
-        return
-    gens = spec.generators
-    degrees = [m_partial.degree(g) for g in gens]
-    grading = m_partial.grading
-
-    # Bounding box of { G @ lam : lam >= 0, grading . (G @ lam) <= bound }.
-    lo, hi = [], []
-    constraint = [[Fraction(degrees[j]) for j in range(k)] + [Fraction(1)]]
-    rhs = [Fraction(bound)]
-    for axis in range(d):
-        cost = [Fraction(gens[j][axis]) for j in range(k)] + [Fraction(0)]
-        status_min, _, vmin = ratlp.solve_standard_form(cost, constraint, rhs)
-        status_max, _, vmax = ratlp.solve_standard_form([-c for c in cost], constraint, rhs)
-        if status_min != ratlp.OPTIMAL or status_max != ratlp.OPTIMAL:
-            raise InvalidMonoidSpec("truncated cone is unbounded; grading is broken")
-        lo.append(math.ceil(vmin))
-        hi.append(math.floor(-vmax))
-    box = 1
-    for a, b in zip(lo, hi):
-        box *= max(0, b - a + 1)
+    gens = m_partial.generators
+    lo, hi = _saturation_box(gens, [m_partial.degree(g) for g in gens], bound)
+    box = math.prod(b - a + 1 for a, b in zip(lo, hi))  # lo <= 0 <= hi
     if box > 500_000:
         raise InvalidMonoidSpec(
             f"saturation box has {box} points; lower the degree bound")
 
     matrix = m_partial.generator_matrix()
-    gen_cols = [tuple(g) for g in gens]
     for point in itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi))):
-        if all(x == 0 for x in point):
-            continue
-        deg = sum(u * x for u, x in zip(grading, point))
+        deg = sum(u * x for u, x in zip(m_partial.grading, point))
         if deg < 0 or deg > bound:
             continue
-        if point in monoid_images:
+        if point in monoid_images:  # the origin among them
             continue
-        if not ratlp.in_cone(gen_cols, point):
+        if not ratlp.in_cone(gens, point):
             continue
         if solve_integer(matrix, point) is None:
             continue  # in the cone but not in the generated sublattice

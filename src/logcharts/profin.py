@@ -55,9 +55,8 @@ class FiniteAbelianProSystem:
 
     def check_coherence(self, bound: int) -> bool:
         """Transition compatibility for every pair n | m <= bound.  A bound
-        above 100,000 levels is refused before any level is computed."""
-        _refuse_above_cap(bound)
-        return _first_incoherent((self,), bound) is None
+        below 1 or above 100,000 is refused before any level is computed."""
+        return _first_incoherent((self,), _checked_bound(bound)) is None
 
     def __str__(self):
         return f"<pro-system: {self.description}>"
@@ -76,10 +75,14 @@ def _covers(m: int) -> list[int]:
     return out
 
 
-def _refuse_above_cap(bound: int):
+def _checked_bound(bound) -> int:
+    bound = int(bound)
+    if bound < 1:
+        raise ValueError("bound must be a positive integer")
     if bound > _LEVEL_CAP:
         raise ChartError(f"comparison bound {bound} is above the cap of "
                          f"{_LEVEL_CAP} levels; lower the bound")
+    return bound
 
 
 def _first_incoherent(towers, bound: int) -> int | None:
@@ -154,13 +157,10 @@ def equivalent_up_to(a: FiniteAbelianProSystem, b: FiniteAbelianProSystem,
     True iff every level n <= bound has isomorphic invariant factors on
     both sides and both towers cohere on every pair n | m <= bound, checked
     on the covering pairs of the module note.  For natural surjections this
-    is the checkable shadow of pro-equivalence.  A bound above 100,000
-    levels is refused before any level is computed.
+    is the checkable shadow of pro-equivalence.  A bound below 1 or above
+    100,000 levels is refused before any level is computed.
     """
-    bound = int(bound)
-    if bound < 1:
-        raise ValueError("bound must be a positive integer")
-    _refuse_above_cap(bound)
+    bound = _checked_bound(bound)
     records = []
     for n in range(1, bound + 1):
         ga, gb = a.level(n), b.level(n)

@@ -12,17 +12,21 @@ before it moved exact angles to integer residues, and tower coherence is
 checked on every divisor pair n | m, as the library did before it checked
 only the covering pairs, and relation completeness is decided by
 union-find over every degree-bounded exponent vector, as the library did
-before it walked the monoid's elements degree by degree.
+before it walked the monoid's elements degree by degree, and the
+saturation box is bounded by one exact LP per axis and direction, as the
+library did before it read the box off the vertices of the degree simplex.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from collections import deque
 from fractions import Fraction
 from math import gcd
 
+from logcharts import ratlp
 from logcharts.abgrp import is_isomorphic
 from logcharts.errors import InvalidMonoidSpec, RelationSynthesisIncomplete
 from logcharts.fibers import TorsorReport
@@ -526,3 +530,27 @@ def fiber_connected_by_vectors(spec: MonoidSpec, relations, degrees, image, degr
                 if all(x >= y for x, y in zip(n, a)):
                     uf.union(index[n], index[tuple(x - y + z for x, y, z in zip(n, a, b))])
     return len({uf.find(i) for i in range(len(members))}) == 1
+
+
+# --------------------------------------------------------------------------
+# The saturation box by linear programming, as ``logcharts.monoid`` bounded
+# it before the box was read off the vertices of the degree simplex: the
+# least and the greatest value of each coordinate, one exact LP each.
+
+def saturation_box_by_lp(gens, degrees, bound):
+    """The integer bounding box (lo, hi) of { G @ lam : lam >= 0,
+    degrees . lam <= bound }, by the library's simplex."""
+    d, k = len(gens[0]), len(gens)
+    # Bounding box of { G @ lam : lam >= 0, grading . (G @ lam) <= bound }.
+    lo, hi = [], []
+    constraint = [[Fraction(degrees[j]) for j in range(k)] + [Fraction(1)]]
+    rhs = [Fraction(bound)]
+    for axis in range(d):
+        cost = [Fraction(gens[j][axis]) for j in range(k)] + [Fraction(0)]
+        status_min, _, vmin = ratlp.solve_standard_form(cost, constraint, rhs)
+        status_max, _, vmax = ratlp.solve_standard_form([-c for c in cost], constraint, rhs)
+        if status_min != ratlp.OPTIMAL or status_max != ratlp.OPTIMAL:
+            raise InvalidMonoidSpec("truncated cone is unbounded; grading is broken")
+        lo.append(math.ceil(vmin))
+        hi.append(math.floor(-vmax))
+    return lo, hi

@@ -172,6 +172,38 @@ def test_direct_sum():
     assert a.direct_sum() == a
 
 
+def _revalidates(g):
+    """g equals, and hashes as, the group its fields build when checked."""
+    checked = FgAbelianGroup(g.free_rank, g.torsion)
+    assert g == checked and hash(g) == hash(checked), g
+    assert type(g.free_rank) is int and all(type(d) is int for d in g.torsion), g
+
+
+def test_trusted_constructors_build_normal_forms():
+    rng = random.Random(20150921)
+    _revalidates(FgAbelianGroup.trivial())
+    for kind in ("free", "torsion", "mixed") * 20:
+        orders = rng.choices(range(2, 37), k=rng.randint(1, 4))
+        g = FgAbelianGroup(
+            0 if kind == "torsion" else rng.randint(1, 3),
+            () if kind == "free" else FgAbelianGroup.from_cyclic_orders(orders).torsion)
+        for n in range(1, 61):
+            _revalidates(tensor_mod(g, n))
+        extra = rng.choices((0, 1, 2, 3, 4, 6, 9, 12, 25), k=rng.randint(0, 3))
+        _revalidates(FgAbelianGroup.from_cyclic_orders(g.invariant_factors() + extra))
+        _revalidates(g.direct_sum(FgAbelianGroup.cyclic(rng.randint(0, 12))))
+        # a presentation of g, disguised by unimodular changes of basis
+        size = len(g.invariant_factors())
+        left = IntMatrix.from_rows(random_unimodular(rng, size))
+        right = IntMatrix.from_rows(random_unimodular(rng, size))
+        presented = left @ IntMatrix.diagonal(g.invariant_factors()) @ right
+        assert cokernel(presented) == g
+        _revalidates(cokernel(presented))
+        r, c = rng.randrange(0, 5), rng.randrange(0, 5)
+        _revalidates(cokernel(IntMatrix.from_rows(
+            [[rng.randint(-9, 9) for _ in range(c)] for _ in range(r)], cols=c)))
+
+
 def test_invariant_chain_is_enforced():
     with pytest.raises(ValueError):
         FgAbelianGroup(0, (4, 2))

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from logcharts import monoid
+from logcharts import monoid, ratlp
 from logcharts.abgrp import (FgAbelianGroup, IntMatrix, cokernel, is_isomorphic, rank,
                              tensor_mod)
 from logcharts.errors import (InvalidMonoidSpec, NotAFace, NotSharp,
@@ -14,7 +14,7 @@ from logcharts.monoid import (MonoidSpec, face_with_support, faces, kummer,
                               mu, stalk, validate)
 
 from oracles import (congruence_complete_by_vectors, face_supports_by_axiom,
-                     fiber_connected_by_vectors)
+                     fiber_connected_by_vectors, saturation_box_by_lp)
 
 
 def n_monoid():
@@ -337,3 +337,55 @@ def test_element_oracle_agrees_with_the_vector_oracle():
             assert got == want, (spec, relations, bound)
     # both verdicts are well represented
     assert 200 <= failed <= 800
+
+
+# The non-free charts of the benchmark corpus (the Hilbert cone a = 1 is
+# free), as (ambient rank, generators).
+CORPUS_CONES = [
+    (2, [[1, 0], [1, 1], [1, 2]]),
+    (3, [[1, 0, 0], [1, 1, 0], [1, 0, 1], [1, 1, 1]]),
+    *((2, [[1, i] for i in range(a + 1)]) for a in (1, 2, 3, 4)),
+    (4, [[1, x, y, z] for x in (0, 1) for y in (0, 1) for z in (0, 1)]),
+    *((1, [[a], [b]]) for a, b in ((2, 3), (3, 5), (4, 7), (5, 9))),
+    (2, [[1, 0], [1, 1], [1, 3]]),
+]
+
+
+def _random_sharp_cones(rng, count):
+    """Seeded non-free generator sets with a negative coordinate, each
+    with the degrees of a random positive grading, >= 1 on every one."""
+    while count:
+        d, k = rng.randint(1, 3), rng.randint(2, 5)
+        grading = [rng.randint(1, 3) for _ in range(d)]
+        gens = []
+        while len(gens) < k:
+            g = [rng.randint(-4, 4) for _ in range(d)]
+            if sum(u * x for u, x in zip(grading, g)) >= 1:
+                gens.append(g)
+        if rank(IntMatrix.from_rows(gens)) == k or min(map(min, gens)) >= 0:
+            continue
+        count -= 1
+        yield gens, [sum(u * x for u, x in zip(grading, g)) for g in gens]
+
+
+def test_saturation_box_matches_the_lp_oracle():
+    rng = random.Random(20150310)
+    cases = []
+    for d, gens in CORPUS_CONES:
+        spec = MonoidSpec.make(d, gens)
+        cert = ratlp.strict_functional(d, [], list(spec.generators))
+        grading = monoid._grading_functional(spec, cert)
+        degrees = [sum(u * x for u, x in zip(grading, g)) for g in gens]
+        cases.extend((gens, degrees, bound) for bound in range(1, 41))
+    for gens, degrees in _random_sharp_cones(rng, 250):
+        cases.extend((gens, degrees, rng.randint(1, 40)) for _ in range(2))
+    below_zero = 0
+    for gens, degrees, bound in cases:
+        lo, hi = monoid._saturation_box(gens, degrees, bound)
+        assert (lo, hi) == saturation_box_by_lp(gens, degrees, bound), (gens, degrees, bound)
+        below_zero += min(lo) < 0
+    assert below_zero >= 200
+    # a negative bound leaves nothing to bound, on both sides
+    for box in (monoid._saturation_box, saturation_box_by_lp):
+        with pytest.raises(InvalidMonoidSpec):
+            box([[1, 0], [1, 1], [1, 2]], [1, 2, 3], -1)

@@ -8,7 +8,8 @@ import pytest
 
 from logcharts.abgrp import FgAbelianGroup, tensor_mod
 from logcharts.errors import ChartError
-from logcharts.monoid import MonoidSpec, validate
+from logcharts.fibers import verify_fiber_equivalence
+from logcharts.monoid import MonoidSpec, face_with_support, validate
 from logcharts.profin import (FiniteAbelianProSystem, completion,
                               equivalent_up_to, mu_tower, product_system)
 from oracles import coherent_by_all_pairs, equivalent_by_all_pairs
@@ -243,3 +244,39 @@ def test_coherence_bound_is_capped_before_any_level(monkeypatch):
         with pytest.raises(ChartError, match="above the cap"):
             completion(Z).check_coherence(bound)
     assert levels == []
+
+
+def test_bounds_below_one_are_refused_before_any_level(monkeypatch):
+    levels = []
+    monkeypatch.setattr(FiniteAbelianProSystem, "level",
+                        lambda self, n: levels.append(n))
+    for bound in (0, -5):
+        with pytest.raises(ValueError, match="positive"):
+            completion(Z).check_coherence(bound)
+        with pytest.raises(ValueError, match="positive"):
+            equivalent_up_to(completion(Z), completion(Z), bound)
+    assert levels == []
+
+
+def test_levels_are_built_without_revalidation(monkeypatch):
+    # every level and every reduction of one is a normal form as built, so
+    # the validating constructor runs as often at bound 100 as at bound 1
+    built = []
+    original = FgAbelianGroup.__post_init__
+
+    def counting(self):
+        built.append(self)
+        original(self)
+
+    monkeypatch.setattr(FgAbelianGroup, "__post_init__", counting)
+    g = FgAbelianGroup(1, (2, 12))
+    m = validate(MonoidSpec.make(2, [[1, 0], [1, 1], [1, 2]], [[[1, 0, 1], [0, 2, 0]]]))
+    vertex = face_with_support(m, ())
+    counts = []
+    for bound in (1, 10, 100):
+        built.clear()
+        assert equivalent_up_to(completion(g), completion(g), bound)[0]
+        assert completion(g).check_coherence(bound)
+        assert verify_fiber_equivalence(m, vertex, bound)[0]
+        counts.append(len(built))
+    assert counts[0] == counts[1] == counts[2], counts
