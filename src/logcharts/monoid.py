@@ -293,10 +293,10 @@ def _check_saturation(m_partial: AffineMonoid, monoid_images, bound):
     """Desk-scale saturation check.
 
     Enumerates the integer points of the cone truncated at the degree
-    bound (a bounding box in closed form, then cone membership per point)
-    and demands each point of the generated sublattice be a nonnegative
-    integer combination of generators, i.e. appear among the enumerated
-    monoid elements.
+    bound (a bounding box in closed form, then, off the monoid elements, a
+    phase-one simplex per point) and demands each point of the generated
+    sublattice be a nonnegative integer combination of generators, i.e.
+    appear among the enumerated monoid elements.
     """
     gens = m_partial.generators
     lo, hi = _saturation_box(gens, [m_partial.degree(g) for g in gens], bound)
@@ -341,6 +341,9 @@ def validate(spec: MonoidSpec, degree_bound: int = DEFAULT_DEGREE_BOUND) -> Affi
     if not isinstance(spec, MonoidSpec):
         spec = MonoidSpec.make(*spec)
     _check_spec_shape(spec)
+    if degree_bound < 0:
+        raise InvalidMonoidSpec(
+            f"degree bound {degree_bound} is negative; the truncated cone is empty")
     d = spec.ambient_rank
 
     certificate = ratlp.strict_functional(d, [], list(spec.generators))

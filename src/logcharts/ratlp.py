@@ -5,9 +5,9 @@ held as a list of integers over one positive denominator, reduced by
 their gcd after every pivot (integer-preserving elimination in the sense
 of Bareiss, Math. Comp. 22, 1968), so sign and ratio tests are integer
 comparisons and cross-products.  The pivots, and so every answer, are
-those of the same simplex run on ``fractions.Fraction`` entries.  Sized
-for desk-scale cone problems (tens of variables); correctness over
-cleverness.
+those of the same simplex run on ``fractions.Fraction`` entries; cone
+membership runs phase one alone.  Sized for desk-scale cone problems
+(tens of variables); correctness over cleverness.
 """
 
 from __future__ import annotations
@@ -158,13 +158,6 @@ def solve_standard_form(c, a_rows, b):
     return OPTIMAL, x, value
 
 
-def feasible_nonneg(a_rows, b):
-    """Some x >= 0 with A x = b, or None.  Phase-1 feasibility only."""
-    n = len(a_rows[0]) if a_rows else 0
-    status, x, _ = solve_standard_form([_ZERO] * n, a_rows, b)
-    return x if status == OPTIMAL else None
-
-
 def strict_functional(dim, zero_vectors, positive_vectors):
     """A rational u with u.z == 0 for all z and u.p > 0 for all p, or None.
 
@@ -233,10 +226,19 @@ def _normalize_functional(u):
 
 def in_cone(generator_columns, point):
     """Exact test: is the point a nonnegative rational combination of the
-    generators?  ``generator_columns`` is a list of vectors in Z^d."""
-    dim = len(point)
-    k = len(generator_columns)
-    if k == 0:
-        return all(x == 0 for x in point)
-    rows = [[Fraction(generator_columns[j][i]) for j in range(k)] for i in range(dim)]
-    return feasible_nonneg(rows, [Fraction(x) for x in point]) is not None
+    generators?  ``generator_columns`` is a list of vectors in Z^d.  Only
+    phase one of :func:`solve_standard_form`, from the integer tableau it
+    builds for the same data, so with its pivots: the point is in the cone
+    exactly when the artificials reach zero."""
+    m, k = len(point), len(generator_columns)
+    total = k + m
+    tab = []
+    for i, x in enumerate(point):
+        sign = -1 if x < 0 else 1
+        tab.append([sign * g[i] for g in generator_columns]
+                   + [1 if j == i else 0 for j in range(m)] + [sign * x])
+    obj = [-sum(column) for column in zip(*tab)] or [0] * (total + 1)
+    obj[k:total] = [0] * m
+    tab.append(obj)
+    _run_simplex(tab, [1] * (m + 1), list(range(k, total)), total)
+    return tab[m][total] >= 0

@@ -73,10 +73,12 @@ class StratumTable:
 
 
 def stratify(m: AffineMonoid) -> StratumTable:
-    """Enumerate all strata with their stalks and ranks."""
+    """Enumerate all strata with their stalks and ranks.  The vertex stalk
+    P/{0} = P is the validated chart itself, relations included; every
+    other face's stalk comes from :func:`stalk`."""
     entries = []
     for f in faces(m):
-        quotient, r = stalk(m, f)
+        quotient, r = stalk(m, f) if f.support else (m, m.gp_lattice_rank)
         entries.append(StratumEntry(f, r, quotient))
     return StratumTable(m, tuple(entries), m.gp_lattice_rank)
 

@@ -14,7 +14,9 @@ only the covering pairs, and relation completeness is decided by
 union-find over every degree-bounded exponent vector, as the library did
 before it walked the monoid's elements degree by degree, and the
 saturation box is bounded by one exact LP per axis and direction, as the
-library did before it read the box off the vertices of the degree simplex.
+library did before it read the box off the vertices of the degree simplex,
+and cone membership is decided by the full two-phase LP, as the library
+did before it ran phase one alone on integer rows.
 """
 
 from __future__ import annotations
@@ -554,3 +556,21 @@ def saturation_box_by_lp(gens, degrees, bound):
         lo.append(math.ceil(vmin))
         hi.append(math.floor(-vmax))
     return lo, hi
+
+
+# --------------------------------------------------------------------------
+# Cone membership by the full two-phase LP on ``Fraction`` data (phase one,
+# the artificial drive-out and a phase two with zero objective), as
+# ``logcharts.ratlp.in_cone`` decided it before it ran phase one alone.
+
+def in_cone_by_lp(generator_columns, point):
+    """Exact test: is the point a nonnegative rational combination of the
+    generators?  ``generator_columns`` is a list of vectors in Z^d."""
+    dim = len(point)
+    k = len(generator_columns)
+    if k == 0:
+        return all(x == 0 for x in point)
+    rows = [[Fraction(generator_columns[j][i]) for j in range(k)] for i in range(dim)]
+    n = len(rows[0]) if rows else 0
+    status, _, _ = solve_standard_form([_ZERO] * n, rows, [Fraction(x) for x in point])
+    return status == OPTIMAL

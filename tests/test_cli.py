@@ -160,6 +160,9 @@ def test_exit_code_2_on_input_errors(tmp_path):
         (["torsor", cone, "2", "--point",
           '{"radii": ["-1", "1", "1"], "turns": ["0", "0", "0"]}'], None),
         (["torsor", cone, "1000"], None),
+        (["info", cone, "--degree-bound", "-3"], None),
+        # a free chart skips the saturation box, not the bound check
+        (["info", corpus_path("log_point"), "--degree-bound", "-3"], None),
     ]:
         code, _, err = run_cli(args, env)
         assert code == 2 and err.startswith("error: "), (args, err)

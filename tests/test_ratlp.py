@@ -1,11 +1,14 @@
-"""Exact rational simplex: known optima, feasibility, Gordan duality."""
+"""Exact rational simplex: known optima, feasibility, Gordan duality, and
+cone membership by phase one alone."""
 
+import collections
+import itertools
 import random
 from fractions import Fraction
 
 from logcharts import ratlp
 from logcharts.cli import corpus_path, load_chart
-from logcharts.monoid import MonoidSpec, faces, validate
+from logcharts.monoid import DEFAULT_DEGREE_BOUND, MonoidSpec, faces, validate
 
 import oracles
 
@@ -43,8 +46,9 @@ def test_exactness_of_optimum():
 
 
 def test_feasible_nonneg():
-    assert ratlp.feasible_nonneg([[1, 1]], [2]) is not None
-    assert ratlp.feasible_nonneg([[1, 1], [1, 1]], [2, 3]) is None
+    # x + y = 2 has a nonnegative solution; x + y = 2 and x + y = 3 have none
+    assert ratlp.in_cone([(1,), (1,)], (2,))
+    assert not ratlp.in_cone([(1, 1), (1, 1)], (2, 3))
 
 
 def test_strict_functional_geometry():
@@ -74,10 +78,9 @@ def test_gordan_duality_randomized():
         if any(all(x == 0 for x in g) for g in gens):
             continue
         u = ratlp.strict_functional(d, [], gens)
-        rows = [[Fraction(gens[j][i]) for j in range(k)] for i in range(d)]
-        rows.append([Fraction(1)] * k)
-        lam = ratlp.feasible_nonneg(rows, [Fraction(0)] * d + [Fraction(1)])
-        assert (u is None) == (lam is not None)
+        # some lam >= 0 with sum lam = 1 and sum lam_j gen_j = 0
+        lam = ratlp.in_cone([g + (1,) for g in gens], (0,) * d + (1,))
+        assert (u is None) == lam
 
 
 def test_in_cone():
@@ -138,6 +141,57 @@ def test_integer_simplex_matches_the_fraction_reference_on_random_lps(monkeypatc
     assert min(seen.values()) > 100 and min(statuses.values()) > 100, (seen, statuses)
 
 
+def _record_phase_ends(monkeypatch, trail):
+    """The length of ``trail`` after each simplex run of the oracle."""
+    ends = []
+    run = oracles._run_simplex
+
+    def recording(*args):
+        status = run(*args)
+        ends.append(len(trail))
+        return status
+
+    monkeypatch.setattr(oracles, "_run_simplex", recording)
+    return ends
+
+
+def _recorded_queries(monkeypatch, specs, degree_bound=DEFAULT_DEGREE_BOUND):
+    """Every in_cone query that validate and faces make on the specs."""
+    member = ratlp.in_cone
+    queries = []
+
+    def recording(generator_columns, point):
+        queries.append((tuple(map(tuple, generator_columns)), tuple(point)))
+        return member(generator_columns, point)
+
+    monkeypatch.setattr(ratlp, "in_cone", recording)
+    for spec in specs:
+        faces(validate(spec, degree_bound))
+    monkeypatch.setattr(ratlp, "in_cone", member)
+    return queries
+
+
+def _checked_in_cone(monkeypatch):
+    """in_cone, checked against the LP oracle: the same answer, and the
+    pivots of the oracle's phase one, which ends with its first simplex
+    run (none when it answers without an LP)."""
+    integer_pivots = _record_pivots(monkeypatch, ratlp)
+    reference_pivots = _record_pivots(monkeypatch, oracles)
+    ends = _record_phase_ends(monkeypatch, reference_pivots)
+
+    def check(generator_columns, point):
+        for trail in (integer_pivots, reference_pivots, ends):
+            trail.clear()
+        answer = ratlp.in_cone(generator_columns, point)
+        assert answer == oracles.in_cone_by_lp(generator_columns, point), (
+            generator_columns, point)
+        assert integer_pivots == reference_pivots[:ends[0] if ends else 0], (
+            generator_columns, point)
+        return answer
+
+    return check
+
+
 def test_integer_simplex_matches_the_fraction_reference_on_chart_lps(monkeypatch):
     charts = [load_chart(corpus_path(name)).spec
               for name in ("log_point", "affine_line", "plane_axes", "a1_cone")]
@@ -150,12 +204,69 @@ def test_integer_simplex_matches_the_fraction_reference_on_chart_lps(monkeypatch
         return solve(c, a_rows, b)
 
     monkeypatch.setattr(ratlp, "solve_standard_form", recording)
-    for spec in charts:
-        faces(validate(spec))
+    queries = _recorded_queries(monkeypatch, charts)
     monkeypatch.undo()
-    assert len(issued) > 100
+    # the LPs the corpus runs: solves for sharpness and faces, and cone
+    # membership for saturation
+    assert issued and queries and len(issued) + len(queries) > 100
     integer_pivots = _record_pivots(monkeypatch, ratlp)
     reference_pivots = _record_pivots(monkeypatch, oracles)
     for c, rows, rhs in issued:
         assert ratlp.solve_standard_form(c, rows, rhs) == oracles.solve_standard_form(c, rows, rhs)
         assert integer_pivots == reference_pivots
+    monkeypatch.undo()
+    check = _checked_in_cone(monkeypatch)
+    for generator_columns, point in queries:
+        check(generator_columns, point)
+
+
+def _quadrics(gens):
+    """Every relation gen_a + gen_b = gen_c + gen_e between two disjoint
+    pairs of generators."""
+    k = len(gens)
+    rels = []
+    pairs = itertools.combinations_with_replacement(range(k), 2)
+    for (a, b), (c, e) in itertools.combinations(pairs, 2):
+        if {a, b}.isdisjoint({c, e}) and all(
+                x + y == z + w for x, y, z, w in zip(gens[a], gens[b], gens[c], gens[e])):
+            r, s = [0] * k, [0] * k
+            r[a] += 1
+            r[b] += 1
+            s[c] += 1
+            s[e] += 1
+            rels.append((r, s))
+    return rels
+
+
+def test_in_cone_matches_the_lp_oracle(monkeypatch):
+    # the queries validate makes on the square, cube and Hilbert cones; the
+    # cube and the Hilbert cones get their quadrics as relations, because
+    # relations synthesized from the kernel stop the cube and a = 3, 4
+    # before the saturation check
+    square = [[1, 0, 0], [1, 1, 0], [1, 0, 1], [1, 1, 1]]
+    cube = [[1, x, y, z] for x in (0, 1) for y in (0, 1) for z in (0, 1)]
+    hilbert = [[[1, i] for i in range(a + 1)] for a in (1, 2, 3, 4)]
+    specs = [MonoidSpec.make(3, square), MonoidSpec.make(4, cube, _quadrics(cube))]
+    specs += [MonoidSpec.make(2, gens, _quadrics(gens)) for gens in hilbert]
+    queries = _recorded_queries(monkeypatch, specs, 20)
+    assert len(queries) > 6000
+    # seeded cones, some of them empty, some not pointed, and points with
+    # negative and zero coordinates, some of them in the cone by construction
+    rng = random.Random(20151026)
+    seen = {"no generators": 0, "negative coordinate": 0, "zero coordinate": 0}
+    for _ in range(3000):
+        d, k = rng.randint(1, 4), rng.choice([0, *range(1, 8)])
+        gens = [tuple(rng.randint(-3, 4) for _ in range(d)) for _ in range(k)]
+        if gens and rng.random() < 0.3:
+            lam = [rng.randint(0, 2) for _ in gens]
+            point = tuple(sum(c * g[i] for c, g in zip(lam, gens)) for i in range(d))
+        else:
+            point = tuple(rng.choice([0, rng.randint(-3, 4)]) for _ in range(d))
+        seen["no generators"] += not gens
+        seen["negative coordinate"] += min(point) < 0
+        seen["zero coordinate"] += 0 in point
+        queries.append((gens, point))
+    assert min(seen.values()) > 300, seen
+    check = _checked_in_cone(monkeypatch)
+    answers = collections.Counter(check(gens, point) for gens, point in queries)
+    assert min(answers[True], answers[False]) > 300, answers

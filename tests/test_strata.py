@@ -3,7 +3,7 @@
 import pytest
 
 from logcharts.errors import NotOnVariety
-from logcharts.monoid import MonoidSpec, faces, validate
+from logcharts.monoid import MonoidSpec, face_with_support, faces, stalk, validate
 from logcharts.semialg import CxPoint, sample_stratum
 from logcharts.strata import stratify, stratum_of_point
 
@@ -91,3 +91,27 @@ def test_exact_points_bypass_tolerance():
     tiny = CxPoint.exact_point([Fraction(1, 10 ** 12), 0])
     # an exact tiny value is still nonzero, whatever the tolerance
     assert stratum_of_point(n2, tiny, tol=1e-9).support == (0,)
+
+
+def test_stratify_keeps_the_supplied_relations_at_the_vertex():
+    # the Hilbert cone a = 3 with its three quadrics; re-validating the
+    # vertex stalk from its generators alone would re-synthesize relations
+    # from the kernel, which leave the presentations of (2, 3) disconnected
+    gens = [[1, 0], [1, 1], [1, 2], [1, 3]]
+    quadrics = [[[1, 0, 1, 0], [0, 2, 0, 0]], [[1, 0, 0, 1], [0, 1, 1, 0]],
+                [[0, 1, 0, 1], [0, 0, 2, 0]]]
+    m = validate(MonoidSpec.make(2, gens, quadrics))
+    table = stratify(m)
+    vertex = table.entry_for(face_with_support(m, ()))
+    assert vertex.stalk is m and vertex.stalk_rank == 2
+    assert vertex.stalk.relations == m.spec.relations
+    assert table.ranks() == [0, 1, 1, 2]
+    for e in table.entries:
+        if e.face.support:
+            assert (e.stalk, e.stalk_rank) == stalk(m, e.face)
+    # where the vertex stalk can be re-validated, it presents P the same way
+    for m in charts():
+        quotient, r = stalk(m, face_with_support(m, ()))
+        vertex = stratify(m).entry_for(face_with_support(m, ()))
+        assert vertex.stalk.generators == quotient.generators
+        assert vertex.stalk.ambient_rank == quotient.ambient_rank and vertex.stalk_rank == r
