@@ -16,19 +16,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
 
 from . import monoid as monoid_mod
-from .abgrp import FgAbelianGroup
 from .errors import ChartError, FalsifiedProperty
-from .fibers import (comparison_on_pi1, torsor_check,
-                     verify_fiber_equivalence)
-from .monoid import DEFAULT_DEGREE_BOUND, MonoidSpec, face_with_support
-from .semialg import (DEFAULT_TOLERANCE, KnPoint, Target, emit_equations,
-                      sample_kn_stratum)
-from .strata import stratify
+from .monoid import DEFAULT_DEGREE_BOUND, DEFAULT_TOLERANCE, MonoidSpec, face_with_support
 
 ENV_PREFIX = "LOGCHARTS_"
 DEFAULT_BOUND = 100
@@ -92,8 +87,8 @@ def corpus_path(name: str) -> str:
 
 def _setting(args_value, chart_options, key, env_name, default, cast):
     if args_value is not None:
-        return args_value
-    if key in chart_options:
+        source, raw = "--" + env_name.lower().replace("_", "-"), args_value
+    elif key in chart_options:
         source, raw = f"chart option {key!r}", chart_options[key]
     elif ENV_PREFIX + env_name in os.environ:
         source, raw = ENV_PREFIX + env_name, os.environ[ENV_PREFIX + env_name]
@@ -105,6 +100,13 @@ def _setting(args_value, chart_options, key, env_name, default, cast):
         raise ChartError(f"{source} has an invalid value {raw!r}") from err
 
 
+def _tolerance(raw) -> float:
+    tol = float(raw)
+    if not 0 <= tol < math.inf:  # NaN fails the comparison too
+        raise ValueError("a tolerance must be finite and at least 0")
+    return tol
+
+
 def _check_levels(args, bound):
     """Levels and the comparison bound index towers, which start at 1."""
     for label, value in (("level", getattr(args, "n", None)),
@@ -113,7 +115,7 @@ def _check_levels(args, bound):
             raise ChartError(f"{label} must be at least 1, got {value}")
 
 
-def _group_json(g: FgAbelianGroup):
+def _group_json(g):
     return {"free_rank": g.free_rank, "torsion": list(g.torsion)}
 
 
@@ -131,6 +133,7 @@ def _parse_point(text, m, tol):
     """An inline JSON log point: {"radii": [...], "turns": [...]} with
     entries as exact fraction strings or numbers, or {"radii": [...],
     "angles": [[re, im], ...]} for floating mode."""
+    from .semialg import KnPoint
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as err:
@@ -156,6 +159,7 @@ def _emit(payload, table: bool):
         _print_table(payload)
     else:
         print(json.dumps(payload, indent=2, sort_keys=True))
+    sys.stdout.flush()
 
 
 def _print_table(payload, indent=0):
@@ -198,6 +202,7 @@ def cmd_info(chart, m, args):
 
 
 def cmd_strata(chart, m, args):
+    from .strata import stratify
     table = stratify(m)
     return {
         "name": chart.name,
@@ -222,6 +227,7 @@ def cmd_mu(chart, m, args):
 
 
 def cmd_fiber(chart, m, args):
+    from .fibers import comparison_on_pi1
     face = _parse_face(args.face, m)
     # The level-n comparison map runs from the torus fiber's pi1 to level n
     # of the root fiber tower, so it carries both fiber models.
@@ -237,6 +243,7 @@ def cmd_fiber(chart, m, args):
 
 
 def cmd_compare(chart, m, args, bound):
+    from .fibers import verify_fiber_equivalence
     face = _parse_face(args.face, m)
     ok, cert = verify_fiber_equivalence(m, face, bound)
     payload = {
@@ -251,6 +258,7 @@ def cmd_compare(chart, m, args, bound):
 
 
 def cmd_emit(chart, m, args):
+    from .semialg import Target, emit_equations
     target = Target.COMPLEX_POINTS if args.target == "complex" else Target.KN_POINTS
     system = emit_equations(m, target)
     out = {"name": chart.name}
@@ -259,6 +267,8 @@ def cmd_emit(chart, m, args):
 
 
 def cmd_torsor(chart, m, args, tol, seed):
+    from .fibers import torsor_check
+    from .semialg import sample_kn_stratum
     if args.point is not None:
         point = _parse_point(args.point, m, tol)
     else:
@@ -320,7 +330,7 @@ def main(argv=None) -> int:
     try:
         chart = load_chart(args.chart)
         opts = chart.options
-        tol = _setting(args.tol, opts, "tolerance", "TOL", DEFAULT_TOLERANCE, float)
+        tol = _setting(args.tol, opts, "tolerance", "TOL", DEFAULT_TOLERANCE, _tolerance)
         degree_bound = _setting(args.degree_bound, opts, "degree_bound",
                                 "DEGREE_BOUND", DEFAULT_DEGREE_BOUND, int)
         bound = _setting(args.bound, opts, None, "BOUND", DEFAULT_BOUND, int)
@@ -357,7 +367,13 @@ def main(argv=None) -> int:
         print(f"internal error: {type(err).__name__}: {err}", file=sys.stderr)
         return 2
 
-    _emit(payload, table)
+    try:
+        _emit(payload, table)
+    except BrokenPipeError as err:
+        # The interpreter's final flush of stdout must not fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: cannot write the output: {err}", file=sys.stderr)
+        return 2
     return 1 if falsified else 0
 
 

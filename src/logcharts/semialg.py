@@ -28,9 +28,8 @@ from .errors import (ArityMismatch, InvalidPoint, StratumEmptyAtDeskScale)
 from .exactnum import (GAUSSIAN_ONE, GAUSSIAN_ZERO, GaussianRational,
                        NonnegRoot, turn_mod1, unit_from_turn_exact,
                        unit_from_turn_float)
-from .monoid import AffineMonoid, Face
+from .monoid import DEFAULT_TOLERANCE, AffineMonoid, Face
 
-DEFAULT_TOLERANCE = 1e-9
 _SAMPLER_RETRY_BUDGET = 64
 
 

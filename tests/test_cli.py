@@ -166,6 +166,50 @@ def test_exit_code_2_on_input_errors(tmp_path):
     ]:
         code, _, err = run_cli(args, env)
         assert code == 2 and err.startswith("error: "), (args, err)
+    # a tolerance must be finite and at least 0, and the error names its source
+    with open(cone, encoding="utf-8") as handle:
+        doc = json.load(handle)
+    doc["options"]["tolerance"] = -1e-9
+    tolerant = tmp_path / "tolerance.json"
+    tolerant.write_text(json.dumps(doc))
+    point = '{"radii": [1, 1, 1], "angles": [[1, 0], [1, 0], [1, 0]]}'
+    for args, env, source in [
+        (["torsor", cone, "2", "--point", point, "--tol", "nan"], None, "--tol"),
+        (["torsor", cone, "2", "--point", point, "--tol", "-1"], None, "--tol"),
+        (["torsor", cone, "2", "--point", point, "--tol", "inf"], None, "--tol"),
+        (["torsor", cone, "2", "--point", point], {"LOGCHARTS_TOL": "nan"}, "LOGCHARTS_TOL"),
+        (["torsor", str(tolerant), "2", "--point", point], None, "chart option 'tolerance'"),
+    ]:
+        code, _, err = run_cli(args, env)
+        assert code == 2 and err.startswith(f"error: {source} "), (args, err)
+
+
+def test_closed_stdout_exits_2_without_a_traceback():
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "logcharts.cli", "compare", corpus_path("a1_cone")],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr, proc.stderr
+
+
+def test_info_loads_only_the_layers_it_runs():
+    script = ("import sys\n"
+              "from logcharts import cli\n"
+              "assert cli.main(['info', cli.corpus_path('a1_cone')]) == 0\n"
+              "print(' '.join(sorted(m for m in sys.modules if m.startswith('logcharts.'))),"
+              " file=sys.stderr)\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stderr.split())
+    assert "logcharts.monoid" in loaded
+    for layer in ("fibers", "profin", "semialg", "exactnum", "strata"):
+        assert f"logcharts.{layer}" not in loaded, loaded
 
 
 def test_exit_code_1_reserved_for_falsified_properties(tmp_path):
