@@ -8,10 +8,9 @@ two towers agree, realized level by level by the mod-n reduction maps.
 
 from fractions import Fraction
 
-from logcharts import (KnPoint, MonoidSpec, comparison_on_pi1,
-                       face_with_support, faces, kn_fiber, kn_kummer_fiber,
-                       mu, root_fiber_tower, stratify, validate,
-                       verify_fiber_equivalence)
+from logcharts import (KnPoint, MonoidSpec, face_with_support, faces,
+                       kn_kummer_fiber, mu, mu_tower, stalk, stratify,
+                       validate, verify_fiber_equivalence)
 
 m = validate(MonoidSpec.make(1, [[1]]))
 print("chart monoid:", m)
@@ -26,10 +25,11 @@ for entry in stratify(m).entries:
     print(f"  face {entry.face}  stalk rank {entry.stalk_rank}")
 
 vertex = face_with_support(m, [])
+quotient, r = stalk(m, vertex)
 print("\nover the vertex:")
-print("  log-model fiber: torus of rank", kn_fiber(m, vertex).torus_rank)
-tower = root_fiber_tower(m, vertex)
-print("  root fiber levels:", ", ".join(str(tower.tower.level(n)) for n in (2, 3, 4, 6)))
+print("  log-model fiber: torus of rank", r)
+tower = mu_tower(quotient)
+print("  root fiber levels:", ", ".join(str(tower.level(n)) for n in (2, 3, 4, 6)))
 print("  mu_n of the chart:", ", ".join(str(mu(m, n)) for n in (2, 3, 4, 6)))
 
 print("\nthe degree-3 Kummer cover over the point (radius 2, 1/3 turn):")
@@ -37,10 +37,10 @@ p = KnPoint.exact_point([(2, Fraction(1, 3))])
 for q in kn_kummer_fiber(m, p, 3):
     print("  fiber point:", q)
 
-print("\ncomparison map at level 5:", comparison_on_pi1(m, vertex, 5).matrix.entries,
+ok, cert = verify_fiber_equivalence(m, vertex, 100)
+print("\ncomparison map at level 5:", cert.comparison_matrix.entries,
       "read mod 5 (pi1 of z -> z^5 on the circle)")
 
-ok, cert = verify_fiber_equivalence(m, vertex, 100)
 print(f"\nfiberwise profinite comparison up to level 100: {ok}")
 print("first levels:",
       [(rec.n, rec.factors_a, rec.factors_b) for rec in cert.level_certificate.levels[:6]])

@@ -2,10 +2,11 @@
 
 A chart is a fine saturated sharp monoid presented by lattice generators.
 From it the library computes the face lattice and rank stratification,
-the Kummer extensions and the groups mu_n, fiber models of the
-Kato-Nakayama space and of the root-stack tower over each stratum, the
-defining binomial equation systems of both chart models, and a level-wise
-verification that the two fiber towers agree after profinite completion.
+the groups mu_n, the stalk over each stratum (whose rank r fixes both
+fiber models: an r-torus and the mu-tower of the stalk), Kummer-cover
+fibers, the defining binomial equation systems of both chart models, and
+a level-wise verification that the two fiber towers agree after
+profinite completion.
 
 Importing the package loads no layer: a public name or a layer submodule
 is imported from its home module on first access (PEP 562).
@@ -22,11 +23,10 @@ _HOMES = {
                "InvalidPoint", "NotAFace", "NotOnVariety", "NotSharp", "RelationInconsistent",
                "RelationSynthesisIncomplete", "SaturationFailure", "StratumEmptyAtDeskScale"),
     "exactnum": ("GaussianRational", "NonnegRoot"),
-    "fibers": ("KnFiberModel", "Pi1Comparison", "RootFiberTower", "TorsorReport",
-               "algebraic_kummer_fiber", "comparison_on_pi1", "kn_fiber", "kn_kummer_fiber",
-               "root_fiber_tower", "torsor_check", "verify_fiber_equivalence"),
-    "monoid": ("AffineMonoid", "Face", "MonoidSpec", "face_with_support", "faces", "kummer",
-               "mu", "stalk", "validate"),
+    "fibers": ("TorsorReport", "algebraic_kummer_fiber", "kn_kummer_fiber", "torsor_check",
+               "verify_fiber_equivalence"),
+    "monoid": ("AffineMonoid", "Face", "MonoidSpec", "face_with_support", "faces", "mu",
+               "stalk", "validate"),
     "profin": ("EquivalenceCertificate", "FiniteAbelianProSystem", "completion",
                "equivalent_up_to", "mu_tower", "product_system"),
     "semialg": ("BinomialSystem", "CxPoint", "KnPoint", "Target", "check_membership",

@@ -54,12 +54,16 @@ class ChartDocument:
                 raise ChartError(f"chart document is missing {key!r}")
         relations = None
         if "relations" in doc and doc["relations"] is not None:
+            if not isinstance(doc["relations"], list):
+                raise ChartError("relations must be a list")
             relations = []
             for rel in doc["relations"]:
                 if not isinstance(rel, dict) or set(rel) != _RELATION_FIELDS:
                     raise ChartError(f"relation {rel!r} must have exactly lhs and rhs")
                 relations.append((rel["lhs"], rel["rhs"]))
         options = doc.get("options") or {}
+        if not isinstance(options, dict):
+            raise ChartError("options must be a JSON object")
         unknown = set(options) - _OPTION_FIELDS
         if unknown:
             raise ChartError(f"unknown option fields: {sorted(unknown)}")
@@ -100,7 +104,19 @@ def _setting(args_value, chart_options, key, env_name, default, cast):
         raise ChartError(f"{source} has an invalid value {raw!r}") from err
 
 
+def _integer(raw) -> int:
+    """An int, or a string of one (from the environment); a JSON float or
+    bool is refused, not truncated."""
+    if isinstance(raw, str):
+        return int(raw)
+    if type(raw) is not int:
+        raise TypeError(f"{raw!r} is not an integer")
+    return raw
+
+
 def _tolerance(raw) -> float:
+    if isinstance(raw, bool):
+        raise TypeError(f"{raw!r} is not a number")
     tol = float(raw)
     if not 0 <= tol < math.inf:  # NaN fails the comparison too
         raise ValueError("a tolerance must be finite and at least 0")
@@ -227,18 +243,17 @@ def cmd_mu(chart, m, args):
 
 
 def cmd_fiber(chart, m, args):
-    from .fibers import comparison_on_pi1
     face = _parse_face(args.face, m)
-    # The level-n comparison map runs from the torus fiber's pi1 to level n
-    # of the root fiber tower, so it carries both fiber models.
-    comparison = comparison_on_pi1(m, face, args.n)
+    # The stalk fixes both fiber models: the torus fiber has pi1 = Z^r, and
+    # level n of the root fiber tower is mu_n of the stalk.
+    quotient, r = monoid_mod.stalk(m, face)
     return {
         "name": chart.name,
         "face": list(face.support),
         "n": args.n,
-        "kn_torus_rank": comparison.torus_rank,
-        "kn_pi1": _group_json(comparison.source),
-        "root_level": _group_json(comparison.target),
+        "kn_torus_rank": r,
+        "kn_pi1": {"free_rank": r, "torsion": []},
+        "root_level": _group_json(monoid_mod.mu(quotient, args.n)),
     }
 
 
@@ -332,9 +347,9 @@ def main(argv=None) -> int:
         opts = chart.options
         tol = _setting(args.tol, opts, "tolerance", "TOL", DEFAULT_TOLERANCE, _tolerance)
         degree_bound = _setting(args.degree_bound, opts, "degree_bound",
-                                "DEGREE_BOUND", DEFAULT_DEGREE_BOUND, int)
-        bound = _setting(args.bound, opts, None, "BOUND", DEFAULT_BOUND, int)
-        seed = _setting(args.seed, opts, "seed", "SEED", DEFAULT_SEED, int)
+                                "DEGREE_BOUND", DEFAULT_DEGREE_BOUND, _integer)
+        bound = _setting(args.bound, opts, None, "BOUND", DEFAULT_BOUND, _integer)
+        seed = _setting(args.seed, opts, "seed", "SEED", DEFAULT_SEED, _integer)
         _check_levels(args, bound)
         m = _validated(chart, degree_bound)
 

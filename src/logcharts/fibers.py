@@ -1,12 +1,14 @@
-"""Fiber models over the strata and the fiberwise comparison.
+"""Kummer-cover fibers over chart points and the fiberwise comparison.
 
 Over a stratum of rank r the log model fibers in an r-torus, while the
 n-th root construction fibers in the classifying stack of a group of
-order n^r.  The comparison between them is, on fundamental groups, the
-coordinatewise reduction Z^r -> (Z/n)^r, and the two towers agree after
-profinite completion.  This module builds both fiber models, enumerates
-actual Kummer-cover fibers over chart points, verifies the torsor law for
-the deck action, and checks the tower equivalence level by level.
+order n^r.  Both are fixed by the stalk rank r (``monoid.stalk``): the
+torus has pi1 = Z^r, level n of the root tower is ``monoid.mu`` of the
+stalk, and the comparison between them is, on fundamental groups, the
+coordinatewise reduction Z^r -> (Z/n)^r; the two towers agree after
+profinite completion.  This module checks that tower equivalence level
+by level, enumerates actual Kummer-cover fibers over chart points, and
+verifies the torsor law for the deck action.
 
 A fiber point is a tuple of root indices u in (Z/n)^k solving the relation
 congruences mod n; one Smith-form solver lists exactly those solutions,
@@ -30,76 +32,13 @@ from .errors import (ChartError, FalsifiedProperty, InvalidPoint, NotAFace,
 from .exactnum import (GaussianRational, rational_nth_root, turn_mod1,
                        unit_from_turn_exact, unit_from_turn_float)
 from .monoid import AffineMonoid, Face, face_with_support, stalk
-from .profin import (EquivalenceCertificate, FiniteAbelianProSystem,
-                     completion, equivalent_up_to, mu_tower)
+from .profin import (EquivalenceCertificate, completion, equivalent_up_to,
+                     mu_tower)
 from .semialg import (DEFAULT_TOLERANCE, CxPoint, KnPoint, Target,
                       check_membership, emit_equations)
 
 _TURN_ACCEPT = 1e-7
 _TURN_REJECT = 1e-4
-
-
-@dataclass(frozen=True)
-class KnFiberModel:
-    """The log-model fiber over a stratum: an r-torus with free pi1."""
-
-    stratum_face: Face
-    torus_rank: int
-    pi1: FgAbelianGroup
-
-
-@dataclass(frozen=True)
-class RootFiberTower:
-    """The root-construction fiber over a stratum: the tower of
-    classifying-space groups, level n of order n^r."""
-
-    stratum_face: Face
-    tower: FiniteAbelianProSystem
-
-
-def kn_fiber(m: AffineMonoid, f: Face) -> KnFiberModel:
-    """Torus fiber model over the face's stratum; rank is the stalk rank."""
-    _, r = stalk(m, f)
-    return KnFiberModel(f, r, FgAbelianGroup.free(r))
-
-
-def root_fiber_tower(m: AffineMonoid, f: Face) -> RootFiberTower:
-    """Level n is mu_n of the stalk monoid at the face."""
-    quotient, _ = stalk(m, f)
-    return RootFiberTower(f, mu_tower(quotient))
-
-
-@dataclass(frozen=True)
-class Pi1Comparison:
-    """The comparison map on fundamental groups over one stratum at one
-    level: Z^r -> (Z/n)^r, the identity matrix read mod n."""
-
-    stratum_face: Face
-    torus_rank: int
-    modulus: int
-    matrix: IntMatrix
-    source: FgAbelianGroup
-    target: FgAbelianGroup
-
-    def matrix_mod(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(tuple(x % self.modulus for x in row) for row in self.matrix.entries)
-
-
-def comparison_on_pi1(m: AffineMonoid, f: Face, n: int) -> Pi1Comparison:
-    """The coordinatewise mod-n reduction from the torus pi1 to the level-n
-    root fiber group (on the log point this is pi1 of z -> z^n)."""
-    n = int(n)
-    if n < 1:
-        raise ValueError("level must be a positive integer")
-    quotient, r = stalk(m, f)
-    return Pi1Comparison(
-        stratum_face=f,
-        torus_rank=r,
-        modulus=n,
-        matrix=IntMatrix.identity(r),
-        source=FgAbelianGroup.free(r),
-        target=mu_tower(quotient).level(n),
-    )
 
 
 @dataclass(frozen=True)

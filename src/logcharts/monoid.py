@@ -43,12 +43,30 @@ class MonoidSpec:
 
     @staticmethod
     def make(ambient_rank, generators, relations=None) -> MonoidSpec:
-        gens = tuple(tuple(int(x) for x in g) for g in generators)
+        """The presentation as tuples.  Every entry must be an int: any
+        other value, a bool or a float included, raises InvalidMonoidSpec
+        instead of being truncated."""
+        if type(ambient_rank) is not int:
+            raise InvalidMonoidSpec(f"ambient rank {ambient_rank!r} is not an integer")
+        gens = tuple(_int_vector(g, "generator") for g in _sequence(generators, "generators"))
         rels = None
         if relations is not None:
-            rels = tuple((tuple(int(x) for x in r), tuple(int(x) for x in s))
-                         for r, s in relations)
-        return MonoidSpec(int(ambient_rank), gens, rels)
+            rels = tuple((_int_vector(r, "relation side"), _int_vector(s, "relation side"))
+                         for r, s in _sequence(relations, "relations"))
+        return MonoidSpec(ambient_rank, gens, rels)
+
+
+def _sequence(values, what) -> tuple:
+    if not isinstance(values, (list, tuple)):
+        raise InvalidMonoidSpec(f"{what} {values!r} is not a list")
+    return tuple(values)
+
+
+def _int_vector(values, what) -> tuple[int, ...]:
+    vector = _sequence(values, what)
+    if not all(type(x) is int for x in vector):
+        raise InvalidMonoidSpec(f"{what} {values!r} has an entry that is not an integer")
+    return vector
 
 
 @dataclass(frozen=True)
@@ -457,21 +475,6 @@ def stalk(m: AffineMonoid, f: Face) -> tuple[AffineMonoid, int]:
     quotient_spec = MonoidSpec.make(d - r, quotient_gens, None)
     quotient = validate(quotient_spec, degree_bound=m.degree_bound)
     return quotient, m.gp_lattice_rank - r
-
-
-def kummer(m: AffineMonoid, n: int) -> tuple[AffineMonoid, IntMatrix]:
-    """The Kummer extension P -> (1/n)P.
-
-    (1/n)P is presented by the same generator vectors inside the refined
-    lattice (1/n)Z^d rescaled back to Z^d, so the extended monoid has the
-    identical presentation, and the group-level inclusion
-    P^gp -> (1/n)P^gp is multiplication by n on a rank-r lattice.
-    """
-    n = int(n)
-    if n < 1:
-        raise ValueError("Kummer index must be a positive integer")
-    inclusion = IntMatrix.diagonal([n] * m.gp_lattice_rank)
-    return m, inclusion
 
 
 def mu(m: AffineMonoid, n: int) -> FgAbelianGroup:

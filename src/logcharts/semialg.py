@@ -11,7 +11,7 @@ arithmetic without adding checkable content.
 
 Exact points carry Gaussian-rational coordinates, exact rational radii
 (or radicals produced by root extraction) and rational angles measured in
-turns; exact membership requires residual exactly zero.  Floating points
+turns; exact membership is decided by exact equality.  Floating points
 use complex/float coordinates against a tolerance, 1e-9 by default.
 """
 
@@ -31,6 +31,7 @@ from .exactnum import (GAUSSIAN_ONE, GAUSSIAN_ZERO, GaussianRational,
 from .monoid import DEFAULT_TOLERANCE, AffineMonoid, Face
 
 _SAMPLER_RETRY_BUDGET = 64
+_LEAST_RESIDUAL = math.ulp(0.0)  # reported for an exact equation that fails
 
 
 class Target(enum.Enum):
@@ -189,8 +190,10 @@ def _radius_monomial_exact(point, exponents):
 def check_membership(system: BinomialSystem, point, tol: float = DEFAULT_TOLERANCE):
     """Evaluate every equation at the point.
 
-    Returns (ok, max_residual).  Exact points must have residual exactly
-    zero; the reported residual is a float for uniformity.  Raises
+    Returns (ok, max_residual).  Exact points are decided by exact
+    equality; their residual is only reported, as a float that is 0.0
+    exactly when every equation holds (inf where a conversion overflows),
+    and is not computed at all on a valid point.  Raises
     ArityMismatch when the point has the wrong number of coordinates and
     InvalidPoint when the point type does not match the system target.
     """
@@ -205,39 +208,51 @@ def check_membership(system: BinomialSystem, point, tol: float = DEFAULT_TOLERAN
     max_residual = 0.0
     ok = True
     for r, s in system.equations:
-        if system.target is Target.COMPLEX_POINTS:
-            if point.exact:
-                diff = _monomial_exact(point.values, r) - _monomial_exact(point.values, s)
-                residual = math.sqrt(float(diff.abs2()))
-                if not diff.is_zero():
-                    ok = False
-            else:
-                residual = abs(_monomial_float(point.values, r)
-                               - _monomial_float(point.values, s))
-                if residual > tol:
-                    ok = False
-        else:
+        if system.target is Target.KN_POINTS:
             residual = _kn_equation_residual(point, r, s)
-            if point.exact:
-                if residual != 0.0:
-                    ok = False
-            elif residual > tol:
-                ok = False
+        elif point.exact:
+            diff = _monomial_exact(point.values, r) - _monomial_exact(point.values, s)
+            residual = 0.0 if diff.is_zero() else _exact_gap(lambda: abs(diff.to_complex()))
+        else:
+            residual = abs(_monomial_float(point.values, r)
+                           - _monomial_float(point.values, s))
+        if residual > (0.0 if point.exact else tol):
+            ok = False
         max_residual = max(max_residual, residual)
     return ok, max_residual
+
+
+def _exact_gap(gap) -> float:
+    """The float residual of an exact equation known to fail: ``gap()``,
+    raised to the least positive float where rounding or underflow reads
+    0, and inf where a conversion overflows."""
+    try:
+        return max(gap(), _LEAST_RESIDUAL)
+    except OverflowError:
+        return math.inf
 
 
 def _kn_equation_residual(point: KnPoint, r, s) -> float:
     if point.exact:
         lhs = _radius_monomial_exact(point, r)
         rhs = _radius_monomial_exact(point, s)
-        radius_res = 0.0 if lhs == rhs else abs(float(lhs) - float(rhs))
         turn = turn_mod1(sum((Fraction(ri) - Fraction(si)) * point.angle(i)
                              for i, (ri, si) in enumerate(zip(r, s))))
-        angle_res = 0.0 if turn == 0 else abs(unit_from_turn_float(turn) - 1.0)
         # Angles only matter where some radius factor is alive on a side;
         # they are group-valued, so the relation constrains them globally.
-        return max(radius_res, angle_res)
+        if lhs == rhs and turn == 0:
+            return 0.0
+
+        def gap():
+            radius_res = 0.0
+            if lhs != rhs:
+                radius_res = (float(abs(lhs.as_rational() - rhs.as_rational()))
+                              if lhs.is_rational() and rhs.is_rational()
+                              else abs(float(lhs) - float(rhs)))
+            angle_res = 0.0 if turn == 0 else abs(unit_from_turn_float(turn) - 1.0)
+            return max(radius_res, angle_res)
+
+        return _exact_gap(gap)
     lhs_r = 1.0
     rhs_r = 1.0
     lhs_a = complex(1)

@@ -9,6 +9,7 @@ import pytest
 
 from logcharts.cli import ChartDocument, corpus_path, load_chart, main
 from logcharts.errors import ChartError
+from logcharts.monoid import faces, stalk, validate
 
 CORPUS = ["log_point", "affine_line", "plane_axes", "a1_cone"]
 
@@ -93,10 +94,25 @@ def test_compare_log_point_vertex(capsys):
 
 
 def test_fiber_output(capsys):
-    code = main(["fiber", corpus_path("plane_axes"), "4", "--face", "0"])
-    assert code == 0
-    out = json.loads(capsys.readouterr().out)
-    assert out["kn_torus_rank"] == 1 and out["root_level"]["torsion"] == [4]
+    # on every face: the torus fiber has pi1 = Z^r, and level n of the root
+    # tower is (Z/n)^r
+    for name in CORPUS:
+        chart = load_chart(corpus_path(name))
+        m = validate(chart.spec)
+        for face in faces(m):
+            r = stalk(m, face)[1]
+            for n in (1, 2, 4, 6):
+                code = main(["fiber", corpus_path(name), str(n),
+                             "--face", ",".join(map(str, face.support))])
+                assert code == 0
+                assert json.loads(capsys.readouterr().out) == {
+                    "name": chart.name,
+                    "face": list(face.support),
+                    "n": n,
+                    "kn_torus_rank": r,
+                    "kn_pi1": {"free_rank": r, "torsion": []},
+                    "root_level": {"free_rank": 0, "torsion": [n] * r if n > 1 else []},
+                }, (name, face.support, n)
 
 
 def test_torsor_sampled_point(capsys):
@@ -159,6 +175,12 @@ def test_exit_code_2_on_input_errors(tmp_path):
         (["torsor", cone, "2", "--point", '{"radii": 5, "turns": ["0"]}'], None),
         (["torsor", cone, "2", "--point",
           '{"radii": ["-1", "1", "1"], "turns": ["0", "0", "0"]}'], None),
+        # off the variety although the floats agree: 1 * (2^62 + 1) != (2^31)^2
+        (["torsor", cone, "2", "--point",
+          '{"radii": ["1", "2147483648", "4611686018427387905"], "turns": ["0", "0", "0"]}'],
+         None),
+        (["torsor", cone, "2", "--point",
+          '{"radii": ["1e400", "1", "1"], "turns": ["0", "0", "0"]}'], None),
         (["torsor", cone, "1000"], None),
         (["info", cone, "--degree-bound", "-3"], None),
         # a free chart skips the saturation box, not the bound check
@@ -184,6 +206,43 @@ def test_exit_code_2_on_input_errors(tmp_path):
         assert code == 2 and err.startswith(f"error: {source} "), (args, err)
 
 
+def _chart(fields):
+    return '{"name": "x", "ambient_rank": 1, %s}' % fields
+
+
+@pytest.mark.parametrize("text", [
+    # non-integers were truncated, and a bool read as a number, and accepted
+    pytest.param(_chart('"generators": [[1.5]]'), id="float-generator"),
+    pytest.param(_chart('"generators": [[true]]'), id="bool-generator"),
+    pytest.param(_chart('"generators": [[1], [2]], '
+                        '"relations": [{"lhs": [2.5, 0], "rhs": [0, 1.25]}]'),
+                 id="float-relation"),
+    pytest.param(_chart('"generators": [[1]], "options": {"degree_bound": 2.7}'),
+                 id="float-degree-bound"),
+    pytest.param(_chart('"generators": [[1]], "options": {"seed": 2.5}'), id="float-seed"),
+    pytest.param(_chart('"generators": [[1]], "options": {"tolerance": true}'),
+                 id="bool-tolerance"),
+    # bad shapes and values were internal errors
+    pytest.param(_chart('"generators": 5'), id="int-generators"),
+    pytest.param(_chart('"generators": [[1, "a"]]'), id="string-entry"),
+    pytest.param('{"name": "x", "ambient_rank": "x", "generators": [[1]]}',
+                 id="string-ambient-rank"),
+    pytest.param(_chart('"generators": [[1]], "relations": 5'), id="int-relations"),
+    pytest.param(_chart('"generators": [[1]], "relations": [{"lhs": 5, "rhs": [1]}]'),
+                 id="int-lhs"),
+    pytest.param(_chart('"generators": [[1]], "options": {"degree_bound": 1e400}'),
+                 id="huge-degree-bound"),
+    pytest.param(_chart('"generators": [[1]], "options": 5'), id="int-options"),
+])
+def test_chart_values_of_the_wrong_type_are_input_errors(tmp_path, capsys, text):
+    chart = tmp_path / "chart.json"
+    chart.write_text(text)
+    code = main(["info", str(chart)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == "", captured.out
+    assert captured.err.startswith("error: "), captured.err
+
+
 def test_closed_stdout_exits_2_without_a_traceback():
     read_end, write_end = os.pipe()
     os.close(read_end)
@@ -197,10 +256,13 @@ def test_closed_stdout_exits_2_without_a_traceback():
     assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr, proc.stderr
 
 
-def test_info_loads_only_the_layers_it_runs():
+@pytest.mark.parametrize("command", [["info"], ["mu", "2"], ["fiber", "2", "--face", "0"]],
+                         ids=lambda command: command[0])
+def test_cold_command_loads_only_the_layers_it_runs(command):
     script = ("import sys\n"
               "from logcharts import cli\n"
-              "assert cli.main(['info', cli.corpus_path('a1_cone')]) == 0\n"
+              f"assert cli.main([{command[0]!r}, cli.corpus_path('a1_cone'), "
+              f"*{command[1:]!r}]) == 0\n"
               "print(' '.join(sorted(m for m in sys.modules if m.startswith('logcharts.'))),"
               " file=sys.stderr)\n")
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,

@@ -1,5 +1,5 @@
-"""Fiber models, Kummer fibers, the deck-action torsor law, and the
-fiberwise profinite comparison."""
+"""Fiber models read off the stalk, Kummer fibers, the deck-action torsor
+law, and the fiberwise profinite comparison."""
 
 import cmath
 import random
@@ -11,11 +11,11 @@ import logcharts.fibers as fibers_mod
 from logcharts.abgrp import FgAbelianGroup, IntMatrix, rank, tensor_mod
 from logcharts.errors import ChartError, FalsifiedProperty, InvalidPoint
 from logcharts.exactnum import GaussianRational, NonnegRoot
-from logcharts.fibers import (algebraic_kummer_fiber, comparison_on_pi1,
-                              kn_fiber, kn_kummer_fiber, root_fiber_tower,
+from logcharts.fibers import (algebraic_kummer_fiber, kn_kummer_fiber,
                               torsor_check, verify_fiber_equivalence)
-from logcharts.monoid import (MonoidSpec, face_with_support, faces, kummer,
+from logcharts.monoid import (MonoidSpec, face_with_support, faces, mu, stalk,
                               validate)
+from logcharts.profin import mu_tower
 from logcharts.semialg import (CxPoint, KnPoint, Target, check_membership,
                                emit_equations, sample_kn_stratum, tau)
 from oracles import (kn_kummer_fiber_by_fractions, root_choices_by_scan,
@@ -35,56 +35,64 @@ def a1_cone():
                                     [[[1, 0, 1], [0, 2, 0]]]))
 
 
+def matrix_mod(matrix, n):
+    return tuple(tuple(x % n for x in row) for row in matrix.entries)
+
+
 def test_kn_fiber_ranks():
+    # the torus fiber over a stratum has the stalk rank
     m = n_monoid()
-    assert kn_fiber(m, face_with_support(m, [])).torus_rank == 1
-    assert kn_fiber(m, face_with_support(m, [0])).torus_rank == 0
+    assert stalk(m, face_with_support(m, []))[1] == 1
+    assert stalk(m, face_with_support(m, [0]))[1] == 0
     q = quadrant()
-    assert kn_fiber(q, face_with_support(q, [])).torus_rank == 2
-    assert kn_fiber(q, face_with_support(q, [0])).torus_rank == 1
+    assert stalk(q, face_with_support(q, []))[1] == 2
+    assert stalk(q, face_with_support(q, [0]))[1] == 1
 
 
 def test_root_fiber_tower_levels():
+    # level n of the root fiber tower is mu_n of the stalk
     m = n_monoid()
-    tower = root_fiber_tower(m, face_with_support(m, []))
+    tower = mu_tower(stalk(m, face_with_support(m, []))[0])
     for n in (1, 3, 8):
-        assert tower.tower.level(n) == FgAbelianGroup.cyclic(n)
+        assert tower.level(n) == FgAbelianGroup.cyclic(n)
     q = quadrant()
-    edge = root_fiber_tower(q, face_with_support(q, [0]))
-    assert edge.tower.level(5) == FgAbelianGroup.cyclic(5)
-    dense = root_fiber_tower(q, face_with_support(q, [0, 1]))
-    assert dense.tower.level(7) == FgAbelianGroup.trivial()
+    edge, _ = stalk(q, face_with_support(q, [0]))
+    assert mu_tower(edge).level(5) == mu(edge, 5) == FgAbelianGroup.cyclic(5)
+    dense, _ = stalk(q, face_with_support(q, [0, 1]))
+    assert mu_tower(dense).level(7) == mu(dense, 7) == FgAbelianGroup.trivial()
 
 
 def test_comparison_on_pi1():
     m = n_monoid()
     vertex = face_with_support(m, [])
-    c = comparison_on_pi1(m, vertex, 5)
-    assert c.matrix.entries == ((1,),)
-    assert c.source == FgAbelianGroup.free(1)
-    assert c.target == FgAbelianGroup.cyclic(5)
+    _, cert = verify_fiber_equivalence(m, vertex, 5)
+    assert cert.comparison_matrix.entries == ((1,),)
+    level5 = mu(stalk(m, vertex)[0], 5)
+    assert level5 == FgAbelianGroup.cyclic(5)
     # the identity read mod n carries the truncated source onto the target
-    assert c.matrix_mod() == ((1,),) and tensor_mod(c.source, 5) == c.target
+    assert matrix_mod(cert.comparison_matrix, 5) == ((1,),)
+    assert tensor_mod(FgAbelianGroup.free(1), 5) == level5
     # n = 1: the zero map to the trivial group
-    c1 = comparison_on_pi1(m, vertex, 1)
-    assert c1.target == FgAbelianGroup.trivial()
-    assert c1.matrix_mod() == ((0,),)
+    assert mu(stalk(m, vertex)[0], 1) == FgAbelianGroup.trivial()
+    assert matrix_mod(cert.comparison_matrix, 1) == ((0,),)
     q = quadrant()
-    c2 = comparison_on_pi1(q, face_with_support(q, []), 2)
-    assert c2.target == FgAbelianGroup(0, (2, 2))
-    assert c2.matrix_mod() == ((1, 0), (0, 1)) and tensor_mod(c2.source, 2) == c2.target
+    q_vertex = face_with_support(q, [])
+    _, q_cert = verify_fiber_equivalence(q, q_vertex, 2)
+    level2 = mu(stalk(q, q_vertex)[0], 2)
+    assert level2 == FgAbelianGroup(0, (2, 2))
+    assert matrix_mod(q_cert.comparison_matrix, 2) == ((1, 0), (0, 1))
+    assert tensor_mod(FgAbelianGroup.free(2), 2) == level2
 
 
 def test_comparison_commutes_with_transitions():
     # reducing mod m then mod n (n | m) equals reducing mod n
     m = a1_cone()
-    vertex = face_with_support(m, [])
+    _, cert = verify_fiber_equivalence(m, face_with_support(m, []), 19)
     for big in range(1, 20):
-        cb = comparison_on_pi1(m, vertex, big)
+        reduced_big = matrix_mod(cert.comparison_matrix, big)
         for n in (d for d in range(1, big + 1) if big % d == 0):
-            cn = comparison_on_pi1(m, vertex, n)
-            reduced = tuple(tuple(x % n for x in row) for row in cb.matrix.entries)
-            assert reduced == cn.matrix_mod()
+            reduced = tuple(tuple(x % n for x in row) for row in reduced_big)
+            assert reduced == matrix_mod(cert.comparison_matrix, n)
 
 
 def test_verify_fiber_equivalence_log_point():
@@ -130,11 +138,6 @@ def test_fiber_comparison_computes_the_stalk_once(monkeypatch):
     vertex = face_with_support(m, [])
     ok, _ = verify_fiber_equivalence(m, vertex, 100)
     assert ok and calls == [()]
-    for build in (lambda: root_fiber_tower(m, vertex),
-                  lambda: comparison_on_pi1(m, vertex, 7)):
-        calls.clear()
-        build()
-        assert calls == [()]
 
 
 def test_kn_kummer_fiber_log_point():
@@ -167,8 +170,9 @@ def test_kn_fiber_cardinality_is_stratum_independent():
 
 def test_kn_fiber_points_satisfy_extended_system():
     m = a1_cone()
-    extended, _ = kummer(m, 2)
-    system = emit_equations(extended, Target.KN_POINTS)
+    # (1/n)P is presented by the same generators as P, so the cover's
+    # points satisfy the chart's own system
+    system = emit_equations(m, Target.KN_POINTS)
     p = sample_kn_stratum(m, face_with_support(m, []), 1, seed=2)[0]
     for q in kn_kummer_fiber(m, p, 2):
         ok, res = check_membership(system, q)
@@ -177,8 +181,7 @@ def test_kn_fiber_points_satisfy_extended_system():
 
 def test_kn_fiber_points_satisfy_extended_system_floating():
     m = a1_cone()
-    extended, _ = kummer(m, 3)
-    system = emit_equations(extended, Target.KN_POINTS)
+    system = emit_equations(m, Target.KN_POINTS)
     import cmath
     p = KnPoint.floating([(1.0, cmath.exp(0.3j)), (2.0, cmath.exp(0.65j)),
                           (4.0, cmath.exp(1.0j))])

@@ -81,6 +81,26 @@ def test_kn_membership_exact_and_floating():
     assert not ok
 
 
+def test_exact_membership_is_decided_exactly_and_never_overflows():
+    m = a1_cone()
+    kn, cx = emit_equations(m, Target.KN_POINTS), emit_equations(m, Target.COMPLEX_POINTS)
+    # 1 * (2^62 + 1) != (2^31)^2, although both sides round to the same float
+    ok, res = check_membership(kn, KnPoint.exact_point([(1, 0), (2**31, 0), (2**62 + 1, 0)]))
+    assert not ok and res == 1.0
+    # a turn sum of 10^-400 is not 0, although it underflows to 0.0
+    ok, res = check_membership(kn, KnPoint.exact_point([(1, 0), (1, 0),
+                                                        (1, Fraction(1, 10**400))]))
+    assert not ok and res > 0
+    # sides beyond the float range report an infinite residual
+    ok, res = check_membership(kn, KnPoint.exact_point([(10**400, 0), (1, 0), (1, 0)]))
+    assert not ok and res == float("inf")
+    ok, res = check_membership(cx, CxPoint.exact_point([10**400, 1, 1]))
+    assert not ok and res == float("inf")
+    # equal sides beyond the float range are decided without a conversion
+    assert check_membership(kn, KnPoint.exact_point([(10**400, 0)] * 3)) == (True, 0.0)
+    assert check_membership(cx, CxPoint.exact_point([10**400] * 3)) == (True, 0.0)
+
+
 def test_floating_points_refuse_non_finite_values():
     nan, inf = float("nan"), float("inf")
     for radius, angle in ((nan, 1), (inf, 1), (-1, 1), (1, complex(nan, 0)),
