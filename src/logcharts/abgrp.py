@@ -12,14 +12,13 @@ The presentation convention, shared by every caller: an ``IntMatrix`` with
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 
+from ._record import Record
 from .errors import InvalidMonoidSpec
 
 
-@dataclass(frozen=True)
-class IntMatrix:
+class IntMatrix(Record):
     """Immutable integer matrix.
 
     ``rows`` and ``cols`` are stored explicitly so that empty matrices keep
@@ -288,8 +287,7 @@ def solve_integer(m: IntMatrix, target) -> tuple[int, ...] | None:
     return v.apply(w)
 
 
-@dataclass(frozen=True)
-class FgAbelianGroup:
+class FgAbelianGroup(Record):
     """Finitely generated abelian group in normal form.
 
     ``free_rank`` copies of Z plus cyclic factors Z/d_1 x ... x Z/d_t with

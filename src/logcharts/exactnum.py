@@ -9,13 +9,13 @@ Floating counterparts use ``complex`` and ``float`` directly.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
+from ._record import Record
 
-@dataclass(frozen=True)
-class GaussianRational:
+
+class GaussianRational(Record):
     """Exact complex number with rational real and imaginary parts."""
 
     re: Fraction
@@ -108,8 +108,7 @@ def rational_nth_root(q: Fraction, n: int) -> Fraction | None:
     return None
 
 
-@dataclass(frozen=True)
-class NonnegRoot:
+class NonnegRoot(Record):
     """The exact nonnegative real number base**(1/degree), base rational.
 
     Normalized on construction: perfect powers are extracted, so two roots

@@ -21,28 +21,23 @@ real roots are exact radicals.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 
+from ._record import Record
 from .abgrp import (FgAbelianGroup, IntMatrix, generator_matrix, rank,
                     smith_normal_form)
 from .errors import (ChartError, FalsifiedProperty, InvalidPoint, NotAFace,
                      NotOnVariety)
-from .exactnum import (GaussianRational, rational_nth_root, turn_mod1,
-                       unit_from_turn_exact, unit_from_turn_float)
-from .monoid import AffineMonoid, Face, face_with_support, stalk
+from .monoid import DEFAULT_TOLERANCE, AffineMonoid, Face, face_with_support, stalk
 from .profin import (EquivalenceCertificate, completion, equivalent_up_to,
                      mu_tower)
-from .semialg import (DEFAULT_TOLERANCE, CxPoint, KnPoint, Target,
-                      check_membership, emit_equations)
 
 _TURN_ACCEPT = 1e-7
 _TURN_REJECT = 1e-4
 
 
-@dataclass(frozen=True)
-class FiberEquivalenceCertificate:
+class FiberEquivalenceCertificate(Record):
     """Evidence that the two fiber towers agree after completion.
 
     ``levels`` carries the per-level invariant factors from the tower
@@ -171,6 +166,7 @@ def _root_choices(rows, offsets, n: int, k: int):
 
 
 def _validate_point(m: AffineMonoid, p, target: Target, tol: float):
+    from .semialg import check_membership, emit_equations
     if p.arity != m.generator_count:
         raise InvalidPoint(
             f"point has {p.arity} coordinates, chart has {m.generator_count}")
@@ -198,6 +194,8 @@ def kn_kummer_fiber(m: AffineMonoid, p: KnPoint, n: int,
     count mismatch is a hard error, and n^r above the enumeration cap is
     refused before anything is enumerated.
     """
+    from .exactnum import turn_mod1, unit_from_turn_float
+    from .semialg import KnPoint, Target
     n = int(n)
     _validate_point(m, p, Target.KN_POINTS, tol)
     expected = _fiber_size(n, m.gp_lattice_rank)
@@ -234,6 +232,8 @@ def algebraic_kummer_fiber(m: AffineMonoid, p: CxPoint, n: int,
     choices exactly as in the log model.  A count above the enumeration
     cap is refused before anything is enumerated.
     """
+    from .exactnum import unit_from_turn_float
+    from .semialg import CxPoint, Target
     n = int(n)
     _validate_point(m, p, Target.COMPLEX_POINTS, tol)
     k = m.generator_count
@@ -281,6 +281,8 @@ def _try_exact_algebraic_fiber(m, p, n, support_set, choices):
     """Exact realization when every root value is Gaussian rational:
     axis-aligned coordinates with perfect n-th power magnitudes and
     quarter-turn root angles.  Returns None when that fails."""
+    from .exactnum import GaussianRational, rational_nth_root, unit_from_turn_exact
+    from .semialg import CxPoint
     # Coordinate i takes only the n roots |z_i|^(1/n) exp(2 pi i (t_i + j)/n).
     table = []
     for i in range(m.generator_count):
@@ -306,8 +308,7 @@ def _try_exact_algebraic_fiber(m, p, n, support_set, choices):
     return [CxPoint(coords, True) for coords in fiber]
 
 
-@dataclass(frozen=True)
-class TorsorReport:
+class TorsorReport(Record):
     """Outcome of checking the deck action on an enumerated Kummer fiber."""
 
     degree: int
@@ -337,11 +338,6 @@ class TorsorReport:
 def _act_residues(residues, u, step, modulus):
     """u turning angle residues mod ``modulus``: u_i / n turns is u_i step."""
     return tuple([(a + ui * step) % modulus for a, ui in zip(residues, u)])
-
-
-def _act_float(point: KnPoint, u, n) -> KnPoint:
-    return KnPoint(tuple((r, a * unit_from_turn_float(Fraction(ui, n)))
-                         for (r, a), ui in zip(point.values, u)), False)
 
 
 def _angle_residues(point: KnPoint, radii, modulus):
@@ -378,6 +374,8 @@ def torsor_check(m: AffineMonoid, p: KnPoint, n: int,
     point, within tolerance.  The orbit table gives, per fiber point, the
     first character carrying the base point to it.
     """
+    from .exactnum import unit_from_turn_float
+    from .semialg import KnPoint
     n = int(n)
     fiber = kn_kummer_fiber(m, p, n, tol)
     chars, generators = _root_choices(_relation_rows(m.relations),
@@ -394,7 +392,12 @@ def torsor_check(m: AffineMonoid, p: KnPoint, n: int,
         index = {res: i for i, res in enumerate(points) if res is not None}
         locate, act = index.get, partial(_act_residues, step=step, modulus=n * step)
     else:
-        base, points, act = fiber[0], fiber, partial(_act_float, n=n)
+        base, points = fiber[0], fiber
+        units = [unit_from_turn_float(Fraction(j, n)) for j in range(n)]
+
+        def act(pt, u):
+            return KnPoint(tuple((r, a * units[ui]) for (r, a), ui in zip(pt.values, u)),
+                           False)
 
         def key(pt):
             return tuple(round((_float_turn(a) - _float_turn(b)) * n) % n

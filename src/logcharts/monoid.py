@@ -13,10 +13,10 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import ratlp
+from ._record import Record
 from .abgrp import (FgAbelianGroup, IntMatrix, generator_matrix, kernel_basis,
                     rank, smith_normal_form, solve_integer, tensor_mod)
 from .errors import (InvalidMonoidSpec, NotAFace, NotSharp,
@@ -24,13 +24,12 @@ from .errors import (InvalidMonoidSpec, NotAFace, NotSharp,
                      SaturationFailure)
 
 DEFAULT_DEGREE_BOUND = 20
-DEFAULT_TOLERANCE = 1e-9  # semialg's; here so the CLI states it without loading semialg
+DEFAULT_TOLERANCE = 1e-9  # semialg's; here so callers state it without loading semialg
 
 Relation = tuple[tuple[int, ...], tuple[int, ...]]
 
 
-@dataclass(frozen=True)
-class MonoidSpec:
+class MonoidSpec(Record):
     """Raw presentation data: ambient rank, generators, optional relations.
 
     A relation is a pair (r, s) of nonnegative integer exponent vectors of
@@ -69,8 +68,7 @@ def _int_vector(values, what) -> tuple[int, ...]:
     return vector
 
 
-@dataclass(frozen=True)
-class Face:
+class Face(Record):
     """A face of the monoid, as the set of generator indices lying on it.
 
     The certificate is a rational functional u with <u, gen_i> == 0 exactly
@@ -92,8 +90,7 @@ class Face:
         return "{" + ", ".join(map(str, self.support)) + "}"
 
 
-@dataclass
-class AffineMonoid:
+class AffineMonoid(Record, frozen=False):
     """A validated fine saturated sharp monoid.
 
     ``relations`` is the verified relation set (synthesized from the kernel
@@ -113,7 +110,7 @@ class AffineMonoid:
     degree_bound: int
     sharpness_certificate: tuple[Fraction, ...]
     grading: tuple[int, ...]
-    _faces: tuple[Face, ...] | None = field(default=None, repr=False, compare=False)
+    _faces: tuple[Face, ...] | None = None
 
     @property
     def generators(self) -> tuple[tuple[int, ...], ...]:
@@ -298,9 +295,8 @@ def _saturation_box(gens, degrees, bound):
     {lam >= 0 : degrees . lam <= bound}, every degree >= 1, is the simplex
     with vertices 0 and (bound / degrees_j) e_j, so each coordinate of
     G @ lam runs between 0 and the bound * gen_j / degrees_j, rounded in.
+    The bound is nonnegative: ``validate`` refuses a negative one first.
     """
-    if bound < 0:
-        raise InvalidMonoidSpec(f"degree bound {bound} is negative; the truncated cone is empty")
     lo, hi = [], []
     for column in zip(*gens):
         lo.append(min(0, *(-(-bound * x // deg) for x, deg in zip(column, degrees))))

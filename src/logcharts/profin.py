@@ -17,8 +17,7 @@ A/nA for n | m/p, so by induction on m/n these imply every pair n | m.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import Record
 from .abgrp import FgAbelianGroup, is_isomorphic, tensor_mod
 from .errors import ChartError
 from .monoid import AffineMonoid
@@ -30,8 +29,7 @@ COMPARISON_NOTE = (
 _LEVEL_CAP = 100_000  # the most levels one comparison computes
 
 
-@dataclass(frozen=True)
-class FiniteAbelianProSystem:
+class FiniteAbelianProSystem(Record):
     """The tower n -> G/nG completing a finitely generated abelian group G.
 
     Every level is finite, whatever the free rank of G.  Transitions for
@@ -118,16 +116,14 @@ def product_system(*systems: FiniteAbelianProSystem) -> FiniteAbelianProSystem:
     return FiniteAbelianProSystem(group, desc)
 
 
-@dataclass(frozen=True)
-class LevelRecord:
+class LevelRecord(Record):
     n: int
     factors_a: tuple[int, ...]
     factors_b: tuple[int, ...]
     isomorphic: bool
 
 
-@dataclass(frozen=True)
-class EquivalenceCertificate:
+class EquivalenceCertificate(Record):
     """Per-level evidence for (or against) tower equivalence."""
 
     equivalent: bool

@@ -21,9 +21,9 @@ import cmath
 import enum
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import Record
 from .errors import (ArityMismatch, InvalidPoint, StratumEmptyAtDeskScale)
 from .exactnum import (GAUSSIAN_ONE, GAUSSIAN_ZERO, GaussianRational,
                        NonnegRoot, turn_mod1, unit_from_turn_exact,
@@ -39,8 +39,7 @@ class Target(enum.Enum):
     KN_POINTS = "kn"
 
 
-@dataclass(frozen=True)
-class BinomialSystem:
+class BinomialSystem(Record):
     """The equations of one chart model, relation exponents verbatim."""
 
     variable_count: int
@@ -55,8 +54,7 @@ class BinomialSystem:
         }
 
 
-@dataclass(frozen=True)
-class CxPoint:
+class CxPoint(Record):
     """A generator-value assignment into C.
 
     Exact points hold GaussianRational values; floating points hold
@@ -99,8 +97,7 @@ class CxPoint:
         return "(" + ", ".join(str(v) for v in self.values) + ")"
 
 
-@dataclass(frozen=True)
-class KnPoint:
+class KnPoint(Record):
     """A generator-value assignment into R>=0 x S^1.
 
     Exact points: radius is a Fraction or a NonnegRoot, angle is an exact
@@ -193,7 +190,9 @@ def check_membership(system: BinomialSystem, point, tol: float = DEFAULT_TOLERAN
     Returns (ok, max_residual).  Exact points are decided by exact
     equality; their residual is only reported, as a float that is 0.0
     exactly when every equation holds (inf where a conversion overflows),
-    and is not computed at all on a valid point.  Raises
+    and is not computed at all on a valid point.  A floating equation whose
+    power overflows, or whose sides are not both finite, has residual inf
+    and fails: sides beyond the float range cannot be told apart.  Raises
     ArityMismatch when the point has the wrong number of coordinates and
     InvalidPoint when the point type does not match the system target.
     """
@@ -208,15 +207,18 @@ def check_membership(system: BinomialSystem, point, tol: float = DEFAULT_TOLERAN
     max_residual = 0.0
     ok = True
     for r, s in system.equations:
-        if system.target is Target.KN_POINTS:
-            residual = _kn_equation_residual(point, r, s)
-        elif point.exact:
-            diff = _monomial_exact(point.values, r) - _monomial_exact(point.values, s)
-            residual = 0.0 if diff.is_zero() else _exact_gap(lambda: abs(diff.to_complex()))
-        else:
-            residual = abs(_monomial_float(point.values, r)
-                           - _monomial_float(point.values, s))
-        if residual > (0.0 if point.exact else tol):
+        try:
+            if system.target is Target.KN_POINTS:
+                residual = _kn_equation_residual(point, r, s)
+            elif point.exact:
+                diff = _monomial_exact(point.values, r) - _monomial_exact(point.values, s)
+                residual = 0.0 if diff.is_zero() else _exact_gap(lambda: abs(diff.to_complex()))
+            else:
+                residual = _float_gap(_monomial_float(point.values, r),
+                                      _monomial_float(point.values, s))
+        except OverflowError:  # a floating power beyond the float range
+            residual = math.inf
+        if not residual <= (0.0 if point.exact else tol):
             ok = False
         max_residual = max(max_residual, residual)
     return ok, max_residual
@@ -230,6 +232,14 @@ def _exact_gap(gap) -> float:
         return max(gap(), _LEAST_RESIDUAL)
     except OverflowError:
         return math.inf
+
+
+def _float_gap(lhs, rhs) -> float:
+    """|lhs - rhs| for two floating sides, inf unless both are finite
+    (inf - inf would be NaN, which no tolerance test rejects)."""
+    if cmath.isfinite(lhs) and cmath.isfinite(rhs):
+        return abs(lhs - rhs)
+    return math.inf
 
 
 def _kn_equation_residual(point: KnPoint, r, s) -> float:
@@ -264,7 +274,7 @@ def _kn_equation_residual(point: KnPoint, r, s) -> float:
         if si:
             rhs_r *= point.radius(i) ** si
             rhs_a *= point.angle(i) ** si
-    return max(abs(lhs_r - rhs_r), abs(lhs_a - rhs_a))
+    return max(_float_gap(lhs_r, rhs_r), _float_gap(lhs_a, rhs_a))
 
 
 def tau(point: KnPoint) -> CxPoint:

@@ -10,23 +10,18 @@ the monoid by that face.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import Record
 from .errors import NotAFace, NotOnVariety
-from .monoid import AffineMonoid, Face, face_with_support, faces, stalk
-from .semialg import (DEFAULT_TOLERANCE, CxPoint, Target, check_membership,
-                      emit_equations)
+from .monoid import DEFAULT_TOLERANCE, AffineMonoid, Face, face_with_support, faces, stalk
 
 
-@dataclass(frozen=True)
-class StratumEntry:
+class StratumEntry(Record):
     face: Face
     stalk_rank: int
     stalk: AffineMonoid
 
 
-@dataclass(frozen=True)
-class StratumTable:
+class StratumTable(Record):
     """All strata of a chart, one entry per face.
 
     The locus R_n of rank >= n is recoverable as the faces whose entry has
@@ -93,6 +88,7 @@ def stratum_of_point(m: AffineMonoid, p: CxPoint,
     equations, and NotAFace if the vanishing pattern is not a face, which
     for numerically sane inputs signals a misconfigured tolerance.
     """
+    from .semialg import Target, check_membership, emit_equations
     system = emit_equations(m, Target.COMPLEX_POINTS)
     ok, residual = check_membership(system, p, tol)
     if not ok:

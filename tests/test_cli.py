@@ -256,22 +256,54 @@ def test_closed_stdout_exits_2_without_a_traceback():
     assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr, proc.stderr
 
 
-@pytest.mark.parametrize("command", [["info"], ["mu", "2"], ["fiber", "2", "--face", "0"]],
-                         ids=lambda command: command[0])
-def test_cold_command_loads_only_the_layers_it_runs(command):
+# Each subcommand, with the layers a cold process running it must not load.
+COLD_COMMANDS = [
+    (["info"], ("fibers", "profin", "semialg", "exactnum", "strata")),
+    (["mu", "2"], ("fibers", "profin", "semialg", "exactnum", "strata")),
+    (["fiber", "2", "--face", "0"], ("fibers", "profin", "semialg", "exactnum", "strata")),
+    (["compare", "--bound", "10"], ("strata", "semialg", "exactnum")),
+    (["strata"], ("fibers", "profin", "semialg", "exactnum")),
+    (["emit", "--target", "kn"], ("fibers", "profin", "strata")),
+    (["torsor", "2"], ("strata",)),
+]
+
+
+@pytest.mark.parametrize("command, unloaded", COLD_COMMANDS,
+                         ids=[command[0] for command, _ in COLD_COMMANDS])
+def test_cold_command_loads_only_the_layers_it_runs(command, unloaded):
     script = ("import sys\n"
               "from logcharts import cli\n"
               f"assert cli.main([{command[0]!r}, cli.corpus_path('a1_cone'), "
               f"*{command[1:]!r}]) == 0\n"
-              "print(' '.join(sorted(m for m in sys.modules if m.startswith('logcharts.'))),"
-              " file=sys.stderr)\n")
+              "print(' '.join(sorted(sys.modules)), file=sys.stderr)\n")
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           timeout=60)
     assert proc.returncode == 0, proc.stderr
     loaded = set(proc.stderr.split())
     assert "logcharts.monoid" in loaded
-    for layer in ("fibers", "profin", "semialg", "exactnum", "strata"):
+    for layer in unloaded:
         assert f"logcharts.{layer}" not in loaded, loaded
+    # the record base stands in for dataclasses, which would load inspect
+    assert not loaded & {"dataclasses", "inspect"}, loaded
+
+
+@pytest.mark.parametrize("generators, relation, radii", [
+    # the A1 cone: a power overflows
+    ([[1, 0], [1, 1], [1, 2]], [[1, 0, 1], [0, 2, 0]], [1e300, 1e300, 2e300]),
+    # the square cone: both sides are inf, although 2e400 != 1e400
+    ([[1, 0, 0], [1, 1, 0], [1, 0, 1], [1, 1, 1]], [[1, 0, 0, 1], [0, 1, 1, 0]],
+     [1e200, 1e200, 1e200, 2e200]),
+], ids=["overflow", "both-sides-inf"])
+def test_floating_points_beyond_the_float_range_are_refused(tmp_path, generators, relation,
+                                                            radii):
+    chart = tmp_path / "chart.json"
+    chart.write_text(json.dumps({"name": "cone", "ambient_rank": len(generators[0]),
+                                 "generators": generators,
+                                 "relations": [{"lhs": relation[0], "rhs": relation[1]}]}))
+    point = json.dumps({"radii": radii, "angles": [[1, 0]] * len(radii)})
+    code, out, err = run_cli(["torsor", str(chart), "2", "--point", point])
+    assert (code, out) == (2, ""), out
+    assert err == "error: point violates the relations (residual inf)\n", err
 
 
 def test_exit_code_1_reserved_for_falsified_properties(tmp_path):

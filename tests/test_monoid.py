@@ -386,7 +386,9 @@ def test_saturation_box_matches_the_lp_oracle():
         assert (lo, hi) == saturation_box_by_lp(gens, degrees, bound), (gens, degrees, bound)
         below_zero += min(lo) < 0
     assert below_zero >= 200
-    # a negative bound leaves nothing to bound, on both sides
-    for box in (monoid._saturation_box, saturation_box_by_lp):
-        with pytest.raises(InvalidMonoidSpec):
-            box([[1, 0], [1, 1], [1, 2]], [1, 2, 3], -1)
+    # a negative bound leaves nothing to bound: validate refuses it before
+    # any box is built, and so does the oracle
+    with pytest.raises(InvalidMonoidSpec):
+        validate(MonoidSpec.make(2, [[1, 0], [1, 1], [1, 2]]), -1)
+    with pytest.raises(InvalidMonoidSpec):
+        saturation_box_by_lp([[1, 0], [1, 1], [1, 2]], [1, 2, 3], -1)

@@ -1,0 +1,141 @@
+"""The value records: repr, equality, hash and immutability of every
+record class, as the layers' callers and the CLI rely on them."""
+
+import copy
+from fractions import Fraction
+
+import pytest
+
+from logcharts.abgrp import FgAbelianGroup, IntMatrix
+from logcharts.exactnum import GaussianRational, NonnegRoot
+from logcharts.fibers import torsor_check, verify_fiber_equivalence
+from logcharts.monoid import MonoidSpec, face_with_support, faces, validate
+from logcharts.profin import EquivalenceCertificate, LevelRecord, completion
+from logcharts.semialg import CxPoint, KnPoint, emit_equations
+from logcharts.strata import stratify
+
+_LINE = ("AffineMonoid(spec=MonoidSpec(ambient_rank=1, generators=((1,),), relations=None), "
+         "gp_lattice_rank=1, is_sharp=True, is_saturated=True, relations=(), degree_bound=20, "
+         "sharpness_certificate=(Fraction(1, 1),), grading=(1,))")
+_POINT = ("AffineMonoid(spec=MonoidSpec(ambient_rank=0, generators=(), relations=None), "
+          "gp_lattice_rank=0, is_sharp=True, is_saturated=True, relations=(), degree_bound=20, "
+          "sharpness_certificate=(), grading=())")
+_VERTEX = (f"StratumEntry(face=Face(support=(), certificate=(Fraction(1, 1),)), stalk_rank=1, "
+           f"stalk={_LINE})")
+_NOTE = ("'level-wise invariant-factor comparison with transition coherence up to a finite "
+         "bound; not a categorical pro-isomorphism'")
+
+
+def _line():
+    return validate(MonoidSpec.make(1, [[1]]))
+
+
+def _records():
+    """(record, its repr) for one instance of each record class; the
+    strings are the reprs the records have always printed."""
+    line = _line()
+    faces(line)  # fills the face cache, which the repr leaves out
+    cone = validate(MonoidSpec.make(2, [[1, 0], [1, 1], [1, 2]]))
+    ray = face_with_support(line, [0])
+    return [
+        (IntMatrix.from_rows([[1, 2], [0, 3]]),
+         "IntMatrix(rows=2, cols=2, entries=((1, 2), (0, 3)))"),
+        (FgAbelianGroup(1, (2, 4)), "FgAbelianGroup(free_rank=1, torsion=(2, 4))"),
+        (GaussianRational(Fraction(1, 2), Fraction(-3)),
+         "GaussianRational(re=Fraction(1, 2), im=Fraction(-3, 1))"),
+        (NonnegRoot(Fraction(8), 6), "NonnegRoot(base=Fraction(2, 1), degree=2)"),
+        (MonoidSpec.make(2, [[1, 0], [1, 1], [1, 2]], [[[1, 0, 1], [0, 2, 0]]]),
+         "MonoidSpec(ambient_rank=2, generators=((1, 0), (1, 1), (1, 2)), "
+         "relations=(((1, 0, 1), (0, 2, 0)),))"),
+        (face_with_support(cone, [0]),
+         "Face(support=(0,), certificate=(Fraction(0, 1), Fraction(1, 1)))"),
+        (line, _LINE),
+        (completion(FgAbelianGroup.free(1)),
+         "FiniteAbelianProSystem(group=FgAbelianGroup(free_rank=1, torsion=()), "
+         "description='completion of Z')"),
+        (LevelRecord(2, (2,), (2,), True),
+         "LevelRecord(n=2, factors_a=(2,), factors_b=(2,), isomorphic=True)"),
+        (EquivalenceCertificate(True, 1, (LevelRecord(1, (), (), True),), None),
+         "EquivalenceCertificate(equivalent=True, bound=1, levels=(LevelRecord(n=1, "
+         f"factors_a=(), factors_b=(), isomorphic=True),), witness_level=None, note={_NOTE})"),
+        (emit_equations(cone, "kn"),
+         "BinomialSystem(variable_count=3, equations=(((1, 0, 1), (0, 2, 0)),), "
+         "target=<Target.KN_POINTS: 'kn'>)"),
+        (CxPoint.exact_point([1, Fraction(1, 2), 0]),
+         "CxPoint(values=(GaussianRational(re=Fraction(1, 1), im=Fraction(0, 1)), "
+         "GaussianRational(re=Fraction(1, 2), im=Fraction(0, 1)), "
+         "GaussianRational(re=Fraction(0, 1), im=Fraction(0, 1))), exact=True)"),
+        (KnPoint.exact_point([(1, Fraction(1, 4)), (Fraction(4), 0)]),
+         "KnPoint(values=((NonnegRoot(base=Fraction(1, 1), degree=1), Fraction(1, 4)), "
+         "(NonnegRoot(base=Fraction(4, 1), degree=1), Fraction(0, 1))), exact=True)"),
+        (stratify(line).entries[0], _VERTEX),
+        (stratify(line),
+         f"StratumTable(monoid={_LINE}, entries=({_VERTEX}, StratumEntry(face=Face("
+         f"support=(0,), certificate=(Fraction(0, 1),)), stalk_rank=0, stalk={_POINT})), "
+         "max_rank=1)"),
+        (verify_fiber_equivalence(line, ray, 2)[1],
+         "FiberEquivalenceCertificate(stratum_face=(0,), torus_rank=0, bound=2, "
+         "comparison_matrix=IntMatrix(rows=0, cols=0, entries=()), level_certificate="
+         "EquivalenceCertificate(equivalent=True, bound=2, levels=(LevelRecord(n=1, "
+         "factors_a=(), factors_b=(), isomorphic=True), LevelRecord(n=2, factors_a=(), "
+         f"factors_b=(), isomorphic=True)), witness_level=None, note={_NOTE}), "
+         "maps_realize_levels=True)"),
+        (torsor_check(line, KnPoint.exact_point([(1, 0)]), 2)[1],
+         "TorsorReport(degree=2, group_order=2, fiber_size=2, preserves_fiber=True, "
+         "free=True, transitive=True, orbit_table=(0, 1))"),
+    ]
+
+
+def test_every_record_class_keeps_its_repr():
+    records = _records()
+    assert len({type(record) for record, _ in records}) == 17
+    for record, text in records:
+        assert repr(record) == text
+
+
+def test_frozen_records_compare_hash_and_refuse_assignment():
+    for record, _ in _records():
+        twin = copy.copy(record)
+        assert twin is not record and twin == record and not twin != record
+        assert record != (record,)
+        if type(record).__name__ == "AffineMonoid":
+            continue
+        if type(record).__name__ not in ("StratumTable", "StratumEntry"):
+            assert hash(twin) == hash(record)  # the two hold an unhashable AffineMonoid
+        name = next(iter(vars(record)))
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+    assert len({FgAbelianGroup(1, (2,)), FgAbelianGroup(1, (2,)), FgAbelianGroup(0)}) == 2
+    assert LevelRecord(2, (2,), (2,), True) != LevelRecord(2, (2,), (2,), False)
+    # a rational root equals, and hashes like, its Fraction
+    assert NonnegRoot(Fraction(4), 2) == Fraction(2)
+    assert hash(NonnegRoot(Fraction(4), 2)) == hash(Fraction(2))
+
+
+def test_affine_monoid_is_unhashable_and_ignores_its_face_cache():
+    cached, bare = _line(), _line()
+    faces(cached)
+    assert cached._faces is not None and bare._faces is None
+    assert cached == bare
+    with pytest.raises(TypeError):
+        hash(cached)
+    bare.is_saturated = False  # not frozen: validate sets this field late
+    assert cached != bare
+
+
+def test_constructors_take_fields_by_position_or_keyword_with_defaults():
+    assert FgAbelianGroup(2) == FgAbelianGroup(free_rank=2, torsion=())
+    assert GaussianRational(1) == GaussianRational(re=Fraction(1), im=Fraction(0))
+    assert EquivalenceCertificate(True, 1, (), None).note == EquivalenceCertificate(
+        equivalent=True, bound=1, levels=(), witness_level=None).note
+    # __post_init__ still runs: it normalizes and validates
+    assert FgAbelianGroup(0, [2.0]).torsion == (2,)
+    with pytest.raises(ValueError):
+        FgAbelianGroup(-1)
+    for make in (lambda: FgAbelianGroup(), lambda: FgAbelianGroup(1, (), 3),
+                 lambda: LevelRecord(1, (), ()), lambda: FgAbelianGroup(1, rank=2),
+                 lambda: FgAbelianGroup(1, free_rank=1)):
+        with pytest.raises(TypeError):
+            make()

@@ -101,6 +101,26 @@ def test_exact_membership_is_decided_exactly_and_never_overflows():
     assert check_membership(cx, CxPoint.exact_point([10**400] * 3)) == (True, 0.0)
 
 
+def test_floating_membership_fails_beyond_the_float_range():
+    m = a1_cone()
+    kn, cx = emit_equations(m, Target.KN_POINTS), emit_equations(m, Target.COMPLEX_POINTS)
+    # a power that overflows gives an infinite residual, not an OverflowError
+    assert check_membership(cx, CxPoint.floating([1e200] * 3)) == (False, float("inf"))
+    assert check_membership(kn, KnPoint.floating([(1e300, 1), (1e300, 1), (2e300, 1)])) == (
+        False, float("inf"))
+    # both sides overflow to inf: inf - inf is NaN, which must not pass
+    square = validate(MonoidSpec.make(3, [[1, 0, 0], [1, 1, 0], [1, 0, 1], [1, 1, 1]],
+                                      [[[1, 0, 0, 1], [0, 1, 1, 0]]]))
+    kn, cx = (emit_equations(square, target) for target in ("kn", "complex"))
+    big = [1e200, 1e200, 1e200, 2e200]  # z0 z3 = 2e400 but z1 z2 = 1e400
+    assert check_membership(kn, KnPoint.floating([(r, 1) for r in big])) == (
+        False, float("inf"))
+    assert check_membership(cx, CxPoint.floating(big)) == (False, float("inf"))
+    # points within the float range are decided as before
+    assert check_membership(kn, KnPoint.floating([(1e100, 1)] * 4))[0]
+    assert check_membership(cx, CxPoint.floating([1e100, 1e100, 1e100, 1e100j]))[0] is False
+
+
 def test_floating_points_refuse_non_finite_values():
     nan, inf = float("nan"), float("inf")
     for radius, angle in ((nan, 1), (inf, 1), (-1, 1), (1, complex(nan, 0)),
