@@ -71,9 +71,11 @@ def _int_vector(values, what) -> tuple[int, ...]:
 class Face(Record):
     """A face of the monoid, as the set of generator indices lying on it.
 
-    The certificate is a rational functional u with <u, gen_i> == 0 exactly
+    The certificate is a functional u on Z^d with <u, gen_i> == 0 exactly
     for i in the support and <u, gen_j> > 0 exactly off it; its existence
-    is what makes the support a face.
+    is what makes the support a face.  :func:`faces` makes it the sum of
+    the primitive normals of the facets containing the face, in coprime
+    integers held as Fractions, and 0 on the dense face.
     """
 
     support: tuple[int, ...]
@@ -399,27 +401,67 @@ def validate(spec: MonoidSpec, degree_bound: int = DEFAULT_DEGREE_BOUND) -> Affi
     return monoid
 
 
+def _facets(m: AffineMonoid) -> dict[tuple[int, ...], tuple[int, ...]]:
+    """The facets of the cone, as support -> primitive ambient normal.
+
+    With U G V = D the Smith form of the generator matrix and r its rank,
+    generator g has lattice coordinates y = (U g)[:r], in which the cone is
+    full-dimensional.  Each (r-1)-subset S of the y's of rank r - 1 has the
+    cofactor normal n_j = (-1)^j det(S without column j); S spans a facet
+    exactly when n.y has one sign on every generator (the supporting
+    hyperplanes of Bruns and Ichim, J. Algebra 324 (2010)).  The functional
+    n.y is n.U[:r] on Z^d, primitive when n is, since U is unimodular.
+    """
+    u, diag, _ = smith_normal_form(m.generator_matrix())
+    r = sum(1 for x in diag.diagonal_entries() if x != 0)
+    if r == 0:
+        return {}  # no generators: the cone is the origin
+    ys = [u.apply(g)[:r] for g in m.generators]
+    found = {}
+    for rows in itertools.combinations(ys, r - 1):
+        normal = [(-1) ** j * IntMatrix(r - 1, r - 1, tuple(y[:j] + y[j + 1:] for y in rows)).det()
+                  for j in range(r)]
+        g = math.gcd(*normal)
+        if g == 0:
+            continue  # the rows have rank < r - 1
+        values = [sum(map(operator.mul, normal, y)) for y in ys]
+        if min(values) < 0 < max(values):
+            continue
+        scale = -g if min(values) < 0 else g
+        support = tuple(i for i, v in enumerate(values) if v == 0)
+        if support not in found:
+            found[support] = tuple(sum(c * row[a] for c, row in zip(normal, u.entries)) // scale
+                                   for a in range(m.ambient_rank))
+    return found
+
+
 def faces(m: AffineMonoid) -> list[Face]:
     """The complete face lattice, one Face per support, sorted by
     (support size, support).
 
-    Every subset of generator indices is decided by exact rational
-    feasibility; k <= ~12 at desk scale, so 2^k subsets is fine.  The
-    empty support (vertex) is a face exactly because the monoid is sharp,
-    and the full support (dense face) always is, with certificate 0.
+    The supports are the facet supports closed under intersection, with
+    the full support (dense face) added; the vertex, the intersection of
+    all facets, has empty support because the monoid is sharp.  A face's
+    certificate is the sum of the normals of the facets containing it,
+    scaled to coprime integers: a face is the intersection of the facets
+    containing it, so the sum vanishes on the face's generators and is
+    positive on every other.  The dense face gets certificate 0.  No LP is
+    solved; the facets cost one (r-1)-minor per (r-1)-subset of generators.
     """
     if m._faces is not None:
         return list(m._faces)
-    gens = m.generators
-    k = len(gens)
+    facets = _facets(m)
+    supports = {tuple(range(m.generator_count))}
+    for facet in facets:
+        supports |= {tuple(i for i in s if i in facet) for s in supports}
     found = []
-    for size in range(k + 1):
-        for support in itertools.combinations(range(k), size):
-            inside = [gens[i] for i in support]
-            outside = [gens[j] for j in range(k) if j not in support]
-            cert = ratlp.strict_functional(m.ambient_rank, inside, outside)
-            if cert is not None:
-                found.append(Face(support, cert))
+    for support in sorted(supports, key=lambda s: (len(s), s)):
+        total = [0] * m.ambient_rank
+        for facet, normal in facets.items():
+            if set(support) <= set(facet):
+                total = list(map(operator.add, total, normal))
+        g = math.gcd(*total) or 1
+        found.append(Face(support, tuple(x // g for x in total)))
     m._faces = tuple(found)
     return list(found)
 
@@ -437,13 +479,6 @@ def face_with_support(m: AffineMonoid, support) -> Face:
     raise NotAFace(f"generator subset {support} admits no supporting functional")
 
 
-def _is_face_of(m: AffineMonoid, f: Face) -> bool:
-    try:
-        return face_with_support(m, f.support).support == f.support
-    except NotAFace:
-        return False
-
-
 def stalk(m: AffineMonoid, f: Face) -> tuple[AffineMonoid, int]:
     """The sharp quotient monoid P/<F> and its group rank.
 
@@ -453,8 +488,7 @@ def stalk(m: AffineMonoid, f: Face) -> tuple[AffineMonoid, int]:
     P^gp because P is) and keeps the quotient torsion-free.  The rank is
     gp_lattice_rank(P) minus the rank of L_F.
     """
-    if not _is_face_of(m, f):
-        raise NotAFace(f"{f.support} is not a face of this monoid")
+    face_with_support(m, f.support)  # NotAFace unless f is a face of m
     d = m.ambient_rank
     support = set(f.support)
     face_matrix = generator_matrix([m.generators[i] for i in f.support], d)

@@ -8,6 +8,9 @@ comparisons and cross-products.  The pivots, and so every answer, are
 those of the same simplex run on ``fractions.Fraction`` entries; cone
 membership runs phase one alone.  Sized for desk-scale cone problems
 (tens of variables); correctness over cleverness.
+
+``monoid.validate`` is the only caller: ``strict_functional`` certifies
+sharpness and ``in_cone`` serves the saturation check.
 """
 
 from __future__ import annotations
@@ -161,7 +164,8 @@ def solve_standard_form(c, a_rows, b):
 def strict_functional(dim, zero_vectors, positive_vectors):
     """A rational u with u.z == 0 for all z and u.p > 0 for all p, or None.
 
-    This is the certificate search behind sharpness and face enumeration.
+    This is the sharpness certificate search of ``monoid.validate``, which
+    passes no zero vectors.
     Formulated as: maximize t <= 1 subject to u.p_j >= t; by scaling, a
     strictly positive optimum exists iff a strict functional does.
     """

@@ -12,7 +12,8 @@ arithmetic without adding checkable content.
 Exact points carry Gaussian-rational coordinates, exact rational radii
 (or radicals produced by root extraction) and rational angles measured in
 turns; exact membership is decided by exact equality.  Floating points
-use complex/float coordinates against a tolerance, 1e-9 by default.
+use complex/float coordinates against a tolerance, 1e-9 by default, on
+the residual relative to the size of each equation's sides.
 """
 
 from __future__ import annotations
@@ -190,9 +191,11 @@ def check_membership(system: BinomialSystem, point, tol: float = DEFAULT_TOLERAN
     Returns (ok, max_residual).  Exact points are decided by exact
     equality; their residual is only reported, as a float that is 0.0
     exactly when every equation holds (inf where a conversion overflows),
-    and is not computed at all on a valid point.  A floating equation whose
-    power overflows, or whose sides are not both finite, has residual inf
-    and fails: sides beyond the float range cannot be told apart.  Raises
+    and is not computed at all on a valid point.  A floating equation's
+    residual is |lhs - rhs| / max(1, |lhs|, |rhs|) on radii and complex
+    values, and |lhs - rhs| on angles; one whose power overflows, or whose
+    sides are not both finite, has residual inf and fails: sides beyond the
+    float range cannot be told apart.  Raises
     ArityMismatch when the point has the wrong number of coordinates and
     InvalidPoint when the point type does not match the system target.
     """
@@ -234,12 +237,16 @@ def _exact_gap(gap) -> float:
         return math.inf
 
 
-def _float_gap(lhs, rhs) -> float:
-    """|lhs - rhs| for two floating sides, inf unless both are finite
-    (inf - inf would be NaN, which no tolerance test rejects)."""
-    if cmath.isfinite(lhs) and cmath.isfinite(rhs):
-        return abs(lhs - rhs)
-    return math.inf
+def _float_gap(lhs, rhs, relative=True) -> float:
+    """|lhs - rhs| / max(1, |lhs|, |rhs|) for two floating sides, or
+    |lhs - rhs| when not ``relative``; inf unless both are finite (inf - inf
+    would be NaN, which no tolerance test rejects).  A product of radii
+    carries a rounding error proportional to its size, so radius and
+    complex sides are compared relative to it; unit angles are not."""
+    if not (cmath.isfinite(lhs) and cmath.isfinite(rhs)):
+        return math.inf
+    gap = abs(lhs - rhs)
+    return gap / max(1.0, abs(lhs), abs(rhs)) if relative else gap
 
 
 def _kn_equation_residual(point: KnPoint, r, s) -> float:
@@ -274,7 +281,7 @@ def _kn_equation_residual(point: KnPoint, r, s) -> float:
         if si:
             rhs_r *= point.radius(i) ** si
             rhs_a *= point.angle(i) ** si
-    return max(_float_gap(lhs_r, rhs_r), _float_gap(lhs_a, rhs_a))
+    return max(_float_gap(lhs_r, rhs_r), _float_gap(lhs_a, rhs_a, relative=False))
 
 
 def tau(point: KnPoint) -> CxPoint:

@@ -16,7 +16,9 @@ before it walked the monoid's elements degree by degree, and the
 saturation box is bounded by one exact LP per axis and direction, as the
 library did before it read the box off the vertices of the degree simplex,
 and cone membership is decided by the full two-phase LP, as the library
-did before it ran phase one alone on integer rows.
+did before it ran phase one alone on integer rows, and the face lattice is
+decided by one LP per generator subset, as the library did before it
+derived the faces from the facets.
 """
 
 from __future__ import annotations
@@ -574,3 +576,25 @@ def in_cone_by_lp(generator_columns, point):
     n = len(rows[0]) if rows else 0
     status, _, _ = solve_standard_form([_ZERO] * n, rows, [Fraction(x) for x in point])
     return status == OPTIMAL
+
+
+# --------------------------------------------------------------------------
+# The face lattice by one strict-functional LP per generator subset, as
+# ``logcharts.monoid.faces`` enumerated it before it derived the faces from
+# the facets.
+
+def faces_by_lp(m):
+    """(support, certificate) for every face of the validated monoid, by
+    deciding each of the 2^k generator subsets with the library's simplex;
+    sorted by (support size, support)."""
+    gens = m.generators
+    k = len(gens)
+    found = []
+    for size in range(k + 1):
+        for support in itertools.combinations(range(k), size):
+            inside = [gens[i] for i in support]
+            outside = [gens[j] for j in range(k) if j not in support]
+            cert = ratlp.strict_functional(m.ambient_rank, inside, outside)
+            if cert is not None:
+                found.append((support, cert))
+    return found

@@ -7,7 +7,8 @@ import sys
 
 import pytest
 
-from logcharts.cli import ChartDocument, corpus_path, load_chart, main
+import cli_golden
+from logcharts.cli import ENV_PREFIX, ChartDocument, corpus_path, load_chart, main
 from logcharts.errors import ChartError
 from logcharts.monoid import faces, stalk, validate
 
@@ -304,6 +305,46 @@ def test_floating_points_beyond_the_float_range_are_refused(tmp_path, generators
     code, out, err = run_cli(["torsor", str(chart), "2", "--point", point])
     assert (code, out) == (2, ""), out
     assert err == "error: point violates the relations (residual inf)\n", err
+
+
+def _square_chart(tmp_path):
+    chart = tmp_path / "square.json"
+    chart.write_text(json.dumps({
+        "name": "square", "ambient_rank": 3,
+        "generators": [[1, 0, 0], [1, 1, 0], [1, 0, 1], [1, 1, 1]],
+        "relations": [{"lhs": [1, 0, 0, 1], "rhs": [0, 1, 1, 0]}]}))
+    return str(chart)
+
+
+_LARGE_POINT = ('{"radii": [1e50, 3e50, 7e50, %s], '
+                '"angles": [[1, 0], [1, 0], [1, 0], [1, 0]]}')
+
+
+def test_floating_points_with_large_radii_are_compared_relatively(tmp_path, capsys):
+    # z0 z3 = z1 z2 = 2.1e101 up to rounding, which leaves an absolute
+    # residual of 3.1e85; relative to the sides it is below 1e-16
+    code = main(["torsor", _square_chart(tmp_path), "2", "--point", _LARGE_POINT % "2.1e51"])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["ok"] is True
+
+
+def test_floating_points_with_large_radii_off_the_variety_are_refused(tmp_path, capsys):
+    # 2.2e101 != 2.1e101: the residual is 4.5% of the sides, not 1e100
+    code = main(["torsor", _square_chart(tmp_path), "2", "--point", _LARGE_POINT % "2.2e51"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == "error: point violates the relations (residual 4.545e-02)\n"
+
+
+def test_cli_matches_golden_corpus(monkeypatch):
+    # stdout, stderr and exit code of every corpus invocation, as recorded
+    # in tests/data/cli_golden.json
+    for key in [k for k in os.environ if k.startswith(ENV_PREFIX)]:
+        monkeypatch.delenv(key)
+    golden = cli_golden.load()
+    assert [entry["argv"] for entry in golden] == cli_golden.argvs()
+    for entry in golden:
+        assert cli_golden.run(entry["argv"]) == entry, entry["argv"]
 
 
 def test_exit_code_1_reserved_for_falsified_properties(tmp_path):

@@ -1,5 +1,7 @@
 """Monoid validation, face lattices, stalks, Kummer extensions."""
 
+import collections
+import itertools
 import random
 
 import pytest
@@ -7,14 +9,15 @@ import pytest
 from logcharts import monoid, ratlp
 from logcharts.abgrp import (FgAbelianGroup, IntMatrix, cokernel, is_isomorphic, rank,
                              tensor_mod)
-from logcharts.errors import (InvalidMonoidSpec, NotAFace, NotSharp,
+from logcharts.cli import corpus_path, load_chart
+from logcharts.errors import (ChartError, InvalidMonoidSpec, NotAFace, NotSharp,
                               RelationInconsistent, RelationSynthesisIncomplete,
                               SaturationFailure)
 from logcharts.monoid import (MonoidSpec, face_with_support, faces, mu, stalk,
                               validate)
 from logcharts.profin import mu_tower
 
-from oracles import (congruence_complete_by_vectors, face_supports_by_axiom,
+from oracles import (congruence_complete_by_vectors, face_supports_by_axiom, faces_by_lp,
                      fiber_connected_by_vectors, saturation_box_by_lp)
 
 
@@ -90,15 +93,110 @@ def test_faces_match_combinatorial_axiom_oracle():
         assert got == face_supports_by_axiom([tuple(g) for g in gens], 10)
 
 
+def _assert_certificates_exact(m):
+    """Every face's certificate vanishes exactly on its support and is
+    positive on every other generator."""
+    for f in faces(m):
+        for i, g in enumerate(m.generators):
+            value = sum(u * x for u, x in zip(f.certificate, g))
+            if i in f.support:
+                assert value == 0, (m.generators, f)
+            else:
+                assert value > 0, (m.generators, f)
+
+
+def _corpus_charts():
+    return [validate(load_chart(corpus_path(name)).spec)
+            for name in ("log_point", "affine_line", "plane_axes", "a1_cone")]
+
+
 def test_face_certificates_are_exact():
-    for m in [quadrant(), a1_cone()]:
-        for f in faces(m):
-            for i, g in enumerate(m.generators):
-                value = sum(u * x for u, x in zip(f.certificate, g))
-                if i in f.support:
-                    assert value == 0
-                else:
-                    assert value > 0
+    for m in [quadrant(), a1_cone(), *_corpus_charts()]:
+        _assert_certificates_exact(m)
+
+
+def _random_valid_charts(rng, count):
+    """Seeded valid charts with d <= 4 and up to 6 generators of entries
+    in [-2, 3]; about 30% of the drawn sets get a multiple of one generator
+    added, which puts two generators on one ray."""
+    while count:
+        d, k = rng.randint(1, 4), rng.randint(1, 6)
+        gens = [[rng.randint(-2, 3) for _ in range(d)] for _ in range(k)]
+        if rng.random() < 0.3:
+            gens.append([rng.choice((2, 3)) * x for x in rng.choice(gens)])
+        try:
+            m = validate(MonoidSpec.make(d, gens), degree_bound=4)
+        except ChartError:
+            continue
+        count -= 1
+        yield m
+
+
+def _shares_a_ray(gens):
+    return any(rank(IntMatrix.from_rows([g, h])) == 1
+               for g, h in itertools.combinations(gens, 2))
+
+
+def test_faces_agree_with_the_lp_oracle_on_random_charts():
+    low_rank = shared_ray = 0
+    for m in _random_valid_charts(random.Random(14), 200):
+        got = faces(m)
+        assert [f.support for f in got] == [s for s, _ in faces_by_lp(m)], m.generators
+        _assert_certificates_exact(m)
+        low_rank += m.gp_lattice_rank < m.ambient_rank
+        shared_ray += _shares_a_ray(m.generators)
+    assert low_rank >= 50 and shared_ray >= 20, (low_rank, shared_ray)
+
+
+def test_faces_solve_no_lp(monkeypatch):
+    charts = [*_corpus_charts(), square_cone(), cube_cone(), hexagon_cone(), plane_in_z3()]
+
+    def refuse(*args):
+        raise AssertionError("faces must not solve an LP")
+    for name in ("strict_functional", "solve_standard_form", "in_cone"):
+        monkeypatch.setattr(ratlp, name, refuse)
+    for m in charts:
+        assert faces(m)
+
+
+def square_cone():
+    return validate(MonoidSpec.make(3, [[1, 0, 0], [1, 1, 0], [1, 0, 1], [1, 1, 1]]), 4)
+
+
+def cube_cone():
+    return validate(MonoidSpec.make(4, [[1, *e] for e in itertools.product((0, 1), repeat=3)]),
+                    3)
+
+
+def hexagon_cone():
+    """(1, x, y) over the 7 lattice points of the hexagon with vertices
+    +-(1, 0), +-(0, 1), +-(1, 1); relation synthesis fails at degree 2, so
+    degree bound 1."""
+    points = [(0, 0), (1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)]
+    return validate(MonoidSpec.make(3, [[1, x, y] for x, y in points]), 1)
+
+
+def plane_in_z3():
+    """The A1 cone in the plane z = x of Z^3: rank 2 in Z^3."""
+    return validate(MonoidSpec.make(3, [[1, 0, 1], [1, 1, 1], [1, 2, 1]]))
+
+
+@pytest.mark.parametrize("chart, counts", [
+    # the cone over a square: 4 rays and 4 two-faces
+    (square_cone, {0: 1, 1: 4, 2: 4, 4: 1}),
+    # the cone over a cube: its 8 vertices, 12 edges and 6 squares
+    (cube_cone, {0: 1, 1: 8, 2: 12, 4: 6, 8: 1}),
+    # the hexagon's 6 vertices and 6 edges; the centre lies on no proper face
+    (hexagon_cone, {0: 1, 1: 6, 2: 6, 7: 1}),
+    # the middle generator lies on no ray
+    (plane_in_z3, {0: 1, 1: 2, 3: 1}),
+], ids=["square", "cube", "hexagon", "rank-2-in-z3"])
+def test_hand_counted_face_lattices(chart, counts):
+    m = chart()
+    found = faces(m)
+    assert len(found) == sum(counts.values())
+    assert dict(collections.Counter(len(f.support) for f in found)) == counts
+    _assert_certificates_exact(m)
 
 
 def test_stalk_examples():

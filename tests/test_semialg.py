@@ -121,6 +121,28 @@ def test_floating_membership_fails_beyond_the_float_range():
     assert check_membership(cx, CxPoint.floating([1e100, 1e100, 1e100, 1e100j]))[0] is False
 
 
+def test_floating_residuals_are_relative_on_radii_and_absolute_on_angles():
+    square = validate(MonoidSpec.make(3, [[1, 0, 0], [1, 1, 0], [1, 0, 1], [1, 1, 1]],
+                                      [[[1, 0, 0, 1], [0, 1, 1, 0]]]))
+    kn, cx = (emit_equations(square, target) for target in ("kn", "complex"))
+    # both sides are 2.1e101 up to a rounding error of 3.1e85
+    big = [1e50, 3e50, 7e50, 2.1e51]
+    for ok, res in (check_membership(kn, KnPoint.floating([(r, 1) for r in big])),
+                    check_membership(cx, CxPoint.floating(big))):
+        assert ok and res < 1e-15
+    # off by 1e100 of 2.2e101
+    off = big[:3] + [2.2e51]
+    for ok, res in (check_membership(kn, KnPoint.floating([(r, 1) for r in off])),
+                    check_membership(cx, CxPoint.floating(off))):
+        assert not ok and res == pytest.approx(1 / 22)
+    # below 1 the residual stays absolute, and so does every angle residual
+    small = [1e-6, 1e-6, 1e-6, 2e-6]
+    assert check_membership(cx, CxPoint.floating(small)) == (True, 1e-12)
+    turned = KnPoint.floating([(r, 1) for r in big[:3]] + [(big[3], 1j)])
+    ok, res = check_membership(kn, turned)
+    assert not ok and res == pytest.approx(abs(1j - 1))
+
+
 def test_floating_points_refuse_non_finite_values():
     nan, inf = float("nan"), float("inf")
     for radius, angle in ((nan, 1), (inf, 1), (-1, 1), (1, complex(nan, 0)),
