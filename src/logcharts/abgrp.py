@@ -103,27 +103,7 @@ class IntMatrix(Record):
         """Exact determinant by fraction-free (Bareiss) elimination."""
         if self.rows != self.cols:
             raise ValueError("determinant needs a square matrix")
-        n = self.rows
-        if n == 0:
-            return 1
-        a = [list(row) for row in self.entries]
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if a[k][k] == 0:
-                for i in range(k + 1, n):
-                    if a[i][k] != 0:
-                        a[k], a[i] = a[i], a[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-                a[i][k] = 0
-            prev = a[k][k]
-        return sign * a[n - 1][n - 1]
+        return _det(self.entries)
 
     def is_unimodular(self) -> bool:
         return self.rows == self.cols and abs(self.det()) == 1
@@ -132,6 +112,30 @@ class IntMatrix(Record):
         if self.rows == 0 or self.cols == 0:
             return f"<empty {self.rows}x{self.cols}>"
         return "\n".join(" ".join(f"{x:4d}" for x in row) for row in self.entries)
+
+
+def _det(rows) -> int:
+    """Bareiss determinant of the square matrix with these integer rows."""
+    n = len(rows)
+    if n == 0:
+        return 1
+    a = [list(row) for row in rows]
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k] != 0:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
 
 
 def _swap_rows(a, u, i, j):
@@ -313,11 +317,13 @@ class FgAbelianGroup(Record):
             if b % a != 0:
                 raise ValueError(f"torsion invariants {self.torsion} violate the divisibility chain")
 
-    @classmethod
-    def _normal(cls, free_rank: int, torsion: tuple[int, ...]) -> FgAbelianGroup:
+    @staticmethod
+    def _normal(free_rank: int, torsion: tuple[int, ...]) -> FgAbelianGroup:
         """A group from fields that are already a normal form, unchecked."""
-        g = object.__new__(cls)
-        g.__dict__.update(free_rank=free_rank, torsion=torsion)
+        g = object.__new__(FgAbelianGroup)
+        fields = g.__dict__
+        fields["free_rank"] = free_rank
+        fields["torsion"] = torsion
         return g
 
     @staticmethod
@@ -398,22 +404,23 @@ def cokernel(m: IntMatrix) -> FgAbelianGroup:
     return FgAbelianGroup._normal(m.rows - nonzero, torsion)
 
 
-def tensor_mod(g: FgAbelianGroup, m: int) -> FgAbelianGroup:
-    """The level-m truncation G/mG.
+def _truncation(g: FgAbelianGroup, m: int) -> tuple[int, ...]:
+    """The torsion of the finite group G/mG, m >= 1: Z/gcd(d, m) > 1 for each
+    Z/d of G, then Z/m for each Z.  The gcds of a divisor chain form a chain
+    dividing m, so this is a normal form as built."""
+    free = (m,) * g.free_rank if m > 1 else ()
+    if g.torsion:
+        return tuple([e for d in g.torsion if (e := gcd(d, m)) > 1]) + free
+    return free
 
-    Each Z factor contributes Z/m; each Z/d contributes Z/gcd(d, m).  The
-    gcds of a divisor chain form a divisor chain dividing m, so the result
-    is a normal form as built and is not validated again.
-    """
+
+def tensor_mod(g: FgAbelianGroup, m: int) -> FgAbelianGroup:
+    """The level-m truncation G/mG, built in one pass by ``_truncation``
+    and not validated again; G/G is the trivial group."""
     m = int(m)
     if m < 1:
         raise ValueError("level must be a positive integer")
-    if m == 1:
-        return FgAbelianGroup.trivial()
-    torsion = [gcd(d, m) for d in g.torsion]
-    torsion = [d for d in torsion if d > 1]
-    torsion.extend([m] * g.free_rank)
-    return FgAbelianGroup._normal(0, tuple(torsion))
+    return FgAbelianGroup._normal(0, _truncation(g, m))
 
 
 def is_isomorphic(a: FgAbelianGroup, b: FgAbelianGroup) -> bool:

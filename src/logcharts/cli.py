@@ -199,10 +199,6 @@ def _print_table(payload, indent=0):
         print(f"{pad}{payload}")
 
 
-def _validated(chart: ChartDocument, degree_bound: int):
-    return monoid_mod.validate(chart.spec, degree_bound=degree_bound)
-
-
 def cmd_info(chart, m, args):
     fs = monoid_mod.faces(m)
     return {
@@ -351,9 +347,9 @@ def main(argv=None) -> int:
         bound = _setting(args.bound, opts, None, "BOUND", DEFAULT_BOUND, _integer)
         seed = _setting(args.seed, opts, "seed", "SEED", DEFAULT_SEED, _integer)
         _check_levels(args, bound)
-        m = _validated(chart, degree_bound)
+        m = monoid_mod.validate(chart.spec, degree_bound=degree_bound)
 
-        falsified = False
+        ok = True
         if args.command == "info":
             payload = cmd_info(chart, m, args)
         elif args.command == "strata":
@@ -364,32 +360,36 @@ def main(argv=None) -> int:
             payload = cmd_fiber(chart, m, args)
         elif args.command == "compare":
             payload, ok = cmd_compare(chart, m, args, bound)
-            falsified = not ok
         elif args.command == "emit":
             payload = cmd_emit(chart, m, args)
         elif args.command == "torsor":
             payload, ok = cmd_torsor(chart, m, args, tol, seed)
-            falsified = not ok
         else:  # pragma: no cover
             raise ChartError(f"unknown command {args.command}")
     except FalsifiedProperty as err:
-        print(f"falsified property: {err}", file=sys.stderr)
-        return 1
+        return _report(f"falsified property: {err}", 1)
     except ChartError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+        return _report(f"error: {err}", 2)
     except Exception as err:  # internal failure is an error, never a falsified theorem
-        print(f"internal error: {type(err).__name__}: {err}", file=sys.stderr)
-        return 2
+        return _report(f"internal error: {type(err).__name__}: {err}", 2)
 
     try:
         _emit(payload, table)
     except BrokenPipeError as err:
-        # The interpreter's final flush of stdout must not fail again.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        print(f"error: cannot write the output: {err}", file=sys.stderr)
-        return 2
-    return 1 if falsified else 0
+        return _report(f"error: cannot write the output: {err}", 2, sys.stdout)
+    return 0 if ok else 1
+
+
+def _report(message: str, code: int, *closed) -> int:
+    """Write the message to stderr and return the code, also when stderr is
+    closed; closed streams go to the null device for the final flush."""
+    try:
+        print(message, file=sys.stderr, flush=True)
+    except OSError:
+        closed += (sys.stderr,)
+    for stream in closed:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+    return code
 
 
 if __name__ == "__main__":

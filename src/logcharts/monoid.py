@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from . import ratlp
 from ._record import Record
-from .abgrp import (FgAbelianGroup, IntMatrix, generator_matrix, kernel_basis,
+from .abgrp import (FgAbelianGroup, IntMatrix, _det, generator_matrix, kernel_basis,
                     rank, smith_normal_form, solve_integer, tensor_mod)
 from .errors import (InvalidMonoidSpec, NotAFace, NotSharp,
                      RelationInconsistent, RelationSynthesisIncomplete,
@@ -419,8 +419,7 @@ def _facets(m: AffineMonoid) -> dict[tuple[int, ...], tuple[int, ...]]:
     ys = [u.apply(g)[:r] for g in m.generators]
     found = {}
     for rows in itertools.combinations(ys, r - 1):
-        normal = [(-1) ** j * IntMatrix(r - 1, r - 1, tuple(y[:j] + y[j + 1:] for y in rows)).det()
-                  for j in range(r)]
+        normal = [(-1) ** j * _det([y[:j] + y[j + 1:] for y in rows]) for j in range(r)]
         g = math.gcd(*normal)
         if g == 0:
             continue  # the rows have rank < r - 1

@@ -18,7 +18,7 @@ A/nA for n | m/p, so by induction on m/n these imply every pair n | m.
 from __future__ import annotations
 
 from ._record import Record
-from .abgrp import FgAbelianGroup, is_isomorphic, tensor_mod
+from .abgrp import FgAbelianGroup, _truncation, is_isomorphic, tensor_mod
 from .errors import ChartError
 from .monoid import AffineMonoid
 
@@ -46,10 +46,14 @@ class FiniteAbelianProSystem(Record):
 
     def transition_consistent(self, m: int, n: int) -> bool:
         """Does the natural reduction level(m) -> level(n) exist, i.e. is
-        level(n) the mod-n truncation of level(m)?  Requires n | m."""
+        level(n) the mod-n truncation of level(m), compared field by field
+        without building it?  Requires 1 <= n | m, checked first."""
+        if m < 1 or n < 1:
+            raise ValueError(f"levels must be positive integers, got n={n}, m={m}")
         if m % n != 0:
             raise ValueError(f"transition needs n | m, got n={n}, m={m}")
-        return is_isomorphic(tensor_mod(self.level(m), n), self.level(n))
+        high, low = self.level(m), self.level(n)
+        return low.free_rank == 0 and low.torsion == _truncation(high, n)
 
     def check_coherence(self, bound: int) -> bool:
         """Transition compatibility for every pair n | m <= bound.  A bound

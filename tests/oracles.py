@@ -18,7 +18,9 @@ library did before it read the box off the vertices of the degree simplex,
 and cone membership is decided by the full two-phase LP, as the library
 did before it ran phase one alone on integer rows, and the face lattice is
 decided by one LP per generator subset, as the library did before it
-derived the faces from the facets.
+derived the faces from the facets, and truncations G/mG are built from
+lists and transitions compared as groups, as the library did before it
+built each level's invariants in one pass.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from fractions import Fraction
 from math import gcd
 
 from logcharts import ratlp
-from logcharts.abgrp import is_isomorphic
+from logcharts.abgrp import FgAbelianGroup, is_isomorphic
 from logcharts.errors import InvalidMonoidSpec, RelationSynthesisIncomplete
 from logcharts.fibers import TorsorReport
 from logcharts.monoid import _ENUMERATION_CAP, MonoidSpec
@@ -598,3 +600,29 @@ def faces_by_lp(m):
             if cert is not None:
                 found.append((support, cert))
     return found
+
+
+# --------------------------------------------------------------------------
+# Truncations and transitions as ``logcharts.abgrp.tensor_mod`` and
+# ``logcharts.profin`` built them before each level's invariants were built
+# in one pass: the torsion part through two lists, and every transition
+# through a third group, the truncation of the higher level.
+
+def tensor_mod_by_lists(g, m):
+    """The level-m truncation G/mG."""
+    m = int(m)
+    if m < 1:
+        raise ValueError("level must be a positive integer")
+    if m == 1:
+        return FgAbelianGroup.trivial()
+    torsion = [gcd(d, m) for d in g.torsion]
+    torsion = [d for d in torsion if d > 1]
+    torsion.extend([m] * g.free_rank)
+    return FgAbelianGroup._normal(0, tuple(torsion))
+
+
+def transition_consistent_by_groups(tower, m, n):
+    """Is the tower's level(n) the mod-n truncation of its level(m)?"""
+    if m % n != 0:
+        raise ValueError(f"transition needs n | m, got n={n}, m={m}")
+    return is_isomorphic(tensor_mod_by_lists(tower.level(m), n), tower.level(n))

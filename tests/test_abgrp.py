@@ -10,7 +10,7 @@ from logcharts.abgrp import (FgAbelianGroup, IntMatrix, cokernel,
                              smith_normal_form, solve_integer, tensor_mod)
 
 from oracles import (coset_count_bfs, coset_count_box, element_order_multiset,
-                     random_unimodular)
+                     random_unimodular, tensor_mod_by_lists)
 
 
 def snf_checks(m):
@@ -140,6 +140,31 @@ def test_tensor_mod_transition_coherence():
         k = rng.randrange(1, 40)
         m = rng.choice([d for d in range(1, k + 1) if k % d == 0])
         assert tensor_mod(tensor_mod(g, k), m) == tensor_mod(g, m)
+
+
+def test_tensor_mod_agrees_with_the_list_oracle():
+    # free, torsion and mixed groups at every level m <= 60, and the
+    # truncation of each level at every n | m
+    rng = random.Random(20151018)
+    groups = [FgAbelianGroup.trivial()]
+    for kind in ("free", "torsion", "mixed") * 10:
+        orders = rng.choices(range(2, 37), k=rng.randint(1, 4))
+        groups.append(FgAbelianGroup(
+            0 if kind == "torsion" else rng.randint(1, 3),
+            () if kind == "free" else FgAbelianGroup.from_cyclic_orders(orders).torsion))
+    for g in groups:
+        for m in range(1, 61):
+            level = tensor_mod(g, m)
+            assert level == tensor_mod_by_lists(g, m), (g, m)
+            _revalidates(level)
+            for n in (n for n in range(1, m + 1) if m % n == 0):
+                truncated = tensor_mod(level, n)
+                assert truncated == tensor_mod_by_lists(level, n), (g, m, n)
+                _revalidates(truncated)
+        for m in (0, -3):
+            for build in (tensor_mod, tensor_mod_by_lists):
+                with pytest.raises(ValueError, match="positive"):
+                    build(g, m)
 
 
 def test_is_isomorphic_examples():

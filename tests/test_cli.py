@@ -257,6 +257,39 @@ def test_closed_stdout_exits_2_without_a_traceback():
     assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr, proc.stderr
 
 
+def run_cli_into_closed_pipe(args, stdout_too=False):
+    """Exit code and captured stdout of the CLI with stderr, and with
+    stdout_too stdout as well, the write end of a pipe whose read end is
+    closed."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "logcharts.cli", *args],
+            stdout=write_end if stdout_too else subprocess.PIPE, stderr=write_end,
+            text=True, timeout=60)
+    finally:
+        os.close(write_end)
+    return proc.returncode, proc.stdout
+
+
+@pytest.mark.parametrize("args, stdout_too", [
+    (["info", "missing.json"], False),
+    (["mu", corpus_path("a1_cone"), "0"], False),
+    (["info", corpus_path("a1_cone")], True),
+], ids=["missing-file", "level-0", "valid-info-into-closed-stdout"])
+def test_an_unwritable_error_message_keeps_the_exit_code(args, stdout_too):
+    # an input or output error exits 2 even when its message cannot be
+    # written; 1 stays reserved for a falsified property
+    code, out = run_cli_into_closed_pipe(args, stdout_too)
+    assert code == 2 and not out, (code, out)
+
+
+def test_a_closed_stderr_alone_does_not_fail_a_valid_run():
+    code, out = run_cli_into_closed_pipe(["info", corpus_path("a1_cone")])
+    assert code == 0 and json.loads(out)["face_count"] == 4, (code, out)
+
+
 # Each subcommand, with the layers a cold process running it must not load.
 COLD_COMMANDS = [
     (["info"], ("fibers", "profin", "semialg", "exactnum", "strata")),

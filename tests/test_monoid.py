@@ -8,7 +8,7 @@ import pytest
 
 from logcharts import monoid, ratlp
 from logcharts.abgrp import (FgAbelianGroup, IntMatrix, cokernel, is_isomorphic, rank,
-                             tensor_mod)
+                             smith_normal_form, tensor_mod)
 from logcharts.cli import corpus_path, load_chart
 from logcharts.errors import (ChartError, InvalidMonoidSpec, NotAFace, NotSharp,
                               RelationInconsistent, RelationSynthesisIncomplete,
@@ -157,6 +157,26 @@ def test_faces_solve_no_lp(monkeypatch):
         monkeypatch.setattr(ratlp, name, refuse)
     for m in charts:
         assert faces(m)
+
+
+def test_facet_minors_build_no_matrix(monkeypatch):
+    # faces builds the generator matrix and its Smith form, and no matrix
+    # per (r-1)-minor: the cube's 56 minors cost what the square's 6 do
+    built = []
+    original = IntMatrix.__post_init__
+
+    def counting(self):
+        built.append(self)
+        original(self)
+
+    charts = [square_cone(), cube_cone(), hexagon_cone()]
+    monkeypatch.setattr(IntMatrix, "__post_init__", counting)
+    for m in charts:
+        built.clear()
+        smith_normal_form(m.generator_matrix())
+        needed = len(built)
+        built.clear()
+        assert faces(m) and len(built) == needed == 4, (m.generators, len(built))
 
 
 def square_cone():

@@ -12,7 +12,8 @@ from logcharts.fibers import verify_fiber_equivalence
 from logcharts.monoid import MonoidSpec, face_with_support, validate
 from logcharts.profin import (FiniteAbelianProSystem, completion,
                               equivalent_up_to, mu_tower, product_system)
-from oracles import coherent_by_all_pairs, equivalent_by_all_pairs
+from oracles import (coherent_by_all_pairs, equivalent_by_all_pairs,
+                     transition_consistent_by_groups)
 
 Z = FgAbelianGroup.free(1)
 
@@ -280,3 +281,58 @@ def test_levels_are_built_without_revalidation(monkeypatch):
         assert verify_fiber_equivalence(m, vertex, bound)[0]
         counts.append(len(built))
     assert counts[0] == counts[1] == counts[2], counts
+
+
+def test_transition_refuses_levels_below_one_before_any_level(monkeypatch):
+    levels = []
+    monkeypatch.setattr(FiniteAbelianProSystem, "level",
+                        lambda self, n: levels.append(n))
+    for m, n in ((6, 0), (0, 3), (0, 0), (-6, 3), (6, -2)):
+        with pytest.raises(ValueError, match="positive"):
+            completion(Z).transition_consistent(m, n)
+    assert levels == []
+
+
+def test_transition_verdicts_agree_with_the_group_oracle(monkeypatch):
+    # the true levels, and about half the levels replaced by Z, by the
+    # trivial group, by the truncation at 2n or by a random group
+    rng = random.Random(20151019)
+    true_level = FiniteAbelianProSystem.level
+    wrong_rules = [
+        None,
+        lambda g, n: Z,
+        lambda g, n: FgAbelianGroup.trivial(),
+        lambda g, n: tensor_mod(g, 2 * n),
+        lambda g, n: FgAbelianGroup.from_cyclic_orders(rng.choices(range(13), k=2)),
+    ]
+    tally = Counter()
+    for g in COHERENCE_GROUPS:
+        for rule in wrong_rules:
+            wrong = {n: rule(g, n) for n in range(1, 61) if rule and rng.random() < 0.5}
+            monkeypatch.setattr(FiniteAbelianProSystem, "level",
+                                lambda self, n, wrong=wrong: wrong.get(n) or true_level(self, n))
+            tower = completion(g)
+            for m in range(1, 61):
+                for n in (n for n in range(1, m + 1) if m % n == 0):
+                    verdict = tower.transition_consistent(m, n)
+                    assert verdict is transition_consistent_by_groups(tower, m, n), (g, m, n)
+                    tally[rule is None, verdict] += 1
+    assert not tally[True, False] and tally[False, True] and tally[False, False], tally
+
+
+def test_a_transition_builds_only_its_two_levels(monkeypatch):
+    built = []
+    original = FgAbelianGroup._normal
+
+    def counting(free_rank, torsion):
+        built.append((free_rank, torsion))
+        return original(free_rank, torsion)
+
+    monkeypatch.setattr(FgAbelianGroup, "_normal", staticmethod(counting))
+    for g in COHERENCE_GROUPS:
+        tower = completion(g)
+        for m, n in ((1, 1), (12, 12), (12, 6), (12, 4), (60, 1), (60, 30)):
+            built.clear()
+            assert tower.transition_consistent(m, n)
+            fields = list(built)
+            assert fields == [(0, tensor_mod(g, k).torsion) for k in (m, n)], (g, m, n)
