@@ -21,7 +21,7 @@ _HOMES = {
               "tensor_mod"),
     "errors": ("ArityMismatch", "ChartError", "FalsifiedProperty", "InvalidMonoidSpec",
                "InvalidPoint", "NotAFace", "NotOnVariety", "NotSharp", "RelationInconsistent",
-               "RelationSynthesisIncomplete", "SaturationFailure", "StratumEmptyAtDeskScale"),
+               "RelationSynthesisIncomplete", "SaturationFailure"),
     "exactnum": ("GaussianRational", "NonnegRoot"),
     "fibers": ("TorsorReport", "algebraic_kummer_fiber", "kn_kummer_fiber", "torsor_check",
                "verify_fiber_equivalence"),

@@ -379,12 +379,6 @@ class FgAbelianGroup(Record):
             n *= d
         return n
 
-    def exponent(self) -> int | None:
-        """Smallest m >= 1 with m * g == 0 for all g; None when infinite."""
-        if self.free_rank > 0:
-            return None
-        return self.torsion[-1] if self.torsion else 1
-
     def __str__(self):
         parts = []
         if self.free_rank == 1:
@@ -416,10 +410,10 @@ def _truncation(g: FgAbelianGroup, m: int) -> tuple[int, ...]:
 
 def tensor_mod(g: FgAbelianGroup, m: int) -> FgAbelianGroup:
     """The level-m truncation G/mG, built in one pass by ``_truncation``
-    and not validated again; G/G is the trivial group."""
-    m = int(m)
-    if m < 1:
-        raise ValueError("level must be a positive integer")
+    and not validated again; G/G is the trivial group.  A level that is
+    not an int (a bool or a float included) raises ValueError."""
+    if type(m) is not int or m < 1:
+        raise ValueError(f"level {m!r} is not a positive integer")
     return FgAbelianGroup._normal(0, _truncation(g, m))
 
 

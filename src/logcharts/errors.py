@@ -69,10 +69,6 @@ class ArityMismatch(ChartError):
     """A point's coordinate count does not match the equation system."""
 
 
-class StratumEmptyAtDeskScale(ChartError):
-    """The sampler exhausted its retry budget without a consistent draw."""
-
-
 class FalsifiedProperty(Exception):
     """A property the mathematics guarantees failed to verify.
 

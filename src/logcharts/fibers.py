@@ -95,17 +95,15 @@ def _float_turn(z: complex) -> float:
 def _relation_turn_offset(relation, turns, exact: bool):
     """sum (r_j - s_j) * turn_j, which is an integer for a valid point.
 
-    Floating turns are rounded to the nearest integer; a rounding
-    deviation beyond the accept window is a tolerance breach.
+    Exact turns give that integer exactly, as ``_validate_point`` has
+    decided the relation exactly.  Floating turns are rounded to the
+    nearest integer; a rounding deviation beyond the accept window is a
+    tolerance breach.
     """
     r, s = relation
-    if exact:
-        total = sum((Fraction(rj) - Fraction(sj)) * t for rj, sj, t in zip(r, s, turns))
-        if total.denominator != 1:
-            raise InvalidPoint(
-                f"point angles violate relation {relation} exactly")
-        return int(total)
     total = sum((rj - sj) * t for rj, sj, t in zip(r, s, turns))
+    if exact:
+        return int(total)
     nearest = round(total)
     deviation = abs(total - nearest)
     if deviation > _TURN_REJECT:
@@ -123,8 +121,8 @@ _FIBER_CAP = 100_000
 
 def _fiber_size(n: int, r: int) -> int:
     """n^r, the size of a degree-n Kummer fiber, checked against the cap."""
-    if n < 1:
-        raise ValueError("cover degree must be a positive integer")
+    if type(n) is not int or n < 1:
+        raise ValueError(f"cover degree {n!r} is not a positive integer")
     size = n ** r
     if size > _FIBER_CAP:
         raise ChartError(
@@ -196,7 +194,6 @@ def kn_kummer_fiber(m: AffineMonoid, p: KnPoint, n: int,
     """
     from .exactnum import turn_mod1, unit_from_turn_float
     from .semialg import KnPoint, Target
-    n = int(n)
     _validate_point(m, p, Target.KN_POINTS, tol)
     expected = _fiber_size(n, m.gp_lattice_rank)
     k = m.generator_count
@@ -234,7 +231,6 @@ def algebraic_kummer_fiber(m: AffineMonoid, p: CxPoint, n: int,
     """
     from .exactnum import unit_from_turn_float
     from .semialg import CxPoint, Target
-    n = int(n)
     _validate_point(m, p, Target.COMPLEX_POINTS, tol)
     k = m.generator_count
     zero_tol = 0.0 if p.exact else tol
@@ -376,7 +372,6 @@ def torsor_check(m: AffineMonoid, p: KnPoint, n: int,
     """
     from .exactnum import unit_from_turn_float
     from .semialg import KnPoint
-    n = int(n)
     fiber = kn_kummer_fiber(m, p, n, tol)
     chars, generators = _root_choices(_relation_rows(m.relations),
                                       [0] * len(m.relations), n, m.generator_count)

@@ -486,6 +486,10 @@ def stalk(m: AffineMonoid, f: Face) -> tuple[AffineMonoid, int]:
     changes nothing on the group side (the face lattice is saturated in
     P^gp because P is) and keeps the quotient torsion-free.  The rank is
     gp_lattice_rank(P) minus the rank of L_F.
+
+    P/F keeps P's relations with F's coordinates deleted: p - q lies in
+    F^gp exactly when p + g = q + f for some f, g in F, so these present
+    the quotient, and no relation is synthesized for it.
     """
     face_with_support(m, f.support)  # NotAFace unless f is a face of m
     d = m.ambient_rank
@@ -501,7 +505,8 @@ def stalk(m: AffineMonoid, f: Face) -> tuple[AffineMonoid, int]:
 
     outside = [j for j in range(len(m.generators)) if j not in support]
     quotient_gens = [project(m.generators[j]) for j in outside]
-    quotient_spec = MonoidSpec.make(d - r, quotient_gens, None)
+    quotient_rels = [([a[j] for j in outside], [b[j] for j in outside]) for a, b in m.relations]
+    quotient_spec = MonoidSpec.make(d - r, quotient_gens, quotient_rels)
     quotient = validate(quotient_spec, degree_bound=m.degree_bound)
     return quotient, m.gp_lattice_rank - r
 

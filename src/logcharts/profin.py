@@ -78,9 +78,8 @@ def _covers(m: int) -> list[int]:
 
 
 def _checked_bound(bound) -> int:
-    bound = int(bound)
-    if bound < 1:
-        raise ValueError("bound must be a positive integer")
+    if type(bound) is not int or bound < 1:
+        raise ValueError(f"bound {bound!r} is not a positive integer")
     if bound > _LEVEL_CAP:
         raise ChartError(f"comparison bound {bound} is above the cap of "
                          f"{_LEVEL_CAP} levels; lower the bound")

@@ -5,9 +5,12 @@ has two point spaces. The complex model C(P) = Hom(P, C) embeds into C^k
 cut out by the binomial equations prod z_j^{r_ij} = prod z_j^{s_ij}.  The
 log model C(P)_log = Hom(P, R>=0 x S^1) is cut out of (R>=0 x S^1)^k by
 the same exponent data read componentwise: radii multiplicatively, angles
-additively modulo one full turn.  The factored (radius, angle) form is
-kept throughout; the real-algebraic embedding into (R^3)^k would add
-arithmetic without adding checkable content.
+additively modulo one full turn.  One monomial product, ``_monomial``,
+evaluates prod v_j^{e_j} for complex values, radii and unit angles, exact
+or floating, and pushes the samplers' ambient parameters to generator
+values.  The factored (radius, angle) form is kept throughout; the
+real-algebraic embedding into (R^3)^k would add arithmetic without adding
+checkable content.
 
 Exact points carry Gaussian-rational coordinates, exact rational radii
 (or radicals produced by root extraction) and rational angles measured in
@@ -25,7 +28,7 @@ import random
 from fractions import Fraction
 
 from ._record import Record
-from .errors import (ArityMismatch, InvalidPoint, StratumEmptyAtDeskScale)
+from .errors import ArityMismatch, InvalidPoint
 from .exactnum import (GAUSSIAN_ONE, GAUSSIAN_ZERO, GaussianRational,
                        NonnegRoot, turn_mod1, unit_from_turn_exact,
                        unit_from_turn_float)
@@ -75,9 +78,6 @@ class CxPoint(Record):
         if not all(map(cmath.isfinite, values)):
             raise InvalidPoint("complex coordinates must be finite")
         return CxPoint(values, False)
-
-    def value(self, i):
-        return self.values[i]
 
     @property
     def arity(self) -> int:
@@ -157,31 +157,15 @@ def emit_equations(m: AffineMonoid, target: Target | str) -> BinomialSystem:
     return BinomialSystem(m.generator_count, tuple(m.relations), target)
 
 
-def _monomial_exact(values, exponents):
-    out = GAUSSIAN_ONE
+def _monomial(values, exponents, one):
+    """prod v**e over the nonzero exponents e, from ``one``: the single
+    product behind both chart models, exact and floating, and both
+    samplers.  A zero base to a positive power is zero in every number
+    type used here, so no zero needs a special case."""
+    out = one
     for v, e in zip(values, exponents):
         if e:
-            if v.is_zero():
-                return GAUSSIAN_ZERO
             out = out * v ** e
-    return out
-
-
-def _monomial_float(values, exponents):
-    out = complex(1)
-    for v, e in zip(values, exponents):
-        if e:
-            out *= v ** e
-    return out
-
-
-def _radius_monomial_exact(point, exponents):
-    out = NonnegRoot.of(1)
-    for (r, _), e in zip(point.values, exponents):
-        if e:
-            if r.is_zero():
-                return NonnegRoot.of(0)
-            out = out * r ** e
     return out
 
 
@@ -214,11 +198,12 @@ def check_membership(system: BinomialSystem, point, tol: float = DEFAULT_TOLERAN
             if system.target is Target.KN_POINTS:
                 residual = _kn_equation_residual(point, r, s)
             elif point.exact:
-                diff = _monomial_exact(point.values, r) - _monomial_exact(point.values, s)
+                diff = (_monomial(point.values, r, GAUSSIAN_ONE)
+                        - _monomial(point.values, s, GAUSSIAN_ONE))
                 residual = 0.0 if diff.is_zero() else _exact_gap(lambda: abs(diff.to_complex()))
             else:
-                residual = _float_gap(_monomial_float(point.values, r),
-                                      _monomial_float(point.values, s))
+                residual = _float_gap(_monomial(point.values, r, complex(1)),
+                                      _monomial(point.values, s, complex(1)))
         except OverflowError:  # a floating power beyond the float range
             residual = math.inf
         if not residual <= (0.0 if point.exact else tol):
@@ -250,9 +235,10 @@ def _float_gap(lhs, rhs, relative=True) -> float:
 
 
 def _kn_equation_residual(point: KnPoint, r, s) -> float:
+    radii = [radius for radius, _ in point.values]
     if point.exact:
-        lhs = _radius_monomial_exact(point, r)
-        rhs = _radius_monomial_exact(point, s)
+        lhs = _monomial(radii, r, NonnegRoot.of(1))
+        rhs = _monomial(radii, s, NonnegRoot.of(1))
         turn = turn_mod1(sum((Fraction(ri) - Fraction(si)) * point.angle(i)
                              for i, (ri, si) in enumerate(zip(r, s))))
         # Angles only matter where some radius factor is alive on a side;
@@ -270,18 +256,10 @@ def _kn_equation_residual(point: KnPoint, r, s) -> float:
             return max(radius_res, angle_res)
 
         return _exact_gap(gap)
-    lhs_r = 1.0
-    rhs_r = 1.0
-    lhs_a = complex(1)
-    rhs_a = complex(1)
-    for i, (ri, si) in enumerate(zip(r, s)):
-        if ri:
-            lhs_r *= point.radius(i) ** ri
-            lhs_a *= point.angle(i) ** ri
-        if si:
-            rhs_r *= point.radius(i) ** si
-            rhs_a *= point.angle(i) ** si
-    return max(_float_gap(lhs_r, rhs_r), _float_gap(lhs_a, rhs_a, relative=False))
+    angles = [angle for _, angle in point.values]
+    return max(_float_gap(_monomial(radii, r, 1.0), _monomial(radii, s, 1.0)),
+               _float_gap(_monomial(angles, r, complex(1)), _monomial(angles, s, complex(1)),
+                          relative=False))
 
 
 def tau(point: KnPoint) -> CxPoint:
@@ -306,33 +284,19 @@ def tau(point: KnPoint) -> CxPoint:
     return CxPoint.floating([radius * angle for radius, angle in point.values])
 
 
-def _draw_points(draw, count, face):
-    """Collect ``count`` consistent draws; prefer fresh points, fall back
-    to repeats once a small stratum is exhausted, and report loudly if no
-    consistent assignment materializes at all."""
+def _draw_points(draw, count):
+    """Collect ``count`` draws; prefer fresh points, and fall back to
+    repeats once a small stratum is exhausted.  Every draw is consistent,
+    so the retry budget only bounds the search for a fresh one."""
     out = []
     seen = set()
     while len(out) < count:
-        fresh = None
-        fallback = None
         for _ in range(_SAMPLER_RETRY_BUDGET):
-            got = draw()
-            if got is None:
-                continue
-            point, key = got
-            fallback = point
+            point, key = draw()
             if key not in seen:
-                fresh = (point, key)
+                seen.add(key)
                 break
-        if fresh is not None:
-            seen.add(fresh[1])
-            out.append(fresh[0])
-        elif fallback is not None:
-            out.append(fallback)
-        else:
-            raise StratumEmptyAtDeskScale(
-                f"no consistent assignment found on face {face.support} "
-                f"within the retry budget")
+        out.append(point)
     return out
 
 
@@ -366,21 +330,12 @@ def sample_stratum(m: AffineMonoid, f: Face, count: int, seed: int) -> list[CxPo
     def draw():
         params = [GaussianRational.of(_random_nonzero_fraction(rng))
                   * _random_gaussian_unit_scale(rng) for _ in range(m.ambient_rank)]
-        values = []
-        for i, gen in enumerate(m.generators):
-            if i not in support:
-                values.append(GAUSSIAN_ZERO)
-                continue
-            z = GAUSSIAN_ONE
-            for t, e in zip(params, gen):
-                z = z * t ** e
-            if z.is_zero():
-                return None
-            values.append(z)
+        values = [_monomial(params, gen, GAUSSIAN_ONE) if i in support else GAUSSIAN_ZERO
+                  for i, gen in enumerate(m.generators)]
         point = CxPoint(tuple(values), True)
         return point, tuple((v.re, v.im) for v in values)
 
-    return _draw_points(draw, count, f)
+    return _draw_points(draw, count)
 
 
 def sample_kn_stratum(m: AffineMonoid, f: Face, count: int, seed: int,
@@ -404,14 +359,9 @@ def sample_kn_stratum(m: AffineMonoid, f: Face, count: int, seed: int,
         pairs = []
         for i, gen in enumerate(m.generators):
             angle = turn_mod1(sum(Fraction(e) * t for e, t in zip(gen, theta)))
-            if i in support:
-                radius = Fraction(1)
-                for p, e in zip(rho, gen):
-                    radius *= p ** e
-                pairs.append((radius, angle))
-            else:
-                pairs.append((Fraction(0), angle))
+            pairs.append((_monomial(rho, gen, Fraction(1)) if i in support else Fraction(0),
+                          angle))
         point = KnPoint.exact_point(pairs)
         return point, tuple((r.base, r.degree, a) for r, a in point.values)
 
-    return _draw_points(draw, count, f)
+    return _draw_points(draw, count)

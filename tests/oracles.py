@@ -20,7 +20,8 @@ did before it ran phase one alone on integer rows, and the face lattice is
 decided by one LP per generator subset, as the library did before it
 derived the faces from the facets, and truncations G/mG are built from
 lists and transitions compared as groups, as the library did before it
-built each level's invariants in one pass.
+built each level's invariants in one pass.  The quadric relations of a
+cone are listed by comparing every two pairs of generators.
 """
 
 from __future__ import annotations
@@ -626,3 +627,21 @@ def transition_consistent_by_groups(tower, m, n):
     if m % n != 0:
         raise ValueError(f"transition needs n | m, got n={n}, m={m}")
     return is_isomorphic(tensor_mod_by_lists(tower.level(m), n), tower.level(n))
+
+
+def quadric_relations(gens):
+    """Every relation gen_a + gen_b = gen_c + gen_e between two disjoint
+    pairs of generators."""
+    k = len(gens)
+    rels = []
+    pairs = itertools.combinations_with_replacement(range(k), 2)
+    for (a, b), (c, e) in itertools.combinations(pairs, 2):
+        if {a, b}.isdisjoint({c, e}) and all(
+                x + y == z + w for x, y, z, w in zip(gens[a], gens[b], gens[c], gens[e])):
+            r, s = [0] * k, [0] * k
+            r[a] += 1
+            r[b] += 1
+            s[c] += 1
+            s[e] += 1
+            rels.append((r, s))
+    return rels

@@ -15,7 +15,7 @@ from logcharts.fibers import (algebraic_kummer_fiber, kn_kummer_fiber,
                               torsor_check, verify_fiber_equivalence)
 from logcharts.monoid import (MonoidSpec, face_with_support, faces, mu, stalk,
                               validate)
-from logcharts.profin import mu_tower
+from logcharts.profin import completion, equivalent_up_to, mu_tower
 from logcharts.semialg import (CxPoint, KnPoint, Target, check_membership,
                                emit_equations, sample_kn_stratum, tau)
 from oracles import (kn_kummer_fiber_by_fractions, root_choices_by_scan,
@@ -488,3 +488,28 @@ def test_fiber_size_cap_refuses_before_enumerating():
     # Over the vertex the complex fiber is one point at any degree.
     origin = CxPoint.exact_point([0, 0, 0])
     assert len(algebraic_kummer_fiber(m, origin, 10 ** 6)) == 1
+
+
+_A1_POINT = KnPoint.exact_point([(1, 0), (1, 0), (1, 0)])
+_LEVEL_CALLS = {
+    "tensor_mod": lambda v: tensor_mod(FgAbelianGroup.free(1), v),
+    "mu": lambda v: mu(a1_cone(), v),
+    "kn_kummer_fiber": lambda v: kn_kummer_fiber(a1_cone(), _A1_POINT, v),
+    "algebraic_kummer_fiber": lambda v: algebraic_kummer_fiber(a1_cone(), tau(_A1_POINT), v),
+    "torsor_check": lambda v: torsor_check(a1_cone(), _A1_POINT, v),
+    "equivalent_up_to": lambda v: equivalent_up_to(completion(FgAbelianGroup.free(1)),
+                                                   mu_tower(n_monoid()), v),
+    "check_coherence": lambda v: completion(FgAbelianGroup.free(1)).check_coherence(v),
+    "verify_fiber_equivalence": lambda v: verify_fiber_equivalence(
+        a1_cone(), face_with_support(a1_cone(), []), v),
+}
+
+
+@pytest.mark.parametrize("value", [2.5, 3.9, 3.7, 2.0, Fraction(2), True, "2", 0, -3])
+@pytest.mark.parametrize("name", sorted(_LEVEL_CALLS))
+def test_levels_cover_degrees_and_bounds_must_be_positive_ints(name, value):
+    # a float, a Fraction or a bool is refused, not truncated: a level of
+    # 2.5 used to give Z/2, and True the trivial group
+    with pytest.raises(ValueError, match="is not a positive integer"):
+        _LEVEL_CALLS[name](value)
+    _LEVEL_CALLS[name](2)

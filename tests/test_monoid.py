@@ -18,7 +18,8 @@ from logcharts.monoid import (MonoidSpec, face_with_support, faces, mu, stalk,
 from logcharts.profin import mu_tower
 
 from oracles import (congruence_complete_by_vectors, face_supports_by_axiom, faces_by_lp,
-                     fiber_connected_by_vectors, saturation_box_by_lp)
+                     fiber_connected_by_vectors, quadric_relations, random_unimodular,
+                     saturation_box_by_lp)
 
 
 def n_monoid():
@@ -268,6 +269,74 @@ def test_stalk_of_nonsaturated_sublattice_presentation():
     m = validate(MonoidSpec.make(2, [[2, 0], [1, 1]]))
     q, r = stalk(m, face_with_support(m, [0]))
     assert r == 1 and q.gp_lattice_rank == 1 and q.is_sharp
+
+
+def _refuse_synthesis(monkeypatch):
+    def refuse(spec):
+        raise AssertionError("a stalk keeps the chart's relations")
+    monkeypatch.setattr(monoid, "_synthesize_relations", refuse)
+
+
+def test_cube_stalks_keep_the_quadrics(monkeypatch):
+    # the cube cone validates with its 12 quadrics at degree bound 6; a
+    # kernel basis re-synthesized for the stalk used to stop 18 of its 28
+    # faces, the vertex among them
+    gens = [[1, *e] for e in itertools.product((0, 1), repeat=3)]
+    m = validate(MonoidSpec.make(4, gens, quadric_relations(gens)), 6)
+    _refuse_synthesis(monkeypatch)
+    found = faces(m)
+    assert len(found) == 28
+    # the vertex, 8 rays, 12 two-faces, 6 facets and the dense face
+    stalk_rank = {0: 4, 1: 3, 2: 2, 4: 1, 8: 0}
+    for f in found:
+        q, r = stalk(m, f)
+        assert r == q.gp_lattice_rank == stalk_rank[len(f.support)], f.support
+        assert len(q.relations) == 12 and q.degree_bound == 6
+        _assert_presented(q)
+
+
+def _assert_presented(q):
+    """The stalk's relations connect every fiber of it that the vector
+    oracle can list, up to its degree bound."""
+    degrees = [q.degree(g) for g in q.generators]
+    bound = q.degree_bound
+    while _vector_count(degrees, bound) > 3000:
+        bound -= 1
+    congruence_complete_by_vectors(q.spec, q.relations, degrees, bound)
+
+
+# fs cones as (ambient rank, generators): the square, the A1 cone in the
+# plane z = x of Z^3 and the Hilbert cones a = 1..4.  The kernel basis
+# presents the first four; a = 3, 4 need their quadrics.
+FS_CONES = [
+    (3, [[1, 0, 0], [1, 1, 0], [1, 0, 1], [1, 1, 1]]),
+    (3, [[1, 0, 1], [1, 1, 1], [1, 2, 1]]),
+    *((2, [[1, i] for i in range(a + 1)]) for a in (1, 2, 3, 4)),
+]
+
+
+def test_projected_presentations_pass_the_vector_oracle(monkeypatch):
+    # seeded unimodular images of the fs cones, generators shuffled, with
+    # relations synthesized where the kernel basis suffices and the
+    # quadrics supplied otherwise or at random
+    rng = random.Random(16)
+    charts = []
+    for i in range(30):
+        d, gens = FS_CONES[i % len(FS_CONES)]
+        u = random_unimodular(rng, d)
+        gens = [[sum(a * x for a, x in zip(row, g)) for row in u] for g in gens]
+        rng.shuffle(gens)
+        supplied = i % len(FS_CONES) > 3 or rng.random() < 0.5
+        charts.append(validate(MonoidSpec.make(
+            d, gens, quadric_relations(gens) if supplied else None), 6))
+    _refuse_synthesis(monkeypatch)
+    presented = 0
+    for m in charts:
+        for f in faces(m):
+            q, _ = stalk(m, f)
+            _assert_presented(q)
+            presented += q.gp_lattice_rank < q.generator_count
+    assert presented >= 50, presented
 
 
 def test_kummer_inclusion_matrices():

@@ -2,7 +2,6 @@
 cone membership by phase one alone."""
 
 import collections
-import itertools
 import random
 from fractions import Fraction
 
@@ -220,24 +219,6 @@ def test_integer_simplex_matches_the_fraction_reference_on_chart_lps(monkeypatch
         check(generator_columns, point)
 
 
-def _quadrics(gens):
-    """Every relation gen_a + gen_b = gen_c + gen_e between two disjoint
-    pairs of generators."""
-    k = len(gens)
-    rels = []
-    pairs = itertools.combinations_with_replacement(range(k), 2)
-    for (a, b), (c, e) in itertools.combinations(pairs, 2):
-        if {a, b}.isdisjoint({c, e}) and all(
-                x + y == z + w for x, y, z, w in zip(gens[a], gens[b], gens[c], gens[e])):
-            r, s = [0] * k, [0] * k
-            r[a] += 1
-            r[b] += 1
-            s[c] += 1
-            s[e] += 1
-            rels.append((r, s))
-    return rels
-
-
 def test_in_cone_matches_the_lp_oracle(monkeypatch):
     # the queries validate makes on the square, cube and Hilbert cones; the
     # cube and the Hilbert cones get their quadrics as relations, because
@@ -246,8 +227,9 @@ def test_in_cone_matches_the_lp_oracle(monkeypatch):
     square = [[1, 0, 0], [1, 1, 0], [1, 0, 1], [1, 1, 1]]
     cube = [[1, x, y, z] for x in (0, 1) for y in (0, 1) for z in (0, 1)]
     hilbert = [[[1, i] for i in range(a + 1)] for a in (1, 2, 3, 4)]
-    specs = [MonoidSpec.make(3, square), MonoidSpec.make(4, cube, _quadrics(cube))]
-    specs += [MonoidSpec.make(2, gens, _quadrics(gens)) for gens in hilbert]
+    quadrics = oracles.quadric_relations
+    specs = [MonoidSpec.make(3, square), MonoidSpec.make(4, cube, quadrics(cube))]
+    specs += [MonoidSpec.make(2, gens, quadrics(gens)) for gens in hilbert]
     queries = _recorded_queries(monkeypatch, specs, 20)
     assert len(queries) > 6000
     # seeded cones, some of them empty, some not pointed, and points with

@@ -1,12 +1,15 @@
 """Binomial systems, membership, the circle-collapsing projection, samplers."""
 
 import cmath
+import collections
+import random
 from fractions import Fraction
 
 import pytest
 
+from logcharts.cli import corpus_path, load_chart
 from logcharts.errors import ArityMismatch, InvalidPoint
-from logcharts.exactnum import GaussianRational
+from logcharts.exactnum import GaussianRational, NonnegRoot, turn_mod1, unit_from_turn_float
 from logcharts.monoid import MonoidSpec, face_with_support, faces, validate
 from logcharts.semialg import (CxPoint, KnPoint, Target, check_membership,
                                emit_equations, sample_kn_stratum,
@@ -242,3 +245,54 @@ def test_sample_kn_off_support_radius_zero_but_angles_live():
         assert not point.is_zero_at(0)
         ok, res = check_membership(kn, point)
         assert ok and res == 0.0
+
+
+def _floating_twin(point):
+    if isinstance(point, CxPoint):
+        return CxPoint.floating(point.to_complex())
+    return KnPoint.floating([(float(r), unit_from_turn_float(a)) for r, a in point.values])
+
+
+def _moved(point, rng):
+    """The exact point with one coordinate moved: a vanishing value or
+    radius made 1, any other doubled, or a log angle turned by a third."""
+    i = rng.randrange(point.arity)
+    values = list(point.values)
+    if isinstance(point, CxPoint):
+        v = values[i]
+        values[i] = GaussianRational.of(1) if v.is_zero() else v * GaussianRational.of(2)
+    elif rng.random() < 0.5:
+        r, a = values[i]
+        values[i] = (NonnegRoot.of(1) if r.is_zero() else r * NonnegRoot.of(2), a)
+    else:
+        r, a = values[i]
+        values[i] = (r, turn_mod1(a + Fraction(1, 3)))
+    return type(point)(tuple(values), True)
+
+
+def test_exact_and_floating_twins_get_the_same_verdict():
+    # seeded points on every face of the corpus charts and the square cone,
+    # most with vanishing coordinates, and the same points moved
+    square = validate(MonoidSpec.make(3, [[1, 0, 0], [1, 1, 0], [1, 0, 1], [1, 1, 1]],
+                                      [[[1, 0, 0, 1], [0, 1, 1, 0]]]))
+    charts = [validate(load_chart(corpus_path(name)).spec)
+              for name in ("log_point", "affine_line", "plane_axes", "a1_cone")] + [square]
+    rng = random.Random(16)
+    verdicts = collections.Counter()
+    for m in charts:
+        dense = tuple(range(m.generator_count))
+        for target, sample in ((Target.COMPLEX_POINTS, sample_stratum),
+                               (Target.KN_POINTS, sample_kn_stratum)):
+            system = emit_equations(m, target)
+            for f in faces(m):
+                for p in sample(m, f, 3, rng.randrange(10**6)):
+                    assert check_membership(system, p) == (True, 0.0)
+                    assert check_membership(system, _floating_twin(p))[0]
+                    q = _moved(p, rng)
+                    ok, res = check_membership(system, q)
+                    assert (res == 0.0) == ok
+                    assert check_membership(system, _floating_twin(q))[0] == ok, (p, q)
+                    verdicts[target, ok, f.support != dense] += 1
+    for target in Target:
+        for ok in (True, False):
+            assert verdicts[target, ok, True] >= 10, verdicts
