@@ -51,16 +51,17 @@ class GaussianRational(Record):
     def __pow__(self, exponent: int) -> GaussianRational:
         exponent = int(exponent)
         if exponent < 0:
-            return GaussianRational(Fraction(1)) / self ** (-exponent)
-        out = GaussianRational(Fraction(1))
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
+            return GAUSSIAN_ONE / self ** (-exponent)
+        # Multiply in the first needed power as is, and square no further
+        # than the highest bit.
+        out, base = None, self
+        while exponent:
+            if exponent & 1:
+                out = base if out is None else out * base
+            exponent >>= 1
+            if exponent:
+                base = base * base
+        return GAUSSIAN_ONE if out is None else out
 
     def abs2(self) -> Fraction:
         return self.re * self.re + self.im * self.im

@@ -12,17 +12,18 @@ verifies the torsor law for the deck action.
 
 A fiber point is a tuple of root indices u in (Z/n)^k solving the relation
 congruences mod n; one Smith-form solver lists exactly those solutions,
-and the deck group is its solution set with zero offsets.  Enumeration is
-exact whenever the base point is exact: circle coordinates are rational
-turns, so n-th roots divide the turn by n and add u_i/n, and nonnegative
-real roots are exact radicals.
+the deck group is its solution set with zero offsets, and every fiber,
+log or algebraic, exact or floating, is assembled from a table of each
+coordinate's n roots.  The torsor check lifts fiber points back to root
+indices.  Enumeration is exact whenever the base point is exact: circle
+coordinates are rational turns, so n-th roots divide the turn by n and
+add u_i/n, and nonnegative real roots are exact radicals.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import partial
 
 from ._record import Record
 from .abgrp import (FgAbelianGroup, IntMatrix, generator_matrix, rank,
@@ -30,8 +31,6 @@ from .abgrp import (FgAbelianGroup, IntMatrix, generator_matrix, rank,
 from .errors import (ChartError, FalsifiedProperty, InvalidPoint, NotAFace,
                      NotOnVariety)
 from .monoid import DEFAULT_TOLERANCE, AffineMonoid, Face, face_with_support, stalk
-from .profin import (EquivalenceCertificate, completion, equivalent_up_to,
-                     mu_tower)
 
 _TURN_ACCEPT = 1e-7
 _TURN_REJECT = 1e-4
@@ -70,6 +69,7 @@ def verify_fiber_equivalence(m: AffineMonoid, f: Face,
     with the root fiber tower, the mu-tower of the stalk, demanding that
     the mod-n reduction maps realize each level isomorphism.
     """
+    from .profin import completion, equivalent_up_to, mu_tower
     quotient, r = stalk(m, f)
     ok, cert = equivalent_up_to(completion(FgAbelianGroup.free(r)),
                                 mu_tower(quotient), bound)
@@ -119,8 +119,8 @@ def _relation_turn_offset(relation, turns, exact: bool):
 _FIBER_CAP = 100_000
 
 
-def _fiber_size(n: int, r: int) -> int:
-    """n^r, the size of a degree-n Kummer fiber, checked against the cap."""
+def _fiber_size(n: int, r: int):
+    """Check n^r, the size of a degree-n Kummer fiber, against the cap."""
     if type(n) is not int or n < 1:
         raise ValueError(f"cover degree {n!r} is not a positive integer")
     size = n ** r
@@ -128,7 +128,6 @@ def _fiber_size(n: int, r: int) -> int:
         raise ChartError(
             f"a degree-{n} Kummer fiber has n^{r} = {size} points, above "
             f"the enumeration cap of {_FIBER_CAP}; lower the cover degree")
-    return size
 
 
 def _root_choices(rows, offsets, n: int, k: int):
@@ -163,6 +162,23 @@ def _root_choices(rows, offsets, n: int, k: int):
     return sorted(solutions), generators
 
 
+def _fiber_choices(rows, offsets, n: int, k: int, r: int, what: str):
+    """``_root_choices``, hard-checked against the count n^r: a mismatch
+    falsifies the torsor law and is raised, never warned about."""
+    choices, generators = _root_choices(rows, offsets, n, k)
+    if len(choices) != n ** r:
+        raise FalsifiedProperty(
+            f"{what} has {len(choices)} elements, expected n^{r} = {n ** r}; this "
+            f"falsifies the torsor law and indicates a relation-set or tolerance bug")
+    return choices, generators
+
+
+def _assemble(table, choices):
+    """Fiber points as coordinate tuples: root indices u pick table[i][u_i]
+    from the n roots tabulated for coordinate i."""
+    return [tuple(map(list.__getitem__, table, u)) for u in choices]
+
+
 def _validate_point(m: AffineMonoid, p, target: Target, tol: float):
     from .semialg import check_membership, emit_equations
     if p.arity != m.generator_count:
@@ -195,7 +211,8 @@ def kn_kummer_fiber(m: AffineMonoid, p: KnPoint, n: int,
     from .exactnum import turn_mod1, unit_from_turn_float
     from .semialg import KnPoint, Target
     _validate_point(m, p, Target.KN_POINTS, tol)
-    expected = _fiber_size(n, m.gp_lattice_rank)
+    r = m.gp_lattice_rank
+    _fiber_size(n, r)
     k = m.generator_count
     if p.exact:
         turns = [p.angle(i) for i in range(k)]
@@ -206,16 +223,13 @@ def kn_kummer_fiber(m: AffineMonoid, p: KnPoint, n: int,
     offsets = [_relation_turn_offset(rel, turns, p.exact) for rel in m.relations]
     base_turns = [t / n for t in turns]
 
-    choices, _ = _root_choices(_relation_rows(m.relations), offsets, n, k)
-    if len(choices) != expected:
-        raise FalsifiedProperty(
-            f"Kummer fiber has {len(choices)} points, expected n^r = {expected}; "
-            f"this falsifies the torsor law and indicates a relation-set bug")
+    choices, _ = _fiber_choices(_relation_rows(m.relations), offsets, n, k, r,
+                                "Kummer fiber")
     # Coordinate i takes only the n values (radius, angle t_i/n + j/n).
     table = [[(base_radii[i], turn_mod1(base_turns[i] + Fraction(j, n)) if p.exact
                else unit_from_turn_float(base_turns[i] + j / n)) for j in range(n)]
              for i in range(k)]
-    return [KnPoint(tuple(map(list.__getitem__, table, u)), p.exact) for u in choices]
+    return [KnPoint(coords, p.exact) for coords in _assemble(table, choices)]
 
 
 def algebraic_kummer_fiber(m: AffineMonoid, p: CxPoint, n: int,
@@ -226,8 +240,9 @@ def algebraic_kummer_fiber(m: AffineMonoid, p: CxPoint, n: int,
     point's stratum face): n^r on the dense torus, a single point over the
     vertex.  Relations touching a vanishing coordinate hold automatically
     (both sides vanish); the others impose congruences on the root
-    choices exactly as in the log model.  A count above the enumeration
-    cap is refused before anything is enumerated.
+    choices exactly as in the log model.  The points are exact when p is
+    and every chosen root is Gaussian rational.  A count above the
+    enumeration cap is refused before anything is enumerated.
     """
     from .exactnum import unit_from_turn_float
     from .semialg import CxPoint, Target
@@ -242,7 +257,7 @@ def algebraic_kummer_fiber(m: AffineMonoid, p: CxPoint, n: int,
     support_set = set(support)
     face_rank = rank(generator_matrix([m.generators[i] for i in support],
                                       m.ambient_rank)) if support else 0
-    expected = _fiber_size(n, face_rank)
+    _fiber_size(n, face_rank)
 
     # Only relations fully supported on the nonvanishing coordinates
     # constrain the roots; the others vanish on both sides.
@@ -257,35 +272,30 @@ def algebraic_kummer_fiber(m: AffineMonoid, p: CxPoint, n: int,
 
     # Unit rows pin the root index of every vanishing coordinate to 0.
     pins = [[int(i == j) for i in range(k)] for j in range(k) if j not in support_set]
-    choices, _ = _root_choices(_relation_rows(active) + pins,
-                               offsets + [0] * len(pins), n, k)
-    if len(choices) != expected:
-        raise FalsifiedProperty(
-            f"algebraic Kummer fiber has {len(choices)} points, expected "
-            f"n^(face rank) = {expected}; relation-set or tolerance bug")
+    choices, _ = _fiber_choices(_relation_rows(active) + pins, offsets + [0] * len(pins),
+                                n, k, face_rank, "algebraic Kummer fiber")
 
-    exact_fiber = _try_exact_algebraic_fiber(m, p, n, support_set, choices) if p.exact else None
-    if exact_fiber is not None:
-        return exact_fiber
-
-    return [CxPoint.floating([magnitudes[i] * unit_from_turn_float(turns[i] / n + u[i] / n)
-                              if i in support_set else 0j for i in range(k)])
-            for u in choices]
-
-
-def _try_exact_algebraic_fiber(m, p, n, support_set, choices):
-    """Exact realization when every root value is Gaussian rational:
-    axis-aligned coordinates with perfect n-th power magnitudes and
-    quarter-turn root angles.  Returns None when that fails."""
-    from .exactnum import GaussianRational, rational_nth_root, unit_from_turn_exact
-    from .semialg import CxPoint
+    table = _exact_algebraic_table(p, n, support_set) if p.exact else None
+    if table is not None:
+        fiber = _assemble(table, choices)
+        if all(c is not None for coords in fiber for c in coords):
+            return [CxPoint(coords, True) for coords in fiber]
     # Coordinate i takes only the n roots |z_i|^(1/n) exp(2 pi i (t_i + j)/n).
+    table = [[magnitudes[i] * unit_from_turn_float(turns[i] / n + j / n) for j in range(n)]
+             if i in support_set else [0j] for i in range(k)]
+    return [CxPoint.floating(coords) for coords in _assemble(table, choices)]
+
+
+def _exact_algebraic_table(p, n, support_set):
+    """Each coordinate's n roots as Gaussian rationals, None where a root is
+    not one, if every nonvanishing coordinate is axis-aligned with a
+    perfect n-th power magnitude; otherwise None."""
+    from .exactnum import GaussianRational, rational_nth_root, unit_from_turn_exact
     table = []
-    for i in range(m.generator_count):
+    for i, v in enumerate(p.values):
         if i not in support_set:
             table.append([GaussianRational.of(0)])
             continue
-        v = p.values[i]
         if v.im == 0:
             mag, turn = abs(v.re), (Fraction(0) if v.re > 0 else Fraction(1, 2))
         elif v.re == 0:
@@ -298,10 +308,7 @@ def _try_exact_algebraic_fiber(m, p, n, support_set, choices):
         units = (unit_from_turn_exact(turn / n + Fraction(j, n)) for j in range(n))
         table.append([None if unit is None else GaussianRational.of(root_mag) * unit
                       for unit in units])
-    fiber = [tuple(map(list.__getitem__, table, u)) for u in choices]
-    if any(c is None for coords in fiber for c in coords):
-        return None
-    return [CxPoint(coords, True) for coords in fiber]
+    return table
 
 
 class TorsorReport(Record):
@@ -331,23 +338,30 @@ class TorsorReport(Record):
         }
 
 
-def _act_residues(residues, u, step, modulus):
-    """u turning angle residues mod ``modulus``: u_i / n turns is u_i step."""
-    return tuple([(a + ui * step) % modulus for a, ui in zip(residues, u)])
+def _root_indices(pt: KnPoint, base: KnPoint, n: int, tol: float):
+    """The root indices c in (Z/n)^k with pt = c . base: base's radii, and
+    angles base's plus c_i / n turns, compared exactly on integer numerators
+    and denominators for exact points, and within tol (in radius and in
+    radians of angle) for floating ones.  None off those radii or grid."""
+    indices = []
+    for (r, a), (r0, a0) in zip(pt.values, base.values):
+        if pt.exact:
+            c, rest = divmod((a.numerator * a0.denominator - a0.numerator * a.denominator) * n,
+                             a.denominator * a0.denominator)
+            off = rest or (r is not r0 and r != r0)
+        else:
+            steps = (_float_turn(a) - _float_turn(a0)) * n
+            c = round(steps)
+            off = abs(r - r0) > tol or 2 * math.pi * abs(steps - c) > n * tol
+        if off:
+            return None
+        indices.append(c % n)
+    return tuple(indices)
 
 
-def _angle_residues(point: KnPoint, radii, modulus):
-    """The angles a of an exact point as the integers a * modulus, or None
-    when the point's radii are not ``radii`` or an angle is off that grid."""
-    if [r for r, _ in point.values] != radii or any(modulus % a.denominator
-                                                    for _, a in point.values):
-        return None
-    return tuple([a.numerator * (modulus // a.denominator) for _, a in point.values])
-
-
-def _kn_close(a: KnPoint, b: KnPoint, tol: float) -> bool:
-    return all(abs(ra - rb) <= tol and abs(aa - ab) <= tol
-               for (ra, aa), (rb, ab) in zip(a.values, b.values))
+def _act(c, u, n: int):
+    """The deck element u on root indices c: u_i / n turns on circle i."""
+    return tuple([(a + b) % n for a, b in zip(c, u)])
 
 
 def torsor_check(m: AffineMonoid, p: KnPoint, n: int,
@@ -356,62 +370,33 @@ def torsor_check(m: AffineMonoid, p: KnPoint, n: int,
 
     The deck group is the set of root-index tuples u solving the relation
     congruences mod n with zero offsets; u multiplies the i-th circle
-    component by exp(2 pi i u_i / n).  The flags are read off the orbit
-    map u -> u . base of the first fiber point: ``transitive`` iff it is
-    onto the fiber; ``free`` iff it is injective, since stabilizers of an
-    abelian group are constant on an orbit; ``preserves_fiber`` iff every
-    image lies in the fiber and each Smith-form generator of the group
-    carries every fiber point into it.  That is (1 + #generators) n^r
-    actions.  Exact angles lie on the grid (1/D)Z, D = n lcm(denominators
-    of p's turns): each fiber point's angles a are lifted once to the
-    residues a D mod D, u adds u_i D / n, and a point off the grid or off
-    the base point's radii (which the action keeps) is never located.
-    Floating points are located by root indices relative to the base
-    point, within tolerance.  The orbit table gives, per fiber point, the
-    first character carrying the base point to it.
+    component by exp(2 pi i u_i / n).  Each fiber point is lifted once to
+    its root indices c relative to the first point, the base: exactly for
+    exact points, within max(tol, 1e-7) for floating ones, and to None for
+    a point off the base's radii (which the action keeps) or off the 1/n
+    grid around its angles, which is then never located.  u acts by
+    c + u mod n, and images are located by dict lookup.  The flags are read
+    off the orbit map u -> u . base: ``transitive`` iff it is onto the
+    fiber; ``free`` iff it is injective, since stabilizers of an abelian
+    group are constant on an orbit; ``preserves_fiber`` iff every image
+    lies in the fiber and each Smith-form generator of the group carries
+    every fiber point into it.  That is (1 + #generators) n^r actions.  The
+    orbit table gives, per fiber point, the first character carrying the
+    base point to it.
     """
-    from .exactnum import unit_from_turn_float
-    from .semialg import KnPoint
     fiber = kn_kummer_fiber(m, p, n, tol)
-    chars, generators = _root_choices(_relation_rows(m.relations),
-                                      [0] * len(m.relations), n, m.generator_count)
-    expected_order = n ** m.gp_lattice_rank
-    if len(chars) != expected_order:
-        raise FalsifiedProperty(
-            f"deck group has order {len(chars)}, expected n^r = {expected_order}")
-
-    if p.exact:
-        step = math.lcm(*(a.denominator for _, a in p.values))
-        radii = [r for r, _ in fiber[0].values]
-        points = [_angle_residues(pt, radii, n * step) for pt in fiber]
-        index = {res: i for i, res in enumerate(points) if res is not None}
-        locate, act = index.get, partial(_act_residues, step=step, modulus=n * step)
-    else:
-        base, points = fiber[0], fiber
-        units = [unit_from_turn_float(Fraction(j, n)) for j in range(n)]
-
-        def act(pt, u):
-            return KnPoint(tuple((r, a * units[ui]) for (r, a), ui in zip(pt.values, u)),
-                           False)
-
-        def key(pt):
-            return tuple(round((_float_turn(a) - _float_turn(b)) * n) % n
-                         for (_, a), (_, b) in zip(pt.values, base.values))
-
-        index = {key(pt): i for i, pt in enumerate(fiber)}
-
-        def locate(pt):
-            i = index.get(key(pt))
-            return i if i is not None and _kn_close(pt, fiber[i], max(tol, 1e-7)) else None
-
-    images = [locate(act(points[0], u)) for u in chars]
+    chars, generators = _fiber_choices(_relation_rows(m.relations), [0] * len(m.relations),
+                                       n, m.generator_count, m.gp_lattice_rank, "deck group")
+    lifts = [_root_indices(pt, fiber[0], n, max(tol, 1e-7)) for pt in fiber]
+    index = {c: i for i, c in enumerate(lifts) if c is not None}
+    images = [index.get(_act(lifts[0], u, n)) for u in chars]
     located = [i for i in images if i is not None]
     orbit_table = [-1] * len(fiber)
     for ci, where in enumerate(images):
         if where is not None and orbit_table[where] == -1:
             orbit_table[where] = ci
     preserves = len(located) == len(images) and all(
-        pt is not None and locate(act(pt, g)) is not None for g in generators for pt in points)
+        c is not None and _act(c, g, n) in index for g in generators for c in lifts)
 
     report = TorsorReport(
         degree=n,

@@ -298,7 +298,7 @@ COLD_COMMANDS = [
     (["compare", "--bound", "10"], ("strata", "semialg", "exactnum")),
     (["strata"], ("fibers", "profin", "semialg", "exactnum")),
     (["emit", "--target", "kn"], ("fibers", "profin", "strata")),
-    (["torsor", "2"], ("strata",)),
+    (["torsor", "2"], ("strata", "profin")),
 ]
 
 

@@ -19,6 +19,30 @@ def test_gaussian_arithmetic_matches_complex():
     assert a ** 0 == GAUSSIAN_ONE
     assert a ** -2 == GAUSSIAN_ONE / (a * a)
     assert a.abs2() == Fraction(5)
+    zero = GaussianRational(Fraction(0))
+    for base in (a, b, zero):
+        power = GAUSSIAN_ONE
+        for e in range(13):
+            assert base ** e == power, (base, e)
+            power = power * base
+    with pytest.raises(ZeroDivisionError):
+        zero ** -1
+
+
+def test_gaussian_power_squares_only_up_to_its_last_bit(monkeypatch):
+    calls = []
+    real_mul = GaussianRational.__mul__
+
+    def counting_mul(x, y):
+        calls.append(1)
+        return real_mul(x, y)
+
+    monkeypatch.setattr(GaussianRational, "__mul__", counting_mul)
+    a = GaussianRational(Fraction(1), Fraction(2))
+    for e, muls in ((0, 0), (1, 0), (2, 1), (3, 2), (5, 3), (8, 3)):
+        calls.clear()
+        a ** e
+        assert len(calls) == muls, e
 
 
 def test_gaussian_zero_division():

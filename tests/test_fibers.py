@@ -318,13 +318,13 @@ def test_root_choices_match_the_scan_oracle():
 
 def test_torsor_check_acts_once_per_group_element_and_generator(monkeypatch):
     calls = []
-    real_act = fibers_mod._act_residues
+    real_act = fibers_mod._act
 
-    def counting_act(residues, u, step, modulus):
+    def counting_act(c, u, n):
         calls.append(u)
-        return real_act(residues, u, step, modulus)
+        return real_act(c, u, n)
 
-    monkeypatch.setattr(fibers_mod, "_act_residues", counting_act)
+    monkeypatch.setattr(fibers_mod, "_act", counting_act)
     m = a1_cone()
     p = sample_kn_stratum(m, face_with_support(m, [0, 1, 2]), 1, seed=42)[0]
     ok, report = torsor_check(m, p, 6)
@@ -334,30 +334,29 @@ def test_torsor_check_acts_once_per_group_element_and_generator(monkeypatch):
 
 
 def test_torsor_flags_are_decided_by_the_action(monkeypatch):
-    real_act = fibers_mod._act_residues
+    real_act = fibers_mod._act
     m = a1_cone()
     p = sample_kn_stratum(m, face_with_support(m, [0, 1, 2]), 1, seed=42)[0]
     # An action that fixes every point is neither free nor transitive.
-    monkeypatch.setattr(fibers_mod, "_act_residues",
-                        lambda residues, u, step, modulus: residues)
+    monkeypatch.setattr(fibers_mod, "_act", lambda c, u, n: c)
     ok, report = torsor_check(m, p, 3)
     assert not ok and report.preserves_fiber
     assert not report.free and not report.transitive
     # An action by half-steps leaves the fiber.
-    monkeypatch.setattr(fibers_mod, "_act_residues", lambda residues, u, step, modulus: tuple(
-        (a + Fraction(sum(u) * step, 2)) % modulus for a in residues))
+    monkeypatch.setattr(fibers_mod, "_act", lambda c, u, n: tuple(
+        (a + Fraction(sum(u), 2)) % n for a in c))
     ok, report = torsor_check(m, p, 3)
     assert not ok and not report.preserves_fiber
     # An action that is right at the base point only leaves the fiber in
     # the generator sweep, while the orbit map stays onto and injective.
     acted_on = []
 
-    def right_at_base_only(residues, u, step, modulus):
-        acted_on.append(residues)
-        moved = real_act(residues, u, step, modulus)
-        return moved if residues == acted_on[0] else tuple(a + Fraction(1, 2) for a in moved)
+    def right_at_base_only(c, u, n):
+        acted_on.append(c)
+        moved = real_act(c, u, n)
+        return moved if c == acted_on[0] else tuple(a + Fraction(1, 2) for a in moved)
 
-    monkeypatch.setattr(fibers_mod, "_act_residues", right_at_base_only)
+    monkeypatch.setattr(fibers_mod, "_act", right_at_base_only)
     ok, report = torsor_check(m, p, 3)
     assert report.free and report.transitive and not report.preserves_fiber
 
@@ -439,31 +438,51 @@ def test_exact_algebraic_fibers_match_the_floating_path_point_by_point():
     assert exact_count > 100
 
 
-def test_angle_residues_refuse_points_off_the_radii_or_the_grid():
+def test_root_indices_refuse_points_off_the_radii_or_the_grid():
     r = NonnegRoot.of(2)
-    assert fibers_mod._angle_residues(KnPoint(((r, Fraction(5, 12)),), True), [r], 24) == (10,)
-    assert fibers_mod._angle_residues(KnPoint(((r, Fraction(1, 48)),), True), [r], 24) is None
-    assert fibers_mod._angle_residues(KnPoint(((r, Fraction(1, 5)),), True), [r], 24) is None
-    assert fibers_mod._angle_residues(
-        KnPoint(((NonnegRoot.of(3), Fraction(5, 12)),), True), [r], 24) is None
+    base = KnPoint(((r, Fraction(11, 12)),), True)
+
+    def lift(radius, turn):
+        return fibers_mod._root_indices(KnPoint(((radius, turn),), True), base, 2, 1e-7)
+
+    assert lift(r, Fraction(5, 12)) == (1,)
+    assert lift(r, Fraction(1, 48)) is None
+    assert lift(r, Fraction(1, 5)) is None
+    assert lift(NonnegRoot.of(3), Fraction(5, 12)) is None
+    # Floating points lift within the tolerance.
+    base = KnPoint.floating([(2.0, cmath.exp(2j * cmath.pi * 11 / 12))])
+    for turn, lifted in ((5 / 12, (1,)), (5 / 12 + 1e-9, (1,)), (5 / 12 + 1e-3, None)):
+        point = KnPoint.floating([(2.0, cmath.exp(2j * cmath.pi * turn))])
+        assert fibers_mod._root_indices(point, base, 2, 1e-7) == lifted, turn
 
 
-def test_torsor_check_never_locates_a_point_off_the_radii_or_the_grid(monkeypatch):
+def _move_last_point(fiber, r0, shift):
+    """The fiber with its last point's first radius set to r0 (unless
+    None) and its first angle turned by ``shift`` turns."""
+    (r, a), *rest = fiber[-1].values
+    if fiber[-1].exact:
+        moved = (r if r0 is None else NonnegRoot.of(r0), (a + shift) % 1)
+    else:
+        moved = (r if r0 is None else r0, a * cmath.exp(2j * cmath.pi * float(shift)))
+    return fiber[:-1] + [KnPoint((moved, *rest), fiber[-1].exact)]
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "floating"])
+@pytest.mark.parametrize("r0, shift", [(7, 0), (None, Fraction(1, 1000))],
+                         ids=["radius", "angle"])
+def test_torsor_check_never_locates_a_point_off_the_radii_or_the_grid(monkeypatch, exact,
+                                                                      r0, shift):
     m = a1_cone()
     p = sample_kn_stratum(m, face_with_support(m, [0, 1, 2]), 1, seed=42)[0]
+    if not exact:
+        p = KnPoint.floating([(float(r), cmath.exp(2j * cmath.pi * float(a)))
+                              for r, a in p.values])
     real_fiber = fibers_mod.kn_kummer_fiber
-    for r0, shift in ((7, 0), (None, Fraction(1, 1000))):
-        def moved_fiber(m, p, n, tol, r0=r0, shift=shift):
-            fiber = real_fiber(m, p, n, tol)
-            (r, a), *rest = fiber[-1].values
-            fiber[-1] = KnPoint(((r if r0 is None else NonnegRoot.of(r0), (a + shift) % 1),
-                                 *rest), True)
-            return fiber
-
-        monkeypatch.setattr(fibers_mod, "kn_kummer_fiber", moved_fiber)
-        ok, report = torsor_check(m, p, 3)
-        assert not ok and not report.transitive and not report.preserves_fiber
-        assert report.orbit_table[-1] == -1
+    monkeypatch.setattr(fibers_mod, "kn_kummer_fiber", lambda m, p, n, tol: _move_last_point(
+        real_fiber(m, p, n, tol), r0, shift))
+    ok, report = torsor_check(m, p, 3)
+    assert not ok and not report.transitive and not report.preserves_fiber
+    assert report.orbit_table[-1] == -1
 
 
 def test_torsor_check_floating_log_point_at_degree_64():
