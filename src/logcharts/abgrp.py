@@ -259,38 +259,6 @@ def rank(m: IntMatrix) -> int:
     return sum(1 for x in d.diagonal_entries() if x != 0)
 
 
-def kernel_basis(m: IntMatrix) -> list[tuple[int, ...]]:
-    """A basis of the full integer kernel { z : m @ z == 0 } <= Z^cols.
-
-    Smith-form kernels are saturated: the returned vectors span the entire
-    kernel lattice, not a finite-index sublattice.
-    """
-    u, d, v = smith_normal_form(m)
-    diag = d.diagonal_entries()
-    r = sum(1 for x in diag if x != 0)
-    return [v.column(j) for j in range(r, m.cols)]
-
-
-def solve_integer(m: IntMatrix, target) -> tuple[int, ...] | None:
-    """One integer solution z of m @ z == target, or None if there is none."""
-    target = tuple(int(x) for x in target)
-    if len(target) != m.rows:
-        raise ValueError("target length does not match row count")
-    u, d, v = smith_normal_form(m)
-    y = u.apply(target)
-    diag = d.diagonal_entries()
-    r = sum(1 for x in diag if x != 0)
-    w = [0] * m.cols
-    for i in range(r):
-        if y[i] % diag[i] != 0:
-            return None
-        w[i] = y[i] // diag[i]
-    for i in range(r, m.rows):
-        if y[i] != 0:
-            return None
-    return v.apply(w)
-
-
 class FgAbelianGroup(Record):
     """Finitely generated abelian group in normal form.
 

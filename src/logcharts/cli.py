@@ -145,7 +145,7 @@ def _parse_face(text, m):
     return face_with_support(m, indices)
 
 
-def _parse_point(text, m, tol):
+def _parse_point(text):
     """An inline JSON log point: {"radii": [...], "turns": [...]} with
     entries as exact fraction strings or numbers, or {"radii": [...],
     "angles": [[re, im], ...]} for floating mode."""
@@ -281,7 +281,7 @@ def cmd_torsor(chart, m, args, tol, seed):
     from .fibers import torsor_check
     from .semialg import sample_kn_stratum
     if args.point is not None:
-        point = _parse_point(args.point, m, tol)
+        point = _parse_point(args.point)
     else:
         face = _parse_face(args.face, m)
         point = sample_kn_stratum(m, face, 1, seed)[0]

@@ -17,8 +17,7 @@ from fractions import Fraction
 
 from . import ratlp
 from ._record import Record
-from .abgrp import (FgAbelianGroup, IntMatrix, _det, generator_matrix, kernel_basis,
-                    rank, smith_normal_form, solve_integer, tensor_mod)
+from .abgrp import FgAbelianGroup, _det, generator_matrix, smith_normal_form, tensor_mod
 from .errors import (InvalidMonoidSpec, NotAFace, NotSharp,
                      RelationInconsistent, RelationSynthesisIncomplete,
                      SaturationFailure)
@@ -100,8 +99,10 @@ class AffineMonoid(Record, frozen=False):
     a free chart).  ``is_saturated`` is proved exactly for a free chart
     (linearly independent generators) and otherwise records a desk-scale
     check: saturation was verified for all cone lattice points up to
-    ``degree_bound``.  Treat instances as immutable; they are only
-    constructed by :func:`validate`.
+    ``degree_bound``.  ``_lattice`` is U[:r], r the group rank, from the
+    Smith form U G V = D that :func:`validate` ran; :func:`faces` reads
+    the facets in these coordinates.  Treat instances as immutable; they
+    are only constructed by :func:`validate`.
     """
 
     spec: MonoidSpec
@@ -112,6 +113,7 @@ class AffineMonoid(Record, frozen=False):
     degree_bound: int
     sharpness_certificate: tuple[Fraction, ...]
     grading: tuple[int, ...]
+    _lattice: tuple[tuple[int, ...], ...]
     _faces: tuple[Face, ...] | None = None
 
     @property
@@ -125,9 +127,6 @@ class AffineMonoid(Record, frozen=False):
     @property
     def generator_count(self) -> int:
         return len(self.spec.generators)
-
-    def generator_matrix(self) -> IntMatrix:
-        return generator_matrix(self.spec.generators, self.spec.ambient_rank)
 
     def degree(self, vector) -> int:
         """Value of the grading functional; >= 1 on every generator."""
@@ -170,27 +169,20 @@ def _grading_functional(spec: MonoidSpec, certificate) -> tuple[int, ...]:
 
     The coordinate-sum functional is the default degree; it is used
     whenever it is positive on all generators, and the sharpness
-    certificate, cleared to integers, is the fallback grading otherwise.
+    certificate (coprime integers) is the fallback grading otherwise.
     """
-    d = spec.ambient_rank
-    coord_sum = tuple(1 for _ in range(d))
     if all(sum(g) >= 1 for g in spec.generators):
-        return coord_sum
-    ints = ratlp._normalize_functional(tuple(Fraction(c) for c in certificate))
-    return tuple(int(x) for x in ints)
+        return (1,) * spec.ambient_rank
+    return tuple(int(x) for x in certificate)
 
 
-def _synthesize_relations(spec: MonoidSpec) -> tuple[Relation, ...]:
-    """Candidate relations from a basis of the integer kernel of the
-    generator matrix, each kernel vector split into its positive and
-    negative parts."""
-    matrix = generator_matrix(spec.generators, spec.ambient_rank)
-    rels = []
-    for z in kernel_basis(matrix):
-        r = tuple(x if x > 0 else 0 for x in z)
-        s = tuple(-x if x < 0 else 0 for x in z)
-        rels.append((r, s))
-    return tuple(rels)
+def _synthesize_relations(v, r: int) -> tuple[Relation, ...]:
+    """Candidate relations from the columns r, r+1, ... of V in the Smith
+    form U G V = D of the generator matrix, r its rank: G V e_j = 0 for
+    j >= r and V is unimodular, so they are a basis of the integer kernel.
+    Each is split into its positive and negative parts."""
+    kernel = map(v.column, range(r, v.cols))
+    return tuple((tuple(max(x, 0) for x in z), tuple(max(-x, 0) for x in z)) for z in kernel)
 
 
 _ENUMERATION_CAP = 2_000_000
@@ -306,14 +298,16 @@ def _saturation_box(gens, degrees, bound):
     return lo, hi
 
 
-def _check_saturation(m_partial: AffineMonoid, monoid_images, bound):
+def _check_saturation(m_partial: AffineMonoid, monoid_images, bound, u, factors):
     """Desk-scale saturation check.
 
     Enumerates the integer points of the cone truncated at the degree
     bound (a bounding box in closed form, then, off the monoid elements, a
     phase-one simplex per point) and demands each point of the generated
     sublattice be a nonnegative integer combination of generators, i.e.
-    appear among the enumerated monoid elements.
+    appear among the enumerated monoid elements.  With U G V = D the Smith
+    form of the generator matrix, x is in the sublattice exactly when
+    y = U x has d_i | y_i for its r nonzero ``factors`` d_i, and y_i = 0 after.
     """
     gens = m_partial.generators
     lo, hi = _saturation_box(gens, [m_partial.degree(g) for g in gens], bound)
@@ -322,16 +316,17 @@ def _check_saturation(m_partial: AffineMonoid, monoid_images, bound):
         raise InvalidMonoidSpec(
             f"saturation box has {box} points; lower the degree bound")
 
-    matrix = m_partial.generator_matrix()
+    r = len(factors)
     for point in itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi))):
-        deg = sum(u * x for u, x in zip(m_partial.grading, point))
+        deg = sum(c * x for c, x in zip(m_partial.grading, point))
         if deg < 0 or deg > bound:
             continue
         if point in monoid_images:  # the origin among them
             continue
         if not ratlp.in_cone(gens, point):
             continue
-        if solve_integer(matrix, point) is None:
+        y = u.apply(point)
+        if any(map(operator.mod, y, factors)) or any(y[r:]):
             continue  # in the cone but not in the generated sublattice
         raise SaturationFailure(point)
 
@@ -340,17 +335,21 @@ def validate(spec: MonoidSpec, degree_bound: int = DEFAULT_DEGREE_BOUND) -> Affi
     """Validate a presentation and return the affine monoid it defines.
 
     Sharpness is decided exactly by rational feasibility, and supplied
-    relations are verified exactly.  A free chart (generators linearly
-    independent) is decided in closed form: P is N^k, so the empty
-    relation set is complete, and P is saturated in P^gp because a lattice
-    point of the cone has unique, hence nonnegative integer, coordinates.
-    Otherwise absent relations are synthesized from the integer kernel of
-    the generator matrix and checked up to the degree bound by the
-    congruence oracle, which walks the monoid's elements degree by degree
-    and names the least-degree element whose presentations the relations
-    leave disconnected; saturation is checked up to the same bound against
+    relations are verified exactly.  One Smith form U G V = D of the
+    generator matrix gives the group rank r (the nonzero invariant
+    factors), the kernel basis that absent relations are synthesized from
+    (columns r, r+1, ... of V), lattice membership for the saturation
+    check, and the lattice coordinates U[:r] that :func:`faces` reads.  A
+    free chart (generators linearly independent) is decided in closed
+    form: P is N^k, so the empty relation set is complete, and P is
+    saturated in P^gp because a lattice point of the cone has unique,
+    hence nonnegative integer, coordinates.  Otherwise absent relations
+    are checked up to the degree bound by the congruence oracle, which
+    walks the monoid's elements degree by degree and names the
+    least-degree element whose presentations the relations leave
+    disconnected; saturation is checked up to the same bound against
     those elements (with supplied relations, the elements are listed
-    without the connectivity check).
+    without the connectivity check).  The bound must be an int.
 
     Raises NotSharp, RelationInconsistent, RelationSynthesisIncomplete,
     SaturationFailure, or InvalidMonoidSpec.
@@ -358,6 +357,8 @@ def validate(spec: MonoidSpec, degree_bound: int = DEFAULT_DEGREE_BOUND) -> Affi
     if not isinstance(spec, MonoidSpec):
         spec = MonoidSpec.make(*spec)
     _check_spec_shape(spec)
+    if type(degree_bound) is not int:
+        raise InvalidMonoidSpec(f"degree bound {degree_bound!r} is not an integer")
     if degree_bound < 0:
         raise InvalidMonoidSpec(
             f"degree bound {degree_bound} is negative; the truncated cone is empty")
@@ -367,14 +368,16 @@ def validate(spec: MonoidSpec, degree_bound: int = DEFAULT_DEGREE_BOUND) -> Affi
     if certificate is None:
         raise NotSharp("the rational cone spanned by the generators contains a line")
 
-    gp_rank = rank(generator_matrix(spec.generators, d))
+    u, diag, v = smith_normal_form(generator_matrix(spec.generators, d))
+    factors = [x for x in diag.diagonal_entries() if x != 0]
+    gp_rank = len(factors)
     free = gp_rank == len(spec.generators)
     if spec.relations is not None:
         for rel in spec.relations:
             _verify_relation(spec, rel)
         relations = spec.relations
     else:
-        relations = () if free else _synthesize_relations(spec)
+        relations = _synthesize_relations(v, gp_rank)  # () when free
 
     grading = _grading_functional(spec, certificate)
     monoid = AffineMonoid(
@@ -386,6 +389,7 @@ def validate(spec: MonoidSpec, degree_bound: int = DEFAULT_DEGREE_BOUND) -> Affi
         degree_bound=degree_bound,
         sharpness_certificate=tuple(certificate),
         grading=grading,
+        _lattice=u.entries[:gp_rank],
     )
 
     degrees = [monoid.degree(g) for g in spec.generators]
@@ -396,7 +400,7 @@ def validate(spec: MonoidSpec, degree_bound: int = DEFAULT_DEGREE_BOUND) -> Affi
             images = _check_congruence_complete(spec, relations, degrees, degree_bound)
         else:
             images = set().union(*_monoid_images(spec, degrees, degree_bound))
-        _check_saturation(monoid, images, degree_bound)
+        _check_saturation(monoid, images, degree_bound, u, factors)
     monoid.is_saturated = True
     return monoid
 
@@ -404,19 +408,20 @@ def validate(spec: MonoidSpec, degree_bound: int = DEFAULT_DEGREE_BOUND) -> Affi
 def _facets(m: AffineMonoid) -> dict[tuple[int, ...], tuple[int, ...]]:
     """The facets of the cone, as support -> primitive ambient normal.
 
-    With U G V = D the Smith form of the generator matrix and r its rank,
-    generator g has lattice coordinates y = (U g)[:r], in which the cone is
-    full-dimensional.  Each (r-1)-subset S of the y's of rank r - 1 has the
-    cofactor normal n_j = (-1)^j det(S without column j); S spans a facet
-    exactly when n.y has one sign on every generator (the supporting
-    hyperplanes of Bruns and Ichim, J. Algebra 324 (2010)).  The functional
-    n.y is n.U[:r] on Z^d, primitive when n is, since U is unimodular.
+    With U G V = D the Smith form of the generator matrix that
+    :func:`validate` ran and r its rank, generator g has lattice
+    coordinates y = U[:r] g (rows kept as ``m._lattice``), in which the
+    cone is full-dimensional.  Each (r-1)-subset S of the y's of rank
+    r - 1 has the cofactor normal n_j = (-1)^j det(S without column j); S
+    spans a facet exactly when n.y has one sign on every generator (the
+    supporting hyperplanes of Bruns and Ichim, J. Algebra 324 (2010)).  The
+    functional n.y is n.U[:r] on Z^d, primitive when n is, since U is
+    unimodular.
     """
-    u, diag, _ = smith_normal_form(m.generator_matrix())
-    r = sum(1 for x in diag.diagonal_entries() if x != 0)
+    lattice, r = m._lattice, m.gp_lattice_rank
     if r == 0:
         return {}  # no generators: the cone is the origin
-    ys = [u.apply(g)[:r] for g in m.generators]
+    ys = [tuple(sum(map(operator.mul, row, g)) for row in lattice) for g in m.generators]
     found = {}
     for rows in itertools.combinations(ys, r - 1):
         normal = [(-1) ** j * _det([y[:j] + y[j + 1:] for y in rows]) for j in range(r)]
@@ -429,7 +434,7 @@ def _facets(m: AffineMonoid) -> dict[tuple[int, ...], tuple[int, ...]]:
         scale = -g if min(values) < 0 else g
         support = tuple(i for i, v in enumerate(values) if v == 0)
         if support not in found:
-            found[support] = tuple(sum(c * row[a] for c, row in zip(normal, u.entries)) // scale
+            found[support] = tuple(sum(c * row[a] for c, row in zip(normal, lattice)) // scale
                                    for a in range(m.ambient_rank))
     return found
 
@@ -444,8 +449,10 @@ def faces(m: AffineMonoid) -> list[Face]:
     certificate is the sum of the normals of the facets containing it,
     scaled to coprime integers: a face is the intersection of the facets
     containing it, so the sum vanishes on the face's generators and is
-    positive on every other.  The dense face gets certificate 0.  No LP is
-    solved; the facets cost one (r-1)-minor per (r-1)-subset of generators.
+    positive on every other.  The dense face gets certificate 0.  No LP
+    and no Smith form is run: the facets cost one (r-1)-minor per
+    (r-1)-subset of generators, in the lattice coordinates that
+    :func:`validate` kept.
     """
     if m._faces is not None:
         return list(m._faces)
@@ -466,8 +473,12 @@ def faces(m: AffineMonoid) -> list[Face]:
 
 
 def face_with_support(m: AffineMonoid, support) -> Face:
-    """The face with the given support, or NotAFace."""
-    support = tuple(sorted(int(i) for i in support))
+    """The face with the given support, or NotAFace, also for an index
+    that is not an int (a bool included)."""
+    for i in support:
+        if type(i) is not int:
+            raise NotAFace(f"generator index {i!r} is not an integer")
+    support = tuple(sorted(support))
     out_of_range = [i for i in support if not 0 <= i < m.generator_count]
     if out_of_range:
         raise NotAFace(f"generator indices {out_of_range} are out of range: "

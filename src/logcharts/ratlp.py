@@ -213,19 +213,10 @@ def strict_functional(dim, zero_vectors, positive_vectors):
 
 def _normalize_functional(u):
     """Scale a rational vector to coprime integer entries (as Fractions)."""
-    from math import gcd
-
-    denominators = [f.denominator for f in u]
-    lcm = 1
-    for d in denominators:
-        lcm = lcm // gcd(lcm, d) * d
+    lcm = math.lcm(*(f.denominator for f in u))
     ints = [int(f * lcm) for f in u]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    if g > 1:
-        ints = [x // g for x in ints]
-    return tuple(Fraction(x) for x in ints)
+    g = math.gcd(*ints) or 1
+    return tuple(Fraction(x // g) for x in ints)
 
 
 def in_cone(generator_columns, point):

@@ -3,12 +3,13 @@
 import collections
 import itertools
 import random
+import re
 
 import pytest
 
-from logcharts import monoid, ratlp
-from logcharts.abgrp import (FgAbelianGroup, IntMatrix, cokernel, is_isomorphic, rank,
-                             smith_normal_form, tensor_mod)
+from logcharts import abgrp, monoid, ratlp
+from logcharts.abgrp import (FgAbelianGroup, IntMatrix, cokernel, generator_matrix,
+                             is_isomorphic, rank, smith_normal_form, tensor_mod)
 from logcharts.cli import corpus_path, load_chart
 from logcharts.errors import (ChartError, InvalidMonoidSpec, NotAFace, NotSharp,
                               RelationInconsistent, RelationSynthesisIncomplete,
@@ -67,6 +68,71 @@ def test_validate_reports_saturation_witness():
     with pytest.raises(SaturationFailure) as info:
         validate(MonoidSpec.make(1, [[2], [3]]))
     assert info.value.witness == (1,)
+
+
+def test_saturation_passes_over_cone_points_off_the_lattice():
+    # moved from abgrp's solve_integer: lattice membership is read off
+    # validate's Smith form.  The cone of (2, 0), (1, 1), (0, 2) holds
+    # (1, 0), which is off the generated lattice, so the chart is accepted.
+    m = validate(MonoidSpec.make(2, [[2, 0], [1, 1], [0, 2]]), 8)
+    assert m.is_saturated and len(m.relations) == 1
+    # the lattice of (4, 0), (6, 0), (0, 1) is 2Z x Z: every cone point
+    # (1, y) is passed over, and (2, 0), in the lattice but not in P, is the
+    # witness
+    with pytest.raises(SaturationFailure) as info:
+        validate(MonoidSpec.make(2, [[4, 0], [6, 0], [0, 1]]), 8)
+    assert info.value.witness == (2, 0)
+
+
+def test_synthesized_relations_span_the_kernel():
+    # moved from abgrp's kernel_basis: the synthesized relation rows lie in
+    # the kernel of the generator matrix, there are k - rank of them, and
+    # they span it, since the cokernel of their matrix is free.  At degree
+    # bound 0 no element is walked, so every sharp chart validates.
+    rng = random.Random(17)
+    drawn = 0
+    while drawn < 60:
+        d, k = rng.randrange(1, 4), rng.randrange(1, 5)
+        gens = [[rng.randint(-4, 4) for _ in range(d)] for _ in range(k)]
+        try:
+            m = validate(MonoidSpec.make(d, gens), 0)
+        except (NotSharp, InvalidMonoidSpec):
+            continue
+        drawn += 1
+        r = m.gp_lattice_rank
+        assert r == rank(IntMatrix.from_rows(gens)) and len(m.relations) == k - r
+        rows = [[a - b for a, b in zip(*rel)] for rel in m.relations]
+        for z in rows:
+            assert all(sum(c * g[i] for c, g in zip(z, gens)) == 0 for i in range(d))
+        columns = IntMatrix.from_rows([[z[j] for z in rows] for j in range(k)])
+        assert cokernel(columns) == FgAbelianGroup(r)
+
+
+def test_validate_runs_one_smith_form_and_faces_none(monkeypatch):
+    calls = []
+
+    def counting(matrix):
+        calls.append(matrix)
+        return smith_normal_form(matrix)
+    monkeypatch.setattr(abgrp, "smith_normal_form", counting)
+    monkeypatch.setattr(monoid, "smith_normal_form", counting)
+    index_two = [[2, 0], [1, 1], [0, 2]]  # (1, 0) is in its cone, off its lattice
+    square = [[1, 0, 0], [1, 1, 0], [1, 0, 1], [1, 1, 1]]
+    for d, gens, relations in [(2, index_two, None), (2, index_two, [[[1, 0, 1], [0, 2, 0]]]),
+                               (3, square, None), (3, square, [[[1, 0, 0, 1], [0, 1, 1, 0]]]),
+                               (3, [[1, 0, 1], [1, 1, 1], [1, 2, 1]], None),
+                               (2, [[2, 1], [0, 3]], None)]:
+        calls.clear()
+        m = validate(MonoidSpec.make(d, gens, relations), 6)
+        assert len(calls) == 1, (gens, relations)
+        assert faces(m) and len(calls) == 1, (gens, relations)
+
+
+@pytest.mark.parametrize("bound", [2.5, 2.0, True, False, "3", None])
+def test_degree_bound_must_be_an_int(bound):
+    for gens in ([[1, 0], [0, 1]], [[1, 0], [1, 1], [1, 2]]):
+        with pytest.raises(InvalidMonoidSpec, match=re.escape(f"degree bound {bound!r}")):
+            validate(MonoidSpec.make(2, gens), bound)
 
 
 def test_relation_synthesis_matches_supplied():
@@ -161,8 +227,8 @@ def test_faces_solve_no_lp(monkeypatch):
 
 
 def test_facet_minors_build_no_matrix(monkeypatch):
-    # faces builds the generator matrix and its Smith form, and no matrix
-    # per (r-1)-minor: the cube's 56 minors cost what the square's 6 do
+    # faces reads the lattice coordinates validate kept: it builds no
+    # matrix, neither a Smith form nor one per (r-1)-minor
     built = []
     original = IntMatrix.__post_init__
 
@@ -173,11 +239,7 @@ def test_facet_minors_build_no_matrix(monkeypatch):
     charts = [square_cone(), cube_cone(), hexagon_cone()]
     monkeypatch.setattr(IntMatrix, "__post_init__", counting)
     for m in charts:
-        built.clear()
-        smith_normal_form(m.generator_matrix())
-        needed = len(built)
-        built.clear()
-        assert faces(m) and len(built) == needed == 4, (m.generators, len(built))
+        assert faces(m) and built == [], (m.generators, len(built))
 
 
 def square_cone():
@@ -246,6 +308,13 @@ def test_face_index_out_of_range():
         face_with_support(a, [1])
 
 
+@pytest.mark.parametrize("index", [0.7, "2", True, 2.0, None])
+def test_face_index_must_be_an_int(index):
+    # int() used to truncate: [0.7] gave the face {0} and ['2'] the face {2}
+    with pytest.raises(NotAFace, match=re.escape(f"generator index {index!r}")):
+        face_with_support(a1_cone(), [index])
+
+
 def test_stalk_rank_monotone_under_inclusion():
     for m in [quadrant(), a1_cone()]:
         fs = faces(m)
@@ -272,7 +341,7 @@ def test_stalk_of_nonsaturated_sublattice_presentation():
 
 
 def _refuse_synthesis(monkeypatch):
-    def refuse(spec):
+    def refuse(*args):
         raise AssertionError("a stalk keeps the chart's relations")
     monkeypatch.setattr(monoid, "_synthesize_relations", refuse)
 
@@ -400,6 +469,13 @@ def test_relation_verification_is_exact_on_random_valid_relations():
         validate(MonoidSpec.make(2, [[1, 0], [1, 1], [1, 2]], [rel]))
 
 
+def _smith(spec):
+    """U, the nonzero invariant factors and V of the Smith form of the
+    generator matrix, as validate passes them on."""
+    u, diag, v = smith_normal_form(generator_matrix(spec.generators, spec.ambient_rank))
+    return u, [x for x in diag.diagonal_entries() if x != 0], v
+
+
 def _refuse_enumeration(monkeypatch):
     def refuse(*args):
         raise AssertionError("a free chart must not enumerate monoid elements")
@@ -425,7 +501,8 @@ def test_free_chart_closed_form_agrees_with_the_bounded_checks(monkeypatch):
         degrees = [m.degree(g) for g in gens]
         bound = 2 * max(degrees)
         images = monoid._check_congruence_complete(spec, (), degrees, bound)
-        monoid._check_saturation(m, images, bound)
+        u, factors, _ = _smith(spec)
+        monoid._check_saturation(m, images, bound, u, factors)
 
 
 def test_free_chart_keeps_and_verifies_supplied_relations(monkeypatch):
@@ -465,7 +542,8 @@ def _random_relation_sets(rng, spec):
     """Kernel relations, the same less one, or either plus random valid
     pairs: a random combination of the kernel relations split into its two
     signs, plus a common random part on both sides."""
-    kernel = monoid._synthesize_relations(spec)
+    _, factors, v = _smith(spec)
+    kernel = monoid._synthesize_relations(v, len(factors))
     relations = list(kernel)
     mode = rng.choice(("kernel", "minus-one", "extra"))
     if relations and (mode == "minus-one" or mode == "extra" and rng.random() < 0.5):
