@@ -61,7 +61,7 @@ class ChartDocument:
                 if not isinstance(rel, dict) or set(rel) != _RELATION_FIELDS:
                     raise ChartError(f"relation {rel!r} must have exactly lhs and rhs")
                 relations.append((rel["lhs"], rel["rhs"]))
-        options = doc.get("options") or {}
+        options = {} if doc.get("options") is None else doc["options"]
         if not isinstance(options, dict):
             raise ChartError("options must be a JSON object")
         unknown = set(options) - _OPTION_FIELDS

@@ -15,9 +15,12 @@ congruences mod n; one Smith-form solver lists exactly those solutions,
 the deck group is its solution set with zero offsets, and every fiber,
 log or algebraic, exact or floating, is assembled from a table of each
 coordinate's n roots.  The torsor check lifts fiber points back to root
-indices.  Enumeration is exact whenever the base point is exact: circle
-coordinates are rational turns, so n-th roots divide the turn by n and
-add u_i/n, and nonnegative real roots are exact radicals.
+indices.  A log point's circle coordinates are turns in both modes,
+rational for exact points and floats for floating ones, so the n-th roots
+of coordinate i are (t_i + j) / n turns either way, and each relation's
+offset is the rounded turn sum of the point's angles.  Enumeration is
+exact whenever the base point is exact: rational turns divide exactly,
+and nonnegative real roots are exact radicals.
 """
 
 from __future__ import annotations
@@ -28,12 +31,8 @@ from fractions import Fraction
 from ._record import Record
 from .abgrp import (FgAbelianGroup, IntMatrix, generator_matrix, rank,
                     smith_normal_form)
-from .errors import (ChartError, FalsifiedProperty, InvalidPoint, NotAFace,
-                     NotOnVariety)
+from .errors import ChartError, FalsifiedProperty, InvalidPoint, NotAFace
 from .monoid import DEFAULT_TOLERANCE, AffineMonoid, Face, face_with_support, stalk
-
-_TURN_ACCEPT = 1e-7
-_TURN_REJECT = 1e-4
 
 
 class FiberEquivalenceCertificate(Record):
@@ -92,27 +91,14 @@ def _float_turn(z: complex) -> float:
     return math.atan2(z.imag, z.real) / (2 * math.pi) % 1.0
 
 
-def _relation_turn_offset(relation, turns, exact: bool):
-    """sum (r_j - s_j) * turn_j, which is an integer for a valid point.
-
-    Exact turns give that integer exactly, as ``_validate_point`` has
-    decided the relation exactly.  Floating turns are rounded to the
-    nearest integer; a rounding deviation beyond the accept window is a
-    tolerance breach.
+def _turn_offsets(rows, turns):
+    """round(sum_j row_j t_j) per relation row: the whole turns by which
+    the angles t meet each relation.  Exact turns, decided exactly by
+    ``_validate_point``, sum to that integer c.  Floating ones sum to
+    c + delta, and every fiber point's angles then miss the relation by
+    delta / n, so the fiber meets the tolerance the point was accepted at.
     """
-    r, s = relation
-    total = sum((rj - sj) * t for rj, sj, t in zip(r, s, turns))
-    if exact:
-        return int(total)
-    nearest = round(total)
-    deviation = abs(total - nearest)
-    if deviation > _TURN_REJECT:
-        raise NotOnVariety(deviation)
-    if deviation > _TURN_ACCEPT:
-        raise InvalidPoint(
-            f"tolerance breach while filtering roots: relation {relation} "
-            f"deviates by {deviation:.3e} turns")
-    return nearest
+    return [round(sum(x * t for x, t in zip(row, turns))) for row in rows]
 
 
 # Fibers and deck groups are enumerated in full; refuse sizes beyond this.
@@ -208,27 +194,19 @@ def kn_kummer_fiber(m: AffineMonoid, p: KnPoint, n: int,
     count mismatch is a hard error, and n^r above the enumeration cap is
     refused before anything is enumerated.
     """
-    from .exactnum import turn_mod1, unit_from_turn_float
     from .semialg import KnPoint, Target
     _validate_point(m, p, Target.KN_POINTS, tol)
     r = m.gp_lattice_rank
     _fiber_size(n, r)
     k = m.generator_count
-    if p.exact:
-        turns = [p.angle(i) for i in range(k)]
-        base_radii = [p.radius(i).root(n) for i in range(k)]
-    else:
-        turns = [_float_turn(p.angle(i)) for i in range(k)]
-        base_radii = [p.radius(i) ** (1.0 / n) for i in range(k)]
-    offsets = [_relation_turn_offset(rel, turns, p.exact) for rel in m.relations]
-    base_turns = [t / n for t in turns]
-
-    choices, _ = _fiber_choices(_relation_rows(m.relations), offsets, n, k, r,
-                                "Kummer fiber")
-    # Coordinate i takes only the n values (radius, angle t_i/n + j/n).
-    table = [[(base_radii[i], turn_mod1(base_turns[i] + Fraction(j, n)) if p.exact
-               else unit_from_turn_float(base_turns[i] + j / n)) for j in range(n)]
-             for i in range(k)]
+    rows = _relation_rows(m.relations)
+    choices, _ = _fiber_choices(rows, _turn_offsets(rows, [p.angle(i) for i in range(k)]),
+                                n, k, r, "Kummer fiber")
+    # Coordinate i takes only the n values (radius^(1/n), (t_i + j) / n turns).
+    table = []
+    for radius, turn in p.values:
+        root = radius.root(n) if p.exact else radius ** (1.0 / n)
+        table.append([(root, (turn + j) / n % 1) for j in range(n)])
     return [KnPoint(coords, p.exact) for coords in _assemble(table, choices)]
 
 
@@ -248,8 +226,7 @@ def algebraic_kummer_fiber(m: AffineMonoid, p: CxPoint, n: int,
     from .semialg import CxPoint, Target
     _validate_point(m, p, Target.COMPLEX_POINTS, tol)
     k = m.generator_count
-    zero_tol = 0.0 if p.exact else tol
-    support = [i for i in range(k) if not p.is_zero_at(i, zero_tol)]
+    support = [i for i in range(k) if not p.is_zero_at(i, tol)]
     try:
         face = face_with_support(m, support)
     except NotAFace as err:
@@ -266,13 +243,13 @@ def algebraic_kummer_fiber(m: AffineMonoid, p: CxPoint, n: int,
 
     values = p.values if not p.exact else [v.to_complex() for v in p.values]
     turns = [_float_turn(values[i]) if i in support_set else 0.0 for i in range(k)]
-    offsets = [_relation_turn_offset(rel, turns, False) for rel in active]
+    rows = _relation_rows(active)
     magnitudes = [abs(values[i]) ** (1.0 / n) if i in support_set else 0.0
                   for i in range(k)]
 
     # Unit rows pin the root index of every vanishing coordinate to 0.
     pins = [[int(i == j) for i in range(k)] for j in range(k) if j not in support_set]
-    choices, _ = _fiber_choices(_relation_rows(active) + pins, offsets + [0] * len(pins),
+    choices, _ = _fiber_choices(rows + pins, _turn_offsets(rows, turns) + [0] * len(pins),
                                 n, k, face_rank, "algebraic Kummer fiber")
 
     table = _exact_algebraic_table(p, n, support_set) if p.exact else None
@@ -350,7 +327,7 @@ def _root_indices(pt: KnPoint, base: KnPoint, n: int, tol: float):
                              a.denominator * a0.denominator)
             off = rest or (r is not r0 and r != r0)
         else:
-            steps = (_float_turn(a) - _float_turn(a0)) * n
+            steps = (a - a0) * n
             c = round(steps)
             off = abs(r - r0) > tol or 2 * math.pi * abs(steps - c) > n * tol
         if off:

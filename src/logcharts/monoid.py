@@ -139,15 +139,18 @@ class AffineMonoid(Record, frozen=False):
 
 def _check_spec_shape(spec: MonoidSpec):
     d, k = spec.ambient_rank, len(spec.generators)
-    if d < 0:
-        raise InvalidMonoidSpec("ambient rank must be nonnegative")
+    if type(d) is not int or d < 0:
+        raise InvalidMonoidSpec(f"ambient rank {d!r} is not a nonnegative integer")
     for g in spec.generators:
+        _int_vector(g, "generator")
         if len(g) != d:
             raise InvalidMonoidSpec(f"generator {g} does not live in Z^{d}")
         if all(x == 0 for x in g):
             raise InvalidMonoidSpec("zero generator: sharpness admits no unit besides 0")
     if spec.relations is not None:
         for r, s in spec.relations:
+            _int_vector(r, "relation side")
+            _int_vector(s, "relation side")
             if len(r) != k or len(s) != k:
                 raise InvalidMonoidSpec(f"relation {(r, s)} has wrong arity (expected {k})")
             if any(x < 0 for x in r) or any(x < 0 for x in s):

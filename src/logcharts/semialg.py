@@ -12,11 +12,13 @@ values.  The factored (radius, angle) form is kept throughout; the
 real-algebraic embedding into (R^3)^k would add arithmetic without adding
 checkable content.
 
-Exact points carry Gaussian-rational coordinates, exact rational radii
-(or radicals produced by root extraction) and rational angles measured in
-turns; exact membership is decided by exact equality.  Floating points
-use complex/float coordinates against a tolerance, 1e-9 by default, on
-the residual relative to the size of each equation's sides.
+A log point's angle is a turn in S^1 = R/Z in both modes: a Fraction
+for exact points, a float for floating ones.  Exact points carry
+Gaussian-rational coordinates and exact rational radii (or radicals
+produced by root extraction), and are decided by exact equality.
+Floating points are checked against one tolerance, 1e-9 by default, on
+the residual relative to the size of each equation's sides and on the
+chord |exp(2 pi i t) - 1| of each relation's turn sum t.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from .exactnum import (GAUSSIAN_ONE, GAUSSIAN_ZERO, GaussianRational,
 from .monoid import DEFAULT_TOLERANCE, AffineMonoid, Face
 
 _SAMPLER_RETRY_BUDGET = 64
+_TURN_DENOMINATOR = 4  # sampled log angles are quarter turns: see sample_kn_stratum
 _LEAST_RESIDUAL = math.ulp(0.0)  # reported for an exact equation that fails
 
 
@@ -101,9 +104,11 @@ class CxPoint(Record):
 class KnPoint(Record):
     """A generator-value assignment into R>=0 x S^1.
 
-    Exact points: radius is a Fraction or a NonnegRoot, angle is an exact
-    rational number of turns in [0, 1).  Floating points: radius is a
-    float, angle is a unit complex number.
+    The angle is a number of turns mod 1 in both modes.  Exact points:
+    radius is a Fraction or a NonnegRoot, angle a Fraction in [0, 1).
+    Floating points: radius and angle are floats; :meth:`floating` takes
+    the angle as a nonzero complex number and stores its phase in turns,
+    in [0, 1] (a phase just below 0 rounds to 1.0, the same point of R/Z).
     """
 
     values: tuple
@@ -122,10 +127,9 @@ class KnPoint(Record):
             if not 0 <= radius < math.inf:
                 raise InvalidPoint("radius must be finite and nonnegative")
             angle = complex(angle)
-            mag = abs(angle)
-            if not 0 < mag < math.inf:
+            if not 0 < abs(angle) < math.inf:
                 raise InvalidPoint("angle must be a finite nonzero complex number")
-            vals.append((radius, angle / mag))
+            vals.append((radius, cmath.phase(angle) / (2 * math.pi) % 1.0))
         return KnPoint(tuple(vals), False)
 
     def radius(self, i):
@@ -147,7 +151,7 @@ class KnPoint(Record):
     def __str__(self):
         if self.exact:
             return "(" + ", ".join(f"({r}, {a} turn)" for r, a in self.values) + ")"
-        return "(" + ", ".join(f"({r:.6g}, {a:.6g})" for r, a in self.values) + ")"
+        return "(" + ", ".join(f"({r:.6g}, {a:.6g} turn)" for r, a in self.values) + ")"
 
 
 def emit_equations(m: AffineMonoid, target: Target | str) -> BinomialSystem:
@@ -177,7 +181,8 @@ def check_membership(system: BinomialSystem, point, tol: float = DEFAULT_TOLERAN
     exactly when every equation holds (inf where a conversion overflows),
     and is not computed at all on a valid point.  A floating equation's
     residual is |lhs - rhs| / max(1, |lhs|, |rhs|) on radii and complex
-    values, and |lhs - rhs| on angles; one whose power overflows, or whose
+    values, and |exp(2 pi i t) - 1| on the turn sum t of the angles, as for
+    exact points; one whose power overflows, or whose
     sides are not both finite, has residual inf and fails: sides beyond the
     float range cannot be told apart.  Raises
     ArityMismatch when the point has the wrong number of coordinates and
@@ -222,66 +227,54 @@ def _exact_gap(gap) -> float:
         return math.inf
 
 
-def _float_gap(lhs, rhs, relative=True) -> float:
-    """|lhs - rhs| / max(1, |lhs|, |rhs|) for two floating sides, or
-    |lhs - rhs| when not ``relative``; inf unless both are finite (inf - inf
-    would be NaN, which no tolerance test rejects).  A product of radii
-    carries a rounding error proportional to its size, so radius and
-    complex sides are compared relative to it; unit angles are not."""
+def _float_gap(lhs, rhs) -> float:
+    """|lhs - rhs| / max(1, |lhs|, |rhs|) for two floating sides; inf
+    unless both are finite (inf - inf would be NaN, which no tolerance test
+    rejects).  A product of radii carries a rounding error proportional to
+    its size, so sides are compared relative to it."""
     if not (cmath.isfinite(lhs) and cmath.isfinite(rhs)):
         return math.inf
-    gap = abs(lhs - rhs)
-    return gap / max(1.0, abs(lhs), abs(rhs)) if relative else gap
+    return abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
 
 
 def _kn_equation_residual(point: KnPoint, r, s) -> float:
     radii = [radius for radius, _ in point.values]
-    if point.exact:
-        lhs = _monomial(radii, r, NonnegRoot.of(1))
-        rhs = _monomial(radii, s, NonnegRoot.of(1))
-        turn = turn_mod1(sum((Fraction(ri) - Fraction(si)) * point.angle(i)
-                             for i, (ri, si) in enumerate(zip(r, s))))
-        # Angles only matter where some radius factor is alive on a side;
-        # they are group-valued, so the relation constrains them globally.
-        if lhs == rhs and turn == 0:
-            return 0.0
+    one = NonnegRoot.of(1) if point.exact else 1.0
+    lhs, rhs = _monomial(radii, r, one), _monomial(radii, s, one)
+    # Angles add along the relation, modulo whole turns.  They only matter
+    # where some radius factor is alive on a side; they are group-valued,
+    # so the relation constrains them globally.
+    turn = sum((ri - si) * a for ri, si, (_, a) in zip(r, s, point.values)) % 1
+    if not point.exact:
+        return max(_float_gap(lhs, rhs), abs(unit_from_turn_float(turn) - 1.0))
+    if lhs == rhs and turn == 0:
+        return 0.0
 
-        def gap():
-            radius_res = 0.0
-            if lhs != rhs:
-                radius_res = (float(abs(lhs.as_rational() - rhs.as_rational()))
-                              if lhs.is_rational() and rhs.is_rational()
-                              else abs(float(lhs) - float(rhs)))
-            angle_res = 0.0 if turn == 0 else abs(unit_from_turn_float(turn) - 1.0)
-            return max(radius_res, angle_res)
+    def gap():
+        radius_res = 0.0
+        if lhs != rhs:
+            radius_res = (float(abs(lhs.as_rational() - rhs.as_rational()))
+                          if lhs.is_rational() and rhs.is_rational()
+                          else abs(float(lhs) - float(rhs)))
+        return max(radius_res, abs(unit_from_turn_float(turn) - 1.0))
 
-        return _exact_gap(gap)
-    angles = [angle for _, angle in point.values]
-    return max(_float_gap(_monomial(radii, r, 1.0), _monomial(radii, s, 1.0)),
-               _float_gap(_monomial(angles, r, complex(1)), _monomial(angles, s, complex(1)),
-                          relative=False))
+    return _exact_gap(gap)
 
 
 def tau(point: KnPoint) -> CxPoint:
     """The projection (radius, angle) -> radius * angle, componentwise.
 
-    Exact output requires rational radii and quarter-turn angles (the only
-    rational turns with Gaussian-rational unit); otherwise the result is a
-    floating point with the same coordinates numerically.
+    Exact output requires an exact point with rational radii and quarter
+    turns (the only rational turns with Gaussian-rational unit); otherwise
+    the result is a floating point with the same coordinates numerically.
     """
     if point.exact:
-        exact_values = []
-        for radius, angle in point.values:
-            unit = unit_from_turn_exact(angle)
-            if unit is None or not radius.is_rational():
-                exact_values = None
-                break
-            exact_values.append(GaussianRational.of(radius.as_rational()) * unit)
-        if exact_values is not None:
-            return CxPoint(tuple(exact_values), True)
-        return CxPoint.floating([
-            float(radius) * unit_from_turn_float(angle) for radius, angle in point.values])
-    return CxPoint.floating([radius * angle for radius, angle in point.values])
+        units = [unit_from_turn_exact(angle) for _, angle in point.values]
+        if None not in units and all(radius.is_rational() for radius, _ in point.values):
+            return CxPoint(tuple(GaussianRational.of(radius.as_rational()) * unit
+                                 for (radius, _), unit in zip(point.values, units)), True)
+    return CxPoint.floating([float(radius) * unit_from_turn_float(angle)
+                             for radius, angle in point.values])
 
 
 def _draw_points(draw, count):
@@ -338,15 +331,14 @@ def sample_stratum(m: AffineMonoid, f: Face, count: int, seed: int) -> list[CxPo
     return _draw_points(draw, count)
 
 
-def sample_kn_stratum(m: AffineMonoid, f: Face, count: int, seed: int,
-                      turn_denominator: int = 4) -> list[KnPoint]:
+def sample_kn_stratum(m: AffineMonoid, f: Face, count: int, seed: int) -> list[KnPoint]:
     """Deterministic exact log-model points over the given face.
 
     Radii come from positive rational parameters per ambient dimension
-    (zero exactly off the face's support); angles are rational turns with
-    the given denominator, drawn per ambient dimension and pushed through
-    the generator exponents, so every relation holds identically.  The
-    default denominator 4 keeps tau-images exactly Gaussian rational.
+    (zero exactly off the face's support); angles are quarter turns, drawn
+    per ambient dimension and pushed through the generator exponents, so
+    every relation holds identically.  Quarter turns keep tau-images
+    exactly Gaussian rational.
     """
     rng = random.Random(seed)
     support = set(f.support)
@@ -354,7 +346,7 @@ def sample_kn_stratum(m: AffineMonoid, f: Face, count: int, seed: int,
     def draw():
         rho = [Fraction(rng.randint(1, 9), rng.randint(1, 4))
                for _ in range(m.ambient_rank)]
-        theta = [Fraction(rng.randrange(turn_denominator), turn_denominator)
+        theta = [Fraction(rng.randrange(_TURN_DENOMINATOR), _TURN_DENOMINATOR)
                  for _ in range(m.ambient_rank)]
         pairs = []
         for i, gen in enumerate(m.generators):

@@ -93,6 +93,5 @@ def stratum_of_point(m: AffineMonoid, p: CxPoint,
     ok, residual = check_membership(system, p, tol)
     if not ok:
         raise NotOnVariety(residual)
-    zero_tol = 0.0 if p.exact else tol
-    support = tuple(i for i in range(p.arity) if not p.is_zero_at(i, zero_tol))
+    support = tuple(i for i in range(p.arity) if not p.is_zero_at(i, tol))
     return face_with_support(m, support)

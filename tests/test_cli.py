@@ -234,6 +234,11 @@ def _chart(fields):
     pytest.param(_chart('"generators": [[1]], "options": {"degree_bound": 1e400}'),
                  id="huge-degree-bound"),
     pytest.param(_chart('"generators": [[1]], "options": 5'), id="int-options"),
+    # options that are not an object were read as no options
+    pytest.param(_chart('"generators": [[1]], "options": []'), id="list-options"),
+    pytest.param(_chart('"generators": [[1]], "options": false'), id="false-options"),
+    pytest.param(_chart('"generators": [[1]], "options": 0'), id="zero-options"),
+    pytest.param(_chart('"generators": [[1]], "options": ""'), id="empty-string-options"),
 ])
 def test_chart_values_of_the_wrong_type_are_input_errors(tmp_path, capsys, text):
     chart = tmp_path / "chart.json"
@@ -242,6 +247,27 @@ def test_chart_values_of_the_wrong_type_are_input_errors(tmp_path, capsys, text)
     captured = capsys.readouterr()
     assert code == 2 and captured.out == "", captured.out
     assert captured.err.startswith("error: "), captured.err
+
+
+def test_options_are_an_object_or_null(tmp_path, capsys):
+    chart = tmp_path / "chart.json"
+    for options, code, err in (("null", 0, ""),
+                               ("[]", 2, "error: options must be a JSON object\n")):
+        chart.write_text(_chart('"generators": [[1]], "options": %s' % options))
+        assert main(["info", str(chart)]) == code
+        assert capsys.readouterr().err == err, options
+
+
+@pytest.mark.parametrize("tol, im", [("1e-3", 1e-5), ("1e-2", 1e-3)])
+def test_floating_points_are_judged_at_the_callers_tolerance(capsys, tol, im):
+    # these turn sums miss the relation by 1.6e-6 and 1.6e-4 turns: within
+    # the chord tolerance given, and refused at the default 1e-9
+    args = ["torsor", corpus_path("a1_cone"), "2", "--point",
+            json.dumps({"radii": [1, 1, 1], "angles": [[1, 0], [1, 0], [1, im]]})]
+    assert main(args + ["--tol", tol]) == 0
+    assert json.loads(capsys.readouterr().out)["ok"] is True
+    assert main(args) == 2
+    assert capsys.readouterr().err.startswith("error: point violates the relations")
 
 
 def test_closed_stdout_exits_2_without_a_traceback():

@@ -192,6 +192,19 @@ def test_kn_fiber_points_satisfy_extended_system_floating():
         assert ok and res <= 1e-9
 
 
+def test_a_loose_tolerance_is_the_only_angle_tolerance():
+    # The turn sum misses z0 z2 = z1^2 by 1.6e-6 turns: accepted at 1e-3,
+    # where every fiber point misses it by half that, refused at 1e-9.
+    m = a1_cone()
+    system = emit_equations(m, Target.KN_POINTS)
+    p = KnPoint.floating([(1, 1), (1, 1), (1, complex(1, 1e-5))])
+    fiber = kn_kummer_fiber(m, p, 2, 1e-3)
+    assert len(fiber) == 4
+    assert all(check_membership(system, q, 1e-3)[0] for q in fiber)
+    with pytest.raises(InvalidPoint, match="violates the relations"):
+        kn_kummer_fiber(m, p, 2)
+
+
 def test_kn_kummer_fiber_rejects_invalid_point():
     m = a1_cone()
     bad = KnPoint.exact_point([(1, 0), (1, Fraction(1, 3)), (1, 0)])
@@ -460,11 +473,9 @@ def _move_last_point(fiber, r0, shift):
     """The fiber with its last point's first radius set to r0 (unless
     None) and its first angle turned by ``shift`` turns."""
     (r, a), *rest = fiber[-1].values
-    if fiber[-1].exact:
-        moved = (r if r0 is None else NonnegRoot.of(r0), (a + shift) % 1)
-    else:
-        moved = (r if r0 is None else r0, a * cmath.exp(2j * cmath.pi * float(shift)))
-    return fiber[:-1] + [KnPoint((moved, *rest), fiber[-1].exact)]
+    if r0 is not None:
+        r = NonnegRoot.of(r0) if fiber[-1].exact else r0
+    return fiber[:-1] + [KnPoint(((r, (a + shift) % 1), *rest), fiber[-1].exact)]
 
 
 @pytest.mark.parametrize("exact", [True, False], ids=["exact", "floating"])

@@ -135,6 +135,19 @@ def test_degree_bound_must_be_an_int(bound):
             validate(MonoidSpec.make(2, gens), bound)
 
 
+@pytest.mark.parametrize("spec, bound", [
+    pytest.param(MonoidSpec(2, ((1.5, 0), (0, 1))), 20, id="float-generator"),
+    pytest.param(MonoidSpec(1, ((2.5,), (3,))), 4, id="float-generator-saturation"),
+    pytest.param(MonoidSpec(2, ((True, 0), (0, 1))), 20, id="bool-generator"),
+    pytest.param(MonoidSpec(1, ((1,), (2,)), (((2, 0), (0, 1.0)),)), 20, id="float-relation"),
+])
+def test_constructed_specs_follow_the_type_rule_of_make(spec, bound):
+    # floats and bools built without ``make`` were accepted, or raised a bare
+    # TypeError from the saturation box
+    with pytest.raises(InvalidMonoidSpec, match="is not an integer"):
+        validate(spec, bound)
+
+
 def test_relation_synthesis_matches_supplied():
     synthesized = validate(MonoidSpec.make(2, [[1, 0], [1, 1], [1, 2]]))
     assert synthesized.relations == (((1, 0, 1), (0, 2, 0)),)

@@ -146,6 +146,12 @@ def test_floating_residuals_are_relative_on_radii_and_absolute_on_angles():
     assert not ok and res == pytest.approx(abs(1j - 1))
 
 
+def test_floating_log_points_store_their_angles_in_turns():
+    assert KnPoint.floating([(2.0, 1j)]).angle(0) == 0.25
+    assert KnPoint.floating([(1.0, -3)]).angle(0) == 0.5
+    assert str(KnPoint.floating([(2.0, 1j), (1.0, -3)])) == "((2, 0.25 turn), (1, 0.5 turn))"
+
+
 def test_floating_points_refuse_non_finite_values():
     nan, inf = float("nan"), float("inf")
     for radius, angle in ((nan, 1), (inf, 1), (-1, 1), (1, complex(nan, 0)),
