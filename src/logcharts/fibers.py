@@ -18,9 +18,10 @@ coordinate's n roots.  The torsor check lifts fiber points back to root
 indices.  A log point's circle coordinates are turns in both modes,
 rational for exact points and floats for floating ones, so the n-th roots
 of coordinate i are (t_i + j) / n turns either way, and each relation's
-offset is the rounded turn sum of the point's angles.  Enumeration is
-exact whenever the base point is exact: rational turns divide exactly,
-and nonnegative real roots are exact radicals.
+offset is the point's turn sum, rounded where it lies within the
+tolerance of a whole turn and refused elsewhere.  Enumeration is exact
+whenever the base point is exact: rational turns divide exactly, and
+nonnegative real roots are exact radicals.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from fractions import Fraction
 from ._record import Record
 from .abgrp import (FgAbelianGroup, IntMatrix, generator_matrix, rank,
                     smith_normal_form)
-from .errors import ChartError, FalsifiedProperty, InvalidPoint, NotAFace
+from .errors import ChartError, FalsifiedProperty, InvalidPoint, NotAFace, NotOnVariety
 from .monoid import DEFAULT_TOLERANCE, AffineMonoid, Face, face_with_support, stalk
 
 
@@ -91,14 +92,20 @@ def _float_turn(z: complex) -> float:
     return math.atan2(z.imag, z.real) / (2 * math.pi) % 1.0
 
 
-def _turn_offsets(rows, turns):
-    """round(sum_j row_j t_j) per relation row: the whole turns by which
-    the angles t meet each relation.  Exact turns, decided exactly by
-    ``_validate_point``, sum to that integer c.  Floating ones sum to
-    c + delta, and every fiber point's angles then miss the relation by
-    delta / n, so the fiber meets the tolerance the point was accepted at.
-    """
-    return [round(sum(x * t for x, t in zip(row, turns))) for row in rows]
+def _turn_offsets(rows, turns, tol: float):
+    """round(sum_j row_j t_j), the whole turns c by which the angles t meet
+    each relation row.  A sum c + delta with chord |exp(2 pi i delta) - 1|
+    above tol raises NotOnVariety; below it, every fiber point misses the
+    relation by delta / n.  That chord is the log model's residual, so only
+    a complex point, whose relative residual leaves small values' angles
+    free, can fail here.  An exact complex point passes tol = inf: it meets
+    its relations exactly, so only rounding parts its float sums from c."""
+    from .exactnum import unit_from_turn_float
+    totals = [sum(x * t for x, t in zip(row, turns)) for row in rows]
+    chord = max((abs(unit_from_turn_float(t % 1) - 1.0) for t in totals), default=0.0)
+    if chord > tol:
+        raise NotOnVariety(chord)
+    return [round(t) for t in totals]
 
 
 # Fibers and deck groups are enumerated in full; refuse sizes beyond this.
@@ -200,7 +207,7 @@ def kn_kummer_fiber(m: AffineMonoid, p: KnPoint, n: int,
     _fiber_size(n, r)
     k = m.generator_count
     rows = _relation_rows(m.relations)
-    choices, _ = _fiber_choices(rows, _turn_offsets(rows, [p.angle(i) for i in range(k)]),
+    choices, _ = _fiber_choices(rows, _turn_offsets(rows, [p.angle(i) for i in range(k)], tol),
                                 n, k, r, "Kummer fiber")
     # Coordinate i takes only the n values (radius^(1/n), (t_i + j) / n turns).
     table = []
@@ -249,8 +256,8 @@ def algebraic_kummer_fiber(m: AffineMonoid, p: CxPoint, n: int,
 
     # Unit rows pin the root index of every vanishing coordinate to 0.
     pins = [[int(i == j) for i in range(k)] for j in range(k) if j not in support_set]
-    choices, _ = _fiber_choices(rows + pins, _turn_offsets(rows, turns) + [0] * len(pins),
-                                n, k, face_rank, "algebraic Kummer fiber")
+    offsets = _turn_offsets(rows, turns, math.inf if p.exact else tol) + [0] * len(pins)
+    choices, _ = _fiber_choices(rows + pins, offsets, n, k, face_rank, "algebraic Kummer fiber")
 
     table = _exact_algebraic_table(p, n, support_set) if p.exact else None
     if table is not None:

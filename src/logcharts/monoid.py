@@ -41,15 +41,11 @@ class MonoidSpec(Record):
 
     @staticmethod
     def make(ambient_rank, generators, relations=None) -> MonoidSpec:
-        """The presentation as tuples.  Every entry must be an int: any
-        other value, a bool or a float included, raises InvalidMonoidSpec
-        instead of being truncated."""
-        if type(ambient_rank) is not int:
-            raise InvalidMonoidSpec(f"ambient rank {ambient_rank!r} is not an integer")
-        gens = tuple(_int_vector(g, "generator") for g in _sequence(generators, "generators"))
+        """The presentation as tuples; :func:`validate` checks its entries."""
+        gens = tuple(_sequence(g, "generator") for g in _sequence(generators, "generators"))
         rels = None
         if relations is not None:
-            rels = tuple((_int_vector(r, "relation side"), _int_vector(s, "relation side"))
+            rels = tuple((_sequence(r, "relation side"), _sequence(s, "relation side"))
                          for r, s in _sequence(relations, "relations"))
         return MonoidSpec(ambient_rank, gens, rels)
 
@@ -60,11 +56,11 @@ def _sequence(values, what) -> tuple:
     return tuple(values)
 
 
-def _int_vector(values, what) -> tuple[int, ...]:
-    vector = _sequence(values, what)
+def _check_ints(vector, what):
+    """Every entry must be an int: any other value, a bool or a float
+    included, raises InvalidMonoidSpec instead of being truncated."""
     if not all(type(x) is int for x in vector):
-        raise InvalidMonoidSpec(f"{what} {values!r} has an entry that is not an integer")
-    return vector
+        raise InvalidMonoidSpec(f"{what} {vector!r} has an entry that is not an integer")
 
 
 class Face(Record):
@@ -142,15 +138,15 @@ def _check_spec_shape(spec: MonoidSpec):
     if type(d) is not int or d < 0:
         raise InvalidMonoidSpec(f"ambient rank {d!r} is not a nonnegative integer")
     for g in spec.generators:
-        _int_vector(g, "generator")
+        _check_ints(g, "generator")
         if len(g) != d:
             raise InvalidMonoidSpec(f"generator {g} does not live in Z^{d}")
         if all(x == 0 for x in g):
             raise InvalidMonoidSpec("zero generator: sharpness admits no unit besides 0")
     if spec.relations is not None:
         for r, s in spec.relations:
-            _int_vector(r, "relation side")
-            _int_vector(s, "relation side")
+            _check_ints(r, "relation side")
+            _check_ints(s, "relation side")
             if len(r) != k or len(s) != k:
                 raise InvalidMonoidSpec(f"relation {(r, s)} has wrong arity (expected {k})")
             if any(x < 0 for x in r) or any(x < 0 for x in s):

@@ -9,7 +9,7 @@ import pytest
 
 import logcharts.fibers as fibers_mod
 from logcharts.abgrp import FgAbelianGroup, IntMatrix, rank, tensor_mod
-from logcharts.errors import ChartError, FalsifiedProperty, InvalidPoint
+from logcharts.errors import ChartError, FalsifiedProperty, InvalidPoint, NotOnVariety
 from logcharts.exactnum import GaussianRational, NonnegRoot
 from logcharts.fibers import (algebraic_kummer_fiber, kn_kummer_fiber,
                               torsor_check, verify_fiber_equivalence)
@@ -234,6 +234,20 @@ def test_algebraic_fiber_on_edge_stratum():
     assert len(fiber) == 2
     for q in fiber:
         assert q.values[1].is_zero() if q.exact else abs(q.values[1]) == 0
+
+
+def test_small_complex_values_are_refused_on_their_angles():
+    # z0 z2 = z1^2 holds here to a relative 2e-10, within 1e-9, but the turn
+    # sum 0 - 2/4 + 0 misses a whole turn by half a turn: rounding it gave
+    # four roots of size 1e-5 and 1e-5 i, 1.4e-5 apart on the relation
+    m = a1_cone()
+    system = emit_equations(m, Target.COMPLEX_POINTS)
+    p = CxPoint.floating([1e-5, 1e-5j, 1e-5])
+    assert check_membership(system, p, 1e-9)[0]
+    with pytest.raises(NotOnVariety):
+        algebraic_kummer_fiber(m, p, 2, 1e-9)
+    fiber = algebraic_kummer_fiber(m, CxPoint.floating([1e-5, 1e-5, 1e-5]), 2, 1e-9)
+    assert len(fiber) == 4 and all(check_membership(system, q, 1e-9)[0] for q in fiber)
 
 
 def test_ramification_contrast():
