@@ -473,7 +473,7 @@ def faces(m: AffineMonoid) -> list[Face]:
 
 def face_with_support(m: AffineMonoid, support) -> Face:
     """The face with the given support, or NotAFace, also for an index
-    that is not an int (a bool included)."""
+    that is not an int (a bool included) or that is repeated."""
     for i in support:
         if type(i) is not int:
             raise NotAFace(f"generator index {i!r} is not an integer")
@@ -482,6 +482,9 @@ def face_with_support(m: AffineMonoid, support) -> Face:
     if out_of_range:
         raise NotAFace(f"generator indices {out_of_range} are out of range: "
                        f"the chart has {m.generator_count} generators")
+    repeated = sorted({i for i in support if support.count(i) > 1})
+    if repeated:
+        raise NotAFace(f"generator indices {repeated} are repeated in the support")
     for f in faces(m):
         if f.support == support:
             return f

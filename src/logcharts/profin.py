@@ -9,10 +9,11 @@ of the direct sum.  So a tower is held as the group G it completes, and
 each level is the closed form tensor_mod(G, n).
 
 Level-wise comparison of invariant factors plus transition coherence is
-the checkable shadow of pro-equivalence; the limitation is recorded on
-every certificate.  Coherence is checked on the pairs (m, m), which says
-level m is m-torsion, and (m, m/p) for each prime p | m: (A/(m/p)A)/nA =
-A/nA for n | m/p, so by induction on m/n these imply every pair n | m.
+the checkable shadow of pro-equivalence; every certificate records the
+limitation.  Coherence is checked on the pairs (m, m), which says level
+m is m-torsion, and (m, m/p) for each prime p | m: (A/(m/p)A)/nA = A/nA
+for n | m/p, so by induction on m/n these imply every pair n | m.  A
+comparison walks them on one tower, as matching levels are equal.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ class FiniteAbelianProSystem(Record):
     def check_coherence(self, bound: int) -> bool:
         """Transition compatibility for every pair n | m <= bound.  A bound
         below 1 or above 100,000 is refused before any level is computed."""
-        return _first_incoherent((self,), _checked_bound(bound)) is None
+        return _first_incoherent(self, _checked_bound(bound)) is None
 
     def __str__(self):
         return f"<pro-system: {self.description}>"
@@ -86,13 +87,11 @@ def _checked_bound(bound) -> int:
     return bound
 
 
-def _first_incoherent(towers, bound: int) -> int | None:
-    """The target n of the first failing pair n | m <= bound, in order of
-    m then n, or None.  The covering pairs find the first failing m; every
-    level below it coheres, so its divisors hold the first failing pair."""
-    def coherent(m, n):
-        return all(t.transition_consistent(m, n) for t in towers)
-
+def _first_incoherent(tower: FiniteAbelianProSystem, bound: int) -> int | None:
+    """The target n of one tower's first failing pair n | m <= bound, in
+    order of m then n, or None.  The covering pairs find the first failing
+    m; every level below it coheres, so its divisors hold the first pair."""
+    coherent = tower.transition_consistent
     for m in range(1, bound + 1):
         if not all(coherent(m, n) for n in _covers(m)):
             return next(n for n in range(1, m + 1) if m % n == 0 and not coherent(m, n))
@@ -153,11 +152,10 @@ def equivalent_up_to(a: FiniteAbelianProSystem, b: FiniteAbelianProSystem,
                      bound: int) -> tuple[bool, EquivalenceCertificate]:
     """Level-wise equivalence of two towers up to the bound.
 
-    True iff every level n <= bound has isomorphic invariant factors on
-    both sides and both towers cohere on every pair n | m <= bound, checked
-    on the covering pairs of the module note.  For natural surjections this
-    is the checkable shadow of pro-equivalence.  A bound below 1 or above
-    100,000 levels is refused before any level is computed.
+    True iff every level n <= bound has isomorphic invariant factors on both
+    sides and a coheres on the covering pairs of the module note; b's levels
+    then equal a's, so b needs no walk.  A bound below 1 or above 100,000
+    levels is refused before any level is computed.
     """
     bound = _checked_bound(bound)
     records = []
@@ -165,7 +163,9 @@ def equivalent_up_to(a: FiniteAbelianProSystem, b: FiniteAbelianProSystem,
         ga, gb = a.level(n), b.level(n)
         records.append(LevelRecord(n, tuple(ga.invariant_factors()),
                                    tuple(gb.invariant_factors()), is_isomorphic(ga, gb)))
+    # isomorphic levels are equal normal forms, and a transition reads only
+    # levels, so once every level matches b's walk would repeat a's verdicts
     witness = (next((rec.n for rec in records if not rec.isomorphic), None)
-               or _first_incoherent((a, b), bound))
+               or _first_incoherent(a, bound))
     ok = witness is None
     return ok, EquivalenceCertificate(ok, bound, tuple(records), witness)

@@ -166,6 +166,7 @@ def test_exit_code_2_on_input_errors(tmp_path):
         (["info", cone], {"LOGCHARTS_BOUND": "abc"}),
         (["compare", cone, "--face", "0,x"], None),
         (["compare", cone, "--face", "7"], None),
+        (["compare", cone, "--face", "0,0", "--bound", "2"], None),
         (["torsor", cone, "2", "--point", "notjson"], None),
         (["torsor", cone, "2", "--point",
           '{"radii": ["1", "1", "1"], "turns": ["0", "0", "0", "1/2"]}'], None),

@@ -15,7 +15,8 @@ from logcharts.fibers import (algebraic_kummer_fiber, kn_kummer_fiber,
                               torsor_check, verify_fiber_equivalence)
 from logcharts.monoid import (MonoidSpec, face_with_support, faces, mu, stalk,
                               validate)
-from logcharts.profin import completion, equivalent_up_to, mu_tower
+from logcharts.profin import (FiniteAbelianProSystem, completion, equivalent_up_to,
+                              mu_tower)
 from logcharts.semialg import (CxPoint, KnPoint, Target, check_membership,
                                emit_equations, sample_kn_stratum, tau)
 from oracles import (kn_kummer_fiber_by_fractions, root_choices_by_scan,
@@ -138,6 +139,23 @@ def test_fiber_comparison_computes_the_stalk_once(monkeypatch):
     vertex = face_with_support(m, [])
     ok, _ = verify_fiber_equivalence(m, vertex, 100)
     assert ok and calls == [()]
+
+
+def test_fiber_comparison_walks_the_coherence_pairs_once(monkeypatch):
+    # the covering pairs up to 100 are 271, and the stalk's tower, whose
+    # levels the level table has shown equal, is not walked a second time
+    calls = []
+    real_transition = FiniteAbelianProSystem.transition_consistent
+
+    def counting_transition(self, m, n):
+        calls.append((m, n))
+        return real_transition(self, m, n)
+
+    monkeypatch.setattr(FiniteAbelianProSystem, "transition_consistent",
+                        counting_transition)
+    m = a1_cone()
+    ok, _ = verify_fiber_equivalence(m, face_with_support(m, []), 100)
+    assert ok and len(calls) == 271
 
 
 def test_kn_kummer_fiber_log_point():

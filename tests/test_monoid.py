@@ -321,6 +321,16 @@ def test_face_index_out_of_range():
         face_with_support(a, [1])
 
 
+def test_face_index_must_not_repeat():
+    # [0, 0] was reported as admitting no supporting functional, although
+    # {0} is a face
+    a = a1_cone()
+    for support, named in (([0, 0], [0]), ([2, 0, 2, 0], [0, 2]), ([0, 2, 2], [2])):
+        with pytest.raises(NotAFace, match=re.escape(f"indices {named} are repeated")):
+            face_with_support(a, support)
+    assert face_with_support(a, [0]).support == (0,)
+
+
 @pytest.mark.parametrize("index", [0.7, "2", True, 2.0, None])
 def test_face_index_must_be_an_int(index):
     # int() used to truncate: [0.7] gave the face {0} and ['2'] the face {2}
