@@ -38,7 +38,7 @@ for q in kn_kummer_fiber(m, p, 3):
     print("  fiber point:", q)
 
 ok, cert = verify_fiber_equivalence(m, vertex, 100)
-print("\ncomparison map at level 5:", cert.comparison_matrix.entries,
+print("\ncomparison map at level 5:", cert.comparison_matrix,
       "read mod 5 (pi1 of z -> z^5 on the circle)")
 
 print(f"\nfiberwise profinite comparison up to level 100: {ok}")

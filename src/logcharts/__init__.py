@@ -17,8 +17,7 @@ import importlib
 __version__ = "0.1.0"
 
 _HOMES = {
-    "abgrp": ("FgAbelianGroup", "IntMatrix", "cokernel", "is_isomorphic", "smith_normal_form",
-              "tensor_mod"),
+    "abgrp": ("FgAbelianGroup", "cokernel", "is_isomorphic", "smith_normal_form", "tensor_mod"),
     "errors": ("ArityMismatch", "ChartError", "FalsifiedProperty", "InvalidMonoidSpec",
                "InvalidPoint", "NotAFace", "NotOnVariety", "NotSharp", "RelationInconsistent",
                "RelationSynthesisIncomplete", "SaturationFailure"),

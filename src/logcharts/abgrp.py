@@ -4,10 +4,12 @@ Everything here runs on Python integers, which are arbitrary precision, so
 Smith pivots can grow without corrupting invariants.  No floating point is
 permitted in this module.
 
-The presentation convention, shared by every caller: an ``IntMatrix`` with
-``rows`` rows and ``cols`` columns presents a map ``Z^cols -> Z^rows``
-(columns are relators, rows are generators), and ``cokernel`` computes
-``Z^rows / image``.
+The presentation convention, shared by every caller: a matrix is a tuple
+of rows, each a tuple of ``cols`` ints, and with ``len(rows)`` rows it
+presents a map ``Z^cols -> Z^len(rows)`` (columns are relators, rows are
+generators); ``cokernel`` computes ``Z^len(rows) / image``.  The column
+count is passed with the rows, because no rows carry no width: the
+Smith form of a 0 x 3 matrix has a 3 x 3 V.
 """
 
 from __future__ import annotations
@@ -16,102 +18,6 @@ from math import gcd
 
 from ._record import Record
 from .errors import InvalidMonoidSpec
-
-
-class IntMatrix(Record):
-    """Immutable integer matrix.
-
-    ``rows`` and ``cols`` are stored explicitly so that empty matrices keep
-    their shape: a 0 x 3 matrix and a 3 x 0 matrix present different groups.
-    """
-
-    rows: int
-    cols: int
-    entries: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        if self.rows < 0 or self.cols < 0:
-            raise ValueError("matrix dimensions must be nonnegative")
-        if len(self.entries) != self.rows:
-            raise ValueError("row count does not match entries")
-        for row in self.entries:
-            if len(row) != self.cols:
-                raise ValueError("ragged matrix")
-            for x in row:
-                if not isinstance(x, int) or isinstance(x, bool):
-                    raise ValueError(f"matrix entries must be exact integers, got {x!r}")
-
-    @staticmethod
-    def from_rows(rows_data, cols: int | None = None) -> IntMatrix:
-        rows_data = [tuple(int(x) for x in row) for row in rows_data]
-        if rows_data:
-            width = len(rows_data[0])
-        elif cols is not None:
-            width = cols
-        else:
-            width = 0
-        return IntMatrix(len(rows_data), width, tuple(rows_data))
-
-    @staticmethod
-    def identity(n: int) -> IntMatrix:
-        return IntMatrix(n, n, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
-
-    @staticmethod
-    def zero(rows: int, cols: int) -> IntMatrix:
-        return IntMatrix(rows, cols, tuple(tuple(0 for _ in range(cols)) for _ in range(rows)))
-
-    @staticmethod
-    def diagonal(diag, rows: int | None = None, cols: int | None = None) -> IntMatrix:
-        diag = [int(d) for d in diag]
-        n = len(diag)
-        rows = n if rows is None else rows
-        cols = n if cols is None else cols
-        if rows < n or cols < n:
-            raise ValueError("diagonal longer than matrix shape")
-        return IntMatrix(
-            rows, cols,
-            tuple(tuple(diag[i] if i == j and i < n else 0 for j in range(cols)) for i in range(rows)),
-        )
-
-    def __matmul__(self, other: IntMatrix) -> IntMatrix:
-        if self.cols != other.rows:
-            raise ValueError(f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        out = []
-        for i in range(self.rows):
-            row = self.entries[i]
-            out.append(tuple(
-                sum(row[k] * other.entries[k][j] for k in range(self.cols))
-                for j in range(other.cols)
-            ))
-        return IntMatrix(self.rows, other.cols, tuple(out))
-
-    def apply(self, vector) -> tuple[int, ...]:
-        """Matrix times column vector."""
-        vector = tuple(int(x) for x in vector)
-        if len(vector) != self.cols:
-            raise ValueError("vector length does not match column count")
-        return tuple(sum(self.entries[i][k] * vector[k] for k in range(self.cols))
-                     for i in range(self.rows))
-
-    def column(self, j: int) -> tuple[int, ...]:
-        return tuple(self.entries[i][j] for i in range(self.rows))
-
-    def diagonal_entries(self) -> tuple[int, ...]:
-        return tuple(self.entries[i][i] for i in range(min(self.rows, self.cols)))
-
-    def det(self) -> int:
-        """Exact determinant by fraction-free (Bareiss) elimination."""
-        if self.rows != self.cols:
-            raise ValueError("determinant needs a square matrix")
-        return _det(self.entries)
-
-    def is_unimodular(self) -> bool:
-        return self.rows == self.cols and abs(self.det()) == 1
-
-    def __str__(self):
-        if self.rows == 0 or self.cols == 0:
-            return f"<empty {self.rows}x{self.cols}>"
-        return "\n".join(" ".join(f"{x:4d}" for x in row) for row in self.entries)
 
 
 def _det(rows) -> int:
@@ -172,15 +78,24 @@ def _col_sub(a, v, i, j, q):
         row[i] -= q * row[j]
 
 
-def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
-    """Smith normal form: returns (U, D, V) with U * m * V == D exactly.
+def smith_normal_form(rows, cols: int):
+    """Smith normal form of the matrix A with these rows and ``cols``
+    columns: returns (U, diagonal, V), U and V as row tuples, with
+    U * A * V == D exactly for D the matrix of A's shape whose diagonal
+    entries are the d_i.
 
-    U and V are unimodular; D is diagonal with nonnegative entries forming a
-    divisibility chain d_1 | d_2 | ... (zeros, which everything divides, come
-    last).  Total on exact integers; no preconditions.
+    U and V are unimodular; the min(rows, cols) diagonal entries are
+    nonnegative and form a divisibility chain d_1 | d_2 | ... (zeros, which
+    everything divides, come last).  Total on exact integers: a row of
+    another length, or an entry that is not an int (a bool included),
+    raises ValueError before any pivot.
     """
-    rows, cols = m.rows, m.cols
-    a = [list(row) for row in m.entries]
+    if any(len(row) != cols for row in rows):
+        raise ValueError(f"matrix rows {rows!r} do not all have {cols} entries")
+    if not {type(x) for row in rows for x in row} <= {int}:
+        raise ValueError(f"matrix entries must be exact integers, got {rows!r}")
+    a = [list(row) for row in rows]
+    rows = len(a)
     u = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
     v = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
 
@@ -239,24 +154,17 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
             continue
         t += 1
 
+    # Row i of the reduced matrix is zero off the diagonal.
     for i in range(limit):
         if a[i][i] < 0:
-            for k in range(cols):
-                a[i][k] = -a[i][k]
-            for k in range(rows):
-                u[i][k] = -u[i][k]
-
-    return (
-        IntMatrix(rows, rows, tuple(tuple(r) for r in u)),
-        IntMatrix(rows, cols, tuple(tuple(r) for r in a)),
-        IntMatrix(cols, cols, tuple(tuple(r) for r in v)),
-    )
+            a[i][i] = -a[i][i]
+            u[i] = [-x for x in u[i]]
+    return tuple(map(tuple, u)), tuple(a[i][i] for i in range(limit)), tuple(map(tuple, v))
 
 
-def rank(m: IntMatrix) -> int:
+def rank(rows, cols: int) -> int:
     """Rank over Z (equivalently over Q)."""
-    _, d, _ = smith_normal_form(m)
-    return sum(1 for x in d.diagonal_entries() if x != 0)
+    return sum(1 for x in smith_normal_form(rows, cols)[1] if x != 0)
 
 
 class FgAbelianGroup(Record):
@@ -316,12 +224,22 @@ class FgAbelianGroup(Record):
     def from_cyclic_orders(orders) -> FgAbelianGroup:
         """Normal form of a direct sum of cyclic groups Z/n (n = 0 means Z).
 
-        The invariant-factor chain is read off the Smith form of the
-        diagonal matrix of the finite orders.
+        Each finite order n >= 2 is swept into the chain from its largest
+        invariant down, by Z/d + Z/n = Z/lcm(d, n) + Z/gcd(d, n): each lcm
+        divides the next, being a divisor of the invariant above it, and
+        the last gcd, unless it is 1, heads the chain.
         """
         orders = [abs(int(n)) for n in orders]
-        _, d, _ = smith_normal_form(IntMatrix.diagonal([n for n in orders if n >= 2]))
-        torsion = tuple(x for x in d.diagonal_entries() if x > 1)
+        torsion: tuple[int, ...] = ()
+        for n in orders:
+            if n < 2:
+                continue
+            chain = []
+            for d in reversed(torsion):
+                g = gcd(d, n)
+                chain.append(d // g * n)
+                n = g
+            torsion = tuple(reversed(chain + [n] if n > 1 else chain))
         return FgAbelianGroup._normal(orders.count(0), torsion)
 
     def direct_sum(self, *others: FgAbelianGroup) -> FgAbelianGroup:
@@ -357,13 +275,11 @@ class FgAbelianGroup(Record):
         return " x ".join(parts) if parts else "0"
 
 
-def cokernel(m: IntMatrix) -> FgAbelianGroup:
-    """Cokernel Z^rows / image(m) in normal form."""
-    _, d, _ = smith_normal_form(m)
-    diag = d.diagonal_entries()
+def cokernel(rows, cols: int) -> FgAbelianGroup:
+    """Cokernel Z^len(rows) / image of the matrix, in normal form."""
+    diag = smith_normal_form(rows, cols)[1]
     nonzero = sum(1 for x in diag if x != 0)
-    torsion = tuple(x for x in diag if x > 1)
-    return FgAbelianGroup._normal(m.rows - nonzero, torsion)
+    return FgAbelianGroup._normal(len(rows) - nonzero, tuple(x for x in diag if x > 1))
 
 
 def _truncation(g: FgAbelianGroup, m: int) -> tuple[int, ...]:
@@ -390,11 +306,10 @@ def is_isomorphic(a: FgAbelianGroup, b: FgAbelianGroup) -> bool:
     return a.free_rank == b.free_rank and a.torsion == b.torsion
 
 
-def generator_matrix(vectors, ambient_rank: int) -> IntMatrix:
-    """Matrix whose columns are the given vectors in Z^ambient_rank."""
-    vectors = [tuple(int(x) for x in vec) for vec in vectors]
+def generator_matrix(vectors, ambient_rank: int) -> tuple[tuple[int, ...], ...]:
+    """The rows of the ambient_rank x len(vectors) matrix whose columns are
+    the given vectors in Z^ambient_rank."""
     for vec in vectors:
         if len(vec) != ambient_rank:
-            raise InvalidMonoidSpec(f"vector {vec} does not live in Z^{ambient_rank}")
-    return IntMatrix(ambient_rank, len(vectors),
-                     tuple(tuple(vec[i] for vec in vectors) for i in range(ambient_rank)))
+            raise InvalidMonoidSpec(f"vector {tuple(vec)} does not live in Z^{ambient_rank}")
+    return tuple(zip(*vectors)) if vectors else ((),) * ambient_rank

@@ -27,11 +27,11 @@ nonnegative real roots are exact radicals.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
 from ._record import Record
-from .abgrp import (FgAbelianGroup, IntMatrix, generator_matrix, rank,
-                    smith_normal_form)
+from .abgrp import FgAbelianGroup, generator_matrix, rank, smith_normal_form
 from .errors import ChartError, FalsifiedProperty, InvalidPoint, NotAFace, NotOnVariety
 from .monoid import DEFAULT_TOLERANCE, AffineMonoid, Face, face_with_support, stalk
 
@@ -40,13 +40,13 @@ class FiberEquivalenceCertificate(Record):
     """Evidence that the two fiber towers agree after completion.
 
     ``levels`` carries the per-level invariant factors from the tower
-    comparison; ``comparison_matrix`` is the single integer matrix whose
-    mod-n reductions realize every level isomorphism."""
+    comparison; ``comparison_matrix`` holds the rows of the single integer
+    matrix whose mod-n reductions realize every level isomorphism."""
 
     stratum_face: tuple[int, ...]
     torus_rank: int
     bound: int
-    comparison_matrix: IntMatrix
+    comparison_matrix: tuple[tuple[int, ...], ...]
     level_certificate: EquivalenceCertificate
     maps_realize_levels: bool
 
@@ -55,7 +55,7 @@ class FiberEquivalenceCertificate(Record):
             "face": list(self.stratum_face),
             "torus_rank": self.torus_rank,
             "bound": self.bound,
-            "comparison_matrix": [list(row) for row in self.comparison_matrix.entries],
+            "comparison_matrix": [list(row) for row in self.comparison_matrix],
             "maps_realize_levels": self.maps_realize_levels,
             "levels": self.level_certificate.to_json_dict(),
         }
@@ -80,7 +80,7 @@ def verify_fiber_equivalence(m: AffineMonoid, f: Face,
         stratum_face=f.support,
         torus_rank=r,
         bound=bound,
-        comparison_matrix=IntMatrix.identity(r),
+        comparison_matrix=tuple(tuple(int(i == j) for j in range(r)) for i in range(r)),
         level_certificate=cert,
         maps_realize_levels=realized,
     )
@@ -134,17 +134,16 @@ def _root_choices(rows, offsets, n: int, k: int):
     lexicographically, and generators of the homogeneous solution group:
     (n / gcd(d_j, n)) V e_j for each axis with more than one solution.
     """
-    u_mat, d, v = smith_normal_form(IntMatrix.from_rows(rows, k))
-    b = u_mat.apply([-c for c in offsets]) + (0,) * k
-    diag = d.diagonal_entries() + (0,) * k
+    u_mat, diag, v = smith_normal_form(rows, k)
+    b = [-sum(map(operator.mul, row, offsets)) for row in u_mat] + [0] * k
+    diag += (0,) * k
     solvable = not any(x % n for x in b[k:])
     axes, generators = [], []
-    for j in range(k):
+    for j, column in enumerate(zip(*v)):
         g = math.gcd(diag[j], n)
         step = n // g
         solvable = solvable and b[j] % g == 0
         w0 = b[j] // g * pow(diag[j] // g, -1, step) % step if step > 1 else 0
-        column = v.column(j)
         axes.append((range(w0, n, step), column))
         if g > 1:
             generators.append(tuple(step * x % n for x in column))
@@ -239,8 +238,8 @@ def algebraic_kummer_fiber(m: AffineMonoid, p: CxPoint, n: int,
     except NotAFace as err:
         raise InvalidPoint(f"vanishing pattern {support} is not a face: {err}") from err
     support_set = set(support)
-    face_rank = rank(generator_matrix([m.generators[i] for i in support],
-                                      m.ambient_rank)) if support else 0
+    face_rank = rank(generator_matrix([m.generators[i] for i in support], m.ambient_rank),
+                     len(support)) if support else 0
     _fiber_size(n, face_rank)
 
     # Only relations fully supported on the nonvanishing coordinates

@@ -180,7 +180,7 @@ def _synthesize_relations(v, r: int) -> tuple[Relation, ...]:
     form U G V = D of the generator matrix, r its rank: G V e_j = 0 for
     j >= r and V is unimodular, so they are a basis of the integer kernel.
     Each is split into its positive and negative parts."""
-    kernel = map(v.column, range(r, v.cols))
+    kernel = list(zip(*v))[r:]
     return tuple((tuple(max(x, 0) for x in z), tuple(max(-x, 0) for x in z)) for z in kernel)
 
 
@@ -324,7 +324,7 @@ def _check_saturation(m_partial: AffineMonoid, monoid_images, bound, u, factors)
             continue
         if not ratlp.in_cone(gens, point):
             continue
-        y = u.apply(point)
+        y = [sum(map(operator.mul, row, point)) for row in u]
         if any(map(operator.mod, y, factors)) or any(y[r:]):
             continue  # in the cone but not in the generated sublattice
         raise SaturationFailure(point)
@@ -367,8 +367,8 @@ def validate(spec: MonoidSpec, degree_bound: int = DEFAULT_DEGREE_BOUND) -> Affi
     if certificate is None:
         raise NotSharp("the rational cone spanned by the generators contains a line")
 
-    u, diag, v = smith_normal_form(generator_matrix(spec.generators, d))
-    factors = [x for x in diag.diagonal_entries() if x != 0]
+    u, diag, v = smith_normal_form(generator_matrix(spec.generators, d), len(spec.generators))
+    factors = [x for x in diag if x != 0]
     gp_rank = len(factors)
     free = gp_rank == len(spec.generators)
     if spec.relations is not None:
@@ -388,7 +388,7 @@ def validate(spec: MonoidSpec, degree_bound: int = DEFAULT_DEGREE_BOUND) -> Affi
         degree_bound=degree_bound,
         sharpness_certificate=tuple(certificate),
         grading=grading,
-        _lattice=u.entries[:gp_rank],
+        _lattice=u[:gp_rank],
     )
 
     degrees = [monoid.degree(g) for g in spec.generators]
@@ -508,13 +508,12 @@ def stalk(m: AffineMonoid, f: Face) -> tuple[AffineMonoid, int]:
     d = m.ambient_rank
     support = set(f.support)
     face_matrix = generator_matrix([m.generators[i] for i in f.support], d)
-    u, diag, _ = smith_normal_form(face_matrix)
-    r = sum(1 for x in diag.diagonal_entries() if x != 0)
+    u, diag, _ = smith_normal_form(face_matrix, len(f.support))
+    r = sum(1 for x in diag if x != 0)
 
     # x -> last d-r coordinates of U x kills exactly sat(L_F).
     def project(vec):
-        y = u.apply(vec)
-        return y[r:]
+        return [sum(map(operator.mul, row, vec)) for row in u[r:]]
 
     outside = [j for j in range(len(m.generators)) if j not in support]
     quotient_gens = [project(m.generators[j]) for j in outside]

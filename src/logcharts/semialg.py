@@ -161,14 +161,19 @@ def emit_equations(m: AffineMonoid, target: Target | str) -> BinomialSystem:
     return BinomialSystem(m.generator_count, tuple(m.relations), target)
 
 
-def _monomial(values, exponents, one):
+def _monomial(values, exponents, one, exact=False):
     """prod v**e over the nonzero exponents e, from ``one``: the single
     product behind both chart models, exact and floating, and both
-    samplers.  A zero base to a positive power is zero in every number
-    type used here, so no zero needs a special case."""
+    samplers.  With ``exact`` (GaussianRational or NonnegRoot values) the
+    product is the first vanishing base with a positive exponent, so a
+    point on a low stratum costs no exact arithmetic.  A floating product
+    multiplies every factor, so a zero beside a factor beyond the float
+    range still gives the OverflowError or NaN that callers read as inf."""
     out = one
     for v, e in zip(values, exponents):
         if e:
+            if exact and v.is_zero():
+                return v
             out = out * v ** e
     return out
 
@@ -203,8 +208,8 @@ def check_membership(system: BinomialSystem, point, tol: float = DEFAULT_TOLERAN
             if system.target is Target.KN_POINTS:
                 residual = _kn_equation_residual(point, r, s)
             elif point.exact:
-                diff = (_monomial(point.values, r, GAUSSIAN_ONE)
-                        - _monomial(point.values, s, GAUSSIAN_ONE))
+                diff = (_monomial(point.values, r, GAUSSIAN_ONE, True)
+                        - _monomial(point.values, s, GAUSSIAN_ONE, True))
                 residual = 0.0 if diff.is_zero() else _exact_gap(lambda: abs(diff.to_complex()))
             else:
                 residual = _float_gap(_monomial(point.values, r, complex(1)),
@@ -240,7 +245,7 @@ def _float_gap(lhs, rhs) -> float:
 def _kn_equation_residual(point: KnPoint, r, s) -> float:
     radii = [radius for radius, _ in point.values]
     one = NonnegRoot.of(1) if point.exact else 1.0
-    lhs, rhs = _monomial(radii, r, one), _monomial(radii, s, one)
+    lhs, rhs = _monomial(radii, r, one, point.exact), _monomial(radii, s, one, point.exact)
     # Angles add along the relation, modulo whole turns.  They only matter
     # where some radius factor is alive on a side; they are group-valued,
     # so the relation constrains them globally.

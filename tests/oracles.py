@@ -21,7 +21,9 @@ decided by one LP per generator subset, as the library did before it
 derived the faces from the facets, and truncations G/mG are built from
 lists and transitions compared as groups, as the library did before it
 built each level's invariants in one pass.  The quadric relations of a
-cone are listed by comparing every two pairs of generators.
+cone are listed by comparing every two pairs of generators.  Matrix
+products, identities, diagonals and determinants (by rational elimination)
+act on lists of rows, which is all the Smith forms take and return.
 """
 
 from __future__ import annotations
@@ -204,6 +206,47 @@ def random_unimodular(rng, n):
             i = rng.randrange(n)
             m[i] = [-x for x in m[i]]
     return m
+
+
+def matmul(a, b):
+    """The product of two integer matrices given as lists of rows; a
+    matrix with no rows is taken to have no columns either."""
+    width = len(b[0]) if b else 0
+    return [[sum(x * b[k][j] for k, x in enumerate(row)) for j in range(width)] for row in a]
+
+
+def identity(n):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def diagonal(diag, rows=None, cols=None):
+    """The rows x cols matrix (square by default) with diag on its diagonal."""
+    rows = len(diag) if rows is None else rows
+    cols = len(diag) if cols is None else cols
+    return [[diag[i] if i == j else 0 for j in range(cols)] for i in range(rows)]
+
+
+def det(rows):
+    """Determinant by Gaussian elimination over the rationals, not by the
+    library's fraction-free (Bareiss) elimination."""
+    a = [[Fraction(x) for x in row] for row in rows]
+    out = Fraction(1)
+    for k in range(len(a)):
+        pivot = next((i for i in range(k, len(a)) if a[i][k]), None)
+        if pivot is None:
+            return 0
+        if pivot != k:
+            a[k], a[pivot] = a[pivot], a[k]
+            out = -out
+        out *= a[k][k]
+        for i in range(k + 1, len(a)):
+            f = a[i][k] / a[k][k]
+            a[i] = [x - f * y for x, y in zip(a[i], a[k])]
+    return int(out)
+
+
+def is_unimodular(rows):
+    return all(len(row) == len(rows) for row in rows) and abs(det(rows)) == 1
 
 
 def root_choices_by_scan(rows, offsets, n, k):

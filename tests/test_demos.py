@@ -1,4 +1,5 @@
-"""Every narrative demo runs to completion."""
+"""Every narrative demo runs to completion, with warnings as errors as
+pytest's ``filterwarnings = error`` treats the library's own calls."""
 
 import glob
 import os
@@ -20,6 +21,6 @@ def test_demo_runs(path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [os.path.join(ROOT, "src")] + [p for p in [env.get("PYTHONPATH")] if p])
-    proc = subprocess.run([sys.executable, path], capture_output=True, text=True,
+    proc = subprocess.run([sys.executable, "-W", "error", path], capture_output=True, text=True,
                           env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr

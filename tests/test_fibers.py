@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 import logcharts.fibers as fibers_mod
-from logcharts.abgrp import FgAbelianGroup, IntMatrix, rank, tensor_mod
+from logcharts.abgrp import FgAbelianGroup, rank, tensor_mod
 from logcharts.errors import ChartError, FalsifiedProperty, InvalidPoint, NotOnVariety
 from logcharts.exactnum import GaussianRational, NonnegRoot
 from logcharts.fibers import (algebraic_kummer_fiber, kn_kummer_fiber,
@@ -37,7 +37,7 @@ def a1_cone():
 
 
 def matrix_mod(matrix, n):
-    return tuple(tuple(x % n for x in row) for row in matrix.entries)
+    return tuple(tuple(x % n for x in row) for row in matrix)
 
 
 def test_kn_fiber_ranks():
@@ -67,7 +67,7 @@ def test_comparison_on_pi1():
     m = n_monoid()
     vertex = face_with_support(m, [])
     _, cert = verify_fiber_equivalence(m, vertex, 5)
-    assert cert.comparison_matrix.entries == ((1,),)
+    assert cert.comparison_matrix == ((1,),)
     level5 = mu(stalk(m, vertex)[0], 5)
     assert level5 == FgAbelianGroup.cyclic(5)
     # the identity read mod n carries the truncated source onto the target
@@ -355,7 +355,7 @@ def test_root_choices_match_the_scan_oracle():
         homogeneous = root_choices_by_scan(rows, [0] * len(rows), n, k)
         assert len(generators) <= k
         assert _span_mod(generators, n, k) == set(homogeneous), (rows, n)
-        free_count = n ** (k - rank(IntMatrix.from_rows(rows, k)))
+        free_count = n ** (k - rank(rows, k))
         kinds.add("unsolvable" if not solutions
                   else "complete" if len(solutions) == free_count else "incomplete")
     assert kinds == {"unsolvable", "complete", "incomplete"}

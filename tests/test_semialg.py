@@ -124,6 +124,46 @@ def test_floating_membership_fails_beyond_the_float_range():
     assert check_membership(cx, CxPoint.floating([1e100, 1e100, 1e100, 1e100j]))[0] is False
 
 
+def test_exact_products_stop_at_the_first_vanishing_coordinate(monkeypatch):
+    # a side with a vanishing coordinate to a positive power is zero: an
+    # exact point at the vertex takes no exact product at all
+    square = validate(MonoidSpec.make(3, [[1, 0, 0], [1, 1, 0], [1, 0, 1], [1, 1, 1]],
+                                      [[[1, 0, 0, 1], [0, 1, 1, 0]]]))
+    kn, cx = (emit_equations(square, target) for target in ("kn", "complex"))
+    products = []
+    for cls in (GaussianRational, NonnegRoot):
+        for name in ("__mul__", "__pow__"):
+            def counting(self, other, _original=getattr(cls, name)):
+                products.append(_original)
+                return _original(self, other)
+            monkeypatch.setattr(cls, name, counting)
+    assert check_membership(cx, CxPoint.exact_point([0] * 4)) == (True, 0.0)
+    assert check_membership(kn, KnPoint.exact_point([(0, 0)] * 4)) == (True, 0.0)
+    assert products == []
+    # on the rays and off the variety, decided as before
+    assert check_membership(cx, CxPoint.exact_point([3, 0, Fraction(1, 2), 0])) == (True, 0.0)
+    assert check_membership(cx, CxPoint.exact_point([0, 1, 2, 0])) == (False, 2.0)
+    assert check_membership(kn, KnPoint.exact_point([(3, 0), (0, 0), (5, 0), (0, 0)])) == (
+        True, 0.0)
+    assert check_membership(kn, KnPoint.exact_point([(0, 0), (1, 0), (2, 0), (0, 0)])) == (
+        False, 2.0)
+
+
+def test_floating_products_multiply_through_a_zero():
+    # z2 = z0 z1^2: a floating zero before a power beyond the float range
+    # still overflows, so the floating point fails with residual inf where
+    # its exact twin, whose side stops at the zero, is on the variety
+    m = validate(MonoidSpec.make(2, [[1, 0], [0, 1], [1, 2]]))
+    kn, cx = (emit_equations(m, target) for target in ("kn", "complex"))
+    assert cx.equations == (((0, 0, 1), (1, 2, 0)),)
+    assert check_membership(cx, CxPoint.floating([0, 1e200, 0])) == (False, float("inf"))
+    assert check_membership(kn, KnPoint.floating([(0, 1), (1e200, 1), (0, 1)])) == (
+        False, float("inf"))
+    assert check_membership(cx, CxPoint.exact_point([0, 10**200, 0])) == (True, 0.0)
+    assert check_membership(kn, KnPoint.exact_point([(0, 0), (10**200, 0), (0, 0)])) == (
+        True, 0.0)
+
+
 def test_floating_residuals_are_relative_on_radii_and_absolute_on_angles():
     square = validate(MonoidSpec.make(3, [[1, 0, 0], [1, 1, 0], [1, 0, 1], [1, 1, 1]],
                                       [[[1, 0, 0, 1], [0, 1, 1, 0]]]))
