@@ -2,7 +2,8 @@
 subcommand on the four bundled corpus charts, for ``fiber`` and
 ``compare`` on every face of each, and for two ``--face`` arguments that
 name no face, kept in ``tests/data/cli_golden.json``; then ``torsor`` at
-an inline exact and floating log point, and one ``--table`` rendering.
+an inline exact and floating log point, and ``--table`` renderings of
+``info``, ``compare``, ``torsor``, ``emit`` and ``fiber``.
 
 An argv names a corpus chart by its file stem (``a1_cone``), which
 :func:`run` replaces by the chart's path.  The corpus is rewritten only
@@ -48,11 +49,15 @@ def argvs() -> list[list[str]]:
     out += [["fiber", "a1_cone", "3", "--face", "1"],
             ["compare", "a1_cone", "--face", "0,3"]]
     # z0 z2 = z1^2 at a given point, as exact turns and as floating angles
-    return out + [["torsor", "a1_cone", "2", "--point",
-                   '{"radii": ["1", "2", "4"], "turns": ["1/3", "1/3", "1/3"]}'],
+    exact = '{"radii": ["1", "2", "4"], "turns": ["1/3", "1/3", "1/3"]}'
+    return out + [["torsor", "a1_cone", "2", "--point", exact],
                   ["torsor", "a1_cone", "2", "--point",
                    '{"radii": [1, 2, 4], "angles": [[1, 0], [0, 1], [-1, 0]]}'],
-                  ["info", "a1_cone", "--table"]]
+                  ["info", "a1_cone", "--table"],
+                  ["compare", "a1_cone", "--bound", "3", "--table"],
+                  ["torsor", "a1_cone", "2", "--point", exact, "--table"],
+                  ["emit", "a1_cone", "--target", "kn", "--table"],
+                  ["fiber", "a1_cone", "3", "--face", "0", "--table"]]
 
 
 def run(argv) -> dict:
