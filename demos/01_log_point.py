@@ -43,4 +43,4 @@ print("\ncomparison map at level 5:", cert.comparison_matrix,
 
 print(f"\nfiberwise profinite comparison up to level 100: {ok}")
 print("first levels:",
-      [(rec.n, rec.factors_a, rec.factors_b) for rec in cert.level_certificate.levels[:6]])
+      [(rec.n, rec.factors_a, rec.factors_b) for rec in cert.levels.levels[:6]])

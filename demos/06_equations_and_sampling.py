@@ -16,7 +16,7 @@ cone = validate(MonoidSpec.make(2, [[1, 0], [1, 1], [1, 2]],
 
 complex_system = emit_equations(cone, Target.COMPLEX_POINTS)
 log_system = emit_equations(cone, Target.KN_POINTS)
-print("complex model equations:", complex_system.to_json_dict()["equations"])
+print("complex model equations:", complex_system.equations)
 print("log model reads the same exponents on (radius, angle) pairs")
 
 dense = face_with_support(cone, [0, 1, 2])

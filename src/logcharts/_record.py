@@ -1,20 +1,22 @@
-"""Value records, without the import cost of the standard library's
+"""Frozen value records, without the import cost of the standard library's
 record generator (which loads ``inspect``: about 10 ms per process).
 
 A subclass of :class:`Record` declares its fields as annotations, in
 order, with defaults as class attributes.  Each subclass gets its own
 compiled ``__init__`` (positional or keyword arguments, then
 ``__post_init__`` when the class has one), equality of same-class
-instances on their field tuples, the repr ``Name(a=..., b=...)``, and,
-unless declared with ``frozen=False``, a hash and refusal of attribute
-assignment; ``object.__setattr__`` still writes a field.  A field whose
-name starts with ``_`` is a cache: it is left out of equality, hash and
-repr.  Methods the class defines itself are kept.
+instances on their field tuples, a hash, and the repr
+``Name(a=..., b=...)``.  Every record is frozen: assigning or deleting an
+attribute raises AttributeError, and only ``object.__setattr__`` writes a
+field.  A field whose name starts with ``_`` is a cache: it is left out of
+equality, hash and repr.  The other field names are public, and they are
+the JSON keys the command line writes for a record.  Methods the class
+defines itself are kept.
 """
 
 
 class Record:
-    def __init_subclass__(cls, frozen=True, **kwargs):
+    def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         names = tuple(cls.__annotations__)
         cls._compared = tuple(name for name in names if not name.startswith("_"))
@@ -38,19 +40,14 @@ class Record:
         for method in ("__init__", "__eq__", "__hash__"):
             if method not in cls.__dict__:
                 env[method].__qualname__ = f"{cls.__qualname__}.{method}"
-                setattr(cls, method, env[method] if frozen or method != "__hash__" else None)
-        if frozen:
-            cls.__setattr__ = _refuse_assignment
-            cls.__delattr__ = _refuse_deletion
+                setattr(cls, method, env[method])
 
     def __repr__(self):
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._compared)
         return f"{self.__class__.__qualname__}({fields})"
 
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
 
-def _refuse_assignment(self, name, value):
-    raise AttributeError(f"cannot assign to field {name!r}")
-
-
-def _refuse_deletion(self, name):
-    raise AttributeError(f"cannot delete field {name!r}")
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")

@@ -1,10 +1,12 @@
 """Command-line entry point and JSON I/O.
 
-Charts are single JSON documents with a strict schema (unknown fields are
-rejected).  Every subcommand emits machine-readable JSON on stdout, or a
-plain table with --table.  Exit codes: 0 success, 1 reserved exclusively
-for a falsified mathematical property (a failed torsor or comparison
-check), 2 for any input or validation error.
+Charts and inline points are JSON documents with a strict schema (unknown
+fields are rejected).  Every subcommand emits machine-readable JSON on
+stdout, or a plain table with --table; this module is the one place that
+knows that format, and a record's public field names are its keys.  Exit
+codes: 0 success, 1 reserved exclusively for a falsified mathematical
+property (a failed torsor or comparison check), 2 for any input or
+validation error.
 
 Numeric defaults (tolerance 1e-9, degree bound 20, comparison bound 100)
 can be overridden, in decreasing precedence, by flags, by the chart
@@ -22,6 +24,7 @@ import sys
 from fractions import Fraction
 
 from . import monoid as monoid_mod
+from ._record import Record
 from .errors import ChartError, FalsifiedProperty
 from .monoid import DEFAULT_DEGREE_BOUND, DEFAULT_TOLERANCE, MonoidSpec, face_with_support
 
@@ -32,6 +35,7 @@ DEFAULT_SEED = 0
 _CHART_FIELDS = {"name", "ambient_rank", "generators", "relations", "options"}
 _OPTION_FIELDS = {"degree_bound", "tolerance", "seed"}
 _RELATION_FIELDS = {"lhs", "rhs"}
+_POINT_FIELDS = ({"radii", "turns"}, {"radii", "angles"})
 
 
 class ChartDocument:
@@ -131,8 +135,14 @@ def _check_levels(args, bound):
             raise ChartError(f"{label} must be at least 1, got {value}")
 
 
-def _group_json(g):
-    return {"free_rank": g.free_rank, "torsion": list(g.torsion)}
+def _plain(value):
+    """A record as a dict of its public fields, recursively, with tuples
+    as lists: the JSON the CLI writes for it."""
+    if isinstance(value, tuple):
+        return [_plain(x) for x in value]
+    if isinstance(value, Record):
+        return {name: _plain(getattr(value, name)) for name in value._compared}
+    return value
 
 
 def _parse_face(text, m):
@@ -154,8 +164,10 @@ def _parse_point(text):
         doc = json.loads(text)
     except json.JSONDecodeError as err:
         raise ChartError(f"point is not valid JSON: {err}") from err
-    if not isinstance(doc, dict) or "radii" not in doc:
-        raise ChartError('point must be a JSON object with "radii" and "turns" or "angles"')
+    if not isinstance(doc, dict) or set(doc) not in _POINT_FIELDS:
+        got = sorted(doc) if isinstance(doc, dict) else f"a JSON {type(doc).__name__}"
+        raise ChartError('point must be a JSON object with exactly the fields "radii" '
+                         f'and one of "turns" or "angles", got {got}')
     radii, circle = doc["radii"], doc.get("turns", doc.get("angles"))
     if not isinstance(radii, list) or not isinstance(circle, list) or len(radii) != len(circle):
         raise ChartError('point needs a list "radii" and an equally long list "turns" '
@@ -233,9 +245,7 @@ def cmd_strata(chart, m, args):
 
 def cmd_mu(chart, m, args):
     g = monoid_mod.mu(m, args.n)
-    out = {"name": chart.name, "n": args.n}
-    out.update(_group_json(g))
-    return out
+    return {"name": chart.name, "n": args.n, **_plain(g)}
 
 
 def cmd_fiber(chart, m, args):
@@ -249,7 +259,7 @@ def cmd_fiber(chart, m, args):
         "n": args.n,
         "kn_torus_rank": r,
         "kn_pi1": {"free_rank": r, "torsion": []},
-        "root_level": _group_json(monoid_mod.mu(quotient, args.n)),
+        "root_level": _plain(monoid_mod.mu(quotient, args.n)),
     }
 
 
@@ -263,38 +273,37 @@ def cmd_compare(chart, m, args, bound):
         "equivalent": ok,
         "levels": bound,
         "torus_rank": cert.torus_rank,
-        "certificate": cert.to_json_dict(),
+        "certificate": _plain(cert),
     }
     return payload, ok
 
 
 def cmd_emit(chart, m, args):
-    from .semialg import Target, emit_equations
-    target = Target.COMPLEX_POINTS if args.target == "complex" else Target.KN_POINTS
-    system = emit_equations(m, target)
-    out = {"name": chart.name}
-    out.update(system.to_json_dict())
-    return out
+    from .semialg import emit_equations
+    system = emit_equations(m, args.target)
+    return {"name": chart.name, "target": args.target, "variable_count": system.variable_count,
+            "equations": [{"lhs": list(r), "rhs": list(s)} for r, s in system.equations]}
 
 
 def cmd_torsor(chart, m, args, tol, seed):
     from .fibers import torsor_check
     from .semialg import sample_kn_stratum
     if args.point is not None:
+        if args.face is not None:
+            raise ChartError("torsor takes --point or --face, not both")
         point = _parse_point(args.point)
     else:
         face = _parse_face(args.face, m)
         point = sample_kn_stratum(m, face, 1, seed)[0]
     ok, report = torsor_check(m, point, args.n, tol)
-    payload = {"name": chart.name, "point": str(point), "torsor": report.to_json_dict(),
-               "ok": ok}
+    payload = {"name": chart.name, "point": str(point), "torsor": _plain(report), "ok": ok}
     return payload, ok
 
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true", help="JSON output (default)")
-    common.add_argument("--table", action="store_true", help="human-readable output")
+    common.add_argument("--table", action="store_true",
+                        help="human-readable output (default: JSON)")
     common.add_argument("--tol", type=float, default=None,
                         help=f"numeric tolerance (default {DEFAULT_TOLERANCE})")
     common.add_argument("--degree-bound", type=int, default=None,

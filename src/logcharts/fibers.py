@@ -37,28 +37,19 @@ from .monoid import DEFAULT_TOLERANCE, AffineMonoid, Face, face_with_support, st
 
 
 class FiberEquivalenceCertificate(Record):
-    """Evidence that the two fiber towers agree after completion.
+    """Evidence that the two fiber towers agree after completion over the
+    stratum of ``face`` (a generator support).
 
-    ``levels`` carries the per-level invariant factors from the tower
-    comparison; ``comparison_matrix`` holds the rows of the single integer
-    matrix whose mod-n reductions realize every level isomorphism."""
+    ``levels`` is the tower comparison's certificate, with the per-level
+    invariant factors; ``comparison_matrix`` holds the rows of the single
+    integer matrix whose mod-n reductions realize every level isomorphism."""
 
-    stratum_face: tuple[int, ...]
+    face: tuple[int, ...]
     torus_rank: int
     bound: int
     comparison_matrix: tuple[tuple[int, ...], ...]
-    level_certificate: EquivalenceCertificate
+    levels: EquivalenceCertificate
     maps_realize_levels: bool
-
-    def to_json_dict(self):
-        return {
-            "face": list(self.stratum_face),
-            "torus_rank": self.torus_rank,
-            "bound": self.bound,
-            "comparison_matrix": [list(row) for row in self.comparison_matrix],
-            "maps_realize_levels": self.maps_realize_levels,
-            "levels": self.level_certificate.to_json_dict(),
-        }
 
 
 def verify_fiber_equivalence(m: AffineMonoid, f: Face,
@@ -77,11 +68,11 @@ def verify_fiber_equivalence(m: AffineMonoid, f: Face,
     # realizes level n exactly when the two levels are isomorphic.
     realized = all(rec.isomorphic for rec in cert.levels)
     certificate = FiberEquivalenceCertificate(
-        stratum_face=f.support,
+        face=f.support,
         torus_rank=r,
         bound=bound,
         comparison_matrix=tuple(tuple(int(i == j) for j in range(r)) for i in range(r)),
-        level_certificate=cert,
+        levels=cert,
         maps_realize_levels=realized,
     )
     return ok and realized, certificate
@@ -295,9 +286,10 @@ def _exact_algebraic_table(p, n, support_set):
 
 
 class TorsorReport(Record):
-    """Outcome of checking the deck action on an enumerated Kummer fiber."""
+    """Outcome of checking the deck action on an enumerated Kummer fiber
+    of level ``n``."""
 
-    degree: int
+    n: int
     group_order: int
     fiber_size: int
     preserves_fiber: bool
@@ -308,17 +300,6 @@ class TorsorReport(Record):
     @property
     def ok(self) -> bool:
         return self.preserves_fiber and self.free and self.transitive
-
-    def to_json_dict(self):
-        return {
-            "n": self.degree,
-            "group_order": self.group_order,
-            "fiber_size": self.fiber_size,
-            "preserves_fiber": self.preserves_fiber,
-            "free": self.free,
-            "transitive": self.transitive,
-            "orbit_table": list(self.orbit_table),
-        }
 
 
 def _root_indices(pt: KnPoint, base: KnPoint, n: int, tol: float):
@@ -382,7 +363,7 @@ def torsor_check(m: AffineMonoid, p: KnPoint, n: int,
         c is not None and _act(c, g, n) in index for g in generators for c in lifts)
 
     report = TorsorReport(
-        degree=n,
+        n=n,
         group_order=len(chars),
         fiber_size=len(fiber),
         preserves_fiber=preserves,

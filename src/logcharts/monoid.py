@@ -87,7 +87,7 @@ class Face(Record):
         return "{" + ", ".join(map(str, self.support)) + "}"
 
 
-class AffineMonoid(Record, frozen=False):
+class AffineMonoid(Record):
     """A validated fine saturated sharp monoid.
 
     ``relations`` is the verified relation set (synthesized from the kernel
@@ -97,8 +97,8 @@ class AffineMonoid(Record, frozen=False):
     check: saturation was verified for all cone lattice points up to
     ``degree_bound``.  ``_lattice`` is U[:r], r the group rank, from the
     Smith form U G V = D that :func:`validate` ran; :func:`faces` reads
-    the facets in these coordinates.  Treat instances as immutable; they
-    are only constructed by :func:`validate`.
+    the facets in these coordinates, and ``_faces`` caches their answer.
+    Instances are only constructed by :func:`validate`.
     """
 
     spec: MonoidSpec
@@ -297,19 +297,19 @@ def _saturation_box(gens, degrees, bound):
     return lo, hi
 
 
-def _check_saturation(m_partial: AffineMonoid, monoid_images, bound, u, factors):
+def _check_saturation(gens, grading, degrees, monoid_images, bound, u, factors):
     """Desk-scale saturation check.
 
     Enumerates the integer points of the cone truncated at the degree
     bound (a bounding box in closed form, then, off the monoid elements, a
     phase-one simplex per point) and demands each point of the generated
     sublattice be a nonnegative integer combination of generators, i.e.
-    appear among the enumerated monoid elements.  With U G V = D the Smith
-    form of the generator matrix, x is in the sublattice exactly when
+    appear among the enumerated monoid elements.  The ``grading``
+    functional gives the generators their ``degrees``.  With U G V = D the
+    Smith form of the generator matrix, x is in the sublattice exactly when
     y = U x has d_i | y_i for its r nonzero ``factors`` d_i, and y_i = 0 after.
     """
-    gens = m_partial.generators
-    lo, hi = _saturation_box(gens, [m_partial.degree(g) for g in gens], bound)
+    lo, hi = _saturation_box(gens, degrees, bound)
     box = math.prod(b - a + 1 for a, b in zip(lo, hi))  # lo <= 0 <= hi
     if box > 500_000:
         raise InvalidMonoidSpec(
@@ -317,7 +317,7 @@ def _check_saturation(m_partial: AffineMonoid, monoid_images, bound, u, factors)
 
     r = len(factors)
     for point in itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi))):
-        deg = sum(c * x for c, x in zip(m_partial.grading, point))
+        deg = sum(map(operator.mul, grading, point))
         if deg < 0 or deg > bound:
             continue
         if point in monoid_images:  # the origin among them
@@ -379,19 +379,7 @@ def validate(spec: MonoidSpec, degree_bound: int = DEFAULT_DEGREE_BOUND) -> Affi
         relations = _synthesize_relations(v, gp_rank)  # () when free
 
     grading = _grading_functional(spec, certificate)
-    monoid = AffineMonoid(
-        spec=spec,
-        gp_lattice_rank=gp_rank,
-        is_sharp=True,
-        is_saturated=False,
-        relations=relations,
-        degree_bound=degree_bound,
-        sharpness_certificate=tuple(certificate),
-        grading=grading,
-        _lattice=u[:gp_rank],
-    )
-
-    degrees = [monoid.degree(g) for g in spec.generators]
+    degrees = [sum(map(operator.mul, grading, g)) for g in spec.generators]
     if any(x < 1 for x in degrees):
         raise InvalidMonoidSpec("grading functional is not positive on the generators")
     if not free:
@@ -399,9 +387,18 @@ def validate(spec: MonoidSpec, degree_bound: int = DEFAULT_DEGREE_BOUND) -> Affi
             images = _check_congruence_complete(spec, relations, degrees, degree_bound)
         else:
             images = set().union(*_monoid_images(spec, degrees, degree_bound))
-        _check_saturation(monoid, images, degree_bound, u, factors)
-    monoid.is_saturated = True
-    return monoid
+        _check_saturation(spec.generators, grading, degrees, images, degree_bound, u, factors)
+    return AffineMonoid(
+        spec=spec,
+        gp_lattice_rank=gp_rank,
+        is_sharp=True,
+        is_saturated=True,
+        relations=relations,
+        degree_bound=degree_bound,
+        sharpness_certificate=tuple(certificate),
+        grading=grading,
+        _lattice=u[:gp_rank],
+    )
 
 
 def _facets(m: AffineMonoid) -> dict[tuple[int, ...], tuple[int, ...]]:
@@ -467,7 +464,7 @@ def faces(m: AffineMonoid) -> list[Face]:
                 total = list(map(operator.add, total, normal))
         g = math.gcd(*total) or 1
         found.append(Face(support, tuple(x // g for x in total)))
-    m._faces = tuple(found)
+    object.__setattr__(m, "_faces", tuple(found))
     return list(found)
 
 

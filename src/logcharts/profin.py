@@ -134,19 +134,6 @@ class EquivalenceCertificate(Record):
     witness_level: int | None
     note: str = COMPARISON_NOTE
 
-    def to_json_dict(self):
-        return {
-            "equivalent": self.equivalent,
-            "bound": self.bound,
-            "witness_level": self.witness_level,
-            "note": self.note,
-            "levels": [
-                {"n": rec.n, "factors_a": list(rec.factors_a),
-                 "factors_b": list(rec.factors_b), "isomorphic": rec.isomorphic}
-                for rec in self.levels
-            ],
-        }
-
 
 def equivalent_up_to(a: FiniteAbelianProSystem, b: FiniteAbelianProSystem,
                      bound: int) -> tuple[bool, EquivalenceCertificate]:

@@ -53,13 +53,6 @@ class BinomialSystem(Record):
     equations: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
     target: Target
 
-    def to_json_dict(self):
-        return {
-            "target": self.target.value,
-            "variable_count": self.variable_count,
-            "equations": [{"lhs": list(r), "rhs": list(s)} for r, s in self.equations],
-        }
-
 
 class CxPoint(Record):
     """A generator-value assignment into C.

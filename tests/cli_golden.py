@@ -12,7 +12,9 @@ when a change of output is intended, and that change is announced:
     PYTHONPATH=src python tests/cli_golden.py
 
 ``--check`` replays the corpus without writing it, and exits 1 naming the
-first argv whose record differs:
+first argv whose record differs, which of argv, exit, stdout and stderr
+differ, and a unified diff of the expected against the actual value of
+each:
 
     PYTHONPATH=src python -W error tests/cli_golden.py --check
 """
@@ -20,6 +22,7 @@ first argv whose record differs:
 from __future__ import annotations
 
 import contextlib
+import difflib
 import io
 import itertools
 import json
@@ -71,6 +74,19 @@ def run(argv) -> dict:
             "stderr": err.getvalue()}
 
 
+def differences(want, got) -> list[str]:
+    """Lines naming each part of two records that differs, every part
+    followed by a unified diff of its expected and actual value."""
+    lines = []
+    for part in ("argv", "exit", "stdout", "stderr"):
+        if want.get(part) != got.get(part):
+            lines.append(f"{part} differs:")
+            expected, actual = (str(r.get(part, "")) for r in (want, got))
+            lines += difflib.unified_diff(expected.splitlines(), actual.splitlines(),
+                                          "expected", "actual", lineterm="")
+    return lines
+
+
 def load() -> list[dict]:
     with open(PATH, encoding="utf-8") as handle:
         return json.load(handle)
@@ -81,9 +97,10 @@ if __name__ == "__main__":
         del os.environ[key]
     entries = [run(argv) for argv in argvs()]
     if sys.argv[1:] == ["--check"]:
-        for got, want in itertools.zip_longest(entries, load()):
+        for got, want in itertools.zip_longest(entries, load(), fillvalue={}):
             if got != want:
                 print(f"differs from {PATH}: {(got or want)['argv']}")
+                print("\n".join(differences(want, got)))
                 sys.exit(1)
         print(f"all {len(entries)} entries match {PATH}")
         sys.exit(0)

@@ -437,7 +437,7 @@ def torsor_report_by_fractions(m, p, n):
         if where is not None and orbit_table[where] == -1:
             orbit_table[where] = ci
     return TorsorReport(
-        degree=n,
+        n=n,
         group_order=len(chars),
         fiber_size=len(fiber),
         preserves_fiber=len(located) == len(images) and all(

@@ -46,7 +46,7 @@ def test_criterion_1_log_point_fiber_equivalence():
     levels_cyclic = all(
         rec.factors_a == rec.factors_b
         and rec.factors_a == ((rec.n,) if rec.n > 1 else ())
-        for rec in cert.level_certificate.levels)
+        for rec in cert.levels.levels)
     maps_are_reductions = cert.comparison_matrix == ((1,),)
     for n in (1, 2, 50, 97):
         reduced = tuple(tuple(x % n for x in row) for row in cert.comparison_matrix)

@@ -183,6 +183,15 @@ def test_exit_code_2_on_input_errors(tmp_path):
          None),
         (["torsor", cone, "2", "--point",
           '{"radii": ["1e400", "1", "1"], "turns": ["0", "0", "0"]}'], None),
+        # an unknown field, and both circle fields, were accepted and ignored
+        (["torsor", cone, "2", "--point",
+          '{"radii": ["1", "1", "1"], "turns": ["0", "0", "0"], "colour": 5}'], None),
+        (["torsor", cone, "2", "--point",
+          '{"radii": ["1", "1", "1"], "turns": ["0", "0", "0"], '
+          '"angles": [[0, 1], [0, 1], [0, 1]]}'], None),
+        # --face was ignored beside --point
+        (["torsor", cone, "2", "--face", "0", "--point",
+          '{"radii": ["1", "1", "1"], "turns": ["0", "0", "0"]}'], None),
         (["torsor", cone, "1000"], None),
         (["info", cone, "--degree-bound", "-3"], None),
         # a free chart skips the saturation box, not the bound check
@@ -444,6 +453,14 @@ def test_env_defaults_and_flag_precedence(tmp_path):
     code, out, _ = run_cli(["compare", str(chart), "--face", "", "--bound", "5"],
                            env_extra={"LOGCHARTS_BOUND": "7"})
     assert code == 0 and json.loads(out)["levels"] == 5
+
+
+def test_json_is_not_an_option(capsys):
+    # JSON is the default output, and --table the only format switch
+    with pytest.raises(SystemExit) as info:
+        main(["info", corpus_path("log_point"), "--json"])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --json" in capsys.readouterr().err
 
 
 def test_table_mode(capsys):

@@ -100,7 +100,7 @@ def test_verify_fiber_equivalence_log_point():
     m = n_monoid()
     ok, cert = verify_fiber_equivalence(m, face_with_support(m, []), 100)
     assert ok and cert.torus_rank == 1 and cert.maps_realize_levels
-    for record in cert.level_certificate.levels:
+    for record in cert.levels.levels:
         assert record.factors_a == record.factors_b == (record.n,) or record.n == 1
 
 

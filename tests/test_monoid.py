@@ -525,7 +525,7 @@ def test_free_chart_closed_form_agrees_with_the_bounded_checks(monkeypatch):
         bound = 2 * max(degrees)
         images = monoid._check_congruence_complete(spec, (), degrees, bound)
         u, factors, _ = _smith(spec)
-        monoid._check_saturation(m, images, bound, u, factors)
+        monoid._check_saturation(m.generators, m.grading, degrees, images, bound, u, factors)
 
 
 def test_free_chart_keeps_and_verifies_supplied_relations(monkeypatch):
