@@ -291,6 +291,8 @@ def cmd_torsor(chart, m, args, tol, seed):
     if args.point is not None:
         if args.face is not None:
             raise ChartError("torsor takes --point or --face, not both")
+        if args.seed is not None:
+            raise ChartError("torsor takes --point or --seed, not both")
         point = _parse_point(args.point)
     else:
         face = _parse_face(args.face, m)

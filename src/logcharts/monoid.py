@@ -185,6 +185,7 @@ def _synthesize_relations(v, r: int) -> tuple[Relation, ...]:
 
 
 _ENUMERATION_CAP = 2_000_000
+_BOX_CAP = 500_000  # saturation box points
 
 
 def _monoid_images(spec: MonoidSpec, degrees, bound):
@@ -297,32 +298,36 @@ def _saturation_box(gens, degrees, bound):
     return lo, hi
 
 
-def _check_saturation(gens, grading, degrees, monoid_images, bound, u, factors):
+def _check_saturation(gens, grading, box, monoid_images, bound, u, factors):
     """Desk-scale saturation check.
 
-    Enumerates the integer points of the cone truncated at the degree
-    bound (a bounding box in closed form, then, off the monoid elements, a
-    phase-one simplex per point) and demands each point of the generated
-    sublattice be a nonnegative integer combination of generators, i.e.
-    appear among the enumerated monoid elements.  The ``grading``
-    functional gives the generators their ``degrees``.  With U G V = D the
-    Smith form of the generator matrix, x is in the sublattice exactly when
-    y = U x has d_i | y_i for its r nonzero ``factors`` d_i, and y_i = 0 after.
+    Walks the integer points of the cone truncated at the degree bound,
+    inside ``box`` = (lo, hi) from :func:`_saturation_box`, and demands
+    each point of the generated sublattice be a nonnegative integer
+    combination of generators, i.e. appear among the enumerated monoid
+    elements.  The ``grading`` functional gives the generators their
+    degrees.  A point off the monoid elements is outside the cone when a
+    Farkas certificate found earlier in the scan is negative on it;
+    otherwise a phase-one simplex decides it, and an "outside" answer adds
+    its certificate to the scan's list.  So a saturated cone costs one LP
+    per certificate it needs, not one per point, and every point is
+    classified as the LP alone would.  With U G V = D the Smith form of
+    the generator matrix, x is in the sublattice exactly when y = U x has
+    d_i | y_i for its r nonzero ``factors`` d_i, and y_i = 0 after.
     """
-    lo, hi = _saturation_box(gens, degrees, bound)
-    box = math.prod(b - a + 1 for a, b in zip(lo, hi))  # lo <= 0 <= hi
-    if box > 500_000:
-        raise InvalidMonoidSpec(
-            f"saturation box has {box} points; lower the degree bound")
-
     r = len(factors)
-    for point in itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi))):
+    certificates = []
+    for point in itertools.product(*(range(a, b + 1) for a, b in zip(*box))):
         deg = sum(map(operator.mul, grading, point))
         if deg < 0 or deg > bound:
             continue
         if point in monoid_images:  # the origin among them
             continue
-        if not ratlp.in_cone(gens, point):
+        if any(sum(map(operator.mul, w, point)) < 0 for w in certificates):
+            continue
+        inside, w = ratlp.in_cone(gens, point)
+        if not inside:
+            certificates.append(w)
             continue
         y = [sum(map(operator.mul, row, point)) for row in u]
         if any(map(operator.mod, y, factors)) or any(y[r:]):
@@ -348,7 +353,9 @@ def validate(spec: MonoidSpec, degree_bound: int = DEFAULT_DEGREE_BOUND) -> Affi
     least-degree element whose presentations the relations leave
     disconnected; saturation is checked up to the same bound against
     those elements (with supplied relations, the elements are listed
-    without the connectivity check).  The bound must be an int.
+    without the connectivity check).  The saturation box is bounded
+    first, so an oversized one is refused before any element is listed.
+    The bound must be an int.
 
     Raises NotSharp, RelationInconsistent, RelationSynthesisIncomplete,
     SaturationFailure, or InvalidMonoidSpec.
@@ -383,11 +390,16 @@ def validate(spec: MonoidSpec, degree_bound: int = DEFAULT_DEGREE_BOUND) -> Affi
     if any(x < 1 for x in degrees):
         raise InvalidMonoidSpec("grading functional is not positive on the generators")
     if not free:
+        box = _saturation_box(spec.generators, degrees, degree_bound)
+        size = math.prod(b - a + 1 for a, b in zip(*box))  # lo <= 0 <= hi
+        if size > _BOX_CAP:
+            raise InvalidMonoidSpec(
+                f"saturation box has {size} points; lower the degree bound")
         if spec.relations is None:
             images = _check_congruence_complete(spec, relations, degrees, degree_bound)
         else:
             images = set().union(*_monoid_images(spec, degrees, degree_bound))
-        _check_saturation(spec.generators, grading, degrees, images, degree_bound, u, factors)
+        _check_saturation(spec.generators, grading, box, images, degree_bound, u, factors)
     return AffineMonoid(
         spec=spec,
         gp_lattice_rank=gp_rank,

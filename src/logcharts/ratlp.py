@@ -10,13 +10,17 @@ membership runs phase one alone.  Sized for desk-scale cone problems
 (tens of variables); correctness over cleverness.
 
 ``monoid.validate`` is the only caller: ``strict_functional`` certifies
-sharpness and ``in_cone`` serves the saturation check.
+sharpness and ``in_cone`` serves the saturation check, which reuses the
+checked Farkas certificate of each "outside" answer on later points.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
+
+from .errors import FalsifiedProperty
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -224,16 +228,39 @@ def in_cone(generator_columns, point):
     generators?  ``generator_columns`` is a list of vectors in Z^d.  Only
     phase one of :func:`solve_standard_form`, from the integer tableau it
     builds for the same data, so with its pivots: the point is in the cone
-    exactly when the artificials reach zero."""
+    exactly when the artificials reach zero.
+
+    Returns (True, None) for a point of the cone.  Otherwise returns
+    (False, w), w a Farkas certificate (Schrijver 1986, Section 7.3): a
+    coprime integer functional with w.g >= 0 on every generator and
+    w.point < 0, so w separates the point, and every point it is negative
+    on, from the cone.  w is read off the final objective row: the dual
+    value of row i is y_i = 1 - r_i, r_i the reduced cost of its artificial
+    column, and w_i = -sign_i * y_i, the row's sign flip undone.  w is
+    checked by integer dot products before it is returned; a failure
+    raises FalsifiedProperty.
+    """
     m, k = len(point), len(generator_columns)
     total = k + m
-    tab = []
+    tab, signs = [], []
     for i, x in enumerate(point):
         sign = -1 if x < 0 else 1
+        signs.append(sign)
         tab.append([sign * g[i] for g in generator_columns]
                    + [1 if j == i else 0 for j in range(m)] + [sign * x])
     obj = [-sum(column) for column in zip(*tab)] or [0] * (total + 1)
     obj[k:total] = [0] * m
     tab.append(obj)
-    _run_simplex(tab, [1] * (m + 1), list(range(k, total)), total)
-    return tab[m][total] >= 0
+    dens = [1] * (m + 1)
+    _run_simplex(tab, dens, list(range(k, total)), total)
+    obj, den = tab[m], dens[m]
+    if obj[total] >= 0:
+        return True, None
+    w = [sign * (r - den) for sign, r in zip(signs, obj[k:total])]
+    g = math.gcd(*w) or 1
+    w = tuple(x // g for x in w)
+    if (any(sum(map(operator.mul, w, column)) < 0 for column in generator_columns)
+            or sum(map(operator.mul, w, point)) >= 0):
+        raise FalsifiedProperty(
+            f"Farkas certificate {w} does not separate {tuple(point)} from the cone")
+    return False, w

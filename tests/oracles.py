@@ -16,7 +16,9 @@ before it walked the monoid's elements degree by degree, and the
 saturation box is bounded by one exact LP per axis and direction, as the
 library did before it read the box off the vertices of the degree simplex,
 and cone membership is decided by the full two-phase LP, as the library
-did before it ran phase one alone on integer rows, and the face lattice is
+did before it ran phase one alone on integer rows, and the saturation scan
+runs that LP on every candidate point, as the library did before it kept
+the Farkas certificates of its "outside" answers, and the face lattice is
 decided by one LP per generator subset, as the library did before it
 derived the faces from the facets, and truncations G/mG are built from
 lists and transitions compared as groups, as the library did before it
@@ -36,10 +38,10 @@ from fractions import Fraction
 from math import gcd
 
 from logcharts import ratlp
-from logcharts.abgrp import FgAbelianGroup, is_isomorphic
+from logcharts.abgrp import FgAbelianGroup, generator_matrix, is_isomorphic, smith_normal_form
 from logcharts.errors import InvalidMonoidSpec, RelationSynthesisIncomplete
 from logcharts.fibers import TorsorReport
-from logcharts.monoid import _ENUMERATION_CAP, MonoidSpec
+from logcharts.monoid import _ENUMERATION_CAP, MonoidSpec, _grading_functional
 from logcharts.profin import EquivalenceCertificate, LevelRecord
 from logcharts.ratlp import INFEASIBLE, OPTIMAL, UNBOUNDED
 from logcharts.semialg import KnPoint
@@ -622,6 +624,42 @@ def in_cone_by_lp(generator_columns, point):
     n = len(rows[0]) if rows else 0
     status, _, _ = solve_standard_form([_ZERO] * n, rows, [Fraction(x) for x in point])
     return status == OPTIMAL
+
+
+# --------------------------------------------------------------------------
+# The saturation scan with one LP per candidate point, as
+# ``logcharts.monoid._check_saturation`` ran it before it kept the Farkas
+# certificates of its "outside" answers.
+
+def saturation_scan_inputs(spec: MonoidSpec, bound):
+    """(gens, grading, degrees, monoid_images, bound, u, factors) as
+    ``validate`` passes them to the scan; the monoid elements come from
+    the exponent vectors of degree <= bound."""
+    d, gens = spec.ambient_rank, spec.generators
+    grading = _grading_functional(spec, ratlp.strict_functional(d, [], list(gens)))
+    degrees = [sum(map(operator.mul, grading, g)) for g in gens]
+    images = {image for _, image in _bounded_exponent_vectors(spec, degrees, bound)}
+    u, diag, _ = smith_normal_form(generator_matrix(gens, d), len(gens))
+    return gens, grading, degrees, images, bound, u, [x for x in diag if x != 0]
+
+
+def saturation_scan_by_lp(gens, grading, degrees, monoid_images, bound, u, factors):
+    """The first point of the truncated cone, in box order, that lies in
+    the generated sublattice but not among the monoid elements, or None;
+    :func:`in_cone_by_lp` decides every candidate point."""
+    lo, hi = saturation_box_by_lp(gens, degrees, bound)
+    r = len(factors)
+    for point in itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi))):
+        deg = sum(map(operator.mul, grading, point))
+        if deg < 0 or deg > bound or point in monoid_images:
+            continue
+        if not in_cone_by_lp(gens, point):
+            continue
+        y = [sum(map(operator.mul, row, point)) for row in u]
+        if any(map(operator.mod, y, factors)) or any(y[r:]):
+            continue
+        return point
+    return None
 
 
 # --------------------------------------------------------------------------

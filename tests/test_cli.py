@@ -192,6 +192,9 @@ def test_exit_code_2_on_input_errors(tmp_path):
         # --face was ignored beside --point
         (["torsor", cone, "2", "--face", "0", "--point",
           '{"radii": ["1", "1", "1"], "turns": ["0", "0", "0"]}'], None),
+        # --seed was ignored beside --point
+        (["torsor", cone, "2", "--seed", "5", "--point",
+          '{"radii": ["1", "1", "1"], "turns": ["0", "0", "0"]}'], None),
         (["torsor", cone, "1000"], None),
         (["info", cone, "--degree-bound", "-3"], None),
         # a free chart skips the saturation box, not the bound check

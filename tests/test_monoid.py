@@ -20,7 +20,8 @@ from logcharts.profin import mu_tower
 
 from oracles import (congruence_complete_by_vectors, diagonal, face_supports_by_axiom,
                      faces_by_lp, fiber_connected_by_vectors, quadric_relations,
-                     random_unimodular, saturation_box_by_lp)
+                     random_unimodular, saturation_box_by_lp, saturation_scan_by_lp,
+                     saturation_scan_inputs)
 
 
 def n_monoid():
@@ -525,7 +526,8 @@ def test_free_chart_closed_form_agrees_with_the_bounded_checks(monkeypatch):
         bound = 2 * max(degrees)
         images = monoid._check_congruence_complete(spec, (), degrees, bound)
         u, factors, _ = _smith(spec)
-        monoid._check_saturation(m.generators, m.grading, degrees, images, bound, u, factors)
+        box = monoid._saturation_box(m.generators, degrees, bound)
+        monoid._check_saturation(m.generators, m.grading, box, images, bound, u, factors)
 
 
 def test_free_chart_keeps_and_verifies_supplied_relations(monkeypatch):
@@ -551,6 +553,18 @@ def test_enumeration_cap_still_refuses(monkeypatch):
                  degree_bound=60)
     with pytest.raises(InvalidMonoidSpec, match="desk-scale cap"):
         validate(MonoidSpec.make(2, [[1, 0], [1, 1], [1, 2]]), degree_bound=60)
+
+
+def test_an_oversized_saturation_box_is_refused_before_enumeration(monkeypatch):
+    # the box of <2, 3> in Z at degree bound 10^6 has 10^6 + 1 points; it
+    # used to be refused only after the monoid elements were listed
+    _refuse_enumeration(monkeypatch)
+    for spec in (MonoidSpec.make(1, [[2], [3]]),
+                 MonoidSpec.make(1, [[2], [3]], [[[3, 0], [0, 2]]]),
+                 MonoidSpec.make(2, [[1, 0], [1, 1], [1, 2]], [[[1, 0, 1], [0, 2, 0]]])):
+        for bound in (10**6, 10**8):
+            with pytest.raises(InvalidMonoidSpec, match="saturation box has"):
+                validate(spec, bound)
 
 
 def test_hilbert_cone_names_the_least_degree_disconnected_fiber():
@@ -680,3 +694,65 @@ def test_saturation_box_matches_the_lp_oracle():
         validate(MonoidSpec.make(2, [[1, 0], [1, 1], [1, 2]]), -1)
     with pytest.raises(InvalidMonoidSpec):
         saturation_box_by_lp([[1, 0], [1, 1], [1, 2]], [1, 2, 3], -1)
+
+
+def _stalk_presentations(monkeypatch, charts):
+    """(spec, degree bound) of every quotient P/F that stalk validates on
+    the charts, whether validate accepts it or not."""
+    presented = []
+    check = monoid.validate
+
+    def recording(spec, degree_bound):
+        presented.append((spec, degree_bound))
+        return check(spec, degree_bound)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(monoid, "validate", recording)
+        for m in charts:
+            for f in faces(m):
+                try:
+                    stalk(m, f)
+                except ChartError:
+                    pass
+    return presented
+
+
+def test_saturation_scan_matches_the_lp_oracle(monkeypatch):
+    # the scan that keeps its Farkas certificates names the witness that the
+    # scan with one LP per box point names, or none when that names none
+    square = [[1, 0, 0], [1, 1, 0], [1, 0, 1], [1, 1, 1]]
+    cube = [[1, *e] for e in itertools.product((0, 1), repeat=3)]
+    five = [[2, 2, 0, 3], [-1, 2, 3, 0], [2, 1, 1, -1], [-1, 1, 1, 2], [-3, 3, 2, 4]]
+    # the cube at bound 8: the oracle's LP per point takes 5 s at bound 20
+    cases = [(MonoidSpec.make(3, square), 20),
+             (MonoidSpec.make(4, cube, quadric_relations(cube)), 8),
+             (MonoidSpec.make(4, five), 4), (MonoidSpec.make(4, five), 20)]
+    for a in (1, 2, 3, 4):
+        gens = [[1, i] for i in range(a + 1)]
+        cases += [(MonoidSpec.make(2, gens, quadric_relations(gens)), bound) for bound in (20, 40)]
+    # the gapped cone and the numerical semigroups
+    cases += [(MonoidSpec.make(d, gens), 20) for d, gens in CORPUS_CONES[-5:]]
+    charts = list(_random_valid_charts(random.Random(16), 60))
+    cases += [(m.spec, m.degree_bound) for m in charts]
+    cases += _stalk_presentations(monkeypatch, charts)
+    witnesses = scanned = 0
+    seen = set()
+    for spec, bound in cases:
+        free = rank(spec.generators, spec.ambient_rank) == len(spec.generators)
+        if free or (spec.generators, bound) in seen:
+            continue  # validate decides a free chart without the scan
+        seen.add((spec.generators, bound))
+        scanned += 1
+        gens, grading, degrees, images, _, u, factors = saturation_scan_inputs(spec, bound)
+        want = saturation_scan_by_lp(gens, grading, degrees, images, bound, u, factors)
+        box = monoid._saturation_box(gens, degrees, bound)
+        try:
+            monoid._check_saturation(gens, grading, box, images, bound, u, factors)
+        except SaturationFailure as err:
+            assert err.witness == want, (spec, bound)
+            witnesses += 1
+        else:
+            assert want is None, (spec, bound)
+    # the five-generator chart at bound 20, the semigroups, the gapped cone
+    # and about 100 stalks are not saturated
+    assert scanned > 200 and witnesses > 100, (scanned, witnesses)

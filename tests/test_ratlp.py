@@ -2,10 +2,12 @@
 cone membership by phase one alone."""
 
 import collections
+import math
 import random
 from fractions import Fraction
 
 from logcharts import ratlp
+from logcharts.errors import FalsifiedProperty
 from logcharts.cli import corpus_path, load_chart
 from logcharts.monoid import DEFAULT_DEGREE_BOUND, MonoidSpec, faces, validate
 
@@ -46,8 +48,9 @@ def test_exactness_of_optimum():
 
 def test_feasible_nonneg():
     # x + y = 2 has a nonnegative solution; x + y = 2 and x + y = 3 have none
-    assert ratlp.in_cone([(1,), (1,)], (2,))
-    assert not ratlp.in_cone([(1, 1), (1, 1)], (2, 3))
+    assert ratlp.in_cone([(1,), (1,)], (2,)) == (True, None)
+    inside, w = ratlp.in_cone([(1, 1), (1, 1)], (2, 3))
+    assert not inside and w == (1, -1)
 
 
 def test_strict_functional_geometry():
@@ -78,18 +81,20 @@ def test_gordan_duality_randomized():
             continue
         u = ratlp.strict_functional(d, [], gens)
         # some lam >= 0 with sum lam = 1 and sum lam_j gen_j = 0
-        lam = ratlp.in_cone([g + (1,) for g in gens], (0,) * d + (1,))
+        lam, _ = ratlp.in_cone([g + (1,) for g in gens], (0,) * d + (1,))
         assert (u is None) == lam
 
 
 def test_in_cone():
+    # a point of the cone has no certificate; (2, -1) is >= 0 on both
+    # generators and negative on (0, 1) and (-1, 0)
     gens = [(1, 0), (1, 2)]
-    assert ratlp.in_cone(gens, (2, 2))
-    assert ratlp.in_cone(gens, (0, 0))
-    assert not ratlp.in_cone(gens, (0, 1))
-    assert not ratlp.in_cone(gens, (-1, 0))
-    assert ratlp.in_cone([], (0, 0))
-    assert not ratlp.in_cone([], (1, 0))
+    assert ratlp.in_cone(gens, (2, 2)) == (True, None)
+    assert ratlp.in_cone(gens, (0, 0)) == (True, None)
+    assert ratlp.in_cone(gens, (0, 1)) == (False, (2, -1))
+    assert ratlp.in_cone(gens, (-1, 0)) == (False, (2, -1))
+    assert ratlp.in_cone([], (0, 0)) == (True, None)
+    assert ratlp.in_cone([], (1, 0)) == (False, (-1, -1))
 
 
 def _random_rational(rng):
@@ -170,10 +175,64 @@ def _recorded_queries(monkeypatch, specs, degree_bound=DEFAULT_DEGREE_BOUND):
     return queries
 
 
+def _box_queries(monkeypatch, specs, degree_bound):
+    """(generators, point) for every point that the one-LP-per-point scan
+    of the oracle hands to in_cone_by_lp on the specs: each box point of
+    degree <= bound that is not a monoid element.  The recording answers
+    "outside", so the scan walks the whole box."""
+    queries = []
+
+    def recording(generator_columns, point):
+        queries.append((generator_columns, point))
+        return False
+
+    with monkeypatch.context() as patch:
+        patch.setattr(oracles, "in_cone_by_lp", recording)
+        for spec in specs:
+            oracles.saturation_scan_by_lp(*oracles.saturation_scan_inputs(spec, degree_bound))
+    return queries
+
+
+def _seeded_queries():
+    """3,000 seeded (generators, point) queries: cones some of them empty,
+    some not pointed, and points with negative and zero coordinates, some
+    of them in the cone by construction."""
+    rng = random.Random(20151026)
+    queries = []
+    seen = {"no generators": 0, "negative coordinate": 0, "zero coordinate": 0}
+    for _ in range(3000):
+        d, k = rng.randint(1, 4), rng.choice([0, *range(1, 8)])
+        gens = [tuple(rng.randint(-3, 4) for _ in range(d)) for _ in range(k)]
+        if gens and rng.random() < 0.3:
+            lam = [rng.randint(0, 2) for _ in gens]
+            point = tuple(sum(c * g[i] for c, g in zip(lam, gens)) for i in range(d))
+        else:
+            point = tuple(rng.choice([0, rng.randint(-3, 4)]) for _ in range(d))
+        seen["no generators"] += not gens
+        seen["negative coordinate"] += min(point) < 0
+        seen["zero coordinate"] += 0 in point
+        queries.append((gens, point))
+    assert min(seen.values()) > 300, seen
+    return queries
+
+
+def _dot(u, v):
+    return sum(x * y for x, y in zip(u, v))
+
+
+def _assert_certificate(generator_columns, point, w):
+    """w is a coprime integer functional, >= 0 on every generator and
+    negative on the point."""
+    assert all(type(x) is int for x in w) and math.gcd(*w) == 1, w
+    assert all(_dot(w, g) >= 0 for g in generator_columns), (generator_columns, w)
+    assert _dot(w, point) < 0, (point, w)
+
+
 def _checked_in_cone(monkeypatch):
     """in_cone, checked against the LP oracle: the same answer, and the
     pivots of the oracle's phase one, which ends with its first simplex
-    run (none when it answers without an LP)."""
+    run (none when it answers without an LP).  An "outside" answer must
+    carry a Farkas certificate, an "inside" answer none."""
     integer_pivots = _record_pivots(monkeypatch, ratlp)
     reference_pivots = _record_pivots(monkeypatch, oracles)
     ends = _record_phase_ends(monkeypatch, reference_pivots)
@@ -181,12 +240,16 @@ def _checked_in_cone(monkeypatch):
     def check(generator_columns, point):
         for trail in (integer_pivots, reference_pivots, ends):
             trail.clear()
-        answer = ratlp.in_cone(generator_columns, point)
-        assert answer == oracles.in_cone_by_lp(generator_columns, point), (
+        inside, w = ratlp.in_cone(generator_columns, point)
+        assert inside == oracles.in_cone_by_lp(generator_columns, point), (
             generator_columns, point)
         assert integer_pivots == reference_pivots[:ends[0] if ends else 0], (
             generator_columns, point)
-        return answer
+        if inside:
+            assert w is None
+        else:
+            _assert_certificate(generator_columns, point, w)
+        return inside
 
     return check
 
@@ -205,9 +268,12 @@ def test_integer_simplex_matches_the_fraction_reference_on_chart_lps(monkeypatch
     monkeypatch.setattr(ratlp, "solve_standard_form", recording)
     queries = _recorded_queries(monkeypatch, charts)
     monkeypatch.undo()
-    # the LPs the corpus runs: solves for sharpness and faces, and cone
-    # membership for saturation
-    assert issued and queries and len(issued) + len(queries) > 100
+    # the LPs the corpus runs: solves for sharpness, and cone membership for
+    # saturation, a few per chart since the scan keeps its certificates;
+    # the box points stand in for the LP per point the scan ran before
+    assert issued and queries and len(issued) + len(queries) < 20
+    queries += _box_queries(monkeypatch, charts, DEFAULT_DEGREE_BOUND)
+    assert len(queries) > 100
     integer_pivots = _record_pivots(monkeypatch, ratlp)
     reference_pivots = _record_pivots(monkeypatch, oracles)
     for c, rows, rhs in issued:
@@ -219,36 +285,67 @@ def test_integer_simplex_matches_the_fraction_reference_on_chart_lps(monkeypatch
         check(generator_columns, point)
 
 
-def test_in_cone_matches_the_lp_oracle(monkeypatch):
-    # the queries validate makes on the square, cube and Hilbert cones; the
-    # cube and the Hilbert cones get their quadrics as relations, because
-    # relations synthesized from the kernel stop the cube and a = 3, 4
-    # before the saturation check
+def _hand_cones():
+    """The square cone, and the cube and the Hilbert cones a = 1..4 with
+    their quadrics as relations, because relations synthesized from the
+    kernel stop the cube and a = 3, 4 before the saturation check."""
     square = [[1, 0, 0], [1, 1, 0], [1, 0, 1], [1, 1, 1]]
     cube = [[1, x, y, z] for x in (0, 1) for y in (0, 1) for z in (0, 1)]
     hilbert = [[[1, i] for i in range(a + 1)] for a in (1, 2, 3, 4)]
     quadrics = oracles.quadric_relations
     specs = [MonoidSpec.make(3, square), MonoidSpec.make(4, cube, quadrics(cube))]
-    specs += [MonoidSpec.make(2, gens, quadrics(gens)) for gens in hilbert]
-    queries = _recorded_queries(monkeypatch, specs, 20)
+    return specs + [MonoidSpec.make(2, gens, quadrics(gens)) for gens in hilbert]
+
+
+def test_in_cone_matches_the_lp_oracle(monkeypatch):
+    # the box points of the square, cube and Hilbert cones at degree bound
+    # 20, which the saturation scan ran one LP each on before it kept its
+    # certificates, and the seeded queries
+    queries = _box_queries(monkeypatch, _hand_cones(), 20)
     assert len(queries) > 6000
-    # seeded cones, some of them empty, some not pointed, and points with
-    # negative and zero coordinates, some of them in the cone by construction
-    rng = random.Random(20151026)
-    seen = {"no generators": 0, "negative coordinate": 0, "zero coordinate": 0}
-    for _ in range(3000):
-        d, k = rng.randint(1, 4), rng.choice([0, *range(1, 8)])
-        gens = [tuple(rng.randint(-3, 4) for _ in range(d)) for _ in range(k)]
-        if gens and rng.random() < 0.3:
-            lam = [rng.randint(0, 2) for _ in gens]
-            point = tuple(sum(c * g[i] for c, g in zip(lam, gens)) for i in range(d))
-        else:
-            point = tuple(rng.choice([0, rng.randint(-3, 4)]) for _ in range(d))
-        seen["no generators"] += not gens
-        seen["negative coordinate"] += min(point) < 0
-        seen["zero coordinate"] += 0 in point
-        queries.append((gens, point))
-    assert min(seen.values()) > 300, seen
+    queries += _seeded_queries()
     check = _checked_in_cone(monkeypatch)
     answers = collections.Counter(check(gens, point) for gens, point in queries)
     assert min(answers[True], answers[False]) > 300, answers
+
+
+def test_validate_runs_a_few_lps_per_cone(monkeypatch):
+    # the scan keeps the certificate of each "outside" answer: 3 LPs on
+    # the square cone, 4 on the cube and at most 1 on each Hilbert cone,
+    # where one LP per box point ran 699 on the square cone
+    for spec in _hand_cones():
+        for bound in (20, 40) if spec.ambient_rank < 4 else (20,):
+            queries = _recorded_queries(monkeypatch, [spec], bound)
+            assert len(queries) <= 8, (spec.generators, bound, len(queries))
+
+
+def test_a_misread_objective_row_raises(monkeypatch):
+    # seeded mutation: after the simplex, one reduced cost of an artificial
+    # column is shifted by a multiple of the row's denominator, so one dual
+    # value is misread; in_cone checks the certificate and refuses it
+    rng = random.Random(7)
+    run = ratlp._run_simplex
+
+    def misread(tab, dens, basis, ncols):
+        status = run(tab, dens, basis, ncols)
+        m = len(tab) - 1
+        if m:
+            tab[m][ncols - m + rng.randrange(m)] += rng.choice((-3, -2, -1, 1, 2, 3)) * dens[m]
+        return status
+
+    outside = raised = 0
+    for gens, point in _seeded_queries():
+        inside, _ = ratlp.in_cone(gens, point)
+        if inside:
+            continue
+        outside += 1
+        with monkeypatch.context() as patch:
+            patch.setattr(ratlp, "_run_simplex", misread)
+            try:
+                _, w = ratlp.in_cone(gens, point)
+            except FalsifiedProperty as err:
+                assert "does not separate" in str(err)
+                raised += 1
+            else:
+                _assert_certificate(gens, point, w)  # the shift left w valid
+    assert raised > outside // 2, (raised, outside)
