@@ -9,8 +9,8 @@ property (a failed torsor or comparison check), 2 for any input or
 validation error.
 
 Numeric defaults (tolerance 1e-9, degree bound 20, comparison bound 100)
-can be overridden, in decreasing precedence, by flags, by the chart
-document's own options block, and by LOGCHARTS_* environment variables.
+are overridden by flags, then by the chart's options block (tolerance,
+degree bound and seed only), then by LOGCHARTS_* environment variables.
 Generator and face indices are 0-based.
 """
 

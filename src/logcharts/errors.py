@@ -25,11 +25,10 @@ class RelationInconsistent(ChartError):
 
 
 class RelationSynthesisIncomplete(ChartError):
-    """A synthesized relation set does not generate the full congruence
-    up to the configured degree bound.
-
-    The least-degree image whose presentations stay disconnected is kept
-    on the ``witness`` attribute and its degree on ``degree``, when known.
+    """A relation set, supplied or synthesized, does not generate the
+    monoid's congruence.  ``witness`` is the least-degree image whose
+    presentations stay disconnected, with its ``degree``, or a kernel
+    vector outside the span of a supplied set's rows, with degree None.
     """
 
     def __init__(self, message, witness=None, degree=None):

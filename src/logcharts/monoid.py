@@ -90,14 +90,15 @@ class Face(Record):
 class AffineMonoid(Record):
     """A validated fine saturated sharp monoid.
 
-    ``relations`` is the verified relation set (synthesized from the kernel
-    of the generator matrix when the presentation supplied none; empty for
-    a free chart).  ``is_saturated`` is proved exactly for a free chart
-    (linearly independent generators) and otherwise records a desk-scale
-    check: saturation was verified for all cone lattice points up to
-    ``degree_bound``.  ``_lattice`` is U[:r], r the group rank, from the
-    Smith form U G V = D that :func:`validate` ran; :func:`faces` reads
-    the facets in these coordinates, and ``_faces`` caches their answer.
+    ``relations`` is the verified relation set, supplied or else synthesized
+    (empty for a free chart): it spans the kernel of the generator matrix
+    and connects every fiber up to ``degree_bound``.  ``is_saturated`` is
+    proved exactly for a free chart (linearly independent generators) and
+    otherwise records a desk-scale check: saturation was verified for all
+    cone lattice points up to ``degree_bound``.  ``_lattice`` is U[:r], r
+    the group rank, from the Smith form U G V = D that :func:`validate`
+    ran; :func:`faces` reads the facets in these coordinates, and
+    ``_faces`` caches their answer.
     Instances are only constructed by :func:`validate`.
     """
 
@@ -153,11 +154,14 @@ def _check_spec_shape(spec: MonoidSpec):
                 raise InvalidMonoidSpec(f"relation {(r, s)} has negative exponents")
 
 
+def _image(spec: MonoidSpec, exponents) -> tuple[int, ...]:
+    """The element sum_j exponents_j gen_j of Z^d."""
+    return tuple(sum(c * g[a] for c, g in zip(exponents, spec.generators))
+                 for a in range(spec.ambient_rank))
+
+
 def _verify_relation(spec: MonoidSpec, relation: Relation):
-    r, s = relation
-    d = spec.ambient_rank
-    lhs = tuple(sum(r[j] * spec.generators[j][i] for j in range(len(r))) for i in range(d))
-    rhs = tuple(sum(s[j] * spec.generators[j][i] for j in range(len(s))) for i in range(d))
+    lhs, rhs = _image(spec, relation[0]), _image(spec, relation[1])
     if lhs != rhs:
         raise RelationInconsistent(
             f"relation {relation} fails: sides evaluate to {lhs} and {rhs}")
@@ -175,12 +179,10 @@ def _grading_functional(spec: MonoidSpec, certificate) -> tuple[int, ...]:
     return tuple(int(x) for x in certificate)
 
 
-def _synthesize_relations(v, r: int) -> tuple[Relation, ...]:
-    """Candidate relations from the columns r, r+1, ... of V in the Smith
-    form U G V = D of the generator matrix, r its rank: G V e_j = 0 for
-    j >= r and V is unimodular, so they are a basis of the integer kernel.
-    Each is split into its positive and negative parts."""
-    kernel = list(zip(*v))[r:]
+def _synthesize_relations(kernel) -> tuple[Relation, ...]:
+    """Candidate relations from a basis of the integer kernel of the
+    generator matrix, each vector split into its positive and negative
+    parts."""
     return tuple((tuple(max(x, 0) for x in z), tuple(max(-x, 0) for x in z)) for z in kernel)
 
 
@@ -188,43 +190,14 @@ _ENUMERATION_CAP = 2_000_000
 _BOX_CAP = 500_000  # saturation box points
 
 
-def _monoid_images(spec: MonoidSpec, degrees, bound):
-    """The elements of P up to the degree bound, one layer per degree.
-
-    layers[0] = {0} and layers[b] is the union over i of
-    layers[b - degrees_i] + gen_i, so an element is made once per generator
-    it is a sum with, not once per presentation.  Each layer maps an element
-    x to the bit mask of I_x = {i : x - gen_i in P}.  More than
-    ``_ENUMERATION_CAP`` elements held raise InvalidMonoidSpec.
-    """
-    layers = [{(0,) * spec.ambient_rank: 0}]
-    held = 1
-    for b in range(1, bound + 1):
-        layer: dict[tuple[int, ...], int] = {}
-        for i, (gen, step) in enumerate(zip(spec.generators, degrees)):
-            if step <= b:
-                bit = 1 << i
-                for y in layers[b - step]:
-                    x = tuple(map(operator.add, y, gen))
-                    layer[x] = layer.get(x, 0) | bit
-        held += len(layer)
-        if held > _ENUMERATION_CAP:
-            raise InvalidMonoidSpec(
-                "degree-bounded enumeration exceeds the desk-scale cap; "
-                "lower the degree bound")
-        layers.append(layer)
-    return layers
-
-
 def _joined(masks) -> int:
     """The union of the masks that overlap the first one, transitively."""
-    comp, grew = masks[0], True
-    while grew:
-        grew = False
+    comp, before = masks[0], 0
+    while comp != before:
+        before = comp
         for mask in masks:
-            if mask & comp and mask | comp != comp:
+            if mask & comp:
                 comp |= mask
-                grew = True
     return comp
 
 
@@ -250,37 +223,68 @@ def _check_congruence_complete(spec: MonoidSpec, relations, degrees, bound):
       m != 0 and is a relation of image x when m == 0, so no move leaves
       a component of I_x.
 
-    By induction on b the verdict is that of union-find over every
-    exponent vector up to the bound, and the first degree that fails holds
-    truly disconnected fibers; the least of them is the witness.  Returns
-    the set of elements up to the bound.
+    Layer b maps each x of degree b to the mask of I_x, built and checked
+    in one pass: making x = y + gen_i from y in layer b - deg_i is already
+    the join (1 << i) | I_y, and the x whose joins do not overlap as they
+    come are closed up with their relation joins.  By induction on b this
+    is union-find over every exponent vector, and the least element of the
+    first failing degree is the witness; no layer above it is listed.
+    Returns the layers; over ``_ENUMERATION_CAP`` elements held raise
+    InvalidMonoidSpec.
     """
-    layers = _monoid_images(spec, degrees, bound)
-    gens = spec.generators
     joins: dict[tuple[int, ...], list[int]] = {}
     for r, s in relations:
-        image = tuple(sum(c * g[a] for c, g in zip(r, gens))
-                      for a in range(spec.ambient_rank))
         mask = sum(1 << i for i, (x, y) in enumerate(zip(r, s)) if x or y)
-        joins.setdefault(image, []).append(mask)
-    for b in range(1, len(layers)):
-        split = []
-        for x, reach in layers[b].items():
-            if reach & (reach - 1) == 0:
-                continue  # every presentation of x contains the one index
-            # i joins I_(x - gen_i), the j with x - gen_i - gen_j in P
-            masks = [(1 << i) | layers[b - degrees[i]][tuple(map(operator.sub, x, gens[i]))]
-                     for i in range(len(gens)) if reach >> i & 1]
-            if _joined(masks + joins.get(x, [])) != reach:
-                split.append(x)
+        joins.setdefault(_image(spec, r), []).append(mask)
+    layers = [{(0,) * spec.ambient_rank: 0}]
+    for b in range(1, bound + 1):
+        layer: dict[tuple[int, ...], int] = {}
+        apart: dict[tuple[int, ...], list[int]] = {}  # x -> joins not yet one component
+        for i, (gen, step) in enumerate(zip(spec.generators, degrees)):
+            if step <= b:
+                bit = 1 << i
+                for y, below in layers[b - step].items():
+                    x = tuple(map(operator.add, y, gen))
+                    mask = bit | below
+                    reach = layer.get(x, 0)
+                    layer[x] = reach | mask
+                    if reach and (not reach & mask or apart and x in apart):
+                        apart.setdefault(x, [reach]).append(mask)
+        split = [x for x, masks in apart.items() if _joined(masks + joins.get(x, [])) != layer[x]]
         if split:
             witness = min(split)
             raise RelationSynthesisIncomplete(
                 f"relation set does not connect the presentations of {witness} "
                 f"at degree {b}; every fiber of lower degree is connected "
-                f"(degree bound {bound})",
-                witness, b)
-    return set().union(*layers)
+                f"(degree bound {bound})", witness, b)
+        layers.append(layer)
+        if sum(map(len, layers)) > _ENUMERATION_CAP:
+            raise InvalidMonoidSpec(
+                "degree-bounded enumeration exceeds the desk-scale cap; "
+                "lower the degree bound")
+    return layers
+
+
+def _check_kernel_span(relations, kernel, k: int):
+    """The rows r - s of a supplied relation set must span the integer
+    kernel of the generator matrix, with basis ``kernel``, as the moves of
+    a Markov basis do (Sturmfels, Groebner Bases and Convex Polytopes,
+    1996, Ch. 5).  With U A V = D the Smith form of the rows A, z is in
+    their span exactly when w = z V has d_j | w_j for the nonzero d_j and
+    w_j = 0 past them; the first basis vector that is not is the witness.
+    """
+    rows = [tuple(a - b for a, b in zip(r, s)) for r, s in relations]
+    _, diag, v = smith_normal_form(rows, k)
+    factors = [x for x in diag if x != 0]
+    for z in kernel:
+        w = [sum(map(operator.mul, z, column)) for column in zip(*v)]
+        if any(map(operator.mod, w, factors)) or any(w[len(factors):]):
+            why = (f"of rank {len(factors)}, not {len(kernel)}," if len(factors) < len(kernel)
+                   else f"with invariant factor {min(x for x in factors if x > 1)}")
+            raise RelationSynthesisIncomplete(
+                f"relation rows span a sublattice {why} of the integer kernel of "
+                f"the generator matrix: the kernel vector {z} is not an integer "
+                f"combination of them", z)
 
 
 def _saturation_box(gens, degrees, bound):
@@ -298,16 +302,17 @@ def _saturation_box(gens, degrees, bound):
     return lo, hi
 
 
-def _check_saturation(gens, grading, box, monoid_images, bound, u, factors):
+def _check_saturation(gens, grading, box, layers, bound, u, factors):
     """Desk-scale saturation check.
 
     Walks the integer points of the cone truncated at the degree bound,
     inside ``box`` = (lo, hi) from :func:`_saturation_box`, and demands
     each point of the generated sublattice be a nonnegative integer
-    combination of generators, i.e. appear among the enumerated monoid
-    elements.  The ``grading`` functional gives the generators their
-    degrees.  A point off the monoid elements is outside the cone when a
-    Farkas certificate found earlier in the scan is negative on it;
+    combination of generators, i.e. appear in the layer of its degree that
+    :func:`_check_congruence_complete` listed.  The ``grading`` functional
+    gives the generators their degrees.  A point off the monoid elements is
+    outside the cone when a Farkas certificate found earlier in the scan is
+    negative on it;
     otherwise a phase-one simplex decides it, and an "outside" answer adds
     its certificate to the scan's list.  So a saturated cone costs one LP
     per certificate it needs, not one per point, and every point is
@@ -321,7 +326,7 @@ def _check_saturation(gens, grading, box, monoid_images, bound, u, factors):
         deg = sum(map(operator.mul, grading, point))
         if deg < 0 or deg > bound:
             continue
-        if point in monoid_images:  # the origin among them
+        if point in layers[deg]:  # the origin in layers[0]
             continue
         if any(sum(map(operator.mul, w, point)) < 0 for w in certificates):
             continue
@@ -338,24 +343,20 @@ def _check_saturation(gens, grading, box, monoid_images, bound, u, factors):
 def validate(spec: MonoidSpec, degree_bound: int = DEFAULT_DEGREE_BOUND) -> AffineMonoid:
     """Validate a presentation and return the affine monoid it defines.
 
-    Sharpness is decided exactly by rational feasibility, and supplied
-    relations are verified exactly.  One Smith form U G V = D of the
-    generator matrix gives the group rank r (the nonzero invariant
-    factors), the kernel basis that absent relations are synthesized from
-    (columns r, r+1, ... of V), lattice membership for the saturation
-    check, and the lattice coordinates U[:r] that :func:`faces` reads.  A
-    free chart (generators linearly independent) is decided in closed
-    form: P is N^k, so the empty relation set is complete, and P is
-    saturated in P^gp because a lattice point of the cone has unique,
-    hence nonnegative integer, coordinates.  Otherwise absent relations
-    are checked up to the degree bound by the congruence oracle, which
-    walks the monoid's elements degree by degree and names the
-    least-degree element whose presentations the relations leave
-    disconnected; saturation is checked up to the same bound against
-    those elements (with supplied relations, the elements are listed
-    without the connectivity check).  The saturation box is bounded
-    first, so an oversized one is refused before any element is listed.
-    The bound must be an int.
+    Sharpness is decided exactly by rational feasibility.  One Smith form
+    U G V = D of the generator matrix gives the group rank r (the nonzero
+    invariant factors), a kernel basis (columns r, r+1, ... of V), lattice
+    membership for the saturation check, and the lattice coordinates U[:r]
+    that :func:`faces` reads.  The relation set R is the supplied one,
+    each relation verified exactly, or else the kernel basis split into
+    signs.  A free chart (generators linearly independent) is decided in
+    closed form: P is N^k, so R is complete, and P is saturated because a
+    cone lattice point has unique, hence nonnegative integer, coordinates.
+    Every other chart takes one path: once the saturation box is bounded,
+    the congruence walk names the least-degree element whose presentations
+    R leaves disconnected, a supplied R must also span the integer kernel
+    (one more Smith form), and saturation is checked up to the degree
+    bound against the elements the walk listed.  The bound must be an int.
 
     Raises NotSharp, RelationInconsistent, RelationSynthesisIncomplete,
     SaturationFailure, or InvalidMonoidSpec.
@@ -377,29 +378,27 @@ def validate(spec: MonoidSpec, degree_bound: int = DEFAULT_DEGREE_BOUND) -> Affi
     u, diag, v = smith_normal_form(generator_matrix(spec.generators, d), len(spec.generators))
     factors = [x for x in diag if x != 0]
     gp_rank = len(factors)
-    free = gp_rank == len(spec.generators)
-    if spec.relations is not None:
-        for rel in spec.relations:
-            _verify_relation(spec, rel)
-        relations = spec.relations
-    else:
-        relations = _synthesize_relations(v, gp_rank)  # () when free
+    # G V e_j = 0 for j >= r and V is unimodular: a kernel basis, empty when free
+    kernel = list(zip(*v))[gp_rank:]
+    for rel in spec.relations or ():
+        _verify_relation(spec, rel)
+    relations = _synthesize_relations(kernel) if spec.relations is None else spec.relations
 
     grading = _grading_functional(spec, certificate)
     degrees = [sum(map(operator.mul, grading, g)) for g in spec.generators]
     if any(x < 1 for x in degrees):
         raise InvalidMonoidSpec("grading functional is not positive on the generators")
-    if not free:
+    if kernel:
         box = _saturation_box(spec.generators, degrees, degree_bound)
         size = math.prod(b - a + 1 for a, b in zip(*box))  # lo <= 0 <= hi
         if size > _BOX_CAP:
             raise InvalidMonoidSpec(
                 f"saturation box has {size} points; lower the degree bound")
-        if spec.relations is None:
-            images = _check_congruence_complete(spec, relations, degrees, degree_bound)
-        else:
-            images = set().union(*_monoid_images(spec, degrees, degree_bound))
-        _check_saturation(spec.generators, grading, box, images, degree_bound, u, factors)
+        layers = _check_congruence_complete(spec, relations, degrees, degree_bound)
+        # a synthesized set spans the kernel: its rows are the basis itself
+        if spec.relations is not None:
+            _check_kernel_span(relations, kernel, len(spec.generators))
+        _check_saturation(spec.generators, grading, box, layers, degree_bound, u, factors)
     return AffineMonoid(
         spec=spec,
         gp_lattice_rank=gp_rank,
@@ -511,7 +510,7 @@ def stalk(m: AffineMonoid, f: Face) -> tuple[AffineMonoid, int]:
 
     P/F keeps P's relations with F's coordinates deleted: p - q lies in
     F^gp exactly when p + g = q + f for some f, g in F, so these present
-    the quotient, and no relation is synthesized for it.
+    the quotient; :func:`validate` checks them as a supplied set.
     """
     face_with_support(m, f.support)  # NotAFace unless f is a face of m
     d = m.ambient_rank

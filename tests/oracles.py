@@ -632,18 +632,20 @@ def in_cone_by_lp(generator_columns, point):
 # certificates of its "outside" answers.
 
 def saturation_scan_inputs(spec: MonoidSpec, bound):
-    """(gens, grading, degrees, monoid_images, bound, u, factors) as
-    ``validate`` passes them to the scan; the monoid elements come from
-    the exponent vectors of degree <= bound."""
+    """(gens, grading, degrees, layers, bound, u, factors) as ``validate``
+    passes them to the scan; layers[b] holds the monoid elements of degree
+    b, the images of the exponent vectors of degree b <= bound."""
     d, gens = spec.ambient_rank, spec.generators
     grading = _grading_functional(spec, ratlp.strict_functional(d, [], list(gens)))
     degrees = [sum(map(operator.mul, grading, g)) for g in gens]
-    images = {image for _, image in _bounded_exponent_vectors(spec, degrees, bound)}
+    images = [set() for _ in range(bound + 1)]
+    for _, image in _bounded_exponent_vectors(spec, degrees, bound):
+        images[sum(map(operator.mul, grading, image))].add(image)
     u, diag, _ = smith_normal_form(generator_matrix(gens, d), len(gens))
     return gens, grading, degrees, images, bound, u, [x for x in diag if x != 0]
 
 
-def saturation_scan_by_lp(gens, grading, degrees, monoid_images, bound, u, factors):
+def saturation_scan_by_lp(gens, grading, degrees, layers, bound, u, factors):
     """The first point of the truncated cone, in box order, that lies in
     the generated sublattice but not among the monoid elements, or None;
     :func:`in_cone_by_lp` decides every candidate point."""
@@ -651,7 +653,7 @@ def saturation_scan_by_lp(gens, grading, degrees, monoid_images, bound, u, facto
     r = len(factors)
     for point in itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi))):
         deg = sum(map(operator.mul, grading, point))
-        if deg < 0 or deg > bound or point in monoid_images:
+        if deg < 0 or deg > bound or point in layers[deg]:
             continue
         if not in_cone_by_lp(gens, point):
             continue

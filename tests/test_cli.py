@@ -8,9 +8,11 @@ import sys
 import pytest
 
 import cli_golden
+import logcharts.fibers as fibers_mod
 from logcharts.cli import ENV_PREFIX, ChartDocument, corpus_path, load_chart, main
 from logcharts.errors import ChartError
 from logcharts.monoid import faces, stalk, validate
+from oracles import quadric_relations
 
 CORPUS = ["log_point", "affine_line", "plane_axes", "a1_cone"]
 
@@ -417,20 +419,61 @@ def test_cli_matches_golden_corpus(monkeypatch):
         assert cli_golden.run(entry["argv"]) == entry, entry["argv"]
 
 
-def test_exit_code_1_reserved_for_falsified_properties(tmp_path):
-    # an incomplete supplied relation set breaks the fiber count at n = 2;
-    # the CLI must report it as a falsified property, not an input error
-    chart = tmp_path / "incomplete.json"
+def test_exit_code_1_reserved_for_falsified_properties(monkeypatch, capsys):
+    # validate refuses every incomplete relation set, so no valid chart
+    # falsifies the torsor law; a relation-set bug is injected instead: the
+    # fiber layer sees the A1 cone's relation doubled, which breaks the
+    # fiber count at n = 2, and the CLI must report a falsified property,
+    # not an input error
+    rows = fibers_mod._relation_rows
+    monkeypatch.setattr(fibers_mod, "_relation_rows",
+                        lambda relations: [[2 * x for x in row] for row in rows(relations)])
+    code = main(["torsor", corpus_path("a1_cone"), "2",
+                 "--point", '{"radii": ["1", "1", "1"], "turns": ["0", "0", "0"]}'])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert captured.err.startswith(
+        "falsified property: Kummer fiber has 8 elements, expected n^2 = 4")
+
+
+_SQUARE = [[1, 0, 0], [1, 1, 0], [1, 0, 1], [1, 1, 1]]
+_CUBE = [[1, x, y, z] for x in (0, 1) for y in (0, 1) for z in (0, 1)]
+_A1 = [[1, 0], [1, 1], [1, 2]]
+_DOUBLED = [([2, 0, 2], [0, 4, 0])]
+
+# generators, supplied relations, degree bound, and the message naming the
+# witness: the walk's, or below its degree the kernel span check's
+_INCOMPLETE = {
+    "square-cone-no-relations": (_SQUARE, [], None, "of (2, 1, 1) at degree 4;"),
+    "square-cone-no-relations-bound-3": (
+        _SQUARE, [], "3", "relation rows span a sublattice of rank 0, not 1, of the integer "
+        "kernel of the generator matrix: the kernel vector (1, -1, -1, 1) is not"),
+    "cube-cone-4-of-12-quadrics": (_CUBE, quadric_relations(_CUBE)[:4], None,
+                                   "of (2, 1, 1, 1) at degree 5;"),
+    "a1-cone-doubled-relation": (_A1, _DOUBLED, None, "of (2, 2) at degree 4;"),
+    "a1-cone-doubled-relation-bound-3": (
+        _A1, _DOUBLED, "3", "relation rows span a sublattice with invariant factor 2 of the "
+        "integer kernel of the generator matrix: the kernel vector (1, -2, 1) is not"),
+}
+
+
+@pytest.mark.parametrize("command", ["info", "compare", "torsor"])
+@pytest.mark.parametrize("case", list(_INCOMPLETE))
+def test_incomplete_supplied_relations_are_input_errors(tmp_path, capsys, case, command):
+    # these sets were accepted: `info` and `compare` exited 0, and `torsor 2`
+    # exited 1 on a Kummer fiber count
+    gens, relations, degree_bound, message = _INCOMPLETE[case]
+    chart = tmp_path / "chart.json"
     chart.write_text(json.dumps({
-        "name": "incomplete",
-        "ambient_rank": 2,
-        "generators": [[1, 0], [1, 1], [1, 2]],
-        "relations": [{"lhs": [2, 0, 2], "rhs": [0, 4, 0]}],
-    }))
-    code, _, err = run_cli([
-        "torsor", str(chart), "2",
-        "--point", '{"radii": ["1", "1", "1"], "turns": ["0", "0", "0"]}'])
-    assert code == 1 and "falsified" in err
+        "name": case, "ambient_rank": len(gens[0]), "generators": gens,
+        "relations": [{"lhs": r, "rhs": s} for r, s in relations]}))
+    point = json.dumps({"radii": ["1"] * len(gens), "turns": ["0"] * len(gens)})
+    argv = {"info": [], "compare": ["--face", ""], "torsor": ["2", "--point", point]}[command]
+    flags = [] if degree_bound is None else ["--degree-bound", degree_bound]
+    assert main([command, str(chart), *argv, *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: relation ")
+    assert message in captured.err, captured.err
 
 
 def test_json_output_is_byte_deterministic(tmp_path):

@@ -319,12 +319,12 @@ def test_torsor_check_floating_point_mode():
 
 def test_fiber_cardinality_mismatch_is_hard_error():
     # an incomplete relation set (index-2 sublattice of the kernel) breaks
-    # the count at even levels and must raise, not warn
-    spec = MonoidSpec.make(2, [[1, 0], [1, 1], [1, 2]],
-                           [[[2, 0, 2], [0, 4, 0]]])
-    m = validate(spec)
+    # the count at even levels and must raise, not warn; validate refuses
+    # such a set, so the fault is injected into a validated chart
+    m = a1_cone()
+    object.__setattr__(m, "relations", (((2, 0, 2), (0, 4, 0)),))
     p = KnPoint.exact_point([(1, 0), (1, 0), (1, 0)])
-    with pytest.raises(FalsifiedProperty):
+    with pytest.raises(FalsifiedProperty, match="has 8 elements, expected n\\^2 = 4"):
         kn_kummer_fiber(m, p, 2)
 
 

@@ -123,10 +123,13 @@ def test_validate_runs_one_smith_form_and_faces_none(monkeypatch):
                                (3, square, None), (3, square, [[[1, 0, 0, 1], [0, 1, 1, 0]]]),
                                (3, [[1, 0, 1], [1, 1, 1], [1, 2, 1]], None),
                                (2, [[2, 1], [0, 3]], None)]:
+        # a supplied set of a non-free chart adds the Smith form of its
+        # rows, which decides whether they span the integer kernel
+        expected = 1 if relations is None else 2
         calls.clear()
         m = validate(MonoidSpec.make(d, gens, relations), 6)
-        assert len(calls) == 1, (gens, relations)
-        assert faces(m) and len(calls) == 1, (gens, relations)
+        assert len(calls) == expected, (gens, relations)
+        assert faces(m) and len(calls) == expected, (gens, relations)
 
 
 @pytest.mark.parametrize("bound", [2.5, 2.0, True, False, "3", None])
@@ -486,10 +489,17 @@ def test_relation_verification_is_exact_on_random_valid_relations():
     m = a1_cone()
     base_r, base_s = m.relations[0]
     for _ in range(10):
-        # scaled relations remain valid
+        # scaled relations remain valid, but for c > 1 they span only the
+        # index-c sublattice of the kernel, and validate refuses them
         c = rng.randrange(1, 4)
-        rel = ([c * x for x in base_r], [c * x for x in base_s])
-        validate(MonoidSpec.make(2, [[1, 0], [1, 1], [1, 2]], [rel]))
+        rel = (tuple(c * x for x in base_r), tuple(c * x for x in base_s))
+        spec = MonoidSpec.make(2, [[1, 0], [1, 1], [1, 2]], [rel])
+        monoid._verify_relation(spec, rel)
+        if c == 1:
+            assert validate(spec).relations == (rel,)
+            continue
+        with pytest.raises(RelationSynthesisIncomplete, match=f"invariant factor {c} "):
+            validate(spec, 3)  # below the walk's witness (2, 2) at degree 4
 
 
 def _smith(spec):
@@ -503,7 +513,7 @@ def _smith(spec):
 def _refuse_enumeration(monkeypatch):
     def refuse(*args):
         raise AssertionError("a free chart must not enumerate monoid elements")
-    monkeypatch.setattr(monoid, "_monoid_images", refuse)
+    monkeypatch.setattr(monoid, "_check_congruence_complete", refuse)
 
 
 def test_free_chart_closed_form_agrees_with_the_bounded_checks(monkeypatch):
@@ -524,10 +534,10 @@ def test_free_chart_closed_form_agrees_with_the_bounded_checks(monkeypatch):
         # the bounded checks, up to twice the largest generator degree
         degrees = [m.degree(g) for g in gens]
         bound = 2 * max(degrees)
-        images = monoid._check_congruence_complete(spec, (), degrees, bound)
+        layers = monoid._check_congruence_complete(spec, (), degrees, bound)
         u, factors, _ = _smith(spec)
         box = monoid._saturation_box(m.generators, degrees, bound)
-        monoid._check_saturation(m.generators, m.grading, box, images, bound, u, factors)
+        monoid._check_saturation(m.generators, m.grading, box, layers, bound, u, factors)
 
 
 def test_free_chart_keeps_and_verifies_supplied_relations(monkeypatch):
@@ -575,12 +585,23 @@ def test_hilbert_cone_names_the_least_degree_disconnected_fiber():
     assert info.value.witness == (2, 3) and info.value.degree == 5
 
 
+def test_the_walk_stops_at_the_first_disconnected_degree(monkeypatch):
+    # 15 elements up to degree 5, 171 up to the default bound 20: the walk
+    # names the degree-5 witness before the layers above it reach the cap
+    monkeypatch.setattr(monoid, "_ENUMERATION_CAP", 100)
+    with pytest.raises(RelationSynthesisIncomplete, match=r"\(2, 3\) at degree 5"):
+        validate(MonoidSpec.make(2, [[1, 0], [1, 1], [1, 2], [1, 3]]))
+    with pytest.raises(InvalidMonoidSpec, match="desk-scale cap"):
+        validate(MonoidSpec.make(2, [[1, 0], [1, 1], [1, 2], [1, 3]],
+                                 quadric_relations([[1, 0], [1, 1], [1, 2], [1, 3]])))
+
+
 def _random_relation_sets(rng, spec):
     """Kernel relations, the same less one, or either plus random valid
     pairs: a random combination of the kernel relations split into its two
     signs, plus a common random part on both sides."""
     _, factors, v = _smith(spec)
-    kernel = monoid._synthesize_relations(v, len(factors))
+    kernel = monoid._synthesize_relations(list(zip(*v))[len(factors):])
     relations = list(kernel)
     mode = rng.choice(("kernel", "minus-one", "extra"))
     if relations and (mode == "minus-one" or mode == "extra" and rng.random() < 0.5):
@@ -607,8 +628,10 @@ def _vector_count(degrees, bound):
 
 
 def test_element_oracle_agrees_with_the_vector_oracle():
+    # and validate, given each set as supplied relations, refuses it exactly
+    # when the walk does or the rows miss part of the integer kernel
     rng = random.Random(8)
-    failed = 0
+    failed = unspanned = 0
     for _ in range(1000):
         d, k = rng.randint(1, 3), rng.randint(1, 6)
         gens = []
@@ -627,19 +650,37 @@ def test_element_oracle_agrees_with_the_vector_oracle():
             want = congruence_complete_by_vectors(spec, relations, degrees, bound)
         except RelationSynthesisIncomplete:
             want = None
+        walk = None
         try:
             got = monoid._check_congruence_complete(spec, relations, degrees, bound)
         except RelationSynthesisIncomplete as err:
             failed += 1
+            walk = (err.witness, err.degree)
             assert want is None, (spec, relations, bound)
             assert not fiber_connected_by_vectors(spec, relations, degrees,
                                                   err.witness, err.degree)
             # no fiber of lower degree is disconnected
             congruence_complete_by_vectors(spec, relations, degrees, err.degree - 1)
         else:
-            assert got == want, (spec, relations, bound)
+            assert set().union(*got) == want, (spec, relations, bound)
+        r = rank(gens, d)
+        rows = [[a - b for a, b in zip(*rel)] for rel in relations]
+        spans = cokernel([[z[j] for z in rows] for j in range(k)], len(rows)) == FgAbelianGroup(r)
+        supplied = MonoidSpec.make(d, gens, relations)
+        try:
+            validate(supplied, bound)
+        except RelationSynthesisIncomplete as err:
+            if err.degree is None:
+                unspanned += 1
+                assert walk is None and not spans, (supplied, bound)
+            else:
+                assert (err.witness, err.degree) == walk, (supplied, bound)
+        except SaturationFailure:
+            assert walk is None and spans, (supplied, bound)
+        else:
+            assert r == k or walk is None and spans, (supplied, bound)
     # both verdicts are well represented
-    assert 200 <= failed <= 800
+    assert 200 <= failed <= 800 and unspanned > 50, (failed, unspanned)
 
 
 # The non-free charts of the benchmark corpus (the Hilbert cone a = 1 is
@@ -743,11 +784,11 @@ def test_saturation_scan_matches_the_lp_oracle(monkeypatch):
             continue  # validate decides a free chart without the scan
         seen.add((spec.generators, bound))
         scanned += 1
-        gens, grading, degrees, images, _, u, factors = saturation_scan_inputs(spec, bound)
-        want = saturation_scan_by_lp(gens, grading, degrees, images, bound, u, factors)
+        gens, grading, degrees, layers, _, u, factors = saturation_scan_inputs(spec, bound)
+        want = saturation_scan_by_lp(gens, grading, degrees, layers, bound, u, factors)
         box = monoid._saturation_box(gens, degrees, bound)
         try:
-            monoid._check_saturation(gens, grading, box, images, bound, u, factors)
+            monoid._check_saturation(gens, grading, box, layers, bound, u, factors)
         except SaturationFailure as err:
             assert err.witness == want, (spec, bound)
             witnesses += 1
