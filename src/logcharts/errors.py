@@ -53,7 +53,10 @@ class NotAFace(ChartError):
 
 
 class NotOnVariety(ChartError):
-    """A point violates the chart's relation equations beyond tolerance."""
+    """A point violates the chart's relation equations beyond tolerance.
+
+    ``residual`` is the measured residual, or None for a floating point
+    whose rounded turn sums are inconsistent with the relations."""
 
     def __init__(self, residual, message=None):
         self.residual = residual

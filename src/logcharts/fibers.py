@@ -145,10 +145,16 @@ def _root_choices(rows, offsets, n: int, k: int):
     return sorted(solutions), generators
 
 
-def _fiber_choices(rows, offsets, n: int, k: int, r: int, what: str):
+def _fiber_choices(rows, offsets, n: int, k: int, r: int, what: str, exact: bool = True):
     """``_root_choices``, hard-checked against the count n^r: a mismatch
-    falsifies the torsor law and is raised, never warned about."""
+    falsifies the torsor law and is raised, never warned about.  The one
+    exception is a floating point whose rounded offsets admit no root
+    choice at all: rounding parted turn sums that the relations tie
+    together, so the point is off the variety, and NotOnVariety is raised."""
     choices, generators = _root_choices(rows, offsets, n, k)
+    if not choices and not exact:
+        raise NotOnVariety(None, f"the rounded turn sums {offsets} of the relations admit "
+                                 f"no root choice mod {n}; the point is off its relations")
     if len(choices) != n ** r:
         raise FalsifiedProperty(
             f"{what} has {len(choices)} elements, expected n^{r} = {n ** r}; this "
@@ -198,7 +204,7 @@ def kn_kummer_fiber(m: AffineMonoid, p: KnPoint, n: int,
     k = m.generator_count
     rows = _relation_rows(m.relations)
     choices, _ = _fiber_choices(rows, _turn_offsets(rows, [p.angle(i) for i in range(k)], tol),
-                                n, k, r, "Kummer fiber")
+                                n, k, r, "Kummer fiber", p.exact)
     # Coordinate i takes only the n values (radius^(1/n), (t_i + j) / n turns).
     table = []
     for radius, turn in p.values:
@@ -247,7 +253,8 @@ def algebraic_kummer_fiber(m: AffineMonoid, p: CxPoint, n: int,
     # Unit rows pin the root index of every vanishing coordinate to 0.
     pins = [[int(i == j) for i in range(k)] for j in range(k) if j not in support_set]
     offsets = _turn_offsets(rows, turns, math.inf if p.exact else tol) + [0] * len(pins)
-    choices, _ = _fiber_choices(rows + pins, offsets, n, k, face_rank, "algebraic Kummer fiber")
+    choices, _ = _fiber_choices(rows + pins, offsets, n, k, face_rank, "algebraic Kummer fiber",
+                                p.exact)
 
     table = _exact_algebraic_table(p, n, support_set) if p.exact else None
     if table is not None:

@@ -13,7 +13,6 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from fractions import Fraction
 
 from . import ratlp
 from ._record import Record
@@ -70,15 +69,14 @@ class Face(Record):
     for i in the support and <u, gen_j> > 0 exactly off it; its existence
     is what makes the support a face.  :func:`faces` makes it the sum of
     the primitive normals of the facets containing the face, in coprime
-    integers held as Fractions, and 0 on the dense face.
+    integers, and 0 on the dense face.
     """
 
     support: tuple[int, ...]
-    certificate: tuple[Fraction, ...]
+    certificate: tuple[int, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "support", tuple(sorted(self.support)))
-        object.__setattr__(self, "certificate", tuple(Fraction(x) for x in self.certificate))
 
     def __contains__(self, index: int) -> bool:
         return index in self.support
@@ -108,7 +106,7 @@ class AffineMonoid(Record):
     is_saturated: bool
     relations: tuple[Relation, ...]
     degree_bound: int
-    sharpness_certificate: tuple[Fraction, ...]
+    sharpness_certificate: tuple[int, ...]
     grading: tuple[int, ...]
     _lattice: tuple[tuple[int, ...], ...]
     _faces: tuple[Face, ...] | None = None
@@ -127,7 +125,7 @@ class AffineMonoid(Record):
 
     def degree(self, vector) -> int:
         """Value of the grading functional; >= 1 on every generator."""
-        return sum(int(u) * int(x) for u, x in zip(self.grading, vector))
+        return sum(map(operator.mul, self.grading, vector))
 
     def __str__(self):
         gens = ", ".join(str(g) for g in self.generators)
@@ -176,7 +174,7 @@ def _grading_functional(spec: MonoidSpec, certificate) -> tuple[int, ...]:
     """
     if all(sum(g) >= 1 for g in spec.generators):
         return (1,) * spec.ambient_rank
-    return tuple(int(x) for x in certificate)
+    return certificate
 
 
 def _synthesize_relations(kernel) -> tuple[Relation, ...]:
@@ -406,7 +404,7 @@ def validate(spec: MonoidSpec, degree_bound: int = DEFAULT_DEGREE_BOUND) -> Affi
         is_saturated=True,
         relations=relations,
         degree_bound=degree_bound,
-        sharpness_certificate=tuple(certificate),
+        sharpness_certificate=certificate,
         grading=grading,
         _lattice=u[:gp_rank],
     )

@@ -1,13 +1,14 @@
-"""Exact linear programming over the rationals.
+"""Exact linear programming on integer data.
 
-A small dense two-phase simplex with Bland's rule.  Each tableau row is
-held as a list of integers over one positive denominator, reduced by
-their gcd after every pivot (integer-preserving elimination in the sense
-of Bareiss, Math. Comp. 22, 1968), so sign and ratio tests are integer
-comparisons and cross-products.  The pivots, and so every answer, are
-those of the same simplex run on ``fractions.Fraction`` entries; cone
-membership runs phase one alone.  Sized for desk-scale cone problems
-(tens of variables); correctness over cleverness.
+A small dense two-phase simplex with Bland's rule; every entry of the data
+must be an int.  Each tableau row is a list of integers over one positive
+denominator, reduced by their gcd after every pivot (integer-preserving
+elimination in the sense of Bareiss, Math. Comp. 22, 1968), so sign and
+ratio tests are integer comparisons.  The pivots, and so every answer, are
+those of the same simplex run on ``fractions.Fraction`` entries.  One
+builder, :func:`_phase_one`, makes the phase-one tableau: cone membership
+stops there, and an infeasible system carries the Farkas certificate read
+off its objective row.  Sized for desk-scale cone problems.
 
 ``monoid.validate`` is the only caller: ``strict_functional`` certifies
 sharpness and ``in_cone`` serves the saturation check, which reuses the
@@ -25,19 +26,6 @@ from .errors import FalsifiedProperty
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
-
-def _rational(x):
-    return x if isinstance(x, (int, Fraction)) else Fraction(x)
-
-
-def _integer_row(values):
-    """Integers over one positive denominator, with the given values."""
-    den = math.lcm(*(v.denominator for v in values))
-    return [v.numerator * (den // v.denominator) for v in values], den
 
 
 def _reduced(row, den):
@@ -91,47 +79,62 @@ def _run_simplex(tab, dens, basis, ncols):
         _pivot(tab, dens, basis, prow, pcol)
 
 
-def solve_standard_form(c, a_rows, b):
-    """min c.x subject to A x = b, x >= 0, all data rational.
+def _phase_one(a_rows, b, n):
+    """Phase one of the simplex on A x = b, x >= 0, A with n columns.
 
-    Returns (status, x, objective); x and objective are None unless
-    status is OPTIMAL.
+    A row with negative right-hand side is negated, and row i gets the
+    artificial column n + i; the objective is their sum.  Returns the
+    final tableau, its row denominators, the basis and None when the
+    artificials reach zero, that is when the system is feasible.
+    Otherwise the fourth entry is a Farkas certificate (Schrijver 1986,
+    Section 7.3): coprime integers y with y.A >= 0 and y.b < 0, read off
+    the objective row.  The dual value of row i is 1 - r_i, r_i the
+    reduced cost of its artificial column, and y_i = -sign_i (1 - r_i),
+    the row's sign flip undone.  An entry that is not an int (a Fraction,
+    a float or a bool) raises ValueError before any pivot.
     """
-    m = len(a_rows)
-    n = len(c)
-    c = [_rational(x) for x in c]
-    rows = [[_rational(x) for x in row] for row in a_rows]
-    rhs = [_rational(x) for x in b]
-    for row in rows:
-        if len(row) != n:
-            raise ValueError("constraint width does not match objective length")
-
-    # Phase 1: artificial variables n..n+m-1, minimize their sum.  A row
-    # with negative right-hand side is negated first.
-    total = n + m
-    tab, dens = [], []
-    for i in range(m):
-        nums, den = _integer_row(rows[i] + [rhs[i]])
-        if rhs[i] < 0:
-            nums = [-x for x in nums]
-        tab.append(nums[:n] + [den if j == i else 0 for j in range(m)] + nums[n:])
-        dens.append(den)
-    common = math.lcm(*dens)
-    obj = [-sum(row[j] * (common // den) for row, den in zip(tab, dens))
-           for j in range(total + 1)]
+    if any(len(row) != n for row in a_rows) or not {
+            type(x) for row in (*a_rows, b) for x in row} <= {int}:
+        raise ValueError(f"LP data must be integer rows of width {n}, got {a_rows!r}, {b!r}")
+    m, total = len(b), n + len(b)
+    tab, signs = [], []
+    for i, (row, x) in enumerate(zip(a_rows, b)):
+        sign = -1 if x < 0 else 1
+        signs.append(sign)
+        tab.append([sign * a for a in row] + [int(j == i) for j in range(m)] + [sign * x])
+    obj = [-sum(column) for column in zip(*tab)] or [0] * (total + 1)
     obj[n:total] = [0] * m
-    obj, common = _reduced(obj, common)
     tab.append(obj)
-    dens.append(common)
-    basis = [n + i for i in range(m)]
+    dens = [1] * (m + 1)
+    basis = list(range(n, total))
+    _run_simplex(tab, dens, basis, total)
+    obj, den = tab[m], dens[m]
+    if obj[total] >= 0:
+        return tab, dens, basis, None
+    y = [sign * (r - den) for sign, r in zip(signs, obj[n:total])]
+    g = math.gcd(*y) or 1
+    return tab, dens, basis, tuple(x // g for x in y)
 
-    status = _run_simplex(tab, dens, basis, total)
-    if status != OPTIMAL or tab[m][total] < 0:
-        return INFEASIBLE, None, None
+
+def solve_standard_form(c, a_rows, b):
+    """min c.x subject to A x = b, x >= 0, all data integers.
+
+    Returns (status, x, objective).  x (Fractions) and objective are set
+    when status is OPTIMAL; an INFEASIBLE answer is (INFEASIBLE, y, None),
+    y the Farkas certificate of :func:`_phase_one`.  An entry of c, A or
+    b that is not an int raises ValueError.
+    """
+    n = len(c)
+    if not all(type(x) is int for x in c):
+        raise ValueError(f"LP objective must be exact integers, got {c!r}")
+    tab, dens, basis, y = _phase_one(a_rows, b, n)
+    if y is not None:
+        return INFEASIBLE, y, None
 
     # Drive lingering artificials out of the basis; drop redundant rows.
+    total = n + len(b)
     keep = []
-    for i in range(m):
+    for i in range(len(b)):
         if basis[i] >= n:
             pcol = next((j for j in range(n) if tab[i][j] != 0), None)
             if pcol is None:
@@ -140,125 +143,80 @@ def solve_standard_form(c, a_rows, b):
         keep.append(i)
 
     # Phase 2 tableau: original columns only, fresh reduced costs.
-    tab2, dens2 = [], []
-    for i in keep:
-        row, den = _reduced(tab[i][:n] + [tab[i][total]], dens[i])
-        tab2.append(row)
-        dens2.append(den)
+    tab2 = [tab[i][:n] + [tab[i][total]] for i in keep]
+    dens2 = [dens[i] for i in keep]
     basis2 = [basis[i] for i in keep]
-    obj2, oden = _integer_row(c + [0])
-    for i, row in enumerate(tab2):
-        cb = c[basis2[i]]
-        if cb != 0:
-            f, g = cb.numerator * oden, cb.denominator * dens2[i]
-            obj2, oden = _reduced([x * g - f * y for x, y in zip(obj2, row)], oden * g)
+    obj2, oden = list(c) + [0], 1
+    for row, den, j in zip(tab2, dens2, basis2):
+        if c[j]:
+            obj2, oden = _reduced([x * den - c[j] * oden * v for x, v in zip(obj2, row)],
+                                  oden * den)
     tab2.append(obj2)
     dens2.append(oden)
 
     status = _run_simplex(tab2, dens2, basis2, n)
     if status != OPTIMAL:
         return status, None, None
-    x = [_ZERO] * n
+    x = [Fraction(0)] * n
     for i, bj in enumerate(basis2):
         x[bj] = Fraction(tab2[i][n], dens2[i])
-    value = sum(ci * xi for ci, xi in zip(c, x))
-    return OPTIMAL, x, value
+    return OPTIMAL, x, sum(map(operator.mul, c, x))
 
 
 def strict_functional(dim, zero_vectors, positive_vectors):
-    """A rational u with u.z == 0 for all z and u.p > 0 for all p, or None.
+    """A functional u, in coprime integers, with u.z == 0 for all z and
+    u.p > 0 for all p, or None.  The vectors are integer.
 
     This is the sharpness certificate search of ``monoid.validate``, which
     passes no zero vectors.
     Formulated as: maximize t <= 1 subject to u.p_j >= t; by scaling, a
     strictly positive optimum exists iff a strict functional does.
     """
-    zero_vectors = [tuple(v) for v in zero_vectors]
-    positive_vectors = [tuple(v) for v in positive_vectors]
     if not positive_vectors:
-        return tuple(_ZERO for _ in range(dim))
+        return (0,) * dim
 
     # Variables: u+ (dim), u- (dim), t, slack per positive vector, slack for t<=1.
     npos = len(positive_vectors)
-    nvars = 2 * dim + 1 + npos + 1
-    t_idx = 2 * dim
-    rows = []
-    rhs = []
-    for z in zero_vectors:
-        row = [_ZERO] * nvars
-        for l in range(dim):
-            row[l] = Fraction(z[l])
-            row[dim + l] = Fraction(-z[l])
-        rows.append(row)
-        rhs.append(_ZERO)
+    rows = [list(z) + [-x for x in z] + [0] * (npos + 2) for z in zero_vectors]
     for j, p in enumerate(positive_vectors):
-        row = [_ZERO] * nvars
-        for l in range(dim):
-            row[l] = Fraction(p[l])
-            row[dim + l] = Fraction(-p[l])
-        row[t_idx] = Fraction(-1)
-        row[t_idx + 1 + j] = Fraction(-1)
-        rows.append(row)
-        rhs.append(_ZERO)
-    cap = [_ZERO] * nvars
-    cap[t_idx] = _ONE
-    cap[t_idx + 1 + npos] = _ONE
-    rows.append(cap)
-    rhs.append(_ONE)
-
-    c = [_ZERO] * nvars
-    c[t_idx] = Fraction(-1)  # maximize t
+        slacks = [0] * (npos + 1)
+        slacks[j] = -1
+        rows.append(list(p) + [-x for x in p] + [-1] + slacks)
+    rows.append([0] * (2 * dim) + [1] + [0] * npos + [1])
+    rhs = [0] * (len(rows) - 1) + [1]
+    c = [0] * (2 * dim) + [-1] + [0] * (npos + 1)  # maximize t
     status, x, value = solve_standard_form(c, rows, rhs)
-    if status != OPTIMAL or x is None or -value <= 0:
+    if status != OPTIMAL or -value <= 0:
         return None
-    u = tuple(x[l] - x[dim + l] for l in range(dim))
-    return _normalize_functional(u)
+    return _normalize_functional([x[l] - x[dim + l] for l in range(dim)])
 
 
 def _normalize_functional(u):
-    """Scale a rational vector to coprime integer entries (as Fractions)."""
+    """Scale a nonzero rational vector to coprime integers."""
     lcm = math.lcm(*(f.denominator for f in u))
-    ints = [int(f * lcm) for f in u]
-    g = math.gcd(*ints) or 1
-    return tuple(Fraction(x // g) for x in ints)
+    ints = [f.numerator * (lcm // f.denominator) for f in u]
+    g = math.gcd(*ints)
+    return tuple(x // g for x in ints)
 
 
 def in_cone(generator_columns, point):
     """Exact test: is the point a nonnegative rational combination of the
-    generators?  ``generator_columns`` is a list of vectors in Z^d.  Only
-    phase one of :func:`solve_standard_form`, from the integer tableau it
-    builds for the same data, so with its pivots: the point is in the cone
-    exactly when the artificials reach zero.
+    generators?  ``generator_columns`` is a list of vectors in Z^d and the
+    point is integer.  Only :func:`_phase_one` runs, on the rows of the
+    generator matrix: the point is in the cone exactly when the
+    artificials reach zero.
 
     Returns (True, None) for a point of the cone.  Otherwise returns
-    (False, w), w a Farkas certificate (Schrijver 1986, Section 7.3): a
-    coprime integer functional with w.g >= 0 on every generator and
-    w.point < 0, so w separates the point, and every point it is negative
-    on, from the cone.  w is read off the final objective row: the dual
-    value of row i is y_i = 1 - r_i, r_i the reduced cost of its artificial
-    column, and w_i = -sign_i * y_i, the row's sign flip undone.  w is
-    checked by integer dot products before it is returned; a failure
-    raises FalsifiedProperty.
+    (False, w), w the Farkas certificate of the phase one: a coprime
+    integer functional with w.g >= 0 on every generator and w.point < 0,
+    so w separates the point, and every point it is negative on, from the
+    cone.  w is checked by integer dot products before it is returned; a
+    failure raises FalsifiedProperty.
     """
-    m, k = len(point), len(generator_columns)
-    total = k + m
-    tab, signs = [], []
-    for i, x in enumerate(point):
-        sign = -1 if x < 0 else 1
-        signs.append(sign)
-        tab.append([sign * g[i] for g in generator_columns]
-                   + [1 if j == i else 0 for j in range(m)] + [sign * x])
-    obj = [-sum(column) for column in zip(*tab)] or [0] * (total + 1)
-    obj[k:total] = [0] * m
-    tab.append(obj)
-    dens = [1] * (m + 1)
-    _run_simplex(tab, dens, list(range(k, total)), total)
-    obj, den = tab[m], dens[m]
-    if obj[total] >= 0:
+    rows = [[g[i] for g in generator_columns] for i in range(len(point))]
+    *_, w = _phase_one(rows, point, len(generator_columns))
+    if w is None:
         return True, None
-    w = [sign * (r - den) for sign, r in zip(signs, obj[k:total])]
-    g = math.gcd(*w) or 1
-    w = tuple(x // g for x in w)
     if (any(sum(map(operator.mul, w, column)) < 0 for column in generator_columns)
             or sum(map(operator.mul, w, point)) >= 0):
         raise FalsifiedProperty(

@@ -591,7 +591,7 @@ def fiber_connected_by_vectors(spec: MonoidSpec, relations, degrees, image, degr
 
 def saturation_box_by_lp(gens, degrees, bound):
     """The integer bounding box (lo, hi) of { G @ lam : lam >= 0,
-    degrees . lam <= bound }, by the library's simplex."""
+    degrees . lam <= bound }, by the Fraction simplex above."""
     d, k = len(gens[0]), len(gens)
     # Bounding box of { G @ lam : lam >= 0, grading . (G @ lam) <= bound }.
     lo, hi = [], []
@@ -599,9 +599,9 @@ def saturation_box_by_lp(gens, degrees, bound):
     rhs = [Fraction(bound)]
     for axis in range(d):
         cost = [Fraction(gens[j][axis]) for j in range(k)] + [Fraction(0)]
-        status_min, _, vmin = ratlp.solve_standard_form(cost, constraint, rhs)
-        status_max, _, vmax = ratlp.solve_standard_form([-c for c in cost], constraint, rhs)
-        if status_min != ratlp.OPTIMAL or status_max != ratlp.OPTIMAL:
+        status_min, _, vmin = solve_standard_form(cost, constraint, rhs)
+        status_max, _, vmax = solve_standard_form([-c for c in cost], constraint, rhs)
+        if status_min != OPTIMAL or status_max != OPTIMAL:
             raise InvalidMonoidSpec("truncated cone is unbounded; grading is broken")
         lo.append(math.ceil(vmin))
         hi.append(math.floor(-vmax))

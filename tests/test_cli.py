@@ -151,6 +151,24 @@ def test_torsor_non_finite_or_huge_angle_is_an_input_error(capsys):
         assert captured.err.startswith("error: "), (angle, captured.err)
 
 
+def test_torsor_at_a_loose_tolerance_is_an_input_error(tmp_path, capsys):
+    # the A1 cone with its relation doubled: at --tol 2 this point's rounded
+    # turn sums 0 and 1 admit no root choice, so it is off the variety
+    # (exit 2), as it is at --tol 1.9, where it is refused earlier
+    chart = tmp_path / "doubled.json"
+    chart.write_text(json.dumps({
+        "name": "doubled", "ambient_rank": 2, "generators": [[1, 0], [1, 1], [1, 2]],
+        "relations": [{"lhs": [1, 0, 1], "rhs": [0, 2, 0]},
+                      {"lhs": [2, 0, 2], "rhs": [0, 4, 0]}]}))
+    point = ('{"radii": [1, 1, 1], "angles": [[-0.30901699437494745, 0.9510565162951535], '
+             '[1, 0], [1, 0]]}')
+    for tol, message in (("2", "admit no root choice"), ("1.9", "violates the relations")):
+        code = main(["torsor", str(chart), "2", "--point", point, "--tol", tol])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "", tol
+        assert captured.err.startswith("error: ") and message in captured.err, captured.err
+
+
 def test_exit_code_2_on_input_errors(tmp_path):
     code, _, err = run_cli(["info", str(tmp_path / "missing.json")])
     assert code == 2 and "error" in err

@@ -268,6 +268,44 @@ def test_small_complex_values_are_refused_on_their_angles():
     assert len(fiber) == 4 and all(check_membership(system, q, 1e-9)[0] for q in fiber)
 
 
+def doubled_a1_cone():
+    """The A1 cone with its relation and twice it, so that a turn sum near
+    half a turn can round apart from twice itself."""
+    return validate(MonoidSpec.make(2, [[1, 0], [1, 1], [1, 2]],
+                                    [[[1, 0, 1], [0, 2, 0]], [[2, 0, 2], [0, 4, 0]]]))
+
+
+_THREE_TENTHS = complex(-0.30901699437494745, 0.9510565162951535)  # 3/10 of a turn
+
+
+def test_inconsistent_rounded_offsets_are_off_the_variety(monkeypatch):
+    # the turn sums 0.3 and 0.6 have chords 1.62 and 1.90, within tol 2,
+    # and round to 0 and 1, which no root choice meets since the second
+    # relation is twice the first: the point is off the variety, which is
+    # an input error, not a falsified torsor law
+    m = doubled_a1_cone()
+    kn = KnPoint.floating([(1.0, _THREE_TENTHS), (1.0, 1), (1.0, 1)])
+    cx = CxPoint.floating([10 * _THREE_TENTHS, 10, 10])
+    with pytest.raises(NotOnVariety, match="no root choice"):
+        kn_kummer_fiber(m, kn, 2, 2)
+    with pytest.raises(NotOnVariety, match="no root choice"):
+        algebraic_kummer_fiber(m, cx, 2, 2)
+    with pytest.raises(NotOnVariety, match="no root choice"):
+        torsor_check(m, kn, 2, 2)
+    # at 1.9 the point is refused before its fiber is solved
+    with pytest.raises(InvalidPoint):
+        kn_kummer_fiber(m, kn, 2, 1.9)
+    with pytest.raises(InvalidPoint):
+        algebraic_kummer_fiber(m, cx, 2, 1.9)
+    # an exact point meets its offsets exactly, so the same inconsistency,
+    # injected, still falsifies the torsor law
+    monkeypatch.setattr(fibers_mod, "_turn_offsets", lambda rows, turns, tol: [0, 1])
+    with pytest.raises(FalsifiedProperty, match="has 0 elements"):
+        kn_kummer_fiber(m, KnPoint.exact_point([(1, 0), (1, 0), (1, 0)]), 2)
+    with pytest.raises(FalsifiedProperty, match="has 0 elements"):
+        algebraic_kummer_fiber(m, CxPoint.exact_point([1, 1, 1]), 2)
+
+
 def test_ramification_contrast():
     # the circle factors trivialize ramification: the log-model fiber has
     # n points over the vertex where the complex model has one

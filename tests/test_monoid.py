@@ -797,3 +797,49 @@ def test_saturation_scan_matches_the_lp_oracle(monkeypatch):
     # the five-generator chart at bound 20, the semigroups, the gapped cone
     # and about 100 stalks are not saturated
     assert scanned > 200 and witnesses > 100, (scanned, witnesses)
+
+
+# The fallback gradings: (chart, face) -> the sharpness certificate of the
+# stalk, which is also its grading, for every stalk of the A1, square, cube
+# and Hilbert a <= 4 cones with a generator of non-positive coordinate sum.
+_FALLBACK_GRADINGS = {
+    ("a1", (2,)): (-1,),
+    ("square", (1,)): (-1, 1), ("square", (2,)): (1, -1), ("square", (3,)): (-1, -1),
+    ("square", (1, 3)): (-1,), ("square", (2, 3)): (-1,),
+    ("cube", (1,)): (1, 1, -1), ("cube", (2,)): (1, -1, 1), ("cube", (3,)): (1, -1, -1),
+    ("cube", (4,)): (-1, 1, 1), ("cube", (5,)): (-1, 1, -1), ("cube", (6,)): (-1, -1, 1),
+    ("cube", (7,)): (-1, -1, -1),
+    ("cube", (1, 3)): (1, -1), ("cube", (1, 5)): (1, -1), ("cube", (2, 3)): (-1, 1),
+    ("cube", (2, 6)): (-1, 1), ("cube", (3, 7)): (-1, -1), ("cube", (4, 5)): (1, -1),
+    ("cube", (4, 6)): (-1, 1), ("cube", (5, 7)): (-1, -1), ("cube", (6, 7)): (-1, -1),
+    ("cube", (1, 3, 5, 7)): (-1,), ("cube", (2, 3, 6, 7)): (-1,), ("cube", (4, 5, 6, 7)): (-1,),
+    **{(f"hilbert{a}", (a,)): (-1,) for a in (1, 2, 3, 4)},
+}
+
+
+def test_fallback_gradings_are_pinned():
+    # Where the coordinate sum is not positive on every generator, the
+    # grading is the sharpness certificate that strict_functional's simplex
+    # finds, and it sets each generator's degree and so what the degree
+    # bound reaches.  A new LP formulation must keep these.
+    square = [[1, 0, 0], [1, 1, 0], [1, 0, 1], [1, 1, 1]]
+    cube = [[1, *e] for e in itertools.product((0, 1), repeat=3)]
+    specs = {"a1": a1_cone().spec, "square": MonoidSpec.make(3, square),
+             "cube": MonoidSpec.make(4, cube, quadric_relations(cube))}
+    for a in (1, 2, 3, 4):
+        gens = [[1, i] for i in range(a + 1)]
+        specs[f"hilbert{a}"] = MonoidSpec.make(2, gens, quadric_relations(gens))
+    found = {}
+    for name, spec in specs.items():
+        m = validate(spec)
+        for f in faces(m):
+            q, _ = stalk(m, f)
+            if any(sum(g) <= 0 for g in q.generators):
+                assert q.grading == q.sharpness_certificate, (name, f.support)
+                found[name, f.support] = q.grading
+    assert found == _FALLBACK_GRADINGS
+    # a chart whose fallback grading gives every generator a degree above
+    # 40: at degree bound 20 the walk lists the origin alone
+    m = validate(MonoidSpec.make(3, [[-3, 1, 1], [3, 3, -2], [2, 2, 3], [1, 0, 3]]))
+    assert m.sharpness_certificate == m.grading == (-1, 24, 14)
+    assert [m.degree(g) for g in m.generators] == [41, 41, 88, 41]

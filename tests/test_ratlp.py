@@ -1,10 +1,13 @@
-"""Exact rational simplex: known optima, feasibility, Gordan duality, and
-cone membership by phase one alone."""
+"""Exact simplex on integer data: known optima, infeasibility with its
+Farkas certificate, Gordan duality, and cone membership by phase one
+alone."""
 
 import collections
 import math
 import random
 from fractions import Fraction
+
+import pytest
 
 from logcharts import ratlp
 from logcharts.errors import FalsifiedProperty
@@ -26,10 +29,58 @@ def test_known_lp_optimum():
 
 
 def test_infeasible():
-    # x + y = -1 with x, y >= 0 (after sign normalization still infeasible:
-    # -x - y = 1 has no nonnegative solution)
-    status, _, _ = ratlp.solve_standard_form([0, 0], [[-1, -1]], [1])
-    assert status == ratlp.INFEASIBLE
+    # -x - y = 1 has no nonnegative solution; y = (-1,) certifies it:
+    # y.A = (1, 1) >= 0 and y.b = -1 < 0
+    assert ratlp.solve_standard_form([0, 0], [[-1, -1]], [1]) == (ratlp.INFEASIBLE, (-1,), None)
+
+
+def test_an_infeasible_lp_carries_a_farkas_certificate():
+    # seeded systems A x = b, x >= 0 made infeasible by construction: a
+    # functional w is >= 0 on every column of A and negative on b.  The
+    # answer is a certificate of the same kind, not necessarily w.
+    rng = random.Random(1986)
+    for _ in range(300):
+        m, n = rng.randint(1, 4), rng.randint(1, 6)
+        w = [rng.randint(-3, 3) for _ in range(m)]
+        if not any(w):
+            continue
+        columns = []
+        for _ in range(n):
+            column = [rng.randint(-4, 4) for _ in range(m)]
+            columns.append(column if _dot(w, column) >= 0 else [-x for x in column])
+        rhs = [rng.randint(-5, 5) for _ in range(m)]
+        if _dot(w, rhs) == 0:
+            rhs = [-x for x in w]
+        elif _dot(w, rhs) > 0:
+            rhs = [-x for x in rhs]
+        rows = [list(row) for row in zip(*columns)]
+        c = [rng.randint(-3, 3) for _ in range(n)]
+        status, y, value = ratlp.solve_standard_form(c, rows, rhs)
+        assert status == ratlp.INFEASIBLE and value is None, (c, rows, rhs)
+        _assert_farkas(rows, rhs, y)
+
+
+@pytest.mark.parametrize("bad", [Fraction(1, 2), Fraction(2), 0.5, 2.0, True])
+def test_phase_one_refuses_entries_that_are_not_ints(monkeypatch, bad):
+    # a Fraction, a float or a bool anywhere in the data raises ValueError
+    # before the simplex runs, in every entry point
+    def no_simplex(*args):
+        raise AssertionError("the simplex ran on data that is not integer")
+
+    monkeypatch.setattr(ratlp, "_run_simplex", no_simplex)
+    for rows, rhs in (([[1, bad]], [1]), ([[1, 1]], [bad])):
+        with pytest.raises(ValueError, match="integer"):
+            ratlp._phase_one(rows, rhs, 2)
+        with pytest.raises(ValueError, match="integer"):
+            ratlp.solve_standard_form([0, 0], rows, rhs)
+    with pytest.raises(ValueError, match="integer"):
+        ratlp.solve_standard_form([bad, 0], [[1, 1]], [1])
+    with pytest.raises(ValueError, match="integer"):
+        ratlp.in_cone([(1, bad)], (1, 1))
+    with pytest.raises(ValueError, match="integer"):
+        ratlp.in_cone([(1, 1)], (1, bad))
+    with pytest.raises(ValueError, match="integer"):
+        ratlp.strict_functional(2, [], [(1, bad)])
 
 
 def test_unbounded():
@@ -97,10 +148,8 @@ def test_in_cone():
     assert ratlp.in_cone([], (1, 0)) == (False, (-1, -1))
 
 
-def _random_rational(rng):
-    if rng.random() < 0.6:
-        return rng.randint(-4, 4)
-    return Fraction(rng.randint(-7, 7), rng.randint(1, 6))
+def _random_entry(rng):
+    return rng.randint(-4, 4) if rng.random() < 0.6 else rng.randint(-40, 40)
 
 
 def _record_pivots(monkeypatch, module):
@@ -115,8 +164,18 @@ def _record_pivots(monkeypatch, module):
     return trail
 
 
+def _assert_farkas(a_rows, b, y):
+    """y is a coprime integer certificate of infeasibility: y.A >= 0 on
+    every column and y.b < 0."""
+    assert all(type(x) is int for x in y) and math.gcd(*y) == 1, y
+    assert all(_dot(y, column) >= 0 for column in zip(*a_rows)), (a_rows, y)
+    assert _dot(y, b) < 0, (b, y)
+
+
 def test_integer_simplex_matches_the_fraction_reference_on_random_lps(monkeypatch):
-    # same answers and the same pivots, degenerate ties included
+    # same answers and the same pivots, degenerate ties included, on
+    # integer data; an infeasible answer carries a Farkas certificate,
+    # where the reference answers None
     integer_pivots = _record_pivots(monkeypatch, ratlp)
     reference_pivots = _record_pivots(monkeypatch, oracles)
     rng = random.Random(2024)
@@ -124,10 +183,10 @@ def test_integer_simplex_matches_the_fraction_reference_on_random_lps(monkeypatc
     statuses = {ratlp.OPTIMAL: 0, ratlp.INFEASIBLE: 0, ratlp.UNBOUNDED: 0}
     for _ in range(2500):
         m, n = rng.randint(0, 4), rng.randint(1, 6)
-        rows = [[_random_rational(rng) for _ in range(n)] for _ in range(m)]
-        rhs = [_random_rational(rng) for _ in range(m)]
+        rows = [[_random_entry(rng) for _ in range(n)] for _ in range(m)]
+        rhs = [_random_entry(rng) for _ in range(m)]
         if m >= 2 and rng.random() < 0.25:
-            scale = Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 3))
+            scale = rng.choice([-3, -1, 1, 2])
             rows[-1] = [scale * x for x in rows[0]]
             rhs[-1] = scale * rhs[0]
             seen["redundant row"] += 1
@@ -135,11 +194,16 @@ def test_integer_simplex_matches_the_fraction_reference_on_random_lps(monkeypatc
             rhs = [0] * m
             seen["degenerate"] += 1
         seen["negative rhs"] += any(x < 0 for x in rhs)
-        c = [_random_rational(rng) for _ in range(n)]
+        c = [_random_entry(rng) for _ in range(n)]
         integer_pivots.clear()
         reference_pivots.clear()
         expected = oracles.solve_standard_form(c, rows, rhs)
-        assert ratlp.solve_standard_form(c, rows, rhs) == expected, (c, rows, rhs)
+        answer = ratlp.solve_standard_form(c, rows, rhs)
+        if expected[0] == ratlp.INFEASIBLE:
+            assert answer[0] == ratlp.INFEASIBLE and answer[2] is None, (c, rows, rhs)
+            _assert_farkas(rows, rhs, answer[1])
+        else:
+            assert answer == expected, (c, rows, rhs)
         assert integer_pivots == reference_pivots, (c, rows, rhs)
         statuses[expected[0]] += 1
     assert min(seen.values()) > 100 and min(statuses.values()) > 100, (seen, statuses)

@@ -17,12 +17,12 @@ from logcharts.strata import stratify
 
 _LINE = ("AffineMonoid(spec=MonoidSpec(ambient_rank=1, generators=((1,),), relations=None), "
          "gp_lattice_rank=1, is_sharp=True, is_saturated=True, relations=(), degree_bound=20, "
-         "sharpness_certificate=(Fraction(1, 1),), grading=(1,))")
+         "sharpness_certificate=(1,), grading=(1,))")
 # a stalk keeps the chart's relations, here none, with the face's coordinates deleted
 _POINT = ("AffineMonoid(spec=MonoidSpec(ambient_rank=0, generators=(), relations=()), "
           "gp_lattice_rank=0, is_sharp=True, is_saturated=True, relations=(), degree_bound=20, "
           "sharpness_certificate=(), grading=())")
-_VERTEX = (f"StratumEntry(face=Face(support=(), certificate=(Fraction(1, 1),)), stalk_rank=1, "
+_VERTEX = (f"StratumEntry(face=Face(support=(), certificate=(1,)), stalk_rank=1, "
            f"stalk={_LINE})")
 _NOTE = ("'level-wise invariant-factor comparison with transition coherence up to a finite "
          "bound; not a categorical pro-isomorphism'")
@@ -52,7 +52,7 @@ def _records():
          "MonoidSpec(ambient_rank=2, generators=((1, 0), (1, 1), (1, 2)), "
          "relations=(((1, 0, 1), (0, 2, 0)),))"),
         (face_with_support(cone, [0]),
-         "Face(support=(0,), certificate=(Fraction(0, 1), Fraction(1, 1)))"),
+         "Face(support=(0,), certificate=(0, 1))"),
         (line, _LINE),
         (completion(FgAbelianGroup.free(1)),
          "FiniteAbelianProSystem(group=FgAbelianGroup(free_rank=1, torsion=()), "
@@ -75,7 +75,7 @@ def _records():
         (stratify(line).entries[0], _VERTEX),
         (stratify(line),
          f"StratumTable(monoid={_LINE}, entries=({_VERTEX}, StratumEntry(face=Face("
-         f"support=(0,), certificate=(Fraction(0, 1),)), stalk_rank=0, stalk={_POINT})), "
+         f"support=(0,), certificate=(0,)), stalk_rank=0, stalk={_POINT})), "
          "max_rank=1)"),
         (verify_fiber_equivalence(line, ray, 2)[1],
          "FiberEquivalenceCertificate(face=(0,), torus_rank=0, bound=2, "
