@@ -152,14 +152,9 @@ def _check_spec_shape(spec: MonoidSpec):
                 raise InvalidMonoidSpec(f"relation {(r, s)} has negative exponents")
 
 
-def _image(spec: MonoidSpec, exponents) -> tuple[int, ...]:
-    """The element sum_j exponents_j gen_j of Z^d."""
-    return tuple(sum(c * g[a] for c, g in zip(exponents, spec.generators))
-                 for a in range(spec.ambient_rank))
-
-
 def _verify_relation(spec: MonoidSpec, relation: Relation):
-    lhs, rhs = _image(spec, relation[0]), _image(spec, relation[1])
+    lhs, rhs = (tuple(sum(c * g[a] for c, g in zip(side, spec.generators))
+                      for a in range(spec.ambient_rank)) for side in relation)
     if lhs != rhs:
         raise RelationInconsistent(
             f"relation {relation} fails: sides evaluate to {lhs} and {rhs}")
@@ -199,7 +194,7 @@ def _joined(masks) -> int:
     return comp
 
 
-def _check_congruence_complete(spec: MonoidSpec, relations, degrees, bound):
+def _check_congruence_complete(spec: MonoidSpec, relations, degrees, bound, box):
     """Congruence oracle over the monoid's elements, degree by degree.
 
     Two presentations (exponent vectors) of one element x must be connected
@@ -221,28 +216,32 @@ def _check_congruence_complete(spec: MonoidSpec, relations, degrees, bound):
       m != 0 and is a relation of image x when m == 0, so no move leaves
       a component of I_x.
 
-    Layer b maps each x of degree b to the mask of I_x, built and checked
-    in one pass: making x = y + gen_i from y in layer b - deg_i is already
-    the join (1 << i) | I_y, and the x whose joins do not overlap as they
-    come are closed up with their relation joins.  By induction on b this
-    is union-find over every exponent vector, and the least element of the
-    first failing degree is the witness; no layer above it is listed.
-    Returns the layers; over ``_ENUMERATION_CAP`` elements held raise
-    InvalidMonoidSpec.
+    Layer b maps the code (:func:`_codec`) of each x of degree b to the
+    mask of I_x, built and checked in one pass: making x = y + gen_i from
+    y in layer b - deg_i adds gen_i's step to the code and is already the
+    join (1 << i) | I_y, and the x whose joins do not overlap as they come
+    are closed up with the joins of relations of degree <= bound (a higher
+    image may leave ``box``).  By induction on b this is union-find over
+    every exponent vector, and the least element of the first failing
+    degree is the witness; no layer above it is listed.  Returns the
+    layers; over ``_ENUMERATION_CAP`` elements held raise InvalidMonoidSpec.
     """
-    joins: dict[tuple[int, ...], list[int]] = {}
+    origin, strides = _codec(box)
+    steps = [sum(map(operator.mul, g, strides)) for g in spec.generators]
+    joins: dict[int, list[int]] = {}
     for r, s in relations:
-        mask = sum(1 << i for i, (x, y) in enumerate(zip(r, s)) if x or y)
-        joins.setdefault(_image(spec, r), []).append(mask)
-    layers = [{(0,) * spec.ambient_rank: 0}]
+        if sum(map(operator.mul, r, degrees)) <= bound:
+            mask = sum(1 << i for i, (x, y) in enumerate(zip(r, s)) if x or y)
+            joins.setdefault(origin + sum(map(operator.mul, r, steps)), []).append(mask)
+    layers, held = [{origin: 0}], 1
     for b in range(1, bound + 1):
-        layer: dict[tuple[int, ...], int] = {}
-        apart: dict[tuple[int, ...], list[int]] = {}  # x -> joins not yet one component
-        for i, (gen, step) in enumerate(zip(spec.generators, degrees)):
-            if step <= b:
+        layer: dict[int, int] = {}
+        apart: dict[int, list[int]] = {}  # x -> joins not yet one component
+        for i, (step, deg) in enumerate(zip(steps, degrees)):
+            if deg <= b:
                 bit = 1 << i
-                for y, below in layers[b - step].items():
-                    x = tuple(map(operator.add, y, gen))
+                for y, below in layers[b - deg].items():
+                    x = y + step
                     mask = bit | below
                     reach = layer.get(x, 0)
                     layer[x] = reach | mask
@@ -250,13 +249,15 @@ def _check_congruence_complete(spec: MonoidSpec, relations, degrees, bound):
                         apart.setdefault(x, [reach]).append(mask)
         split = [x for x, masks in apart.items() if _joined(masks + joins.get(x, [])) != layer[x]]
         if split:
-            witness = min(split)
+            code = min(split)
+            witness = tuple(a + code // s % (c - a + 1) for a, c, s in zip(*box, strides))
             raise RelationSynthesisIncomplete(
                 f"relation set does not connect the presentations of {witness} "
                 f"at degree {b}; every fiber of lower degree is connected "
                 f"(degree bound {bound})", witness, b)
         layers.append(layer)
-        if sum(map(len, layers)) > _ENUMERATION_CAP:
+        held += len(layer)
+        if held > _ENUMERATION_CAP:
             raise InvalidMonoidSpec(
                 "degree-bounded enumeration exceeds the desk-scale cap; "
                 "lower the degree bound")
@@ -300,42 +301,69 @@ def _saturation_box(gens, degrees, bound):
     return lo, hi
 
 
+def _codec(box):
+    """(origin, strides): x in the box (lo, hi) has the code origin +
+    x . strides = sum (x_a - lo_a) * stride_a, first axis most significant,
+    so code order is box (lexicographic) order."""
+    lo, hi = box
+    strides = [math.prod(b - a + 1 for a, b in zip(lo[i:], hi[i:])) for i in range(1, len(lo) + 1)]
+    return -sum(map(operator.mul, lo, strides)), strides
+
+
+def _degree_window(grading, box, bound):
+    """The box points of degree 0..bound in box order, as rows: for each p
+    on the first d - 1 axes, p, the degree deg and code of (p, 0), and the
+    t in the box with 0 <= deg + w t <= bound, w = grading[-1], by floor
+    division; (p, t) has degree deg + w t and code code + t."""
+    (lo, hi), (origin, strides) = box, _codec(box)
+    *head, w = grading
+    for prefix in itertools.product(*(range(a, b + 1) for a, b in zip(lo[:-1], hi[:-1]))):
+        deg = sum(map(operator.mul, head, prefix))
+        first, last = lo[-1], hi[-1]
+        if w:  # w t runs from -deg to bound - deg; dividing by w < 0 swaps the ends
+            ends = (-deg, bound - deg) if w > 0 else (bound - deg, -deg)
+            first, last = max(first, -(-ends[0] // w)), min(last, ends[1] // w)
+        elif not 0 <= deg <= bound:
+            continue
+        yield prefix, deg, origin + sum(map(operator.mul, prefix, strides)), range(first, last + 1)
+
+
 def _check_saturation(gens, grading, box, layers, bound, u, factors):
     """Desk-scale saturation check.
 
-    Walks the integer points of the cone truncated at the degree bound,
-    inside ``box`` = (lo, hi) from :func:`_saturation_box`, and demands
-    each point of the generated sublattice be a nonnegative integer
-    combination of generators, i.e. appear in the layer of its degree that
-    :func:`_check_congruence_complete` listed.  The ``grading`` functional
-    gives the generators their degrees.  A point off the monoid elements is
+    Visits the points of degree 0..bound of ``box`` = (lo, hi) from
+    :func:`_saturation_box`, as :func:`_degree_window` lists them, and
+    demands each point of the generated sublattice be a nonnegative integer
+    combination of generators, i.e. have its code in the layer of its
+    degree that :func:`_check_congruence_complete` listed; only a point
+    that does not is built as a tuple.  The ``grading`` functional gives
+    the generators their degrees.  A point off the monoid elements is
     outside the cone when a Farkas certificate found earlier in the scan is
-    negative on it;
-    otherwise a phase-one simplex decides it, and an "outside" answer adds
-    its certificate to the scan's list.  So a saturated cone costs one LP
-    per certificate it needs, not one per point, and every point is
-    classified as the LP alone would.  With U G V = D the Smith form of
-    the generator matrix, x is in the sublattice exactly when y = U x has
-    d_i | y_i for its r nonzero ``factors`` d_i, and y_i = 0 after.
+    negative on it; otherwise a phase-one simplex decides it, and an
+    "outside" answer adds its certificate to the scan's list.  So a
+    saturated cone costs one LP per certificate it needs, not one per
+    point, and every point is classified as the LP alone would.  With
+    U G V = D the Smith form of the generator matrix, x is in the
+    sublattice exactly when y = U x has d_i | y_i for its r nonzero
+    ``factors`` d_i, and y_i = 0 after.
     """
-    r = len(factors)
+    r, w = len(factors), grading[-1]
     certificates = []
-    for point in itertools.product(*(range(a, b + 1) for a, b in zip(*box))):
-        deg = sum(map(operator.mul, grading, point))
-        if deg < 0 or deg > bound:
-            continue
-        if point in layers[deg]:  # the origin in layers[0]
-            continue
-        if any(sum(map(operator.mul, w, point)) < 0 for w in certificates):
-            continue
-        inside, w = ratlp.in_cone(gens, point)
-        if not inside:
-            certificates.append(w)
-            continue
-        y = [sum(map(operator.mul, row, point)) for row in u]
-        if any(map(operator.mod, y, factors)) or any(y[r:]):
-            continue  # in the cone but not in the generated sublattice
-        raise SaturationFailure(point)
+    for prefix, deg, code, last in _degree_window(grading, box, bound):
+        for t in last:
+            if code + t in layers[deg + w * t]:  # the origin in layers[0]
+                continue
+            point = (*prefix, t)
+            if any(sum(map(operator.mul, c, point)) < 0 for c in certificates):
+                continue
+            inside, c = ratlp.in_cone(gens, point)
+            if not inside:
+                certificates.append(c)
+                continue
+            y = [sum(map(operator.mul, row, point)) for row in u]
+            if any(map(operator.mod, y, factors)) or any(y[r:]):
+                continue  # in the cone but not in the generated sublattice
+            raise SaturationFailure(point)
 
 
 def validate(spec: MonoidSpec, degree_bound: int = DEFAULT_DEGREE_BOUND) -> AffineMonoid:
@@ -350,11 +378,12 @@ def validate(spec: MonoidSpec, degree_bound: int = DEFAULT_DEGREE_BOUND) -> Affi
     signs.  A free chart (generators linearly independent) is decided in
     closed form: P is N^k, so R is complete, and P is saturated because a
     cone lattice point has unique, hence nonnegative integer, coordinates.
-    Every other chart takes one path: once the saturation box is bounded,
-    the congruence walk names the least-degree element whose presentations
-    R leaves disconnected, a supplied R must also span the integer kernel
-    (one more Smith form), and saturation is checked up to the degree
-    bound against the elements the walk listed.  The bound must be an int.
+    Every other chart takes one path, on the integer codes of the bounded
+    saturation box: the congruence walk names the least-degree element
+    whose presentations R leaves disconnected, a supplied R must also span
+    the integer kernel (one more Smith form), and saturation is checked on
+    the box points of degree 0..bound against the elements the walk
+    listed.  The bound must be an int.
 
     Raises NotSharp, RelationInconsistent, RelationSynthesisIncomplete,
     SaturationFailure, or InvalidMonoidSpec.
@@ -392,7 +421,7 @@ def validate(spec: MonoidSpec, degree_bound: int = DEFAULT_DEGREE_BOUND) -> Affi
         if size > _BOX_CAP:
             raise InvalidMonoidSpec(
                 f"saturation box has {size} points; lower the degree bound")
-        layers = _check_congruence_complete(spec, relations, degrees, degree_bound)
+        layers = _check_congruence_complete(spec, relations, degrees, degree_bound, box)
         # a synthesized set spans the kernel: its rows are the basis itself
         if spec.relations is not None:
             _check_kernel_span(relations, kernel, len(spec.generators))

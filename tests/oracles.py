@@ -629,12 +629,15 @@ def in_cone_by_lp(generator_columns, point):
 # --------------------------------------------------------------------------
 # The saturation scan with one LP per candidate point, as
 # ``logcharts.monoid._check_saturation`` ran it before it kept the Farkas
-# certificates of its "outside" answers.
+# certificates of its "outside" answers: over every point of the box,
+# dropping those of degree outside 0..bound, with the monoid elements as
+# tuples, as the scan ran before it held them as integer codes.
 
 def saturation_scan_inputs(spec: MonoidSpec, bound):
     """(gens, grading, degrees, layers, bound, u, factors) as ``validate``
     passes them to the scan; layers[b] holds the monoid elements of degree
-    b, the images of the exponent vectors of degree b <= bound."""
+    b as tuples (the scan takes their box codes), the images of the
+    exponent vectors of degree b <= bound."""
     d, gens = spec.ambient_rank, spec.generators
     grading = _grading_functional(spec, ratlp.strict_functional(d, [], list(gens)))
     degrees = [sum(map(operator.mul, grading, g)) for g in gens]

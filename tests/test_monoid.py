@@ -4,6 +4,7 @@ import collections
 import itertools
 import random
 import re
+import time
 
 import pytest
 
@@ -510,6 +511,91 @@ def _smith(spec):
     return u, [x for x in diag if x != 0], v
 
 
+def _box_code(point, box):
+    """The index of a point in the lexicographic order of the box (lo, hi),
+    by Horner's rule: the code validate's walk and scan give it."""
+    code = 0
+    for x, a, b in zip(point, *box):
+        code = code * (b - a + 1) + x - a
+    return code
+
+
+def _box_point(code, box):
+    """The point of the box with the given lexicographic index."""
+    point = []
+    for a, b in reversed(list(zip(*box))):
+        code, digit = divmod(code, b - a + 1)
+        point.append(a + digit)
+    return tuple(reversed(point))
+
+
+def test_box_codes_are_lexicographic_indices():
+    rng = random.Random(26)
+    for _ in range(60):
+        d = rng.randint(1, 4)
+        lo = [rng.randint(-3, 0) for _ in range(d)]
+        box = (lo, [rng.randint(0, 3) for _ in range(d)])
+        origin, strides = monoid._codec(box)
+        points = itertools.product(*(range(a, b + 1) for a, b in zip(*box)))
+        for index, point in enumerate(points):
+            assert origin + sum(x * s for x, s in zip(point, strides)) == index
+            assert _box_code(point, box) == index and _box_point(index, box) == point
+
+
+def test_degree_window_matches_the_filtered_box():
+    # the rows list the box points of degree 0..bound in box order, with
+    # their degrees and codes, for a last grading weight < 0, = 0 and > 0
+    rng = random.Random(2007)
+    weights, below_zero = collections.Counter(), 0
+    for _ in range(300):
+        d = rng.randint(1, 4)
+        grading = [rng.randint(-3, 3) for _ in range(d)]
+        box = ([rng.randint(-6, 0) for _ in range(d)], [rng.randint(0, 6) for _ in range(d)])
+        bound = rng.randint(0, 12)
+        want = [p for p in itertools.product(*(range(a, b + 1) for a, b in zip(*box)))
+                if 0 <= sum(u * x for u, x in zip(grading, p)) <= bound]
+        got = []
+        for prefix, deg, code, last in monoid._degree_window(grading, box, bound):
+            for t in last:
+                point = (*prefix, t)
+                assert deg + grading[-1] * t == sum(u * x for u, x in zip(grading, point))
+                assert code + t == _box_code(point, box)
+                got.append(point)
+        assert got == want, (grading, box, bound)
+        weights[(grading[-1] > 0) - (grading[-1] < 0)] += 1
+        below_zero += min(box[0]) < 0
+    assert min(weights[-1], weights[0], weights[1]) >= 30 and below_zero >= 250, weights
+
+
+def test_witnesses_in_boxes_with_negative_lows():
+    # pinned from the scan and the walk on tuples, before both ran on codes
+    five = MonoidSpec.make(4, [[2, 2, 0, 3], [-1, 2, 3, 0], [2, 1, 1, -1], [-1, 1, 1, 2],
+                               [-3, 3, 2, 4]])
+    with pytest.raises(SaturationFailure) as info:
+        validate(five, 20)
+    assert info.value.witness == (-8, 9, 6, 12)
+    assert validate(five, 4).is_saturated
+    hexagon = MonoidSpec.make(3, [[1, 1, 0], [1, 0, 1], [1, -1, 1], [1, -1, 0], [1, 0, -1],
+                                  [1, 1, -1]])
+    with pytest.raises(RelationSynthesisIncomplete) as info:
+        validate(hexagon)
+    assert (info.value.witness, info.value.degree) == ((2, 0, 0), 2)
+    for spec, bound in ((five, 20), (five, 4), (hexagon, 20)):
+        cert = ratlp.strict_functional(spec.ambient_rank, [], list(spec.generators))
+        grading = monoid._grading_functional(spec, cert)
+        degrees = [sum(u * x for u, x in zip(grading, g)) for g in spec.generators]
+        assert min(monoid._saturation_box(spec.generators, degrees, bound)[0]) < 0
+
+
+def test_the_enumeration_cap_is_counted_as_the_layers_come():
+    # the chart <1, 2> has one element per degree: a walk that re-counted
+    # every layer after each degree took minutes at this bound
+    start = time.perf_counter()
+    m = validate(MonoidSpec.make(1, [[1], [2]]), 200_000)
+    assert m.is_saturated and len(m.relations) == 1
+    assert time.perf_counter() - start < 30
+
+
 def _refuse_enumeration(monkeypatch):
     def refuse(*args):
         raise AssertionError("a free chart must not enumerate monoid elements")
@@ -531,12 +617,15 @@ def test_free_chart_closed_form_agrees_with_the_bounded_checks(monkeypatch):
             _refuse_enumeration(patch)
             m = validate(spec, degree_bound=8)
         assert m.is_saturated and m.relations == () and m.gp_lattice_rank == len(gens)
-        # the bounded checks, up to twice the largest generator degree
+        # the bounded checks, up to twice the largest generator degree; the
+        # walk lists the elements that the tuple oracle lists, by code
         degrees = [m.degree(g) for g in gens]
         bound = 2 * max(degrees)
-        layers = monoid._check_congruence_complete(spec, (), degrees, bound)
-        u, factors, _ = _smith(spec)
         box = monoid._saturation_box(m.generators, degrees, bound)
+        layers = monoid._check_congruence_complete(spec, (), degrees, bound, box)
+        want = saturation_scan_inputs(spec, bound)[3]
+        assert [{_box_point(x, box) for x in layer} for layer in layers] == want, gens
+        u, factors, _ = _smith(spec)
         monoid._check_saturation(m.generators, m.grading, box, layers, bound, u, factors)
 
 
@@ -651,8 +740,9 @@ def test_element_oracle_agrees_with_the_vector_oracle():
         except RelationSynthesisIncomplete:
             want = None
         walk = None
+        box = monoid._saturation_box(spec.generators, degrees, bound)
         try:
-            got = monoid._check_congruence_complete(spec, relations, degrees, bound)
+            got = monoid._check_congruence_complete(spec, relations, degrees, bound, box)
         except RelationSynthesisIncomplete as err:
             failed += 1
             walk = (err.witness, err.degree)
@@ -662,7 +752,8 @@ def test_element_oracle_agrees_with_the_vector_oracle():
             # no fiber of lower degree is disconnected
             congruence_complete_by_vectors(spec, relations, degrees, err.degree - 1)
         else:
-            assert set().union(*got) == want, (spec, relations, bound)
+            assert {_box_point(x, box) for layer in got for x in layer} == want, \
+                (spec, relations, bound)
         r = rank(gens, d)
         rows = [[a - b for a, b in zip(*rel)] for rel in relations]
         spans = cokernel([[z[j] for z in rows] for j in range(k)], len(rows)) == FgAbelianGroup(r)
@@ -787,8 +878,9 @@ def test_saturation_scan_matches_the_lp_oracle(monkeypatch):
         gens, grading, degrees, layers, _, u, factors = saturation_scan_inputs(spec, bound)
         want = saturation_scan_by_lp(gens, grading, degrees, layers, bound, u, factors)
         box = monoid._saturation_box(gens, degrees, bound)
+        codes = [{_box_code(x, box) for x in layer} for layer in layers]
         try:
-            monoid._check_saturation(gens, grading, box, layers, bound, u, factors)
+            monoid._check_saturation(gens, grading, box, codes, bound, u, factors)
         except SaturationFailure as err:
             assert err.witness == want, (spec, bound)
             witnesses += 1
