@@ -196,9 +196,8 @@ class NonnegRoot(Record):
         return float(self.base) ** (1.0 / self.degree)
 
     def __str__(self):
-        if self.degree == 1:
-            return str(self.base)
-        return f"{self.base}^(1/{self.degree})"
+        base = str(self.base) if self.base.denominator == 1 else f"({self.base})"
+        return str(self.base) if self.degree == 1 else f"{base}^(1/{self.degree})"
 
 
 def turn_mod1(t: Fraction) -> Fraction:

@@ -14,14 +14,14 @@ A fiber point is a tuple of root indices u in (Z/n)^k solving the relation
 congruences mod n; one Smith-form solver lists exactly those solutions,
 the deck group is its solution set with zero offsets, and every fiber,
 log or algebraic, exact or floating, is assembled from a table of each
-coordinate's n roots.  The torsor check lifts fiber points back to root
-indices.  A log point's circle coordinates are turns in both modes,
-rational for exact points and floats for floating ones, so the n-th roots
-of coordinate i are (t_i + j) / n turns either way, and each relation's
-offset is the point's turn sum, rounded where it lies within the
-tolerance of a whole turn and refused elsewhere.  Enumeration is exact
-whenever the base point is exact: rational turns divide exactly, and
-nonnegative real roots are exact radicals.
+coordinate's n roots.  The torsor check lifts each log fiber point to its
+root indices against the point it covers.  Circle coordinates are turns
+in both modes, rational for exact points and floats for floating ones, so
+the n-th roots of coordinate i are (t_i + j) / n turns either way, and
+each relation's offset is the point's turn sum, rounded where it lies
+within the tolerance of a whole turn and refused elsewhere.  Enumeration
+is exact whenever the base point is exact: rational turns divide exactly,
+and nonnegative real roots are exact radicals.
 """
 
 from __future__ import annotations
@@ -171,8 +171,7 @@ def _assemble(table, choices):
 def _validate_point(m: AffineMonoid, p, target: Target, tol: float):
     from .semialg import check_membership, emit_equations
     if p.arity != m.generator_count:
-        raise InvalidPoint(
-            f"point has {p.arity} coordinates, chart has {m.generator_count}")
+        raise InvalidPoint(f"point has {p.arity} coordinates, chart has {m.generator_count}")
     ok, residual = check_membership(emit_equations(m, target), p, tol)
     if not ok:
         raise InvalidPoint(f"point violates the relations (residual {residual:.3e})")
@@ -199,10 +198,8 @@ def kn_kummer_fiber(m: AffineMonoid, p: KnPoint, n: int,
     """
     from .semialg import KnPoint, Target
     _validate_point(m, p, Target.KN_POINTS, tol)
-    r = m.gp_lattice_rank
+    k, r, rows = m.generator_count, m.gp_lattice_rank, _relation_rows(m.relations)
     _fiber_size(n, r)
-    k = m.generator_count
-    rows = _relation_rows(m.relations)
     choices, _ = _fiber_choices(rows, _turn_offsets(rows, [p.angle(i) for i in range(k)], tol),
                                 n, k, r, "Kummer fiber", p.exact)
     # Coordinate i takes only the n values (radius^(1/n), (t_i + j) / n turns).
@@ -309,25 +306,28 @@ class TorsorReport(Record):
         return self.preserves_fiber and self.free and self.transitive
 
 
-def _root_indices(pt: KnPoint, base: KnPoint, n: int, tol: float):
-    """The root indices c in (Z/n)^k with pt = c . base: base's radii, and
-    angles base's plus c_i / n turns, compared exactly on integer numerators
-    and denominators for exact points, and within tol (in radius and in
-    radians of angle) for floating ones.  None off those radii or grid."""
+def _root_indices(pt: KnPoint, p: KnPoint, roots, n: int):
+    """Root indices c with pt_i = (roots_i, (t_i + c_i) / n turns) for p's
+    turns t_i, with no tolerance: exact points need n a_i - t_i whole, on
+    integer numerators; floating ones c_i = round(n a_i - t_i) mod n and
+    a_i = (t_i + c_i) / n % 1 bit for bit, as kn_kummer_fiber computes it.
+    Radii must be roots_i, compared by identity first."""
     indices = []
-    for (r, a), (r0, a0) in zip(pt.values, base.values):
+    for (rho, a), (_, t), root in zip(pt.values, p.values, roots):
         if pt.exact:
-            c, rest = divmod((a.numerator * a0.denominator - a0.numerator * a.denominator) * n,
-                             a.denominator * a0.denominator)
-            off = rest or (r is not r0 and r != r0)
+            c, off = divmod(n * a.numerator * t.denominator - t.numerator * a.denominator,
+                            a.denominator * t.denominator)
         else:
-            steps = (a - a0) * n
-            c = round(steps)
-            off = abs(r - r0) > tol or 2 * math.pi * abs(steps - c) > n * tol
-        if off:
-            return None
+            c = round(n * a - t) % n
+            off = a != (t + c) / n % 1
+        if off or rho is not root and rho != root:
+            raise _not_a_root(pt, p, n, "radii or turns")
         indices.append(c % n)
     return tuple(indices)
+
+
+def _not_a_root(pt, p, n: int, what: str):
+    return FalsifiedProperty(f"fiber point {pt} is not a degree-{n} root of {p} ({what})")
 
 
 def _act(c, u, n: int):
@@ -339,43 +339,43 @@ def torsor_check(m: AffineMonoid, p: KnPoint, n: int,
                  tol: float = DEFAULT_TOLERANCE) -> tuple[bool, TorsorReport]:
     """Verify the deck action on the enumerated Kummer fiber over p.
 
-    The deck group is the set of root-index tuples u solving the relation
-    congruences mod n with zero offsets; u multiplies the i-th circle
-    component by exp(2 pi i u_i / n).  Each fiber point is lifted once to
-    its root indices c relative to the first point, the base: exactly for
-    exact points, within max(tol, 1e-7) for floating ones, and to None for
-    a point off the base's radii (which the action keeps) or off the 1/n
-    grid around its angles, which is then never located.  u acts by
-    c + u mod n, and images are located by dict lookup.  The flags are read
-    off the orbit map u -> u . base: ``transitive`` iff it is onto the
-    fiber; ``free`` iff it is injective, since stabilizers of an abelian
-    group are constant on an orbit; ``preserves_fiber`` iff every image
-    lies in the fiber and each Smith-form generator of the group carries
-    every fiber point into it.  That is (1 + #generators) n^r actions.  The
-    orbit table gives, per fiber point, the first character carrying the
-    base point to it.
+    The deck group is the set of u in (Z/n)^k with K u = 0 mod n, K the
+    relation rows, acting on root indices by c + u mod n.  Each fiber point
+    is lifted once against p (``_root_indices``) with the first point's
+    radii, checked once to be n-th roots of p's; that base point must solve
+    K c = -offsets mod n.  The flags, read off the orbit map u -> u . base,
+    carry this to the coset base + u: ``transitive`` iff the map is onto,
+    ``free`` iff it is injective (an abelian group's stabilizers are
+    constant on an orbit), ``preserves_fiber`` iff every image and every
+    Smith-form generator's image of a point lies in the fiber.  A failing
+    point raises FalsifiedProperty naming it.  The orbit table gives, per
+    fiber point, the first character carrying the base to it.
     """
     fiber = kn_kummer_fiber(m, p, n, tol)
-    chars, generators = _fiber_choices(_relation_rows(m.relations), [0] * len(m.relations),
-                                       n, m.generator_count, m.gp_lattice_rank, "deck group")
-    lifts = [_root_indices(pt, fiber[0], n, max(tol, 1e-7)) for pt in fiber]
-    index = {c: i for i, c in enumerate(lifts) if c is not None}
+    k, rows = m.generator_count, _relation_rows(m.relations)
+    chars, generators = _fiber_choices(rows, [0] * len(rows), n, k, m.gp_lattice_rank,
+                                       "deck group")
+    roots = [rho for rho, _ in fiber[0].values]
+    base = _root_indices(fiber[0], p, roots, n)
+    offsets = _turn_offsets(rows, [p.angle(i) for i in range(k)], tol)
+    roots_ok = all(rho.base ** (n * r.degree) == r.base ** rho.degree if p.exact
+                   else rho == r ** (1.0 / n) for rho, (r, _) in zip(roots, p.values))
+    if not roots_ok or any((sum(map(operator.mul, row, base)) + b) % n
+                           for row, b in zip(rows, offsets)):
+        raise _not_a_root(fiber[0], p, n, "radii or relation congruences")
+    lifts = [base] + [_root_indices(pt, p, roots, n) for pt in fiber[1:]]
+    index = {c: i for i, c in enumerate(lifts)}
     images = [index.get(_act(lifts[0], u, n)) for u in chars]
     located = [i for i in images if i is not None]
-    orbit_table = [-1] * len(fiber)
-    for ci, where in enumerate(images):
-        if where is not None and orbit_table[where] == -1:
-            orbit_table[where] = ci
-    preserves = len(located) == len(images) and all(
-        c is not None and _act(c, g, n) in index for g in generators for c in lifts)
-
+    first = {where: ci for ci, where in reversed(list(enumerate(images)))}
     report = TorsorReport(
         n=n,
         group_order=len(chars),
         fiber_size=len(fiber),
-        preserves_fiber=preserves,
+        preserves_fiber=len(located) == len(images) and all(
+            _act(c, g, n) in index for g in generators for c in lifts),
         free=len(set(located)) == len(located),
-        transitive=all(x >= 0 for x in orbit_table),
-        orbit_table=tuple(orbit_table),
+        transitive=all(i in first for i in range(len(fiber))),
+        orbit_table=tuple(first.get(i, -1) for i in range(len(fiber))),
     )
     return report.ok, report

@@ -2,8 +2,10 @@
 subcommand on the four bundled corpus charts, for ``fiber`` and
 ``compare`` on every face of each, and for two ``--face`` arguments that
 name no face, kept in ``tests/data/cli_golden.json``; then ``torsor`` at
-an inline exact and floating log point, and ``--table`` renderings of
-``info``, ``compare``, ``torsor``, ``emit`` and ``fiber``.
+an inline exact and floating log point, ``--table`` renderings of
+``info``, ``compare``, ``torsor``, ``emit`` and ``fiber``, and ``torsor``
+at a floating point at ``--tol 0``, which passes because fiber points are
+lifted bit for bit, with no tolerance of their own.
 
 An argv names a corpus chart by its file stem (``a1_cone``), which
 :func:`run` replaces by the chart's path.  The corpus is rewritten only
@@ -60,7 +62,11 @@ def argvs() -> list[list[str]]:
                   ["compare", "a1_cone", "--bound", "3", "--table"],
                   ["torsor", "a1_cone", "2", "--point", exact, "--table"],
                   ["emit", "a1_cone", "--target", "kn", "--table"],
-                  ["fiber", "a1_cone", "3", "--face", "0", "--table"]]
+                  ["fiber", "a1_cone", "3", "--face", "0", "--table"],
+                  # sixth-turn angles at --tol 0: the fiber is lifted bit for bit
+                  ["torsor", "a1_cone", "5", "--tol", "0", "--point",
+                   '{"radii": ["2","2","2"], "angles": [[0.5, 0.8660254037844386], '
+                   '[0.5, 0.8660254037844386], [0.5, 0.8660254037844386]]}']]
 
 
 def run(argv) -> dict:

@@ -99,6 +99,17 @@ def test_nonneg_root_hash_agrees_with_equality():
     assert hash(NonnegRoot(Fraction(2), 2)) == hash(NonnegRoot(Fraction(4), 4))
 
 
+def test_nonneg_root_prints_a_fraction_base_in_parentheses():
+    # 25/2^(1/3) would read as 25 / 2^(1/3)
+    assert str(NonnegRoot(Fraction(25, 2), 3)) == "(25/2)^(1/3)"
+    assert str(NonnegRoot(Fraction(1, 3), 2)) == "(1/3)^(1/2)"
+    assert str(NonnegRoot(Fraction(5), 3)) == "5^(1/3)"
+    # rational values print as their Fraction, after normalization
+    assert str(NonnegRoot(Fraction(9, 4), 2)) == "3/2"
+    assert str(NonnegRoot.of(Fraction(1, 2))) == "1/2"
+    assert str(NonnegRoot(Fraction(8), 3)) == "2"
+
+
 def test_turns():
     assert turn_mod1(Fraction(-1, 4)) == Fraction(3, 4)
     assert turn_mod1(Fraction(9, 4)) == Fraction(1, 4)

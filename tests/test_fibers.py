@@ -522,21 +522,41 @@ def test_exact_algebraic_fibers_match_the_floating_path_point_by_point():
 
 
 def test_root_indices_refuse_points_off_the_radii_or_the_grid():
+    # p = (4, 5/6 turn) has the square roots (2, 5/12) and (2, 11/12)
     r = NonnegRoot.of(2)
-    base = KnPoint(((r, Fraction(11, 12)),), True)
+    p = KnPoint(((NonnegRoot.of(4), Fraction(5, 6)),), True)
 
     def lift(radius, turn):
-        return fibers_mod._root_indices(KnPoint(((radius, turn),), True), base, 2, 1e-7)
+        return fibers_mod._root_indices(KnPoint(((radius, turn),), True), p, [r], 2)
 
-    assert lift(r, Fraction(5, 12)) == (1,)
-    assert lift(r, Fraction(1, 48)) is None
-    assert lift(r, Fraction(1, 5)) is None
-    assert lift(NonnegRoot.of(3), Fraction(5, 12)) is None
-    # Floating points lift within the tolerance.
-    base = KnPoint.floating([(2.0, cmath.exp(2j * cmath.pi * 11 / 12))])
-    for turn, lifted in ((5 / 12, (1,)), (5 / 12 + 1e-9, (1,)), (5 / 12 + 1e-3, None)):
-        point = KnPoint.floating([(2.0, cmath.exp(2j * cmath.pi * turn))])
-        assert fibers_mod._root_indices(point, base, 2, 1e-7) == lifted, turn
+    assert lift(r, Fraction(5, 12)) == (0,)
+    assert lift(r, Fraction(11, 12)) == (1,)
+    for radius, turn in ((r, Fraction(1, 48)), (r, Fraction(1, 5)),
+                         (NonnegRoot.of(3), Fraction(5, 12))):
+        with pytest.raises(FalsifiedProperty, match="is not a degree-2 root"):
+            lift(radius, turn)
+    # Floating points lift only onto the turn (t + c) / n % 1 itself, bit
+    # for bit: there is no tolerance to lift within.
+    p = KnPoint.floating([(4.0, cmath.exp(2j * cmath.pi * 5 / 6))])
+    t = p.angle(0)
+    for turn, lifted in ((t / 2 % 1, (0,)), (t / 2 % 1 + 1e-9, None),
+                         (t / 2 % 1 + 1e-3, None)):
+        point = KnPoint(((2.0, turn),), False)
+        if lifted is None:
+            with pytest.raises(FalsifiedProperty, match="is not a degree-2 root"):
+                fibers_mod._root_indices(point, p, [4.0 ** 0.5], 2)
+        else:
+            assert fibers_mod._root_indices(point, p, [4.0 ** 0.5], 2) == lifted, turn
+
+
+def _a1_point(exact):
+    """A dense-stratum point of the A1 cone, exact or as floats."""
+    m = a1_cone()
+    p = sample_kn_stratum(m, face_with_support(m, [0, 1, 2]), 1, seed=42)[0]
+    if not exact:
+        p = KnPoint.floating([(float(r), cmath.exp(2j * cmath.pi * float(a)))
+                              for r, a in p.values])
+    return m, p
 
 
 def _move_last_point(fiber, r0, shift):
@@ -551,19 +571,53 @@ def _move_last_point(fiber, r0, shift):
 @pytest.mark.parametrize("exact", [True, False], ids=["exact", "floating"])
 @pytest.mark.parametrize("r0, shift", [(7, 0), (None, Fraction(1, 1000))],
                          ids=["radius", "angle"])
-def test_torsor_check_never_locates_a_point_off_the_radii_or_the_grid(monkeypatch, exact,
-                                                                      r0, shift):
-    m = a1_cone()
-    p = sample_kn_stratum(m, face_with_support(m, [0, 1, 2]), 1, seed=42)[0]
-    if not exact:
-        p = KnPoint.floating([(float(r), cmath.exp(2j * cmath.pi * float(a)))
-                              for r, a in p.values])
+def test_torsor_check_falsifies_a_point_off_the_radii_or_the_grid(monkeypatch, exact, r0,
+                                                                  shift):
+    m, p = _a1_point(exact)
     real_fiber = fibers_mod.kn_kummer_fiber
-    monkeypatch.setattr(fibers_mod, "kn_kummer_fiber", lambda m, p, n, tol: _move_last_point(
-        real_fiber(m, p, n, tol), r0, shift))
-    ok, report = torsor_check(m, p, 3)
-    assert not ok and not report.transitive and not report.preserves_fiber
-    assert report.orbit_table[-1] == -1
+    moved = _move_last_point(real_fiber(m, p, 3), r0, shift)
+    monkeypatch.setattr(fibers_mod, "kn_kummer_fiber", lambda m, p, n, tol: moved)
+    with pytest.raises(FalsifiedProperty) as err:
+        torsor_check(m, p, 3)
+    assert str(err.value).startswith(f"fiber point {moved[-1]} is not a degree-3 root of {p}")
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "floating"])
+def test_torsor_check_falsifies_a_fiber_turned_off_the_model(monkeypatch, exact):
+    # Every point turned by 1/n on circle 0, to the next root (t + j + 1) / n
+    # as the fiber's own formula gives it, is still an n-th root of p, and
+    # the turned fiber is still a coset of the deck group, so the action
+    # flags all hold; but the points miss z0 z2 = z1^2, which the base
+    # point's relation congruence finds.
+    m, p = _a1_point(exact)
+    t = p.angle(0)
+    turned = [KnPoint(((r, (t + (round(3 * a - t) + 1) % 3) / 3 % 1), *rest), exact)
+              for q in fibers_mod.kn_kummer_fiber(m, p, 3) for (r, a), *rest in [q.values]]
+    monkeypatch.setattr(fibers_mod, "kn_kummer_fiber", lambda m, p, n, tol: turned)
+    with pytest.raises(FalsifiedProperty, match="root of .* [(]radii or relation congruences"):
+        torsor_check(m, p, 3)
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "floating"])
+def test_torsor_check_names_the_point_with_a_corrupted_root_entry(monkeypatch, exact):
+    # One root-table entry (radius, turn) of one point is corrupted, in
+    # its radius or off the 1/n grid, at every point and coordinate in turn.
+    m, p = _a1_point(exact)
+    fiber = fibers_mod.kn_kummer_fiber(m, p, 3)
+    double = NonnegRoot.of(2) if exact else 2.0
+    for i, j in [(i, j) for i in range(len(fiber)) for j in range(m.generator_count)]:
+        r, a = fiber[i].values[j]
+        for entry in ((double * r, a), (r, (a + Fraction(1, 6)) % 1)):
+            values = list(fiber[i].values)
+            values[j] = entry
+            bad = KnPoint(tuple(values), exact)
+            corrupted = fiber[:i] + [bad] + fiber[i + 1:]
+            monkeypatch.setattr(fibers_mod, "kn_kummer_fiber", lambda m, p, n, tol: corrupted)
+            with pytest.raises(FalsifiedProperty) as err:
+                torsor_check(m, p, 3)
+            assert str(err.value).startswith(f"fiber point {bad} is not"), (i, j, entry)
+    monkeypatch.undo()
+    assert torsor_check(m, p, 3)[0]
 
 
 def test_torsor_check_floating_log_point_at_degree_64():
