@@ -8,9 +8,11 @@ codes: 0 success, 1 reserved exclusively for a falsified mathematical
 property (a failed torsor or comparison check), 2 for any input or
 validation error.
 
-Numeric defaults (tolerance 1e-9, degree bound 20, comparison bound 100)
-are overridden by flags, then by the chart's options block (tolerance,
-degree bound and seed only), then by LOGCHARTS_* environment variables.
+Each subcommand takes only the settings it reads: every one validates the
+chart at --degree-bound, ``compare`` reads --bound and ``torsor`` --tol and
+--seed.  A setting is the flag, else the chart's options block (degree
+bound, tolerance and seed; checked when the chart loads), else its default
+(degree bound 20, comparison bound 100, tolerance 1e-9, seed 0).
 Generator and face indices are 0-based.
 """
 
@@ -28,12 +30,10 @@ from ._record import Record
 from .errors import ChartError, FalsifiedProperty
 from .monoid import DEFAULT_DEGREE_BOUND, DEFAULT_TOLERANCE, MonoidSpec, face_with_support
 
-ENV_PREFIX = "LOGCHARTS_"
 DEFAULT_BOUND = 100
 DEFAULT_SEED = 0
 
 _CHART_FIELDS = {"name", "ambient_rank", "generators", "relations", "options"}
-_OPTION_FIELDS = {"degree_bound", "tolerance", "seed"}
 _RELATION_FIELDS = {"lhs", "rhs"}
 _POINT_FIELDS = ({"radii", "turns"}, {"radii", "angles"})
 
@@ -68,11 +68,13 @@ class ChartDocument:
         options = {} if doc.get("options") is None else doc["options"]
         if not isinstance(options, dict):
             raise ChartError("options must be a JSON object")
-        unknown = set(options) - _OPTION_FIELDS
+        unknown = set(options) - set(_OPTIONS)
         if unknown:
             raise ChartError(f"unknown option fields: {sorted(unknown)}")
+        options = {key: _checked(f"chart option {key!r}", raw, _OPTIONS[key])
+                   for key, raw in options.items()}
         spec = MonoidSpec.make(doc["ambient_rank"], doc["generators"], relations)
-        return ChartDocument(str(doc["name"]), spec, dict(options))
+        return ChartDocument(str(doc["name"]), spec, options)
 
 
 def load_chart(path: str) -> ChartDocument:
@@ -93,24 +95,9 @@ def corpus_path(name: str) -> str:
     return os.path.join(here, "data", "charts", f"{name}.json")
 
 
-def _setting(args_value, chart_options, key, env_name, default, cast):
-    if args_value is not None:
-        source, raw = "--" + env_name.lower().replace("_", "-"), args_value
-    elif key in chart_options:
-        source, raw = f"chart option {key!r}", chart_options[key]
-    elif ENV_PREFIX + env_name in os.environ:
-        source, raw = ENV_PREFIX + env_name, os.environ[ENV_PREFIX + env_name]
-    else:
-        return default
-    try:
-        return cast(raw)
-    except (TypeError, ValueError) as err:
-        raise ChartError(f"{source} has an invalid value {raw!r}") from err
-
-
 def _integer(raw) -> int:
-    """An int, or a string of one (from the environment); a JSON float or
-    bool is refused, not truncated."""
+    """An int, or a string of one; a JSON float or bool is refused, not
+    truncated."""
     if isinstance(raw, str):
         return int(raw)
     if type(raw) is not int:
@@ -127,12 +114,26 @@ def _tolerance(raw) -> float:
     return tol
 
 
-def _check_levels(args, bound):
+def _checked(source, raw, cast):
+    try:
+        return cast(raw)
+    except (TypeError, ValueError) as err:
+        raise ChartError(f"{source} has an invalid value {raw!r}") from err
+
+
+_OPTIONS = {"degree_bound": _integer, "tolerance": _tolerance, "seed": _integer}
+
+
+def _setting(flag, chart, key, default):
+    """The flag if given, else the chart's option, else the default."""
+    return flag if flag is not None else chart.options.get(key, default)
+
+
+def _level(label, value) -> int:
     """Levels and the comparison bound index towers, which start at 1."""
-    for label, value in (("level", getattr(args, "n", None)),
-                         ("bound", bound if args.command == "compare" else None)):
-        if value is not None and value < 1:
-            raise ChartError(f"{label} must be at least 1, got {value}")
+    if value < 1:
+        raise ChartError(f"{label} must be at least 1, got {value}")
+    return value
 
 
 def _plain(value):
@@ -213,7 +214,7 @@ def _print_table(payload, indent=0):
 
 def cmd_info(chart, m, args):
     fs = monoid_mod.faces(m)
-    return {
+    return True, {
         "name": chart.name,
         "ambient_rank": m.ambient_rank,
         "generator_count": m.generator_count,
@@ -228,7 +229,7 @@ def cmd_info(chart, m, args):
 def cmd_strata(chart, m, args):
     from .strata import stratify
     table = stratify(m)
-    return {
+    return True, {
         "name": chart.name,
         "max_rank": table.max_rank,
         "strata": [
@@ -244,30 +245,32 @@ def cmd_strata(chart, m, args):
 
 
 def cmd_mu(chart, m, args):
-    g = monoid_mod.mu(m, args.n)
-    return {"name": chart.name, "n": args.n, **_plain(g)}
+    n = _level("level", args.n)
+    return True, {"name": chart.name, "n": n, **_plain(monoid_mod.mu(m, n))}
 
 
 def cmd_fiber(chart, m, args):
+    n = _level("level", args.n)
     face = _parse_face(args.face, m)
     # The stalk fixes both fiber models: the torus fiber has pi1 = Z^r, and
     # level n of the root fiber tower is mu_n of the stalk.
     quotient, r = monoid_mod.stalk(m, face)
-    return {
+    return True, {
         "name": chart.name,
         "face": list(face.support),
-        "n": args.n,
+        "n": n,
         "kn_torus_rank": r,
         "kn_pi1": {"free_rank": r, "torsion": []},
-        "root_level": _plain(monoid_mod.mu(quotient, args.n)),
+        "root_level": _plain(monoid_mod.mu(quotient, n)),
     }
 
 
-def cmd_compare(chart, m, args, bound):
+def cmd_compare(chart, m, args):
     from .fibers import verify_fiber_equivalence
+    bound = _level("bound", args.bound)
     face = _parse_face(args.face, m)
     ok, cert = verify_fiber_equivalence(m, face, bound)
-    payload = {
+    return ok, {
         "name": chart.name,
         "face": list(face.support),
         "equivalent": ok,
@@ -275,19 +278,22 @@ def cmd_compare(chart, m, args, bound):
         "torus_rank": cert.torus_rank,
         "certificate": _plain(cert),
     }
-    return payload, ok
 
 
 def cmd_emit(chart, m, args):
     from .semialg import emit_equations
     system = emit_equations(m, args.target)
-    return {"name": chart.name, "target": args.target, "variable_count": system.variable_count,
-            "equations": [{"lhs": list(r), "rhs": list(s)} for r, s in system.equations]}
+    return True, {"name": chart.name, "target": args.target,
+                  "variable_count": system.variable_count,
+                  "equations": [{"lhs": list(r), "rhs": list(s)} for r, s in system.equations]}
 
 
-def cmd_torsor(chart, m, args, tol, seed):
+def cmd_torsor(chart, m, args):
     from .fibers import torsor_check
     from .semialg import sample_kn_stratum
+    n = _level("level", args.n)
+    tol = (chart.options.get("tolerance", DEFAULT_TOLERANCE) if args.tol is None
+           else _checked("--tol", args.tol, _tolerance))
     if args.point is not None:
         if args.face is not None:
             raise ChartError("torsor takes --point or --face, not both")
@@ -296,24 +302,18 @@ def cmd_torsor(chart, m, args, tol, seed):
         point = _parse_point(args.point)
     else:
         face = _parse_face(args.face, m)
-        point = sample_kn_stratum(m, face, 1, seed)[0]
-    ok, report = torsor_check(m, point, args.n, tol)
-    payload = {"name": chart.name, "point": str(point), "torsor": _plain(report), "ok": ok}
-    return payload, ok
+        point = sample_kn_stratum(m, face, 1, _setting(args.seed, chart, "seed", DEFAULT_SEED))[0]
+    ok, report = torsor_check(m, point, n, tol)
+    return ok, {"name": chart.name, "point": str(point), "torsor": _plain(report), "ok": ok}
 
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("chart", help="path to a chart JSON document")
     common.add_argument("--table", action="store_true",
                         help="human-readable output (default: JSON)")
-    common.add_argument("--tol", type=float, default=None,
-                        help=f"numeric tolerance (default {DEFAULT_TOLERANCE})")
     common.add_argument("--degree-bound", type=int, default=None,
                         help=f"desk-scale verification bound (default {DEFAULT_DEGREE_BOUND})")
-    common.add_argument("--bound", type=int, default=None,
-                        help=f"comparison level bound (default {DEFAULT_BOUND})")
-    common.add_argument("--seed", type=int, default=None,
-                        help=f"sampler seed (default {DEFAULT_SEED})")
 
     parser = argparse.ArgumentParser(
         prog="logcharts",
@@ -321,62 +321,41 @@ def build_parser() -> argparse.ArgumentParser:
                     "fiber models, and the fiberwise profinite comparison.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def subparser(name, help_text):
-        p = sub.add_parser(name, help=help_text, parents=[common])
-        p.add_argument("chart", help="path to a chart JSON document")
+    def subparser(run, help_text):
+        p = sub.add_parser(run.__name__.removeprefix("cmd_"), help=help_text, parents=[common])
+        p.set_defaults(run=run)
         return p
 
-    subparser("info", "summary invariants of the chart")
-    subparser("strata", "the rank stratification")
-    p = subparser("mu", "the group mu_n of the chart monoid")
-    p.add_argument("n", type=int)
-    p = subparser("fiber", "fiber models over a stratum")
+    subparser(cmd_info, "summary invariants of the chart")
+    subparser(cmd_strata, "the rank stratification")
+    subparser(cmd_mu, "the group mu_n of the chart monoid").add_argument("n", type=int)
+    p = subparser(cmd_fiber, "fiber models over a stratum")
     p.add_argument("n", type=int)
     p.add_argument("--face", default=None, help="comma-separated 0-based generator indices")
-    p = subparser("compare", "fiberwise profinite comparison over a stratum")
+    p = subparser(cmd_compare, "fiberwise profinite comparison over a stratum")
     p.add_argument("--face", default=None, help="comma-separated 0-based generator indices")
-    p = subparser("emit", "defining equations of a chart model")
+    p.add_argument("--bound", type=int, default=DEFAULT_BOUND,
+                   help=f"comparison level bound (default {DEFAULT_BOUND})")
+    p = subparser(cmd_emit, "defining equations of a chart model")
     p.add_argument("--target", choices=["complex", "kn"], default="complex")
-    p = subparser("torsor", "verify the deck action on a Kummer fiber")
+    p = subparser(cmd_torsor, "verify the deck action on a Kummer fiber")
     p.add_argument("n", type=int)
     p.add_argument("--point", default=None, help="inline JSON log point")
-    p.add_argument("--face", default=None,
-                   help="sample the point from this stratum instead")
+    p.add_argument("--face", default=None, help="sample the point from this stratum instead")
+    p.add_argument("--tol", type=float, default=None,
+                   help=f"numeric tolerance (default {DEFAULT_TOLERANCE})")
+    p.add_argument("--seed", type=int, default=None,
+                   help=f"sampler seed (default {DEFAULT_SEED})")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    table = bool(args.table)
+    args = build_parser().parse_args(argv)
     try:
         chart = load_chart(args.chart)
-        opts = chart.options
-        tol = _setting(args.tol, opts, "tolerance", "TOL", DEFAULT_TOLERANCE, _tolerance)
-        degree_bound = _setting(args.degree_bound, opts, "degree_bound",
-                                "DEGREE_BOUND", DEFAULT_DEGREE_BOUND, _integer)
-        bound = _setting(args.bound, opts, None, "BOUND", DEFAULT_BOUND, _integer)
-        seed = _setting(args.seed, opts, "seed", "SEED", DEFAULT_SEED, _integer)
-        _check_levels(args, bound)
+        degree_bound = _setting(args.degree_bound, chart, "degree_bound", DEFAULT_DEGREE_BOUND)
         m = monoid_mod.validate(chart.spec, degree_bound=degree_bound)
-
-        ok = True
-        if args.command == "info":
-            payload = cmd_info(chart, m, args)
-        elif args.command == "strata":
-            payload = cmd_strata(chart, m, args)
-        elif args.command == "mu":
-            payload = cmd_mu(chart, m, args)
-        elif args.command == "fiber":
-            payload = cmd_fiber(chart, m, args)
-        elif args.command == "compare":
-            payload, ok = cmd_compare(chart, m, args, bound)
-        elif args.command == "emit":
-            payload = cmd_emit(chart, m, args)
-        elif args.command == "torsor":
-            payload, ok = cmd_torsor(chart, m, args, tol, seed)
-        else:  # pragma: no cover
-            raise ChartError(f"unknown command {args.command}")
+        ok, payload = args.run(chart, m, args)
     except FalsifiedProperty as err:
         return _report(f"falsified property: {err}", 1)
     except ChartError as err:
@@ -385,7 +364,7 @@ def main(argv=None) -> int:
         return _report(f"internal error: {type(err).__name__}: {err}", 2)
 
     try:
-        _emit(payload, table)
+        _emit(payload, args.table)
     except BrokenPipeError as err:
         return _report(f"error: cannot write the output: {err}", 2, sys.stdout)
     return 0 if ok else 1

@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+from collections import deque
 
 from . import ratlp
 from ._record import Record
@@ -179,7 +180,6 @@ def _synthesize_relations(kernel) -> tuple[Relation, ...]:
     return tuple((tuple(max(x, 0) for x in z), tuple(max(-x, 0) for x in z)) for z in kernel)
 
 
-_ENUMERATION_CAP = 2_000_000
 _BOX_CAP = 500_000  # saturation box points
 
 
@@ -223,8 +223,9 @@ def _check_congruence_complete(spec: MonoidSpec, relations, degrees, bound, box)
     are closed up with the joins of relations of degree <= bound (a higher
     image may leave ``box``).  By induction on b this is union-find over
     every exponent vector, and the least element of the first failing
-    degree is the witness; no layer above it is listed.  Returns the
-    layers; over ``_ENUMERATION_CAP`` elements held raise InvalidMonoidSpec.
+    degree is the witness; no layer above it is listed, and only the last
+    max deg_i are held.  Returns the codes of the elements listed, points
+    of ``box`` each listed once.
     """
     origin, strides = _codec(box)
     steps = [sum(map(operator.mul, g, strides)) for g in spec.generators]
@@ -233,14 +234,15 @@ def _check_congruence_complete(spec: MonoidSpec, relations, degrees, bound, box)
         if sum(map(operator.mul, r, degrees)) <= bound:
             mask = sum(1 << i for i, (x, y) in enumerate(zip(r, s)) if x or y)
             joins.setdefault(origin + sum(map(operator.mul, r, steps)), []).append(mask)
-    layers, held = [{origin: 0}], 1
+    layers = deque([{origin: 0}], maxlen=max(degrees))
+    elements = {origin}
     for b in range(1, bound + 1):
         layer: dict[int, int] = {}
         apart: dict[int, list[int]] = {}  # x -> joins not yet one component
         for i, (step, deg) in enumerate(zip(steps, degrees)):
             if deg <= b:
                 bit = 1 << i
-                for y, below in layers[b - deg].items():
+                for y, below in layers[-deg].items():
                     x = y + step
                     mask = bit | below
                     reach = layer.get(x, 0)
@@ -256,12 +258,8 @@ def _check_congruence_complete(spec: MonoidSpec, relations, degrees, bound, box)
                 f"at degree {b}; every fiber of lower degree is connected "
                 f"(degree bound {bound})", witness, b)
         layers.append(layer)
-        held += len(layer)
-        if held > _ENUMERATION_CAP:
-            raise InvalidMonoidSpec(
-                "degree-bounded enumeration exceeds the desk-scale cap; "
-                "lower the degree bound")
-    return layers
+        elements.update(layer)
+    return elements
 
 
 def _check_kernel_span(relations, kernel, k: int):
@@ -328,30 +326,30 @@ def _degree_window(grading, box, bound):
         yield prefix, deg, origin + sum(map(operator.mul, prefix, strides)), range(first, last + 1)
 
 
-def _check_saturation(gens, grading, box, layers, bound, u, factors):
+def _check_saturation(gens, grading, box, elements, bound, u, factors):
     """Desk-scale saturation check.
 
     Visits the points of degree 0..bound of ``box`` = (lo, hi) from
     :func:`_saturation_box`, as :func:`_degree_window` lists them, and
     demands each point of the generated sublattice be a nonnegative integer
-    combination of generators, i.e. have its code in the layer of its
-    degree that :func:`_check_congruence_complete` listed; only a point
-    that does not is built as a tuple.  The ``grading`` functional gives
-    the generators their degrees.  A point off the monoid elements is
-    outside the cone when a Farkas certificate found earlier in the scan is
-    negative on it; otherwise a phase-one simplex decides it, and an
-    "outside" answer adds its certificate to the scan's list.  So a
-    saturated cone costs one LP per certificate it needs, not one per
-    point, and every point is classified as the LP alone would.  With
-    U G V = D the Smith form of the generator matrix, x is in the
-    sublattice exactly when y = U x has d_i | y_i for its r nonzero
-    ``factors`` d_i, and y_i = 0 after.
+    combination of generators, i.e. have its code among the ``elements``
+    that :func:`_check_congruence_complete` listed (a code fixes the point,
+    and so its degree); only a point that does not is built as a tuple.
+    The ``grading`` functional gives the generators their degrees.  A
+    point off the monoid elements is outside the cone when a Farkas
+    certificate found earlier in the scan is negative on it; otherwise a
+    phase-one simplex decides it, and an "outside" answer adds its
+    certificate to the scan's list.  So a saturated cone costs one LP per
+    certificate it needs, not one per point, and every point is classified
+    as the LP alone would.  With U G V = D the Smith form of the generator
+    matrix, x is in the sublattice exactly when y = U x has d_i | y_i for
+    its r nonzero ``factors`` d_i, and y_i = 0 after.
     """
-    r, w = len(factors), grading[-1]
+    r = len(factors)
     certificates = []
-    for prefix, deg, code, last in _degree_window(grading, box, bound):
+    for prefix, _, code, last in _degree_window(grading, box, bound):
         for t in last:
-            if code + t in layers[deg + w * t]:  # the origin in layers[0]
+            if code + t in elements:
                 continue
             point = (*prefix, t)
             if any(sum(map(operator.mul, c, point)) < 0 for c in certificates):
@@ -421,11 +419,11 @@ def validate(spec: MonoidSpec, degree_bound: int = DEFAULT_DEGREE_BOUND) -> Affi
         if size > _BOX_CAP:
             raise InvalidMonoidSpec(
                 f"saturation box has {size} points; lower the degree bound")
-        layers = _check_congruence_complete(spec, relations, degrees, degree_bound, box)
+        elements = _check_congruence_complete(spec, relations, degrees, degree_bound, box)
         # a synthesized set spans the kernel: its rows are the basis itself
         if spec.relations is not None:
             _check_kernel_span(relations, kernel, len(spec.generators))
-        _check_saturation(spec.generators, grading, box, layers, degree_bound, u, factors)
+        _check_saturation(spec.generators, grading, box, elements, degree_bound, u, factors)
     return AffineMonoid(
         spec=spec,
         gp_lattice_rank=gp_rank,

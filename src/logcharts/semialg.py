@@ -98,7 +98,8 @@ class KnPoint(Record):
     """A generator-value assignment into R>=0 x S^1.
 
     The angle is a number of turns mod 1 in both modes.  Exact points:
-    radius is a Fraction or a NonnegRoot, angle a Fraction in [0, 1).
+    radius is a NonnegRoot (:meth:`exact_point` builds one from a
+    rational), angle a Fraction in [0, 1).
     Floating points: radius and angle are floats; :meth:`floating` takes
     the angle as a nonzero complex number and stores its phase in turns,
     in [0, 1] (a phase just below 0 rounds to 1.0, the same point of R/Z).
@@ -171,6 +172,17 @@ def _monomial(values, exponents, one, exact=False):
     return out
 
 
+def _check_exact_types(point):
+    """Refuse an exact point with values exact arithmetic cannot take: a
+    KnPoint holds (NonnegRoot, Fraction) pairs, a CxPoint GaussianRationals."""
+    kn = isinstance(point, KnPoint)
+    for i, v in enumerate(point.values if point.exact else ()):
+        if not (isinstance(v[0], NonnegRoot) and isinstance(v[1], Fraction) if kn
+                else isinstance(v, GaussianRational)):
+            raise InvalidPoint(f"exact coordinate {i} is {v!r}, not " + (
+                "a NonnegRoot radius and a Fraction turn" if kn else "a GaussianRational"))
+
+
 def check_membership(system: BinomialSystem, point, tol: float = DEFAULT_TOLERANCE):
     """Evaluate every equation at the point.
 
@@ -184,7 +196,8 @@ def check_membership(system: BinomialSystem, point, tol: float = DEFAULT_TOLERAN
     sides are not both finite, has residual inf and fails: sides beyond the
     float range cannot be told apart.  Raises
     ArityMismatch when the point has the wrong number of coordinates and
-    InvalidPoint when the point type does not match the system target.
+    InvalidPoint when the point type does not match the system target, or
+    an exact point holds values of other types.
     """
     if point.arity != system.variable_count:
         raise ArityMismatch(
@@ -193,6 +206,7 @@ def check_membership(system: BinomialSystem, point, tol: float = DEFAULT_TOLERAN
         raise InvalidPoint("complex system expects a CxPoint")
     if system.target is Target.KN_POINTS and not isinstance(point, KnPoint):
         raise InvalidPoint("log system expects a KnPoint")
+    _check_exact_types(point)
 
     max_residual = 0.0
     ok = True
@@ -265,7 +279,9 @@ def tau(point: KnPoint) -> CxPoint:
     Exact output requires an exact point with rational radii and quarter
     turns (the only rational turns with Gaussian-rational unit); otherwise
     the result is a floating point with the same coordinates numerically.
+    An exact point with values of other types raises InvalidPoint.
     """
+    _check_exact_types(point)
     if point.exact:
         units = [unit_from_turn_exact(angle) for _, angle in point.values]
         if None not in units and all(radius.is_rational() for radius, _ in point.values):

@@ -71,7 +71,7 @@ def argvs() -> list[list[str]]:
 
 def run(argv) -> dict:
     """Exit code, stdout and stderr of ``logcharts`` on the argv, with the
-    chart stem replaced by its path; LOGCHARTS_* settings must be unset."""
+    chart stem replaced by its path."""
     args = [argv[0], corpus_path(argv[1]), *argv[2:]]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -99,8 +99,6 @@ def load() -> list[dict]:
 
 
 if __name__ == "__main__":
-    for key in [k for k in os.environ if k.startswith("LOGCHARTS_")]:
-        del os.environ[key]
     entries = [run(argv) for argv in argvs()]
     if sys.argv[1:] == ["--check"]:
         for got, want in itertools.zip_longest(entries, load(), fillvalue={}):

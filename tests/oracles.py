@@ -41,7 +41,7 @@ from logcharts import ratlp
 from logcharts.abgrp import FgAbelianGroup, generator_matrix, is_isomorphic, smith_normal_form
 from logcharts.errors import InvalidMonoidSpec, RelationSynthesisIncomplete
 from logcharts.fibers import TorsorReport
-from logcharts.monoid import _ENUMERATION_CAP, MonoidSpec, _grading_functional
+from logcharts.monoid import MonoidSpec, _grading_functional
 from logcharts.profin import EquivalenceCertificate, LevelRecord
 from logcharts.ratlp import INFEASIBLE, OPTIMAL, UNBOUNDED
 from logcharts.semialg import KnPoint
@@ -487,6 +487,9 @@ def equivalent_by_all_pairs(a, b, bound):
 # it before the oracle walked the monoid's elements: every n in N^k up to
 # the degree bound is listed, grouped by image, and each fiber is checked
 # for connectivity under the moves m + r <-> m + s by union-find.
+
+_ENUMERATION_CAP = 2_000_000  # exponent vectors the reference oracles list
+
 
 def _bounded_exponent_vectors(spec: MonoidSpec, degrees, bound):
     """Yield (n, image) for every n in N^k with sum n_i * degrees_i <= bound,

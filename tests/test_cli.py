@@ -9,7 +9,7 @@ import pytest
 
 import cli_golden
 import logcharts.fibers as fibers_mod
-from logcharts.cli import ENV_PREFIX, ChartDocument, corpus_path, load_chart, main
+from logcharts.cli import ChartDocument, corpus_path, load_chart, main
 from logcharts.errors import ChartError
 from logcharts.monoid import faces, stalk, validate
 from oracles import quadric_relations
@@ -18,14 +18,9 @@ CORPUS = ["log_point", "affine_line", "plane_axes", "a1_cone"]
 
 
 def run_cli(args, env_extra=None):
-    env = dict(os.environ)
-    env.pop("LOGCHARTS_TOL", None)
-    env.pop("LOGCHARTS_BOUND", None)
-    if env_extra:
-        env.update(env_extra)
     proc = subprocess.run(
         [sys.executable, "-m", "logcharts.cli", *args],
-        capture_output=True, text=True, env=env)
+        capture_output=True, text=True, env={**os.environ, **(env_extra or {})})
     return proc.returncode, proc.stdout, proc.stderr
 
 
@@ -177,50 +172,48 @@ def test_exit_code_2_on_input_errors(tmp_path):
     code, _, err = run_cli(["info", str(bad)])
     assert code == 2 and "line" in err  # NotSharp message surfaced
     cone = corpus_path("a1_cone")
-    for args, env in [
-        (["mu", cone, "0"], None),
-        (["fiber", cone, "0"], None),
-        (["torsor", cone, "0"], None),
-        (["compare", cone, "--bound", "0"], None),
-        (["compare", cone, "--bound", "1000000000"], None),
-        (["info", cone], {"LOGCHARTS_BOUND": "abc"}),
-        (["compare", cone, "--face", "0,x"], None),
-        (["compare", cone, "--face", "7"], None),
-        (["compare", cone, "--face", "0,0", "--bound", "2"], None),
-        (["torsor", cone, "2", "--point", "notjson"], None),
-        (["torsor", cone, "2", "--point",
-          '{"radii": ["1", "1", "1"], "turns": ["0", "0", "0", "1/2"]}'], None),
-        (["torsor", cone, "2", "--point",
-          '{"radii": ["abc", "1", "1"], "turns": ["0", "0", "0"]}'], None),
-        (["torsor", cone, "2", "--point",
-          '{"radii": [1, 1, 1], "angles": [1, 2, 3]}'], None),
-        (["torsor", cone, "2", "--point", '{"radii": 5, "turns": ["0"]}'], None),
-        (["torsor", cone, "2", "--point",
-          '{"radii": ["-1", "1", "1"], "turns": ["0", "0", "0"]}'], None),
+    for args in [
+        ["mu", cone, "0"],
+        ["fiber", cone, "0"],
+        ["torsor", cone, "0"],
+        ["compare", cone, "--bound", "0"],
+        ["compare", cone, "--bound", "1000000000"],
+        ["compare", cone, "--face", "0,x"],
+        ["compare", cone, "--face", "7"],
+        ["compare", cone, "--face", "0,0", "--bound", "2"],
+        ["torsor", cone, "2", "--point", "notjson"],
+        ["torsor", cone, "2", "--point",
+         '{"radii": ["1", "1", "1"], "turns": ["0", "0", "0", "1/2"]}'],
+        ["torsor", cone, "2", "--point",
+         '{"radii": ["abc", "1", "1"], "turns": ["0", "0", "0"]}'],
+        ["torsor", cone, "2", "--point",
+         '{"radii": [1, 1, 1], "angles": [1, 2, 3]}'],
+        ["torsor", cone, "2", "--point", '{"radii": 5, "turns": ["0"]}'],
+        ["torsor", cone, "2", "--point",
+         '{"radii": ["-1", "1", "1"], "turns": ["0", "0", "0"]}'],
         # off the variety although the floats agree: 1 * (2^62 + 1) != (2^31)^2
-        (["torsor", cone, "2", "--point",
-          '{"radii": ["1", "2147483648", "4611686018427387905"], "turns": ["0", "0", "0"]}'],
-         None),
-        (["torsor", cone, "2", "--point",
-          '{"radii": ["1e400", "1", "1"], "turns": ["0", "0", "0"]}'], None),
+        ["torsor", cone, "2", "--point",
+         '{"radii": ["1", "2147483648", "4611686018427387905"], "turns": ["0", "0", "0"]}'],
+        ["torsor", cone, "2", "--point",
+         '{"radii": ["1e400", "1", "1"], "turns": ["0", "0", "0"]}'],
         # an unknown field, and both circle fields, were accepted and ignored
-        (["torsor", cone, "2", "--point",
-          '{"radii": ["1", "1", "1"], "turns": ["0", "0", "0"], "colour": 5}'], None),
-        (["torsor", cone, "2", "--point",
-          '{"radii": ["1", "1", "1"], "turns": ["0", "0", "0"], '
-          '"angles": [[0, 1], [0, 1], [0, 1]]}'], None),
+        ["torsor", cone, "2", "--point",
+         '{"radii": ["1", "1", "1"], "turns": ["0", "0", "0"], "colour": 5}'],
+        ["torsor", cone, "2", "--point",
+         '{"radii": ["1", "1", "1"], "turns": ["0", "0", "0"], '
+         '"angles": [[0, 1], [0, 1], [0, 1]]}'],
         # --face was ignored beside --point
-        (["torsor", cone, "2", "--face", "0", "--point",
-          '{"radii": ["1", "1", "1"], "turns": ["0", "0", "0"]}'], None),
+        ["torsor", cone, "2", "--face", "0", "--point",
+         '{"radii": ["1", "1", "1"], "turns": ["0", "0", "0"]}'],
         # --seed was ignored beside --point
-        (["torsor", cone, "2", "--seed", "5", "--point",
-          '{"radii": ["1", "1", "1"], "turns": ["0", "0", "0"]}'], None),
-        (["torsor", cone, "1000"], None),
-        (["info", cone, "--degree-bound", "-3"], None),
+        ["torsor", cone, "2", "--seed", "5", "--point",
+         '{"radii": ["1", "1", "1"], "turns": ["0", "0", "0"]}'],
+        ["torsor", cone, "1000"],
+        ["info", cone, "--degree-bound", "-3"],
         # a free chart skips the saturation box, not the bound check
-        (["info", corpus_path("log_point"), "--degree-bound", "-3"], None),
+        ["info", corpus_path("log_point"), "--degree-bound", "-3"],
     ]:
-        code, _, err = run_cli(args, env)
+        code, _, err = run_cli(args)
         assert code == 2 and err.startswith("error: "), (args, err)
     # a tolerance must be finite and at least 0, and the error names its source
     with open(cone, encoding="utf-8") as handle:
@@ -229,14 +222,17 @@ def test_exit_code_2_on_input_errors(tmp_path):
     tolerant = tmp_path / "tolerance.json"
     tolerant.write_text(json.dumps(doc))
     point = '{"radii": [1, 1, 1], "angles": [[1, 0], [1, 0], [1, 0]]}'
-    for args, env, source in [
-        (["torsor", cone, "2", "--point", point, "--tol", "nan"], None, "--tol"),
-        (["torsor", cone, "2", "--point", point, "--tol", "-1"], None, "--tol"),
-        (["torsor", cone, "2", "--point", point, "--tol", "inf"], None, "--tol"),
-        (["torsor", cone, "2", "--point", point], {"LOGCHARTS_TOL": "nan"}, "LOGCHARTS_TOL"),
-        (["torsor", str(tolerant), "2", "--point", point], None, "chart option 'tolerance'"),
+    for args, source in [
+        (["torsor", cone, "2", "--point", point, "--tol", "nan"], "--tol"),
+        (["torsor", cone, "2", "--point", point, "--tol", "-1"], "--tol"),
+        (["torsor", cone, "2", "--point", point, "--tol", "inf"], "--tol"),
+        (["torsor", str(tolerant), "2", "--point", point], "chart option 'tolerance'"),
+        # a chart option is checked when the chart loads, whatever the flags
+        (["torsor", str(tolerant), "2", "--point", point, "--tol", "0"],
+         "chart option 'tolerance'"),
+        (["info", str(tolerant)], "chart option 'tolerance'"),
     ]:
-        code, _, err = run_cli(args, env)
+        code, _, err = run_cli(args)
         assert code == 2 and err.startswith(f"error: {source} "), (args, err)
 
 
@@ -426,11 +422,9 @@ def test_floating_points_with_large_radii_off_the_variety_are_refused(tmp_path, 
     assert captured.err == "error: point violates the relations (residual 4.545e-02)\n"
 
 
-def test_cli_matches_golden_corpus(monkeypatch):
+def test_cli_matches_golden_corpus():
     # stdout, stderr and exit code of every corpus invocation, as recorded
     # in tests/data/cli_golden.json
-    for key in [k for k in os.environ if k.startswith(ENV_PREFIX)]:
-        monkeypatch.delenv(key)
     golden = cli_golden.load()
     assert [entry["argv"] for entry in golden] == cli_golden.argvs()
     for entry in golden:
@@ -505,18 +499,69 @@ def test_json_output_is_byte_deterministic(tmp_path):
     assert s1 == s2
 
 
-def test_env_defaults_and_flag_precedence(tmp_path):
-    chart = tmp_path / "n.json"
-    chart.write_text(json.dumps({
-        "name": "n", "ambient_rank": 1, "generators": [[1]]}))
-    # env bound applies
-    code, out, _ = run_cli(["compare", str(chart), "--face", ""],
-                           env_extra={"LOGCHARTS_BOUND": "7"})
-    assert code == 0 and json.loads(out)["levels"] == 7
-    # flag wins over environment
-    code, out, _ = run_cli(["compare", str(chart), "--face", "", "--bound", "5"],
-                           env_extra={"LOGCHARTS_BOUND": "7"})
-    assert code == 0 and json.loads(out)["levels"] == 5
+def test_flag_over_chart_option_over_default(tmp_path, capsys):
+    def run(options, *argv):
+        chart = tmp_path / "chart.json"
+        chart.write_text(json.dumps({
+            "name": "cone", "ambient_rank": 2, "generators": [[1, 0], [1, 1], [1, 2]],
+            "options": options}))
+        code = main([argv[0], str(chart), *argv[1:]])
+        captured = capsys.readouterr()
+        return code, json.loads(captured.out) if code == 0 else captured.err
+
+    def saturated(options, *flags):
+        return run(options, "info", *flags)[1]["saturated_to_degree"]
+
+    assert saturated({}) == 20
+    assert saturated({"degree_bound": 7}) == 7
+    assert saturated({"degree_bound": 7}, "--degree-bound", "5") == 5
+    # the comparison bound has no chart option
+    assert run({}, "compare", "--face", "")[1]["levels"] == 100
+    assert run({}, "compare", "--face", "", "--bound", "5")[1]["levels"] == 5
+
+    def sampled(options, *flags):
+        return run(options, "torsor", "2", "--face", "0,1,2", *flags)[1]["point"]
+
+    assert sampled({}) == sampled({"seed": 0}) != sampled({"seed": 5})
+    assert sampled({"seed": 5}) == sampled({}, "--seed", "5")
+    assert sampled({"seed": 5}, "--seed", "9") == sampled({}, "--seed", "9")
+    # the turn sums miss the relation by 1.6e-6 turns
+    point = json.dumps({"radii": [1, 1, 1], "angles": [[1, 0], [1, 0], [1, 1e-5]]})
+    assert run({}, "torsor", "2", "--point", point)[0] == 2
+    assert run({"tolerance": 1e-3}, "torsor", "2", "--point", point)[0] == 0
+    assert run({"tolerance": 1e-3}, "torsor", "2", "--point", point, "--tol", "0")[0] == 2
+
+
+# A settings flag of another subcommand, beside what each one needs.
+_UNREAD_FLAGS = {
+    "info": ([], ["--tol", "--bound", "--seed"]),
+    "strata": ([], ["--tol", "--bound", "--seed"]),
+    "mu": (["2"], ["--tol", "--bound", "--seed"]),
+    "fiber": (["2"], ["--tol", "--bound", "--seed"]),
+    "compare": ([], ["--tol", "--seed"]),
+    "emit": ([], ["--tol", "--bound", "--seed"]),
+    "torsor": (["2"], ["--bound"]),
+}
+
+
+@pytest.mark.parametrize("command, flag", [
+    (command, flag) for command, (_, flags) in _UNREAD_FLAGS.items() for flag in flags])
+def test_a_subcommand_refuses_the_settings_it_does_not_read(capsys, command, flag):
+    # these were accepted and ignored
+    argv = [command, corpus_path("a1_cone"), *_UNREAD_FLAGS[command][0], flag, "3"]
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    assert f"unrecognized arguments: {flag} 3" in capsys.readouterr().err
+
+
+def test_logcharts_environment_variables_are_not_read():
+    # LOGCHARTS_TOL=nan failed `info`, which reads no tolerance
+    stray = {"LOGCHARTS_TOL": "nan", "LOGCHARTS_BOUND": "abc", "LOGCHARTS_SEED": "x"}
+    cone = corpus_path("a1_cone")
+    for args in (["info", cone], ["compare", cone, "--face", "0"], ["torsor", cone, "2"]):
+        want = run_cli(args)
+        assert want[0] == 0 and run_cli(args, stray) == want, args
 
 
 def test_json_is_not_an_option(capsys):

@@ -587,7 +587,7 @@ def test_witnesses_in_boxes_with_negative_lows():
         assert min(monoid._saturation_box(spec.generators, degrees, bound)[0]) < 0
 
 
-def test_the_enumeration_cap_is_counted_as_the_layers_come():
+def test_the_walk_is_linear_in_the_degree_bound():
     # the chart <1, 2> has one element per degree: a walk that re-counted
     # every layer after each degree took minutes at this bound
     start = time.perf_counter()
@@ -622,11 +622,11 @@ def test_free_chart_closed_form_agrees_with_the_bounded_checks(monkeypatch):
         degrees = [m.degree(g) for g in gens]
         bound = 2 * max(degrees)
         box = monoid._saturation_box(m.generators, degrees, bound)
-        layers = monoid._check_congruence_complete(spec, (), degrees, bound, box)
-        want = saturation_scan_inputs(spec, bound)[3]
-        assert [{_box_point(x, box) for x in layer} for layer in layers] == want, gens
+        elements = monoid._check_congruence_complete(spec, (), degrees, bound, box)
+        want = set().union(*saturation_scan_inputs(spec, bound)[3])
+        assert {_box_point(x, box) for x in elements} == want, gens
         u, factors, _ = _smith(spec)
-        monoid._check_saturation(m.generators, m.grading, box, layers, bound, u, factors)
+        monoid._check_saturation(m.generators, m.grading, box, elements, bound, u, factors)
 
 
 def test_free_chart_keeps_and_verifies_supplied_relations(monkeypatch):
@@ -643,15 +643,6 @@ def test_free_chart_is_decided_at_any_degree_bound(monkeypatch):
     gens = [[1 if i == j else 0 for j in range(4)] for i in range(4)]
     m = validate(MonoidSpec.make(4, gens), degree_bound=40)
     assert m.is_saturated and m.relations == () and m.gp_lattice_rank == 4
-
-
-def test_enumeration_cap_still_refuses(monkeypatch):
-    monkeypatch.setattr(monoid, "_ENUMERATION_CAP", 1000)
-    with pytest.raises(InvalidMonoidSpec, match="desk-scale cap"):
-        validate(MonoidSpec.make(2, [[1, 0], [1, 1], [1, 2]], [[[1, 0, 1], [0, 2, 0]]]),
-                 degree_bound=60)
-    with pytest.raises(InvalidMonoidSpec, match="desk-scale cap"):
-        validate(MonoidSpec.make(2, [[1, 0], [1, 1], [1, 2]]), degree_bound=60)
 
 
 def test_an_oversized_saturation_box_is_refused_before_enumeration(monkeypatch):
@@ -675,14 +666,23 @@ def test_hilbert_cone_names_the_least_degree_disconnected_fiber():
 
 
 def test_the_walk_stops_at_the_first_disconnected_degree(monkeypatch):
-    # 15 elements up to degree 5, 171 up to the default bound 20: the walk
-    # names the degree-5 witness before the layers above it reach the cap
-    monkeypatch.setattr(monoid, "_ENUMERATION_CAP", 100)
+    # the walk names the degree-5 witness having listed the layers of
+    # degrees 1 to 4, and with the quadrics it lists every layer up to 20
+    listed = []
+
+    class Window(collections.deque):
+        def append(self, layer):
+            listed.append(layer)
+            super().append(layer)
+
+    monkeypatch.setattr(monoid, "deque", Window)
+    gens = [[1, 0], [1, 1], [1, 2], [1, 3]]
     with pytest.raises(RelationSynthesisIncomplete, match=r"\(2, 3\) at degree 5"):
-        validate(MonoidSpec.make(2, [[1, 0], [1, 1], [1, 2], [1, 3]]))
-    with pytest.raises(InvalidMonoidSpec, match="desk-scale cap"):
-        validate(MonoidSpec.make(2, [[1, 0], [1, 1], [1, 2], [1, 3]],
-                                 quadric_relations([[1, 0], [1, 1], [1, 2], [1, 3]])))
+        validate(MonoidSpec.make(2, gens))
+    assert len(listed) == 4
+    listed.clear()
+    validate(MonoidSpec.make(2, gens, quadric_relations(gens)))
+    assert len(listed) == 20
 
 
 def _random_relation_sets(rng, spec):
@@ -752,8 +752,7 @@ def test_element_oracle_agrees_with_the_vector_oracle():
             # no fiber of lower degree is disconnected
             congruence_complete_by_vectors(spec, relations, degrees, err.degree - 1)
         else:
-            assert {_box_point(x, box) for layer in got for x in layer} == want, \
-                (spec, relations, bound)
+            assert {_box_point(x, box) for x in got} == want, (spec, relations, bound)
         r = rank(gens, d)
         rows = [[a - b for a, b in zip(*rel)] for rel in relations]
         spans = cokernel([[z[j] for z in rows] for j in range(k)], len(rows)) == FgAbelianGroup(r)
@@ -878,7 +877,7 @@ def test_saturation_scan_matches_the_lp_oracle(monkeypatch):
         gens, grading, degrees, layers, _, u, factors = saturation_scan_inputs(spec, bound)
         want = saturation_scan_by_lp(gens, grading, degrees, layers, bound, u, factors)
         box = monoid._saturation_box(gens, degrees, bound)
-        codes = [{_box_code(x, box) for x in layer} for layer in layers]
+        codes = {_box_code(x, box) for layer in layers for x in layer}
         try:
             monoid._check_saturation(gens, grading, box, codes, bound, u, factors)
         except SaturationFailure as err:

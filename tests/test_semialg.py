@@ -10,6 +10,7 @@ import pytest
 from logcharts.cli import corpus_path, load_chart
 from logcharts.errors import ArityMismatch, InvalidPoint
 from logcharts.exactnum import GaussianRational, NonnegRoot, turn_mod1, unit_from_turn_float
+from logcharts.fibers import torsor_check
 from logcharts.monoid import MonoidSpec, face_with_support, faces, validate
 from logcharts.semialg import (CxPoint, KnPoint, Target, check_membership,
                                emit_equations, sample_kn_stratum,
@@ -59,6 +60,26 @@ def test_check_membership_arity_and_type_errors():
         check_membership(system, CxPoint.exact_point([1, 2]))
     with pytest.raises(InvalidPoint):
         check_membership(system, KnPoint.exact_point([(1, 0), (1, 0), (1, 0)]))
+
+
+def test_exact_points_of_other_types_are_refused():
+    # a Fraction radius raised AttributeError from radius.root in the
+    # Kummer fiber (no relations to evaluate) and from is_zero in the
+    # membership check
+    log_point = validate(MonoidSpec.make(1, [[1]]))
+    bare = KnPoint(((Fraction(2), Fraction(1, 3)),), True)
+    with pytest.raises(InvalidPoint, match="exact coordinate 0 is"):
+        torsor_check(log_point, bare, 6)
+    with pytest.raises(InvalidPoint, match="exact coordinate 0 is"):
+        tau(bare)
+    one, turn = NonnegRoot.of(1), Fraction(0)
+    for values, i in ((((one, turn), (Fraction(1), turn), (one, turn)), 1),
+                      (((one, turn), (one, turn), (one, 0.5)), 2)):
+        with pytest.raises(InvalidPoint, match=f"exact coordinate {i} is"):
+            check_membership(emit_equations(a1_cone(), Target.KN_POINTS), KnPoint(values, True))
+    with pytest.raises(InvalidPoint, match="exact coordinate 1 is 2j"):
+        check_membership(emit_equations(a1_cone(), Target.COMPLEX_POINTS),
+                         CxPoint((GaussianRational.of(1), 2j, GaussianRational.of(4)), True))
 
 
 def test_check_membership_floating_tolerance():
