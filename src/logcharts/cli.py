@@ -96,17 +96,15 @@ def corpus_path(name: str) -> str:
 
 
 def _integer(raw) -> int:
-    """An int, or a string of one; a JSON float or bool is refused, not
-    truncated."""
-    if isinstance(raw, str):
-        return int(raw)
+    """A JSON integer; a string, float or bool is refused, not converted."""
     if type(raw) is not int:
         raise TypeError(f"{raw!r} is not an integer")
     return raw
 
 
 def _tolerance(raw) -> float:
-    if isinstance(raw, bool):
+    """A JSON number; a string or bool is refused, not converted."""
+    if type(raw) not in (int, float):
         raise TypeError(f"{raw!r} is not a number")
     tol = float(raw)
     if not 0 <= tol < math.inf:  # NaN fails the comparison too

@@ -91,10 +91,13 @@ class AffineMonoid(Record):
 
     ``relations`` is the verified relation set, supplied or else synthesized
     (empty for a free chart): it spans the kernel of the generator matrix
-    and connects every fiber up to ``degree_bound``.  ``is_saturated`` is
-    proved exactly for a free chart (linearly independent generators) and
-    otherwise records a desk-scale check: saturation was verified for all
-    cone lattice points up to ``degree_bound``.  ``_lattice`` is U[:r], r
+    and connects every fiber up to ``degree_bound``.  ``grading`` is an
+    integer functional >= 1 on every generator, so it certifies that P is
+    sharp: the coordinate sum where that is >= 1 on every generator, else
+    the coprime strict functional the sharpness LP found.  ``is_saturated``
+    is proved exactly for a free chart (linearly independent generators)
+    and otherwise records a desk-scale check: saturation was verified for
+    all cone lattice points up to ``degree_bound``.  ``_lattice`` is U[:r], r
     the group rank, from the Smith form U G V = D that :func:`validate`
     ran; :func:`faces` reads the facets in these coordinates, and
     ``_faces`` caches their answer.
@@ -107,7 +110,6 @@ class AffineMonoid(Record):
     is_saturated: bool
     relations: tuple[Relation, ...]
     degree_bound: int
-    sharpness_certificate: tuple[int, ...]
     grading: tuple[int, ...]
     _lattice: tuple[tuple[int, ...], ...]
     _faces: tuple[Face, ...] | None = None
@@ -159,18 +161,6 @@ def _verify_relation(spec: MonoidSpec, relation: Relation):
     if lhs != rhs:
         raise RelationInconsistent(
             f"relation {relation} fails: sides evaluate to {lhs} and {rhs}")
-
-
-def _grading_functional(spec: MonoidSpec, certificate) -> tuple[int, ...]:
-    """An integer functional that is >= 1 on every generator.
-
-    The coordinate-sum functional is the default degree; it is used
-    whenever it is positive on all generators, and the sharpness
-    certificate (coprime integers) is the fallback grading otherwise.
-    """
-    if all(sum(g) >= 1 for g in spec.generators):
-        return (1,) * spec.ambient_rank
-    return certificate
 
 
 def _synthesize_relations(kernel) -> tuple[Relation, ...]:
@@ -367,9 +357,12 @@ def _check_saturation(gens, grading, box, elements, bound, u, factors):
 def validate(spec: MonoidSpec, degree_bound: int = DEFAULT_DEGREE_BOUND) -> AffineMonoid:
     """Validate a presentation and return the affine monoid it defines.
 
-    Sharpness is decided exactly by rational feasibility.  One Smith form
-    U G V = D of the generator matrix gives the group rank r (the nonzero
-    invariant factors), a kernel basis (columns r, r+1, ... of V), lattice
+    Sharpness is decided by the coordinate sum when it is >= 1 on every
+    generator, since that sum is then a strict functional, and otherwise
+    exactly by rational feasibility, an LP whose certificate, in coprime
+    integers, becomes the grading.  One Smith form U G V = D of the
+    generator matrix gives the group rank r (the nonzero invariant
+    factors), a kernel basis (columns r, r+1, ... of V), lattice
     membership for the saturation check, and the lattice coordinates U[:r]
     that :func:`faces` reads.  The relation set R is the supplied one,
     each relation verified exactly, or else the kernel basis split into
@@ -396,9 +389,12 @@ def validate(spec: MonoidSpec, degree_bound: int = DEFAULT_DEGREE_BOUND) -> Affi
             f"degree bound {degree_bound} is negative; the truncated cone is empty")
     d = spec.ambient_rank
 
-    certificate = ratlp.strict_functional(d, [], list(spec.generators))
-    if certificate is None:
-        raise NotSharp("the rational cone spanned by the generators contains a line")
+    if all(sum(g) >= 1 for g in spec.generators):
+        grading = (1,) * d
+    else:
+        grading = ratlp.strict_functional(d, [], list(spec.generators))
+        if grading is None:
+            raise NotSharp("the rational cone spanned by the generators contains a line")
 
     u, diag, v = smith_normal_form(generator_matrix(spec.generators, d), len(spec.generators))
     factors = [x for x in diag if x != 0]
@@ -409,10 +405,7 @@ def validate(spec: MonoidSpec, degree_bound: int = DEFAULT_DEGREE_BOUND) -> Affi
         _verify_relation(spec, rel)
     relations = _synthesize_relations(kernel) if spec.relations is None else spec.relations
 
-    grading = _grading_functional(spec, certificate)
     degrees = [sum(map(operator.mul, grading, g)) for g in spec.generators]
-    if any(x < 1 for x in degrees):
-        raise InvalidMonoidSpec("grading functional is not positive on the generators")
     if kernel:
         box = _saturation_box(spec.generators, degrees, degree_bound)
         size = math.prod(b - a + 1 for a, b in zip(*box))  # lo <= 0 <= hi
@@ -431,7 +424,6 @@ def validate(spec: MonoidSpec, degree_bound: int = DEFAULT_DEGREE_BOUND) -> Affi
         is_saturated=True,
         relations=relations,
         degree_bound=degree_bound,
-        sharpness_certificate=certificate,
         grading=grading,
         _lattice=u[:gp_rank],
     )

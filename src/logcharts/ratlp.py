@@ -11,8 +11,10 @@ stops there, and an infeasible system carries the Farkas certificate read
 off its objective row.  Sized for desk-scale cone problems.
 
 ``monoid.validate`` is the only caller: ``strict_functional`` certifies
-sharpness and ``in_cone`` serves the saturation check, which reuses the
-checked Farkas certificate of each "outside" answer on later points.
+sharpness, and so gives the grading, of a chart whose coordinate sum is
+not >= 1 on every generator, and ``in_cone`` serves the saturation check,
+which reuses the checked Farkas certificate of each "outside" answer on
+later points.
 """
 
 from __future__ import annotations
@@ -168,7 +170,8 @@ def strict_functional(dim, zero_vectors, positive_vectors):
     u.p > 0 for all p, or None.  The vectors are integer.
 
     This is the sharpness certificate search of ``monoid.validate``, which
-    passes no zero vectors.
+    passes no zero vectors and runs it only where the coordinate sum is
+    not >= 1 on every generator; the certificate becomes the grading.
     Formulated as: maximize t <= 1 subject to u.p_j >= t; by scaling, a
     strictly positive optimum exists iff a strict functional does.
     """

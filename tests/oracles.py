@@ -41,7 +41,7 @@ from logcharts import ratlp
 from logcharts.abgrp import FgAbelianGroup, generator_matrix, is_isomorphic, smith_normal_form
 from logcharts.errors import InvalidMonoidSpec, RelationSynthesisIncomplete
 from logcharts.fibers import TorsorReport
-from logcharts.monoid import MonoidSpec, _grading_functional
+from logcharts.monoid import MonoidSpec
 from logcharts.profin import EquivalenceCertificate, LevelRecord
 from logcharts.ratlp import INFEASIBLE, OPTIMAL, UNBOUNDED
 from logcharts.semialg import KnPoint
@@ -636,13 +636,23 @@ def in_cone_by_lp(generator_columns, point):
 # dropping those of degree outside 0..bound, with the monoid elements as
 # tuples, as the scan ran before it held them as integer codes.
 
+def grading_of(spec: MonoidSpec):
+    """The grading ``validate`` gives a sharp spec, without its other
+    checks, so that a chart it refuses still has one: the coordinate sum
+    where that is >= 1 on every generator, else the sharpness certificate
+    of ``ratlp.strict_functional``."""
+    if all(sum(g) >= 1 for g in spec.generators):
+        return (1,) * spec.ambient_rank
+    return ratlp.strict_functional(spec.ambient_rank, [], list(spec.generators))
+
+
 def saturation_scan_inputs(spec: MonoidSpec, bound):
     """(gens, grading, degrees, layers, bound, u, factors) as ``validate``
     passes them to the scan; layers[b] holds the monoid elements of degree
     b as tuples (the scan takes their box codes), the images of the
     exponent vectors of degree b <= bound."""
     d, gens = spec.ambient_rank, spec.generators
-    grading = _grading_functional(spec, ratlp.strict_functional(d, [], list(gens)))
+    grading = grading_of(spec)
     degrees = [sum(map(operator.mul, grading, g)) for g in gens]
     images = [set() for _ in range(bound + 1)]
     for _, image in _bounded_exponent_vectors(spec, degrees, bound):

@@ -252,6 +252,12 @@ def _chart(fields):
     pytest.param(_chart('"generators": [[1]], "options": {"seed": 2.5}'), id="float-seed"),
     pytest.param(_chart('"generators": [[1]], "options": {"tolerance": true}'),
                  id="bool-tolerance"),
+    # strings of numbers were converted and run
+    pytest.param(_chart('"generators": [[1]], "options": {"degree_bound": "7"}'),
+                 id="string-degree-bound"),
+    pytest.param(_chart('"generators": [[1]], "options": {"seed": "5"}'), id="string-seed"),
+    pytest.param(_chart('"generators": [[1]], "options": {"tolerance": "1e-3"}'),
+                 id="string-tolerance"),
     # bad shapes and values were internal errors
     pytest.param(_chart('"generators": 5'), id="int-generators"),
     pytest.param(_chart('"generators": [[1, "a"]]'), id="string-entry"),
@@ -276,6 +282,10 @@ def test_chart_values_of_the_wrong_type_are_input_errors(tmp_path, capsys, text)
     captured = capsys.readouterr()
     assert code == 2 and captured.out == "", captured.out
     assert captured.err.startswith("error: "), captured.err
+    options = json.loads(text).get("options")
+    if isinstance(options, dict):  # a bad option value names its key
+        (key,) = options
+        assert captured.err.startswith(f"error: chart option {key!r} "), captured.err
 
 
 def test_null_options_are_no_options(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import collections
 import itertools
+import math
 import random
 import re
 import time
@@ -21,8 +22,8 @@ from logcharts.profin import mu_tower
 
 from oracles import (congruence_complete_by_vectors, diagonal, face_supports_by_axiom,
                      faces_by_lp, fiber_connected_by_vectors, quadric_relations,
-                     random_unimodular, saturation_box_by_lp, saturation_scan_by_lp,
-                     saturation_scan_inputs)
+                     grading_of, random_unimodular, saturation_box_by_lp,
+                     saturation_scan_by_lp, saturation_scan_inputs)
 
 
 def n_monoid():
@@ -581,8 +582,7 @@ def test_witnesses_in_boxes_with_negative_lows():
         validate(hexagon)
     assert (info.value.witness, info.value.degree) == ((2, 0, 0), 2)
     for spec, bound in ((five, 20), (five, 4), (hexagon, 20)):
-        cert = ratlp.strict_functional(spec.ambient_rank, [], list(spec.generators))
-        grading = monoid._grading_functional(spec, cert)
+        grading = grading_of(spec)
         degrees = [sum(u * x for u, x in zip(grading, g)) for g in spec.generators]
         assert min(monoid._saturation_box(spec.generators, degrees, bound)[0]) < 0
 
@@ -807,8 +807,7 @@ def test_saturation_box_matches_the_lp_oracle():
     cases = []
     for d, gens in CORPUS_CONES:
         spec = MonoidSpec.make(d, gens)
-        cert = ratlp.strict_functional(d, [], list(spec.generators))
-        grading = monoid._grading_functional(spec, cert)
+        grading = grading_of(spec)
         degrees = [sum(u * x for u, x in zip(grading, g)) for g in gens]
         cases.extend((gens, degrees, bound) for bound in range(1, 41))
     for gens, degrees in _random_sharp_cones(rng, 250):
@@ -926,11 +925,78 @@ def test_fallback_gradings_are_pinned():
         for f in faces(m):
             q, _ = stalk(m, f)
             if any(sum(g) <= 0 for g in q.generators):
-                assert q.grading == q.sharpness_certificate, (name, f.support)
+                assert q.grading == ratlp.strict_functional(
+                    q.ambient_rank, [], list(q.generators)), (name, f.support)
                 found[name, f.support] = q.grading
     assert found == _FALLBACK_GRADINGS
     # a chart whose fallback grading gives every generator a degree above
     # 40: at degree bound 20 the walk lists the origin alone
     m = validate(MonoidSpec.make(3, [[-3, 1, 1], [3, 3, -2], [2, 2, 3], [1, 0, 3]]))
-    assert m.sharpness_certificate == m.grading == (-1, 24, 14)
+    assert m.grading == ratlp.strict_functional(3, [], list(m.generators)) == (-1, 24, 14)
     assert [m.degree(g) for g in m.generators] == [41, 41, 88, 41]
+
+
+def test_validate_solves_the_sharpness_lp_only_where_the_coordinate_sum_fails(monkeypatch):
+    # the coordinate sum is >= 1 on every generator of the CLI corpus and of
+    # the chart families N^d, the Hilbert cones and the square cone: it is
+    # the grading and proves sharpness, so validate solves no LP on them
+    positive = [load_chart(corpus_path(name)).spec
+                for name in ("log_point", "affine_line", "plane_axes", "a1_cone")]
+    positive += [MonoidSpec.make(d, [[int(i == j) for j in range(d)] for i in range(d)])
+                 for d in (1, 2, 3, 4)]
+    for a in (1, 2, 3, 4):
+        gens = [[1, i] for i in range(a + 1)]
+        positive.append(MonoidSpec.make(2, gens, quadric_relations(gens)))
+    positive.append(MonoidSpec.make(3, [[1, 0, 0], [1, 1, 0], [1, 0, 1], [1, 1, 1]]))
+    calls = []
+    solve = ratlp.strict_functional
+
+    def counting(*args):
+        calls.append(args)
+        return solve(*args)
+    monkeypatch.setattr(ratlp, "strict_functional", counting)
+    for spec in positive:
+        assert validate(spec).grading == (1,) * spec.ambient_rank
+    assert calls == []
+    m = validate(MonoidSpec.make(3, [[-3, 1, 1], [3, 3, -2], [2, 2, 3], [1, 0, 3]]))
+    assert len(calls) == 1 and m.grading == (-1, 24, 14)
+
+
+_NON_SHARP = [
+    (1, ((1,), (-1,))),
+    (2, ((1, 0), (-1, 0), (0, 1))),
+    (2, ((1, 0), (0, 1), (-1, -1))),
+    (2, ((1, 1), (-1, -1), (0, 1))),
+    (2, ((2, 1), (-2, -1))),
+    (3, ((1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1))),
+]
+
+
+def test_sharpness_verdict_and_grading_on_random_specs():
+    # validate refuses a spec as NotSharp exactly when the LP finds no
+    # strict functional, whichever way it decides; a sharp spec's grading
+    # is coprime and >= 1 on every generator, and so certifies sharpness
+    rng = random.Random(20151019)
+    specs = [MonoidSpec.make(d, gens) for d, gens in _NON_SHARP]
+    while len(specs) < 400:
+        d = rng.randint(1, 4)
+        gens = [[rng.randint(-3, 3) for _ in range(d)] for _ in range(rng.randint(1, 6))]
+        if all(any(g) for g in gens):
+            specs.append(MonoidSpec.make(d, gens))
+    seen = collections.Counter()
+    for spec in specs:
+        lp = ratlp.strict_functional(spec.ambient_rank, [], list(spec.generators))
+        try:
+            m = validate(spec, 4)
+        except NotSharp:
+            assert lp is None, spec
+            seen["not sharp"] += 1
+            continue
+        except (RelationSynthesisIncomplete, SaturationFailure):
+            assert lp is not None, spec  # sharp, but refused by a later check
+            continue
+        assert lp is not None, spec
+        assert math.gcd(*m.grading) == 1, spec
+        assert all(m.degree(g) >= 1 for g in m.generators), spec
+        seen["coordinate sum" if m.grading == (1,) * m.ambient_rank else "lp"] += 1
+    assert min(seen["not sharp"], seen["coordinate sum"], seen["lp"]) >= 50, seen

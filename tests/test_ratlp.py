@@ -12,7 +12,8 @@ import pytest
 from logcharts import ratlp
 from logcharts.errors import FalsifiedProperty
 from logcharts.cli import corpus_path, load_chart
-from logcharts.monoid import DEFAULT_DEGREE_BOUND, MonoidSpec, faces, validate
+from logcharts.monoid import (DEFAULT_DEGREE_BOUND, MonoidSpec, face_with_support, faces, stalk,
+                              validate)
 
 import oracles
 
@@ -321,7 +322,15 @@ def _checked_in_cone(monkeypatch):
 def test_integer_simplex_matches_the_fraction_reference_on_chart_lps(monkeypatch):
     charts = [load_chart(corpus_path(name)).spec
               for name in ("log_point", "affine_line", "plane_axes", "a1_cone")]
-    charts.append(MonoidSpec.make(3, [[1, 0, 0], [1, 1, 0], [1, 0, 1], [1, 1, 1]]))
+    square = MonoidSpec.make(3, [[1, 0, 0], [1, 1, 0], [1, 0, 1], [1, 1, 1]])
+    # the corpus charts and the square cone have positive coordinate sums,
+    # so validate solves no LP on them; the square cone's stalk at the ray
+    # of generator 3, with generators (-1, -1), (0, -1), (-1, 0), and the
+    # fallback chart take their gradings from strict_functional's simplex
+    cone = validate(square)
+    square_stalk, _ = stalk(cone, face_with_support(cone, (3,)))
+    charts += [square, square_stalk.spec,
+               MonoidSpec.make(3, [[-3, 1, 1], [3, 3, -2], [2, 2, 3], [1, 0, 3]])]
     solve = ratlp.solve_standard_form
     issued = []
 
@@ -335,7 +344,7 @@ def test_integer_simplex_matches_the_fraction_reference_on_chart_lps(monkeypatch
     # the LPs the corpus runs: solves for sharpness, and cone membership for
     # saturation, a few per chart since the scan keeps its certificates;
     # the box points stand in for the LP per point the scan ran before
-    assert issued and queries and len(issued) + len(queries) < 20
+    assert len(issued) == 2 and queries and len(issued) + len(queries) < 20
     queries += _box_queries(monkeypatch, charts, DEFAULT_DEGREE_BOUND)
     assert len(queries) > 100
     integer_pivots = _record_pivots(monkeypatch, ratlp)

@@ -17,11 +17,11 @@ from logcharts.strata import stratify
 
 _LINE = ("AffineMonoid(spec=MonoidSpec(ambient_rank=1, generators=((1,),), relations=None), "
          "gp_lattice_rank=1, is_sharp=True, is_saturated=True, relations=(), degree_bound=20, "
-         "sharpness_certificate=(1,), grading=(1,))")
+         "grading=(1,))")
 # a stalk keeps the chart's relations, here none, with the face's coordinates deleted
 _POINT = ("AffineMonoid(spec=MonoidSpec(ambient_rank=0, generators=(), relations=()), "
           "gp_lattice_rank=0, is_sharp=True, is_saturated=True, relations=(), degree_bound=20, "
-          "sharpness_certificate=(), grading=())")
+          "grading=())")
 _VERTEX = (f"StratumEntry(face=Face(support=(), certificate=(1,)), stalk_rank=1, "
            f"stalk={_LINE})")
 _NOTE = ("'level-wise invariant-factor comparison with transition coherence up to a finite "
