@@ -3,7 +3,7 @@
 The monoid N has two faces (the vertex and the dense face), so its chart
 has two strata.  Over the vertex the log model fibers in a circle and the
 n-th root construction fibers in B(Z/n); after profinite completion the
-two towers agree, realized level by level by the mod-n reduction maps.
+two towers agree: at every level n both read Z/n.
 """
 
 from fractions import Fraction
@@ -38,8 +38,9 @@ for q in kn_kummer_fiber(m, p, 3):
     print("  fiber point:", q)
 
 ok, cert = verify_fiber_equivalence(m, vertex, 100)
-print("\ncomparison map at level 5:", cert.comparison_matrix,
-      "read mod 5 (pi1 of z -> z^5 on the circle)")
+level5 = cert.levels.levels[4]
+print("\nlevel 5:", level5.factors_a, "(pi1 of the circle mod 5) and",
+      level5.factors_b, "(mu_5 of the stalk)")
 
 print(f"\nfiberwise profinite comparison up to level 100: {ok}")
 print("first levels:",

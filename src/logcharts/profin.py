@@ -9,11 +9,12 @@ of the direct sum.  So a tower is held as the group G it completes, and
 each level is the closed form tensor_mod(G, n).
 
 Level-wise comparison of invariant factors plus transition coherence is
-the checkable shadow of pro-equivalence; every certificate records the
-limitation.  Coherence is checked on the pairs (m, m), which says level
-m is m-torsion, and (m, m/p) for each prime p | m: (A/(m/p)A)/nA = A/nA
-for n | m/p, so by induction on m/n these imply every pair n | m.  A
-comparison walks them on one tower, as matching levels are equal.
+the checkable shadow of pro-equivalence; every certificate's ``note``
+states the limitation.  Coherence is checked on the pairs (m, m), which
+says level m is m-torsion, and (m, m/p) for each prime p | m:
+(A/(m/p)A)/nA = A/nA for n | m/p, so by induction on m/n these imply
+every pair n | m.  A comparison walks them on one tower, as matching
+levels are equal.
 """
 
 from __future__ import annotations
@@ -126,10 +127,11 @@ class LevelRecord(Record):
 
 
 class EquivalenceCertificate(Record):
-    """Per-level evidence for (or against) tower equivalence."""
+    """Per-level evidence for (or against) tower equivalence: one record
+    per level 1..bound, so the bound is ``len(levels)``.  ``note`` states
+    what the comparison does not prove."""
 
     equivalent: bool
-    bound: int
     levels: tuple[LevelRecord, ...]
     witness_level: int | None
     note: str = COMPARISON_NOTE
@@ -155,4 +157,4 @@ def equivalent_up_to(a: FiniteAbelianProSystem, b: FiniteAbelianProSystem,
     witness = (next((rec.n for rec in records if not rec.isomorphic), None)
                or _first_incoherent(a, bound))
     ok = witness is None
-    return ok, EquivalenceCertificate(ok, bound, tuple(records), witness)
+    return ok, EquivalenceCertificate(ok, tuple(records), witness)

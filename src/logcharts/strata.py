@@ -33,7 +33,11 @@ class StratumTable(Record):
 
     monoid: AffineMonoid
     entries: tuple[StratumEntry, ...]
-    max_rank: int
+
+    @property
+    def max_rank(self) -> int:
+        """The rank of the vertex stratum, the chart's group rank."""
+        return self.monoid.gp_lattice_rank
 
     def __post_init__(self):
         supports = [e.face.support for e in self.entries]
@@ -75,7 +79,7 @@ def stratify(m: AffineMonoid) -> StratumTable:
     for f in faces(m):
         quotient, r = stalk(m, f) if f.support else (m, m.gp_lattice_rank)
         entries.append(StratumEntry(f, r, quotient))
-    return StratumTable(m, tuple(entries), m.gp_lattice_rank)
+    return StratumTable(m, tuple(entries))
 
 
 def stratum_of_point(m: AffineMonoid, p: CxPoint,

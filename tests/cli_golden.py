@@ -5,7 +5,8 @@ name no face, kept in ``tests/data/cli_golden.json``; then ``torsor`` at
 an inline exact and floating log point, ``--table`` renderings of
 ``info``, ``compare``, ``torsor``, ``emit`` and ``fiber``, and ``torsor``
 at a floating point at ``--tol 0``, which passes because fiber points are
-lifted bit for bit, with no tolerance of their own.
+lifted bit for bit, with no tolerance of their own, and ``torsor`` at a
+point with too few coordinates, which is refused.
 
 An argv names a corpus chart by its file stem (``a1_cone``), which
 :func:`run` replaces by the chart's path.  The corpus is rewritten only
@@ -13,10 +14,10 @@ when a change of output is intended, and that change is announced:
 
     PYTHONPATH=src python tests/cli_golden.py
 
-``--check`` replays the corpus without writing it, and exits 1 naming the
-first argv whose record differs, which of argv, exit, stdout and stderr
+``--check`` replays the corpus without writing it.  For every argv whose
+record differs it names the argv, which of argv, exit, stdout and stderr
 differ, and a unified diff of the expected against the actual value of
-each:
+each; it then ends with ``N of M entries differ`` and exits 1:
 
     PYTHONPATH=src python -W error tests/cli_golden.py --check
 """
@@ -66,7 +67,10 @@ def argvs() -> list[list[str]]:
                   # sixth-turn angles at --tol 0: the fiber is lifted bit for bit
                   ["torsor", "a1_cone", "5", "--tol", "0", "--point",
                    '{"radii": ["2","2","2"], "angles": [[0.5, 0.8660254037844386], '
-                   '[0.5, 0.8660254037844386], [0.5, 0.8660254037844386]]}']]
+                   '[0.5, 0.8660254037844386], [0.5, 0.8660254037844386]]}'],
+                  # two coordinates on a three-generator chart
+                  ["torsor", "a1_cone", "2", "--point",
+                   '{"radii": ["1", "2"], "turns": ["0", "0"]}']]
 
 
 def run(argv) -> dict:
@@ -101,11 +105,16 @@ def load() -> list[dict]:
 if __name__ == "__main__":
     entries = [run(argv) for argv in argvs()]
     if sys.argv[1:] == ["--check"]:
-        for got, want in itertools.zip_longest(entries, load(), fillvalue={}):
+        pairs = list(itertools.zip_longest(entries, load(), fillvalue={}))
+        differing = 0
+        for got, want in pairs:
             if got != want:
+                differing += 1
                 print(f"differs from {PATH}: {(got or want)['argv']}")
                 print("\n".join(differences(want, got)))
-                sys.exit(1)
+        if differing:
+            print(f"{differing} of {len(pairs)} entries differ")
+            sys.exit(1)
         print(f"all {len(entries)} entries match {PATH}")
         sys.exit(0)
     os.makedirs(os.path.dirname(PATH), exist_ok=True)

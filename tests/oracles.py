@@ -479,7 +479,7 @@ def equivalent_by_all_pairs(a, b, bound):
                         if not (a.transition_consistent(m, n)
                                 and b.transition_consistent(m, n))), None)
     ok = witness is None
-    return ok, EquivalenceCertificate(ok, bound, tuple(records), witness)
+    return ok, EquivalenceCertificate(ok, tuple(records), witness)
 
 
 # --------------------------------------------------------------------------

@@ -47,15 +47,13 @@ def test_criterion_1_log_point_fiber_equivalence():
         rec.factors_a == rec.factors_b
         and rec.factors_a == ((rec.n,) if rec.n > 1 else ())
         for rec in cert.levels.levels)
-    maps_are_reductions = cert.comparison_matrix == ((1,),)
-    for n in (1, 2, 50, 97):
-        reduced = tuple(tuple(x % n for x in row) for row in cert.comparison_matrix)
-        maps_are_reductions &= (reduced == ((1 % n,),)
-                                and tensor_mod(FgAbelianGroup.free(1), n) == mu(m, n))
+    # level n of the root tower is pi1 = Z of the circle read mod n
+    levels_are_reductions = all(tensor_mod(FgAbelianGroup.free(1), n) == mu(m, n)
+                                for n in (1, 2, 50, 97))
     elapsed = time.perf_counter() - start
-    _report(1, ok and levels_cyclic and maps_are_reductions and elapsed < 1.0,
-            "log point: tower comparison true at bound 100, levels Z/n, "
-            "maps are mod-n reductions", elapsed)
+    _report(1, ok and levels_cyclic and levels_are_reductions and elapsed < 1.0,
+            "log point: tower comparison true at bound 100, levels Z/n on both "
+            "sides, mu_n is Z read mod n", elapsed)
 
 
 def test_criterion_2_finite_products_of_completions():
@@ -190,16 +188,14 @@ def test_criterion_8_tower_coherence():
         r = m.gp_lattice_rank
         free = FgAbelianGroup.free(r)
         _, cert = verify_fiber_equivalence(m, face_with_support(m, []), 60)
-        matrix = cert.comparison_matrix
+        # every comparison level reads (Z/n)^r on both sides
+        ok &= all(rec.factors_a == rec.factors_b == ((rec.n,) * r if rec.n > 1 else ())
+                  for rec in cert.levels.levels)
         for big in range(1, 61):
             mu_big = mu(m, big)
-            reduced_big = tuple(tuple(x % big for x in row) for row in matrix)
             for n in (d for d in range(1, big + 1) if big % d == 0):
                 # transition composed with level data: tensor_mod identity
                 ok &= tensor_mod(mu_big, n) == mu(m, n)
                 ok &= tensor_mod(free, n) == mu(m, n)
-                # comparison square: reduce mod big then mod n = reduce mod n
-                reduced = tuple(tuple(x % n for x in row) for row in reduced_big)
-                ok &= reduced == tuple(tuple(x % n for x in row) for row in matrix)
-    _report(8, ok, "mu-tower transitions and comparison squares commute "
-                   "for all n | m <= 60 on every corpus chart")
+    _report(8, ok, "mu-tower transitions commute and every comparison level "
+                   "reads (Z/n)^r for all n | m <= 60 on every corpus chart")

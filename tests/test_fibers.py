@@ -9,7 +9,8 @@ import pytest
 
 import logcharts.fibers as fibers_mod
 from logcharts.abgrp import FgAbelianGroup, rank, tensor_mod
-from logcharts.errors import ChartError, FalsifiedProperty, InvalidPoint, NotOnVariety
+from logcharts.errors import (ArityMismatch, ChartError, FalsifiedProperty, InvalidPoint,
+                              NotOnVariety)
 from logcharts.exactnum import GaussianRational, NonnegRoot
 from logcharts.fibers import (algebraic_kummer_fiber, kn_kummer_fiber,
                               torsor_check, verify_fiber_equivalence)
@@ -36,8 +37,11 @@ def a1_cone():
                                     [[[1, 0, 1], [0, 2, 0]]]))
 
 
-def matrix_mod(matrix, n):
-    return tuple(tuple(x % n for x in row) for row in matrix)
+def levels_read_n_to_the_r(cert, r):
+    """Does every level record of a fiber comparison read (Z/n)^r, the
+    invariant factors (n,)*r, on both sides (nothing at n = 1)?"""
+    return all(rec.factors_a == rec.factors_b == ((rec.n,) * r if rec.n > 1 else ())
+               for rec in cert.levels.levels)
 
 
 def test_kn_fiber_ranks():
@@ -64,44 +68,41 @@ def test_root_fiber_tower_levels():
 
 
 def test_comparison_on_pi1():
+    # level n on both sides is pi1 = Z^r read mod n: (Z/n)^r, trivial at n = 1
     m = n_monoid()
     vertex = face_with_support(m, [])
-    _, cert = verify_fiber_equivalence(m, vertex, 5)
-    assert cert.comparison_matrix == ((1,),)
+    ok, cert = verify_fiber_equivalence(m, vertex, 5)
+    assert ok and levels_read_n_to_the_r(cert, 1)
     level5 = mu(stalk(m, vertex)[0], 5)
-    assert level5 == FgAbelianGroup.cyclic(5)
-    # the identity read mod n carries the truncated source onto the target
-    assert matrix_mod(cert.comparison_matrix, 5) == ((1,),)
-    assert tensor_mod(FgAbelianGroup.free(1), 5) == level5
-    # n = 1: the zero map to the trivial group
+    assert level5 == FgAbelianGroup.cyclic(5) == tensor_mod(FgAbelianGroup.free(1), 5)
+    assert cert.levels.levels[4].factors_b == tuple(level5.invariant_factors())
     assert mu(stalk(m, vertex)[0], 1) == FgAbelianGroup.trivial()
-    assert matrix_mod(cert.comparison_matrix, 1) == ((0,),)
     q = quadrant()
     q_vertex = face_with_support(q, [])
-    _, q_cert = verify_fiber_equivalence(q, q_vertex, 2)
+    ok, q_cert = verify_fiber_equivalence(q, q_vertex, 2)
+    assert ok and levels_read_n_to_the_r(q_cert, 2)
     level2 = mu(stalk(q, q_vertex)[0], 2)
-    assert level2 == FgAbelianGroup(0, (2, 2))
-    assert matrix_mod(q_cert.comparison_matrix, 2) == ((1, 0), (0, 1))
-    assert tensor_mod(FgAbelianGroup.free(2), 2) == level2
+    assert level2 == FgAbelianGroup(0, (2, 2)) == tensor_mod(FgAbelianGroup.free(2), 2)
 
 
 def test_comparison_commutes_with_transitions():
-    # reducing mod m then mod n (n | m) equals reducing mod n
+    # every level reads (Z/n)^2, and reducing level m mod n (n | m) gives level n
     m = a1_cone()
-    _, cert = verify_fiber_equivalence(m, face_with_support(m, []), 19)
+    quotient, r = stalk(m, face_with_support(m, []))
+    ok, cert = verify_fiber_equivalence(m, face_with_support(m, []), 19)
+    assert ok and r == 2 and levels_read_n_to_the_r(cert, r)
+    tower = mu_tower(quotient)
     for big in range(1, 20):
-        reduced_big = matrix_mod(cert.comparison_matrix, big)
         for n in (d for d in range(1, big + 1) if big % d == 0):
-            reduced = tuple(tuple(x % n for x in row) for row in reduced_big)
-            assert reduced == matrix_mod(cert.comparison_matrix, n)
+            assert tower.transition_consistent(big, n)
+            assert tensor_mod(tower.level(big), n) == tower.level(n)
 
 
 def test_verify_fiber_equivalence_log_point():
     m = n_monoid()
     ok, cert = verify_fiber_equivalence(m, face_with_support(m, []), 100)
-    assert ok and cert.torus_rank == 1 and cert.maps_realize_levels
-    for record in cert.levels.levels:
-        assert record.factors_a == record.factors_b == (record.n,) or record.n == 1
+    assert ok and cert.torus_rank == 1 and cert.bound == len(cert.levels.levels) == 100
+    assert levels_read_n_to_the_r(cert, 1)
 
 
 def test_verify_fiber_equivalence_dense_face_trivial():
@@ -228,6 +229,17 @@ def test_kn_kummer_fiber_rejects_invalid_point():
     bad = KnPoint.exact_point([(1, 0), (1, Fraction(1, 3)), (1, 0)])
     with pytest.raises(InvalidPoint):
         kn_kummer_fiber(m, bad, 2)
+
+
+def test_fibers_refuse_a_point_of_the_wrong_arity():
+    # one arity check, check_membership's: ArityMismatch is an InvalidPoint
+    m = a1_cone()
+    kn = KnPoint.exact_point([(1, 0), (2, 0)])
+    cx = CxPoint.exact_point([1, 2])
+    for run, p in ((kn_kummer_fiber, kn), (algebraic_kummer_fiber, cx), (torsor_check, kn)):
+        with pytest.raises(ArityMismatch, match="point has 2 coordinates, system has 3"):
+            run(m, p, 2)
+    assert issubclass(ArityMismatch, InvalidPoint)
 
 
 def test_algebraic_fiber_over_vertex_is_single_point():

@@ -40,8 +40,8 @@ def a1_cone():
 
 
 def test_validate_log_point():
-    m = n_monoid()
-    assert m.gp_lattice_rank == 1 and m.is_sharp and m.is_saturated
+    m = n_monoid()  # validate returns: sharp and saturated
+    assert m.gp_lattice_rank == 1
 
 
 def test_validate_a1_cone_relation():
@@ -78,7 +78,7 @@ def test_saturation_passes_over_cone_points_off_the_lattice():
     # validate's Smith form.  The cone of (2, 0), (1, 1), (0, 2) holds
     # (1, 0), which is off the generated lattice, so the chart is accepted.
     m = validate(MonoidSpec.make(2, [[2, 0], [1, 1], [0, 2]]), 8)
-    assert m.is_saturated and len(m.relations) == 1
+    assert len(m.relations) == 1
     # the lattice of (4, 0), (6, 0), (0, 1) is 2Z x Z: every cone point
     # (1, y) is passed over, and (2, 0), in the lattice but not in P, is the
     # witness
@@ -152,6 +152,14 @@ def test_constructed_specs_follow_the_type_rule_of_make(spec, bound):
     # TypeError from the saturation box
     with pytest.raises(InvalidMonoidSpec, match="is not an integer"):
         validate(spec, bound)
+
+
+@pytest.mark.parametrize("spec", [(1, [[1]]), [1, [[1]], None], {"ambient_rank": 1}, None],
+                         ids=["tuple", "list", "dict", "none"])
+def test_validate_takes_only_a_monoid_spec(spec):
+    # a presentation is built by MonoidSpec.make; validate converts nothing
+    with pytest.raises(InvalidMonoidSpec, match=f"not a {type(spec).__name__}$"):
+        validate(spec)
 
 
 def test_relation_synthesis_matches_supplied():
@@ -365,7 +373,7 @@ def test_stalk_of_nonsaturated_sublattice_presentation():
     # presented torsion-free
     m = validate(MonoidSpec.make(2, [[2, 0], [1, 1]]))
     q, r = stalk(m, face_with_support(m, [0]))
-    assert r == 1 and q.gp_lattice_rank == 1 and q.is_sharp
+    assert r == 1 and q.gp_lattice_rank == 1  # stalk's validate returned: sharp
 
 
 def _refuse_synthesis(monkeypatch):
@@ -575,7 +583,7 @@ def test_witnesses_in_boxes_with_negative_lows():
     with pytest.raises(SaturationFailure) as info:
         validate(five, 20)
     assert info.value.witness == (-8, 9, 6, 12)
-    assert validate(five, 4).is_saturated
+    validate(five, 4)  # returns: saturated up to degree 4
     hexagon = MonoidSpec.make(3, [[1, 1, 0], [1, 0, 1], [1, -1, 1], [1, -1, 0], [1, 0, -1],
                                   [1, 1, -1]])
     with pytest.raises(RelationSynthesisIncomplete) as info:
@@ -592,7 +600,7 @@ def test_the_walk_is_linear_in_the_degree_bound():
     # every layer after each degree took minutes at this bound
     start = time.perf_counter()
     m = validate(MonoidSpec.make(1, [[1], [2]]), 200_000)
-    assert m.is_saturated and len(m.relations) == 1
+    assert len(m.relations) == 1
     assert time.perf_counter() - start < 30
 
 
@@ -616,7 +624,7 @@ def test_free_chart_closed_form_agrees_with_the_bounded_checks(monkeypatch):
         with monkeypatch.context() as patch:
             _refuse_enumeration(patch)
             m = validate(spec, degree_bound=8)
-        assert m.is_saturated and m.relations == () and m.gp_lattice_rank == len(gens)
+        assert m.relations == () and m.gp_lattice_rank == len(gens)
         # the bounded checks, up to twice the largest generator degree; the
         # walk lists the elements that the tuple oracle lists, by code
         degrees = [m.degree(g) for g in gens]
@@ -642,7 +650,7 @@ def test_free_chart_is_decided_at_any_degree_bound(monkeypatch):
     _refuse_enumeration(monkeypatch)
     gens = [[1 if i == j else 0 for j in range(4)] for i in range(4)]
     m = validate(MonoidSpec.make(4, gens), degree_bound=40)
-    assert m.is_saturated and m.relations == () and m.gp_lattice_rank == 4
+    assert m.relations == () and m.gp_lattice_rank == 4
 
 
 def test_an_oversized_saturation_box_is_refused_before_enumeration(monkeypatch):

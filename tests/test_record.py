@@ -16,11 +16,11 @@ from logcharts.semialg import CxPoint, KnPoint, emit_equations
 from logcharts.strata import stratify
 
 _LINE = ("AffineMonoid(spec=MonoidSpec(ambient_rank=1, generators=((1,),), relations=None), "
-         "gp_lattice_rank=1, is_sharp=True, is_saturated=True, relations=(), degree_bound=20, "
+         "gp_lattice_rank=1, relations=(), degree_bound=20, "
          "grading=(1,))")
 # a stalk keeps the chart's relations, here none, with the face's coordinates deleted
 _POINT = ("AffineMonoid(spec=MonoidSpec(ambient_rank=0, generators=(), relations=()), "
-          "gp_lattice_rank=0, is_sharp=True, is_saturated=True, relations=(), degree_bound=20, "
+          "gp_lattice_rank=0, relations=(), degree_bound=20, "
           "grading=())")
 _VERTEX = (f"StratumEntry(face=Face(support=(), certificate=(1,)), stalk_rank=1, "
            f"stalk={_LINE})")
@@ -38,7 +38,12 @@ def _records():
     replaced the standard library's, except that three fields took their
     JSON keys as names: ``FiberEquivalenceCertificate.face`` and
     ``.levels`` (were ``stratum_face`` and ``level_certificate``) and
-    ``TorsorReport.n`` (was ``degree``)."""
+    ``TorsorReport.n`` (was ``degree``), and that the fields holding no
+    computed fact are gone: ``AffineMonoid.is_sharp`` and ``is_saturated``
+    (always true), ``StratumTable.max_rank`` (now a property, the group
+    rank), ``EquivalenceCertificate.bound`` (the number of levels), and
+    ``FiberEquivalenceCertificate.comparison_matrix`` (always the
+    identity) and ``maps_realize_levels`` (implied by the verdict)."""
     line = _line()
     faces(line)  # fills the face cache, which the repr leaves out
     cone = validate(MonoidSpec.make(2, [[1, 0], [1, 1], [1, 2]]))
@@ -59,8 +64,8 @@ def _records():
          "description='completion of Z')"),
         (LevelRecord(2, (2,), (2,), True),
          "LevelRecord(n=2, factors_a=(2,), factors_b=(2,), isomorphic=True)"),
-        (EquivalenceCertificate(True, 1, (LevelRecord(1, (), (), True),), None),
-         "EquivalenceCertificate(equivalent=True, bound=1, levels=(LevelRecord(n=1, "
+        (EquivalenceCertificate(True, (LevelRecord(1, (), (), True),), None),
+         "EquivalenceCertificate(equivalent=True, levels=(LevelRecord(n=1, "
          f"factors_a=(), factors_b=(), isomorphic=True),), witness_level=None, note={_NOTE})"),
         (emit_equations(cone, "kn"),
          "BinomialSystem(variable_count=3, equations=(((1, 0, 1), (0, 2, 0)),), "
@@ -75,15 +80,12 @@ def _records():
         (stratify(line).entries[0], _VERTEX),
         (stratify(line),
          f"StratumTable(monoid={_LINE}, entries=({_VERTEX}, StratumEntry(face=Face("
-         f"support=(0,), certificate=(0,)), stalk_rank=0, stalk={_POINT})), "
-         "max_rank=1)"),
+         f"support=(0,), certificate=(0,)), stalk_rank=0, stalk={_POINT})))"),
         (verify_fiber_equivalence(line, ray, 2)[1],
-         "FiberEquivalenceCertificate(face=(0,), torus_rank=0, bound=2, "
-         "comparison_matrix=(), levels="
-         "EquivalenceCertificate(equivalent=True, bound=2, levels=(LevelRecord(n=1, "
+         "FiberEquivalenceCertificate(face=(0,), torus_rank=0, bound=2, levels="
+         "EquivalenceCertificate(equivalent=True, levels=(LevelRecord(n=1, "
          "factors_a=(), factors_b=(), isomorphic=True), LevelRecord(n=2, factors_a=(), "
-         f"factors_b=(), isomorphic=True)), witness_level=None, note={_NOTE}), "
-         "maps_realize_levels=True)"),
+         f"factors_b=(), isomorphic=True)), witness_level=None, note={_NOTE}))"),
         (torsor_check(line, KnPoint.exact_point([(1, 0)]), 2)[1],
          "TorsorReport(n=2, group_order=2, fiber_size=2, preserves_fiber=True, "
          "free=True, transitive=True, orbit_table=(0, 1))"),
@@ -124,14 +126,14 @@ def test_affine_monoid_is_hashable_frozen_and_ignores_its_face_cache():
     for name in vars(bare):
         with pytest.raises(AttributeError):
             setattr(bare, name, None)
-    assert bare._faces is None and bare.is_saturated
+    assert bare._faces is None
 
 
 def test_constructors_take_fields_by_position_or_keyword_with_defaults():
     assert FgAbelianGroup(2) == FgAbelianGroup(free_rank=2, torsion=())
     assert GaussianRational(1) == GaussianRational(re=Fraction(1), im=Fraction(0))
-    assert EquivalenceCertificate(True, 1, (), None).note == EquivalenceCertificate(
-        equivalent=True, bound=1, levels=(), witness_level=None).note
+    assert EquivalenceCertificate(True, (), None).note == EquivalenceCertificate(
+        equivalent=True, levels=(), witness_level=None).note
     # __post_init__ still runs: it normalizes and validates
     assert FgAbelianGroup(0, [2.0]).torsion == (2,)
     with pytest.raises(ValueError):

@@ -17,7 +17,11 @@ classical theorems, not from the library:
   independent quadrics;
 - the ideal is generated by quadrics exactly when b(Q) >= 4 (Koelman,
   Beiträge Algebra Geom. 34 (1993)); the triangle with b(Q) = 3, the
-  polygon of P², needs its cubic.
+  polygon of P², needs its cubic;
+- over a stratum of rank r the Kato-Nakayama fiber is an r-torus, whose
+  pi1 = Z^r read mod n is (Z/n)^r, and level n of the root tower is
+  mu_n of the stalk, also (Z/n)^r: the fiberwise comparison reads the
+  same invariant factors on both sides at every level.
 """
 
 import collections
@@ -27,6 +31,7 @@ import math
 import pytest
 
 from logcharts.errors import RelationSynthesisIncomplete
+from logcharts.fibers import verify_fiber_equivalence
 from logcharts.monoid import MonoidSpec, faces, validate
 from logcharts.strata import stratify
 
@@ -183,10 +188,18 @@ def test_cones_over_reflexive_polygons_have_the_known_answers(form):
         apex = points.index((0, 0))
         cubic = ([int(i != apex) for i in range(m)], [3 * int(i == apex) for i in range(m)])
         moves = [cubic]
-    cone = validate(_cone(form, moves))
-    assert cone.is_saturated and cone.gp_lattice_rank == 3
+    cone = validate(_cone(form, moves))  # returns: the cone is saturated
+    assert cone.gp_lattice_rank == 3
     assert len(faces(cone)) == 2 * v + 2
-    assert stratify(cone).ranks() == [0] + [1] * v + [2] * v + [3]
+    table = stratify(cone)
+    assert table.ranks() == [0] + [1] * v + [2] * v + [3]
+    # over every stratum the torus and root towers agree: (Z/n)^r at each level
+    for entry in table.entries:
+        ok, cert = verify_fiber_equivalence(cone, entry.face, 30)
+        r = entry.stalk_rank
+        assert ok and cert.torus_rank == r
+        assert all(rec.factors_a == rec.factors_b == ((rec.n,) * r if rec.n > 1 else ())
+                   for rec in cert.levels.levels)
 
 
 # The refusals of the cones with relations omitted, at the default degree
