@@ -10,18 +10,19 @@ transition coherence; it does not build a comparison map.  It also
 enumerates actual Kummer-cover fibers over chart points and verifies the
 torsor law for the deck action.
 
-A fiber point is a tuple of root indices u in (Z/n)^k solving the relation
-congruences mod n; one Smith-form solver lists exactly those solutions,
-the deck group is its solution set with zero offsets, and every fiber,
-log or algebraic, exact or floating, is assembled from a table of each
-coordinate's n roots.  The torsor check lifts each log fiber point to its
-root indices against the point it covers.  Circle coordinates are turns
-in both modes, rational for exact points and floats for floating ones, so
-the n-th roots of coordinate i are (t_i + j) / n turns either way, and
-each relation's offset is the point's turn sum, rounded where it lies
-within the tolerance of a whole turn and refused elsewhere.  Enumeration
-is exact whenever the base point is exact: rational turns divide exactly,
-and nonnegative real roots are exact radicals.
+A fiber point is a tuple of root indices u in (Z/n)^k solving K u =
+-offsets (mod n), K the relation rows on the point's support and unit
+rows pinning its other coordinates, kept with its Smith form on the chart
+per support (``_angles``) for the fibers and the deck group (zero
+offsets); every fiber, log or algebraic, exact or floating, is assembled
+from a table of each coordinate's n roots, and the torsor check lifts
+each log fiber point to its root indices against the point it covers.
+Circle coordinates are turns in both modes, rational for exact points and
+floats for floating ones, so the n-th roots of coordinate i are
+(t_i + j) / n turns either way, and each relation's offset is the point's
+turn sum, rounded within the tolerance of a whole turn and refused
+elsewhere.  A log fiber is exact whenever its base point is: rational
+turns divide exactly, and nonnegative real roots are exact radicals.
 """
 
 from __future__ import annotations
@@ -91,29 +92,39 @@ def _turn_offsets(rows, turns, tol: float):
 _FIBER_CAP = 100_000
 
 
-def _fiber_size(n: int, r: int):
-    """Check n^r, the size of a degree-n Kummer fiber, against the cap."""
-    if type(n) is not int or n < 1:
-        raise ValueError(f"cover degree {n!r} is not a positive integer")
-    size = n ** r
-    if size > _FIBER_CAP:
-        raise ChartError(
-            f"a degree-{n} Kummer fiber has n^{r} = {size} points, above "
-            f"the enumeration cap of {_FIBER_CAP}; lower the cover degree")
+def _angles(m: AffineMonoid, support: tuple[int, ...]):
+    """K over points with nonvanishing coordinates ``support``, built once
+    per chart and support into ``m._angles``: the rows r - s of the
+    relations supported there (the others vanish on both sides), the Smith
+    form of those rows plus unit rows pinning the other root indices to 0,
+    and the rank r of the support's generators."""
+    if m._angles is None:
+        object.__setattr__(m, "_angles", {})
+    found = m._angles.get(support)
+    if found is None:
+        k, inside = m.generator_count, set(support)
+        rows = tuple(tuple(rj - sj for rj, sj in zip(r, s)) for r, s in m.relations
+                     if inside.issuperset(j for j in range(k) if r[j] or s[j]))
+        pins = tuple(tuple(int(i == j) for i in range(k)) for j in range(k) if j not in inside)
+        r = m.gp_lattice_rank if len(support) == k else 0 if not support else rank(
+            generator_matrix([m.generators[i] for i in support], m.ambient_rank), len(support))
+        found = m._angles[support] = rows, smith_normal_form(rows + pins, k), r
+    return found
 
 
-def _root_choices(rows, offsets, n: int, k: int):
-    """Solve the relation congruences sum_j rows[i][j] u_j = -offsets[i]
-    (mod n) for root indices u in (Z/n)^k.
+def _root_choices(smith, offsets, n: int):
+    """Solve K u = -offsets (mod n), missing offsets 0, for root indices u
+    in (Z/n)^k, given the Smith form U K V = D of K.
 
-    With the Smith form U rows V = D and u = V w, the system splits into
-    one congruence d_j w_j = b_j (mod n) per axis, where b = -U offsets:
-    gcd(d_j, n) solutions or none, every residue on an axis past the rank,
-    and rows past k need b_j = 0.  Returns every solution, sorted
-    lexicographically, and generators of the homogeneous solution group:
-    (n / gcd(d_j, n)) V e_j for each axis with more than one solution.
+    With u = V w, the system splits into one congruence d_j w_j = b_j
+    (mod n) per axis, where b = -U offsets: gcd(d_j, n) solutions or none,
+    every residue on an axis past the rank, and rows past k need b_j = 0.
+    Returns every solution, sorted lexicographically, and generators of the
+    homogeneous solution group: (n / gcd(d_j, n)) V e_j for each axis with
+    more than one solution.
     """
-    u_mat, diag, v = smith_normal_form(rows, k)
+    u_mat, diag, v = smith
+    k = len(v)
     b = [-sum(map(operator.mul, row, offsets)) for row in u_mat] + [0] * k
     diag += (0,) * k
     solvable = not any(x % n for x in b[k:])
@@ -133,19 +144,29 @@ def _root_choices(rows, offsets, n: int, k: int):
     return sorted(solutions), generators
 
 
-def _fiber_choices(rows, offsets, n: int, k: int, r: int, what: str, exact: bool = True):
-    """``_root_choices``, hard-checked against the count n^r: a mismatch
-    falsifies the torsor law and is raised, never warned about.  The one
-    exception is a floating point whose rounded offsets admit no root
-    choice at all: rounding parted turn sums that the relations tie
-    together, so the point is off the variety, and NotOnVariety is raised."""
-    choices, generators = _root_choices(rows, offsets, n, k)
+def _solve(angles, n: int, what: str, turns=None, tol: float = math.inf, exact: bool = True):
+    """``_root_choices`` of ``angles`` at level n for the offsets of
+    ``turns`` (zero without them), checked: n^r against the cap before the
+    solve, the count against n^r after it, a mismatch raised as a falsified
+    torsor law.  A floating point whose rounded offsets admit no root
+    choice at all is off the variety instead: NotOnVariety."""
+    rows, smith, r = angles
+    if type(n) is not int or n < 1:
+        raise ValueError(f"cover degree {n!r} is not a positive integer")
+    size = n ** r
+    if size > _FIBER_CAP:
+        raise ChartError(
+            f"a degree-{n} Kummer fiber has n^{r} = {size} points, above "
+            f"the enumeration cap of {_FIBER_CAP}; lower the cover degree")
+    offsets = [] if turns is None else (_turn_offsets(rows, turns, tol)
+                                        + [0] * (len(smith[0]) - len(rows)))
+    choices, generators = _root_choices(smith, offsets, n)
     if not choices and not exact:
         raise NotOnVariety(None, f"the rounded turn sums {offsets} of the relations admit "
                                  f"no root choice mod {n}; the point is off its relations")
-    if len(choices) != n ** r:
+    if len(choices) != size:
         raise FalsifiedProperty(
-            f"{what} has {len(choices)} elements, expected n^{r} = {n ** r}; this "
+            f"{what} has {len(choices)} elements, expected n^{r} = {size}; this "
             f"falsifies the torsor law and indicates a relation-set or tolerance bug")
     return choices, generators
 
@@ -163,19 +184,14 @@ def _validate_point(m: AffineMonoid, p, target: Target, tol: float):
         raise InvalidPoint(f"point violates the relations (residual {residual:.3e})")
 
 
-def _relation_rows(relations):
-    """The relation matrix: one row r - s per relation r = s."""
-    return [[rj - sj for rj, sj in zip(r, s)] for r, s in relations]
-
-
 def kn_kummer_fiber(m: AffineMonoid, p: KnPoint, n: int,
                     tol: float = DEFAULT_TOLERANCE) -> list[KnPoint]:
     """The full fiber of the degree-n Kummer cover of the log model over p.
 
     Radii have unique nonnegative n-th roots; circle coordinate i has the n
     roots t_i/n + j/n, tabulated once, and a tuple of root indices lies in
-    the fiber iff it solves the relation congruences mod n, solved once by
-    Smith form.  Points come in lexicographic order of root indices and
+    the fiber iff it solves the relation congruences mod n, whose Smith form
+    the chart keeps.  Points come in lexicographic order of root indices and
     are assembled from the tables, k n angles in all, not k n^r.  The count
     is always n^r with r the group rank of the chart, independent of the
     stratum: the circle factors are what trivialize the ramification.  A
@@ -184,10 +200,9 @@ def kn_kummer_fiber(m: AffineMonoid, p: KnPoint, n: int,
     """
     from .semialg import KnPoint, Target
     _validate_point(m, p, Target.KN_POINTS, tol)
-    k, r, rows = m.generator_count, m.gp_lattice_rank, _relation_rows(m.relations)
-    _fiber_size(n, r)
-    choices, _ = _fiber_choices(rows, _turn_offsets(rows, [p.angle(i) for i in range(k)], tol),
-                                n, k, r, "Kummer fiber", p.exact)
+    k = m.generator_count
+    choices, _ = _solve(_angles(m, tuple(range(k))), n, "Kummer fiber",
+                        [p.angle(i) for i in range(k)], tol, p.exact)
     # Coordinate i takes only the n values (radius^(1/n), (t_i + j) / n turns).
     table = []
     for radius, turn in p.values:
@@ -204,9 +219,10 @@ def algebraic_kummer_fiber(m: AffineMonoid, p: CxPoint, n: int,
     point's stratum face): n^r on the dense torus, a single point over the
     vertex.  Relations touching a vanishing coordinate hold automatically
     (both sides vanish); the others impose congruences on the root
-    choices exactly as in the log model.  The points are exact when p is
-    and every chosen root is Gaussian rational.  A count above the
-    enumeration cap is refused before anything is enumerated.
+    choices exactly as in the log model.  The points are exact when p is,
+    every nonvanishing coordinate lies on an axis with a magnitude that is
+    a rational n-th power, and every chosen root lies on an axis; else
+    they are floating.  A count above the cap is refused before the solve.
     """
     from .exactnum import unit_from_turn_float
     from .semialg import CxPoint, Target
@@ -217,47 +233,30 @@ def algebraic_kummer_fiber(m: AffineMonoid, p: CxPoint, n: int,
         face = face_with_support(m, support)
     except NotAFace as err:
         raise InvalidPoint(f"vanishing pattern {support} is not a face: {err}") from err
-    support_set = set(support)
-    face_rank = rank(generator_matrix([m.generators[i] for i in support], m.ambient_rank),
-                     len(support)) if support else 0
-    _fiber_size(n, face_rank)
-
-    # Only relations fully supported on the nonvanishing coordinates
-    # constrain the roots; the others vanish on both sides.
-    active = [(r, s) for r, s in m.relations
-              if all(j in support_set for j in range(k) if r[j] or s[j])]
-
     values = p.values if not p.exact else [v.to_complex() for v in p.values]
-    turns = [_float_turn(values[i]) if i in support_set else 0.0 for i in range(k)]
-    rows = _relation_rows(active)
-    magnitudes = [abs(values[i]) ** (1.0 / n) if i in support_set else 0.0
-                  for i in range(k)]
-
-    # Unit rows pin the root index of every vanishing coordinate to 0.
-    pins = [[int(i == j) for i in range(k)] for j in range(k) if j not in support_set]
-    offsets = _turn_offsets(rows, turns, math.inf if p.exact else tol) + [0] * len(pins)
-    choices, _ = _fiber_choices(rows + pins, offsets, n, k, face_rank, "algebraic Kummer fiber",
-                                p.exact)
-
-    table = _exact_algebraic_table(p, n, support_set) if p.exact else None
+    turns = [_float_turn(values[i]) if i in face.support else 0.0 for i in range(k)]
+    choices, _ = _solve(_angles(m, face.support), n, "algebraic Kummer fiber", turns,
+                        math.inf if p.exact else tol, p.exact)
+    table = _exact_algebraic_table(p, n, face.support) if p.exact else None
     if table is not None:
         fiber = _assemble(table, choices)
         if all(c is not None for coords in fiber for c in coords):
             return [CxPoint(coords, True) for coords in fiber]
     # Coordinate i takes only the n roots |z_i|^(1/n) exp(2 pi i (t_i + j)/n).
+    magnitudes = [abs(z) ** (1.0 / n) for z in values]
     table = [[magnitudes[i] * unit_from_turn_float(turns[i] / n + j / n) for j in range(n)]
-             if i in support_set else [0j] for i in range(k)]
+             if i in face.support else [0j] for i in range(k)]
     return [CxPoint.floating(coords) for coords in _assemble(table, choices)]
 
 
-def _exact_algebraic_table(p, n, support_set):
-    """Each coordinate's n roots as Gaussian rationals, None where a root is
-    not one, if every nonvanishing coordinate is axis-aligned with a
-    perfect n-th power magnitude; otherwise None."""
+def _exact_algebraic_table(p, n, support):
+    """Each coordinate's n roots as Gaussian rationals (None where one is
+    not) if every nonvanishing coordinate is on an axis at a rational n-th
+    power magnitude; otherwise None."""
     from .exactnum import GaussianRational, rational_nth_root, unit_from_turn_exact
     table = []
     for i, v in enumerate(p.values):
-        if i not in support_set:
+        if i not in support:
             table.append([GaussianRational.of(0)])
             continue
         if v.im == 0:
@@ -326,10 +325,11 @@ def torsor_check(m: AffineMonoid, p: KnPoint, n: int,
     """Verify the deck action on the enumerated Kummer fiber over p.
 
     The deck group is the set of u in (Z/n)^k with K u = 0 mod n, K the
-    relation rows, acting on root indices by c + u mod n.  Each fiber point
-    is lifted once against p (``_root_indices``) with the first point's
-    radii, checked once to be n-th roots of p's; that base point must solve
-    K c = -offsets mod n.  The flags, read off the orbit map u -> u . base,
+    relation rows, read off the fiber's Smith form with zero offsets and
+    acting on root indices by c + u mod n.  Each fiber point is lifted once
+    against p (``_root_indices``) with the first point's radii, checked
+    once to be n-th roots of p's; that base point must solve K c = -offsets
+    mod n.  The flags, read off the orbit map u -> u . base,
     carry this to the coset base + u: ``transitive`` iff the map is onto,
     ``free`` iff it is injective (an abelian group's stabilizers are
     constant on an orbit), ``preserves_fiber`` iff every image and every
@@ -338,9 +338,9 @@ def torsor_check(m: AffineMonoid, p: KnPoint, n: int,
     fiber point, the first character carrying the base to it.
     """
     fiber = kn_kummer_fiber(m, p, n, tol)
-    k, rows = m.generator_count, _relation_rows(m.relations)
-    chars, generators = _fiber_choices(rows, [0] * len(rows), n, k, m.gp_lattice_rank,
-                                       "deck group")
+    angles = _angles(m, tuple(range(m.generator_count)))
+    chars, generators = _solve(angles, n, "deck group")
+    k, rows = m.generator_count, angles[0]
     roots = [rho for rho, _ in fiber[0].values]
     base = _root_indices(fiber[0], p, roots, n)
     offsets = _turn_offsets(rows, [p.angle(i) for i in range(k)], tol)

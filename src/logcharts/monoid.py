@@ -102,7 +102,9 @@ class AffineMonoid(Record):
     ``degree_bound`` lies in P.  ``_lattice`` is U[:r], r the group rank,
     from the Smith form U G V = D that :func:`validate` ran; :func:`faces`
     reads the facets in these coordinates, and ``_faces`` caches their
-    answer.
+    answer.  ``_angles`` caches the Kummer fibers' congruence system per
+    support of nonvanishing coordinates: relation rows, one Smith form and
+    the support's rank (``fibers._angles``).
     """
 
     spec: MonoidSpec
@@ -112,6 +114,7 @@ class AffineMonoid(Record):
     grading: tuple[int, ...]
     _lattice: tuple[tuple[int, ...], ...]
     _faces: tuple[Face, ...] | None = None
+    _angles: dict | None = None
 
     @property
     def generators(self) -> tuple[tuple[int, ...], ...]:

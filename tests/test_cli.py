@@ -9,6 +9,7 @@ import pytest
 
 import cli_golden
 import logcharts.fibers as fibers_mod
+from logcharts.abgrp import smith_normal_form
 from logcharts.cli import ChartDocument, corpus_path, load_chart, main
 from logcharts.errors import ChartError
 from logcharts.monoid import faces, stalk, validate
@@ -447,9 +448,14 @@ def test_exit_code_1_reserved_for_falsified_properties(monkeypatch, capsys):
     # fiber layer sees the A1 cone's relation doubled, which breaks the
     # fiber count at n = 2, and the CLI must report a falsified property,
     # not an input error
-    rows = fibers_mod._relation_rows
-    monkeypatch.setattr(fibers_mod, "_relation_rows",
-                        lambda relations: [[2 * x for x in row] for row in rows(relations)])
+    angles = fibers_mod._angles
+
+    def doubled(m, support):
+        rows, _, r = angles(m, support)  # the full support: no pin rows
+        rows = [[2 * x for x in row] for row in rows]
+        return rows, smith_normal_form(rows, m.generator_count), r
+
+    monkeypatch.setattr(fibers_mod, "_angles", doubled)
     code = main(["torsor", corpus_path("a1_cone"), "2",
                  "--point", '{"radii": ["1", "1", "1"], "turns": ["0", "0", "0"]}'])
     captured = capsys.readouterr()

@@ -8,7 +8,8 @@ from fractions import Fraction
 import pytest
 
 import logcharts.fibers as fibers_mod
-from logcharts.abgrp import FgAbelianGroup, rank, tensor_mod
+import logcharts.abgrp as abgrp
+from logcharts.abgrp import FgAbelianGroup, rank, smith_normal_form, tensor_mod
 from logcharts.errors import (ArityMismatch, ChartError, FalsifiedProperty, InvalidPoint,
                               NotOnVariety)
 from logcharts.exactnum import GaussianRational, NonnegRoot
@@ -400,7 +401,7 @@ def test_root_choices_match_the_scan_oracle():
         if rows and rng.random() < 0.3:
             rows[0] = [2 * x for x in rows[0]]  # an index-2 sublattice
         offsets = [rng.randint(-9, 9) if rng.random() < 0.5 else 0 for _ in rows]
-        solutions, generators = fibers_mod._root_choices(rows, offsets, n, k)
+        solutions, generators = fibers_mod._root_choices(smith_normal_form(rows, k), offsets, n)
         assert solutions == root_choices_by_scan(rows, offsets, n, k), (rows, offsets, n)
         homogeneous = root_choices_by_scan(rows, [0] * len(rows), n, k)
         assert len(generators) <= k
@@ -409,6 +410,36 @@ def test_root_choices_match_the_scan_oracle():
         kinds.add("unsolvable" if not solutions
                   else "complete" if len(solutions) == free_count else "incomplete")
     assert kinds == {"unsolvable", "complete", "incomplete"}
+
+
+def test_each_chart_and_support_runs_one_smith_form(monkeypatch):
+    # the fibers and the deck group over a support of nonvanishing
+    # coordinates read one congruence system, solved once per chart
+    m = a1_cone()
+    calls = []
+
+    def counting(rows, cols):
+        calls.append(cols)
+        return smith_normal_form(rows, cols)
+
+    for module in (abgrp, fibers_mod):
+        monkeypatch.setattr(module, "smith_normal_form", counting)
+
+    def count(build):
+        calls.clear()
+        build()
+        return len(calls)
+
+    p = KnPoint.exact_point([(1, 0), (1, 0), (1, 0)])
+    assert count(lambda: torsor_check(m, p, 2)) == 1
+    assert count(lambda: torsor_check(m, p, 3)) == 0
+    assert count(lambda: kn_kummer_fiber(m, p, 4)) == 0
+    assert count(lambda: algebraic_kummer_fiber(m, tau(p), 2)) == 0
+    # a proper face also runs the rank of its generators; the vertex's is 0
+    edge = CxPoint.exact_point([1, 0, 0])
+    assert count(lambda: algebraic_kummer_fiber(m, edge, 2)) <= 2
+    assert count(lambda: algebraic_kummer_fiber(m, edge, 3)) == 0
+    assert count(lambda: algebraic_kummer_fiber(m, CxPoint.exact_point([0, 0, 0]), 2)) == 1
 
 
 def test_torsor_check_acts_once_per_group_element_and_generator(monkeypatch):
@@ -533,6 +564,21 @@ def test_exact_algebraic_fibers_match_the_floating_path_point_by_point():
     assert exact_count > 100
 
 
+def test_exact_algebraic_roots_on_each_half_axis():
+    # at n = 1 the fiber is the point itself: each half-axis keeps its
+    # quarter turn, and every coordinate stays exact
+    m = validate(MonoidSpec.make(4, [[int(i == j) for j in range(4)] for i in range(4)]))
+    values = [GaussianRational(3), GaussianRational(-3), GaussianRational(0, 3),
+              GaussianRational(0, -3)]
+    (q,) = algebraic_kummer_fiber(m, CxPoint.exact_point(values), 1)
+    assert q.exact and list(q.values) == values
+    # off the axes, or at a magnitude that is no n-th power, the roots are
+    # floating even where they are Gaussian rational: (1+i)^1, sqrt(2i) = 1+i
+    for z, n in ((GaussianRational(1, 1), 1), (GaussianRational(0, 2), 2)):
+        fiber = algebraic_kummer_fiber(n_monoid(), CxPoint.exact_point([z]), n)
+        assert len(fiber) == n and not any(q.exact for q in fiber)
+
+
 def test_root_indices_refuse_points_off_the_radii_or_the_grid():
     # p = (4, 5/6 turn) has the square roots (2, 5/12) and (2, 11/12)
     r = NonnegRoot.of(2)
@@ -543,6 +589,8 @@ def test_root_indices_refuse_points_off_the_radii_or_the_grid():
 
     assert lift(r, Fraction(5, 12)) == (0,)
     assert lift(r, Fraction(11, 12)) == (1,)
+    # an equal radius that is another object lifts the same way
+    assert lift(NonnegRoot.of(2), Fraction(5, 12)) == (0,)
     for radius, turn in ((r, Fraction(1, 48)), (r, Fraction(1, 5)),
                          (NonnegRoot.of(3), Fraction(5, 12))):
         with pytest.raises(FalsifiedProperty, match="is not a degree-2 root"):

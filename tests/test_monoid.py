@@ -663,6 +663,13 @@ def test_an_oversized_saturation_box_is_refused_before_enumeration(monkeypatch):
         for bound in (10**6, 10**8):
             with pytest.raises(InvalidMonoidSpec, match="saturation box has"):
                 validate(spec, bound)
+    # the box of <1, 2> at degree bound B has B + 1 points: a cap of 10
+    # admits bound 9, whose elements are then listed, and refuses bound 10
+    monkeypatch.undo()
+    monkeypatch.setattr(monoid, "_BOX_CAP", 10)
+    validate(MonoidSpec.make(1, [[1], [2]]), 9)
+    with pytest.raises(InvalidMonoidSpec, match="saturation box has 11 points"):
+        validate(MonoidSpec.make(1, [[1], [2]]), 10)
 
 
 def test_hilbert_cone_names_the_least_degree_disconnected_fiber():
