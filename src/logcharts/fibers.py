@@ -17,12 +17,12 @@ per support (``_angles``) for the fibers and the deck group (zero
 offsets); every fiber, log or algebraic, exact or floating, is assembled
 from a table of each coordinate's n roots, and the torsor check lifts
 each log fiber point to its root indices against the point it covers.
-Circle coordinates are turns in both modes, rational for exact points and
-floats for floating ones, so the n-th roots of coordinate i are
-(t_i + j) / n turns either way, and each relation's offset is the point's
-turn sum, rounded within the tolerance of a whole turn and refused
-elsewhere.  A log fiber is exact whenever its base point is: rational
-turns divide exactly, and nonnegative real roots are exact radicals.
+Circle coordinates are turns, rational for exact points and floats for
+floating ones, so the n-th roots of coordinate i are (t_i + j) / n turns.
+A relation's offset is the point's turn sum: whole for an exact point,
+checked on integers; only floating turns are rounded, within the tolerance
+of a whole turn.  A log fiber is exact whenever its base point is: turns
+divide on integers, and nonnegative real roots are exact radicals.
 """
 
 from __future__ import annotations
@@ -67,21 +67,24 @@ def verify_fiber_equivalence(m: AffineMonoid, f: Face,
                                            levels=cert)
 
 
-def _float_turn(z: complex) -> float:
-    """The angle of a nonzero complex number in turns, in [0, 1)."""
-    return math.atan2(z.imag, z.real) / (2 * math.pi) % 1.0
-
-
 def _turn_offsets(rows, turns, tol: float):
-    """round(sum_j row_j t_j), the whole turns c by which the angles t meet
-    each relation row.  A sum c + delta with chord |exp(2 pi i delta) - 1|
-    above tol raises NotOnVariety; below it, every fiber point misses the
-    relation by delta / n.  That chord is the log model's residual, so only
+    """sum_j row_j t_j, the whole turns c by which the angles t meet each
+    relation row: exact turns are summed on integers over their common
+    denominator, NotOnVariety unless whole.  Floating sums are rounded to c,
+    NotOnVariety where the rest delta has chord |exp(2 pi i delta) - 1| above
+    tol; below it every fiber point misses the relation by delta / n.  Only
     a complex point, whose relative residual leaves small values' angles
-    free, can fail here.  An exact complex point passes tol = inf: it meets
-    its relations exactly, so only rounding parts its float sums from c."""
-    from .exactnum import unit_from_turn_float
+    free, can fail that log-model residual; an exact one passes tol = inf."""
+    if not any(isinstance(t, float) for t in turns):
+        den = math.lcm(*(t.denominator for t in turns))
+        nums = [t.numerator * (den // t.denominator) for t in turns]
+        sums = [sum(map(operator.mul, row, nums)) for row in rows]
+        misses = [Fraction(s % den, den) for s in sums if s % den]
+        if misses:
+            raise NotOnVariety(misses[0], f"a turn sum is {misses[0]} past a whole turn")
+        return [s // den for s in sums]
     totals = [sum(x * t for x, t in zip(row, turns)) for row in rows]
+    from .exactnum import unit_from_turn_float
     chord = max((abs(unit_from_turn_float(t % 1) - 1.0) for t in totals), default=0.0)
     if chord > tol:
         raise NotOnVariety(chord)
@@ -144,6 +147,16 @@ def _root_choices(smith, offsets, n: int):
     return sorted(solutions), generators
 
 
+def _fiber_size(r: int, n: int) -> int:
+    """n^r, once the level n is a positive integer and n^r within the cap."""
+    if type(n) is not int or n < 1:
+        raise ValueError(f"cover degree {n!r} is not a positive integer")
+    if n ** r > _FIBER_CAP:
+        raise ChartError(f"a degree-{n} Kummer fiber has n^{r} = {n ** r} points, above the "
+                         f"enumeration cap of {_FIBER_CAP}; lower the cover degree")
+    return n ** r
+
+
 def _solve(angles, n: int, what: str, turns=None, tol: float = math.inf, exact: bool = True):
     """``_root_choices`` of ``angles`` at level n for the offsets of
     ``turns`` (zero without them), checked: n^r against the cap before the
@@ -151,13 +164,7 @@ def _solve(angles, n: int, what: str, turns=None, tol: float = math.inf, exact: 
     torsor law.  A floating point whose rounded offsets admit no root
     choice at all is off the variety instead: NotOnVariety."""
     rows, smith, r = angles
-    if type(n) is not int or n < 1:
-        raise ValueError(f"cover degree {n!r} is not a positive integer")
-    size = n ** r
-    if size > _FIBER_CAP:
-        raise ChartError(
-            f"a degree-{n} Kummer fiber has n^{r} = {size} points, above "
-            f"the enumeration cap of {_FIBER_CAP}; lower the cover degree")
+    size = _fiber_size(r, n)
     offsets = [] if turns is None else (_turn_offsets(rows, turns, tol)
                                         + [0] * (len(smith[0]) - len(rows)))
     choices, generators = _root_choices(smith, offsets, n)
@@ -200,14 +207,17 @@ def kn_kummer_fiber(m: AffineMonoid, p: KnPoint, n: int,
     """
     from .semialg import KnPoint, Target
     _validate_point(m, p, Target.KN_POINTS, tol)
-    k = m.generator_count
-    choices, _ = _solve(_angles(m, tuple(range(k))), n, "Kummer fiber",
-                        [p.angle(i) for i in range(k)], tol, p.exact)
+    choices, _ = _solve(_angles(m, tuple(range(m.generator_count))), n, "Kummer fiber",
+                        [t for _, t in p.values], tol, p.exact)
     # Coordinate i takes only the n values (radius^(1/n), (t_i + j) / n turns).
     table = []
     for radius, turn in p.values:
-        root = radius.root(n) if p.exact else radius ** (1.0 / n)
-        table.append([(root, (turn + j) / n % 1) for j in range(n)])
+        if p.exact:
+            (u, v), root = turn.as_integer_ratio(), radius.root(n)
+            turns = [Fraction(x % (n * v), n * v) for x in range(u, u + n * v, v)]
+        else:
+            root, turns = radius ** (1.0 / n), [(turn + j) / n % 1 for j in range(n)]
+        table.append([(root, a) for a in turns])
     return [KnPoint(coords, p.exact) for coords in _assemble(table, choices)]
 
 
@@ -222,7 +232,7 @@ def algebraic_kummer_fiber(m: AffineMonoid, p: CxPoint, n: int,
     choices exactly as in the log model.  The points are exact when p is,
     every nonvanishing coordinate lies on an axis with a magnitude that is
     a rational n-th power, and every chosen root lies on an axis; else
-    they are floating.  A count above the cap is refused before the solve.
+    they are floating.  Level and cap are checked before any float of p.
     """
     from .exactnum import unit_from_turn_float
     from .semialg import CxPoint, Target
@@ -233,9 +243,12 @@ def algebraic_kummer_fiber(m: AffineMonoid, p: CxPoint, n: int,
         face = face_with_support(m, support)
     except NotAFace as err:
         raise InvalidPoint(f"vanishing pattern {support} is not a face: {err}") from err
-    values = p.values if not p.exact else [v.to_complex() for v in p.values]
-    turns = [_float_turn(values[i]) if i in face.support else 0.0 for i in range(k)]
-    choices, _ = _solve(_angles(m, face.support), n, "algebraic Kummer fiber", turns,
+    angles = _angles(m, face.support)
+    _fiber_size(angles[2], n)
+    values = p.to_complex()
+    turns = [math.atan2(z.imag, z.real) / (2 * math.pi) % 1.0 if i in face.support else 0.0
+             for i, z in enumerate(values)]
+    choices, _ = _solve(angles, n, "algebraic Kummer fiber", turns,
                         math.inf if p.exact else tol, p.exact)
     table = _exact_algebraic_table(p, n, face.support) if p.exact else None
     if table is not None:
@@ -291,24 +304,28 @@ class TorsorReport(Record):
         return self.preserves_fiber and self.free and self.transitive
 
 
-def _root_indices(pt: KnPoint, p: KnPoint, roots, n: int):
-    """Root indices c with pt_i = (roots_i, (t_i + c_i) / n turns) for p's
-    turns t_i, with no tolerance: exact points need n a_i - t_i whole, on
-    integer numerators; floating ones c_i = round(n a_i - t_i) mod n and
-    a_i = (t_i + c_i) / n % 1 bit for bit, as kn_kummer_fiber computes it.
-    Radii must be roots_i, compared by identity first."""
-    indices = []
-    for (rho, a), (_, t), root in zip(pt.values, p.values, roots):
-        if pt.exact:
-            c, off = divmod(n * a.numerator * t.denominator - t.numerator * a.denominator,
-                            a.denominator * t.denominator)
-        else:
-            c = round(n * a - t) % n
-            off = a != (t + c) / n % 1
-        if off or rho is not root and rho != root:
-            raise _not_a_root(pt, p, n, "radii or turns")
-        indices.append(c % n)
-    return tuple(indices)
+def _root_indices(fiber, p: KnPoint, roots, n: int):
+    """Root indices c of each fiber point, pt_i = (roots_i, (t_i + c_i) / n
+    turns) for p's turns t_i, read once, with no tolerance: exact points
+    need n a_i - t_i whole, on integers; floating ones c_i = round(n a_i -
+    t_i) mod n and a_i = (t_i + c_i) / n % 1 bit for bit, as kn_kummer_fiber
+    computes it.  Radii must be roots_i, compared by identity first."""
+    turns = [t.as_integer_ratio() if p.exact else t for _, t in p.values]
+    lifts = []
+    for pt in fiber:
+        indices = []
+        for (rho, a), t, root in zip(pt.values, turns, roots):
+            if p.exact:
+                (u, v), (x, y) = t, a.as_integer_ratio()
+                c, off = divmod(n * x * v - u * y, y * v)
+            else:
+                c = round(n * a - t) % n
+                off = a != (t + c) / n % 1
+            if off or rho is not root and rho != root:
+                raise _not_a_root(pt, p, n, "radii or turns")
+            indices.append(c % n)
+        lifts.append(tuple(indices))
+    return lifts
 
 
 def _not_a_root(pt, p, n: int, what: str):
@@ -326,30 +343,28 @@ def torsor_check(m: AffineMonoid, p: KnPoint, n: int,
 
     The deck group is the set of u in (Z/n)^k with K u = 0 mod n, K the
     relation rows, read off the fiber's Smith form with zero offsets and
-    acting on root indices by c + u mod n.  Each fiber point is lifted once
-    against p (``_root_indices``) with the first point's radii, checked
-    once to be n-th roots of p's; that base point must solve K c = -offsets
-    mod n.  The flags, read off the orbit map u -> u . base,
-    carry this to the coset base + u: ``transitive`` iff the map is onto,
-    ``free`` iff it is injective (an abelian group's stabilizers are
-    constant on an orbit), ``preserves_fiber`` iff every image and every
-    Smith-form generator's image of a point lies in the fiber.  A failing
-    point raises FalsifiedProperty naming it.  The orbit table gives, per
-    fiber point, the first character carrying the base to it.
+    acting on root indices by c + u mod n.  The base point's radii are
+    checked to be n-th roots of p's, the fiber is lifted against them and
+    p's turns (``_root_indices``), and the base must solve K c = -offsets
+    mod n.  The flags, read off the orbit map u -> u . base, carry this to
+    the coset base + u: ``transitive`` iff the map is onto, ``free`` iff it
+    is injective (an abelian group's stabilizers are constant on an orbit),
+    ``preserves_fiber`` iff every image and every Smith-form generator's
+    image of a point lies in the fiber.  A failing point raises
+    FalsifiedProperty naming it.  The orbit table gives, per fiber point,
+    the first character carrying the base to it (-1 for none).
     """
     fiber = kn_kummer_fiber(m, p, n, tol)
     angles = _angles(m, tuple(range(m.generator_count)))
     chars, generators = _solve(angles, n, "deck group")
-    k, rows = m.generator_count, angles[0]
-    roots = [rho for rho, _ in fiber[0].values]
-    base = _root_indices(fiber[0], p, roots, n)
-    offsets = _turn_offsets(rows, [p.angle(i) for i in range(k)], tol)
-    roots_ok = all(rho.base ** (n * r.degree) == r.base ** rho.degree if p.exact
-                   else rho == r ** (1.0 / n) for rho, (r, _) in zip(roots, p.values))
-    if not roots_ok or any((sum(map(operator.mul, row, base)) + b) % n
-                           for row, b in zip(rows, offsets)):
+    rows, roots = angles[0], [rho for rho, _ in fiber[0].values]
+    if not all(rho.base ** (n * r.degree) == r.base ** rho.degree if p.exact
+               else rho == r ** (1.0 / n) for rho, (r, _) in zip(roots, p.values)):
         raise _not_a_root(fiber[0], p, n, "radii or relation congruences")
-    lifts = [base] + [_root_indices(pt, p, roots, n) for pt in fiber[1:]]
+    lifts = _root_indices(fiber, p, roots, n)
+    offsets = _turn_offsets(rows, [t for _, t in p.values], tol)
+    if any((sum(map(operator.mul, row, lifts[0])) + b) % n for row, b in zip(rows, offsets)):
+        raise _not_a_root(fiber[0], p, n, "radii or relation congruences")
     index = {c: i for i, c in enumerate(lifts)}
     images = [index.get(_act(lifts[0], u, n)) for u in chars]
     located = [i for i in images if i is not None]

@@ -86,9 +86,17 @@ class CxPoint(Record):
         return abs(v) <= tol
 
     def to_complex(self) -> tuple[complex, ...]:
-        if self.exact:
-            return tuple(v.to_complex() for v in self.values)
-        return self.values
+        """The coordinates as complex floats; an exact coordinate beyond the
+        float range raises InvalidPoint naming it."""
+        if not self.exact:
+            return self.values
+        out = []
+        for i, v in enumerate(self.values):
+            try:
+                out.append(v.to_complex())
+            except OverflowError as err:
+                raise InvalidPoint(f"exact coordinate {i} is beyond the float range") from err
+        return tuple(out)
 
     def __str__(self):
         return "(" + ", ".join(str(v) for v in self.values) + ")"

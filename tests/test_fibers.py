@@ -2,6 +2,7 @@
 law, and the fiberwise profinite comparison."""
 
 import cmath
+import math
 import random
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ import pytest
 
 import logcharts.fibers as fibers_mod
 import logcharts.abgrp as abgrp
+import logcharts.exactnum as exactnum
 from logcharts.abgrp import FgAbelianGroup, rank, smith_normal_form, tensor_mod
 from logcharts.errors import (ArityMismatch, ChartError, FalsifiedProperty, InvalidPoint,
                               NotOnVariety)
@@ -468,6 +470,8 @@ def test_torsor_flags_are_decided_by_the_action(monkeypatch):
     ok, report = torsor_check(m, p, 3)
     assert not ok and report.preserves_fiber
     assert not report.free and not report.transitive
+    # Every character carries the base to itself, so no other point is reached.
+    assert report.orbit_table == (0,) + (-1,) * 8
     # An action by half-steps leaves the fiber.
     monkeypatch.setattr(fibers_mod, "_act", lambda c, u, n: tuple(
         (a + Fraction(sum(u), 2)) % n for a in c))
@@ -533,6 +537,74 @@ def test_exact_fibers_and_torsor_reports_match_the_fraction_oracle():
     assert mixed > 50
 
 
+def test_exact_fibers_and_torsor_checks_compute_no_float(monkeypatch):
+    # an exact point's turn sums are whole, so no float chord is computed
+    def no_float(t):
+        raise AssertionError(f"float unit of turn {t!r} computed in exact mode")
+
+    monkeypatch.setattr(exactnum, "unit_from_turn_float", no_float)
+    rng = random.Random(20261020)
+    for name in ("a1_cone", "square_cone", "n3"):
+        ambient, gens, rels = TORSOR_CHARTS[name]
+        m = validate(MonoidSpec.make(ambient, gens, rels))
+        for face in faces(m):
+            for n in (2, 3, 4):
+                p = _homomorphism_point(m, face.support, rng, [rng.choice((1, 2, 3, 5, 12))
+                                                               for _ in range(ambient)])
+                assert len(kn_kummer_fiber(m, p, n)) == n ** m.gp_lattice_rank
+                assert torsor_check(m, p, n)[0], (name, face.support, n)
+
+
+def test_exact_root_turns_are_the_turn_formula():
+    # (u + j v) mod n v over n v is (t + j) / n % 1 for t = u / v, also for
+    # turns outside [0, 1), which a directly built exact point may hold
+    m = n_monoid()
+    rng = random.Random(20261021)
+    turns = [Fraction(rng.randrange(-40, 40), rng.randint(1, 12)) for _ in range(60)]
+    assert any(t < 0 for t in turns) and any(t >= 1 for t in turns)
+    for t in turns:
+        p = KnPoint(((NonnegRoot.of(1), t),), True)
+        for n in (1, 2, 3, 7, 12, 16):
+            got = [a for ((_, a),) in (q.values for q in kn_kummer_fiber(m, p, n))]
+            assert got == [(t + j) / n % 1 for j in range(n)], (t, n)
+
+
+def test_exact_turn_offsets_are_whole_turn_sums():
+    rng = random.Random(20261022)
+    for ambient, gens, rels in TORSOR_CHARTS.values():
+        m = validate(MonoidSpec.make(ambient, gens, rels))
+        relations = fibers_mod._angles(m, tuple(range(m.generator_count)))[0]
+        for _ in range(20):
+            p = _homomorphism_point(m, range(m.generator_count), rng,
+                                    [rng.choice((1, 2, 3, 5, 7, 12)) for _ in range(ambient)])
+            # shifted by whole turns, negative ones too, under multiples and
+            # sums of the relation rows, every turn sum stays whole
+            turns = [a + rng.randint(-3, 3) for _, a in p.values]
+            scales = [rng.randint(-3, 3) for _ in relations]
+            rows = [tuple(c * x for x in row) for c, row in zip(scales, relations)]
+            rows += [tuple(map(sum, zip(*rows)))] if rows else []
+            assert fibers_mod._turn_offsets(rows, turns, 1e-9) == [
+                round(sum(x * t for x, t in zip(row, turns))) for row in rows]
+    # a sum that is not whole is off the variety at any tolerance
+    for tol in (1e-9, math.inf):
+        with pytest.raises(NotOnVariety, match="5/6 past a whole turn"):
+            fibers_mod._turn_offsets([(1, 1)], [Fraction(1, 3), Fraction(1, 2)], tol)
+
+
+def test_a_huge_exact_coordinate_is_refused_after_the_level_and_cap_checks():
+    # 10^400 is beyond the float range: the level and the cap are checked
+    # first, and the float conversion is then refused as an input error
+    m, p = n_monoid(), CxPoint.exact_point([10 ** 400])
+    with pytest.raises(ValueError, match="not a positive integer"):
+        algebraic_kummer_fiber(m, p, 2.5)
+    with pytest.raises(ChartError, match="enumeration cap"):
+        algebraic_kummer_fiber(m, p, 10 ** 6)
+    with pytest.raises(InvalidPoint, match="exact coordinate 0 is beyond the float range"):
+        algebraic_kummer_fiber(m, p, 2)
+    with pytest.raises(InvalidPoint, match="exact coordinate 1 is beyond"):
+        CxPoint.exact_point([1, GaussianRational(0, -10 ** 400)]).to_complex()
+
+
 def test_exact_algebraic_fibers_match_the_floating_path_point_by_point():
     rng = random.Random(20261019)
     units = [GaussianRational(1), GaussianRational(0, 1), GaussianRational(-1),
@@ -585,12 +657,19 @@ def test_root_indices_refuse_points_off_the_radii_or_the_grid():
     p = KnPoint(((NonnegRoot.of(4), Fraction(5, 6)),), True)
 
     def lift(radius, turn):
-        return fibers_mod._root_indices(KnPoint(((radius, turn),), True), p, [r], 2)
+        return fibers_mod._root_indices([KnPoint(((radius, turn),), True)], p, [r], 2)
 
-    assert lift(r, Fraction(5, 12)) == (0,)
-    assert lift(r, Fraction(11, 12)) == (1,)
+    assert lift(r, Fraction(5, 12)) == [(0,)]
+    assert lift(r, Fraction(11, 12)) == [(1,)]
     # an equal radius that is another object lifts the same way
-    assert lift(NonnegRoot.of(2), Fraction(5, 12)) == (0,)
+    assert lift(NonnegRoot.of(2), Fraction(5, 12)) == [(0,)]
+    # the whole fiber lifts in one call; a point off it is named
+    points = [KnPoint(((r, a),), True) for a in (Fraction(11, 12), Fraction(5, 12))]
+    assert fibers_mod._root_indices(points, p, [r], 2) == [(1,), (0,)]
+    off = KnPoint(((r, Fraction(1, 5)),), True)
+    with pytest.raises(FalsifiedProperty) as err:
+        fibers_mod._root_indices(points + [off], p, [r], 2)
+    assert str(err.value).startswith(f"fiber point {off} is not a degree-2 root of {p}")
     for radius, turn in ((r, Fraction(1, 48)), (r, Fraction(1, 5)),
                          (NonnegRoot.of(3), Fraction(5, 12))):
         with pytest.raises(FalsifiedProperty, match="is not a degree-2 root"):
@@ -599,14 +678,14 @@ def test_root_indices_refuse_points_off_the_radii_or_the_grid():
     # for bit: there is no tolerance to lift within.
     p = KnPoint.floating([(4.0, cmath.exp(2j * cmath.pi * 5 / 6))])
     t = p.angle(0)
-    for turn, lifted in ((t / 2 % 1, (0,)), (t / 2 % 1 + 1e-9, None),
+    for turn, lifted in ((t / 2 % 1, [(0,)]), (t / 2 % 1 + 1e-9, None),
                          (t / 2 % 1 + 1e-3, None)):
         point = KnPoint(((2.0, turn),), False)
         if lifted is None:
             with pytest.raises(FalsifiedProperty, match="is not a degree-2 root"):
-                fibers_mod._root_indices(point, p, [4.0 ** 0.5], 2)
+                fibers_mod._root_indices([point], p, [4.0 ** 0.5], 2)
         else:
-            assert fibers_mod._root_indices(point, p, [4.0 ** 0.5], 2) == lifted, turn
+            assert fibers_mod._root_indices([point], p, [4.0 ** 0.5], 2) == lifted, turn
 
 
 def _a1_point(exact):
