@@ -9,26 +9,27 @@ property (a failed torsor or comparison check), 2 for any input or
 validation error.
 
 Each subcommand takes only the settings it reads: every one validates the
-chart at --degree-bound, ``compare`` reads --bound and ``torsor`` --tol and
---seed.  A setting is the flag, else the chart's options block (degree
-bound, tolerance and seed; checked when the chart loads), else its default
-(degree bound 20, comparison bound 100, tolerance 1e-9, seed 0).
-Generator and face indices are 0-based.
+chart at --degree-bound, ``compare`` reads --bound and ``torsor`` --seed.
+A setting is the flag, else the chart's options block (degree bound and
+seed; checked when the chart loads), else its default (degree bound 20,
+comparison bound 100, seed 0).  There is no tolerance: an inline log
+point is exact, and floating "angles" input is read once as exact
+rationals (``KnPoint.floating``).  Generator and face indices are 0-based.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
+import re
 import sys
 from fractions import Fraction
 
 from . import monoid as monoid_mod
 from ._record import Record
 from .errors import ChartError, FalsifiedProperty
-from .monoid import DEFAULT_DEGREE_BOUND, DEFAULT_TOLERANCE, MonoidSpec, face_with_support
+from .monoid import DEFAULT_DEGREE_BOUND, MonoidSpec, face_with_support
 
 DEFAULT_BOUND = 100
 DEFAULT_SEED = 0
@@ -102,16 +103,6 @@ def _integer(raw) -> int:
     return raw
 
 
-def _tolerance(raw) -> float:
-    """A JSON number; a string or bool is refused, not converted."""
-    if type(raw) not in (int, float):
-        raise TypeError(f"{raw!r} is not a number")
-    tol = float(raw)
-    if not 0 <= tol < math.inf:  # NaN fails the comparison too
-        raise ValueError("a tolerance must be finite and at least 0")
-    return tol
-
-
 def _checked(source, raw, cast):
     try:
         return cast(raw)
@@ -119,7 +110,7 @@ def _checked(source, raw, cast):
         raise ChartError(f"{source} has an invalid value {raw!r}") from err
 
 
-_OPTIONS = {"degree_bound": _integer, "tolerance": _tolerance, "seed": _integer}
+_OPTIONS = {"degree_bound": _integer, "seed": _integer}
 
 
 def _setting(flag, chart, key, default):
@@ -154,10 +145,29 @@ def _parse_face(text, m):
     return face_with_support(m, indices)
 
 
+# A radical as NonnegRoot prints it: q^(1/k), or (a/b)^(1/k) for a base
+# that is not an integer, with 1 <= k <= _MAX_ROOT_DEGREE: a torsor check
+# raises the base to n * k, and normalising trial-divides k.
+_RADICAL = re.compile(r"([0-9]+|\([0-9]+/[0-9]+\))\^\(1/([0-9]+)\)")
+_MAX_ROOT_DEGREE = 64
+
+
+def _radius(raw):
+    """An exact radius: a fraction string or number, or a radical."""
+    from .exactnum import NonnegRoot
+    radical = _RADICAL.fullmatch(str(raw))
+    if radical is None:
+        return Fraction(str(raw))
+    if int(radical[2]) > _MAX_ROOT_DEGREE:
+        raise ValueError(f"root degree {radical[2]} is above {_MAX_ROOT_DEGREE}")
+    return NonnegRoot(Fraction(radical[1].strip("()")), int(radical[2]))
+
+
 def _parse_point(text):
     """An inline JSON log point: {"radii": [...], "turns": [...]} with
-    entries as exact fraction strings or numbers, or {"radii": [...],
-    "angles": [[re, im], ...]} for floating mode."""
+    radii as exact fraction strings, numbers or radicals and turns as
+    fraction strings or numbers, or {"radii": [...], "angles": [[re, im],
+    ...]} with floats, read once as an exact point."""
     from .semialg import KnPoint
     try:
         doc = json.loads(text)
@@ -173,7 +183,7 @@ def _parse_point(text):
                          '(exact) or "angles" (floating)')
     try:
         if "turns" in doc:
-            return KnPoint.exact_point([(Fraction(str(r)), Fraction(str(t)))
+            return KnPoint.exact_point([(_radius(r), Fraction(str(t)))
                                         for r, t in zip(radii, circle)])
         return KnPoint.floating([(float(r), complex(a[0], a[1]))
                                  for r, a in zip(radii, circle)])
@@ -290,8 +300,6 @@ def cmd_torsor(chart, m, args):
     from .fibers import torsor_check
     from .semialg import sample_kn_stratum
     n = _level("level", args.n)
-    tol = (chart.options.get("tolerance", DEFAULT_TOLERANCE) if args.tol is None
-           else _checked("--tol", args.tol, _tolerance))
     if args.point is not None:
         if args.face is not None:
             raise ChartError("torsor takes --point or --face, not both")
@@ -301,7 +309,7 @@ def cmd_torsor(chart, m, args):
     else:
         face = _parse_face(args.face, m)
         point = sample_kn_stratum(m, face, 1, _setting(args.seed, chart, "seed", DEFAULT_SEED))[0]
-    ok, report = torsor_check(m, point, n, tol)
+    ok, report = torsor_check(m, point, n)
     return ok, {"name": chart.name, "point": str(point), "torsor": _plain(report), "ok": ok}
 
 
@@ -340,8 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("n", type=int)
     p.add_argument("--point", default=None, help="inline JSON log point")
     p.add_argument("--face", default=None, help="sample the point from this stratum instead")
-    p.add_argument("--tol", type=float, default=None,
-                   help=f"numeric tolerance (default {DEFAULT_TOLERANCE})")
     p.add_argument("--seed", type=int, default=None,
                    help=f"sampler seed (default {DEFAULT_SEED})")
     return parser

@@ -53,10 +53,11 @@ class NotAFace(ChartError):
 
 
 class NotOnVariety(ChartError):
-    """A point violates the chart's relation equations beyond tolerance.
+    """A point violates the chart's relation equations: exactly, or for a
+    floating complex point beyond semialg's FLOAT_TOLERANCE.
 
-    ``residual`` is the measured residual, or None for a floating point
-    whose rounded turn sums are inconsistent with the relations."""
+    ``residual`` is the measured residual: a float, or the Fraction of a
+    turn by which an exact turn sum misses a whole turn."""
 
     def __init__(self, residual, message=None):
         self.residual = residual
@@ -75,5 +76,5 @@ class FalsifiedProperty(Exception):
     """A property the mathematics guarantees failed to verify.
 
     Raised for hard failures such as a Kummer fiber of the wrong
-    cardinality; always indicates a relation-set or tolerance bug.
+    cardinality; always indicates a relation-set bug.
     """

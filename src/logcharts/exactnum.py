@@ -1,9 +1,9 @@
 """Exact scalar types for point coordinates.
 
 Complex chart coordinates in exact mode are Gaussian rationals; the circle
-factor of a log point is an exact rational angle measured in turns; radii
-produced by root extraction are exact positive real radicals q**(1/k).
-Floating counterparts use ``complex`` and ``float`` directly.
+factor of a log point is an exact rational angle measured in turns; its
+radius is an exact nonnegative real radical q**(1/k).  Floating complex
+points use ``complex`` directly.
 """
 
 from __future__ import annotations

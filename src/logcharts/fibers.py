@@ -14,15 +14,16 @@ A fiber point is a tuple of root indices u in (Z/n)^k solving K u =
 -offsets (mod n), K the relation rows on the point's support and unit
 rows pinning its other coordinates, kept with its Smith form on the chart
 per support (``_angles``) for the fibers and the deck group (zero
-offsets); every fiber, log or algebraic, exact or floating, is assembled
-from a table of each coordinate's n roots, and the torsor check lifts
-each log fiber point to its root indices against the point it covers.
-Circle coordinates are turns, rational for exact points and floats for
-floating ones, so the n-th roots of coordinate i are (t_i + j) / n turns.
-A relation's offset is the point's turn sum: whole for an exact point,
-checked on integers; only floating turns are rounded, within the tolerance
-of a whole turn.  A log fiber is exact whenever its base point is: turns
-divide on integers, and nonnegative real roots are exact radicals.
+offsets); every fiber, log or algebraic, is assembled from a table of
+each coordinate's n roots, and the torsor check lifts each log fiber
+point to its root indices against the point it covers.  Circle
+coordinates are turns, so the n-th roots of coordinate i are (t_i + j) / n
+turns.  A relation's offset is the point's turn sum, a whole number of
+turns.  A log point is exact, so its turn sums are checked on integers and
+its fiber is exact: turns divide on integers, and nonnegative real roots
+are exact radicals.  A complex point's turns are floats, rounded to whole
+offsets; a floating complex point's must lie within semialg's
+FLOAT_TOLERANCE of whole ones.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from fractions import Fraction
 from ._record import Record
 from .abgrp import FgAbelianGroup, generator_matrix, rank, smith_normal_form
 from .errors import ChartError, FalsifiedProperty, InvalidPoint, NotAFace, NotOnVariety
-from .monoid import DEFAULT_TOLERANCE, AffineMonoid, Face, face_with_support, stalk
+from .monoid import AffineMonoid, Face, face_with_support, stalk
 
 
 class FiberEquivalenceCertificate(Record):
@@ -67,28 +68,17 @@ def verify_fiber_equivalence(m: AffineMonoid, f: Face,
                                            levels=cert)
 
 
-def _turn_offsets(rows, turns, tol: float):
-    """sum_j row_j t_j, the whole turns c by which the angles t meet each
-    relation row: exact turns are summed on integers over their common
-    denominator, NotOnVariety unless whole.  Floating sums are rounded to c,
-    NotOnVariety where the rest delta has chord |exp(2 pi i delta) - 1| above
-    tol; below it every fiber point misses the relation by delta / n.  Only
-    a complex point, whose relative residual leaves small values' angles
-    free, can fail that log-model residual; an exact one passes tol = inf."""
-    if not any(isinstance(t, float) for t in turns):
-        den = math.lcm(*(t.denominator for t in turns))
-        nums = [t.numerator * (den // t.denominator) for t in turns]
-        sums = [sum(map(operator.mul, row, nums)) for row in rows]
-        misses = [Fraction(s % den, den) for s in sums if s % den]
-        if misses:
-            raise NotOnVariety(misses[0], f"a turn sum is {misses[0]} past a whole turn")
-        return [s // den for s in sums]
-    totals = [sum(x * t for x, t in zip(row, turns)) for row in rows]
-    from .exactnum import unit_from_turn_float
-    chord = max((abs(unit_from_turn_float(t % 1) - 1.0) for t in totals), default=0.0)
-    if chord > tol:
-        raise NotOnVariety(chord)
-    return [round(t) for t in totals]
+def _turn_offsets(rows, turns):
+    """sum_j row_j t_j, the whole turns c by which the exact turns t meet
+    each relation row, summed on integers over their common denominator;
+    NotOnVariety unless whole."""
+    den = math.lcm(*(t.denominator for t in turns))
+    nums = [t.numerator * (den // t.denominator) for t in turns]
+    sums = [sum(map(operator.mul, row, nums)) for row in rows]
+    misses = [Fraction(s % den, den) for s in sums if s % den]
+    if misses:
+        raise NotOnVariety(misses[0], f"a turn sum is {misses[0]} past a whole turn")
+    return [s // den for s in sums]
 
 
 # Fibers and deck groups are enumerated in full; refuse sizes beyond this.
@@ -157,24 +147,18 @@ def _fiber_size(r: int, n: int) -> int:
     return n ** r
 
 
-def _solve(angles, n: int, what: str, turns=None, tol: float = math.inf, exact: bool = True):
-    """``_root_choices`` of ``angles`` at level n for the offsets of
-    ``turns`` (zero without them), checked: n^r against the cap before the
-    solve, the count against n^r after it, a mismatch raised as a falsified
-    torsor law.  A floating point whose rounded offsets admit no root
-    choice at all is off the variety instead: NotOnVariety."""
-    rows, smith, r = angles
+def _solve(angles, n: int, what: str, offsets=()):
+    """``_root_choices`` of ``angles`` at level n for the relation rows'
+    ``offsets`` (zero without them), checked: n^r against the cap before
+    the solve, the count against n^r after it, a mismatch raised as a
+    falsified torsor law."""
+    _, smith, r = angles
     size = _fiber_size(r, n)
-    offsets = [] if turns is None else (_turn_offsets(rows, turns, tol)
-                                        + [0] * (len(smith[0]) - len(rows)))
     choices, generators = _root_choices(smith, offsets, n)
-    if not choices and not exact:
-        raise NotOnVariety(None, f"the rounded turn sums {offsets} of the relations admit "
-                                 f"no root choice mod {n}; the point is off its relations")
     if len(choices) != size:
         raise FalsifiedProperty(
             f"{what} has {len(choices)} elements, expected n^{r} = {size}; this "
-            f"falsifies the torsor law and indicates a relation-set or tolerance bug")
+            f"falsifies the torsor law and indicates a relation-set bug")
     return choices, generators
 
 
@@ -184,15 +168,14 @@ def _assemble(table, choices):
     return [tuple(map(list.__getitem__, table, u)) for u in choices]
 
 
-def _validate_point(m: AffineMonoid, p, target: Target, tol: float):
+def _validate_point(m: AffineMonoid, p, target: Target):
     from .semialg import check_membership, emit_equations
-    ok, residual = check_membership(emit_equations(m, target), p, tol)
+    ok, residual = check_membership(emit_equations(m, target), p)
     if not ok:
         raise InvalidPoint(f"point violates the relations (residual {residual:.3e})")
 
 
-def kn_kummer_fiber(m: AffineMonoid, p: KnPoint, n: int,
-                    tol: float = DEFAULT_TOLERANCE) -> list[KnPoint]:
+def kn_kummer_fiber(m: AffineMonoid, p: KnPoint, n: int) -> list[KnPoint]:
     """The full fiber of the degree-n Kummer cover of the log model over p.
 
     Radii have unique nonnegative n-th roots; circle coordinate i has the n
@@ -206,23 +189,19 @@ def kn_kummer_fiber(m: AffineMonoid, p: KnPoint, n: int,
     refused before anything is enumerated.
     """
     from .semialg import KnPoint, Target
-    _validate_point(m, p, Target.KN_POINTS, tol)
-    choices, _ = _solve(_angles(m, tuple(range(m.generator_count))), n, "Kummer fiber",
-                        [t for _, t in p.values], tol, p.exact)
+    _validate_point(m, p, Target.KN_POINTS)
+    angles = _angles(m, tuple(range(m.generator_count)))
+    choices, _ = _solve(angles, n, "Kummer fiber",
+                        _turn_offsets(angles[0], [t for _, t in p.values]))
     # Coordinate i takes only the n values (radius^(1/n), (t_i + j) / n turns).
     table = []
     for radius, turn in p.values:
-        if p.exact:
-            (u, v), root = turn.as_integer_ratio(), radius.root(n)
-            turns = [Fraction(x % (n * v), n * v) for x in range(u, u + n * v, v)]
-        else:
-            root, turns = radius ** (1.0 / n), [(turn + j) / n % 1 for j in range(n)]
-        table.append([(root, a) for a in turns])
-    return [KnPoint(coords, p.exact) for coords in _assemble(table, choices)]
+        (u, v), root = turn.as_integer_ratio(), radius.root(n)
+        table.append([(root, Fraction(x % (n * v), n * v)) for x in range(u, u + n * v, v)])
+    return [KnPoint(coords) for coords in _assemble(table, choices)]
 
 
-def algebraic_kummer_fiber(m: AffineMonoid, p: CxPoint, n: int,
-                           tol: float = DEFAULT_TOLERANCE) -> list[CxPoint]:
+def algebraic_kummer_fiber(m: AffineMonoid, p: CxPoint, n: int) -> list[CxPoint]:
     """The fiber of the degree-n Kummer cover of the complex model over p.
 
     Vanishing coordinates force the root 0, so the count is n^(rank of the
@@ -233,12 +212,17 @@ def algebraic_kummer_fiber(m: AffineMonoid, p: CxPoint, n: int,
     every nonvanishing coordinate lies on an axis with a magnitude that is
     a rational n-th power, and every chosen root lies on an axis; else
     they are floating.  Level and cap are checked before any float of p.
+    The turns are floats, so each relation's turn sum is rounded to its
+    offset; a floating point whose sum has a chord |exp(2 pi i delta) - 1|
+    to it above FLOAT_TOLERANCE is off the variety, which the relative
+    residual alone misses on small values: [1e-5, 1e-5 i, 1e-5] passes
+    z0 z2 = z1^2 at 1e-9.
     """
     from .exactnum import unit_from_turn_float
-    from .semialg import CxPoint, Target
-    _validate_point(m, p, Target.COMPLEX_POINTS, tol)
+    from .semialg import FLOAT_TOLERANCE, CxPoint, Target
+    _validate_point(m, p, Target.COMPLEX_POINTS)
     k = m.generator_count
-    support = [i for i in range(k) if not p.is_zero_at(i, tol)]
+    support = [i for i in range(k) if not p.is_zero_at(i)]
     try:
         face = face_with_support(m, support)
     except NotAFace as err:
@@ -248,8 +232,12 @@ def algebraic_kummer_fiber(m: AffineMonoid, p: CxPoint, n: int,
     values = p.to_complex()
     turns = [math.atan2(z.imag, z.real) / (2 * math.pi) % 1.0 if i in face.support else 0.0
              for i, z in enumerate(values)]
-    choices, _ = _solve(angles, n, "algebraic Kummer fiber", turns,
-                        math.inf if p.exact else tol, p.exact)
+    totals = [sum(x * t for x, t in zip(row, turns)) for row in angles[0]]
+    if not p.exact:
+        chord = max((abs(unit_from_turn_float(t % 1) - 1.0) for t in totals), default=0.0)
+        if chord > FLOAT_TOLERANCE:
+            raise NotOnVariety(chord)
+    choices, _ = _solve(angles, n, "algebraic Kummer fiber", [round(t) for t in totals])
     table = _exact_algebraic_table(p, n, face.support) if p.exact else None
     if table is not None:
         fiber = _assemble(table, choices)
@@ -306,21 +294,15 @@ class TorsorReport(Record):
 
 def _root_indices(fiber, p: KnPoint, roots, n: int):
     """Root indices c of each fiber point, pt_i = (roots_i, (t_i + c_i) / n
-    turns) for p's turns t_i, read once, with no tolerance: exact points
-    need n a_i - t_i whole, on integers; floating ones c_i = round(n a_i -
-    t_i) mod n and a_i = (t_i + c_i) / n % 1 bit for bit, as kn_kummer_fiber
-    computes it.  Radii must be roots_i, compared by identity first."""
-    turns = [t.as_integer_ratio() if p.exact else t for _, t in p.values]
+    turns) for p's turns t_i, read once: n a_i - t_i must be whole, checked
+    on integers.  Radii must be roots_i, compared by identity first."""
+    turns = [t.as_integer_ratio() for _, t in p.values]
     lifts = []
     for pt in fiber:
         indices = []
-        for (rho, a), t, root in zip(pt.values, turns, roots):
-            if p.exact:
-                (u, v), (x, y) = t, a.as_integer_ratio()
-                c, off = divmod(n * x * v - u * y, y * v)
-            else:
-                c = round(n * a - t) % n
-                off = a != (t + c) / n % 1
+        for (rho, a), (u, v), root in zip(pt.values, turns, roots):
+            (x, y) = a.as_integer_ratio()
+            c, off = divmod(n * x * v - u * y, y * v)
             if off or rho is not root and rho != root:
                 raise _not_a_root(pt, p, n, "radii or turns")
             indices.append(c % n)
@@ -337,8 +319,7 @@ def _act(c, u, n: int):
     return tuple([(a + b) % n for a, b in zip(c, u)])
 
 
-def torsor_check(m: AffineMonoid, p: KnPoint, n: int,
-                 tol: float = DEFAULT_TOLERANCE) -> tuple[bool, TorsorReport]:
+def torsor_check(m: AffineMonoid, p: KnPoint, n: int) -> tuple[bool, TorsorReport]:
     """Verify the deck action on the enumerated Kummer fiber over p.
 
     The deck group is the set of u in (Z/n)^k with K u = 0 mod n, K the
@@ -354,15 +335,15 @@ def torsor_check(m: AffineMonoid, p: KnPoint, n: int,
     FalsifiedProperty naming it.  The orbit table gives, per fiber point,
     the first character carrying the base to it (-1 for none).
     """
-    fiber = kn_kummer_fiber(m, p, n, tol)
+    fiber = kn_kummer_fiber(m, p, n)
     angles = _angles(m, tuple(range(m.generator_count)))
     chars, generators = _solve(angles, n, "deck group")
     rows, roots = angles[0], [rho for rho, _ in fiber[0].values]
-    if not all(rho.base ** (n * r.degree) == r.base ** rho.degree if p.exact
-               else rho == r ** (1.0 / n) for rho, (r, _) in zip(roots, p.values)):
+    if not all(rho.base ** (n * r.degree) == r.base ** rho.degree
+               for rho, (r, _) in zip(roots, p.values)):
         raise _not_a_root(fiber[0], p, n, "radii or relation congruences")
     lifts = _root_indices(fiber, p, roots, n)
-    offsets = _turn_offsets(rows, [t for _, t in p.values], tol)
+    offsets = _turn_offsets(rows, [t for _, t in p.values])
     if any((sum(map(operator.mul, row, lifts[0])) + b) % n for row, b in zip(rows, offsets)):
         raise _not_a_root(fiber[0], p, n, "radii or relation congruences")
     index = {c: i for i, c in enumerate(lifts)}

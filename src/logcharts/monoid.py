@@ -23,7 +23,6 @@ from .errors import (InvalidMonoidSpec, NotAFace, NotSharp,
                      SaturationFailure)
 
 DEFAULT_DEGREE_BOUND = 20
-DEFAULT_TOLERANCE = 1e-9  # semialg's; here so callers state it without loading semialg
 
 Relation = tuple[tuple[int, ...], tuple[int, ...]]
 

@@ -6,19 +6,21 @@ cut out by the binomial equations prod z_j^{r_ij} = prod z_j^{s_ij}.  The
 log model C(P)_log = Hom(P, R>=0 x S^1) is cut out of (R>=0 x S^1)^k by
 the same exponent data read componentwise: radii multiplicatively, angles
 additively modulo one full turn.  One monomial product, ``_monomial``,
-evaluates prod v_j^{e_j} for complex values, radii and unit angles, exact
-or floating, and pushes the samplers' ambient parameters to generator
+evaluates prod v_j^{e_j} for radii and for complex values, exact or
+floating, and pushes the samplers' ambient parameters to generator
 values.  The factored (radius, angle) form is kept throughout; the
 real-algebraic embedding into (R^3)^k would add arithmetic without adding
 checkable content.
 
-A log point's angle is a turn in S^1 = R/Z in both modes: a Fraction
-for exact points, a float for floating ones.  Exact points carry
-Gaussian-rational coordinates and exact rational radii (or radicals
-produced by root extraction), and are decided by exact equality.
-Floating points are checked against one tolerance, 1e-9 by default, on
-the residual relative to the size of each equation's sides and on the
-chord |exp(2 pi i t) - 1| of each relation's turn sum t.
+A log point is exact: each radius a NonnegRoot, each angle a Fraction of
+a turn in S^1 = R/Z, decided by exact equality.  Floating log input is
+read once, by :meth:`KnPoint.floating`, as rationals that round back to
+each radius and, with denominator at most 10^6, approximate each turn.
+Complex points are exact (Gaussian-rational coordinates, decided by
+exact equality) or floating; a floating one is checked at the one
+tolerance FLOAT_TOLERANCE, on the residual relative to the size of each
+equation's sides.  A Gaussian rational such as 3+4i has no rational
+turn, so a complex point has no exact polar form in general.
 """
 
 from __future__ import annotations
@@ -34,8 +36,9 @@ from .errors import ArityMismatch, InvalidPoint
 from .exactnum import (GAUSSIAN_ONE, GAUSSIAN_ZERO, GaussianRational,
                        NonnegRoot, turn_mod1, unit_from_turn_exact,
                        unit_from_turn_float)
-from .monoid import DEFAULT_TOLERANCE, AffineMonoid, Face
+from .monoid import AffineMonoid, Face
 
+FLOAT_TOLERANCE = 1e-9  # the residual and modulus a floating complex point may miss by
 _SAMPLER_RETRY_BUDGET = 64
 _TURN_DENOMINATOR = 4  # sampled log angles are quarter turns: see sample_kn_stratum
 _LEAST_RESIDUAL = math.ulp(0.0)  # reported for an exact equation that fails
@@ -58,7 +61,7 @@ class CxPoint(Record):
     """A generator-value assignment into C.
 
     Exact points hold GaussianRational values; floating points hold
-    complex values.
+    complex values, each with a finite modulus.
     """
 
     values: tuple
@@ -71,68 +74,78 @@ class CxPoint(Record):
     @staticmethod
     def floating(values) -> CxPoint:
         values = tuple(complex(v) for v in values)
-        if not all(map(cmath.isfinite, values)):
-            raise InvalidPoint("complex coordinates must be finite")
+        for i, v in enumerate(values):
+            if not math.hypot(v.real, v.imag) < math.inf:  # NaN fails it too
+                raise InvalidPoint(f"complex coordinate {i} is {v!r}, not of finite modulus")
         return CxPoint(values, False)
 
     @property
     def arity(self) -> int:
         return len(self.values)
 
-    def is_zero_at(self, i, tol: float = 0.0) -> bool:
+    def is_zero_at(self, i) -> bool:
         v = self.values[i]
-        if self.exact:
-            return v.is_zero()
-        return abs(v) <= tol
+        return v.is_zero() if self.exact else abs(v) <= FLOAT_TOLERANCE
 
     def to_complex(self) -> tuple[complex, ...]:
         """The coordinates as complex floats; an exact coordinate beyond the
         float range raises InvalidPoint naming it."""
-        if not self.exact:
-            return self.values
-        out = []
-        for i, v in enumerate(self.values):
-            try:
-                out.append(v.to_complex())
-            except OverflowError as err:
-                raise InvalidPoint(f"exact coordinate {i} is beyond the float range") from err
-        return tuple(out)
+        return (tuple(_float_or_refuse(i, v.to_complex) for i, v in enumerate(self.values))
+                if self.exact else self.values)
 
     def __str__(self):
         return "(" + ", ".join(str(v) for v in self.values) + ")"
 
 
-class KnPoint(Record):
-    """A generator-value assignment into R>=0 x S^1.
+def _float_or_refuse(i, convert):
+    """``convert()``, a float form of exact coordinate i, or InvalidPoint
+    naming the coordinate where it or its modulus is beyond the float
+    range."""
+    try:
+        value = convert()
+        if math.hypot(value.real, value.imag) < math.inf:
+            return value
+    except OverflowError:
+        pass
+    raise InvalidPoint(f"exact coordinate {i} is beyond the float range")
 
-    The angle is a number of turns mod 1 in both modes.  Exact points:
-    radius is a NonnegRoot (:meth:`exact_point` builds one from a
-    rational), angle a Fraction in [0, 1).
-    Floating points: radius and angle are floats; :meth:`floating` takes
-    the angle as a nonzero complex number and stores its phase in turns,
-    in [0, 1] (a phase just below 0 rounds to 1.0, the same point of R/Z).
+
+class KnPoint(Record):
+    """A generator-value assignment into R>=0 x S^1: per generator a
+    NonnegRoot radius and a Fraction angle in turns, in [0, 1).
+    :meth:`exact_point` builds one from rationals (or NonnegRoot radii),
+    :meth:`floating` from floats.
     """
 
     values: tuple
-    exact: bool
 
     @staticmethod
     def exact_point(pairs) -> KnPoint:
         return KnPoint(tuple((NonnegRoot.of(radius), turn_mod1(Fraction(angle)))
-                             for radius, angle in pairs), True)
+                             for radius, angle in pairs))
 
     @staticmethod
     def floating(pairs) -> KnPoint:
-        vals = []
+        """The exact point read from floating input.  A radius is the
+        closest rational with denominator at most 10^6 to the decimal it
+        prints as, if that rounds to the same float (0.3333333333333333 is
+        1/3), else that decimal (2.1e51 is 21 * 10^50, not its binary
+        value): either way it rounds back to the float.  An angle, a finite
+        nonzero complex number, is its phase / 2 pi (its modulus never
+        formed) as the closest rational turn with denominator at most 10^6."""
+        exact = []
         for radius, angle in pairs:
-            radius = float(radius)
+            radius, angle = float(radius), complex(angle)
             if not 0 <= radius < math.inf:
                 raise InvalidPoint("radius must be finite and nonnegative")
-            angle = complex(angle)
-            if not 0 < abs(angle) < math.inf:
+            if not (cmath.isfinite(angle) and angle):
                 raise InvalidPoint("angle must be a finite nonzero complex number")
-            vals.append((radius, cmath.phase(angle) / (2 * math.pi) % 1.0))
-        return KnPoint(tuple(vals), False)
+            decimal = Fraction(repr(radius))
+            simple = decimal.limit_denominator(10 ** 6)
+            turn = Fraction(math.atan2(angle.imag, angle.real) / (2 * math.pi))
+            exact.append((simple if float(simple) == radius else decimal,
+                          turn.limit_denominator(10 ** 6)))
+        return KnPoint.exact_point(exact)
 
     def radius(self, i):
         return self.values[i][0]
@@ -144,16 +157,11 @@ class KnPoint(Record):
     def arity(self) -> int:
         return len(self.values)
 
-    def is_zero_at(self, i, tol: float = 0.0) -> bool:
-        r = self.values[i][0]
-        if self.exact:
-            return r.is_zero()
-        return abs(r) <= tol
+    def is_zero_at(self, i) -> bool:
+        return self.values[i][0].is_zero()
 
     def __str__(self):
-        if self.exact:
-            return "(" + ", ".join(f"({r}, {a} turn)" for r, a in self.values) + ")"
-        return "(" + ", ".join(f"({r:.6g}, {a:.6g} turn)" for r, a in self.values) + ")"
+        return "(" + ", ".join(f"({r}, {a} turn)" for r, a in self.values) + ")"
 
 
 def emit_equations(m: AffineMonoid, target: Target | str) -> BinomialSystem:
@@ -165,7 +173,7 @@ def emit_equations(m: AffineMonoid, target: Target | str) -> BinomialSystem:
 
 def _monomial(values, exponents, one, exact=False):
     """prod v**e over the nonzero exponents e, from ``one``: the single
-    product behind both chart models, exact and floating, and both
+    product behind both chart models, exact and floating complex, and both
     samplers.  With ``exact`` (GaussianRational or NonnegRoot values) the
     product is the first vanishing base with a positive exponent, so a
     point on a low stratum costs no exact arithmetic.  A floating product
@@ -182,27 +190,28 @@ def _monomial(values, exponents, one, exact=False):
 
 def _check_exact_types(point):
     """Refuse an exact point with values exact arithmetic cannot take: a
-    KnPoint holds (NonnegRoot, Fraction) pairs, a CxPoint GaussianRationals."""
+    KnPoint holds (NonnegRoot, Fraction) pairs, an exact CxPoint
+    GaussianRationals."""
     kn = isinstance(point, KnPoint)
-    for i, v in enumerate(point.values if point.exact else ()):
+    for i, v in enumerate(point.values if kn or point.exact else ()):
         if not (isinstance(v[0], NonnegRoot) and isinstance(v[1], Fraction) if kn
                 else isinstance(v, GaussianRational)):
             raise InvalidPoint(f"exact coordinate {i} is {v!r}, not " + (
                 "a NonnegRoot radius and a Fraction turn" if kn else "a GaussianRational"))
 
 
-def check_membership(system: BinomialSystem, point, tol: float = DEFAULT_TOLERANCE):
+def check_membership(system: BinomialSystem, point):
     """Evaluate every equation at the point.
 
-    Returns (ok, max_residual).  Exact points are decided by exact
-    equality; their residual is only reported, as a float that is 0.0
-    exactly when every equation holds (inf where a conversion overflows),
-    and is not computed at all on a valid point.  A floating equation's
-    residual is |lhs - rhs| / max(1, |lhs|, |rhs|) on radii and complex
-    values, and |exp(2 pi i t) - 1| on the turn sum t of the angles, as for
-    exact points; one whose power overflows, or whose
-    sides are not both finite, has residual inf and fails: sides beyond the
-    float range cannot be told apart.  Raises
+    Returns (ok, max_residual).  Log points and exact complex points are
+    decided by exact equality; their residual is only reported, as a float
+    that is 0.0 exactly when every equation holds (inf where a conversion
+    overflows), and is not computed at all on a valid point: the larger of
+    the radii's gap and the chord |exp(2 pi i t) - 1| of the turn sum t.  A
+    floating complex equation's residual is |lhs - rhs| / max(1, |lhs|,
+    |rhs|), and passes up to FLOAT_TOLERANCE; one whose power overflows, or
+    whose sides are not both finite, has residual inf and fails: sides
+    beyond the float range cannot be told apart.  Raises
     ArityMismatch when the point has the wrong number of coordinates and
     InvalidPoint when the point type does not match the system target, or
     an exact point holds values of other types.
@@ -215,23 +224,25 @@ def check_membership(system: BinomialSystem, point, tol: float = DEFAULT_TOLERAN
     if system.target is Target.KN_POINTS and not isinstance(point, KnPoint):
         raise InvalidPoint("log system expects a KnPoint")
     _check_exact_types(point)
+    kn = system.target is Target.KN_POINTS
+    bound = 0.0 if kn or point.exact else FLOAT_TOLERANCE
 
     max_residual = 0.0
     ok = True
     for r, s in system.equations:
-        try:
-            if system.target is Target.KN_POINTS:
-                residual = _kn_equation_residual(point, r, s)
-            elif point.exact:
-                diff = (_monomial(point.values, r, GAUSSIAN_ONE, True)
-                        - _monomial(point.values, s, GAUSSIAN_ONE, True))
-                residual = 0.0 if diff.is_zero() else _exact_gap(lambda: abs(diff.to_complex()))
-            else:
+        if kn:
+            residual = _kn_equation_residual(point, r, s)
+        elif point.exact:
+            diff = (_monomial(point.values, r, GAUSSIAN_ONE, True)
+                    - _monomial(point.values, s, GAUSSIAN_ONE, True))
+            residual = 0.0 if diff.is_zero() else _exact_gap(lambda: abs(diff.to_complex()))
+        else:
+            try:
                 residual = _float_gap(_monomial(point.values, r, complex(1)),
                                       _monomial(point.values, s, complex(1)))
-        except OverflowError:  # a floating power beyond the float range
-            residual = math.inf
-        if not residual <= (0.0 if point.exact else tol):
+            except OverflowError:  # a floating power beyond the float range
+                residual = math.inf
+        if not residual <= bound:
             ok = False
         max_residual = max(max_residual, residual)
     return ok, max_residual
@@ -250,7 +261,7 @@ def _exact_gap(gap) -> float:
 def _float_gap(lhs, rhs) -> float:
     """|lhs - rhs| / max(1, |lhs|, |rhs|) for two floating sides; inf
     unless both are finite (inf - inf would be NaN, which no tolerance test
-    rejects).  A product of radii carries a rounding error proportional to
+    rejects).  A floating product carries a rounding error proportional to
     its size, so sides are compared relative to it."""
     if not (cmath.isfinite(lhs) and cmath.isfinite(rhs)):
         return math.inf
@@ -259,14 +270,12 @@ def _float_gap(lhs, rhs) -> float:
 
 def _kn_equation_residual(point: KnPoint, r, s) -> float:
     radii = [radius for radius, _ in point.values]
-    one = NonnegRoot.of(1) if point.exact else 1.0
-    lhs, rhs = _monomial(radii, r, one, point.exact), _monomial(radii, s, one, point.exact)
+    one = NonnegRoot.of(1)
+    lhs, rhs = _monomial(radii, r, one, True), _monomial(radii, s, one, True)
     # Angles add along the relation, modulo whole turns.  They only matter
     # where some radius factor is alive on a side; they are group-valued,
     # so the relation constrains them globally.
     turn = sum((ri - si) * a for ri, si, (_, a) in zip(r, s, point.values)) % 1
-    if not point.exact:
-        return max(_float_gap(lhs, rhs), abs(unit_from_turn_float(turn) - 1.0))
     if lhs == rhs and turn == 0:
         return 0.0
 
@@ -284,19 +293,19 @@ def _kn_equation_residual(point: KnPoint, r, s) -> float:
 def tau(point: KnPoint) -> CxPoint:
     """The projection (radius, angle) -> radius * angle, componentwise.
 
-    Exact output requires an exact point with rational radii and quarter
-    turns (the only rational turns with Gaussian-rational unit); otherwise
-    the result is a floating point with the same coordinates numerically.
-    An exact point with values of other types raises InvalidPoint.
+    The image is exact where every radius is rational and every turn a
+    quarter turn (the only rational turns with Gaussian-rational unit);
+    otherwise it is a floating point with the same coordinates numerically,
+    and a radius beyond the float range raises InvalidPoint naming it.  A
+    point with values of other types raises InvalidPoint.
     """
     _check_exact_types(point)
-    if point.exact:
-        units = [unit_from_turn_exact(angle) for _, angle in point.values]
-        if None not in units and all(radius.is_rational() for radius, _ in point.values):
-            return CxPoint(tuple(GaussianRational.of(radius.as_rational()) * unit
-                                 for (radius, _), unit in zip(point.values, units)), True)
-    return CxPoint.floating([float(radius) * unit_from_turn_float(angle)
-                             for radius, angle in point.values])
+    units = [unit_from_turn_exact(angle) for _, angle in point.values]
+    if None not in units and all(radius.is_rational() for radius, _ in point.values):
+        return CxPoint(tuple(GaussianRational.of(radius.as_rational()) * unit
+                             for (radius, _), unit in zip(point.values, units)), True)
+    return CxPoint.floating([_float_or_refuse(i, radius.__float__) * unit_from_turn_float(angle)
+                             for i, (radius, angle) in enumerate(point.values)])
 
 
 def _draw_points(draw, count):

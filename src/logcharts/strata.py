@@ -4,7 +4,8 @@ Strata are represented combinatorially by faces of the monoid: the
 characteristic data is constant along the locus where a fixed set of
 generator coordinates is invertible, so the face is a faithful stand-in
 at chart level.  A point lands on the face whose support is exactly its
-nonvanishing coordinate pattern, and the stalk there is the quotient of
+nonvanishing coordinate pattern (a floating complex coordinate vanishes
+within semialg's FLOAT_TOLERANCE), and the stalk there is the quotient of
 the monoid by that face.
 """
 
@@ -12,7 +13,7 @@ from __future__ import annotations
 
 from ._record import Record
 from .errors import NotAFace, NotOnVariety
-from .monoid import DEFAULT_TOLERANCE, AffineMonoid, Face, face_with_support, faces, stalk
+from .monoid import AffineMonoid, Face, face_with_support, faces, stalk
 
 
 class StratumEntry(Record):
@@ -82,20 +83,20 @@ def stratify(m: AffineMonoid) -> StratumTable:
     return StratumTable(m, tuple(entries))
 
 
-def stratum_of_point(m: AffineMonoid, p: CxPoint,
-                     tol: float = DEFAULT_TOLERANCE) -> Face:
+def stratum_of_point(m: AffineMonoid, p: CxPoint) -> Face:
     """The face indexing the stratum a chart point lies on.
 
     The support is the set of coordinates where the point does not vanish
-    (those generators act invertibly there).  Exact points ignore the
-    tolerance.  Raises NotOnVariety if the point violates the relation
-    equations, and NotAFace if the vanishing pattern is not a face, which
-    for numerically sane inputs signals a misconfigured tolerance.
+    (those generators act invertibly there): exactly for an exact point,
+    beyond FLOAT_TOLERANCE in modulus for a floating one.  Raises
+    NotOnVariety if the point violates the relation equations, and
+    NotAFace if the vanishing pattern is not a face, which for a floating
+    point can mean that a value within the tolerance of 0 is not one.
     """
     from .semialg import Target, check_membership, emit_equations
     system = emit_equations(m, Target.COMPLEX_POINTS)
-    ok, residual = check_membership(system, p, tol)
+    ok, residual = check_membership(system, p)
     if not ok:
         raise NotOnVariety(residual)
-    support = tuple(i for i in range(p.arity) if not p.is_zero_at(i, tol))
+    support = tuple(i for i in range(p.arity) if not p.is_zero_at(i))
     return face_with_support(m, support)

@@ -3,10 +3,12 @@ subcommand on the four bundled corpus charts, for ``fiber`` and
 ``compare`` on every face of each, and for two ``--face`` arguments that
 name no face, kept in ``tests/data/cli_golden.json``; then ``torsor`` at
 an inline exact and floating log point, ``--table`` renderings of
-``info``, ``compare``, ``torsor``, ``emit`` and ``fiber``, and ``torsor``
-at a floating point at ``--tol 0``, which passes because fiber points are
-lifted bit for bit, with no tolerance of their own, and ``torsor`` at a
-point with too few coordinates, which is refused.
+``info``, ``compare``, ``torsor``, ``emit`` and ``fiber``, ``torsor`` at a
+floating point with sixth-turn angles, which is read as exact turns and
+prints as them, and ``torsor`` at a point with too few coordinates, which
+is refused.  Last come an exact radical radius, its float twin, which
+meets the relation only within a rounding error and is refused, and a
+malformed radical.
 
 An argv names a corpus chart by its file stem (``a1_cone``), which
 :func:`run` replaces by the chart's path.  The corpus is rewritten only
@@ -64,13 +66,21 @@ def argvs() -> list[list[str]]:
                   ["torsor", "a1_cone", "2", "--point", exact, "--table"],
                   ["emit", "a1_cone", "--target", "kn", "--table"],
                   ["fiber", "a1_cone", "3", "--face", "0", "--table"],
-                  # sixth-turn angles at --tol 0: the fiber is lifted bit for bit
-                  ["torsor", "a1_cone", "5", "--tol", "0", "--point",
+                  # sixth-turn angles, read as the exact turn 1/6
+                  ["torsor", "a1_cone", "5", "--point",
                    '{"radii": ["2","2","2"], "angles": [[0.5, 0.8660254037844386], '
                    '[0.5, 0.8660254037844386], [0.5, 0.8660254037844386]]}'],
                   # two coordinates on a three-generator chart
                   ["torsor", "a1_cone", "2", "--point",
-                   '{"radii": ["1", "2"], "turns": ["0", "0"]}']]
+                   '{"radii": ["1", "2"], "turns": ["0", "0"]}'],
+                  # x z = y^2 at y = 2^(1/2): exact as a radical, not as a float
+                  ["torsor", "a1_cone", "2", "--point",
+                   '{"radii": ["1", "2^(1/2)", "2"], "turns": ["0", "0", "0"]}'],
+                  ["torsor", "a1_cone", "2", "--point",
+                   '{"radii": [1, 1.4142135623730951, 2], '
+                   '"angles": [[1, 0], [1, 0], [1, 0]]}'],
+                  ["torsor", "a1_cone", "2", "--point",
+                   '{"radii": ["1", "2^(1/0)", "2"], "turns": ["0", "0", "0"]}']]
 
 
 def run(argv) -> dict:

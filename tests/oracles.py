@@ -397,7 +397,7 @@ def kn_kummer_fiber_by_fractions(m, p, n):
     turns = [p.angle(i) for i in range(k)]
     offsets = [int(sum(c * t for c, t in zip(row, turns))) for row in rows]
     return [KnPoint(tuple((p.radius(i).root(n), (turns[i] / n + Fraction(u[i], n)) % 1)
-                          for i in range(k)), True)
+                          for i in range(k)))
             for u in root_choices_by_scan(rows, offsets, n, k)]
 
 
@@ -415,7 +415,7 @@ def _greedy_generators(elements, n):
 
 def _act_exact(point, u, n):
     pairs = [(r, (a + Fraction(ui, n)) % 1) for (r, a), ui in zip(point.values, u)]
-    return KnPoint(tuple(pairs), True)
+    return KnPoint(tuple(pairs))
 
 
 def _kn_key_exact(point):

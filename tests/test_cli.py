@@ -139,6 +139,8 @@ def test_torsor_non_finite_radius_is_an_input_error(capsys):
 
 
 def test_torsor_non_finite_or_huge_angle_is_an_input_error(capsys):
+    # the last angle is read as 1/8 turn without its modulus, which
+    # overflows, and is then off z0 z2 = z1^2
     for angle in ("[NaN, 0]", "[1, Infinity]", "[-Infinity, NaN]", "[1.5e308, 1.5e308]"):
         code = main(["torsor", corpus_path("a1_cone"), "3", "--point",
                      '{"radii": [1, 1, 1], "angles": [%s, [1, 0], [1, 0]]}' % angle])
@@ -147,22 +149,40 @@ def test_torsor_non_finite_or_huge_angle_is_an_input_error(capsys):
         assert captured.err.startswith("error: "), (angle, captured.err)
 
 
-def test_torsor_at_a_loose_tolerance_is_an_input_error(tmp_path, capsys):
-    # the A1 cone with its relation doubled: at --tol 2 this point's rounded
-    # turn sums 0 and 1 admit no root choice, so it is off the variety
-    # (exit 2), as it is at --tol 1.9, where it is refused earlier
-    chart = tmp_path / "doubled.json"
-    chart.write_text(json.dumps({
-        "name": "doubled", "ambient_rank": 2, "generators": [[1, 0], [1, 1], [1, 2]],
-        "relations": [{"lhs": [1, 0, 1], "rhs": [0, 2, 0]},
-                      {"lhs": [2, 0, 2], "rhs": [0, 4, 0]}]}))
-    point = ('{"radii": [1, 1, 1], "angles": [[-0.30901699437494745, 0.9510565162951535], '
-             '[1, 0], [1, 0]]}')
-    for tol, message in (("2", "admit no root choice"), ("1.9", "violates the relations")):
-        code = main(["torsor", str(chart), "2", "--point", point, "--tol", tol])
+def test_the_tolerance_option_is_an_unknown_field(tmp_path, capsys):
+    # the chart option "tolerance" was read by torsor; it went with the
+    # floating log model, announced, as did --tol (_UNREAD_FLAGS), and both
+    # now exit 2
+    chart = tmp_path / "tolerance.json"
+    chart.write_text(_chart('"generators": [[1]], "options": {"tolerance": 1e-9}'))
+    for argv in (["info", str(chart)], ["torsor", str(chart), "2"]):
+        assert main(argv) == 2
         captured = capsys.readouterr()
-        assert code == 2 and captured.out == "", tol
-        assert captured.err.startswith("error: ") and message in captured.err, captured.err
+        assert captured.out == "", argv
+        assert captured.err == "error: unknown option fields: ['tolerance']\n", captured.err
+
+
+def test_exact_radii_may_be_radicals_as_they_print(capsys):
+    # q^(1/k) and (a/b)^(1/k), the forms NonnegRoot prints, are exact radii
+    cone = corpus_path("a1_cone")
+    for radii, printed in ((["1", "2^(1/2)", "2"], "((1, 0 turn), (2^(1/2), 0 turn), (2, 0 turn))"),
+                           (["(1/2)^(1/3)", "(1/2)^(1/3)", "(1/2)^(1/3)"],
+                            "((1/2)^(1/3), 0 turn), ((1/2)^(1/3), 0 turn), "
+                            "((1/2)^(1/3), 0 turn))"),
+                           (["4^(1/2)", "4^(1/2)", "2"], "((2, 0 turn), (2, 0 turn), (2, 0 turn))"),
+                           (["2^(1/64)"] * 3, ", (2^(1/64), 0 turn))")):
+        point = json.dumps({"radii": radii, "turns": ["0"] * 3})
+        assert main(["torsor", cone, "2", "--point", point]) == 0, radii
+        assert json.loads(capsys.readouterr().out)["point"].endswith(printed), radii
+    # a zero degree, a degree above 64, a sign, an unbracketed fraction
+    # base or another exponent is malformed
+    for radius in ("2^(1/0)", "2^(1/65)", "2^(1/1000000000000)", "(-2)^(1/2)", "1/2^(1/3)",
+                   "2^(1/x)", "2^(2/3)", "2^1/2"):
+        point = json.dumps({"radii": [radius, "1", "1"], "turns": ["0"] * 3})
+        assert main(["torsor", cone, "2", "--point", point]) == 2, radius
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(
+            "error: point has a malformed coordinate: "), (radius, captured.err)
 
 
 def test_exit_code_2_on_input_errors(tmp_path):
@@ -216,25 +236,6 @@ def test_exit_code_2_on_input_errors(tmp_path):
     ]:
         code, _, err = run_cli(args)
         assert code == 2 and err.startswith("error: "), (args, err)
-    # a tolerance must be finite and at least 0, and the error names its source
-    with open(cone, encoding="utf-8") as handle:
-        doc = json.load(handle)
-    doc["options"]["tolerance"] = -1e-9
-    tolerant = tmp_path / "tolerance.json"
-    tolerant.write_text(json.dumps(doc))
-    point = '{"radii": [1, 1, 1], "angles": [[1, 0], [1, 0], [1, 0]]}'
-    for args, source in [
-        (["torsor", cone, "2", "--point", point, "--tol", "nan"], "--tol"),
-        (["torsor", cone, "2", "--point", point, "--tol", "-1"], "--tol"),
-        (["torsor", cone, "2", "--point", point, "--tol", "inf"], "--tol"),
-        (["torsor", str(tolerant), "2", "--point", point], "chart option 'tolerance'"),
-        # a chart option is checked when the chart loads, whatever the flags
-        (["torsor", str(tolerant), "2", "--point", point, "--tol", "0"],
-         "chart option 'tolerance'"),
-        (["info", str(tolerant)], "chart option 'tolerance'"),
-    ]:
-        code, _, err = run_cli(args)
-        assert code == 2 and err.startswith(f"error: {source} "), (args, err)
 
 
 def _chart(fields):
@@ -251,14 +252,10 @@ def _chart(fields):
     pytest.param(_chart('"generators": [[1]], "options": {"degree_bound": 2.7}'),
                  id="float-degree-bound"),
     pytest.param(_chart('"generators": [[1]], "options": {"seed": 2.5}'), id="float-seed"),
-    pytest.param(_chart('"generators": [[1]], "options": {"tolerance": true}'),
-                 id="bool-tolerance"),
     # strings of numbers were converted and run
     pytest.param(_chart('"generators": [[1]], "options": {"degree_bound": "7"}'),
                  id="string-degree-bound"),
     pytest.param(_chart('"generators": [[1]], "options": {"seed": "5"}'), id="string-seed"),
-    pytest.param(_chart('"generators": [[1]], "options": {"tolerance": "1e-3"}'),
-                 id="string-tolerance"),
     # bad shapes and values were internal errors
     pytest.param(_chart('"generators": 5'), id="int-generators"),
     pytest.param(_chart('"generators": [[1, "a"]]'), id="string-entry"),
@@ -294,18 +291,6 @@ def test_null_options_are_no_options(tmp_path, capsys):
     chart.write_text(_chart('"generators": [[1]], "options": null'))
     assert main(["info", str(chart)]) == 0
     assert capsys.readouterr().err == ""
-
-
-@pytest.mark.parametrize("tol, im", [("1e-3", 1e-5), ("1e-2", 1e-3)])
-def test_floating_points_are_judged_at_the_callers_tolerance(capsys, tol, im):
-    # these turn sums miss the relation by 1.6e-6 and 1.6e-4 turns: within
-    # the chord tolerance given, and refused at the default 1e-9
-    args = ["torsor", corpus_path("a1_cone"), "2", "--point",
-            json.dumps({"radii": [1, 1, 1], "angles": [[1, 0], [1, 0], [1, im]]})]
-    assert main(args + ["--tol", tol]) == 0
-    assert json.loads(capsys.readouterr().out)["ok"] is True
-    assert main(args) == 2
-    assert capsys.readouterr().err.startswith("error: point violates the relations")
 
 
 def test_closed_stdout_exits_2_without_a_traceback():
@@ -418,19 +403,31 @@ _LARGE_POINT = ('{"radii": [1e50, 3e50, 7e50, %s], '
 
 
 def test_floating_points_with_large_radii_are_compared_relatively(tmp_path, capsys):
-    # z0 z3 = z1 z2 = 2.1e101 up to rounding, which leaves an absolute
-    # residual of 3.1e85; relative to the sides it is below 1e-16
-    code = main(["torsor", _square_chart(tmp_path), "2", "--point", _LARGE_POINT % "2.1e51"])
-    assert code == 0
-    assert json.loads(capsys.readouterr().out)["ok"] is True
+    # z0 z3 = z1 z2 = 2.1e101: each radius reads as the decimal it prints
+    # as, so the sides are equal exactly, as they are for the exact twin,
+    # although the binary values of 1e50 * 2.1e51 and 3e50 * 7e50 differ
+    # by 3.1e85
+    exact = json.dumps({"radii": ["1e50", "3e50", "7e50", "2.1e51"], "turns": ["0"] * 4})
+    for point in (_LARGE_POINT % "2.1e51", exact):
+        code = main(["torsor", _square_chart(tmp_path), "2", "--point", point])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["ok"] is True
 
 
 def test_floating_points_with_large_radii_off_the_variety_are_refused(tmp_path, capsys):
-    # 2.2e101 != 2.1e101: the residual is 4.5% of the sides, not 1e100
+    # 2.2e101 != 2.1e101: the residual of an exact point is the absolute gap
     code = main(["torsor", _square_chart(tmp_path), "2", "--point", _LARGE_POINT % "2.2e51"])
     captured = capsys.readouterr()
     assert (code, captured.out) == (2, "")
-    assert captured.err == "error: point violates the relations (residual 4.545e-02)\n"
+    assert captured.err == "error: point violates the relations (residual 1.000e+100)\n"
+    # these radii meet the relation as binary values, 2^130 on each side,
+    # but not as the decimals they print as
+    binary = json.dumps({"radii": [2.0 ** 100, 2.0 ** 60, 2.0 ** 70, 2.0 ** 30],
+                         "angles": [[1, 0]] * 4})
+    code = main(["torsor", _square_chart(tmp_path), "2", "--point", binary])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.startswith("error: point violates the relations (residual "), captured.err
 
 
 def test_cli_matches_golden_corpus():
@@ -541,11 +538,6 @@ def test_flag_over_chart_option_over_default(tmp_path, capsys):
     assert sampled({}) == sampled({"seed": 0}) != sampled({"seed": 5})
     assert sampled({"seed": 5}) == sampled({}, "--seed", "5")
     assert sampled({"seed": 5}, "--seed", "9") == sampled({}, "--seed", "9")
-    # the turn sums miss the relation by 1.6e-6 turns
-    point = json.dumps({"radii": [1, 1, 1], "angles": [[1, 0], [1, 0], [1, 1e-5]]})
-    assert run({}, "torsor", "2", "--point", point)[0] == 2
-    assert run({"tolerance": 1e-3}, "torsor", "2", "--point", point)[0] == 0
-    assert run({"tolerance": 1e-3}, "torsor", "2", "--point", point, "--tol", "0")[0] == 2
 
 
 # A settings flag of another subcommand, beside what each one needs.
@@ -556,7 +548,7 @@ _UNREAD_FLAGS = {
     "fiber": (["2"], ["--tol", "--bound", "--seed"]),
     "compare": ([], ["--tol", "--seed"]),
     "emit": ([], ["--tol", "--bound", "--seed"]),
-    "torsor": (["2"], ["--bound"]),
+    "torsor": (["2"], ["--bound", "--tol"]),
 }
 
 

@@ -202,27 +202,26 @@ def test_kn_fiber_points_satisfy_extended_system():
 
 
 def test_kn_fiber_points_satisfy_extended_system_floating():
+    # a point written as floats is read as the exact turns 1/10, 3/20, 1/5,
+    # and its fiber holds the relation exactly
     m = a1_cone()
     system = emit_equations(m, Target.KN_POINTS)
-    import cmath
-    p = KnPoint.floating([(1.0, cmath.exp(0.3j)), (2.0, cmath.exp(0.65j)),
-                          (4.0, cmath.exp(1.0j))])
+    p = KnPoint.floating([(1.0, cmath.exp(0.2j * cmath.pi)), (2.0, cmath.exp(0.3j * cmath.pi)),
+                          (4.0, cmath.exp(0.4j * cmath.pi))])
+    assert p == KnPoint.exact_point([(1, Fraction(1, 10)), (2, Fraction(3, 20)),
+                                     (4, Fraction(1, 5))])
     fiber = kn_kummer_fiber(m, p, 3)
     assert len(fiber) == 9
     for q in fiber:
-        ok, res = check_membership(system, q, 1e-9)
-        assert ok and res <= 1e-9
+        assert check_membership(system, q) == (True, 0.0)
 
 
-def test_a_loose_tolerance_is_the_only_angle_tolerance():
-    # The turn sum misses z0 z2 = z1^2 by 1.6e-6 turns: accepted at 1e-3,
-    # where every fiber point misses it by half that, refused at 1e-9.
+def test_a_floating_point_near_the_variety_is_refused():
+    # The turn sum misses z0 z2 = z1^2 by 1.6e-6 turns, which the reading
+    # keeps (1/628319 of a turn): there is no tolerance to accept it at.
     m = a1_cone()
-    system = emit_equations(m, Target.KN_POINTS)
     p = KnPoint.floating([(1, 1), (1, 1), (1, complex(1, 1e-5))])
-    fiber = kn_kummer_fiber(m, p, 2, 1e-3)
-    assert len(fiber) == 4
-    assert all(check_membership(system, q, 1e-3)[0] for q in fiber)
+    assert p.angle(2) == Fraction(1, 628319)
     with pytest.raises(InvalidPoint, match="violates the relations"):
         kn_kummer_fiber(m, p, 2)
 
@@ -276,49 +275,32 @@ def test_small_complex_values_are_refused_on_their_angles():
     m = a1_cone()
     system = emit_equations(m, Target.COMPLEX_POINTS)
     p = CxPoint.floating([1e-5, 1e-5j, 1e-5])
-    assert check_membership(system, p, 1e-9)[0]
+    assert check_membership(system, p)[0]
     with pytest.raises(NotOnVariety):
-        algebraic_kummer_fiber(m, p, 2, 1e-9)
-    fiber = algebraic_kummer_fiber(m, CxPoint.floating([1e-5, 1e-5, 1e-5]), 2, 1e-9)
-    assert len(fiber) == 4 and all(check_membership(system, q, 1e-9)[0] for q in fiber)
+        algebraic_kummer_fiber(m, p, 2)
+    fiber = algebraic_kummer_fiber(m, CxPoint.floating([1e-5, 1e-5, 1e-5]), 2)
+    assert len(fiber) == 4 and all(check_membership(system, q)[0] for q in fiber)
 
 
 def doubled_a1_cone():
-    """The A1 cone with its relation and twice it, so that a turn sum near
-    half a turn can round apart from twice itself."""
+    """The A1 cone with its relation and twice it."""
     return validate(MonoidSpec.make(2, [[1, 0], [1, 1], [1, 2]],
                                     [[[1, 0, 1], [0, 2, 0]], [[2, 0, 2], [0, 4, 0]]]))
 
 
-_THREE_TENTHS = complex(-0.30901699437494745, 0.9510565162951535)  # 3/10 of a turn
-
-
-def test_inconsistent_rounded_offsets_are_off_the_variety(monkeypatch):
-    # the turn sums 0.3 and 0.6 have chords 1.62 and 1.90, within tol 2,
-    # and round to 0 and 1, which no root choice meets since the second
-    # relation is twice the first: the point is off the variety, which is
-    # an input error, not a falsified torsor law
+def test_inconsistent_offsets_falsify_the_torsor_law(monkeypatch):
+    # a point on the variety meets its offsets, exact or rounded within
+    # FLOAT_TOLERANCE, so offsets that admit no root choice, injected here,
+    # falsify the torsor law
     m = doubled_a1_cone()
-    kn = KnPoint.floating([(1.0, _THREE_TENTHS), (1.0, 1), (1.0, 1)])
-    cx = CxPoint.floating([10 * _THREE_TENTHS, 10, 10])
-    with pytest.raises(NotOnVariety, match="no root choice"):
-        kn_kummer_fiber(m, kn, 2, 2)
-    with pytest.raises(NotOnVariety, match="no root choice"):
-        algebraic_kummer_fiber(m, cx, 2, 2)
-    with pytest.raises(NotOnVariety, match="no root choice"):
-        torsor_check(m, kn, 2, 2)
-    # at 1.9 the point is refused before its fiber is solved
-    with pytest.raises(InvalidPoint):
-        kn_kummer_fiber(m, kn, 2, 1.9)
-    with pytest.raises(InvalidPoint):
-        algebraic_kummer_fiber(m, cx, 2, 1.9)
-    # an exact point meets its offsets exactly, so the same inconsistency,
-    # injected, still falsifies the torsor law
-    monkeypatch.setattr(fibers_mod, "_turn_offsets", lambda rows, turns, tol: [0, 1])
+    real_root_choices = fibers_mod._root_choices
+    monkeypatch.setattr(fibers_mod, "_root_choices",
+                        lambda smith, offsets, n: real_root_choices(smith, [0, 1], n))
     with pytest.raises(FalsifiedProperty, match="has 0 elements"):
         kn_kummer_fiber(m, KnPoint.exact_point([(1, 0), (1, 0), (1, 0)]), 2)
-    with pytest.raises(FalsifiedProperty, match="has 0 elements"):
-        algebraic_kummer_fiber(m, CxPoint.exact_point([1, 1, 1]), 2)
+    for p in (CxPoint.exact_point([1, 1, 1]), CxPoint.floating([1, 1, 1])):
+        with pytest.raises(FalsifiedProperty, match="has 0 elements"):
+            algebraic_kummer_fiber(m, p, 2)
 
 
 def test_ramification_contrast():
@@ -364,8 +346,8 @@ def test_torsor_check_a1_cone():
 
 def test_torsor_check_floating_point_mode():
     m = n_monoid()
-    import cmath
     p = KnPoint.floating([(2.0, cmath.exp(1.1j))])
+    assert p.angle(0) == Fraction(1.1 / (2 * math.pi)).limit_denominator(10 ** 6)
     ok, report = torsor_check(m, p, 4)
     assert ok and report.group_order == 4
 
@@ -537,6 +519,37 @@ def test_exact_fibers_and_torsor_reports_match_the_fraction_oracle():
     assert mixed > 50
 
 
+def test_floating_input_reads_back_as_the_exact_point_it_was_written_from():
+    # Seeded points as the samplers and the benchmark build them: radii
+    # products of p/q (p <= 9, q <= 4) and turns with denominators 1..12,
+    # pushed through the generator exponents, written as floats (the
+    # radius, and the angle as cos + i sin) and read back.
+    rng = random.Random(20261023)
+    count = 0
+    for ambient, gens, rels in TORSOR_CHARTS.values():
+        m = validate(MonoidSpec.make(ambient, gens, rels))
+        for face in faces(m):
+            for _ in range(12):
+                p = _homomorphism_point(m, face.support, rng,
+                                        [rng.randint(1, 12) for _ in range(ambient)])
+                written = [(float(r), complex(math.cos(2 * math.pi * a), math.sin(2 * math.pi * a)))
+                           for r, a in p.values]
+                assert KnPoint.floating(written) == p, p
+                count += 1
+    assert count > 200
+    # no radius is moved beyond float rounding: one that no rational with
+    # denominator at most 10^6 rounds to reads as the decimal it prints as,
+    # small, large or with many digits, and only 0.0 reads as 0
+    for radius, read in ((0.0, 0), (-0.0, 0), (1e-7, Fraction(1, 10 ** 7)),
+                         (4.99e-7, Fraction(499, 10 ** 9)), (7e-7, Fraction(7, 10 ** 7)),
+                         (1.0000001, Fraction(10000001, 10 ** 7)),
+                         (0.1234567, Fraction(1234567, 10 ** 7)), (1e50, 10 ** 50),
+                         (2.1e51, 21 * 10 ** 50), (0.3333333333333333, Fraction(1, 3)),
+                         (1.4142135623730951, Fraction(14142135623730951, 10 ** 16))):
+        assert KnPoint.floating([(radius, 1)]).radius(0) == read, radius
+        assert float(read) == radius
+
+
 def test_exact_fibers_and_torsor_checks_compute_no_float(monkeypatch):
     # an exact point's turn sums are whole, so no float chord is computed
     def no_float(t):
@@ -563,7 +576,7 @@ def test_exact_root_turns_are_the_turn_formula():
     turns = [Fraction(rng.randrange(-40, 40), rng.randint(1, 12)) for _ in range(60)]
     assert any(t < 0 for t in turns) and any(t >= 1 for t in turns)
     for t in turns:
-        p = KnPoint(((NonnegRoot.of(1), t),), True)
+        p = KnPoint(((NonnegRoot.of(1), t),))
         for n in (1, 2, 3, 7, 12, 16):
             got = [a for ((_, a),) in (q.values for q in kn_kummer_fiber(m, p, n))]
             assert got == [(t + j) / n % 1 for j in range(n)], (t, n)
@@ -583,12 +596,11 @@ def test_exact_turn_offsets_are_whole_turn_sums():
             scales = [rng.randint(-3, 3) for _ in relations]
             rows = [tuple(c * x for x in row) for c, row in zip(scales, relations)]
             rows += [tuple(map(sum, zip(*rows)))] if rows else []
-            assert fibers_mod._turn_offsets(rows, turns, 1e-9) == [
+            assert fibers_mod._turn_offsets(rows, turns) == [
                 round(sum(x * t for x, t in zip(row, turns))) for row in rows]
-    # a sum that is not whole is off the variety at any tolerance
-    for tol in (1e-9, math.inf):
-        with pytest.raises(NotOnVariety, match="5/6 past a whole turn"):
-            fibers_mod._turn_offsets([(1, 1)], [Fraction(1, 3), Fraction(1, 2)], tol)
+    # a sum that is not whole is off the variety
+    with pytest.raises(NotOnVariety, match="5/6 past a whole turn"):
+        fibers_mod._turn_offsets([(1, 1)], [Fraction(1, 3), Fraction(1, 2)])
 
 
 def test_a_huge_exact_coordinate_is_refused_after_the_level_and_cap_checks():
@@ -603,6 +615,11 @@ def test_a_huge_exact_coordinate_is_refused_after_the_level_and_cap_checks():
         algebraic_kummer_fiber(m, p, 2)
     with pytest.raises(InvalidPoint, match="exact coordinate 1 is beyond"):
         CxPoint.exact_point([1, GaussianRational(0, -10 ** 400)]).to_complex()
+    # parts within the float range whose modulus is not: abs() overflowed
+    # in the floating root table
+    huge = GaussianRational(15 * 10 ** 307, 15 * 10 ** 307)
+    with pytest.raises(InvalidPoint, match="exact coordinate 0 is beyond the float range"):
+        algebraic_kummer_fiber(m, CxPoint.exact_point([huge]), 2)
 
 
 def test_exact_algebraic_fibers_match_the_floating_path_point_by_point():
@@ -654,19 +671,19 @@ def test_exact_algebraic_roots_on_each_half_axis():
 def test_root_indices_refuse_points_off_the_radii_or_the_grid():
     # p = (4, 5/6 turn) has the square roots (2, 5/12) and (2, 11/12)
     r = NonnegRoot.of(2)
-    p = KnPoint(((NonnegRoot.of(4), Fraction(5, 6)),), True)
+    p = KnPoint(((NonnegRoot.of(4), Fraction(5, 6)),))
 
     def lift(radius, turn):
-        return fibers_mod._root_indices([KnPoint(((radius, turn),), True)], p, [r], 2)
+        return fibers_mod._root_indices([KnPoint(((radius, turn),))], p, [r], 2)
 
     assert lift(r, Fraction(5, 12)) == [(0,)]
     assert lift(r, Fraction(11, 12)) == [(1,)]
     # an equal radius that is another object lifts the same way
     assert lift(NonnegRoot.of(2), Fraction(5, 12)) == [(0,)]
     # the whole fiber lifts in one call; a point off it is named
-    points = [KnPoint(((r, a),), True) for a in (Fraction(11, 12), Fraction(5, 12))]
+    points = [KnPoint(((r, a),)) for a in (Fraction(11, 12), Fraction(5, 12))]
     assert fibers_mod._root_indices(points, p, [r], 2) == [(1,), (0,)]
-    off = KnPoint(((r, Fraction(1, 5)),), True)
+    off = KnPoint(((r, Fraction(1, 5)),))
     with pytest.raises(FalsifiedProperty) as err:
         fibers_mod._root_indices(points + [off], p, [r], 2)
     assert str(err.value).startswith(f"fiber point {off} is not a degree-2 root of {p}")
@@ -674,22 +691,13 @@ def test_root_indices_refuse_points_off_the_radii_or_the_grid():
                          (NonnegRoot.of(3), Fraction(5, 12))):
         with pytest.raises(FalsifiedProperty, match="is not a degree-2 root"):
             lift(radius, turn)
-    # Floating points lift only onto the turn (t + c) / n % 1 itself, bit
-    # for bit: there is no tolerance to lift within.
-    p = KnPoint.floating([(4.0, cmath.exp(2j * cmath.pi * 5 / 6))])
-    t = p.angle(0)
-    for turn, lifted in ((t / 2 % 1, [(0,)]), (t / 2 % 1 + 1e-9, None),
-                         (t / 2 % 1 + 1e-3, None)):
-        point = KnPoint(((2.0, turn),), False)
-        if lifted is None:
-            with pytest.raises(FalsifiedProperty, match="is not a degree-2 root"):
-                fibers_mod._root_indices([point], p, [4.0 ** 0.5], 2)
-        else:
-            assert fibers_mod._root_indices([point], p, [4.0 ** 0.5], 2) == lifted, turn
+    # the same point written as floats is read as p, and lifts the same way
+    assert KnPoint.floating([(4.0, cmath.exp(2j * cmath.pi * 5 / 6))]) == p
 
 
 def _a1_point(exact):
-    """A dense-stratum point of the A1 cone, exact or as floats."""
+    """A dense-stratum point of the A1 cone, built exactly or read from
+    floats."""
     m = a1_cone()
     p = sample_kn_stratum(m, face_with_support(m, [0, 1, 2]), 1, seed=42)[0]
     if not exact:
@@ -703,8 +711,8 @@ def _move_last_point(fiber, r0, shift):
     None) and its first angle turned by ``shift`` turns."""
     (r, a), *rest = fiber[-1].values
     if r0 is not None:
-        r = NonnegRoot.of(r0) if fiber[-1].exact else r0
-    return fiber[:-1] + [KnPoint(((r, (a + shift) % 1), *rest), fiber[-1].exact)]
+        r = NonnegRoot.of(r0)
+    return fiber[:-1] + [KnPoint(((r, (a + shift) % 1), *rest))]
 
 
 @pytest.mark.parametrize("exact", [True, False], ids=["exact", "floating"])
@@ -715,7 +723,7 @@ def test_torsor_check_falsifies_a_point_off_the_radii_or_the_grid(monkeypatch, e
     m, p = _a1_point(exact)
     real_fiber = fibers_mod.kn_kummer_fiber
     moved = _move_last_point(real_fiber(m, p, 3), r0, shift)
-    monkeypatch.setattr(fibers_mod, "kn_kummer_fiber", lambda m, p, n, tol: moved)
+    monkeypatch.setattr(fibers_mod, "kn_kummer_fiber", lambda m, p, n: moved)
     with pytest.raises(FalsifiedProperty) as err:
         torsor_check(m, p, 3)
     assert str(err.value).startswith(f"fiber point {moved[-1]} is not a degree-3 root of {p}")
@@ -730,9 +738,9 @@ def test_torsor_check_falsifies_a_fiber_turned_off_the_model(monkeypatch, exact)
     # point's relation congruence finds.
     m, p = _a1_point(exact)
     t = p.angle(0)
-    turned = [KnPoint(((r, (t + (round(3 * a - t) + 1) % 3) / 3 % 1), *rest), exact)
+    turned = [KnPoint(((r, (t + (round(3 * a - t) + 1) % 3) / 3 % 1), *rest))
               for q in fibers_mod.kn_kummer_fiber(m, p, 3) for (r, a), *rest in [q.values]]
-    monkeypatch.setattr(fibers_mod, "kn_kummer_fiber", lambda m, p, n, tol: turned)
+    monkeypatch.setattr(fibers_mod, "kn_kummer_fiber", lambda m, p, n: turned)
     with pytest.raises(FalsifiedProperty, match="root of .* [(]radii or relation congruences"):
         torsor_check(m, p, 3)
 
@@ -743,15 +751,15 @@ def test_torsor_check_names_the_point_with_a_corrupted_root_entry(monkeypatch, e
     # its radius or off the 1/n grid, at every point and coordinate in turn.
     m, p = _a1_point(exact)
     fiber = fibers_mod.kn_kummer_fiber(m, p, 3)
-    double = NonnegRoot.of(2) if exact else 2.0
+    double = NonnegRoot.of(2)
     for i, j in [(i, j) for i in range(len(fiber)) for j in range(m.generator_count)]:
         r, a = fiber[i].values[j]
         for entry in ((double * r, a), (r, (a + Fraction(1, 6)) % 1)):
             values = list(fiber[i].values)
             values[j] = entry
-            bad = KnPoint(tuple(values), exact)
+            bad = KnPoint(tuple(values))
             corrupted = fiber[:i] + [bad] + fiber[i + 1:]
-            monkeypatch.setattr(fibers_mod, "kn_kummer_fiber", lambda m, p, n, tol: corrupted)
+            monkeypatch.setattr(fibers_mod, "kn_kummer_fiber", lambda m, p, n: corrupted)
             with pytest.raises(FalsifiedProperty) as err:
                 torsor_check(m, p, 3)
             assert str(err.value).startswith(f"fiber point {bad} is not"), (i, j, entry)

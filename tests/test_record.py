@@ -76,7 +76,7 @@ def _records():
          "GaussianRational(re=Fraction(0, 1), im=Fraction(0, 1))), exact=True)"),
         (KnPoint.exact_point([(1, Fraction(1, 4)), (Fraction(4), 0)]),
          "KnPoint(values=((NonnegRoot(base=Fraction(1, 1), degree=1), Fraction(1, 4)), "
-         "(NonnegRoot(base=Fraction(4, 1), degree=1), Fraction(0, 1))), exact=True)"),
+         "(NonnegRoot(base=Fraction(4, 1), degree=1), Fraction(0, 1))))"),
         (stratify(line).entries[0], _VERTEX),
         (stratify(line),
          f"StratumTable(monoid={_LINE}, entries=({_VERTEX}, StratumEntry(face=Face("

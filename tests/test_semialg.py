@@ -67,7 +67,7 @@ def test_exact_points_of_other_types_are_refused():
     # Kummer fiber (no relations to evaluate) and from is_zero in the
     # membership check
     log_point = validate(MonoidSpec.make(1, [[1]]))
-    bare = KnPoint(((Fraction(2), Fraction(1, 3)),), True)
+    bare = KnPoint(((Fraction(2), Fraction(1, 3)),))
     with pytest.raises(InvalidPoint, match="exact coordinate 0 is"):
         torsor_check(log_point, bare, 6)
     with pytest.raises(InvalidPoint, match="exact coordinate 0 is"):
@@ -76,7 +76,7 @@ def test_exact_points_of_other_types_are_refused():
     for values, i in ((((one, turn), (Fraction(1), turn), (one, turn)), 1),
                       (((one, turn), (one, turn), (one, 0.5)), 2)):
         with pytest.raises(InvalidPoint, match=f"exact coordinate {i} is"):
-            check_membership(emit_equations(a1_cone(), Target.KN_POINTS), KnPoint(values, True))
+            check_membership(emit_equations(a1_cone(), Target.KN_POINTS), KnPoint(values))
     with pytest.raises(InvalidPoint, match="exact coordinate 1 is 2j"):
         check_membership(emit_equations(a1_cone(), Target.COMPLEX_POINTS),
                          CxPoint((GaussianRational.of(1), 2j, GaussianRational.of(4)), True))
@@ -96,10 +96,11 @@ def test_kn_membership_exact_and_floating():
                                  (4, Fraction(1, 3))])
     ok, res = check_membership(kn, exact)
     assert ok and res == 0.0
-    floating = KnPoint.floating([(1.0, 1.0), (2.0, cmath.exp(0.7j)),
-                                 (4.0, cmath.exp(1.4j))])
-    ok, res = check_membership(kn, floating)
-    assert ok and res < 1e-12
+    # the same point written as floats is read back as it
+    third = cmath.exp(2j * cmath.pi / 3)
+    floating = KnPoint.floating([(1.0, third), (2.0, third), (4.0, third)])
+    assert floating == exact
+    assert check_membership(kn, floating) == (True, 0.0)
     bad = KnPoint.exact_point([(1, Fraction(1, 3)), (2, 0), (4, Fraction(1, 3))])
     ok, _ = check_membership(kn, bad)
     assert not ok
@@ -172,45 +173,52 @@ def test_exact_products_stop_at_the_first_vanishing_coordinate(monkeypatch):
 
 def test_floating_products_multiply_through_a_zero():
     # z2 = z0 z1^2: a floating zero before a power beyond the float range
-    # still overflows, so the floating point fails with residual inf where
-    # its exact twin, whose side stops at the zero, is on the variety
+    # still overflows, so the floating complex point fails with residual inf
+    # where its exact twin, whose side stops at the zero, is on the
+    # variety; a log point read from the same floats is exact
     m = validate(MonoidSpec.make(2, [[1, 0], [0, 1], [1, 2]]))
     kn, cx = (emit_equations(m, target) for target in ("kn", "complex"))
     assert cx.equations == (((0, 0, 1), (1, 2, 0)),)
     assert check_membership(cx, CxPoint.floating([0, 1e200, 0])) == (False, float("inf"))
     assert check_membership(kn, KnPoint.floating([(0, 1), (1e200, 1), (0, 1)])) == (
-        False, float("inf"))
+        True, 0.0)
     assert check_membership(cx, CxPoint.exact_point([0, 10**200, 0])) == (True, 0.0)
     assert check_membership(kn, KnPoint.exact_point([(0, 0), (10**200, 0), (0, 0)])) == (
         True, 0.0)
 
 
-def test_floating_residuals_are_relative_on_radii_and_absolute_on_angles():
+def test_floating_complex_residuals_are_relative():
     square = validate(MonoidSpec.make(3, [[1, 0, 0], [1, 1, 0], [1, 0, 1], [1, 1, 1]],
                                       [[[1, 0, 0, 1], [0, 1, 1, 0]]]))
     kn, cx = (emit_equations(square, target) for target in ("kn", "complex"))
     # both sides are 2.1e101 up to a rounding error of 3.1e85
     big = [1e50, 3e50, 7e50, 2.1e51]
-    for ok, res in (check_membership(kn, KnPoint.floating([(r, 1) for r in big])),
-                    check_membership(cx, CxPoint.floating(big))):
-        assert ok and res < 1e-15
+    ok, res = check_membership(cx, CxPoint.floating(big))
+    assert ok and res < 1e-15
     # off by 1e100 of 2.2e101
-    off = big[:3] + [2.2e51]
-    for ok, res in (check_membership(kn, KnPoint.floating([(r, 1) for r in off])),
-                    check_membership(cx, CxPoint.floating(off))):
-        assert not ok and res == pytest.approx(1 / 22)
-    # below 1 the residual stays absolute, and so does every angle residual
+    ok, res = check_membership(cx, CxPoint.floating(big[:3] + [2.2e51]))
+    assert not ok and res == pytest.approx(1 / 22)
+    # below 1 the residual stays absolute
     small = [1e-6, 1e-6, 1e-6, 2e-6]
     assert check_membership(cx, CxPoint.floating(small)) == (True, 1e-12)
+    # radii read from the same floats are the decimals they print as, whose
+    # products are equal; a log point has no tolerance, and its residual is
+    # the absolute gap of the sides, or the chord of the turn sum
+    assert check_membership(kn, KnPoint.floating([(r, 1) for r in big])) == (True, 0.0)
+    off = KnPoint.floating([(r, 1) for r in big[:3] + [2.2e51]])
+    assert check_membership(kn, off) == (False, 1e100)
     turned = KnPoint.floating([(r, 1) for r in big[:3]] + [(big[3], 1j)])
     ok, res = check_membership(kn, turned)
     assert not ok and res == pytest.approx(abs(1j - 1))
 
 
 def test_floating_log_points_store_their_angles_in_turns():
-    assert KnPoint.floating([(2.0, 1j)]).angle(0) == 0.25
-    assert KnPoint.floating([(1.0, -3)]).angle(0) == 0.5
-    assert str(KnPoint.floating([(2.0, 1j), (1.0, -3)])) == "((2, 0.25 turn), (1, 0.5 turn))"
+    assert KnPoint.floating([(2.0, 1j)]).angle(0) == Fraction(1, 4)
+    assert KnPoint.floating([(1.0, -3)]).angle(0) == Fraction(1, 2)
+    assert KnPoint.floating([(1.0, -1j)]).angle(0) == Fraction(3, 4)
+    assert str(KnPoint.floating([(2.0, 1j), (1.0, -3)])) == "((2, 1/4 turn), (1, 1/2 turn))"
+    # the phase is read without a modulus, which overflows here
+    assert KnPoint.floating([(1.0, 1.5e308 + 1.5e308j)]).angle(0) == Fraction(1, 8)
 
 
 def test_floating_points_refuse_non_finite_values():
@@ -223,6 +231,14 @@ def test_floating_points_refuse_non_finite_values():
         with pytest.raises(InvalidPoint):
             CxPoint.floating([1, value])
     assert CxPoint.floating([0, 1j]).values == (0j, 1j)
+
+
+def test_floating_complex_points_refuse_a_modulus_beyond_the_float_range():
+    # finite parts whose modulus overflows: on N the point reached
+    # algebraic_kummer_fiber and stratum_of_point, which raised OverflowError
+    with pytest.raises(InvalidPoint, match="complex coordinate 1 is"):
+        CxPoint.floating([1, 1.5e308 + 1.5e308j])
+    assert CxPoint.floating([1.5e308, 1.5e308j]).arity == 2
 
 
 def test_tau_quarter_turn_exact():
@@ -247,6 +263,15 @@ def test_tau_floating_fallback_on_irrational_turns():
     assert abs(image.values[0] - 2 * cmath.exp(2j * cmath.pi / 3)) < 1e-12
 
 
+def test_tau_refuses_a_radius_beyond_the_float_range():
+    # the floating image of 10^400 at a third of a turn raised OverflowError
+    with pytest.raises(InvalidPoint, match="exact coordinate 1 is beyond the float range"):
+        tau(KnPoint.exact_point([(1, Fraction(1, 3)), (10 ** 400, Fraction(1, 3))]))
+    # at quarter turns the image is exact, whatever the size
+    assert tau(KnPoint.exact_point([(10 ** 400, Fraction(1, 4))])).values == (
+        GaussianRational(0, 10 ** 400),)
+
+
 def test_tau_respects_equations():
     m = a1_cone()
     kn = emit_equations(m, Target.KN_POINTS)
@@ -260,18 +285,18 @@ def test_tau_respects_equations():
         assert ok and res == 0.0  # exact samples stay exact through tau
 
 
-def test_tau_round_trip_floating_within_ten_tolerances():
+def test_tau_of_a_point_read_from_floats_is_on_the_complex_model():
+    # the turns 1/10, 3/20, 1/5 are read exactly; their units are not
+    # Gaussian rational, so the image is floating, within FLOAT_TOLERANCE
     m = a1_cone()
     kn = emit_equations(m, Target.KN_POINTS)
     cx = emit_equations(m, Target.COMPLEX_POINTS)
-    tol = 1e-9
-    point = KnPoint.floating([
-        (1.5, cmath.exp(0.3j)), (3.0, cmath.exp(0.65j)), (6.0, cmath.exp(1.0j))])
-    ok, res = check_membership(kn, point, tol)
-    assert ok and res <= tol
+    point = KnPoint.floating([(1.5, cmath.exp(0.2j * cmath.pi)), (3.0, cmath.exp(0.3j * cmath.pi)),
+                              (6.0, cmath.exp(0.4j * cmath.pi))])
+    assert check_membership(kn, point) == (True, 0.0)
     image = tau(point)
-    ok, res = check_membership(cx, image, 10 * tol)
-    assert ok and res <= 10 * tol
+    ok, res = check_membership(cx, image)
+    assert not image.exact and ok and res <= 1e-15
 
 
 def test_sample_stratum_supports_and_membership():
@@ -334,7 +359,7 @@ def _moved(point, rng):
     else:
         r, a = values[i]
         values[i] = (r, turn_mod1(a + Fraction(1, 3)))
-    return type(point)(tuple(values), True)
+    return CxPoint(tuple(values), True) if isinstance(point, CxPoint) else KnPoint(tuple(values))
 
 
 def test_exact_and_floating_twins_get_the_same_verdict():

@@ -69,13 +69,13 @@ def test_stratum_of_point_rejects_off_variety():
 
 
 def test_stratum_of_point_flags_tolerance_misconfiguration():
-    # numerically on the variety, but the tolerance declares z1 vanishing
-    # while z2 stays alive; {1, 2} is not a face, so the classification
-    # must fail loudly rather than return a bogus stratum
+    # numerically on the variety, but the tolerance 1e-9 declares z0
+    # vanishing while z1 and z2 stay alive; {1, 2} is not a face, so the
+    # classification must fail loudly rather than return a bogus stratum
     a1 = charts()[2]
     from logcharts.errors import NotAFace
     with pytest.raises(NotAFace):
-        stratum_of_point(a1, CxPoint.floating([1e-12, 1e-6, 1.0]), tol=1e-9)
+        stratum_of_point(a1, CxPoint.floating([1e-12, 1e-6, 1.0]))
 
 
 def test_sampled_points_classify_back_to_their_face():
@@ -89,8 +89,8 @@ def test_exact_points_bypass_tolerance():
     n2 = charts()[1]
     from fractions import Fraction
     tiny = CxPoint.exact_point([Fraction(1, 10 ** 12), 0])
-    # an exact tiny value is still nonzero, whatever the tolerance
-    assert stratum_of_point(n2, tiny, tol=1e-9).support == (0,)
+    # an exact tiny value is still nonzero, below the floating tolerance
+    assert stratum_of_point(n2, tiny).support == (0,)
 
 
 def test_stratify_keeps_the_supplied_relations_at_the_vertex():
