@@ -59,8 +59,10 @@ def verify_fiber_equivalence(m: AffineMonoid, f: Face,
     Completes the torus fiber's pi1 = Z^r and compares it level by level
     with the root fiber tower, the mu-tower of the stalk: the verdict is
     the tower comparison's, isomorphic levels and coherent transitions.
+    A bad bound is refused before the stalk is computed.
     """
-    from .profin import completion, equivalent_up_to, mu_tower
+    from .profin import _checked_bound, completion, equivalent_up_to, mu_tower
+    _checked_bound(bound)
     quotient, r = stalk(m, f)
     ok, cert = equivalent_up_to(completion(FgAbelianGroup.free(r)),
                                 mu_tower(quotient), bound)

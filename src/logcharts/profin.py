@@ -6,7 +6,7 @@ n | m the transition G/mG -> G/nG is the natural reduction.  The
 mu-tower of a chart of group rank r is the completion of Z^r, because
 mu_n(P) = (Z/n)^r, and a finite product of completions is the completion
 of the direct sum.  So a tower is held as the group G it completes, and
-each level is the closed form tensor_mod(G, n).
+each level is the closed form tensor_mod(G, n), built once per tower.
 
 Level-wise comparison of invariant factors plus transition coherence is
 the checkable shadow of pro-equivalence; every certificate's ``note``
@@ -14,7 +14,7 @@ states the limitation.  Coherence is checked on the pairs (m, m), which
 says level m is m-torsion, and (m, m/p) for each prime p | m:
 (A/(m/p)A)/nA = A/nA for n | m/p, so by induction on m/n these imply
 every pair n | m.  A comparison walks them on one tower, as matching
-levels are equal.
+levels are equal, and the walk reads the levels its certificate reports.
 """
 
 from __future__ import annotations
@@ -34,17 +34,23 @@ _LEVEL_CAP = 100_000  # the most levels one comparison computes
 class FiniteAbelianProSystem(Record):
     """The tower n -> G/nG completing a finitely generated abelian group G.
 
-    Every level is finite, whatever the free rank of G.  Transitions for
-    n | m are the natural reductions; their composition law is checkable
-    on normal forms because tensor_mod(tensor_mod(g, k), n) ==
-    tensor_mod(g, n).
+    Every level is finite, whatever the free rank of G, and is kept in
+    ``_levels`` once built.  Transitions for n | m are the natural
+    reductions; their composition law is checkable on normal forms
+    because tensor_mod(tensor_mod(g, k), n) == tensor_mod(g, n).
     """
 
     group: FgAbelianGroup
     description: str
+    _levels: dict | None = None
 
     def level(self, n: int) -> FgAbelianGroup:
-        return tensor_mod(self.group, n)
+        if self._levels is None:
+            object.__setattr__(self, "_levels", {})
+        # only an int n >= 1 is stored: tensor_mod refuses any other n
+        if type(n) is not int or n not in self._levels:
+            self._levels[n] = tensor_mod(self.group, n)
+        return self._levels[n]
 
     def transition_consistent(self, m: int, n: int) -> bool:
         """Does the natural reduction level(m) -> level(n) exist, i.e. is
@@ -143,8 +149,9 @@ def equivalent_up_to(a: FiniteAbelianProSystem, b: FiniteAbelianProSystem,
 
     True iff every level n <= bound has isomorphic invariant factors on both
     sides and a coheres on the covering pairs of the module note; b's levels
-    then equal a's, so b needs no walk.  A bound below 1 or above 100,000
-    levels is refused before any level is computed.
+    then equal a's, so b needs no walk.  The walk reads a's levels 1..bound
+    as built for the records, so 2 * bound levels are built in all.  A bound
+    below 1 or above 100,000 levels is refused before any level is computed.
     """
     bound = _checked_bound(bound)
     records = []

@@ -6,6 +6,7 @@ from collections import Counter
 
 import pytest
 
+from logcharts import monoid, profin
 from logcharts.abgrp import FgAbelianGroup, tensor_mod
 from logcharts.errors import ChartError
 from logcharts.fibers import verify_fiber_equivalence
@@ -321,7 +322,8 @@ def test_transition_verdicts_agree_with_the_group_oracle(monkeypatch):
     assert not tally[True, False] and tally[False, True] and tally[False, False], tally
 
 
-def test_a_transition_builds_only_its_two_levels(monkeypatch):
+def _count_builds(monkeypatch):
+    """The (free rank, torsion) of every group built from here on."""
     built = []
     original = FgAbelianGroup._normal
 
@@ -330,10 +332,82 @@ def test_a_transition_builds_only_its_two_levels(monkeypatch):
         return original(free_rank, torsion)
 
     monkeypatch.setattr(FgAbelianGroup, "_normal", staticmethod(counting))
+    return built
+
+
+def test_a_transition_builds_only_its_two_levels(monkeypatch):
+    # a transition reads levels m and n, and a tower builds each level once
+    built = _count_builds(monkeypatch)
     for g in COHERENCE_GROUPS:
-        tower = completion(g)
-        for m, n in ((1, 1), (12, 12), (12, 6), (12, 4), (60, 1), (60, 30)):
+        tower, seen = completion(g), set()
+        for m, n in ((1, 1), (12, 12), (12, 6), (12, 4), (60, 1), (60, 30), (12, 6)):
             built.clear()
             assert tower.transition_consistent(m, n)
             fields = list(built)
-            assert fields == [(0, tensor_mod(g, k).torsion) for k in (m, n)], (g, m, n)
+            new = [k for k in dict.fromkeys((m, n)) if k not in seen]
+            assert fields == [(0, tensor_mod(g, k).torsion) for k in new], (g, m, n)
+            seen.update((m, n))
+
+
+@pytest.mark.parametrize("bound, compared, walked", [(1, 2, 1), (12, 24, 12), (100, 200, 100)])
+def test_fresh_towers_build_each_level_once(monkeypatch, bound, compared, walked):
+    # a comparison builds levels 1..bound of both towers and its walk reads
+    # them; check_coherence builds levels 1..bound of its tower
+    built = _count_builds(monkeypatch)
+    for g in (Z, FgAbelianGroup(1, (2, 12))):
+        built.clear()
+        assert equivalent_up_to(completion(g), completion(g), bound)[0]
+        assert len(built) == compared
+        built.clear()
+        assert completion(g).check_coherence(bound) and len(built) == walked
+
+
+def test_the_level_table_keeps_refusing_what_tensor_mod_refuses():
+    # True == 1 and hash(2.0) == hash(2), so a table keyed by n alone would
+    # hand back levels 1 and 2 for them
+    tower = completion(Z)
+    assert tower.level(1) == FgAbelianGroup.trivial()
+    assert tower.level(2) == FgAbelianGroup.cyclic(2)
+    for n in (True, 2.0, 0, -2):
+        with pytest.raises(ValueError, match="not a positive integer"):
+            tower.level(n)
+    with pytest.raises(ValueError, match="not a positive integer"):
+        tower.transition_consistent(2.0, 1)
+    assert tower.level(2) == FgAbelianGroup.cyclic(2)
+
+
+@pytest.mark.parametrize("g, n0, wrong, verdicts", [
+    (Z, 12, FgAbelianGroup.cyclic(24), {10: None, 12: 12, 30: 12, 100: 12}),
+    # a trivial level 7 is 7-torsion; the pair (14, 7) is the first it fails
+    (Z, 7, FgAbelianGroup.trivial(), {10: None, 13: None, 14: 7, 100: 7}),
+    (FgAbelianGroup.free(2), 12, FgAbelianGroup(0, (12, 24)), {10: None, 12: 12, 100: 12}),
+])
+def test_a_wrong_tensor_mod_level_is_caught_through_the_table(monkeypatch, g, n0, wrong,
+                                                              verdicts):
+    # the wrong group is what tensor_mod returns, so it enters each tower's
+    # table and every later read of level n0 sees it
+    true_tensor_mod = profin.tensor_mod
+    monkeypatch.setattr(profin, "tensor_mod",
+                        lambda h, n: wrong if n == n0 else true_tensor_mod(h, n))
+    for bound, witness in verdicts.items():
+        assert completion(g).check_coherence(bound) is (witness is None)
+        ok, cert = equivalent_up_to(completion(g), completion(g), bound)
+        assert ok is (witness is None) and cert.witness_level == witness, bound
+        if n0 <= bound:
+            rec = cert.levels[n0 - 1]
+            assert rec.factors_a == rec.factors_b == tuple(wrong.invariant_factors())
+            assert rec.isomorphic
+
+
+@pytest.mark.parametrize("bound, error", [(0, ValueError), (True, ValueError),
+                                          (100_001, ChartError)])
+def test_fiber_comparison_refuses_its_bound_before_the_stalk(monkeypatch, bound, error):
+    m = validate(MonoidSpec.make(2, [[1, 0], [1, 1], [1, 2]], [[[1, 0, 1], [0, 2, 0]]]))
+    validated = []
+    original = monoid.validate
+    monkeypatch.setattr(monoid, "validate",
+                        lambda *args, **kwargs: validated.append(args) or original(*args, **kwargs))
+    for support in ((), (0,)):
+        with pytest.raises(error):
+            verify_fiber_equivalence(m, face_with_support(m, support), bound)
+    assert validated == []
