@@ -301,11 +301,6 @@ def tensor_mod(g: FgAbelianGroup, m: int) -> FgAbelianGroup:
     return FgAbelianGroup._normal(0, _truncation(g, m))
 
 
-def is_isomorphic(a: FgAbelianGroup, b: FgAbelianGroup) -> bool:
-    """Normal forms are canonical, so isomorphism is field equality."""
-    return a.free_rank == b.free_rank and a.torsion == b.torsion
-
-
 def generator_matrix(vectors, ambient_rank: int) -> tuple[tuple[int, ...], ...]:
     """The rows of the ambient_rank x len(vectors) matrix whose columns are
     the given vectors in Z^ambient_rank."""

@@ -10,11 +10,11 @@ validation error.
 
 Each subcommand takes only the settings it reads: every one validates the
 chart at --degree-bound, ``compare`` reads --bound and ``torsor`` --seed.
-A setting is the flag, else the chart's options block (degree bound and
-seed; checked when the chart loads), else its default (degree bound 20,
-comparison bound 100, seed 0).  There is no tolerance: an inline log
-point is exact, and floating "angles" input is read once as exact
-rationals (``KnPoint.floating``).  Generator and face indices are 0-based.
+A setting is its flag, else its default (degree bound 20, comparison
+bound 100, seed 0); a chart file holds only the chart.  There is no
+tolerance: an inline log point is exact, and floating "angles" input is
+read once as exact rationals (``KnPoint.floating``).  Generator and face
+indices are 0-based.
 """
 
 from __future__ import annotations
@@ -34,18 +34,17 @@ from .monoid import DEFAULT_DEGREE_BOUND, MonoidSpec, face_with_support
 DEFAULT_BOUND = 100
 DEFAULT_SEED = 0
 
-_CHART_FIELDS = {"name", "ambient_rank", "generators", "relations", "options"}
+_CHART_FIELDS = {"name", "ambient_rank", "generators", "relations"}
 _RELATION_FIELDS = {"lhs", "rhs"}
 _POINT_FIELDS = ({"radii", "turns"}, {"radii", "angles"})
 
 
 class ChartDocument:
-    """A parsed chart file: a named monoid presentation plus options."""
+    """A parsed chart file: a named monoid presentation."""
 
-    def __init__(self, name, spec: MonoidSpec, options: dict):
+    def __init__(self, name, spec: MonoidSpec):
         self.name = name
         self.spec = spec
-        self.options = options
 
     @staticmethod
     def from_json_dict(doc) -> "ChartDocument":
@@ -66,16 +65,8 @@ class ChartDocument:
                 if not isinstance(rel, dict) or set(rel) != _RELATION_FIELDS:
                     raise ChartError(f"relation {rel!r} must have exactly lhs and rhs")
                 relations.append((rel["lhs"], rel["rhs"]))
-        options = {} if doc.get("options") is None else doc["options"]
-        if not isinstance(options, dict):
-            raise ChartError("options must be a JSON object")
-        unknown = set(options) - set(_OPTIONS)
-        if unknown:
-            raise ChartError(f"unknown option fields: {sorted(unknown)}")
-        options = {key: _checked(f"chart option {key!r}", raw, _OPTIONS[key])
-                   for key, raw in options.items()}
         spec = MonoidSpec.make(doc["ambient_rank"], doc["generators"], relations)
-        return ChartDocument(str(doc["name"]), spec, options)
+        return ChartDocument(str(doc["name"]), spec)
 
 
 def load_chart(path: str) -> ChartDocument:
@@ -94,28 +85,6 @@ def corpus_path(name: str) -> str:
     plane_axes, a1_cone)."""
     here = os.path.dirname(os.path.abspath(__file__))
     return os.path.join(here, "data", "charts", f"{name}.json")
-
-
-def _integer(raw) -> int:
-    """A JSON integer; a string, float or bool is refused, not converted."""
-    if type(raw) is not int:
-        raise TypeError(f"{raw!r} is not an integer")
-    return raw
-
-
-def _checked(source, raw, cast):
-    try:
-        return cast(raw)
-    except (TypeError, ValueError) as err:
-        raise ChartError(f"{source} has an invalid value {raw!r}") from err
-
-
-_OPTIONS = {"degree_bound": _integer, "seed": _integer}
-
-
-def _setting(flag, chart, key, default):
-    """The flag if given, else the chart's option, else the default."""
-    return flag if flag is not None else chart.options.get(key, default)
 
 
 def _level(label, value) -> int:
@@ -308,7 +277,7 @@ def cmd_torsor(chart, m, args):
         point = _parse_point(args.point)
     else:
         face = _parse_face(args.face, m)
-        point = sample_kn_stratum(m, face, 1, _setting(args.seed, chart, "seed", DEFAULT_SEED))[0]
+        point = sample_kn_stratum(m, face, 1, DEFAULT_SEED if args.seed is None else args.seed)[0]
     ok, report = torsor_check(m, point, n)
     return ok, {"name": chart.name, "point": str(point), "torsor": _plain(report), "ok": ok}
 
@@ -318,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("chart", help="path to a chart JSON document")
     common.add_argument("--table", action="store_true",
                         help="human-readable output (default: JSON)")
-    common.add_argument("--degree-bound", type=int, default=None,
+    common.add_argument("--degree-bound", type=int, default=DEFAULT_DEGREE_BOUND,
                         help=f"desk-scale verification bound (default {DEFAULT_DEGREE_BOUND})")
 
     parser = argparse.ArgumentParser(
@@ -357,8 +326,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         chart = load_chart(args.chart)
-        degree_bound = _setting(args.degree_bound, chart, "degree_bound", DEFAULT_DEGREE_BOUND)
-        m = monoid_mod.validate(chart.spec, degree_bound=degree_bound)
+        m = monoid_mod.validate(chart.spec, degree_bound=args.degree_bound)
         ok, payload = args.run(chart, m, args)
     except FalsifiedProperty as err:
         return _report(f"falsified property: {err}", 1)

@@ -109,6 +109,18 @@ def rational_nth_root(q: Fraction, n: int) -> Fraction | None:
     return None
 
 
+def _prime_factors(n: int) -> list[int]:
+    """The primes dividing n >= 1, ascending, by trial division up to sqrt(n)."""
+    out, p = [], 2
+    while p * p <= n:
+        if n % p == 0:
+            out.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    return out + [n] if n > 1 else out
+
+
 class NonnegRoot(Record):
     """The exact nonnegative real number base**(1/degree), base rational.
 
@@ -129,16 +141,11 @@ class NonnegRoot(Record):
         if base in (0, 1):
             degree = 1
         else:
-            # Pull out perfect p-th power factors of the degree.
-            p = 2
-            while p <= degree:
-                while degree % p == 0:
-                    root = rational_nth_root(base, p)
-                    if root is None:
-                        break
-                    base = root
-                    degree //= p
-                p += 1
+            # Pull out perfect p-th powers for each prime p | degree; a
+            # composite never succeeds once its prime factors are out.
+            for p in _prime_factors(degree):
+                while degree % p == 0 and (root := rational_nth_root(base, p)) is not None:
+                    base, degree = root, degree // p
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "degree", degree)
 

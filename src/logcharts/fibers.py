@@ -341,8 +341,10 @@ def torsor_check(m: AffineMonoid, p: KnPoint, n: int) -> tuple[bool, TorsorRepor
     angles = _angles(m, tuple(range(m.generator_count)))
     chars, generators = _solve(angles, n, "deck group")
     rows, roots = angles[0], [rho for rho, _ in fiber[0].values]
-    if not all(rho.base ** (n * r.degree) == r.base ** rho.degree
-               for rho, (r, _) in zip(roots, p.values)):
+    # rho^n == r: a^x == b^y iff a^(x/g) == b^(y/g) for a, b >= 0, g = gcd(x, y)
+    if not all(rho.base ** (n * r.degree // g) == r.base ** (rho.degree // g)
+               for rho, (r, _) in zip(roots, p.values)
+               for g in [math.gcd(n * r.degree, rho.degree)]):
         raise _not_a_root(fiber[0], p, n, "radii or relation congruences")
     lifts = _root_indices(fiber, p, roots, n)
     offsets = _turn_offsets(rows, [t for _, t in p.values])

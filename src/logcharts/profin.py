@@ -5,8 +5,9 @@ generated abelian group G: the level at n is the truncation G/nG, and for
 n | m the transition G/mG -> G/nG is the natural reduction.  The
 mu-tower of a chart of group rank r is the completion of Z^r, because
 mu_n(P) = (Z/n)^r, and a finite product of completions is the completion
-of the direct sum.  So a tower is held as the group G it completes, and
-each level is the closed form tensor_mod(G, n), built once per tower.
+of the direct sum.  So a tower is held as the group G it completes, is
+equal to another exactly when their groups are, and builds each level as
+the closed form tensor_mod(G, n), once per tower.
 
 Level-wise comparison of invariant factors plus transition coherence is
 the checkable shadow of pro-equivalence; every certificate's ``note``
@@ -20,7 +21,7 @@ levels are equal, and the walk reads the levels its certificate reports.
 from __future__ import annotations
 
 from ._record import Record
-from .abgrp import FgAbelianGroup, _truncation, is_isomorphic, tensor_mod
+from .abgrp import FgAbelianGroup, _truncation, tensor_mod
 from .errors import ChartError
 from .monoid import AffineMonoid
 
@@ -41,7 +42,6 @@ class FiniteAbelianProSystem(Record):
     """
 
     group: FgAbelianGroup
-    description: str
     _levels: dict | None = None
 
     def level(self, n: int) -> FgAbelianGroup:
@@ -69,7 +69,7 @@ class FiniteAbelianProSystem(Record):
         return _first_incoherent(self, _checked_bound(bound)) is None
 
     def __str__(self):
-        return f"<pro-system: {self.description}>"
+        return f"<completion of {self.group}>"
 
 
 def _covers(m: int) -> list[int]:
@@ -107,22 +107,20 @@ def _first_incoherent(tower: FiniteAbelianProSystem, bound: int) -> int | None:
 
 def completion(g: FgAbelianGroup) -> FiniteAbelianProSystem:
     """The profinite completion of G as the tower of truncations G/mG."""
-    return FiniteAbelianProSystem(g, f"completion of {g}")
+    return FiniteAbelianProSystem(g)
 
 
 def mu_tower(m: AffineMonoid) -> FiniteAbelianProSystem:
     """The tower n -> mu_n(P) underlying the infinite root construction:
     the completion of Z^r for the group rank r of P."""
-    return FiniteAbelianProSystem(FgAbelianGroup.free(m.gp_lattice_rank),
-                                  f"mu-tower of {m}")
+    return FiniteAbelianProSystem(FgAbelianGroup.free(m.gp_lattice_rank))
 
 
 def product_system(*systems: FiniteAbelianProSystem) -> FiniteAbelianProSystem:
     """Level-wise direct product of towers: the completion of the direct
     sum of the groups they complete."""
-    desc = " x ".join(s.description for s in systems) or "trivial product"
-    group = FgAbelianGroup.trivial().direct_sum(*(s.group for s in systems))
-    return FiniteAbelianProSystem(group, desc)
+    return FiniteAbelianProSystem(
+        FgAbelianGroup.trivial().direct_sum(*(s.group for s in systems)))
 
 
 class LevelRecord(Record):
@@ -158,7 +156,7 @@ def equivalent_up_to(a: FiniteAbelianProSystem, b: FiniteAbelianProSystem,
     for n in range(1, bound + 1):
         ga, gb = a.level(n), b.level(n)
         records.append(LevelRecord(n, tuple(ga.invariant_factors()),
-                                   tuple(gb.invariant_factors()), is_isomorphic(ga, gb)))
+                                   tuple(gb.invariant_factors()), ga == gb))
     # isomorphic levels are equal normal forms, and a transition reads only
     # levels, so once every level matches b's walk would repeat a's verdicts
     witness = (next((rec.n for rec in records if not rec.isomorphic), None)

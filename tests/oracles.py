@@ -22,10 +22,13 @@ the Farkas certificates of its "outside" answers, and the face lattice is
 decided by one LP per generator subset, as the library did before it
 derived the faces from the facets, and truncations G/mG are built from
 lists and transitions compared as groups, as the library did before it
-built each level's invariants in one pass.  The quadric relations of a
-cone are listed by comparing every two pairs of generators.  Matrix
-products, identities, diagonals and determinants (by rational elimination)
-act on lists of rows, which is all the Smith forms take and return.
+built each level's invariants in one pass, and a radical's normal form
+pulls out perfect p-th powers for every integer p up to its degree, as the
+library did before it tried only the primes dividing it.  The quadric
+relations of a cone are listed by comparing every two pairs of
+generators.  Matrix products, identities, diagonals and determinants (by
+rational elimination) act on lists of rows, which is all the Smith forms
+take and return.
 """
 
 from __future__ import annotations
@@ -38,8 +41,9 @@ from fractions import Fraction
 from math import gcd
 
 from logcharts import ratlp
-from logcharts.abgrp import FgAbelianGroup, generator_matrix, is_isomorphic, smith_normal_form
+from logcharts.abgrp import FgAbelianGroup, generator_matrix, smith_normal_form
 from logcharts.errors import InvalidMonoidSpec, RelationSynthesisIncomplete
+from logcharts.exactnum import rational_nth_root
 from logcharts.fibers import TorsorReport
 from logcharts.monoid import MonoidSpec
 from logcharts.profin import EquivalenceCertificate, LevelRecord
@@ -469,7 +473,7 @@ def equivalent_by_all_pairs(a, b, bound):
     records, witness = [], None
     for n in range(1, bound + 1):
         ga, gb = a.level(n), b.level(n)
-        iso = is_isomorphic(ga, gb)
+        iso = ga == gb
         records.append(LevelRecord(n, tuple(ga.invariant_factors()),
                                    tuple(gb.invariant_factors()), iso))
         if not iso and witness is None:
@@ -721,11 +725,30 @@ def tensor_mod_by_lists(g, m):
     return FgAbelianGroup._normal(0, tuple(torsion))
 
 
+def nonneg_root_normal_form_by_every_integer(base, degree):
+    """The normalized (base, degree) of base**(1/degree), trying every
+    integer p <= degree as a root degree to pull out."""
+    if base in (0, 1):
+        degree = 1
+    else:
+        # Pull out perfect p-th power factors of the degree.
+        p = 2
+        while p <= degree:
+            while degree % p == 0:
+                root = rational_nth_root(base, p)
+                if root is None:
+                    break
+                base = root
+                degree //= p
+            p += 1
+    return base, degree
+
+
 def transition_consistent_by_groups(tower, m, n):
     """Is the tower's level(n) the mod-n truncation of its level(m)?"""
     if m % n != 0:
         raise ValueError(f"transition needs n | m, got n={n}, m={m}")
-    return is_isomorphic(tensor_mod_by_lists(tower.level(m), n), tower.level(n))
+    return tensor_mod_by_lists(tower.level(m), n) == tower.level(n)
 
 
 def quadric_relations(gens):

@@ -6,8 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from logcharts.abgrp import (FgAbelianGroup, _det, cokernel, is_isomorphic,
-                             smith_normal_form, tensor_mod)
+from logcharts.abgrp import FgAbelianGroup, _det, cokernel, smith_normal_form, tensor_mod
 
 from oracles import (coset_count_bfs, coset_count_box, det, diagonal,
                      element_order_multiset, identity, is_unimodular, matmul,
@@ -177,13 +176,14 @@ def test_tensor_mod_agrees_with_the_list_oracle():
                     build(g, m)
 
 
-def test_is_isomorphic_examples():
-    assert is_isomorphic(FgAbelianGroup(0, (2, 4)), FgAbelianGroup(0, (2, 4)))
-    assert not is_isomorphic(FgAbelianGroup.cyclic(8), FgAbelianGroup(0, (2, 4)))
-    assert not is_isomorphic(FgAbelianGroup.free(1), FgAbelianGroup.cyclic(2))
+def test_normal_form_equality_examples():
+    # normal forms are canonical, so isomorphism is equality
+    assert FgAbelianGroup(0, (2, 4)) == FgAbelianGroup(0, (2, 4))
+    assert FgAbelianGroup.cyclic(8) != FgAbelianGroup(0, (2, 4))
+    assert FgAbelianGroup.free(1) != FgAbelianGroup.cyclic(2)
 
 
-def test_is_isomorphic_agrees_with_element_orders():
+def test_normal_form_equality_agrees_with_element_orders():
     # order-8 groups have pairwise distinct element-order multisets
     groups = [FgAbelianGroup(0, (8,)), FgAbelianGroup(0, (2, 4)),
               FgAbelianGroup(0, (2, 2, 2))]
@@ -191,7 +191,7 @@ def test_is_isomorphic_agrees_with_element_orders():
         for b in groups:
             same_orders = (element_order_multiset(list(a.torsion))
                            == element_order_multiset(list(b.torsion)))
-            assert is_isomorphic(a, b) == same_orders
+            assert (a == b) == same_orders
 
 
 def test_from_cyclic_orders_normalizes():

@@ -151,15 +151,15 @@ def test_torsor_non_finite_or_huge_angle_is_an_input_error(capsys):
 
 def test_the_tolerance_option_is_an_unknown_field(tmp_path, capsys):
     # the chart option "tolerance" was read by torsor; it went with the
-    # floating log model, announced, as did --tol (_UNREAD_FLAGS), and both
-    # now exit 2
+    # floating log model, announced, as did --tol (_UNREAD_FLAGS), and the
+    # options block went after it, so both now exit 2
     chart = tmp_path / "tolerance.json"
     chart.write_text(_chart('"generators": [[1]], "options": {"tolerance": 1e-9}'))
     for argv in (["info", str(chart)], ["torsor", str(chart), "2"]):
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == "", argv
-        assert captured.err == "error: unknown option fields: ['tolerance']\n", captured.err
+        assert captured.err == "error: unknown chart fields: ['options']\n", captured.err
 
 
 def test_exact_radii_may_be_radicals_as_they_print(capsys):
@@ -280,17 +280,22 @@ def test_chart_values_of_the_wrong_type_are_input_errors(tmp_path, capsys, text)
     captured = capsys.readouterr()
     assert code == 2 and captured.out == "", captured.out
     assert captured.err.startswith("error: "), captured.err
-    options = json.loads(text).get("options")
-    if isinstance(options, dict):  # a bad option value names its key
-        (key,) = options
-        assert captured.err.startswith(f"error: chart option {key!r} "), captured.err
+    if "options" in json.loads(text):  # a chart holds no settings, whatever their value
+        assert captured.err == "error: unknown chart fields: ['options']\n", captured.err
 
 
-def test_null_options_are_no_options(tmp_path, capsys):
+def test_options_are_not_a_chart_field(tmp_path, capsys):
+    # an options block set the degree bound and the seed, and null read as
+    # no options; settings are flags now, and every options block exits 2
     chart = tmp_path / "chart.json"
-    chart.write_text(_chart('"generators": [[1]], "options": null'))
-    assert main(["info", str(chart)]) == 0
-    assert capsys.readouterr().err == ""
+    for options in ("null", "{}", '{"seed": 0}', '{"degree_bound": 7}'):
+        chart.write_text(_chart('"generators": [[1]], "options": %s' % options))
+        for argv in (["info", str(chart)], ["compare", str(chart)],
+                     ["torsor", str(chart), "2", "--face", "0"]):
+            assert main(argv) == 2, (options, argv)
+            captured = capsys.readouterr()
+            assert captured.out == "", (options, argv)
+            assert captured.err == "error: unknown chart fields: ['options']\n", captured.err
 
 
 def test_closed_stdout_exits_2_without_a_traceback():
@@ -512,32 +517,21 @@ def test_json_output_is_byte_deterministic(tmp_path):
     assert s1 == s2
 
 
-def test_flag_over_chart_option_over_default(tmp_path, capsys):
-    def run(options, *argv):
-        chart = tmp_path / "chart.json"
-        chart.write_text(json.dumps({
-            "name": "cone", "ambient_rank": 2, "generators": [[1, 0], [1, 1], [1, 2]],
-            "options": options}))
-        code = main([argv[0], str(chart), *argv[1:]])
-        captured = capsys.readouterr()
-        return code, json.loads(captured.out) if code == 0 else captured.err
+def test_flag_over_default(capsys):
+    def run(*argv):
+        assert main([argv[0], corpus_path("a1_cone"), *argv[1:]]) == 0
+        return json.loads(capsys.readouterr().out)
 
-    def saturated(options, *flags):
-        return run(options, "info", *flags)[1]["saturated_to_degree"]
+    assert run("info")["saturated_to_degree"] == 20
+    assert run("info", "--degree-bound", "5")["saturated_to_degree"] == 5
+    assert run("compare", "--face", "")["levels"] == 100
+    assert run("compare", "--face", "", "--bound", "5")["levels"] == 5
 
-    assert saturated({}) == 20
-    assert saturated({"degree_bound": 7}) == 7
-    assert saturated({"degree_bound": 7}, "--degree-bound", "5") == 5
-    # the comparison bound has no chart option
-    assert run({}, "compare", "--face", "")[1]["levels"] == 100
-    assert run({}, "compare", "--face", "", "--bound", "5")[1]["levels"] == 5
+    def sampled(*flags):
+        return run("torsor", "2", "--face", "0,1,2", *flags)["point"]
 
-    def sampled(options, *flags):
-        return run(options, "torsor", "2", "--face", "0,1,2", *flags)[1]["point"]
-
-    assert sampled({}) == sampled({"seed": 0}) != sampled({"seed": 5})
-    assert sampled({"seed": 5}) == sampled({}, "--seed", "5")
-    assert sampled({"seed": 5}, "--seed", "9") == sampled({}, "--seed", "9")
+    assert sampled() == sampled("--seed", "0") != sampled("--seed", "5")
+    assert sampled("--seed", "9") == sampled("--seed", "9") != sampled()
 
 
 # A settings flag of another subcommand, beside what each one needs.

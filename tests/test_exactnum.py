@@ -1,12 +1,15 @@
 """Exact scalars: Gaussian rationals, radicals, rational turns."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
+import logcharts.exactnum as exactnum
 from logcharts.exactnum import (GAUSSIAN_ONE, GaussianRational, NonnegRoot,
                                 rational_nth_root, turn_mod1,
                                 unit_from_turn_exact, unit_from_turn_float)
+from oracles import nonneg_root_normal_form_by_every_integer
 
 
 def test_gaussian_arithmetic_matches_complex():
@@ -81,6 +84,36 @@ def test_nonneg_root_normalization():
     assert not NonnegRoot(Fraction(2), 2).is_rational()
     assert NonnegRoot(Fraction(2), 2) == NonnegRoot(Fraction(4), 4)
     assert NonnegRoot(Fraction(0), 7).is_zero()
+
+
+def test_nonneg_root_normal_form_matches_every_integer_scan():
+    # seeded powers q^e under degrees that are multiples of e, squares of
+    # primes and prime powers among them, plus arbitrary degrees
+    rng = random.Random(11)
+    for _ in range(400):
+        q = Fraction(rng.randint(0, 12), rng.randint(1, 12))
+        e = rng.choice([1, 2, 3, 4, 5, 6, 8, 9, 12, 25, 27, 49])
+        for degree in (e * rng.randint(1, 12), rng.randint(1, 200)):
+            root = NonnegRoot(q ** e, degree)
+            assert (root.base, root.degree) == nonneg_root_normal_form_by_every_integer(
+                q ** e, degree), (q, e, degree)
+
+
+def test_nonneg_root_tries_only_the_primes_of_its_degree(monkeypatch):
+    # every power of two up to the degree was tried: 20 roots at 2^20
+    calls = []
+
+    def counting(q, n):
+        calls.append(n)
+        return rational_nth_root(q, n)
+
+    monkeypatch.setattr(exactnum, "rational_nth_root", counting)
+    assert NonnegRoot(Fraction(3), 2 ** 20).degree == 2 ** 20 and calls == [2]
+    calls.clear()
+    assert NonnegRoot(Fraction(3), 10 ** 9).degree == 10 ** 9 and calls == [2, 5]
+    calls.clear()
+    root = NonnegRoot(Fraction(6 ** 12), 12 * 10007)
+    assert (root.base, root.degree) == (6, 10007) and calls == [2, 2, 3, 10007]
 
 
 def test_nonneg_root_arithmetic():

@@ -4,6 +4,7 @@ law, and the fiberwise profinite comparison."""
 import cmath
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -666,6 +667,33 @@ def test_exact_algebraic_roots_on_each_half_axis():
     for z, n in ((GaussianRational(1, 1), 1), (GaussianRational(0, 2), 2)):
         fiber = algebraic_kummer_fiber(n_monoid(), CxPoint.exact_point([z]), n)
         assert len(fiber) == n and not any(q.exact for q in fiber)
+
+
+def test_torsor_check_at_a_high_level_of_a_radical_radius_is_quick():
+    # the radius test raised both bases to the full cross powers, and each
+    # root's normal form tried every integer up to its degree: about 20 s
+    # here, where the reduced exponents and the degree's primes take 0.2 s
+    p = KnPoint(((NonnegRoot(Fraction(99999999, 99999998), 64), Fraction(1, 3)),))
+    start = time.perf_counter()
+    ok, report = torsor_check(n_monoid(), p, 9973)
+    assert ok and report.fiber_size == report.group_order == 9973
+    assert time.perf_counter() - start < 5
+
+
+def test_torsor_check_refuses_base_radii_that_are_no_nth_roots(monkeypatch):
+    # over the radius 2^(1/2) at n = 3 the roots have radius 2^(1/6); the
+    # test compares rho^n with r on exponents reduced by their gcd, and must
+    # refuse 2^(1/4), whose degree 4 does not divide n * 2 = 6
+    m = n_monoid()
+    p = KnPoint(((NonnegRoot(Fraction(2), 2), Fraction(1, 3)),))
+    fiber = kn_kummer_fiber(m, p, 3)
+    assert {rho for q in fiber for rho, _ in q.values} == {NonnegRoot(Fraction(2), 6)}
+    assert torsor_check(m, p, 3)[0]
+    for wrong in (NonnegRoot(Fraction(2), 4), NonnegRoot(Fraction(2), 12), NonnegRoot.of(2)):
+        moved = [KnPoint(((wrong, t),)) for q in fiber for _, t in q.values]
+        monkeypatch.setattr(fibers_mod, "kn_kummer_fiber", lambda m, p, n: moved)
+        with pytest.raises(FalsifiedProperty, match="radii or relation congruences"):
+            torsor_check(m, p, 3)
 
 
 def test_root_indices_refuse_points_off_the_radii_or_the_grid():

@@ -10,8 +10,8 @@ import time
 import pytest
 
 from logcharts import abgrp, monoid, ratlp
-from logcharts.abgrp import (FgAbelianGroup, cokernel, generator_matrix, is_isomorphic,
-                             rank, smith_normal_form, tensor_mod)
+from logcharts.abgrp import (FgAbelianGroup, cokernel, generator_matrix, rank,
+                             smith_normal_form, tensor_mod)
 from logcharts.cli import corpus_path, load_chart
 from logcharts.errors import (ChartError, InvalidMonoidSpec, NotAFace, NotSharp,
                               RelationInconsistent, RelationSynthesisIncomplete,
@@ -460,7 +460,7 @@ def test_kummer_composition():
 
 def test_mu_examples():
     for n in (1, 2, 5, 8):
-        assert is_isomorphic(mu(n_monoid(), n), FgAbelianGroup.cyclic(n))
+        assert mu(n_monoid(), n) == FgAbelianGroup.cyclic(n)
     assert mu(quadrant(), 2) == FgAbelianGroup(0, (2, 2))
     assert mu(a1_cone(), 3) == FgAbelianGroup(0, (3, 3))
     # oracle: SNF of n*I_r

@@ -75,6 +75,16 @@ def test_finite_products_commute_with_completion():
         assert ok, cert.witness_level
 
 
+def test_a_tower_is_its_group():
+    # towers that complete the same group are one tower, however built
+    plane = completion(FgAbelianGroup.free(2))
+    assert plane == mu_tower(validate(MonoidSpec.make(2, [[1, 0], [0, 1]])))
+    assert plane == product_system(completion(Z), completion(Z))
+    assert hash(plane) == hash(product_system(completion(Z), completion(Z)))
+    assert plane != completion(Z) and product_system() == completion(FgAbelianGroup.trivial())
+    assert str(plane) == "<completion of Z^2>", str(plane)
+
+
 def test_inequivalent_with_witness():
     ok, cert = equivalent_up_to(completion(Z), completion(FgAbelianGroup.free(2)), 10)
     assert not ok and cert.witness_level == 2
@@ -205,17 +215,17 @@ def test_coherence_checks_only_the_covering_pairs(monkeypatch):
     original = FiniteAbelianProSystem.transition_consistent
 
     def counting(self, m, n):
-        calls[self.description] += 1
+        calls[id(self)] += 1
         return original(self, m, n)
 
     monkeypatch.setattr(FiniteAbelianProSystem, "transition_consistent", counting)
     a, b = completion(Z), mu_tower(validate(MonoidSpec.make(1, [[1]])))
     ok, _ = equivalent_up_to(a, b, 100)
     # the level check has shown b's levels equal to a's, so b is not walked
-    assert ok and calls == {a.description: 271}
+    assert ok and calls == {id(a): 271}
     for bound, pairs in ((10, 21), (30, 73), (100, 271)):
         calls.clear()
-        assert a.check_coherence(bound) and calls == {a.description: pairs}
+        assert a.check_coherence(bound) and calls == {id(a): pairs}
 
 
 def test_comparison_bound_is_capped_before_any_level(monkeypatch):

@@ -60,8 +60,7 @@ def _records():
          "Face(support=(0,), certificate=(0, 1))"),
         (line, _LINE),
         (completion(FgAbelianGroup.free(1)),
-         "FiniteAbelianProSystem(group=FgAbelianGroup(free_rank=1, torsion=()), "
-         "description='completion of Z')"),
+         "FiniteAbelianProSystem(group=FgAbelianGroup(free_rank=1, torsion=()))"),
         (LevelRecord(2, (2,), (2,), True),
          "LevelRecord(n=2, factors_a=(2,), factors_b=(2,), isomorphic=True)"),
         (EquivalenceCertificate(True, (LevelRecord(1, (), (), True),), None),
