@@ -44,40 +44,6 @@ def _det(rows) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def _swap_rows(a, u, i, j):
-    a[i], a[j] = a[j], a[i]
-    u[i], u[j] = u[j], u[i]
-
-
-def _swap_cols(a, v, i, j):
-    for row in a:
-        row[i], row[j] = row[j], row[i]
-    for row in v:
-        row[i], row[j] = row[j], row[i]
-
-
-def _row_sub(a, u, i, j, q):
-    """Row i -= q * row j."""
-    if q == 0:
-        return
-    ai, aj = a[i], a[j]
-    for k in range(len(ai)):
-        ai[k] -= q * aj[k]
-    ui, uj = u[i], u[j]
-    for k in range(len(ui)):
-        ui[k] -= q * uj[k]
-
-
-def _col_sub(a, v, i, j, q):
-    """Column i -= q * column j."""
-    if q == 0:
-        return
-    for row in a:
-        row[i] -= q * row[j]
-    for row in v:
-        row[i] -= q * row[j]
-
-
 def smith_normal_form(rows, cols: int):
     """Smith normal form of the matrix A with these rows and ``cols``
     columns: returns (U, diagonal, V), U and V as row tuples, with
@@ -88,7 +54,9 @@ def smith_normal_form(rows, cols: int):
     nonnegative and form a divisibility chain d_1 | d_2 | ... (zeros, which
     everything divides, come last).  Total on exact integers: a row of
     another length, or an entry that is not an int (a bool included),
-    raises ValueError before any pivot.
+    raises ValueError before any pivot.  At step t, the clearing row
+    operations on A start at column t and the column operations at row t,
+    past only zeros.
     """
     if any(len(row) != cols for row in rows):
         raise ValueError(f"matrix rows {rows!r} do not all have {cols} entries")
@@ -102,57 +70,74 @@ def smith_normal_form(rows, cols: int):
     t = 0
     limit = min(rows, cols)
     while t < limit:
-        # Bring the smallest-magnitude nonzero entry of the trailing block
-        # to the pivot slot; if the block is zero we are done.
-        pivot = None
+        # Bring the first entry of least magnitude of the trailing block to
+        # the pivot slot (none is less than 1); if the block is zero we are
+        # done.
+        best = 0
         for i in range(t, rows):
+            row = a[i]
             for j in range(t, cols):
-                x = a[i][j]
-                if x != 0 and (pivot is None or abs(x) < abs(a[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
-        if pivot is None:
+                x = row[j]
+                if x:
+                    size = x if x > 0 else -x
+                    if size < best or not best:
+                        best, pi, pj = size, i, j
+            if best == 1:
+                break
+        if not best:
             break
-        if pivot[0] != t:
-            _swap_rows(a, u, t, pivot[0])
-        if pivot[1] != t:
-            _swap_cols(a, v, t, pivot[1])
+        if pi != t:
+            a[t], a[pi] = a[pi], a[t]
+            u[t], u[pi] = u[pi], u[t]
+        if pj != t:
+            for row in a[t:] + v:
+                row[t], row[pj] = row[pj], row[t]
 
-        while True:
+        dirty = True
+        while dirty:
             dirty = False
             for i in range(t + 1, rows):
-                if a[i][t] != 0:
-                    _row_sub(a, u, i, t, a[i][t] // a[t][t])
-                    if a[i][t] != 0:
-                        # Remainder has smaller magnitude than the pivot.
-                        _swap_rows(a, u, t, i)
+                ai = a[i]
+                if ai[t]:
+                    at = a[t]
+                    q = ai[t] // at[t]
+                    if q:
+                        for k in range(t, cols):
+                            ai[k] -= q * at[k]
+                        u[i] = [x - q * y for x, y in zip(u[i], u[t])]
+                    if ai[t]:
+                        # the remainder is less than the pivot in magnitude
+                        a[t], a[i] = ai, at
+                        u[t], u[i] = u[i], u[t]
                         dirty = True
             if dirty:
                 continue
+            at = a[t]
             for j in range(t + 1, cols):
-                if a[t][j] != 0:
-                    _col_sub(a, v, j, t, a[t][j] // a[t][t])
-                    if a[t][j] != 0:
-                        _swap_cols(a, v, t, j)
+                if at[j]:
+                    q = at[j] // at[t]
+                    if q:
+                        for row in a[t:] + v:
+                            row[j] -= q * row[t]
+                    if at[j]:
+                        for row in a[t:] + v:
+                            row[t], row[j] = row[j], row[t]
                         dirty = True
-            if dirty:
-                continue
-            break
 
         # Divisibility: the pivot must divide every entry of the trailing
-        # block; if not, fold the offending row into row t and re-clear.
+        # block; if not, add the first offending row to row t and re-clear.
         d = a[t][t]
-        offender = None
-        for i in range(t + 1, rows):
-            for j in range(t + 1, cols):
-                if a[i][j] % d != 0:
-                    offender = i
-                    break
-            if offender is not None:
-                break
-        if offender is not None:
-            _row_sub(a, u, t, offender, -1)
+        if d == 1 or d == -1:
+            t += 1
             continue
-        t += 1
+        for i in range(t + 1, rows):
+            ai = a[i]
+            if any(ai[j] % d for j in range(t + 1, cols)):
+                a[t] = [x + y for x, y in zip(a[t], ai)]
+                u[t] = [x + y for x, y in zip(u[t], u[i])]
+                break
+        else:
+            t += 1
 
     # Row i of the reduced matrix is zero off the diagonal.
     for i in range(limit):

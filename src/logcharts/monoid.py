@@ -140,6 +140,8 @@ def _check_spec_shape(spec: MonoidSpec):
     d, k = spec.ambient_rank, len(spec.generators)
     if type(d) is not int or d < 0:
         raise InvalidMonoidSpec(f"ambient rank {d!r} is not a nonnegative integer")
+    if d > _RANK_CAP:
+        raise InvalidMonoidSpec(f"ambient rank {d} is above the limit of {_RANK_CAP}")
     for g in spec.generators:
         _check_ints(g, "generator")
         if len(g) != d:
@@ -172,6 +174,7 @@ def _synthesize_relations(kernel) -> tuple[Relation, ...]:
 
 
 _BOX_CAP = 500_000  # saturation box points
+_RANK_CAP = 1_000  # ambient rank: the Smith form builds a rank x rank U
 
 
 def _joined(masks) -> int:
@@ -225,14 +228,14 @@ def _check_congruence_complete(spec: MonoidSpec, relations, degrees, bound, box)
         if sum(map(operator.mul, r, degrees)) <= bound:
             mask = sum(1 << i for i, (x, y) in enumerate(zip(r, s)) if x or y)
             joins.setdefault(origin + sum(map(operator.mul, r, steps)), []).append(mask)
+    moves = [(1 << i, step, deg) for i, (step, deg) in enumerate(zip(steps, degrees))]
     layers = deque([{origin: 0}], maxlen=max(degrees))
     elements = {origin}
     for b in range(1, bound + 1):
         layer: dict[int, int] = {}
         apart: dict[int, list[int]] = {}  # x -> joins not yet one component
-        for i, (step, deg) in enumerate(zip(steps, degrees)):
+        for bit, step, deg in moves:
             if deg <= b:
-                bit = 1 << i
                 for y, below in layers[-deg].items():
                     x = y + step
                     mask = bit | below
@@ -240,8 +243,8 @@ def _check_congruence_complete(spec: MonoidSpec, relations, degrees, bound, box)
                     layer[x] = reach | mask
                     if reach and (not reach & mask or apart and x in apart):
                         apart.setdefault(x, [reach]).append(mask)
-        split = [x for x, masks in apart.items() if _joined(masks + joins.get(x, [])) != layer[x]]
-        if split:
+        if apart and (split := [x for x, masks in apart.items()
+                                 if _joined(masks + joins.get(x, [])) != layer[x]]):
             code = min(split)
             witness = tuple(a + code // s % (c - a + 1) for a, c, s in zip(*box, strides))
             raise RelationSynthesisIncomplete(
@@ -301,9 +304,10 @@ def _codec(box):
 
 def _degree_window(grading, box, bound):
     """The box points of degree 0..bound in box order, as rows: for each p
-    on the first d - 1 axes, p, the degree deg and code of (p, 0), and the
-    t in the box with 0 <= deg + w t <= bound, w = grading[-1], by floor
-    division; (p, t) has degree deg + w t and code code + t."""
+    on the first d - 1 axes, p, the code of (p, 0), and the first and last
+    t in the box with 0 <= deg + w t <= bound, deg the degree of (p, 0)
+    and w = grading[-1], by floor division; (p, t) has code code + t.  A
+    row with no such t has first > last."""
     (lo, hi), (origin, strides) = box, _codec(box)
     *head, w = grading
     for prefix in itertools.product(*(range(a, b + 1) for a, b in zip(lo[:-1], hi[:-1]))):
@@ -314,7 +318,7 @@ def _degree_window(grading, box, bound):
             first, last = max(first, -(-ends[0] // w)), min(last, ends[1] // w)
         elif not 0 <= deg <= bound:
             continue
-        yield prefix, deg, origin + sum(map(operator.mul, prefix, strides)), range(first, last + 1)
+        yield prefix, origin + sum(map(operator.mul, prefix, strides)), first, last
 
 
 def _check_saturation(gens, grading, box, elements, bound, u, factors):
@@ -332,27 +336,45 @@ def _check_saturation(gens, grading, box, elements, bound, u, factors):
     phase-one simplex decides it, and an "outside" answer adds its
     certificate to the scan's list.  So a saturated cone costs one LP per
     certificate it needs, not one per point, and every point is classified
-    as the LP alone would.  With U G V = D the Smith form of the generator
-    matrix, x is in the sublattice exactly when y = U x has d_i | y_i for
-    its r nonzero ``factors`` d_i, and y_i = 0 after.
+    as the LP alone would.  A certificate (h, w) is >= 0 at (p, t) exactly
+    on an interval of t, as s = h . p: t >= ceil(-s / w) for w > 0,
+    t <= floor(s / -w) for w < 0, all t or none for w = 0 as s >= 0 or
+    not.  So the scan visits only the intersection of these intervals with
+    each row; a certificate found mid-row is negative at its point, so it
+    ends the row when w <= 0 and jumps past the point to its new start
+    when w > 0.  With U G V = D the Smith form of the generator matrix, x is in
+    the sublattice exactly when y = U x has d_i | y_i for its r nonzero
+    ``factors`` d_i, and y_i = 0 after.
     """
     r = len(factors)
     certificates = []
-    for prefix, _, code, last in _degree_window(grading, box, bound):
-        for t in last:
+    for prefix, code, first, last in _degree_window(grading, box, bound):
+        for head, w in certificates:
+            s = sum(map(operator.mul, head, prefix))
+            if w > 0:
+                first = max(first, -(s // w))
+            elif w < 0:
+                last = min(last, s // -w)
+            elif s < 0:
+                last = first - 1
+        t = first
+        while t <= last:
             if code + t in elements:
+                t += 1
                 continue
             point = (*prefix, t)
-            if any(sum(map(operator.mul, c, point)) < 0 for c in certificates):
-                continue
             inside, c = ratlp.in_cone(gens, point)
             if not inside:
-                certificates.append(c)
+                *head, w = c
+                certificates.append((head, w))
+                if w <= 0:
+                    break
+                t = -(sum(map(operator.mul, head, prefix)) // w)
                 continue
             y = [sum(map(operator.mul, row, point)) for row in u]
-            if any(map(operator.mod, y, factors)) or any(y[r:]):
-                continue  # in the cone but not in the generated sublattice
-            raise SaturationFailure(point)
+            if not any(map(operator.mod, y, factors)) and not any(y[r:]):
+                raise SaturationFailure(point)
+            t += 1  # in the cone but not in the generated sublattice
 
 
 def validate(spec: MonoidSpec, degree_bound: int = DEFAULT_DEGREE_BOUND) -> AffineMonoid:

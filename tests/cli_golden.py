@@ -6,12 +6,14 @@ an inline exact and floating log point, ``--table`` renderings of
 ``info``, ``compare``, ``torsor``, ``emit`` and ``fiber``, ``torsor`` at a
 floating point with sixth-turn angles, which is read as exact turns and
 prints as them, and ``torsor`` at a point with too few coordinates, which
-is refused.  Last come an exact radical radius, its float twin, which
+is refused.  Then come an exact radical radius, its float twin, which
 meets the relation only within a rounding error and is refused, and a
-malformed radical.
+malformed radical.  Last, ``info`` refuses a chart of ambient rank 20,000
+with no generators, above the limit, before building any matrix.
 
-An argv names a corpus chart by its file stem (``a1_cone``), which
-:func:`run` replaces by the chart's path.  The corpus is rewritten only
+An argv names a chart by its file stem (``a1_cone``), which :func:`run`
+replaces by the path of the corpus chart, or else of the chart in
+``tests/data``.  The corpus is rewritten only
 when a change of output is intended, and that change is announced:
 
     PYTHONPATH=src python tests/cli_golden.py
@@ -38,7 +40,8 @@ from logcharts.cli import corpus_path, load_chart, main
 from logcharts.monoid import faces, validate
 
 CORPUS = ["log_point", "affine_line", "plane_axes", "a1_cone"]
-PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "cli_golden.json")
+DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
+PATH = os.path.join(DATA, "cli_golden.json")
 
 
 def argvs() -> list[list[str]]:
@@ -80,13 +83,16 @@ def argvs() -> list[list[str]]:
                    '{"radii": [1, 1.4142135623730951, 2], '
                    '"angles": [[1, 0], [1, 0], [1, 0]]}'],
                   ["torsor", "a1_cone", "2", "--point",
-                   '{"radii": ["1", "2^(1/0)", "2"], "turns": ["0", "0", "0"]}']]
+                   '{"radii": ["1", "2^(1/0)", "2"], "turns": ["0", "0", "0"]}'],
+                  ["info", "rank_20000"]]
 
 
 def run(argv) -> dict:
     """Exit code, stdout and stderr of ``logcharts`` on the argv, with the
     chart stem replaced by its path."""
-    args = [argv[0], corpus_path(argv[1]), *argv[2:]]
+    stem = argv[1]
+    path = corpus_path(stem) if stem in CORPUS else os.path.join(DATA, f"{stem}.json")
+    args = [argv[0], path, *argv[2:]]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(args)

@@ -24,9 +24,12 @@ derived the faces from the facets, and truncations G/mG are built from
 lists and transitions compared as groups, as the library did before it
 built each level's invariants in one pass, and a radical's normal form
 pulls out perfect p-th powers for every integer p up to its degree, as the
-library did before it tried only the primes dividing it.  The quadric
-relations of a cone are listed by comparing every two pairs of
-generators.  Matrix products, identities, diagonals and determinants (by
+library did before it tried only the primes dividing it, and the saturation
+scan tests every certificate on every candidate point, as the library did
+before it scanned each row's interval of nonnegative certificates, and the
+Smith form runs its row and column operations through helper calls, as
+the library did before it ran them in place.  The quadric relations of a
+cone are listed by comparing every two pairs of generators.  Matrix products, identities, diagonals and determinants (by
 rational elimination) act on lists of rows, which is all the Smith forms
 take and return.
 """
@@ -253,6 +256,109 @@ def det(rows):
 
 def is_unimodular(rows):
     return all(len(row) == len(rows) for row in rows) and abs(det(rows)) == 1
+
+
+# --------------------------------------------------------------------------
+# The Smith form with its row and column operations in helper calls, as
+# ``logcharts.abgrp.smith_normal_form`` ran it before it ran them in
+# place: the same pivot sequence, so the same (U, D, V).
+
+def _swap_rows(a, u, i, j):
+    a[i], a[j] = a[j], a[i]
+    u[i], u[j] = u[j], u[i]
+
+
+def _swap_cols(a, v, i, j):
+    for row in a:
+        row[i], row[j] = row[j], row[i]
+    for row in v:
+        row[i], row[j] = row[j], row[i]
+
+
+def _row_sub(a, u, i, j, q):
+    """Row i -= q * row j."""
+    if q == 0:
+        return
+    ai, aj = a[i], a[j]
+    for k in range(len(ai)):
+        ai[k] -= q * aj[k]
+    ui, uj = u[i], u[j]
+    for k in range(len(ui)):
+        ui[k] -= q * uj[k]
+
+
+def _col_sub(a, v, i, j, q):
+    """Column i -= q * column j."""
+    if q == 0:
+        return
+    for row in a:
+        row[i] -= q * row[j]
+    for row in v:
+        row[i] -= q * row[j]
+
+
+def smith_normal_form_by_helpers(rows, cols):
+    """(U, diagonal, V) with U A V = D, for integer rows of ``cols``
+    entries each: the least-magnitude pivot of the trailing block, first in
+    row-major order, then clearing its column and row by Euclidean steps,
+    then folding the first row with an entry the pivot does not divide
+    into the pivot row."""
+    a = [list(row) for row in rows]
+    rows = len(a)
+    u = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
+    v = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
+    t = 0
+    limit = min(rows, cols)
+    while t < limit:
+        pivot = None
+        for i in range(t, rows):
+            for j in range(t, cols):
+                x = a[i][j]
+                if x != 0 and (pivot is None or abs(x) < abs(a[pivot[0]][pivot[1]])):
+                    pivot = (i, j)
+        if pivot is None:
+            break
+        if pivot[0] != t:
+            _swap_rows(a, u, t, pivot[0])
+        if pivot[1] != t:
+            _swap_cols(a, v, t, pivot[1])
+        while True:
+            dirty = False
+            for i in range(t + 1, rows):
+                if a[i][t] != 0:
+                    _row_sub(a, u, i, t, a[i][t] // a[t][t])
+                    if a[i][t] != 0:
+                        _swap_rows(a, u, t, i)
+                        dirty = True
+            if dirty:
+                continue
+            for j in range(t + 1, cols):
+                if a[t][j] != 0:
+                    _col_sub(a, v, j, t, a[t][j] // a[t][t])
+                    if a[t][j] != 0:
+                        _swap_cols(a, v, t, j)
+                        dirty = True
+            if dirty:
+                continue
+            break
+        d = a[t][t]
+        offender = None
+        for i in range(t + 1, rows):
+            for j in range(t + 1, cols):
+                if a[i][j] % d != 0:
+                    offender = i
+                    break
+            if offender is not None:
+                break
+        if offender is not None:
+            _row_sub(a, u, t, offender, -1)
+            continue
+        t += 1
+    for i in range(limit):
+        if a[i][i] < 0:
+            a[i][i] = -a[i][i]
+            u[i] = [-x for x in u[i]]
+    return tuple(map(tuple, u)), tuple(a[i][i] for i in range(limit)), tuple(map(tuple, v))
 
 
 def root_choices_by_scan(rows, offsets, n, k):
@@ -682,6 +788,39 @@ def saturation_scan_by_lp(gens, grading, degrees, layers, bound, u, factors):
             continue
         return point
     return None
+
+
+# --------------------------------------------------------------------------
+# The saturation scan that tests every certificate on every candidate point,
+# as ``logcharts.monoid._check_saturation`` ran it before it scanned only
+# each row's interval of t where every certificate is nonnegative.  It
+# asks ``logcharts.ratlp.in_cone`` itself, so that the points asked can be
+# compared with the library's.
+
+def saturation_scan_by_certificates(gens, grading, box, layers, bound, u, factors):
+    """(witness or None, the points passed to ``ratlp.in_cone`` in order),
+    over the points of the box of degree 0..bound in box order, with the
+    monoid elements as tuples in ``layers``: a point off them is outside
+    the cone when an earlier certificate is negative on it, and otherwise
+    ``in_cone`` decides it."""
+    r = len(factors)
+    certificates, asked = [], []
+    for point in itertools.product(*(range(a, b + 1) for a, b in zip(*box))):
+        deg = sum(map(operator.mul, grading, point))
+        if deg < 0 or deg > bound or point in layers[deg]:
+            continue
+        if any(sum(map(operator.mul, c, point)) < 0 for c in certificates):
+            continue
+        asked.append(point)
+        inside, c = ratlp.in_cone(gens, point)
+        if not inside:
+            certificates.append(c)
+            continue
+        y = [sum(map(operator.mul, row, point)) for row in u]
+        if any(map(operator.mod, y, factors)) or any(y[r:]):
+            continue
+        return point, asked
+    return None, asked
 
 
 # --------------------------------------------------------------------------

@@ -6,11 +6,15 @@ from fractions import Fraction
 
 import pytest
 
+import cli_golden
+import logcharts.abgrp as abgrp
+import logcharts.fibers as fibers
+import logcharts.monoid as monoid
 from logcharts.abgrp import FgAbelianGroup, _det, cokernel, smith_normal_form, tensor_mod
 
 from oracles import (coset_count_bfs, coset_count_box, det, diagonal,
                      element_order_multiset, identity, is_unimodular, matmul,
-                     random_unimodular, tensor_mod_by_lists)
+                     random_unimodular, smith_normal_form_by_helpers, tensor_mod_by_lists)
 
 
 def snf_checks(rows, cols):
@@ -57,6 +61,37 @@ def test_snf_random_stress():
     for _ in range(200):
         r, c = rng.randrange(0, 5), rng.randrange(0, 5)
         snf_checks(tuple(tuple(rng.randint(-9, 9) for _ in range(c)) for _ in range(r)), c)
+
+
+def test_snf_matches_the_helper_reference():
+    # the in-place operations keep the pivot sequence of the helper calls,
+    # so U and V are the same matrices, not just some unimodular pair:
+    # synthesized relations are read off V and stalk generators off U
+    rng = random.Random(20261020)
+    for _ in range(20_000):
+        r, c = rng.randrange(0, 6), rng.randrange(0, 8)
+        rows = tuple(tuple(rng.randint(-6, 6) for _ in range(c)) for _ in range(r))
+        assert smith_normal_form(rows, c) == smith_normal_form_by_helpers(rows, c), rows
+
+
+def test_snf_matches_the_helper_reference_on_the_golden_corpus(monkeypatch):
+    # every matrix the golden CLI corpus feeds the Smith form: the
+    # generator matrices of the corpus charts, of their stalks and faces,
+    # relation rows and the Kummer fibers' congruences
+    fed = []
+
+    def recording(rows, cols):
+        fed.append((rows, cols))
+        return smith_normal_form(rows, cols)
+
+    for module in (abgrp, monoid, fibers):
+        monkeypatch.setattr(module, "smith_normal_form", recording)
+    for argv in cli_golden.argvs():
+        cli_golden.run(argv)
+    monkeypatch.undo()
+    assert len(fed) > 200, len(fed)
+    for rows, cols in fed:
+        assert smith_normal_form(rows, cols) == smith_normal_form_by_helpers(rows, cols), rows
 
 
 @pytest.mark.parametrize("rows, cols", [

@@ -23,7 +23,8 @@ from logcharts.profin import mu_tower
 from oracles import (congruence_complete_by_vectors, diagonal, face_supports_by_axiom,
                      faces_by_lp, fiber_connected_by_vectors, quadric_relations,
                      grading_of, random_unimodular, saturation_box_by_lp,
-                     saturation_scan_by_lp, saturation_scan_inputs)
+                     saturation_scan_by_certificates, saturation_scan_by_lp,
+                     saturation_scan_inputs)
 
 
 def n_monoid():
@@ -59,6 +60,21 @@ def test_validate_rejects_line():
 def test_validate_rejects_zero_generator():
     with pytest.raises(InvalidMonoidSpec):
         validate(MonoidSpec.make(2, [[0, 0], [1, 0]]))
+
+
+def test_ambient_rank_above_the_limit_is_refused_before_any_matrix(monkeypatch):
+    # the Smith form of the generator matrix builds a rank x rank U, so a
+    # rank of 20,000 with no generators ran out of memory
+    def no_matrix(rows, cols):
+        raise AssertionError("a Smith form was started")
+
+    monkeypatch.setattr(monoid, "smith_normal_form", no_matrix)
+    for spec in (MonoidSpec.make(20_000, []), MonoidSpec.make(1_001, [[1] + [0] * 1_000])):
+        with pytest.raises(InvalidMonoidSpec,
+                           match=f"^ambient rank {spec.ambient_rank} is above the limit of 1000$"):
+            validate(spec)
+    monkeypatch.undo()
+    assert validate(MonoidSpec.make(1_000, [])).gp_lattice_rank == 0
 
 
 def test_validate_rejects_false_relation():
@@ -553,7 +569,7 @@ def test_box_codes_are_lexicographic_indices():
 
 def test_degree_window_matches_the_filtered_box():
     # the rows list the box points of degree 0..bound in box order, with
-    # their degrees and codes, for a last grading weight < 0, = 0 and > 0
+    # their codes, for a last grading weight < 0, = 0 and > 0
     rng = random.Random(2007)
     weights, below_zero = collections.Counter(), 0
     for _ in range(300):
@@ -564,10 +580,9 @@ def test_degree_window_matches_the_filtered_box():
         want = [p for p in itertools.product(*(range(a, b + 1) for a, b in zip(*box)))
                 if 0 <= sum(u * x for u, x in zip(grading, p)) <= bound]
         got = []
-        for prefix, deg, code, last in monoid._degree_window(grading, box, bound):
-            for t in last:
+        for prefix, code, first, last in monoid._degree_window(grading, box, bound):
+            for t in range(first, last + 1):
                 point = (*prefix, t)
-                assert deg + grading[-1] * t == sum(u * x for u, x in zip(grading, point))
                 assert code + t == _box_code(point, box)
                 got.append(point)
         assert got == want, (grading, box, bound)
@@ -864,7 +879,10 @@ def _stalk_presentations(monkeypatch, charts):
 
 def test_saturation_scan_matches_the_lp_oracle(monkeypatch):
     # the scan that keeps its Farkas certificates names the witness that the
-    # scan with one LP per box point names, or none when that names none
+    # scan with one LP per box point names, or none when that names none;
+    # and scanning each row's interval of nonnegative certificates asks
+    # in_cone the very points, in the same order, that testing every
+    # certificate on every point asks
     square = [[1, 0, 0], [1, 1, 0], [1, 0, 1], [1, 1, 1]]
     cube = [[1, *e] for e in itertools.product((0, 1), repeat=3)]
     five = [[2, 2, 0, 3], [-1, 2, 3, 0], [2, 1, 1, -1], [-1, 1, 1, 2], [-3, 3, 2, 4]]
@@ -880,8 +898,15 @@ def test_saturation_scan_matches_the_lp_oracle(monkeypatch):
     charts = list(_random_valid_charts(random.Random(16), 60))
     cases += [(m.spec, m.degree_bound) for m in charts]
     cases += _stalk_presentations(monkeypatch, charts)
-    witnesses = scanned = 0
+    witnesses = scanned = lps = 0
     seen = set()
+    asked = []
+    in_cone = ratlp.in_cone
+
+    def recording(gens, point):
+        asked.append(point)
+        return in_cone(gens, point)
+
     for spec, bound in cases:
         free = rank(spec.generators, spec.ambient_rank) == len(spec.generators)
         if free or (spec.generators, bound) in seen:
@@ -892,16 +917,25 @@ def test_saturation_scan_matches_the_lp_oracle(monkeypatch):
         want = saturation_scan_by_lp(gens, grading, degrees, layers, bound, u, factors)
         box = monoid._saturation_box(gens, degrees, bound)
         codes = {_box_code(x, box) for layer in layers for x in layer}
-        try:
-            monoid._check_saturation(gens, grading, box, codes, bound, u, factors)
-        except SaturationFailure as err:
-            assert err.witness == want, (spec, bound)
-            witnesses += 1
-        else:
-            assert want is None, (spec, bound)
+        reference, reference_asked = saturation_scan_by_certificates(
+            gens, grading, box, layers, bound, u, factors)
+        assert reference == want, (spec, bound)
+        asked.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(ratlp, "in_cone", recording)
+            try:
+                monoid._check_saturation(gens, grading, box, codes, bound, u, factors)
+            except SaturationFailure as err:
+                assert err.witness == want, (spec, bound)
+                witnesses += 1
+            else:
+                assert want is None, (spec, bound)
+        assert asked == reference_asked, (spec, bound)
+        lps += len(asked)
     # the five-generator chart at bound 20, the semigroups, the gapped cone
     # and about 100 stalks are not saturated
     assert scanned > 200 and witnesses > 100, (scanned, witnesses)
+    assert lps > 300, lps
 
 
 # The fallback gradings: (chart, face) -> the sharpness certificate of the
