@@ -142,6 +142,8 @@ def _check_spec_shape(spec: MonoidSpec):
         raise InvalidMonoidSpec(f"ambient rank {d!r} is not a nonnegative integer")
     if d > _RANK_CAP:
         raise InvalidMonoidSpec(f"ambient rank {d} is above the limit of {_RANK_CAP}")
+    if k > _GENERATOR_CAP:
+        raise InvalidMonoidSpec(f"generator count {k} is above the limit of {_GENERATOR_CAP}")
     for g in spec.generators:
         _check_ints(g, "generator")
         if len(g) != d:
@@ -175,6 +177,7 @@ def _synthesize_relations(kernel) -> tuple[Relation, ...]:
 
 _BOX_CAP = 500_000  # saturation box points
 _RANK_CAP = 1_000  # ambient rank: the Smith form builds a rank x rank U
+_GENERATOR_CAP = 1_000  # generators: it builds a k x k V, and k - 1 relations
 
 
 def _joined(masks) -> int:

@@ -14,11 +14,17 @@ the checkable shadow of pro-equivalence; every certificate's ``note``
 states the limitation.  Coherence is checked on the pairs (m, m), which
 says level m is m-torsion, and (m, m/p) for each prime p | m:
 (A/(m/p)A)/nA = A/nA for n | m/p, so by induction on m/n these imply
-every pair n | m.  A comparison walks them on one tower, as matching
-levels are equal, and the walk reads the levels its certificate reports.
+every pair n | m.  A walk reads each m's covering pairs off one
+least-prime-factor table of 1..bound.  A comparison walks them on one
+tower, as matching levels are equal, and the walk reads the levels its
+certificate reports.  Towers that complete one group have equal levels,
+so a comparison of two such towers builds each level once, in one table
+both read.
 """
 
 from __future__ import annotations
+
+from math import isqrt
 
 from ._record import Record
 from .abgrp import FgAbelianGroup, _truncation, tensor_mod
@@ -36,7 +42,8 @@ class FiniteAbelianProSystem(Record):
     """The tower n -> G/nG completing a finitely generated abelian group G.
 
     Every level is finite, whatever the free rank of G, and is kept in
-    ``_levels`` once built.  Transitions for n | m are the natural
+    ``_levels`` once built; a comparison with an equal tower shares that
+    table with it.  Transitions for n | m are the natural
     reductions; their composition law is checkable on normal forms
     because tensor_mod(tensor_mod(g, k), n) == tensor_mod(g, n).
     """
@@ -72,19 +79,6 @@ class FiniteAbelianProSystem(Record):
         return f"<completion of {self.group}>"
 
 
-def _covers(m: int) -> list[int]:
-    """m and m/p for each prime p | m, by trial division."""
-    out, rest, p = [m], m, 2
-    while rest > 1:
-        p = p if p * p <= rest else rest
-        if rest % p == 0:
-            out.append(m // p)
-        while rest % p == 0:
-            rest //= p
-        p += 1
-    return out
-
-
 def _checked_bound(bound) -> int:
     if type(bound) is not int or bound < 1:
         raise ValueError(f"bound {bound!r} is not a positive integer")
@@ -94,13 +88,34 @@ def _checked_bound(bound) -> int:
     return bound
 
 
+def _covering_divisors(bound: int):
+    """For m = 1..bound in turn, the list [m, m/p1, m/p2, ...] over the
+    primes p1 < p2 < ... dividing m, read off one table of least prime
+    factors.  Writing each p <= sqrt(bound) at p^2, p^2 + p, ... in
+    descending order of p leaves the least p | q with p^2 <= q at every
+    composite q, its least prime factor, and leaves every prime q alone."""
+    least = list(range(bound + 1))
+    for p in range(isqrt(bound), 1, -1):
+        least[p * p::p] = [p] * ((bound - p * p) // p + 1)
+    for m in range(1, bound + 1):
+        covers, rest = [m], m
+        while rest > 1:
+            p = least[rest]
+            covers.append(m // p)
+            while rest % p == 0:
+                rest //= p
+        yield covers
+
+
 def _first_incoherent(tower: FiniteAbelianProSystem, bound: int) -> int | None:
     """The target n of one tower's first failing pair n | m <= bound, in
-    order of m then n, or None.  The covering pairs find the first failing
-    m; every level below it coheres, so its divisors hold the first pair."""
+    order of m then n, or None.  The covering pairs, read off one sieve,
+    find the first failing m; every level below it coheres, so its
+    divisors hold the first pair."""
     coherent = tower.transition_consistent
-    for m in range(1, bound + 1):
-        if not all(coherent(m, n) for n in _covers(m)):
+    for covers in _covering_divisors(bound):
+        m = covers[0]
+        if not all(coherent(m, n) for n in covers):
             return next(n for n in range(1, m + 1) if m % n == 0 and not coherent(m, n))
     return None
 
@@ -148,15 +163,23 @@ def equivalent_up_to(a: FiniteAbelianProSystem, b: FiniteAbelianProSystem,
     True iff every level n <= bound has isomorphic invariant factors on both
     sides and a coheres on the covering pairs of the module note; b's levels
     then equal a's, so b needs no walk.  The walk reads a's levels 1..bound
-    as built for the records, so 2 * bound levels are built in all.  A bound
-    below 1 or above 100,000 levels is refused before any level is computed.
+    as built for the records.  Towers that complete one group share a's
+    level table, so bound levels are built in all, and 2 * bound otherwise.
+    A bound below 1 or above 100,000 levels is refused before any level is
+    computed.
     """
     bound = _checked_bound(bound)
+    if a == b:
+        # equal groups have equal levels, so b reads the table a fills
+        table = a._levels or b._levels or {}
+        object.__setattr__(a, "_levels", table)
+        object.__setattr__(b, "_levels", table)
     records = []
     for n in range(1, bound + 1):
         ga, gb = a.level(n), b.level(n)
-        records.append(LevelRecord(n, tuple(ga.invariant_factors()),
-                                   tuple(gb.invariant_factors()), ga == gb))
+        factors, same = tuple(ga.invariant_factors()), ga is gb
+        records.append(LevelRecord(n, factors, factors if same else tuple(gb.invariant_factors()),
+                                   same or ga == gb))
     # isomorphic levels are equal normal forms, and a transition reads only
     # levels, so once every level matches b's walk would repeat a's verdicts
     witness = (next((rec.n for rec in records if not rec.isomorphic), None)

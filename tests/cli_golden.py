@@ -9,7 +9,8 @@ prints as them, and ``torsor`` at a point with too few coordinates, which
 is refused.  Then come an exact radical radius, its float twin, which
 meets the relation only within a rounding error and is refused, and a
 malformed radical.  Last, ``info`` refuses a chart of ambient rank 20,000
-with no generators, above the limit, before building any matrix.
+with no generators, and one of 1,001 generators, both above the limit,
+before building any matrix.
 
 An argv names a chart by its file stem (``a1_cone``), which :func:`run`
 replaces by the path of the corpus chart, or else of the chart in
@@ -84,7 +85,7 @@ def argvs() -> list[list[str]]:
                    '"angles": [[1, 0], [1, 0], [1, 0]]}'],
                   ["torsor", "a1_cone", "2", "--point",
                    '{"radii": ["1", "2^(1/0)", "2"], "turns": ["0", "0", "0"]}'],
-                  ["info", "rank_20000"]]
+                  ["info", "rank_20000"], ["info", "generators_1001"]]
 
 
 def run(argv) -> dict:

@@ -561,6 +561,20 @@ def torsor_report_by_fractions(m, p, n):
     )
 
 
+def covers_by_trial_division(m):
+    """m and m/p for each prime p | m, in ascending order of p, by trial
+    division."""
+    out, rest, p = [m], m, 2
+    while rest > 1:
+        p = p if p * p <= rest else rest
+        if rest % p == 0:
+            out.append(m // p)
+        while rest % p == 0:
+            rest //= p
+        p += 1
+    return out
+
+
 def _divisor_pairs(bound):
     """Every pair (m, n) with n | m <= bound, in order of m then n, each
     m's divisors found by scanning 1..m."""

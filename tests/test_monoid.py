@@ -77,6 +77,20 @@ def test_ambient_rank_above_the_limit_is_refused_before_any_matrix(monkeypatch):
     assert validate(MonoidSpec.make(1_000, [])).gp_lattice_rank == 0
 
 
+def test_a_generator_count_above_the_limit_is_refused_before_any_matrix(monkeypatch):
+    # the Smith form builds a k x k V and the synthesized relations are
+    # k - 1 vectors of length k: 3,000 copies of [1] took 5.8 s at 293 MiB
+    def no_matrix(rows, cols):
+        raise AssertionError("a Smith form was started")
+
+    monkeypatch.setattr(monoid, "smith_normal_form", no_matrix)
+    with pytest.raises(InvalidMonoidSpec,
+                       match="^generator count 1001 is above the limit of 1000$"):
+        validate(MonoidSpec.make(1, [[1]] * 1_001))
+    monkeypatch.undo()
+    assert validate(MonoidSpec.make(1, [[1]] * 1_000)).gp_lattice_rank == 1
+
+
 def test_validate_rejects_false_relation():
     with pytest.raises(RelationInconsistent):
         validate(MonoidSpec.make(2, [[1, 0], [1, 1], [1, 2]],

@@ -13,8 +13,8 @@ from logcharts.fibers import verify_fiber_equivalence
 from logcharts.monoid import MonoidSpec, face_with_support, validate
 from logcharts.profin import (FiniteAbelianProSystem, completion,
                               equivalent_up_to, mu_tower, product_system)
-from oracles import (coherent_by_all_pairs, equivalent_by_all_pairs,
-                     transition_consistent_by_groups)
+from oracles import (coherent_by_all_pairs, covers_by_trial_division,
+                     equivalent_by_all_pairs, transition_consistent_by_groups)
 
 Z = FgAbelianGroup.free(1)
 
@@ -228,6 +228,16 @@ def test_coherence_checks_only_the_covering_pairs(monkeypatch):
         assert a.check_coherence(bound) and calls == {id(a): pairs}
 
 
+def test_sieved_covers_match_trial_division():
+    # 65,536 = 2^16, 99,990 = 2 * 3^2 * 5 * 11 * 101, 99,991 is prime
+    assert list(profin._covering_divisors(5_000)) == [
+        covers_by_trial_division(m) for m in range(1, 5_001)]
+    at_cap = list(profin._covering_divisors(100_000))
+    for m in (65_536, 99_990, 99_991, 100_000):
+        assert at_cap[m - 1] == covers_by_trial_division(m), m
+    assert at_cap[99_990 - 1] == [99_990, 49_995, 33_330, 19_998, 9_090, 990]
+
+
 def test_comparison_bound_is_capped_before_any_level(monkeypatch):
     levels = []
     monkeypatch.setattr(FiniteAbelianProSystem, "level",
@@ -359,17 +369,26 @@ def test_a_transition_builds_only_its_two_levels(monkeypatch):
             seen.update((m, n))
 
 
-@pytest.mark.parametrize("bound, compared, walked", [(1, 2, 1), (12, 24, 12), (100, 200, 100)])
-def test_fresh_towers_build_each_level_once(monkeypatch, bound, compared, walked):
-    # a comparison builds levels 1..bound of both towers and its walk reads
-    # them; check_coherence builds levels 1..bound of its tower
+@pytest.mark.parametrize("bound", [1, 12, 100])
+def test_fresh_towers_build_each_level_once(monkeypatch, bound):
+    # towers that complete one group share one level table, so comparing
+    # them builds levels 1..bound once and the walk reads them, as
+    # check_coherence does on one tower; unequal towers build them each
     built = _count_builds(monkeypatch)
     for g in (Z, FgAbelianGroup(1, (2, 12))):
         built.clear()
         assert equivalent_up_to(completion(g), completion(g), bound)[0]
-        assert len(built) == compared
+        assert len(built) == bound
         built.clear()
-        assert completion(g).check_coherence(bound) and len(built) == walked
+        assert completion(g).check_coherence(bound) and len(built) == bound
+    built.clear()
+    ok = equivalent_up_to(completion(Z), completion(FgAbelianGroup.free(2)), bound)[0]
+    assert ok is (bound == 1) and len(built) == 2 * bound
+    # the torus tower and the vertex's root tower both complete Z^2
+    m = validate(MonoidSpec.make(2, [[1, 0], [1, 1], [1, 2]], [[[1, 0, 1], [0, 2, 0]]]))
+    vertex = face_with_support(m, ())
+    built.clear()
+    assert verify_fiber_equivalence(m, vertex, bound)[0] and len(built) == bound
 
 
 def test_the_level_table_keeps_refusing_what_tensor_mod_refuses():
