@@ -1,0 +1,124 @@
+"""The CI gates.  .github/workflows/tier1.yml runs `python tests/gates.py` from the repository
+root, as any checkout can.  Each gate prints one line: PASS or FAIL, its name, what it
+measured and its bound.  Every gate runs even after one fails; the exit is 1 if any did."""
+
+import ast, glob, json, os, pathlib, signal, subprocess, sys, tempfile, threading, time
+
+PY, DIRS = sys.executable, ["src", "tests", "perfbench", "demos"]
+SRC = {**os.environ, "PYTHONPATH": "src"}
+PER_OP = {  # (traced workload, metric) -> the largest value per op that passes
+    # A charts cycle has a fixed mix and runs whole, so its counts are exact: validate solves
+    # the sharpness LP only where the coordinate sum is not >= 1 on every generator, asks in_cone
+    # only at points no earlier Farkas certificate excludes, and runs one Smith form per matrix.
+    ("charts", "ratlp.strict_functional.calls"): 1,
+    ("charts", "abgrp.snf.calls"): 7.44,
+    ("charts", "ratlp.in_cone.calls"): 0.667,
+    # A chart keeps one Smith form of its Kummer congruences per support, which
+    # the fibers and the deck group share (3.75 per op when each solved its own).
+    ("torsor", "abgrp.snf.calls"): 1,
+    # A log point's turns are summed on integers, with no float chord; one
+    # unit_from_turn_float per relation row and offset computation (7.65) fails.
+    ("torsor", "exactnum.calls"): 7.08,
+}
+# At the level cap, 100,000, the vertex's two towers both complete Z^2 and share one table.
+COMPARE = ("import sys; from logcharts.cli import corpus_path, load_chart; from logcharts"
+           ".fibers import verify_fiber_equivalence as compare; from logcharts.monoid import "
+           "face_with_support, validate; m = validate(load_chart(corpus_path('plane_axes')).spec)"
+           "; sys.exit(0 if compare(m, face_with_support(m, ()), 100_000)[0] else 1)")
+
+
+def gate(ok: bool, name: str, measured: str, bound: str) -> bool:
+    print(f"{'PASS' if ok else 'FAIL'}  {name}: {measured} (bound: {bound})", flush=True)
+    return ok
+
+
+def child(argv, timeout=None, env=None, stdout=None):
+    """Run argv; return its exit code ("timeout" once killed at `timeout`
+    seconds), its seconds and its own peak RSS in MiB, read by wait4: in one
+    process, RUSAGE_CHILDREN is the largest child so far, pytest included."""
+    start, proc = time.monotonic(), subprocess.Popen(argv, env=env, stdout=stdout)
+    timer = threading.Timer(timeout or threading.TIMEOUT_MAX, os.kill, (proc.pid, signal.SIGKILL))
+    timer.start()
+    _, status, usage = os.wait4(proc.pid, 0)
+    timer.cancel()
+    seconds, proc.returncode = time.monotonic() - start, os.waitstatus_to_exitcode(status)
+    timed_out = timeout and seconds >= timeout and proc.returncode == -signal.SIGKILL
+    return "timeout" if timed_out else proc.returncode, seconds, usage.ru_maxrss / 1024  # KiB
+
+
+def exits_0(name, argv, env=None, timeout=None, peak=None) -> bool:
+    code, seconds, mib = child(argv, timeout, env, subprocess.DEVNULL if peak else None)
+    bound = "exit 0" + (f", {timeout} s" if timeout else "") + (f", {peak} MiB" if peak else "")
+    return gate(code == 0 and (peak is None or mib <= peak), name,
+                f"exit {code} in {seconds:.1f} s, peak {mib:.0f} MiB", bound)
+
+
+def syntax_310() -> bool:
+    """CI's oldest Python is 3.10, which need not be the one running here."""
+    errors, paths = [], sorted(p for d in DIRS for p in glob.glob(f"{d}/**/*.py", recursive=True))
+    for path in paths:
+        try:
+            ast.parse(pathlib.Path(path).read_text(encoding="utf-8"), path, feature_version=(3, 10))
+        except SyntaxError as err:
+            errors.append(f"{path}:{err.lineno}: {err.msg}")
+    return gate(not errors, "3.10 syntax", "; ".join(errors) or f"{len(paths)} files parse", "3.10")
+
+
+def smoke(workload, trace):
+    """A short perfbench run, whose last line of output is its JSON result."""
+    with tempfile.TemporaryFile("w+") as out:
+        code, seconds, _ = child([PY, "perfbench/run.py", "--workload", workload, "--seed", "1",
+                                  "--seconds", "2", "--trace", str(trace)], stdout=out)
+        out.seek(0)
+        *summary, last = out.read().splitlines() or [""]
+    print(*summary, sep="\n")
+    result = json.loads(last) if last.startswith("{") and last.endswith("}") else {}
+    return gate(code == 0 and result.get("correct") is True, f"smoke {workload} trace {trace}",
+                f"exit {code} in {seconds:.1f} s, correct {json.dumps(result.get('correct'))}",
+                "exit 0, correct true"), result.get("metrics", {})
+
+
+def main(chart) -> int:
+    # Per-module and total counts for the round's deletion ledger.
+    lines = {os.path.basename(p): pathlib.Path(p).read_text(encoding="utf-8").count("\n")
+             for p in sorted(glob.glob("src/logcharts/*.py"))}
+    passed = [gate(True, "lines in src/logcharts", f"{sum(lines.values())} in all, " + ", ".join(
+        f"{name} {n}" for name, n in lines.items()), "none"), syntax_310()]
+    for name, argv, *bounds in [
+        # perfbench/ and demos/ run only as subprocesses without -W error, so compile
+        # every file with warnings as errors (3.12+ warns of an invalid escape).
+        ("compile with warnings as errors", [PY, "-W", "error", "-m", "compileall", "-q", *DIRS]),
+        ("tier-1 tests", [PY, "-m", "pytest", "-q", "--continue-on-collection-errors",
+                          "--durations=10"], SRC),
+        # 499,999 is the largest degree bound the 500,000-point box cap admits for <1, 2>:
+        # a walk growing faster than the bound hits the timeout, one holding every layer the peak.
+        ("cold info at the largest admitted degree bound",
+         [PY, "-m", "logcharts.cli", "info", chart, "--degree-bound", "499999"], SRC, 120, 100),
+        # 99,991 is the largest prime level the fiber cap admits on the log point: a radius
+        # test on undivided exponents, or a root's normal form trying all integers, takes minutes.
+        ("cold torsor at the largest prime level on a radical radius",
+         [PY, "-m", "logcharts.cli", "torsor", "src/logcharts/data/charts/log_point.json", "99991",
+          "--point", '{"radii": ["(99999999/99999998)^(1/64)"], "turns": ["1/3"]}'], SRC, 60, 150),
+        ("comparison at the level cap", [PY, "-c", COMPARE], SRC, 60, 80),
+        # A changed CLI output fails with a unified diff of each differing entry.
+        ("CLI golden corpus", [PY, "-W", "error", "tests/cli_golden.py", "--check"], SRC),
+        ("benchmark self-test", [PY, "perfbench/selftest.py"])]:
+        passed.append(exits_0(name, argv, *bounds))
+    # Only the untraced cli run starts `python -m logcharts.cli` itself: the traced one goes
+    # through perfbench/shim.py, whose tracer imports every layer before the command runs.
+    runs = {(w, t): smoke(w, t) for t in (0, 1) for w in ("torsor", "compare", "charts", "cli")}
+    passed += [ok for ok, _ in runs.values()]
+    for (workload, metric), bound in PER_OP.items():
+        value = runs[workload, 1][1].get(metric, {}).get("value")
+        passed.append(gate(value is not None and value <= bound, f"traced {workload} {metric}",
+                           "no result" if value is None else f"{value:.3f} per op", f"<= {bound}"))
+    print(f"{passed.count(False)} of {len(passed)} gates failed", flush=True)
+    return 1 if False in passed else 0
+
+
+if __name__ == "__main__":
+    os.chdir(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+    with tempfile.TemporaryDirectory() as tmp:
+        chart = pathlib.Path(tmp, "one_two.json")
+        chart.write_text('{"name": "one-two", "ambient_rank": 1, "generators": [[1], [2]]}')
+        sys.exit(main(str(chart)))

@@ -9,6 +9,7 @@ import pytest
 
 import cli_golden
 import logcharts.fibers as fibers_mod
+import logcharts.monoid as monoid_mod
 from logcharts.abgrp import smith_normal_form
 from logcharts.cli import ChartDocument, corpus_path, load_chart, main
 from logcharts.errors import ChartError
@@ -464,6 +465,31 @@ def test_exit_code_1_reserved_for_falsified_properties(monkeypatch, capsys):
     assert (code, captured.out) == (1, "")
     assert captured.err.startswith(
         "falsified property: Kummer fiber has 8 elements, expected n^2 = 4")
+
+
+def test_an_unexpected_exception_is_an_internal_error(monkeypatch, capsys):
+    # a bug inside a subcommand is neither an input error's message nor a
+    # falsified property: exit 2, nothing on stdout, the exception's class
+    def boom(m):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(monoid_mod, "faces", boom)
+    code = main(["info", corpus_path("log_point")])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", "internal error: RuntimeError: boom\n")
+
+
+def test_a_false_result_prints_its_record_and_exits_1(monkeypatch, capsys):
+    # a check that returns False, rather than raising FalsifiedProperty,
+    # still prints its record, and exits 1
+    verify = fibers_mod.verify_fiber_equivalence
+    monkeypatch.setattr(fibers_mod, "verify_fiber_equivalence",
+                        lambda m, face, bound: (False, verify(m, face, bound)[1]))
+    code = main(["compare", corpus_path("a1_cone"), "--bound", "10"])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (1, "")
+    out = json.loads(captured.out)
+    assert (out["equivalent"], out["levels"], out["torus_rank"]) == (False, 10, 2)
 
 
 _SQUARE = [[1, 0, 0], [1, 1, 0], [1, 0, 1], [1, 1, 1]]
