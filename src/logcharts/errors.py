@@ -56,8 +56,7 @@ class NotOnVariety(ChartError):
     """A point violates the chart's relation equations: exactly, or for a
     floating complex point beyond semialg's FLOAT_TOLERANCE.
 
-    ``residual`` is the measured residual: a float, or the Fraction of a
-    turn by which an exact turn sum misses a whole turn."""
+    ``residual`` is the measured residual, a float."""
 
     def __init__(self, residual, message=None):
         self.residual = residual

@@ -19,11 +19,12 @@ each coordinate's n roots, and the torsor check lifts each log fiber
 point to its root indices against the point it covers.  Circle
 coordinates are turns, so the n-th roots of coordinate i are (t_i + j) / n
 turns.  A relation's offset is the point's turn sum, a whole number of
-turns.  A log point is exact, so its turn sums are checked on integers and
-its fiber is exact: turns divide on integers, and nonnegative real roots
-are exact radicals.  A complex point's turns are floats, rounded to whole
-offsets; a floating complex point's must lie within semialg's
-FLOAT_TOLERANCE of whole ones.
+turns.  The point rules live in the point layer, and the fibers read
+them: membership is semialg's ``check_membership``, a complex point's
+stratum is ``strata.stratum_of_point``, and a log point's offsets are
+semialg's integer turn sums.  A log point is exact, so its fiber is exact:
+turns divide on integers, and nonnegative real roots are exact radicals.
+A complex point's turns are floats, and its offsets their sums, rounded.
 """
 
 from __future__ import annotations
@@ -34,8 +35,8 @@ from fractions import Fraction
 
 from ._record import Record
 from .abgrp import FgAbelianGroup, generator_matrix, rank, smith_normal_form
-from .errors import ChartError, FalsifiedProperty, InvalidPoint, NotAFace, NotOnVariety
-from .monoid import AffineMonoid, Face, face_with_support, stalk
+from .errors import ChartError, FalsifiedProperty, InvalidPoint
+from .monoid import AffineMonoid, Face, stalk
 
 
 class FiberEquivalenceCertificate(Record):
@@ -68,19 +69,6 @@ def verify_fiber_equivalence(m: AffineMonoid, f: Face,
                                 mu_tower(quotient), bound)
     return ok, FiberEquivalenceCertificate(face=f.support, torus_rank=r, bound=bound,
                                            levels=cert)
-
-
-def _turn_offsets(rows, turns):
-    """sum_j row_j t_j, the whole turns c by which the exact turns t meet
-    each relation row, summed on integers over their common denominator;
-    NotOnVariety unless whole."""
-    den = math.lcm(*(t.denominator for t in turns))
-    nums = [t.numerator * (den // t.denominator) for t in turns]
-    sums = [sum(map(operator.mul, row, nums)) for row in rows]
-    misses = [Fraction(s % den, den) for s in sums if s % den]
-    if misses:
-        raise NotOnVariety(misses[0], f"a turn sum is {misses[0]} past a whole turn")
-    return [s // den for s in sums]
 
 
 # Fibers and deck groups are enumerated in full; refuse sizes beyond this.
@@ -170,13 +158,6 @@ def _assemble(table, choices):
     return [tuple(map(list.__getitem__, table, u)) for u in choices]
 
 
-def _validate_point(m: AffineMonoid, p, target: Target):
-    from .semialg import check_membership, emit_equations
-    ok, residual = check_membership(emit_equations(m, target), p)
-    if not ok:
-        raise InvalidPoint(f"point violates the relations (residual {residual:.3e})")
-
-
 def kn_kummer_fiber(m: AffineMonoid, p: KnPoint, n: int) -> list[KnPoint]:
     """The full fiber of the degree-n Kummer cover of the log model over p.
 
@@ -190,11 +171,13 @@ def kn_kummer_fiber(m: AffineMonoid, p: KnPoint, n: int) -> list[KnPoint]:
     count mismatch is a hard error, and n^r above the enumeration cap is
     refused before anything is enumerated.
     """
-    from .semialg import KnPoint, Target
-    _validate_point(m, p, Target.KN_POINTS)
+    from .semialg import KnPoint, Target, _turn_offsets, check_membership, emit_equations
+    ok, residual = check_membership(emit_equations(m, Target.KN_POINTS), p)
+    if not ok:
+        raise InvalidPoint(f"point violates the relations (residual {residual:.3e})")
     angles = _angles(m, tuple(range(m.generator_count)))
-    choices, _ = _solve(angles, n, "Kummer fiber",
-                        _turn_offsets(angles[0], [t for _, t in p.values]))
+    offsets = [c for c, _ in _turn_offsets(angles[0], [t for _, t in p.values])]
+    choices, _ = _solve(angles, n, "Kummer fiber", offsets)
     # Coordinate i takes only the n values (radius^(1/n), (t_i + j) / n turns).
     table = []
     for radius, turn in p.values:
@@ -213,33 +196,23 @@ def algebraic_kummer_fiber(m: AffineMonoid, p: CxPoint, n: int) -> list[CxPoint]
     choices exactly as in the log model.  The points are exact when p is,
     every nonvanishing coordinate lies on an axis with a magnitude that is
     a rational n-th power, and every chosen root lies on an axis; else
-    they are floating.  Level and cap are checked before any float of p.
-    The turns are floats, so each relation's turn sum is rounded to its
-    offset; a floating point whose sum has a chord |exp(2 pi i delta) - 1|
-    to it above FLOAT_TOLERANCE is off the variety, which the relative
-    residual alone misses on small values: [1e-5, 1e-5 i, 1e-5] passes
-    z0 z2 = z1^2 at 1e-9.
+    they are floating.  The face is ``stratum_of_point``'s, which raises
+    NotOnVariety or NotAFace for a point it places on no stratum; level
+    and cap are checked next, before any float of p.  The turns are
+    floats, so each relation's turn sum is rounded to its offset.
     """
     from .exactnum import unit_from_turn_float
-    from .semialg import FLOAT_TOLERANCE, CxPoint, Target
-    _validate_point(m, p, Target.COMPLEX_POINTS)
+    from .semialg import CxPoint
+    from .strata import stratum_of_point
+    face = stratum_of_point(m, p)
     k = m.generator_count
-    support = [i for i in range(k) if not p.is_zero_at(i)]
-    try:
-        face = face_with_support(m, support)
-    except NotAFace as err:
-        raise InvalidPoint(f"vanishing pattern {support} is not a face: {err}") from err
     angles = _angles(m, face.support)
     _fiber_size(angles[2], n)
     values = p.to_complex()
     turns = [math.atan2(z.imag, z.real) / (2 * math.pi) % 1.0 if i in face.support else 0.0
              for i, z in enumerate(values)]
-    totals = [sum(x * t for x, t in zip(row, turns)) for row in angles[0]]
-    if not p.exact:
-        chord = max((abs(unit_from_turn_float(t % 1) - 1.0) for t in totals), default=0.0)
-        if chord > FLOAT_TOLERANCE:
-            raise NotOnVariety(chord)
-    choices, _ = _solve(angles, n, "algebraic Kummer fiber", [round(t) for t in totals])
+    offsets = [round(sum(x * t for x, t in zip(row, turns))) for row in angles[0]]
+    choices, _ = _solve(angles, n, "algebraic Kummer fiber", offsets)
     table = _exact_algebraic_table(p, n, face.support) if p.exact else None
     if table is not None:
         fiber = _assemble(table, choices)
@@ -337,6 +310,7 @@ def torsor_check(m: AffineMonoid, p: KnPoint, n: int) -> tuple[bool, TorsorRepor
     FalsifiedProperty naming it.  The orbit table gives, per fiber point,
     the first character carrying the base to it (-1 for none).
     """
+    from .semialg import _turn_offsets
     fiber = kn_kummer_fiber(m, p, n)
     angles = _angles(m, tuple(range(m.generator_count)))
     chars, generators = _solve(angles, n, "deck group")
@@ -347,7 +321,7 @@ def torsor_check(m: AffineMonoid, p: KnPoint, n: int) -> tuple[bool, TorsorRepor
                for g in [math.gcd(n * r.degree, rho.degree)]):
         raise _not_a_root(fiber[0], p, n, "radii or relation congruences")
     lifts = _root_indices(fiber, p, roots, n)
-    offsets = _turn_offsets(rows, [t for _, t in p.values])
+    offsets = [c for c, _ in _turn_offsets(rows, [t for _, t in p.values])]
     if any((sum(map(operator.mul, row, lifts[0])) + b) % n for row, b in zip(rows, offsets)):
         raise _not_a_root(fiber[0], p, n, "radii or relation congruences")
     index = {c: i for i, c in enumerate(lifts)}

@@ -18,9 +18,9 @@ read once, by :meth:`KnPoint.floating`, as rationals that round back to
 each radius and, with denominator at most 10^6, approximate each turn.
 Complex points are exact (Gaussian-rational coordinates, decided by
 exact equality) or floating; a floating one is checked at the one
-tolerance FLOAT_TOLERANCE, on the residual relative to the size of each
-equation's sides.  A Gaussian rational such as 3+4i has no rational
-turn, so a complex point has no exact polar form in general.
+tolerance FLOAT_TOLERANCE, on each equation's relative residual and turn
+sum.  A Gaussian rational such as 3+4i has no rational turn, so a
+complex point has no exact polar form in general.
 """
 
 from __future__ import annotations
@@ -28,11 +28,12 @@ from __future__ import annotations
 import cmath
 import enum
 import math
+import operator
 import random
 from fractions import Fraction
 
 from ._record import Record
-from .errors import ArityMismatch, InvalidPoint
+from .errors import ArityMismatch, ChartError, InvalidPoint
 from .exactnum import (GAUSSIAN_ONE, GAUSSIAN_ZERO, GaussianRational,
                        NonnegRoot, turn_mod1, unit_from_turn_exact,
                        unit_from_turn_float)
@@ -42,6 +43,7 @@ FLOAT_TOLERANCE = 1e-9  # the residual and modulus a floating complex point may 
 _SAMPLER_RETRY_BUDGET = 64
 _TURN_DENOMINATOR = 4  # sampled log angles are quarter turns: see sample_kn_stratum
 _LEAST_RESIDUAL = math.ulp(0.0)  # reported for an exact equation that fails
+POWER_BITS_CAP = 1 << 20  # |e| times the bits of v an exact v ** e may reach: a few ms
 
 
 class Target(enum.Enum):
@@ -147,12 +149,6 @@ class KnPoint(Record):
                           turn.limit_denominator(10 ** 6)))
         return KnPoint.exact_point(exact)
 
-    def radius(self, i):
-        return self.values[i][0]
-
-    def angle(self, i):
-        return self.values[i][1]
-
     @property
     def arity(self) -> int:
         return len(self.values)
@@ -178,12 +174,22 @@ def _monomial(values, exponents, one, exact=False):
     product is the first vanishing base with a positive exponent, so a
     point on a low stratum costs no exact arithmetic.  A floating product
     multiplies every factor, so a zero beside a factor beyond the float
-    range still gives the OverflowError or NaN that callers read as inf."""
+    range still gives the OverflowError or NaN that callers read as inf.
+    An exact power whose size, read off the bit lengths of the base's
+    fields, would exceed POWER_BITS_CAP raises ChartError before it is
+    taken."""
     out = one
     for v, e in zip(values, exponents):
         if e:
             if exact and v.is_zero():
                 return v
+            if not isinstance(v, complex):  # bits <= 0 for 0, 1 and i, else about log2 |v|
+                bits = sum(q.numerator.bit_length() + q.denominator.bit_length() - 1 for q in (
+                    (v.re, v.im) if isinstance(v, GaussianRational)
+                    else (v.base,) if isinstance(v, NonnegRoot) else (v,))) - 1
+                if abs(e) * bits > POWER_BITS_CAP:
+                    raise ChartError(f"exponent {e} would make a power of about {abs(e) * bits} "
+                                     f"bits, above the limit of {POWER_BITS_CAP}")
             out = out * v ** e
     return out
 
@@ -201,20 +207,24 @@ def _check_exact_types(point):
 
 
 def check_membership(system: BinomialSystem, point):
-    """Evaluate every equation at the point.
+    """Evaluate every equation at the point: the one membership rule, which
+    ``strata.stratum_of_point`` and the Kummer fibers read.
 
     Returns (ok, max_residual).  Log points and exact complex points are
-    decided by exact equality; their residual is only reported, as a float
+    decided by exact equality, a log point's turn sums by
+    :func:`_turn_offsets`; their residual is only reported, as a float
     that is 0.0 exactly when every equation holds (inf where a conversion
-    overflows), and is not computed at all on a valid point: the larger of
-    the radii's gap and the chord |exp(2 pi i t) - 1| of the turn sum t.  A
-    floating complex equation's residual is |lhs - rhs| / max(1, |lhs|,
-    |rhs|), and passes up to FLOAT_TOLERANCE; one whose power overflows, or
-    whose sides are not both finite, has residual inf and fails: sides
-    beyond the float range cannot be told apart.  Raises
-    ArityMismatch when the point has the wrong number of coordinates and
-    InvalidPoint when the point type does not match the system target, or
-    an exact point holds values of other types.
+    overflows), and is not computed on a valid point: the larger of the
+    radii's gap and the chord |exp(2 pi i d) - 1| of the turn d past a
+    whole one.  A floating complex equation's residual is |lhs - rhs| /
+    max(1, |lhs|, |rhs|), or, where none of its coordinates vanishes
+    within FLOAT_TOLERANCE, the chord of its turn sum if that is larger
+    ([1e-5, 1e-5 i, 1e-5] meets z0 z2 = z1^2 to 2e-10, half a turn off),
+    and it passes up to FLOAT_TOLERANCE; sides that overflow or are not
+    both finite give inf, since sides beyond the float range cannot be
+    told apart.  Raises ArityMismatch when the point has the wrong number
+    of coordinates and InvalidPoint when the point type does not match the
+    system target, or an exact point holds values of other types.
     """
     if point.arity != system.variable_count:
         raise ArityMismatch(
@@ -226,12 +236,20 @@ def check_membership(system: BinomialSystem, point):
     _check_exact_types(point)
     kn = system.target is Target.KN_POINTS
     bound = 0.0 if kn or point.exact else FLOAT_TOLERANCE
+    if kn:
+        radii, one = [radius for radius, _ in point.values], NonnegRoot.of(1)
+        sums = _turn_offsets([tuple(map(operator.sub, r, s)) for r, s in system.equations],
+                             [a for _, a in point.values])
+    elif not point.exact:  # the unit z / |z| of each live coordinate, None at vanishing ones
+        units = [None if point.is_zero_at(i) else z / abs(z) for i, z in enumerate(point.values)]
 
-    max_residual = 0.0
-    ok = True
-    for r, s in system.equations:
+    max_residual, ok = 0.0, True
+    for i, (r, s) in enumerate(system.equations):
         if kn:
-            residual = _kn_equation_residual(point, r, s)
+            lhs, rhs = (_monomial(radii, x, one, True) for x in (r, s))
+            turn = sums[i][1]
+            residual = 0.0 if lhs == rhs and turn == 0 else _exact_gap(
+                lambda: max(_radius_gap(lhs, rhs), abs(unit_from_turn_float(turn) - 1.0)))
         elif point.exact:
             diff = (_monomial(point.values, r, GAUSSIAN_ONE, True)
                     - _monomial(point.values, s, GAUSSIAN_ONE, True))
@@ -242,10 +260,35 @@ def check_membership(system: BinomialSystem, point):
                                       _monomial(point.values, s, complex(1)))
             except OverflowError:  # a floating power beyond the float range
                 residual = math.inf
-        if not residual <= bound:
-            ok = False
+            if None not in (u for u, rj, sj in zip(units, r, s) if rj or sj):
+                # the chord |exp(2 pi i d) - 1| of the turn sum d, as the units' gap
+                residual = max(residual, abs(_monomial(units, r, complex(1))
+                                             - _monomial(units, s, complex(1))))
+        ok = ok and residual <= bound
         max_residual = max(max_residual, residual)
     return ok, max_residual
+
+
+def _turn_offsets(rows, turns):
+    """The turn sum sum_j row_j t_j of the exact turns t along each
+    relation row, as (c, d): the whole turns c below it and the Fraction
+    d in [0, 1) of a turn past them, 0 exactly where the row holds.  Summed
+    on integers over the turns' common denominator: the one whole-turn sum
+    of a log point, whose d membership reads and whose c are the Kummer
+    fibers' offsets."""
+    den = math.lcm(*(t.denominator for t in turns))
+    nums = [t.numerator * (den // t.denominator) for t in turns]
+    return [(total // den, Fraction(total % den, den))
+            for total in (sum(map(operator.mul, row, nums)) for row in rows)]
+
+
+def _radius_gap(lhs, rhs) -> float:
+    """|lhs - rhs| of two radii, taken exactly where both are rational."""
+    if lhs == rhs:
+        return 0.0
+    if lhs.is_rational() and rhs.is_rational():
+        return float(abs(lhs.as_rational() - rhs.as_rational()))
+    return abs(float(lhs) - float(rhs))
 
 
 def _exact_gap(gap) -> float:
@@ -266,28 +309,6 @@ def _float_gap(lhs, rhs) -> float:
     if not (cmath.isfinite(lhs) and cmath.isfinite(rhs)):
         return math.inf
     return abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
-
-
-def _kn_equation_residual(point: KnPoint, r, s) -> float:
-    radii = [radius for radius, _ in point.values]
-    one = NonnegRoot.of(1)
-    lhs, rhs = _monomial(radii, r, one, True), _monomial(radii, s, one, True)
-    # Angles add along the relation, modulo whole turns.  They only matter
-    # where some radius factor is alive on a side; they are group-valued,
-    # so the relation constrains them globally.
-    turn = sum((ri - si) * a for ri, si, (_, a) in zip(r, s, point.values)) % 1
-    if lhs == rhs and turn == 0:
-        return 0.0
-
-    def gap():
-        radius_res = 0.0
-        if lhs != rhs:
-            radius_res = (float(abs(lhs.as_rational() - rhs.as_rational()))
-                          if lhs.is_rational() and rhs.is_rational()
-                          else abs(float(lhs) - float(rhs)))
-        return max(radius_res, abs(unit_from_turn_float(turn) - 1.0))
-
-    return _exact_gap(gap)
 
 
 def tau(point: KnPoint) -> CxPoint:

@@ -4,9 +4,10 @@ Strata are represented combinatorially by faces of the monoid: the
 characteristic data is constant along the locus where a fixed set of
 generator coordinates is invertible, so the face is a faithful stand-in
 at chart level.  A point lands on the face whose support is exactly its
-nonvanishing coordinate pattern (a floating complex coordinate vanishes
-within semialg's FLOAT_TOLERANCE), and the stalk there is the quotient of
-the monoid by that face.
+nonvanishing coordinate pattern, and the stalk there is the quotient of
+the monoid by that face.  :func:`stratum_of_point` is the one stratum
+finder, which the algebraic Kummer fiber reads; it takes membership and
+vanishing from semialg's rules.
 """
 
 from __future__ import annotations
@@ -87,16 +88,15 @@ def stratum_of_point(m: AffineMonoid, p: CxPoint) -> Face:
     """The face indexing the stratum a chart point lies on.
 
     The support is the set of coordinates where the point does not vanish
-    (those generators act invertibly there): exactly for an exact point,
-    beyond FLOAT_TOLERANCE in modulus for a floating one.  Raises
-    NotOnVariety if the point violates the relation equations, and
-    NotAFace if the vanishing pattern is not a face, which for a floating
-    point can mean that a value within the tolerance of 0 is not one.
+    (those generators act invertibly there), by ``CxPoint.is_zero_at``:
+    exactly for an exact point, within the floating tolerance for a
+    floating one.  Raises NotOnVariety if ``check_membership`` refuses the
+    point, and NotAFace if the vanishing pattern is not a face, which for
+    a floating point can mean that a value within the tolerance of 0 is
+    not one.
     """
     from .semialg import Target, check_membership, emit_equations
-    system = emit_equations(m, Target.COMPLEX_POINTS)
-    ok, residual = check_membership(system, p)
+    ok, residual = check_membership(emit_equations(m, Target.COMPLEX_POINTS), p)
     if not ok:
         raise NotOnVariety(residual)
-    support = tuple(i for i in range(p.arity) if not p.is_zero_at(i))
-    return face_with_support(m, support)
+    return face_with_support(m, [i for i in range(p.arity) if not p.is_zero_at(i)])

@@ -8,9 +8,13 @@ floating point with sixth-turn angles, which is read as exact turns and
 prints as them, and ``torsor`` at a point with too few coordinates, which
 is refused.  Then come an exact radical radius, its float twin, which
 meets the relation only within a rounding error and is refused, and a
-malformed radical.  Last, ``info`` refuses a chart of ambient rank 20,000
+malformed radical.  Then ``info`` refuses a chart of ambient rank 20,000
 with no generators, and one of 1,001 generators, both above the limit,
-before building any matrix.
+before building any matrix.  Then ``torsor`` refuses a power with
+exponent 10^12, at a given point and at a sampled one, before taking it.
+Last come ``info``, ``strata`` and the vertex ``compare`` on the cone over
+each of the 16 reflexive polygons (``tests/test_reflexive.py``), with its
+degree-2 moves as relations, and the cubic for the triangle of P^2.
 
 An argv names a chart by its file stem (``a1_cone``), which :func:`run`
 replaces by the path of the corpus chart, or else of the chart in
@@ -43,6 +47,7 @@ from logcharts.monoid import faces, validate
 CORPUS = ["log_point", "affine_line", "plane_axes", "a1_cone"]
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 PATH = os.path.join(DATA, "cli_golden.json")
+REFLEXIVE = sorted(name[:-5] for name in os.listdir(DATA) if name.startswith("reflexive_"))
 
 
 def argvs() -> list[list[str]]:
@@ -85,7 +90,13 @@ def argvs() -> list[list[str]]:
                    '"angles": [[1, 0], [1, 0], [1, 0]]}'],
                   ["torsor", "a1_cone", "2", "--point",
                    '{"radii": ["1", "2^(1/0)", "2"], "turns": ["0", "0", "0"]}'],
-                  ["info", "rank_20000"], ["info", "generators_1001"]]
+                  ["info", "rank_20000"], ["info", "generators_1001"],
+                  # z0^(10^12) = z1: 2^(10^12) is never computed
+                  ["torsor", "huge_exponent", "2", "--point",
+                   '{"radii": ["2", "4"], "turns": ["0", "0"]}'],
+                  ["torsor", "huge_exponent", "2", "--face", "0,1"]] + [
+                      [command, stem, *flags] for stem in REFLEXIVE
+                      for command, *flags in (["info"], ["strata"], ["compare", "--bound", "10"])]
 
 
 def run(argv) -> dict:

@@ -16,9 +16,13 @@ PER_OP = {  # (traced workload, metric) -> the largest value per op that passes
     # A chart keeps one Smith form of its Kummer congruences per support, which
     # the fibers and the deck group share (3.75 per op when each solved its own).
     ("torsor", "abgrp.snf.calls"): 1,
-    # A log point's turns are summed on integers, with no float chord; one
-    # unit_from_turn_float per relation row and offset computation (7.65) fails.
+    # A log point's turn sums are semialg._turn_offsets' integers, with no float
+    # chord; semialg.check_membership computes the only chords, a floating complex
+    # point's.  One unit_from_turn_float per relation row and offset (7.65) fails.
     ("torsor", "exactnum.calls"): 7.08,
+    # One membership pass per fiber: the log fiber's, and stratum_of_point's for
+    # the algebraic fiber, which reads its face there instead of checking again.
+    ("torsor", "semialg.check_membership.calls"): 2,
 }
 # At the level cap, 100,000, the vertex's two towers both complete Z^2 and share one table.
 COMPARE = ("import sys; from logcharts.cli import corpus_path, load_chart; from logcharts"

@@ -504,9 +504,9 @@ def kn_kummer_fiber_by_fractions(m, p, n):
     exact point p, in lexicographic order of root indices."""
     k = m.generator_count
     rows = _relation_rows(m)
-    turns = [p.angle(i) for i in range(k)]
+    turns = [a for _, a in p.values]
     offsets = [int(sum(c * t for c, t in zip(row, turns))) for row in rows]
-    return [KnPoint(tuple((p.radius(i).root(n), (turns[i] / n + Fraction(u[i], n)) % 1)
+    return [KnPoint(tuple((p.values[i][0].root(n), (turns[i] / n + Fraction(u[i], n)) % 1)
                           for i in range(k)))
             for u in root_choices_by_scan(rows, offsets, n, k)]
 

@@ -2,7 +2,11 @@
 law, and the fiberwise profinite comparison."""
 
 import cmath
+import collections
+import itertools
 import math
+import operator
+import os
 import random
 import time
 from fractions import Fraction
@@ -12,9 +16,11 @@ import pytest
 import logcharts.fibers as fibers_mod
 import logcharts.abgrp as abgrp
 import logcharts.exactnum as exactnum
+import logcharts.semialg as semialg
 from logcharts.abgrp import FgAbelianGroup, rank, smith_normal_form, tensor_mod
+from logcharts.cli import corpus_path, load_chart
 from logcharts.errors import (ArityMismatch, ChartError, FalsifiedProperty, InvalidPoint,
-                              NotOnVariety)
+                              NotAFace, NotOnVariety)
 from logcharts.exactnum import GaussianRational, NonnegRoot
 from logcharts.fibers import (algebraic_kummer_fiber, kn_kummer_fiber,
                               torsor_check, verify_fiber_equivalence)
@@ -24,6 +30,7 @@ from logcharts.profin import (FiniteAbelianProSystem, completion, equivalent_up_
                               mu_tower)
 from logcharts.semialg import (CxPoint, KnPoint, Target, check_membership,
                                emit_equations, sample_kn_stratum, tau)
+from logcharts.strata import stratum_of_point
 from oracles import (kn_kummer_fiber_by_fractions, root_choices_by_scan,
                      torsor_report_by_fractions)
 
@@ -168,7 +175,7 @@ def test_kn_kummer_fiber_log_point():
     p = KnPoint.exact_point([(2, Fraction(1, 3))])
     fiber = kn_kummer_fiber(m, p, 3)
     assert len(fiber) == 3
-    turns = sorted(pt.angle(0) for pt in fiber)
+    turns = sorted(pt.values[0][1] for pt in fiber)
     assert turns == [Fraction(1, 9), Fraction(4, 9), Fraction(7, 9)]
     assert len(kn_kummer_fiber(m, p, 1)) == 1
 
@@ -178,7 +185,7 @@ def test_kn_kummer_fiber_quadrant_units():
     p = KnPoint.exact_point([(1, 0), (1, 0)])
     fiber = kn_kummer_fiber(m, p, 2)
     assert len(fiber) == 4
-    pairs = sorted((pt.angle(0), pt.angle(1)) for pt in fiber)
+    pairs = sorted((pt.values[0][1], pt.values[1][1]) for pt in fiber)
     assert pairs == [(0, 0), (0, Fraction(1, 2)),
                      (Fraction(1, 2), 0), (Fraction(1, 2), Fraction(1, 2))]
 
@@ -222,7 +229,7 @@ def test_a_floating_point_near_the_variety_is_refused():
     # keeps (1/628319 of a turn): there is no tolerance to accept it at.
     m = a1_cone()
     p = KnPoint.floating([(1, 1), (1, 1), (1, complex(1, 1e-5))])
-    assert p.angle(2) == Fraction(1, 628319)
+    assert p.values[2][1] == Fraction(1, 628319)
     with pytest.raises(InvalidPoint, match="violates the relations"):
         kn_kummer_fiber(m, p, 2)
 
@@ -271,16 +278,86 @@ def test_algebraic_fiber_on_edge_stratum():
 
 def test_small_complex_values_are_refused_on_their_angles():
     # z0 z2 = z1^2 holds here to a relative 2e-10, within 1e-9, but the turn
-    # sum 0 - 2/4 + 0 misses a whole turn by half a turn: rounding it gave
-    # four roots of size 1e-5 and 1e-5 i, 1.4e-5 apart on the relation
+    # sum 0 - 2/4 + 0 misses a whole turn by half a turn, a chord of 2:
+    # rounding it gave four roots of size 1e-5 and 1e-5 i, 1.4e-5 apart on
+    # the relation.  Membership, the stratum and the fiber all refuse it.
     m = a1_cone()
     system = emit_equations(m, Target.COMPLEX_POINTS)
     p = CxPoint.floating([1e-5, 1e-5j, 1e-5])
-    assert check_membership(system, p)[0]
+    ok, residual = check_membership(system, p)
+    assert not ok and residual == pytest.approx(2.0)
+    with pytest.raises(NotOnVariety):
+        stratum_of_point(m, p)
     with pytest.raises(NotOnVariety):
         algebraic_kummer_fiber(m, p, 2)
     fiber = algebraic_kummer_fiber(m, CxPoint.floating([1e-5, 1e-5, 1e-5]), 2)
     assert len(fiber) == 4 and all(check_membership(system, q)[0] for q in fiber)
+
+
+def _agreement_charts():
+    """The bundled corpus, the square cone, and the cones over the
+    triangle of P^2 and the hexagon: every relation has equal degrees on
+    both sides, so scaling all coordinates by one factor stays on the
+    variety."""
+    charts = [validate(load_chart(corpus_path(name)).spec)
+              for name in ("log_point", "affine_line", "plane_axes", "a1_cone")]
+    charts.append(validate(MonoidSpec.make(*TORSOR_CHARTS["square_cone"])))
+    data = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
+    charts += [validate(load_chart(os.path.join(data, f"{stem}.json")).spec)
+               for stem in ("reflexive_01_b3_v3", "reflexive_10_b6_v6")]
+    assert all(sum(r) == sum(s) for m in charts for r, s in m.relations)
+    return charts
+
+
+def test_membership_the_stratum_and_the_fiber_accept_the_same_floating_points():
+    # One rule decides a floating complex point.  Points on the variety are
+    # pushed from the torus, at moduli near 1 or scaled to 1e-6..1e-3; some
+    # have their pairing-positive coordinates shrunk by s^<w, g_i> <= 1e-12
+    # along a w of the dual cone, so they vanish on a face; some have one
+    # live coordinate turned by half a turn.
+    rng = random.Random(20261024)
+    verdicts = collections.Counter()
+    for m in _agreement_charts():
+        system = emit_equations(m, Target.COMPLEX_POINTS)
+        d, gens = m.ambient_rank, m.generators
+        duals = [w for w in itertools.product(range(-2, 3), repeat=d)
+                 if all(sum(map(operator.mul, w, g)) >= 0 for g in gens)]
+        for _ in range(180):
+            t = [rng.uniform(0.5, 1.5) * cmath.exp(2j * math.pi * rng.random()) for _ in range(d)]
+            scale = rng.choice((1.0, 10 ** -rng.uniform(3, 6)))
+            values = [scale * math.prod(x ** e for x, e in zip(t, g)) for g in gens]
+            if rng.random() < 0.5:
+                w, s = rng.choice(duals), 1e-12 * rng.uniform(0.1, 1)
+                values = [z * s ** sum(map(operator.mul, w, g)) for z, g in zip(values, gens)]
+            live = [i for i, z in enumerate(values) if abs(z) > 1e-9]
+            if live and rng.random() < 0.5:
+                values[rng.choice(live)] *= -1
+            p = CxPoint.floating(values)
+            member = check_membership(system, p)[0]
+            try:
+                face = stratum_of_point(m, p)
+            except NotOnVariety:
+                face = None
+            try:
+                fiber = algebraic_kummer_fiber(m, p, 2)
+            except NotOnVariety:
+                fiber = None
+            assert member == (face is not None) == (fiber is not None), (gens, values)
+            if face is not None:
+                assert len(fiber) == 2 ** fibers_mod._angles(m, face.support)[2]
+            verdicts[member, scale < 1] += 1
+    # 1,260 points, 174 refused; the relative residual alone accepts 43 of
+    # those, all at small moduli, which only the chord of the turn sum refuses
+    assert sum(verdicts.values()) >= 1000 and min(verdicts.values()) >= 50, verdicts
+    # The A1 cone's [1e-5, 1e-5 i, 1e-5] is refused by all three (above).
+    # Membership reads equations only: a pattern that is no face passes it,
+    # and the stratum and the fiber both refuse it as NotAFace.
+    m = a1_cone()
+    p = CxPoint.floating([1e-12, 1e-6, 1.0])
+    assert check_membership(emit_equations(m, Target.COMPLEX_POINTS), p)[0]
+    for run in (lambda: stratum_of_point(m, p), lambda: algebraic_kummer_fiber(m, p, 2)):
+        with pytest.raises(NotAFace):
+            run()
 
 
 def doubled_a1_cone():
@@ -348,7 +425,7 @@ def test_torsor_check_a1_cone():
 def test_torsor_check_floating_point_mode():
     m = n_monoid()
     p = KnPoint.floating([(2.0, cmath.exp(1.1j))])
-    assert p.angle(0) == Fraction(1.1 / (2 * math.pi)).limit_denominator(10 ** 6)
+    assert p.values[0][1] == Fraction(1.1 / (2 * math.pi)).limit_denominator(10 ** 6)
     ok, report = torsor_check(m, p, 4)
     assert ok and report.group_order == 4
 
@@ -474,6 +551,33 @@ def test_torsor_flags_are_decided_by_the_action(monkeypatch):
     assert report.free and report.transitive and not report.preserves_fiber
 
 
+def test_a_repeated_deck_element_leaves_one_point_unreached(monkeypatch):
+    # The deck group's solve returns one character twice, in place of
+    # another.  The count still reads n^r, but the orbit map is neither
+    # injective nor onto, and the one point the lost character carried the
+    # base to keeps the orbit table's default, -1.
+    real_root_choices = fibers_mod._root_choices
+    lost = []
+
+    def repeat_one(smith, offsets, n):
+        solutions, generators = real_root_choices(smith, offsets, n)
+        if offsets == ():
+            lost.append(solutions[1])
+            solutions[1] = solutions[2]
+        return solutions, generators
+
+    m = a1_cone()
+    p = sample_kn_stratum(m, face_with_support(m, [0, 1, 2]), 1, seed=42)[0]
+    fiber = kn_kummer_fiber(m, p, 3)
+    lifts = fibers_mod._root_indices(fiber, p, [rho for rho, _ in fiber[0].values], 3)
+    monkeypatch.setattr(fibers_mod, "_root_choices", repeat_one)
+    ok, report = torsor_check(m, p, 3)
+    assert report.group_order == report.fiber_size == 9 and report.preserves_fiber
+    assert not report.free and not report.transitive and not ok
+    (unreached,) = [i for i, c in enumerate(report.orbit_table) if c == -1]
+    assert lifts[unreached] == fibers_mod._act(lifts[0], lost[0], 3)
+
+
 # The torsor workload's charts and cover degrees per group rank.
 TORSOR_CHARTS = {
     "log_point": (1, [[1]], None),
@@ -547,7 +651,7 @@ def test_floating_input_reads_back_as_the_exact_point_it_was_written_from():
                          (0.1234567, Fraction(1234567, 10 ** 7)), (1e50, 10 ** 50),
                          (2.1e51, 21 * 10 ** 50), (0.3333333333333333, Fraction(1, 3)),
                          (1.4142135623730951, Fraction(14142135623730951, 10 ** 16))):
-        assert KnPoint.floating([(radius, 1)]).radius(0) == read, radius
+        assert KnPoint.floating([(radius, 1)]).values[0][0] == read, radius
         assert float(read) == radius
 
 
@@ -597,11 +701,11 @@ def test_exact_turn_offsets_are_whole_turn_sums():
             scales = [rng.randint(-3, 3) for _ in relations]
             rows = [tuple(c * x for x in row) for c, row in zip(scales, relations)]
             rows += [tuple(map(sum, zip(*rows)))] if rows else []
-            assert fibers_mod._turn_offsets(rows, turns) == [
-                round(sum(x * t for x, t in zip(row, turns))) for row in rows]
-    # a sum that is not whole is off the variety
-    with pytest.raises(NotOnVariety, match="5/6 past a whole turn"):
-        fibers_mod._turn_offsets([(1, 1)], [Fraction(1, 3), Fraction(1, 2)])
+            assert semialg._turn_offsets(rows, turns) == [
+                (round(sum(x * t for x, t in zip(row, turns))), 0) for row in rows]
+    # a sum that is not whole is 5/6 of a turn past one, and below zero too
+    assert semialg._turn_offsets([(1, 1), (-1, -1)], [Fraction(1, 3), Fraction(1, 2)]) == [
+        (0, Fraction(5, 6)), (-1, Fraction(1, 6))]
 
 
 def test_a_huge_exact_coordinate_is_refused_after_the_level_and_cap_checks():
@@ -765,7 +869,7 @@ def test_torsor_check_falsifies_a_fiber_turned_off_the_model(monkeypatch, exact)
     # flags all hold; but the points miss z0 z2 = z1^2, which the base
     # point's relation congruence finds.
     m, p = _a1_point(exact)
-    t = p.angle(0)
+    t = p.values[0][1]
     turned = [KnPoint(((r, (t + (round(3 * a - t) + 1) % 3) / 3 % 1), *rest))
               for q in fibers_mod.kn_kummer_fiber(m, p, 3) for (r, a), *rest in [q.values]]
     monkeypatch.setattr(fibers_mod, "kn_kummer_fiber", lambda m, p, n: turned)

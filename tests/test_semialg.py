@@ -3,16 +3,17 @@
 import cmath
 import collections
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from logcharts.cli import corpus_path, load_chart
-from logcharts.errors import ArityMismatch, InvalidPoint
+from logcharts.errors import ArityMismatch, ChartError, InvalidPoint
 from logcharts.exactnum import GaussianRational, NonnegRoot, turn_mod1, unit_from_turn_float
 from logcharts.fibers import torsor_check
 from logcharts.monoid import MonoidSpec, face_with_support, faces, validate
-from logcharts.semialg import (CxPoint, KnPoint, Target, check_membership,
+from logcharts.semialg import (POWER_BITS_CAP, CxPoint, KnPoint, Target, check_membership,
                                emit_equations, sample_kn_stratum,
                                sample_stratum, tau)
 
@@ -213,12 +214,12 @@ def test_floating_complex_residuals_are_relative():
 
 
 def test_floating_log_points_store_their_angles_in_turns():
-    assert KnPoint.floating([(2.0, 1j)]).angle(0) == Fraction(1, 4)
-    assert KnPoint.floating([(1.0, -3)]).angle(0) == Fraction(1, 2)
-    assert KnPoint.floating([(1.0, -1j)]).angle(0) == Fraction(3, 4)
+    assert KnPoint.floating([(2.0, 1j)]).values[0][1] == Fraction(1, 4)
+    assert KnPoint.floating([(1.0, -3)]).values[0][1] == Fraction(1, 2)
+    assert KnPoint.floating([(1.0, -1j)]).values[0][1] == Fraction(3, 4)
     assert str(KnPoint.floating([(2.0, 1j), (1.0, -3)])) == "((2, 1/4 turn), (1, 1/2 turn))"
     # the phase is read without a modulus, which overflows here
-    assert KnPoint.floating([(1.0, 1.5e308 + 1.5e308j)]).angle(0) == Fraction(1, 8)
+    assert KnPoint.floating([(1.0, 1.5e308 + 1.5e308j)]).values[0][1] == Fraction(1, 8)
 
 
 def test_floating_points_refuse_non_finite_values():
@@ -388,3 +389,31 @@ def test_exact_and_floating_twins_get_the_same_verdict():
     for target in Target:
         for ok in (True, False):
             assert verdicts[target, ok, True] >= 10, verdicts
+
+
+def test_an_exact_power_beyond_the_size_cap_is_refused_before_it_is_taken():
+    # z0^(10^12) = z1: 2^(10^12) would take minutes and terabits, so each
+    # exact path refuses it, naming the exponent and the limit, in no time
+    m = validate(MonoidSpec.make(1, [[1], [10 ** 12]]))
+    kn, cx = emit_equations(m, Target.KN_POINTS), emit_equations(m, Target.COMPLEX_POINTS)
+    dense = face_with_support(m, [0, 1])
+    refusal = f"exponent {10 ** 12} would make a power of .* limit of {POWER_BITS_CAP}"
+    start = time.perf_counter()
+    for run in (lambda: check_membership(kn, KnPoint.exact_point([(2, 0), (4, 0)])),
+                lambda: check_membership(cx, CxPoint.exact_point([GaussianRational(1, 1), 4])),
+                lambda: sample_kn_stratum(m, dense, 1, seed=0),
+                lambda: sample_stratum(m, dense, 1, seed=0)):
+        with pytest.raises(ChartError, match=refusal):
+            run()
+    assert time.perf_counter() - start < 1
+    # 0, 1 and the Gaussian units keep their size at any power
+    assert check_membership(kn, KnPoint.exact_point([(1, Fraction(1, 2)), (1, 0)])) == (True, 0.0)
+    assert check_membership(cx, CxPoint.exact_point([GaussianRational(0, -1), 1]))[0]
+    assert check_membership(cx, CxPoint.exact_point([0, 0]))[0]
+    # the cap bounds the size, not the exponent: 2^(2^20) is taken, 4^(2^20) is not
+    line = validate(MonoidSpec.make(1, [[1], [POWER_BITS_CAP]]))
+    system = emit_equations(line, Target.KN_POINTS)
+    top = KnPoint.exact_point([(2, 0), (2 ** POWER_BITS_CAP, 0)])
+    assert check_membership(system, top) == (True, 0.0)
+    with pytest.raises(ChartError, match=f"exponent {POWER_BITS_CAP} would make a power"):
+        check_membership(system, KnPoint.exact_point([(4, 0), (1, 0)]))
