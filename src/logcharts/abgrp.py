@@ -17,7 +17,7 @@ from __future__ import annotations
 from math import gcd
 
 from ._record import Record
-from .errors import InvalidMonoidSpec
+from .errors import InvalidLevel, InvalidMonoidSpec
 
 
 def _det(rows) -> int:
@@ -280,9 +280,9 @@ def _truncation(g: FgAbelianGroup, m: int) -> tuple[int, ...]:
 def tensor_mod(g: FgAbelianGroup, m: int) -> FgAbelianGroup:
     """The level-m truncation G/mG, built in one pass by ``_truncation``
     and not validated again; G/G is the trivial group.  A level that is
-    not an int (a bool or a float included) raises ValueError."""
+    not a positive int (a bool or a float included) raises InvalidLevel."""
     if type(m) is not int or m < 1:
-        raise ValueError(f"level {m!r} is not a positive integer")
+        raise InvalidLevel(f"level {m!r} is not a positive integer")
     return FgAbelianGroup._normal(0, _truncation(g, m))
 
 

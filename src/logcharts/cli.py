@@ -22,9 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import re
 import sys
-from fractions import Fraction
 
 from . import monoid as monoid_mod
 from ._record import Record
@@ -87,13 +85,6 @@ def corpus_path(name: str) -> str:
     return os.path.join(here, "data", "charts", f"{name}.json")
 
 
-def _level(label, value) -> int:
-    """Levels and the comparison bound index towers, which start at 1."""
-    if value < 1:
-        raise ChartError(f"{label} must be at least 1, got {value}")
-    return value
-
-
 def _plain(value):
     """A record as a dict of its public fields, recursively, with tuples
     as lists: the JSON the CLI writes for it."""
@@ -114,29 +105,12 @@ def _parse_face(text, m):
     return face_with_support(m, indices)
 
 
-# A radical as NonnegRoot prints it: q^(1/k), or (a/b)^(1/k) for a base
-# that is not an integer, with 1 <= k <= _MAX_ROOT_DEGREE: a torsor check
-# raises the base to n * k, and normalising trial-divides k.
-_RADICAL = re.compile(r"([0-9]+|\([0-9]+/[0-9]+\))\^\(1/([0-9]+)\)")
-_MAX_ROOT_DEGREE = 64
-
-
-def _radius(raw):
-    """An exact radius: a fraction string or number, or a radical."""
-    from .exactnum import NonnegRoot
-    radical = _RADICAL.fullmatch(str(raw))
-    if radical is None:
-        return Fraction(str(raw))
-    if int(radical[2]) > _MAX_ROOT_DEGREE:
-        raise ValueError(f"root degree {radical[2]} is above {_MAX_ROOT_DEGREE}")
-    return NonnegRoot(Fraction(radical[1].strip("()")), int(radical[2]))
-
-
 def _parse_point(text):
     """An inline JSON log point: {"radii": [...], "turns": [...]} with
-    radii as exact fraction strings, numbers or radicals and turns as
-    fraction strings or numbers, or {"radii": [...], "angles": [[re, im],
-    ...]} with floats, read once as an exact point."""
+    radii as exact fraction strings, numbers or radicals in the text
+    ``NonnegRoot.of`` reads, and turns as fraction strings or numbers, or
+    {"radii": [...], "angles": [[re, im], ...]} with floats, read once as
+    an exact point."""
     from .semialg import KnPoint
     try:
         doc = json.loads(text)
@@ -152,8 +126,7 @@ def _parse_point(text):
                          '(exact) or "angles" (floating)')
     try:
         if "turns" in doc:
-            return KnPoint.exact_point([(_radius(r), Fraction(str(t)))
-                                        for r, t in zip(radii, circle)])
+            return KnPoint.exact_point([(str(r), str(t)) for r, t in zip(radii, circle)])
         return KnPoint.floating([(float(r), complex(a[0], a[1]))
                                  for r, a in zip(radii, circle)])
     except (TypeError, ValueError, IndexError, ZeroDivisionError, OverflowError) as err:
@@ -189,10 +162,9 @@ def _print_table(payload, indent=0):
         print(f"{pad}{payload}")
 
 
-def cmd_info(chart, m, args):
+def cmd_info(m, args):
     fs = monoid_mod.faces(m)
     return True, {
-        "name": chart.name,
         "ambient_rank": m.ambient_rank,
         "generator_count": m.generator_count,
         "gp_rank": m.gp_lattice_rank,
@@ -203,11 +175,10 @@ def cmd_info(chart, m, args):
     }
 
 
-def cmd_strata(chart, m, args):
+def cmd_strata(m, args):
     from .strata import stratify
     table = stratify(m)
     return True, {
-        "name": chart.name,
         "max_rank": table.max_rank,
         "strata": [
             {
@@ -221,54 +192,48 @@ def cmd_strata(chart, m, args):
     }
 
 
-def cmd_mu(chart, m, args):
-    n = _level("level", args.n)
-    return True, {"name": chart.name, "n": n, **_plain(monoid_mod.mu(m, n))}
+def cmd_mu(m, args):
+    return True, {"n": args.n, **_plain(monoid_mod.mu(m, args.n))}
 
 
-def cmd_fiber(chart, m, args):
-    n = _level("level", args.n)
+def cmd_fiber(m, args):
     face = _parse_face(args.face, m)
     # The stalk fixes both fiber models: the torus fiber has pi1 = Z^r, and
     # level n of the root fiber tower is mu_n of the stalk.
     quotient, r = monoid_mod.stalk(m, face)
     return True, {
-        "name": chart.name,
         "face": list(face.support),
-        "n": n,
+        "n": args.n,
         "kn_torus_rank": r,
         "kn_pi1": {"free_rank": r, "torsion": []},
-        "root_level": _plain(monoid_mod.mu(quotient, n)),
+        "root_level": _plain(monoid_mod.mu(quotient, args.n)),
     }
 
 
-def cmd_compare(chart, m, args):
+def cmd_compare(m, args):
     from .fibers import verify_fiber_equivalence
-    bound = _level("bound", args.bound)
     face = _parse_face(args.face, m)
-    ok, cert = verify_fiber_equivalence(m, face, bound)
+    ok, cert = verify_fiber_equivalence(m, face, args.bound)
     return ok, {
-        "name": chart.name,
         "face": list(face.support),
         "equivalent": ok,
-        "levels": bound,
+        "levels": args.bound,
         "torus_rank": cert.torus_rank,
         "certificate": _plain(cert),
     }
 
 
-def cmd_emit(chart, m, args):
+def cmd_emit(m, args):
     from .semialg import emit_equations
     system = emit_equations(m, args.target)
-    return True, {"name": chart.name, "target": args.target,
+    return True, {"target": args.target,
                   "variable_count": system.variable_count,
                   "equations": [{"lhs": list(r), "rhs": list(s)} for r, s in system.equations]}
 
 
-def cmd_torsor(chart, m, args):
+def cmd_torsor(m, args):
     from .fibers import torsor_check
     from .semialg import sample_kn_stratum
-    n = _level("level", args.n)
     if args.point is not None:
         if args.face is not None:
             raise ChartError("torsor takes --point or --face, not both")
@@ -278,8 +243,8 @@ def cmd_torsor(chart, m, args):
     else:
         face = _parse_face(args.face, m)
         point = sample_kn_stratum(m, face, 1, DEFAULT_SEED if args.seed is None else args.seed)[0]
-    ok, report = torsor_check(m, point, n)
-    return ok, {"name": chart.name, "point": str(point), "torsor": _plain(report), "ok": ok}
+    ok, report = torsor_check(m, point, args.n)
+    return ok, {"point": str(point), "torsor": _plain(report), "ok": ok}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -327,7 +292,8 @@ def main(argv=None) -> int:
     try:
         chart = load_chart(args.chart)
         m = monoid_mod.validate(chart.spec, degree_bound=args.degree_bound)
-        ok, payload = args.run(chart, m, args)
+        ok, payload = args.run(m, args)
+        payload["name"] = chart.name
     except FalsifiedProperty as err:
         return _report(f"falsified property: {err}", 1)
     except ChartError as err:

@@ -1,7 +1,8 @@
 """Exception hierarchy shared by every module.
 
 ``ChartError`` is the base of everything the library raises on bad input or
-on a mathematically impossible request.  ``FalsifiedProperty`` is reserved
+on a mathematically impossible request; ``InvalidLevel``, a bad level or
+bound, is also a ``ValueError``.  ``FalsifiedProperty`` is reserved
 for the opposite situation: the input was fine but a property that should
 hold (torsor freeness, fiber cardinality, ...) failed to verify.  The CLI
 maps the former to exit code 2 and the latter to exit code 1.
@@ -10,6 +11,12 @@ maps the former to exit code 2 and the latter to exit code 1.
 
 class ChartError(Exception):
     """Base class for input and validation errors."""
+
+
+class InvalidLevel(ChartError, ValueError):
+    """A level, Kummer cover degree or comparison bound that is not a
+    positive int (a bool or a float included), or a transition from level
+    m to a level n that does not divide m."""
 
 
 class InvalidMonoidSpec(ChartError):

@@ -9,6 +9,7 @@ points use ``complex`` directly.
 from __future__ import annotations
 
 import cmath
+import re
 from fractions import Fraction
 from math import gcd
 
@@ -121,11 +122,20 @@ def _prime_factors(n: int) -> list[int]:
     return out + [n] if n > 1 else out
 
 
+# A radical as NonnegRoot prints it: q^(1/k), or (a/b)^(1/k) for a base
+# that is not an integer.  NonnegRoot.of reads it only for 1 <= k <= 64: a
+# torsor check raises the base to n * k, and normalising trial-divides k.
+_RADICAL = re.compile(r"([0-9]+|\([0-9]+/[0-9]+\))\^\(1/([0-9]+)\)")
+_MAX_TEXT_DEGREE = 64
+
+
 class NonnegRoot(Record):
     """The exact nonnegative real number base**(1/degree), base rational.
 
-    Normalized on construction: perfect powers are extracted, so two roots
-    are equal iff their normalized (base, degree) pairs cross-power equal.
+    Normalized on construction: perfect powers are extracted until the
+    degree is the least k with a rational k-th power, so two roots are
+    equal iff their normalized (base, degree) pairs are, and no comparison
+    raises a base to the lcm of two degrees.
     """
 
     base: Fraction
@@ -151,8 +161,15 @@ class NonnegRoot(Record):
 
     @staticmethod
     def of(value) -> NonnegRoot:
+        """A NonnegRoot, or a rational; a string is read as a radical in
+        the form ``str`` prints, with a degree of at most 64, or else as a
+        Fraction."""
         if isinstance(value, NonnegRoot):
             return value
+        if isinstance(value, str) and (radical := _RADICAL.fullmatch(value)):
+            if int(radical[2]) > _MAX_TEXT_DEGREE:
+                raise ValueError(f"root degree {radical[2]} is above {_MAX_TEXT_DEGREE}")
+            return NonnegRoot(Fraction(radical[1].strip("()")), int(radical[2]))
         return NonnegRoot(Fraction(value), 1)
 
     def is_zero(self) -> bool:
@@ -186,11 +203,11 @@ class NonnegRoot(Record):
         return NonnegRoot(self.base, self.degree * int(n))
 
     def __eq__(self, other):
-        if not isinstance(other, (NonnegRoot, Fraction, int)):
-            return NotImplemented
-        other = NonnegRoot.of(other)
-        l = self.degree // gcd(self.degree, other.degree) * other.degree
-        return self.base ** (l // self.degree) == other.base ** (l // other.degree)
+        if isinstance(other, NonnegRoot):
+            return self.base == other.base and self.degree == other.degree
+        if isinstance(other, (Fraction, int)):
+            return self.degree == 1 and self.base == other
+        return NotImplemented
 
     def __hash__(self):
         # A rational value is normalized to degree 1 and compares equal to

@@ -35,7 +35,7 @@ from fractions import Fraction
 
 from ._record import Record
 from .abgrp import FgAbelianGroup, generator_matrix, rank, smith_normal_form
-from .errors import ChartError, FalsifiedProperty, InvalidPoint
+from .errors import ChartError, FalsifiedProperty, InvalidLevel, InvalidPoint
 from .monoid import AffineMonoid, Face, stalk
 
 
@@ -130,7 +130,7 @@ def _root_choices(smith, offsets, n: int):
 def _fiber_size(r: int, n: int) -> int:
     """n^r, once the level n is a positive integer and n^r within the cap."""
     if type(n) is not int or n < 1:
-        raise ValueError(f"cover degree {n!r} is not a positive integer")
+        raise InvalidLevel(f"cover degree {n!r} is not a positive integer")
     if n ** r > _FIBER_CAP:
         raise ChartError(f"a degree-{n} Kummer fiber has n^{r} = {n ** r} points, above the "
                          f"enumeration cap of {_FIBER_CAP}; lower the cover degree")

@@ -78,9 +78,6 @@ class Face(Record):
     def __post_init__(self):
         object.__setattr__(self, "support", tuple(sorted(self.support)))
 
-    def __contains__(self, index: int) -> bool:
-        return index in self.support
-
     def __str__(self):
         return "{" + ", ".join(map(str, self.support)) + "}"
 

@@ -28,7 +28,7 @@ from math import isqrt
 
 from ._record import Record
 from .abgrp import FgAbelianGroup, _truncation, tensor_mod
-from .errors import ChartError
+from .errors import ChartError, InvalidLevel
 from .monoid import AffineMonoid
 
 COMPARISON_NOTE = (
@@ -62,11 +62,12 @@ class FiniteAbelianProSystem(Record):
     def transition_consistent(self, m: int, n: int) -> bool:
         """Does the natural reduction level(m) -> level(n) exist, i.e. is
         level(n) the mod-n truncation of level(m), compared field by field
-        without building it?  Requires 1 <= n | m, checked first."""
+        without building it?  Requires 1 <= n | m, checked first; ``level``
+        refuses a level that is not an int."""
         if m < 1 or n < 1:
-            raise ValueError(f"levels must be positive integers, got n={n}, m={m}")
+            raise InvalidLevel(f"level {min(m, n)!r} is not a positive integer")
         if m % n != 0:
-            raise ValueError(f"transition needs n | m, got n={n}, m={m}")
+            raise InvalidLevel(f"transition needs n | m, got n={n}, m={m}")
         high, low = self.level(m), self.level(n)
         return low.free_rank == 0 and low.torsion == _truncation(high, n)
 
@@ -81,7 +82,7 @@ class FiniteAbelianProSystem(Record):
 
 def _checked_bound(bound) -> int:
     if type(bound) is not int or bound < 1:
-        raise ValueError(f"bound {bound!r} is not a positive integer")
+        raise InvalidLevel(f"bound {bound!r} is not a positive integer")
     if bound > _LEVEL_CAP:
         raise ChartError(f"comparison bound {bound} is above the cap of "
                          f"{_LEVEL_CAP} levels; lower the bound")

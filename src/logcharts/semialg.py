@@ -177,7 +177,8 @@ def _monomial(values, exponents, one, exact=False):
     range still gives the OverflowError or NaN that callers read as inf.
     An exact power whose size, read off the bit lengths of the base's
     fields, would exceed POWER_BITS_CAP raises ChartError before it is
-    taken."""
+    taken, and so does a product of radicals, whose base is each factor's
+    base to the lcm of the degrees over its own degree."""
     out = one
     for v, e in zip(values, exponents):
         if e:
@@ -190,7 +191,15 @@ def _monomial(values, exponents, one, exact=False):
                 if abs(e) * bits > POWER_BITS_CAP:
                     raise ChartError(f"exponent {e} would make a power of about {abs(e) * bits} "
                                      f"bits, above the limit of {POWER_BITS_CAP}")
-            out = out * v ** e
+            power = v ** e
+            if isinstance(power, NonnegRoot):
+                lcm = math.lcm(out.degree, power.degree)
+                bits = sum((x.base.numerator.bit_length() + x.base.denominator.bit_length() - 2)
+                           * (lcm // x.degree) for x in (out, power))
+                if bits > POWER_BITS_CAP:
+                    raise ChartError(f"a product of radicals would make a base of about {bits} "
+                                     f"bits, above the limit of {POWER_BITS_CAP}")
+            out = out * power
     return out
 
 

@@ -12,9 +12,13 @@ malformed radical.  Then ``info`` refuses a chart of ambient rank 20,000
 with no generators, and one of 1,001 generators, both above the limit,
 before building any matrix.  Then ``torsor`` refuses a power with
 exponent 10^12, at a given point and at a sampled one, before taking it.
-Last come ``info``, ``strata`` and the vertex ``compare`` on the cone over
+Then come ``info``, ``strata`` and the vertex ``compare`` on the cone over
 each of the 16 reflexive polygons (``tests/test_reflexive.py``), with its
-degree-2 moves as relations, and the cubic for the triangle of P^2.
+degree-2 moves as relations, and the cubic for the triangle of P^2.  Last,
+``torsor`` refuses a product of five radicals of coprime degrees before
+forming it; ``mu``, ``fiber``, ``torsor`` and ``compare`` refuse a level
+or bound of 0 with the library's message; and ``torsor`` refuses a
+radical of degree 65, above the limit of its text form.
 
 An argv names a chart by its file stem (``a1_cone``), which :func:`run`
 replaces by the path of the corpus chart, or else of the chart in
@@ -96,7 +100,15 @@ def argvs() -> list[list[str]]:
                    '{"radii": ["2", "4"], "turns": ["0", "0"]}'],
                   ["torsor", "huge_exponent", "2", "--face", "0,1"]] + [
                       [command, stem, *flags] for stem in REFLEXIVE
-                      for command, *flags in (["info"], ["strata"], ["compare", "--bound", "10"])]
+                      for command, *flags in (["info"], ["strata"], ["compare", "--bound", "10"])] + [
+                  # z0 z1 z2 z3 z4 = z5: the left side's base would have about 1.6 * 10^6 bits
+                  ["torsor", "radical_product", "2", "--point",
+                   '{"radii": ["2^(1/64)", "3^(1/63)", "5^(1/61)", "7^(1/59)", "11^(1/53)", "1"], '
+                   '"turns": ["0", "0", "0", "0", "0", "0"]}'],
+                  ["mu", "a1_cone", "0"], ["fiber", "a1_cone", "0"], ["torsor", "a1_cone", "0"],
+                  ["compare", "a1_cone", "--bound", "0"],
+                  ["torsor", "a1_cone", "2", "--point",
+                   '{"radii": ["1", "2^(1/65)", "2"], "turns": ["0", "0", "0"]}']]
 
 
 def run(argv) -> dict:

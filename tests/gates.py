@@ -104,8 +104,9 @@ def main(chart) -> int:
          [PY, "-m", "logcharts.cli", "torsor", "src/logcharts/data/charts/log_point.json", "99991",
           "--point", '{"radii": ["(99999999/99999998)^(1/64)"], "turns": ["1/3"]}'], SRC, 60, 150),
         ("comparison at the level cap", [PY, "-c", COMPARE], SRC, 60, 80),
-        # A changed CLI output fails with a unified diff of each differing entry.
-        ("CLI golden corpus", [PY, "-W", "error", "tests/cli_golden.py", "--check"], SRC),
+        # A changed CLI output fails with a unified diff of each differing entry; a hanging
+        # entry fails at the timeout, 30 times the corpus's 2 s.
+        ("CLI golden corpus", [PY, "-W", "error", "tests/cli_golden.py", "--check"], SRC, 60),
         ("benchmark self-test", [PY, "perfbench/selftest.py"])]:
         passed.append(exits_0(name, argv, *bounds))
     # Only the untraced cli run starts `python -m logcharts.cli` itself: the traced one goes

@@ -1,5 +1,6 @@
 """Exact scalars: Gaussian rationals, radicals, rational turns."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -141,6 +142,43 @@ def test_nonneg_root_prints_a_fraction_base_in_parentheses():
     assert str(NonnegRoot(Fraction(9, 4), 2)) == "3/2"
     assert str(NonnegRoot.of(Fraction(1, 2))) == "1/2"
     assert str(NonnegRoot(Fraction(8), 3)) == "2"
+
+
+def test_nonneg_root_reads_back_the_text_it_prints():
+    # q^(1/k) and (a/b)^(1/k) up to degree 64, as str prints them; any
+    # other string is a Fraction
+    rng = random.Random(40)
+    for _ in range(400):
+        base = rng.choice([Fraction(rng.randint(0, 10 ** 6)),
+                           Fraction(rng.randint(0, 999), rng.randint(1, 999))])
+        root = NonnegRoot(base, rng.randint(1, 64))
+        assert NonnegRoot.of(str(root)) == root, root
+    assert NonnegRoot.of("14/6") == Fraction(7, 3) and NonnegRoot.of(" 0.5 ") == Fraction(1, 2)
+    with pytest.raises(ValueError, match="root degree 65 is above 64"):
+        NonnegRoot.of("2^(1/65)")
+    for text in ("2^(1/0)", "2^(1/10000000000000)", "(-2)^(1/2)", "1/2^(1/3)", "2^(2/3)", "2^1/2"):
+        with pytest.raises(ValueError):
+            NonnegRoot.of(text)
+
+
+def test_nonneg_root_equality_is_cross_power_equality():
+    # the normal form is canonical, so comparing fields decides what raising
+    # both bases to the lcm of the degrees decides
+    rng = random.Random(41)
+    equal = 0
+    for _ in range(600):
+        # a = q^(1/k) and, half the time, b another value, each raised to j / j
+        roots = []
+        for redraw in (True, rng.random() < 0.5):
+            if redraw:
+                q, k = Fraction(rng.randint(0, 6), rng.randint(1, 3)), rng.randint(1, 12)
+            j = rng.randint(1, 4)
+            roots.append(NonnegRoot(q ** j, k * j))
+        a, b = roots
+        lcm = math.lcm(a.degree, b.degree)
+        assert (a == b) is (a.base ** (lcm // a.degree) == b.base ** (lcm // b.degree)), (a, b)
+        equal += a == b
+    assert equal >= 200, equal
 
 
 def test_turns():

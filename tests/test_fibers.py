@@ -19,8 +19,8 @@ import logcharts.exactnum as exactnum
 import logcharts.semialg as semialg
 from logcharts.abgrp import FgAbelianGroup, rank, smith_normal_form, tensor_mod
 from logcharts.cli import corpus_path, load_chart
-from logcharts.errors import (ArityMismatch, ChartError, FalsifiedProperty, InvalidPoint,
-                              NotAFace, NotOnVariety)
+from logcharts.errors import (ArityMismatch, ChartError, FalsifiedProperty, InvalidLevel,
+                              InvalidPoint, NotAFace, NotOnVariety)
 from logcharts.exactnum import GaussianRational, NonnegRoot
 from logcharts.fibers import (algebraic_kummer_fiber, kn_kummer_fiber,
                               torsor_check, verify_fiber_equivalence)
@@ -946,3 +946,20 @@ def test_levels_cover_degrees_and_bounds_must_be_positive_ints(name, value):
     with pytest.raises(ValueError, match="is not a positive integer"):
         _LEVEL_CALLS[name](value)
     _LEVEL_CALLS[name](2)
+
+
+def test_every_bad_level_cover_degree_and_bound_is_one_invalid_level():
+    # each layer refuses with the one class, an input error that is also a
+    # ValueError, in the one message form
+    tower = completion(FgAbelianGroup.free(1))
+    calls = {**_LEVEL_CALLS, "level": tower.level,
+             "transition_consistent m": lambda v: tower.transition_consistent(v, 1),
+             "transition_consistent n": lambda v: tower.transition_consistent(6, v)}
+    for name, call in calls.items():
+        for value in (0, -1, True, 2.0):
+            with pytest.raises(InvalidLevel) as caught:
+                call(value)
+            assert isinstance(caught.value, ChartError) and isinstance(caught.value, ValueError)
+            assert str(caught.value).endswith(f" {value!r} is not a positive integer"), name
+    with pytest.raises(InvalidLevel, match=r"transition needs n \| m, got n=4, m=6"):
+        tower.transition_consistent(6, 4)

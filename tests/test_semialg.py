@@ -2,6 +2,7 @@
 
 import cmath
 import collections
+import math
 import random
 import time
 from fractions import Fraction
@@ -417,3 +418,30 @@ def test_an_exact_power_beyond_the_size_cap_is_refused_before_it_is_taken():
     assert check_membership(system, top) == (True, 0.0)
     with pytest.raises(ChartError, match=f"exponent {POWER_BITS_CAP} would make a power"):
         check_membership(system, KnPoint.exact_point([(4, 0), (1, 0)]))
+
+
+def test_a_product_of_radicals_beyond_the_size_cap_is_refused_before_it_is_formed():
+    # z0 z1 z2 z3 z4 = z5 and z_i = z_(i+1) at radii of the coprime degrees
+    # 64, 63, 61, 59 and 53: each power is small, but the left side's base is
+    # each base to the lcm of the degrees over its own, 1.6 * 10^6 bits at
+    # the fourth factor
+    chain = [((0,) * i + (1, 0) + (0,) * (4 - i), (0,) * (i + 1) + (1,) + (0,) * (4 - i))
+             for i in range(5)]
+    m = validate(MonoidSpec.make(1, [[1]] * 5 + [[5]], [((1, 1, 1, 1, 1, 0), (0,) * 5 + (1,))]
+                                 + chain[:4]))
+    system = emit_equations(m, Target.KN_POINTS)
+    radii = ["2^(1/64)", "3^(1/63)", "5^(1/61)", "7^(1/59)", "11^(1/53)", "1"]
+    start = time.perf_counter()
+    with pytest.raises(ChartError, match=f"a product of radicals would make a base of about "
+                                         f"1636032 bits, above the limit of {POWER_BITS_CAP}"):
+        check_membership(system, KnPoint.exact_point([(r, 0) for r in radii]))
+    assert check_membership(system, KnPoint.exact_point([("2^(1/64)", 0)] * 5
+                                                        + [("32^(1/64)", 0)])) == (True, 0.0)
+    # sides under the cap, of degrees 245952 and 3127, are compared without
+    # raising either base to their lcm: the relation fails, and its radii's
+    # gap, beyond the float range, reads inf
+    sides = validate(MonoidSpec.make(1, [[1]] * 6, [((1, 1, 1, 0, 0, 0), (0, 0, 0, 1, 1, 1))]
+                                     + chain))
+    point = KnPoint.exact_point([(r, 0) for r in radii])
+    assert check_membership(emit_equations(sides, Target.KN_POINTS), point) == (False, math.inf)
+    assert time.perf_counter() - start < 1
