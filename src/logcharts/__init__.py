@@ -28,8 +28,8 @@ _HOMES = {
                "stalk", "validate"),
     "profin": ("EquivalenceCertificate", "FiniteAbelianProSystem", "completion",
                "equivalent_up_to", "mu_tower", "product_system"),
-    "semialg": ("BinomialSystem", "CxPoint", "KnPoint", "Target", "check_membership",
-                "emit_equations", "sample_kn_stratum", "sample_stratum", "tau"),
+    "semialg": ("BinomialSystem", "CxPoint", "KnPoint", "check_membership",
+                "distinguished_point", "emit_equations", "tau"),
     "strata": ("StratumTable", "stratify", "stratum_of_point"),
 }
 _HOME_OF = {name: home for home, names in _HOMES.items() for name in names}

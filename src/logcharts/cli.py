@@ -9,12 +9,12 @@ property (a failed torsor or comparison check), 2 for any input or
 validation error.
 
 Each subcommand takes only the settings it reads: every one validates the
-chart at --degree-bound, ``compare`` reads --bound and ``torsor`` --seed.
-A setting is its flag, else its default (degree bound 20, comparison
-bound 100, seed 0); a chart file holds only the chart.  There is no
-tolerance: an inline log point is exact, and floating "angles" input is
-read once as exact rationals (``KnPoint.floating``).  Generator and face
-indices are 0-based.
+chart at --degree-bound, and ``compare`` reads --bound.  A setting is its
+flag, else its default (degree bound 20, comparison bound 100); a chart
+file holds only the chart.  There is no tolerance: an inline log point is
+exact, and floating "angles" input is read once as exact rationals
+(``KnPoint.floating``); ``torsor --face`` takes the stratum's
+distinguished point.  Generator and face indices are 0-based.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from .errors import ChartError, FalsifiedProperty
 from .monoid import DEFAULT_DEGREE_BOUND, MonoidSpec, face_with_support
 
 DEFAULT_BOUND = 100
-DEFAULT_SEED = 0
 
 _CHART_FIELDS = {"name", "ambient_rank", "generators", "relations"}
 _RELATION_FIELDS = {"lhs", "rhs"}
@@ -226,23 +225,20 @@ def cmd_compare(m, args):
 def cmd_emit(m, args):
     from .semialg import emit_equations
     system = emit_equations(m, args.target)
-    return True, {"target": args.target,
+    return True, {"target": system.target,
                   "variable_count": system.variable_count,
                   "equations": [{"lhs": list(r), "rhs": list(s)} for r, s in system.equations]}
 
 
 def cmd_torsor(m, args):
     from .fibers import torsor_check
-    from .semialg import sample_kn_stratum
+    from .semialg import distinguished_point
     if args.point is not None:
         if args.face is not None:
             raise ChartError("torsor takes --point or --face, not both")
-        if args.seed is not None:
-            raise ChartError("torsor takes --point or --seed, not both")
         point = _parse_point(args.point)
     else:
-        face = _parse_face(args.face, m)
-        point = sample_kn_stratum(m, face, 1, DEFAULT_SEED if args.seed is None else args.seed)[0]
+        point = distinguished_point(m, _parse_face(args.face, m))
     ok, report = torsor_check(m, point, args.n)
     return ok, {"point": str(point), "torsor": _plain(report), "ok": ok}
 
@@ -281,9 +277,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = subparser(cmd_torsor, "verify the deck action on a Kummer fiber")
     p.add_argument("n", type=int)
     p.add_argument("--point", default=None, help="inline JSON log point")
-    p.add_argument("--face", default=None, help="sample the point from this stratum instead")
-    p.add_argument("--seed", type=int, default=None,
-                   help=f"sampler seed (default {DEFAULT_SEED})")
+    p.add_argument("--face", default=None,
+                   help="take this stratum's distinguished point instead")
     return parser
 
 

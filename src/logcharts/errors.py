@@ -75,7 +75,7 @@ class InvalidPoint(ChartError):
 
 
 class ArityMismatch(InvalidPoint):
-    """A point's coordinate count does not match the equation system."""
+    """A point's coordinate count does not match the chart's generator count."""
 
 
 class FalsifiedProperty(Exception):

@@ -79,7 +79,6 @@ class GaussianRational(Record):
         return f"({self.re}{'+' if self.im >= 0 else ''}{self.im}i)"
 
 
-GAUSSIAN_ZERO = GaussianRational(Fraction(0))
 GAUSSIAN_ONE = GaussianRational(Fraction(1))
 
 

@@ -171,8 +171,10 @@ def kn_kummer_fiber(m: AffineMonoid, p: KnPoint, n: int) -> list[KnPoint]:
     count mismatch is a hard error, and n^r above the enumeration cap is
     refused before anything is enumerated.
     """
-    from .semialg import KnPoint, Target, _turn_offsets, check_membership, emit_equations
-    ok, residual = check_membership(emit_equations(m, Target.KN_POINTS), p)
+    from .semialg import KnPoint, _turn_offsets, check_membership
+    if not isinstance(p, KnPoint):
+        raise InvalidPoint("the log model's Kummer fiber lies over a KnPoint")
+    ok, residual = check_membership(m, p)
     if not ok:
         raise InvalidPoint(f"point violates the relations (residual {residual:.3e})")
     angles = _angles(m, tuple(range(m.generator_count)))
@@ -204,6 +206,8 @@ def algebraic_kummer_fiber(m: AffineMonoid, p: CxPoint, n: int) -> list[CxPoint]
     from .exactnum import unit_from_turn_float
     from .semialg import CxPoint
     from .strata import stratum_of_point
+    if not isinstance(p, CxPoint):
+        raise InvalidPoint("the complex model's Kummer fiber lies over a CxPoint")
     face = stratum_of_point(m, p)
     k = m.generator_count
     angles = _angles(m, face.support)

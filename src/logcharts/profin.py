@@ -62,10 +62,10 @@ class FiniteAbelianProSystem(Record):
     def transition_consistent(self, m: int, n: int) -> bool:
         """Does the natural reduction level(m) -> level(n) exist, i.e. is
         level(n) the mod-n truncation of level(m), compared field by field
-        without building it?  Requires 1 <= n | m, checked first; ``level``
-        refuses a level that is not an int."""
-        if m < 1 or n < 1:
-            raise InvalidLevel(f"level {min(m, n)!r} is not a positive integer")
+        without building it?  Requires ints 1 <= n | m, checked first."""
+        if type(m) is not int or m < 1 or type(n) is not int or n < 1:
+            bad = m if type(m) is not int or m < 1 else n
+            raise InvalidLevel(f"level {bad!r} is not a positive integer")
         if m % n != 0:
             raise InvalidLevel(f"transition needs n | m, got n={n}, m={m}")
         high, low = self.level(m), self.level(n)

@@ -7,10 +7,10 @@ log model C(P)_log = Hom(P, R>=0 x S^1) is cut out of (R>=0 x S^1)^k by
 the same exponent data read componentwise: radii multiplicatively, angles
 additively modulo one full turn.  One monomial product, ``_monomial``,
 evaluates prod v_j^{e_j} for radii and for complex values, exact or
-floating, and pushes the samplers' ambient parameters to generator
-values.  The factored (radius, angle) form is kept throughout; the
-real-algebraic embedding into (R^3)^k would add arithmetic without adding
-checkable content.
+floating, and :func:`check_membership` reads the chart's relations at a
+point by the point's type.  The factored (radius, angle) form is kept
+throughout; the real-algebraic embedding into (R^3)^k would add
+arithmetic without adding checkable content.
 
 A log point is exact: each radius a NonnegRoot, each angle a Fraction of
 a turn in S^1 = R/Z, decided by exact equality.  Floating log input is
@@ -21,42 +21,38 @@ exact equality) or floating; a floating one is checked at the one
 tolerance FLOAT_TOLERANCE, on each equation's relative residual and turn
 sum.  A Gaussian rational such as 3+4i has no rational turn, so a
 complex point has no exact polar form in general.
+
+The torus Hom(P^gp, C*) acts transitively on each stratum, and the action
+lifts to the Kummer covers, so every fiber over a stratum is isomorphic
+to every other: one exact point per stratum, :func:`distinguished_point`,
+stands for it.
 """
 
 from __future__ import annotations
 
 import cmath
-import enum
 import math
 import operator
-import random
 from fractions import Fraction
 
 from ._record import Record
 from .errors import ArityMismatch, ChartError, InvalidPoint
-from .exactnum import (GAUSSIAN_ONE, GAUSSIAN_ZERO, GaussianRational,
-                       NonnegRoot, turn_mod1, unit_from_turn_exact,
-                       unit_from_turn_float)
+from .exactnum import (GAUSSIAN_ONE, GaussianRational, NonnegRoot, turn_mod1,
+                       unit_from_turn_exact, unit_from_turn_float)
 from .monoid import AffineMonoid, Face
 
 FLOAT_TOLERANCE = 1e-9  # the residual and modulus a floating complex point may miss by
-_SAMPLER_RETRY_BUDGET = 64
-_TURN_DENOMINATOR = 4  # sampled log angles are quarter turns: see sample_kn_stratum
 _LEAST_RESIDUAL = math.ulp(0.0)  # reported for an exact equation that fails
 POWER_BITS_CAP = 1 << 20  # |e| times the bits of v an exact v ** e may reach: a few ms
 
 
-class Target(enum.Enum):
-    COMPLEX_POINTS = "complex"
-    KN_POINTS = "kn"
-
-
 class BinomialSystem(Record):
-    """The equations of one chart model, relation exponents verbatim."""
+    """The equations of one chart model, relation exponents verbatim;
+    ``target`` is "complex" or "kn"."""
 
     variable_count: int
     equations: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
-    target: Target
+    target: str
 
 
 class CxPoint(Record):
@@ -160,25 +156,33 @@ class KnPoint(Record):
         return "(" + ", ".join(f"({r}, {a} turn)" for r, a in self.values) + ")"
 
 
-def emit_equations(m: AffineMonoid, target: Target | str) -> BinomialSystem:
-    """One binomial equation per verified relation of the chart."""
-    if isinstance(target, str):
-        target = Target(target)
+def emit_equations(m: AffineMonoid, target: str) -> BinomialSystem:
+    """One binomial equation per verified relation of the chart, for the
+    complex model ("complex") or the log model ("kn")."""
+    if target not in ("complex", "kn"):
+        raise ChartError(f"target {target!r} is not 'complex' or 'kn'")
     return BinomialSystem(m.generator_count, tuple(m.relations), target)
+
+
+def distinguished_point(m: AffineMonoid, face: Face) -> KnPoint:
+    """The distinguished point of the face's stratum (Fulton, §3.1):
+    radius 1 and turn 0 on the face's support, radius 0 and turn 0 off it."""
+    support = set(face.support)
+    return KnPoint.exact_point([(int(i in support), 0) for i in range(m.generator_count)])
 
 
 def _monomial(values, exponents, one, exact=False):
     """prod v**e over the nonzero exponents e, from ``one``: the single
-    product behind both chart models, exact and floating complex, and both
-    samplers.  With ``exact`` (GaussianRational or NonnegRoot values) the
-    product is the first vanishing base with a positive exponent, so a
-    point on a low stratum costs no exact arithmetic.  A floating product
-    multiplies every factor, so a zero beside a factor beyond the float
-    range still gives the OverflowError or NaN that callers read as inf.
-    An exact power whose size, read off the bit lengths of the base's
-    fields, would exceed POWER_BITS_CAP raises ChartError before it is
-    taken, and so does a product of radicals, whose base is each factor's
-    base to the lcm of the degrees over its own degree."""
+    product behind both chart models, exact and floating complex.  With
+    ``exact`` (GaussianRational or NonnegRoot values) the product is the
+    first vanishing base with a positive exponent, so a point on a low
+    stratum costs no exact arithmetic.  A floating product multiplies
+    every factor, so a zero beside a factor beyond the float range still
+    gives the OverflowError or NaN that callers read as inf.  An exact
+    power whose size, read off the bit lengths of the base's fields, would
+    exceed POWER_BITS_CAP raises ChartError before it is taken, and so
+    does a product of radicals, whose base is each factor's base to the
+    lcm of the degrees over its own degree."""
     out = one
     for v, e in zip(values, exponents):
         if e:
@@ -186,8 +190,7 @@ def _monomial(values, exponents, one, exact=False):
                 return v
             if not isinstance(v, complex):  # bits <= 0 for 0, 1 and i, else about log2 |v|
                 bits = sum(q.numerator.bit_length() + q.denominator.bit_length() - 1 for q in (
-                    (v.re, v.im) if isinstance(v, GaussianRational)
-                    else (v.base,) if isinstance(v, NonnegRoot) else (v,))) - 1
+                    (v.re, v.im) if isinstance(v, GaussianRational) else (v.base,))) - 1
                 if abs(e) * bits > POWER_BITS_CAP:
                     raise ChartError(f"exponent {e} would make a power of about {abs(e) * bits} "
                                      f"bits, above the limit of {POWER_BITS_CAP}")
@@ -215,9 +218,10 @@ def _check_exact_types(point):
                 "a NonnegRoot radius and a Fraction turn" if kn else "a GaussianRational"))
 
 
-def check_membership(system: BinomialSystem, point):
-    """Evaluate every equation at the point: the one membership rule, which
-    ``strata.stratum_of_point`` and the Kummer fibers read.
+def check_membership(m: AffineMonoid, point):
+    """Evaluate every relation of the chart at the point, by the log rule
+    at a KnPoint and the complex rule at a CxPoint: the one membership
+    rule, which ``strata.stratum_of_point`` and the Kummer fibers read.
 
     Returns (ok, max_residual).  Log points and exact complex points are
     decided by exact equality, a log point's turn sums by
@@ -231,29 +235,27 @@ def check_membership(system: BinomialSystem, point):
     ([1e-5, 1e-5 i, 1e-5] meets z0 z2 = z1^2 to 2e-10, half a turn off),
     and it passes up to FLOAT_TOLERANCE; sides that overflow or are not
     both finite give inf, since sides beyond the float range cannot be
-    told apart.  Raises ArityMismatch when the point has the wrong number
-    of coordinates and InvalidPoint when the point type does not match the
-    system target, or an exact point holds values of other types.
+    told apart.  Raises InvalidPoint when the point is neither a KnPoint
+    nor a CxPoint or an exact point holds values of other types, and
+    ArityMismatch when it has the wrong number of coordinates.
     """
-    if point.arity != system.variable_count:
+    kn = isinstance(point, KnPoint)
+    if not (kn or isinstance(point, CxPoint)):
+        raise InvalidPoint(f"a chart point is a KnPoint or a CxPoint, not {type(point).__name__}")
+    if point.arity != m.generator_count:
         raise ArityMismatch(
-            f"point has {point.arity} coordinates, system has {system.variable_count}")
-    if system.target is Target.COMPLEX_POINTS and not isinstance(point, CxPoint):
-        raise InvalidPoint("complex system expects a CxPoint")
-    if system.target is Target.KN_POINTS and not isinstance(point, KnPoint):
-        raise InvalidPoint("log system expects a KnPoint")
+            f"point has {point.arity} coordinates, system has {m.generator_count}")
     _check_exact_types(point)
-    kn = system.target is Target.KN_POINTS
     bound = 0.0 if kn or point.exact else FLOAT_TOLERANCE
     if kn:
         radii, one = [radius for radius, _ in point.values], NonnegRoot.of(1)
-        sums = _turn_offsets([tuple(map(operator.sub, r, s)) for r, s in system.equations],
+        sums = _turn_offsets([tuple(map(operator.sub, r, s)) for r, s in m.relations],
                              [a for _, a in point.values])
     elif not point.exact:  # the unit z / |z| of each live coordinate, None at vanishing ones
         units = [None if point.is_zero_at(i) else z / abs(z) for i, z in enumerate(point.values)]
 
     max_residual, ok = 0.0, True
-    for i, (r, s) in enumerate(system.equations):
+    for i, (r, s) in enumerate(m.relations):
         if kn:
             lhs, rhs = (_monomial(radii, x, one, True) for x in (r, s))
             turn = sums[i][1]
@@ -336,85 +338,3 @@ def tau(point: KnPoint) -> CxPoint:
                              for (radius, _), unit in zip(point.values, units)), True)
     return CxPoint.floating([_float_or_refuse(i, radius.__float__) * unit_from_turn_float(angle)
                              for i, (radius, angle) in enumerate(point.values)])
-
-
-def _draw_points(draw, count):
-    """Collect ``count`` draws; prefer fresh points, and fall back to
-    repeats once a small stratum is exhausted.  Every draw is consistent,
-    so the retry budget only bounds the search for a fresh one."""
-    out = []
-    seen = set()
-    while len(out) < count:
-        for _ in range(_SAMPLER_RETRY_BUDGET):
-            point, key = draw()
-            if key not in seen:
-                seen.add(key)
-                break
-        out.append(point)
-    return out
-
-
-def _random_nonzero_fraction(rng: random.Random) -> Fraction:
-    num = rng.choice([-1, 1]) * rng.randint(1, 9)
-    den = rng.randint(1, 4)
-    return Fraction(num, den)
-
-
-def _random_gaussian_unit_scale(rng: random.Random) -> GaussianRational:
-    re = rng.randint(-3, 3)
-    im = rng.randint(-3, 3)
-    if re == 0 and im == 0:
-        re = 1
-    return GaussianRational(Fraction(re), Fraction(im))
-
-
-def sample_stratum(m: AffineMonoid, f: Face, count: int, seed: int) -> list[CxPoint]:
-    """Deterministic exact points with exactly the face's coordinates
-    nonvanishing.
-
-    Points are drawn from the ambient torus: a nonzero Gaussian rational
-    t_l per ambient dimension induces z_i = prod_l t_l^{g_il} on the
-    face's generators and 0 elsewhere.  Every Z-linear relation among the
-    generators then holds identically, so each draw is relation-consistent
-    by construction; the retry budget guards deduplication.
-    """
-    rng = random.Random(seed)
-    support = set(f.support)
-
-    def draw():
-        params = [GaussianRational.of(_random_nonzero_fraction(rng))
-                  * _random_gaussian_unit_scale(rng) for _ in range(m.ambient_rank)]
-        values = [_monomial(params, gen, GAUSSIAN_ONE) if i in support else GAUSSIAN_ZERO
-                  for i, gen in enumerate(m.generators)]
-        point = CxPoint(tuple(values), True)
-        return point, tuple((v.re, v.im) for v in values)
-
-    return _draw_points(draw, count)
-
-
-def sample_kn_stratum(m: AffineMonoid, f: Face, count: int, seed: int) -> list[KnPoint]:
-    """Deterministic exact log-model points over the given face.
-
-    Radii come from positive rational parameters per ambient dimension
-    (zero exactly off the face's support); angles are quarter turns, drawn
-    per ambient dimension and pushed through the generator exponents, so
-    every relation holds identically.  Quarter turns keep tau-images
-    exactly Gaussian rational.
-    """
-    rng = random.Random(seed)
-    support = set(f.support)
-
-    def draw():
-        rho = [Fraction(rng.randint(1, 9), rng.randint(1, 4))
-               for _ in range(m.ambient_rank)]
-        theta = [Fraction(rng.randrange(_TURN_DENOMINATOR), _TURN_DENOMINATOR)
-                 for _ in range(m.ambient_rank)]
-        pairs = []
-        for i, gen in enumerate(m.generators):
-            angle = turn_mod1(sum(Fraction(e) * t for e, t in zip(gen, theta)))
-            pairs.append((_monomial(rho, gen, Fraction(1)) if i in support else Fraction(0),
-                          angle))
-        point = KnPoint.exact_point(pairs)
-        return point, tuple((r.base, r.degree, a) for r, a in point.values)
-
-    return _draw_points(draw, count)

@@ -84,19 +84,19 @@ def stratify(m: AffineMonoid) -> StratumTable:
     return StratumTable(m, tuple(entries))
 
 
-def stratum_of_point(m: AffineMonoid, p: CxPoint) -> Face:
+def stratum_of_point(m: AffineMonoid, p: CxPoint | KnPoint) -> Face:
     """The face indexing the stratum a chart point lies on.
 
     The support is the set of coordinates where the point does not vanish
-    (those generators act invertibly there), by ``CxPoint.is_zero_at``:
-    exactly for an exact point, within the floating tolerance for a
+    (those generators act invertibly there), by the point's ``is_zero_at``:
+    exactly for a log or exact point, within the floating tolerance for a
     floating one.  Raises NotOnVariety if ``check_membership`` refuses the
     point, and NotAFace if the vanishing pattern is not a face, which for
     a floating point can mean that a value within the tolerance of 0 is
     not one.
     """
-    from .semialg import Target, check_membership, emit_equations
-    ok, residual = check_membership(emit_equations(m, Target.COMPLEX_POINTS), p)
+    from .semialg import check_membership
+    ok, residual = check_membership(m, p)
     if not ok:
         raise NotOnVariety(residual)
     return face_with_support(m, [i for i in range(p.arity) if not p.is_zero_at(i)])

@@ -28,10 +28,13 @@ library did before it tried only the primes dividing it, and the saturation
 scan tests every certificate on every candidate point, as the library did
 before it scanned each row's interval of nonnegative certificates, and the
 Smith form runs its row and column operations through helper calls, as
-the library did before it ran them in place.  The quadric relations of a
-cone are listed by comparing every two pairs of generators.  Matrix products, identities, diagonals and determinants (by
-rational elimination) act on lists of rows, which is all the Smith forms
-take and return.
+the library did before it ran them in place, and seeded exact points are
+drawn on a stratum from the ambient torus, as the library did before it
+took one distinguished point per stratum.  The quadric relations of a
+cone are listed by comparing every two pairs of generators.  Matrix
+products, identities, diagonals and determinants (by rational
+elimination) act on lists of rows, which is all the Smith forms take and
+return.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import random
 from collections import deque
 from fractions import Fraction
 from math import gcd
@@ -46,12 +50,12 @@ from math import gcd
 from logcharts import ratlp
 from logcharts.abgrp import FgAbelianGroup, generator_matrix, smith_normal_form
 from logcharts.errors import InvalidMonoidSpec, RelationSynthesisIncomplete
-from logcharts.exactnum import rational_nth_root
+from logcharts.exactnum import GaussianRational, rational_nth_root, turn_mod1
 from logcharts.fibers import TorsorReport
 from logcharts.monoid import MonoidSpec
 from logcharts.profin import EquivalenceCertificate, LevelRecord
 from logcharts.ratlp import INFEASIBLE, OPTIMAL, UNBOUNDED
-from logcharts.semialg import KnPoint
+from logcharts.semialg import CxPoint, KnPoint
 
 
 def hnf_column_basis(entries, rows, cols):
@@ -920,3 +924,98 @@ def quadric_relations(gens):
             s[e] += 1
             rels.append((r, s))
     return rels
+
+
+_SAMPLER_RETRY_BUDGET = 64
+_TURN_DENOMINATOR = 4  # sampled log angles are quarter turns: see sample_kn_stratum
+
+
+def _product(values, exponents, one):
+    """prod v**e over the nonzero exponents e, from ``one``, exactly."""
+    out = one
+    for v, e in zip(values, exponents):
+        if e:
+            out = out * v ** e
+    return out
+
+
+def _draw_points(draw, count):
+    """Collect ``count`` draws; prefer fresh points, and fall back to
+    repeats once a small stratum is exhausted.  Every draw is consistent,
+    so the retry budget only bounds the search for a fresh one."""
+    out = []
+    seen = set()
+    while len(out) < count:
+        for _ in range(_SAMPLER_RETRY_BUDGET):
+            point, key = draw()
+            if key not in seen:
+                seen.add(key)
+                break
+        out.append(point)
+    return out
+
+
+def _random_nonzero_fraction(rng: random.Random) -> Fraction:
+    num = rng.choice([-1, 1]) * rng.randint(1, 9)
+    den = rng.randint(1, 4)
+    return Fraction(num, den)
+
+
+def _random_gaussian_unit_scale(rng: random.Random) -> GaussianRational:
+    re = rng.randint(-3, 3)
+    im = rng.randint(-3, 3)
+    if re == 0 and im == 0:
+        re = 1
+    return GaussianRational(Fraction(re), Fraction(im))
+
+
+def sample_stratum(m, f, count: int, seed: int) -> list[CxPoint]:
+    """Deterministic exact points with exactly the face's coordinates
+    nonvanishing.
+
+    Points are drawn from the ambient torus: a nonzero Gaussian rational
+    t_l per ambient dimension induces z_i = prod_l t_l^{g_il} on the
+    face's generators and 0 elsewhere.  Every Z-linear relation among the
+    generators then holds identically, so each draw is relation-consistent
+    by construction; the retry budget guards deduplication.
+    """
+    rng = random.Random(seed)
+    support = set(f.support)
+
+    def draw():
+        params = [GaussianRational.of(_random_nonzero_fraction(rng))
+                  * _random_gaussian_unit_scale(rng) for _ in range(m.ambient_rank)]
+        values = [_product(params, gen, GaussianRational.of(1)) if i in support
+                  else GaussianRational.of(0) for i, gen in enumerate(m.generators)]
+        point = CxPoint(tuple(values), True)
+        return point, tuple((v.re, v.im) for v in values)
+
+    return _draw_points(draw, count)
+
+
+def sample_kn_stratum(m, f, count: int, seed: int) -> list[KnPoint]:
+    """Deterministic exact log-model points over the given face.
+
+    Radii come from positive rational parameters per ambient dimension
+    (zero exactly off the face's support); angles are quarter turns, drawn
+    per ambient dimension and pushed through the generator exponents, so
+    every relation holds identically.  Quarter turns keep tau-images
+    exactly Gaussian rational.
+    """
+    rng = random.Random(seed)
+    support = set(f.support)
+
+    def draw():
+        rho = [Fraction(rng.randint(1, 9), rng.randint(1, 4))
+               for _ in range(m.ambient_rank)]
+        theta = [Fraction(rng.randrange(_TURN_DENOMINATOR), _TURN_DENOMINATOR)
+                 for _ in range(m.ambient_rank)]
+        pairs = []
+        for i, gen in enumerate(m.generators):
+            angle = turn_mod1(sum(Fraction(e) * t for e, t in zip(gen, theta)))
+            pairs.append((_product(rho, gen, Fraction(1)) if i in support else Fraction(0),
+                          angle))
+        point = KnPoint.exact_point(pairs)
+        return point, tuple((r.base, r.degree, a) for r, a in point.values)
+
+    return _draw_points(draw, count)

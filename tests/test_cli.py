@@ -115,12 +115,16 @@ def test_fiber_output(capsys):
                 }, (name, face.support, n)
 
 
-def test_torsor_sampled_point(capsys):
-    code = main(["torsor", corpus_path("a1_cone"), "2",
-                 "--face", "0,1,2", "--seed", "5"])
-    assert code == 0
-    out = json.loads(capsys.readouterr().out)
-    assert out["ok"] is True and out["torsor"]["group_order"] == 4
+def test_torsor_at_a_face_takes_its_distinguished_point(capsys):
+    # radius 1 and turn 0 on the face, radius 0 and turn 0 off it; with no
+    # --face, the vertex's
+    for flags, point in (([], "((0, 0 turn), (0, 0 turn), (0, 0 turn))"),
+                         (["--face", "0"], "((1, 0 turn), (0, 0 turn), (0, 0 turn))"),
+                         (["--face", "0,1,2"], "((1, 0 turn), (1, 0 turn), (1, 0 turn))")):
+        assert main(["torsor", corpus_path("a1_cone"), "2", *flags]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["point"] == point and out["ok"] is True
+        assert out["torsor"]["group_order"] == out["torsor"]["fiber_size"] == 4
 
 
 def test_torsor_inline_point(capsys):
@@ -226,9 +230,6 @@ def test_exit_code_2_on_input_errors(tmp_path):
          '"angles": [[0, 1], [0, 1], [0, 1]]}'],
         # --face was ignored beside --point
         ["torsor", cone, "2", "--face", "0", "--point",
-         '{"radii": ["1", "1", "1"], "turns": ["0", "0", "0"]}'],
-        # --seed was ignored beside --point
-        ["torsor", cone, "2", "--seed", "5", "--point",
          '{"radii": ["1", "1", "1"], "turns": ["0", "0", "0"]}'],
         ["torsor", cone, "1000"],
         ["info", cone, "--degree-bound", "-3"],
@@ -533,10 +534,8 @@ def test_incomplete_supplied_relations_are_input_errors(tmp_path, capsys, case, 
 
 
 def test_json_output_is_byte_deterministic(tmp_path):
-    _, out1, _ = run_cli(["torsor", corpus_path("a1_cone"), "3",
-                          "--face", "0,1,2", "--seed", "9"])
-    _, out2, _ = run_cli(["torsor", corpus_path("a1_cone"), "3",
-                          "--face", "0,1,2", "--seed", "9"])
+    _, out1, _ = run_cli(["torsor", corpus_path("a1_cone"), "3", "--face", "0,1,2"])
+    _, out2, _ = run_cli(["torsor", corpus_path("a1_cone"), "3", "--face", "0,1,2"])
     assert out1 == out2
     _, s1, _ = run_cli(["strata", corpus_path("a1_cone")])
     _, s2, _ = run_cli(["strata", corpus_path("a1_cone")])
@@ -553,12 +552,6 @@ def test_flag_over_default(capsys):
     assert run("compare", "--face", "")["levels"] == 100
     assert run("compare", "--face", "", "--bound", "5")["levels"] == 5
 
-    def sampled(*flags):
-        return run("torsor", "2", "--face", "0,1,2", *flags)["point"]
-
-    assert sampled() == sampled("--seed", "0") != sampled("--seed", "5")
-    assert sampled("--seed", "9") == sampled("--seed", "9") != sampled()
-
 
 # A settings flag of another subcommand, beside what each one needs.
 _UNREAD_FLAGS = {
@@ -568,7 +561,7 @@ _UNREAD_FLAGS = {
     "fiber": (["2"], ["--tol", "--bound", "--seed"]),
     "compare": ([], ["--tol", "--seed"]),
     "emit": ([], ["--tol", "--bound", "--seed"]),
-    "torsor": (["2"], ["--bound", "--tol"]),
+    "torsor": (["2"], ["--bound", "--tol", "--seed"]),
 }
 
 

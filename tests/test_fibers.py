@@ -28,10 +28,9 @@ from logcharts.monoid import (MonoidSpec, face_with_support, faces, mu, stalk,
                               validate)
 from logcharts.profin import (FiniteAbelianProSystem, completion, equivalent_up_to,
                               mu_tower)
-from logcharts.semialg import (CxPoint, KnPoint, Target, check_membership,
-                               emit_equations, sample_kn_stratum, tau)
+from logcharts.semialg import CxPoint, KnPoint, check_membership, tau
 from logcharts.strata import stratum_of_point
-from oracles import (kn_kummer_fiber_by_fractions, root_choices_by_scan,
+from oracles import (kn_kummer_fiber_by_fractions, root_choices_by_scan, sample_kn_stratum,
                      torsor_report_by_fractions)
 
 
@@ -202,10 +201,9 @@ def test_kn_fiber_points_satisfy_extended_system():
     m = a1_cone()
     # (1/n)P is presented by the same generators as P, so the cover's
     # points satisfy the chart's own system
-    system = emit_equations(m, Target.KN_POINTS)
     p = sample_kn_stratum(m, face_with_support(m, []), 1, seed=2)[0]
     for q in kn_kummer_fiber(m, p, 2):
-        ok, res = check_membership(system, q)
+        ok, res = check_membership(m, q)
         assert ok and res == 0.0
 
 
@@ -213,7 +211,6 @@ def test_kn_fiber_points_satisfy_extended_system_floating():
     # a point written as floats is read as the exact turns 1/10, 3/20, 1/5,
     # and its fiber holds the relation exactly
     m = a1_cone()
-    system = emit_equations(m, Target.KN_POINTS)
     p = KnPoint.floating([(1.0, cmath.exp(0.2j * cmath.pi)), (2.0, cmath.exp(0.3j * cmath.pi)),
                           (4.0, cmath.exp(0.4j * cmath.pi))])
     assert p == KnPoint.exact_point([(1, Fraction(1, 10)), (2, Fraction(3, 20)),
@@ -221,7 +218,7 @@ def test_kn_fiber_points_satisfy_extended_system_floating():
     fiber = kn_kummer_fiber(m, p, 3)
     assert len(fiber) == 9
     for q in fiber:
-        assert check_membership(system, q) == (True, 0.0)
+        assert check_membership(m, q) == (True, 0.0)
 
 
 def test_a_floating_point_near_the_variety_is_refused():
@@ -250,6 +247,17 @@ def test_fibers_refuse_a_point_of_the_wrong_arity():
         with pytest.raises(ArityMismatch, match="point has 2 coordinates, system has 3"):
             run(m, p, 2)
     assert issubclass(ArityMismatch, InvalidPoint)
+
+
+def test_each_fiber_refuses_the_other_models_point():
+    # membership takes either model's point, by its type; each Kummer fiber
+    # lies over its own model's points only
+    m = a1_cone()
+    kn, cx = KnPoint.exact_point([(1, 0)] * 3), CxPoint.exact_point([1, 1, 1])
+    for run, p, model in ((kn_kummer_fiber, cx, "log"), (torsor_check, cx, "log"),
+                          (algebraic_kummer_fiber, kn, "complex")):
+        with pytest.raises(InvalidPoint, match=f"the {model} model's Kummer fiber lies over"):
+            run(m, p, 2)
 
 
 def test_algebraic_fiber_over_vertex_is_single_point():
@@ -282,16 +290,15 @@ def test_small_complex_values_are_refused_on_their_angles():
     # rounding it gave four roots of size 1e-5 and 1e-5 i, 1.4e-5 apart on
     # the relation.  Membership, the stratum and the fiber all refuse it.
     m = a1_cone()
-    system = emit_equations(m, Target.COMPLEX_POINTS)
     p = CxPoint.floating([1e-5, 1e-5j, 1e-5])
-    ok, residual = check_membership(system, p)
+    ok, residual = check_membership(m, p)
     assert not ok and residual == pytest.approx(2.0)
     with pytest.raises(NotOnVariety):
         stratum_of_point(m, p)
     with pytest.raises(NotOnVariety):
         algebraic_kummer_fiber(m, p, 2)
     fiber = algebraic_kummer_fiber(m, CxPoint.floating([1e-5, 1e-5, 1e-5]), 2)
-    assert len(fiber) == 4 and all(check_membership(system, q)[0] for q in fiber)
+    assert len(fiber) == 4 and all(check_membership(m, q)[0] for q in fiber)
 
 
 def _agreement_charts():
@@ -318,7 +325,6 @@ def test_membership_the_stratum_and_the_fiber_accept_the_same_floating_points():
     rng = random.Random(20261024)
     verdicts = collections.Counter()
     for m in _agreement_charts():
-        system = emit_equations(m, Target.COMPLEX_POINTS)
         d, gens = m.ambient_rank, m.generators
         duals = [w for w in itertools.product(range(-2, 3), repeat=d)
                  if all(sum(map(operator.mul, w, g)) >= 0 for g in gens)]
@@ -333,7 +339,7 @@ def test_membership_the_stratum_and_the_fiber_accept_the_same_floating_points():
             if live and rng.random() < 0.5:
                 values[rng.choice(live)] *= -1
             p = CxPoint.floating(values)
-            member = check_membership(system, p)[0]
+            member = check_membership(m, p)[0]
             try:
                 face = stratum_of_point(m, p)
             except NotOnVariety:
@@ -354,7 +360,7 @@ def test_membership_the_stratum_and_the_fiber_accept_the_same_floating_points():
     # and the stratum and the fiber both refuse it as NotAFace.
     m = a1_cone()
     p = CxPoint.floating([1e-12, 1e-6, 1.0])
-    assert check_membership(emit_equations(m, Target.COMPLEX_POINTS), p)[0]
+    assert check_membership(m, p)[0]
     for run in (lambda: stratum_of_point(m, p), lambda: algebraic_kummer_fiber(m, p, 2)):
         with pytest.raises(NotAFace):
             run()

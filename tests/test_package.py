@@ -1,5 +1,9 @@
-"""The package surface: lazy loading of the layers behind `__all__`."""
+"""The package surface: lazy loading of the layers behind `__all__`, and a
+library that draws nothing at random."""
 
+import ast
+import glob
+import os
 import subprocess
 import sys
 
@@ -33,3 +37,18 @@ def test_public_names_resolve_bind_and_are_listed():
         assert getattr(logcharts, layer) is sys.modules[f"logcharts.{layer}"]
     with pytest.raises(AttributeError):
         logcharts.no_such_name
+
+
+def test_no_library_module_imports_random():
+    # the library is deterministic: seeded draws are test data (tests/oracles.py)
+    src = os.path.dirname(os.path.abspath(logcharts.__file__))
+    paths = sorted(glob.glob(os.path.join(src, "*.py")))
+    assert len(paths) >= 12
+    for path in paths:
+        with open(path, encoding="utf-8") as handle:
+            tree = ast.parse(handle.read(), path)
+        imported = {alias.name.split(".")[0] for node in ast.walk(tree)
+                    if isinstance(node, ast.Import) for alias in node.names}
+        imported |= {(node.module or "").split(".")[0] for node in ast.walk(tree)
+                     if isinstance(node, ast.ImportFrom) and node.level == 0}
+        assert "random" not in imported, path

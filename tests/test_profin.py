@@ -8,7 +8,7 @@ import pytest
 
 from logcharts import monoid, profin
 from logcharts.abgrp import FgAbelianGroup, tensor_mod
-from logcharts.errors import ChartError
+from logcharts.errors import ChartError, InvalidLevel
 from logcharts.fibers import verify_fiber_equivalence
 from logcharts.monoid import MonoidSpec, face_with_support, validate
 from logcharts.profin import (FiniteAbelianProSystem, completion,
@@ -311,6 +311,18 @@ def test_transition_refuses_levels_below_one_before_any_level(monkeypatch):
                         lambda self, n: levels.append(n))
     for m, n in ((6, 0), (0, 3), (0, 0), (-6, 3), (6, -2)):
         with pytest.raises(ValueError, match="positive"):
+            completion(Z).transition_consistent(m, n)
+    assert levels == []
+
+
+def test_transition_refuses_a_level_that_is_not_an_int(monkeypatch):
+    # "2" and None raised a bare TypeError from the comparison with 1
+    levels = []
+    monkeypatch.setattr(FiniteAbelianProSystem, "level",
+                        lambda self, n: levels.append(n))
+    for m, n, bad in (("2", 1, "'2'"), (1, "2", "'2'"), (None, 1, "None"), (True, 1, "True"),
+                      (2.0, 1, "2.0"), (6, 3.0, "3.0")):
+        with pytest.raises(InvalidLevel, match=f"level {bad} is not a positive integer"):
             completion(Z).transition_consistent(m, n)
     assert levels == []
 

@@ -68,7 +68,7 @@ def _records():
          f"factors_a=(), factors_b=(), isomorphic=True),), witness_level=None, note={_NOTE})"),
         (emit_equations(cone, "kn"),
          "BinomialSystem(variable_count=3, equations=(((1, 0, 1), (0, 2, 0)),), "
-         "target=<Target.KN_POINTS: 'kn'>)"),
+         "target='kn')"),
         (CxPoint.exact_point([1, Fraction(1, 2), 0]),
          "CxPoint(values=(GaussianRational(re=Fraction(1, 1), im=Fraction(0, 1)), "
          "GaussianRational(re=Fraction(1, 2), im=Fraction(0, 1)), "

@@ -1,8 +1,11 @@
-"""Binomial systems, membership, the circle-collapsing projection, samplers."""
+"""Binomial systems, membership, the circle-collapsing projection, the
+distinguished points."""
 
 import cmath
 import collections
+import glob
 import math
+import os
 import random
 import time
 from fractions import Fraction
@@ -14,9 +17,11 @@ from logcharts.errors import ArityMismatch, ChartError, InvalidPoint
 from logcharts.exactnum import GaussianRational, NonnegRoot, turn_mod1, unit_from_turn_float
 from logcharts.fibers import torsor_check
 from logcharts.monoid import MonoidSpec, face_with_support, faces, validate
-from logcharts.semialg import (POWER_BITS_CAP, CxPoint, KnPoint, Target, check_membership,
-                               emit_equations, sample_kn_stratum,
-                               sample_stratum, tau)
+from logcharts.semialg import (POWER_BITS_CAP, CxPoint, KnPoint, check_membership,
+                               distinguished_point, emit_equations, tau)
+from logcharts.strata import stratum_of_point
+
+from oracles import sample_kn_stratum, sample_stratum
 
 
 def a1_cone():
@@ -29,39 +34,50 @@ def quadrant():
 
 
 def test_emit_free_monoids_have_empty_systems():
-    assert emit_equations(quadrant(), Target.COMPLEX_POINTS).equations == ()
+    assert emit_equations(quadrant(), "complex").equations == ()
     n1 = validate(MonoidSpec.make(1, [[1]]))
-    assert emit_equations(n1, Target.COMPLEX_POINTS).equations == ()
+    assert emit_equations(n1, "complex").equations == ()
 
 
 def test_emit_a1_cone_equation_verbatim():
-    system = emit_equations(a1_cone(), Target.COMPLEX_POINTS)
+    system = emit_equations(a1_cone(), "complex")
     assert system.variable_count == 3
     assert system.equations == (((1, 0, 1), (0, 2, 0)),)
-    kn = emit_equations(a1_cone(), Target.KN_POINTS)
-    assert kn.equations == system.equations and kn.target is Target.KN_POINTS
+    kn = emit_equations(a1_cone(), "kn")
+    assert kn.equations == system.equations and kn.target == "kn"
+
+
+def test_emit_and_membership_refuse_what_they_cannot_read():
+    # emit_equations("foo") raised a bare ValueError and took None and 3
+    # silently; check_membership of a string raised AttributeError
+    m = a1_cone()
+    for target in ("foo", None, 3, "KN"):
+        with pytest.raises(ChartError, match=f"target {target!r} is not 'complex' or 'kn'"):
+            emit_equations(m, target)
+    for point in ("x", None, (1, 2, 4), emit_equations(m, "kn")):
+        with pytest.raises(InvalidPoint, match="a chart point is a KnPoint or a CxPoint"):
+            check_membership(m, point)
 
 
 def test_check_membership_exact_examples():
-    system = emit_equations(a1_cone(), Target.COMPLEX_POINTS)
-    ok, res = check_membership(system, CxPoint.exact_point([1, 2, 4]))
+    m = a1_cone()
+    ok, res = check_membership(m, CxPoint.exact_point([1, 2, 4]))
     assert ok and res == 0.0
-    ok, res = check_membership(system, CxPoint.exact_point([1, 2, 5]))
+    ok, res = check_membership(m, CxPoint.exact_point([1, 2, 5]))
     assert not ok and res == 1.0
 
 
 def test_check_membership_empty_system():
-    system = emit_equations(quadrant(), Target.COMPLEX_POINTS)
-    ok, res = check_membership(system, CxPoint.exact_point([123, -7]))
+    ok, res = check_membership(quadrant(), CxPoint.exact_point([123, -7]))
     assert ok and res == 0.0
 
 
-def test_check_membership_arity_and_type_errors():
-    system = emit_equations(a1_cone(), Target.COMPLEX_POINTS)
-    with pytest.raises(ArityMismatch):
-        check_membership(system, CxPoint.exact_point([1, 2]))
-    with pytest.raises(InvalidPoint):
-        check_membership(system, KnPoint.exact_point([(1, 0), (1, 0), (1, 0)]))
+def test_check_membership_arity_errors():
+    m = a1_cone()
+    with pytest.raises(ArityMismatch, match="point has 2 coordinates, system has 3"):
+        check_membership(m, CxPoint.exact_point([1, 2]))
+    with pytest.raises(ArityMismatch, match="point has 4 coordinates, system has 3"):
+        check_membership(m, KnPoint.exact_point([(1, 0)] * 4))
 
 
 def test_exact_points_of_other_types_are_refused():
@@ -78,74 +94,72 @@ def test_exact_points_of_other_types_are_refused():
     for values, i in ((((one, turn), (Fraction(1), turn), (one, turn)), 1),
                       (((one, turn), (one, turn), (one, 0.5)), 2)):
         with pytest.raises(InvalidPoint, match=f"exact coordinate {i} is"):
-            check_membership(emit_equations(a1_cone(), Target.KN_POINTS), KnPoint(values))
+            check_membership(a1_cone(), KnPoint(values))
     with pytest.raises(InvalidPoint, match="exact coordinate 1 is 2j"):
-        check_membership(emit_equations(a1_cone(), Target.COMPLEX_POINTS),
+        check_membership(a1_cone(),
                          CxPoint((GaussianRational.of(1), 2j, GaussianRational.of(4)), True))
 
 
 def test_check_membership_floating_tolerance():
-    system = emit_equations(a1_cone(), Target.COMPLEX_POINTS)
-    ok, res = check_membership(system, CxPoint.floating([1.0, 2.0, 4.0 + 1e-12]))
+    m = a1_cone()
+    ok, res = check_membership(m, CxPoint.floating([1.0, 2.0, 4.0 + 1e-12]))
     assert ok and res <= 1e-9
-    ok, res = check_membership(system, CxPoint.floating([1.0, 2.0, 4.1]))
+    ok, res = check_membership(m, CxPoint.floating([1.0, 2.0, 4.1]))
     assert not ok
 
 
 def test_kn_membership_exact_and_floating():
-    kn = emit_equations(a1_cone(), Target.KN_POINTS)
+    m = a1_cone()
     exact = KnPoint.exact_point([(1, Fraction(1, 3)), (2, Fraction(1, 3)),
                                  (4, Fraction(1, 3))])
-    ok, res = check_membership(kn, exact)
+    ok, res = check_membership(m, exact)
     assert ok and res == 0.0
     # the same point written as floats is read back as it
     third = cmath.exp(2j * cmath.pi / 3)
     floating = KnPoint.floating([(1.0, third), (2.0, third), (4.0, third)])
     assert floating == exact
-    assert check_membership(kn, floating) == (True, 0.0)
+    assert check_membership(m, floating) == (True, 0.0)
     bad = KnPoint.exact_point([(1, Fraction(1, 3)), (2, 0), (4, Fraction(1, 3))])
-    ok, _ = check_membership(kn, bad)
+    ok, _ = check_membership(m, bad)
     assert not ok
 
 
 def test_exact_membership_is_decided_exactly_and_never_overflows():
     m = a1_cone()
-    kn, cx = emit_equations(m, Target.KN_POINTS), emit_equations(m, Target.COMPLEX_POINTS)
     # 1 * (2^62 + 1) != (2^31)^2, although both sides round to the same float
-    ok, res = check_membership(kn, KnPoint.exact_point([(1, 0), (2**31, 0), (2**62 + 1, 0)]))
+    ok, res = check_membership(m, KnPoint.exact_point([(1, 0), (2**31, 0), (2**62 + 1, 0)]))
     assert not ok and res == 1.0
     # a turn sum of 10^-400 is not 0, although it underflows to 0.0
-    ok, res = check_membership(kn, KnPoint.exact_point([(1, 0), (1, 0),
+    ok, res = check_membership(m, KnPoint.exact_point([(1, 0), (1, 0),
                                                         (1, Fraction(1, 10**400))]))
     assert not ok and res > 0
     # sides beyond the float range report an infinite residual
-    ok, res = check_membership(kn, KnPoint.exact_point([(10**400, 0), (1, 0), (1, 0)]))
+    ok, res = check_membership(m, KnPoint.exact_point([(10**400, 0), (1, 0), (1, 0)]))
     assert not ok and res == float("inf")
-    ok, res = check_membership(cx, CxPoint.exact_point([10**400, 1, 1]))
+    ok, res = check_membership(m, CxPoint.exact_point([10**400, 1, 1]))
     assert not ok and res == float("inf")
     # equal sides beyond the float range are decided without a conversion
-    assert check_membership(kn, KnPoint.exact_point([(10**400, 0)] * 3)) == (True, 0.0)
-    assert check_membership(cx, CxPoint.exact_point([10**400] * 3)) == (True, 0.0)
+    assert check_membership(m, KnPoint.exact_point([(10**400, 0)] * 3)) == (True, 0.0)
+    assert check_membership(m, CxPoint.exact_point([10**400] * 3)) == (True, 0.0)
 
 
 def test_floating_membership_fails_beyond_the_float_range():
     m = a1_cone()
-    kn, cx = emit_equations(m, Target.KN_POINTS), emit_equations(m, Target.COMPLEX_POINTS)
     # a power that overflows gives an infinite residual, not an OverflowError
-    assert check_membership(cx, CxPoint.floating([1e200] * 3)) == (False, float("inf"))
-    assert check_membership(kn, KnPoint.floating([(1e300, 1), (1e300, 1), (2e300, 1)])) == (
+    assert check_membership(m, CxPoint.floating([1e200] * 3)) == (False, float("inf"))
+    assert check_membership(m, KnPoint.floating([(1e300, 1), (1e300, 1), (2e300, 1)])) == (
         False, float("inf"))
     # both sides overflow to inf: inf - inf is NaN, which must not pass
     square = validate(MonoidSpec.make(3, [[1, 0, 0], [1, 1, 0], [1, 0, 1], [1, 1, 1]],
                                       [[[1, 0, 0, 1], [0, 1, 1, 0]]]))
-    kn, cx = (emit_equations(square, target) for target in ("kn", "complex"))
+    m = square
     big = [1e200, 1e200, 1e200, 2e200]  # z0 z3 = 2e400 but z1 z2 = 1e400
-    assert check_membership(kn, KnPoint.floating([(r, 1) for r in big])) == (
+    assert check_membership(m, KnPoint.floating([(r, 1) for r in big])) == (
         False, float("inf"))
-    assert check_membership(cx, CxPoint.floating(big)) == (False, float("inf"))
+    assert check_membership(m, CxPoint.floating(big)) == (False, float("inf"))
     # points within the float range are decided as before
-    assert check_membership(kn, KnPoint.floating([(1e100, 1)] * 4))[0]
-    assert check_membership(cx, CxPoint.floating([1e100, 1e100, 1e100, 1e100j]))[0] is False
+    assert check_membership(m, KnPoint.floating([(1e100, 1)] * 4))[0]
+    assert check_membership(m, CxPoint.floating([1e100, 1e100, 1e100, 1e100j]))[0] is False
 
 
 def test_exact_products_stop_at_the_first_vanishing_coordinate(monkeypatch):
@@ -153,7 +167,7 @@ def test_exact_products_stop_at_the_first_vanishing_coordinate(monkeypatch):
     # exact point at the vertex takes no exact product at all
     square = validate(MonoidSpec.make(3, [[1, 0, 0], [1, 1, 0], [1, 0, 1], [1, 1, 1]],
                                       [[[1, 0, 0, 1], [0, 1, 1, 0]]]))
-    kn, cx = (emit_equations(square, target) for target in ("kn", "complex"))
+    m = square
     products = []
     for cls in (GaussianRational, NonnegRoot):
         for name in ("__mul__", "__pow__"):
@@ -161,15 +175,15 @@ def test_exact_products_stop_at_the_first_vanishing_coordinate(monkeypatch):
                 products.append(_original)
                 return _original(self, other)
             monkeypatch.setattr(cls, name, counting)
-    assert check_membership(cx, CxPoint.exact_point([0] * 4)) == (True, 0.0)
-    assert check_membership(kn, KnPoint.exact_point([(0, 0)] * 4)) == (True, 0.0)
+    assert check_membership(m, CxPoint.exact_point([0] * 4)) == (True, 0.0)
+    assert check_membership(m, KnPoint.exact_point([(0, 0)] * 4)) == (True, 0.0)
     assert products == []
     # on the rays and off the variety, decided as before
-    assert check_membership(cx, CxPoint.exact_point([3, 0, Fraction(1, 2), 0])) == (True, 0.0)
-    assert check_membership(cx, CxPoint.exact_point([0, 1, 2, 0])) == (False, 2.0)
-    assert check_membership(kn, KnPoint.exact_point([(3, 0), (0, 0), (5, 0), (0, 0)])) == (
+    assert check_membership(m, CxPoint.exact_point([3, 0, Fraction(1, 2), 0])) == (True, 0.0)
+    assert check_membership(m, CxPoint.exact_point([0, 1, 2, 0])) == (False, 2.0)
+    assert check_membership(m, KnPoint.exact_point([(3, 0), (0, 0), (5, 0), (0, 0)])) == (
         True, 0.0)
-    assert check_membership(kn, KnPoint.exact_point([(0, 0), (1, 0), (2, 0), (0, 0)])) == (
+    assert check_membership(m, KnPoint.exact_point([(0, 0), (1, 0), (2, 0), (0, 0)])) == (
         False, 2.0)
 
 
@@ -179,38 +193,37 @@ def test_floating_products_multiply_through_a_zero():
     # where its exact twin, whose side stops at the zero, is on the
     # variety; a log point read from the same floats is exact
     m = validate(MonoidSpec.make(2, [[1, 0], [0, 1], [1, 2]]))
-    kn, cx = (emit_equations(m, target) for target in ("kn", "complex"))
-    assert cx.equations == (((0, 0, 1), (1, 2, 0)),)
-    assert check_membership(cx, CxPoint.floating([0, 1e200, 0])) == (False, float("inf"))
-    assert check_membership(kn, KnPoint.floating([(0, 1), (1e200, 1), (0, 1)])) == (
+    assert m.relations == (((0, 0, 1), (1, 2, 0)),)
+    assert check_membership(m, CxPoint.floating([0, 1e200, 0])) == (False, float("inf"))
+    assert check_membership(m, KnPoint.floating([(0, 1), (1e200, 1), (0, 1)])) == (
         True, 0.0)
-    assert check_membership(cx, CxPoint.exact_point([0, 10**200, 0])) == (True, 0.0)
-    assert check_membership(kn, KnPoint.exact_point([(0, 0), (10**200, 0), (0, 0)])) == (
+    assert check_membership(m, CxPoint.exact_point([0, 10**200, 0])) == (True, 0.0)
+    assert check_membership(m, KnPoint.exact_point([(0, 0), (10**200, 0), (0, 0)])) == (
         True, 0.0)
 
 
 def test_floating_complex_residuals_are_relative():
     square = validate(MonoidSpec.make(3, [[1, 0, 0], [1, 1, 0], [1, 0, 1], [1, 1, 1]],
                                       [[[1, 0, 0, 1], [0, 1, 1, 0]]]))
-    kn, cx = (emit_equations(square, target) for target in ("kn", "complex"))
+    m = square
     # both sides are 2.1e101 up to a rounding error of 3.1e85
     big = [1e50, 3e50, 7e50, 2.1e51]
-    ok, res = check_membership(cx, CxPoint.floating(big))
+    ok, res = check_membership(m, CxPoint.floating(big))
     assert ok and res < 1e-15
     # off by 1e100 of 2.2e101
-    ok, res = check_membership(cx, CxPoint.floating(big[:3] + [2.2e51]))
+    ok, res = check_membership(m, CxPoint.floating(big[:3] + [2.2e51]))
     assert not ok and res == pytest.approx(1 / 22)
     # below 1 the residual stays absolute
     small = [1e-6, 1e-6, 1e-6, 2e-6]
-    assert check_membership(cx, CxPoint.floating(small)) == (True, 1e-12)
+    assert check_membership(m, CxPoint.floating(small)) == (True, 1e-12)
     # radii read from the same floats are the decimals they print as, whose
     # products are equal; a log point has no tolerance, and its residual is
     # the absolute gap of the sides, or the chord of the turn sum
-    assert check_membership(kn, KnPoint.floating([(r, 1) for r in big])) == (True, 0.0)
+    assert check_membership(m, KnPoint.floating([(r, 1) for r in big])) == (True, 0.0)
     off = KnPoint.floating([(r, 1) for r in big[:3] + [2.2e51]])
-    assert check_membership(kn, off) == (False, 1e100)
+    assert check_membership(m, off) == (False, 1e100)
     turned = KnPoint.floating([(r, 1) for r in big[:3]] + [(big[3], 1j)])
-    ok, res = check_membership(kn, turned)
+    ok, res = check_membership(m, turned)
     assert not ok and res == pytest.approx(abs(1j - 1))
 
 
@@ -276,14 +289,12 @@ def test_tau_refuses_a_radius_beyond_the_float_range():
 
 def test_tau_respects_equations():
     m = a1_cone()
-    kn = emit_equations(m, Target.KN_POINTS)
-    cx = emit_equations(m, Target.COMPLEX_POINTS)
     dense = face_with_support(m, [0, 1, 2])
     for point in sample_kn_stratum(m, dense, 8, seed=21):
-        ok, res = check_membership(kn, point)
+        ok, res = check_membership(m, point)
         assert ok and res == 0.0
         image = tau(point)
-        ok, res = check_membership(cx, image)
+        ok, res = check_membership(m, image)
         assert ok and res == 0.0  # exact samples stay exact through tau
 
 
@@ -291,23 +302,20 @@ def test_tau_of_a_point_read_from_floats_is_on_the_complex_model():
     # the turns 1/10, 3/20, 1/5 are read exactly; their units are not
     # Gaussian rational, so the image is floating, within FLOAT_TOLERANCE
     m = a1_cone()
-    kn = emit_equations(m, Target.KN_POINTS)
-    cx = emit_equations(m, Target.COMPLEX_POINTS)
     point = KnPoint.floating([(1.5, cmath.exp(0.2j * cmath.pi)), (3.0, cmath.exp(0.3j * cmath.pi)),
                               (6.0, cmath.exp(0.4j * cmath.pi))])
-    assert check_membership(kn, point) == (True, 0.0)
+    assert check_membership(m, point) == (True, 0.0)
     image = tau(point)
-    ok, res = check_membership(cx, image)
+    ok, res = check_membership(m, image)
     assert not image.exact and ok and res <= 1e-15
 
 
 def test_sample_stratum_supports_and_membership():
     m = a1_cone()
-    system = emit_equations(m, Target.COMPLEX_POINTS)
     for f in faces(m):
         for pt in sample_stratum(m, f, 4, seed=31):
             assert pt.exact
-            ok, res = check_membership(system, pt)
+            ok, res = check_membership(m, pt)
             assert ok and res == 0.0
             for i in range(pt.arity):
                 assert pt.is_zero_at(i) == (i not in f.support)
@@ -333,12 +341,33 @@ def test_sample_determinism():
 def test_sample_kn_off_support_radius_zero_but_angles_live():
     m = a1_cone()
     f = face_with_support(m, [0])
-    kn = emit_equations(m, Target.KN_POINTS)
     for point in sample_kn_stratum(m, f, 4, seed=13):
         assert point.is_zero_at(1) and point.is_zero_at(2)
         assert not point.is_zero_at(0)
-        ok, res = check_membership(kn, point)
+        ok, res = check_membership(m, point)
         assert ok and res == 0.0
+
+
+def test_each_stratum_holds_its_distinguished_point():
+    # radius 1 and turn 0 on the face, radius 0 and turn 0 off it, on every
+    # face of the bundled charts and of the cones over the 16 reflexive
+    # polygons: the point lies on its own stratum, and the deck action on
+    # its Kummer fibers is a torsor
+    data = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
+    paths = [corpus_path(name) for name in ("log_point", "affine_line", "plane_axes", "a1_cone")]
+    paths += sorted(glob.glob(os.path.join(data, "reflexive_*.json")))
+    assert len(paths) == 20
+    checked = 0
+    for path in paths:
+        m = validate(load_chart(path).spec)
+        for f in faces(m):
+            p = distinguished_point(m, f)
+            assert p == KnPoint.exact_point([(int(i in f.support), 0)
+                                             for i in range(m.generator_count)])
+            assert stratum_of_point(m, tau(p)).support == f.support
+            assert torsor_check(m, p, 2)[0] and torsor_check(m, p, 3)[0]
+            checked += 1
+    assert checked == 172
 
 
 def _floating_twin(point):
@@ -375,49 +404,46 @@ def test_exact_and_floating_twins_get_the_same_verdict():
     verdicts = collections.Counter()
     for m in charts:
         dense = tuple(range(m.generator_count))
-        for target, sample in ((Target.COMPLEX_POINTS, sample_stratum),
-                               (Target.KN_POINTS, sample_kn_stratum)):
-            system = emit_equations(m, target)
+        for target, sample in (("complex", sample_stratum), ("kn", sample_kn_stratum)):
             for f in faces(m):
                 for p in sample(m, f, 3, rng.randrange(10**6)):
-                    assert check_membership(system, p) == (True, 0.0)
-                    assert check_membership(system, _floating_twin(p))[0]
+                    assert check_membership(m, p) == (True, 0.0)
+                    assert check_membership(m, _floating_twin(p))[0]
                     q = _moved(p, rng)
-                    ok, res = check_membership(system, q)
+                    ok, res = check_membership(m, q)
                     assert (res == 0.0) == ok
-                    assert check_membership(system, _floating_twin(q))[0] == ok, (p, q)
+                    assert check_membership(m, _floating_twin(q))[0] == ok, (p, q)
                     verdicts[target, ok, f.support != dense] += 1
-    for target in Target:
+    for target in ("complex", "kn"):
         for ok in (True, False):
             assert verdicts[target, ok, True] >= 10, verdicts
 
 
 def test_an_exact_power_beyond_the_size_cap_is_refused_before_it_is_taken():
     # z0^(10^12) = z1: 2^(10^12) would take minutes and terabits, so each
-    # exact path refuses it, naming the exponent and the limit, in no time
+    # exact path refuses it, naming the exponent and the limit, in no time;
+    # the stratum's distinguished point, at radius 1, is decided at once
     m = validate(MonoidSpec.make(1, [[1], [10 ** 12]]))
-    kn, cx = emit_equations(m, Target.KN_POINTS), emit_equations(m, Target.COMPLEX_POINTS)
     dense = face_with_support(m, [0, 1])
     refusal = f"exponent {10 ** 12} would make a power of .* limit of {POWER_BITS_CAP}"
     start = time.perf_counter()
-    for run in (lambda: check_membership(kn, KnPoint.exact_point([(2, 0), (4, 0)])),
-                lambda: check_membership(cx, CxPoint.exact_point([GaussianRational(1, 1), 4])),
-                lambda: sample_kn_stratum(m, dense, 1, seed=0),
-                lambda: sample_stratum(m, dense, 1, seed=0)):
+    for run in (lambda: check_membership(m, KnPoint.exact_point([(2, 0), (4, 0)])),
+                lambda: check_membership(m, CxPoint.exact_point([GaussianRational(1, 1), 4]))):
         with pytest.raises(ChartError, match=refusal):
             run()
+    assert check_membership(m, distinguished_point(m, dense)) == (True, 0.0)
+    assert torsor_check(m, distinguished_point(m, dense), 2)[0]
     assert time.perf_counter() - start < 1
     # 0, 1 and the Gaussian units keep their size at any power
-    assert check_membership(kn, KnPoint.exact_point([(1, Fraction(1, 2)), (1, 0)])) == (True, 0.0)
-    assert check_membership(cx, CxPoint.exact_point([GaussianRational(0, -1), 1]))[0]
-    assert check_membership(cx, CxPoint.exact_point([0, 0]))[0]
+    assert check_membership(m, KnPoint.exact_point([(1, Fraction(1, 2)), (1, 0)])) == (True, 0.0)
+    assert check_membership(m, CxPoint.exact_point([GaussianRational(0, -1), 1]))[0]
+    assert check_membership(m, CxPoint.exact_point([0, 0]))[0]
     # the cap bounds the size, not the exponent: 2^(2^20) is taken, 4^(2^20) is not
     line = validate(MonoidSpec.make(1, [[1], [POWER_BITS_CAP]]))
-    system = emit_equations(line, Target.KN_POINTS)
     top = KnPoint.exact_point([(2, 0), (2 ** POWER_BITS_CAP, 0)])
-    assert check_membership(system, top) == (True, 0.0)
+    assert check_membership(line, top) == (True, 0.0)
     with pytest.raises(ChartError, match=f"exponent {POWER_BITS_CAP} would make a power"):
-        check_membership(system, KnPoint.exact_point([(4, 0), (1, 0)]))
+        check_membership(line, KnPoint.exact_point([(4, 0), (1, 0)]))
 
 
 def test_a_product_of_radicals_beyond_the_size_cap_is_refused_before_it_is_formed():
@@ -429,19 +455,18 @@ def test_a_product_of_radicals_beyond_the_size_cap_is_refused_before_it_is_forme
              for i in range(5)]
     m = validate(MonoidSpec.make(1, [[1]] * 5 + [[5]], [((1, 1, 1, 1, 1, 0), (0,) * 5 + (1,))]
                                  + chain[:4]))
-    system = emit_equations(m, Target.KN_POINTS)
     radii = ["2^(1/64)", "3^(1/63)", "5^(1/61)", "7^(1/59)", "11^(1/53)", "1"]
     start = time.perf_counter()
     with pytest.raises(ChartError, match=f"a product of radicals would make a base of about "
                                          f"1636032 bits, above the limit of {POWER_BITS_CAP}"):
-        check_membership(system, KnPoint.exact_point([(r, 0) for r in radii]))
-    assert check_membership(system, KnPoint.exact_point([("2^(1/64)", 0)] * 5
-                                                        + [("32^(1/64)", 0)])) == (True, 0.0)
+        check_membership(m, KnPoint.exact_point([(r, 0) for r in radii]))
+    assert check_membership(m, KnPoint.exact_point([("2^(1/64)", 0)] * 5
+                                                   + [("32^(1/64)", 0)])) == (True, 0.0)
     # sides under the cap, of degrees 245952 and 3127, are compared without
     # raising either base to their lcm: the relation fails, and its radii's
     # gap, beyond the float range, reads inf
     sides = validate(MonoidSpec.make(1, [[1]] * 6, [((1, 1, 1, 0, 0, 0), (0, 0, 0, 1, 1, 1))]
                                      + chain))
     point = KnPoint.exact_point([(r, 0) for r in radii])
-    assert check_membership(emit_equations(sides, Target.KN_POINTS), point) == (False, math.inf)
+    assert check_membership(sides, point) == (False, math.inf)
     assert time.perf_counter() - start < 1
