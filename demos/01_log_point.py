@@ -8,9 +8,8 @@ two towers agree: at every level n both read Z/n.
 
 from fractions import Fraction
 
-from logcharts import (KnPoint, MonoidSpec, face_with_support, faces,
-                       kn_kummer_fiber, mu, mu_tower, stalk, stratify,
-                       validate, verify_fiber_equivalence)
+from logcharts import (KnPoint, MonoidSpec, faces, kn_kummer_fiber, mu,
+                       mu_tower, stratify, validate, verify_fiber_equivalence)
 
 m = validate(MonoidSpec.make(1, [[1]]))
 print("chart monoid:", m)
@@ -21,11 +20,12 @@ for f in faces(m):
     print(f"  {f} with certificate {tuple(str(c) for c in f.certificate)}")
 
 print("\nstrata:")
-for entry in stratify(m).entries:
+entries = stratify(m).entries
+for entry in entries:
     print(f"  face {entry.face}  stalk rank {entry.stalk_rank}")
 
-vertex = face_with_support(m, [])
-quotient, r = stalk(m, vertex)
+vertex, quotient, r = next((e.face, e.stalk, e.stalk_rank)
+                            for e in entries if not e.face.support)
 print("\nover the vertex:")
 print("  log-model fiber: torus of rank", r)
 tower = mu_tower(quotient)

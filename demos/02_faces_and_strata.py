@@ -6,7 +6,7 @@ generator spans an interior ray, which is not a face, and the quotient by
 each face is again a valid chart (the stalk along that stratum).
 """
 
-from logcharts import MonoidSpec, faces, stalk, stratify, validate
+from logcharts import MonoidSpec, stratify, validate
 
 charts = {
     "quadrant N^2": validate(MonoidSpec.make(2, [[1, 0], [0, 1]])),
@@ -18,16 +18,15 @@ for name, m in charts.items():
     print(f"== {name} ==")
     print("generators:", m.generators)
     print("verified relations:", m.relations or "(none)")
-    for f in faces(m):
-        quotient, r = stalk(m, f)
-        print(f"  face {str(f):12s} stalk rank {r}   "
-              f"stalk generators {quotient.generators}")
-    table = stratify(m)
-    print("rank multiset:", table.ranks())
+    entries = stratify(m).entries
+    for e in entries:
+        print(f"  face {str(e.face):12s} stalk rank {e.stalk_rank}   "
+              f"stalk generators {e.stalk.generators}")
+    print("rank multiset:", sorted(e.stalk_rank for e in entries))
     print("closed locus of rank >= 1:",
-          [list(e.face.support) for e in table.rank_at_least(1)])
+          [list(e.face.support) for e in entries if e.stalk_rank >= 1])
     print("unique maximal stratum:",
-          [list(e.face.support) for e in table.rank_at_least(table.max_rank)])
+          [list(e.face.support) for e in entries if e.stalk_rank == m.gp_lattice_rank])
     print()
 
 print("the middle ray of the cone is not a face: no functional can vanish")

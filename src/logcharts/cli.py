@@ -150,15 +150,13 @@ def _print_table(payload, indent=0):
                 _print_table(value, indent + 1)
             else:
                 print(f"{pad}{key}: {value}")
-    elif isinstance(payload, list):
+    else:
         for value in payload:
             if isinstance(value, (dict, list)):
                 _print_table(value, indent)
                 print(f"{pad}-")
             else:
                 print(f"{pad}{value}")
-    else:
-        print(f"{pad}{payload}")
 
 
 def cmd_info(m, args):
@@ -178,7 +176,7 @@ def cmd_strata(m, args):
     from .strata import stratify
     table = stratify(m)
     return True, {
-        "max_rank": table.max_rank,
+        "max_rank": m.gp_lattice_rank,
         "strata": [
             {
                 "face": list(e.face.support),

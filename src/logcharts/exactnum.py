@@ -84,8 +84,6 @@ GAUSSIAN_ONE = GaussianRational(Fraction(1))
 
 def _int_nth_root(x: int, n: int) -> int:
     """Floor of the n-th root of a nonnegative integer, exactly."""
-    if x < 0:
-        raise ValueError("negative radicand")
     if x in (0, 1) or n == 1:
         return x
     if x.bit_length() <= n:

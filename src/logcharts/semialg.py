@@ -244,7 +244,7 @@ def check_membership(m: AffineMonoid, point):
         raise InvalidPoint(f"a chart point is a KnPoint or a CxPoint, not {type(point).__name__}")
     if point.arity != m.generator_count:
         raise ArityMismatch(
-            f"point has {point.arity} coordinates, system has {m.generator_count}")
+            f"point has {point.arity} coordinates, chart has {m.generator_count} generators")
     _check_exact_types(point)
     bound = 0.0 if kn or point.exact else FLOAT_TOLERANCE
     if kn:

@@ -13,7 +13,7 @@ vanishing from semialg's rules.
 from __future__ import annotations
 
 from ._record import Record
-from .errors import NotAFace, NotOnVariety
+from .errors import NotOnVariety
 from .monoid import AffineMonoid, Face, face_with_support, faces, stalk
 
 
@@ -24,53 +24,11 @@ class StratumEntry(Record):
 
 
 class StratumTable(Record):
-    """All strata of a chart, one entry per face.
-
-    The locus R_n of rank >= n is recoverable as the faces whose entry has
-    stalk_rank >= n.  Construction enforces the structural laws: entries
-    cover the face lattice exactly once, face inclusion weakly reverses
-    rank, and the empty support is the unique face of maximal rank
-    (whenever that rank is positive).
-    """
+    """All strata of a chart, one entry per face.  The locus R_n of rank
+    >= n is the faces whose entry has stalk_rank >= n."""
 
     monoid: AffineMonoid
     entries: tuple[StratumEntry, ...]
-
-    @property
-    def max_rank(self) -> int:
-        """The rank of the vertex stratum, the chart's group rank."""
-        return self.monoid.gp_lattice_rank
-
-    def __post_init__(self):
-        supports = [e.face.support for e in self.entries]
-        if len(set(supports)) != len(supports):
-            raise ValueError("duplicate face in stratum table")
-        by_support = {e.face.support: e for e in self.entries}
-        for a in self.entries:
-            for b in self.entries:
-                if set(a.face.support) <= set(b.face.support):
-                    if not b.stalk_rank <= a.stalk_rank:
-                        raise ValueError(
-                            f"rank monotonicity fails: {a.face} rank {a.stalk_rank}, "
-                            f"{b.face} rank {b.stalk_rank}")
-        top = [e for e in self.entries if e.stalk_rank == self.max_rank]
-        if self.max_rank >= 1 and (len(top) != 1 or top[0].face.support != ()):
-            raise ValueError("the vertex is not the unique maximal-rank stratum")
-        if () not in by_support:
-            raise ValueError("stratum table is missing the vertex face")
-
-    def entry_for(self, face: Face) -> StratumEntry:
-        for e in self.entries:
-            if e.face.support == face.support:
-                return e
-        raise NotAFace(f"{face.support} does not index a stratum")
-
-    def rank_at_least(self, n: int) -> list[StratumEntry]:
-        """The closed locus R_n, as its list of strata."""
-        return [e for e in self.entries if e.stalk_rank >= n]
-
-    def ranks(self) -> list[int]:
-        return sorted(e.stalk_rank for e in self.entries)
 
 
 def stratify(m: AffineMonoid) -> StratumTable:

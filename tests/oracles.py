@@ -30,11 +30,12 @@ before it scanned each row's interval of nonnegative certificates, and the
 Smith form runs its row and column operations through helper calls, as
 the library did before it ran them in place, and seeded exact points are
 drawn on a stratum from the ambient torus, as the library did before it
-took one distinguished point per stratum.  The quadric relations of a
-cone are listed by comparing every two pairs of generators.  Matrix
-products, identities, diagonals and determinants (by rational
-elimination) act on lists of rows, which is all the Smith forms take and
-return.
+took one distinguished point per stratum.  The N-torsion of a fiber is
+counted by backtracking over (Z/N)^k, with no Smith form.  The quadric
+relations of a cone are listed by comparing every two pairs of
+generators.  Matrix products, identities, diagonals and determinants (by
+rational elimination) act on lists of rows, which is all the Smith forms
+take and return.
 """
 
 from __future__ import annotations
@@ -1019,3 +1020,28 @@ def sample_kn_stratum(m, f, count: int, seed: int) -> list[KnPoint]:
         return point, tuple((r.base, r.degree, a) for r, a in point.values)
 
     return _draw_points(draw, count)
+
+
+def torsion_count(rows, k: int, n: int) -> int:
+    """The number of u in (Z/n)^k with row . u = 0 (mod n) for every row,
+    by backtracking over u_0, u_1, ...: each row is checked once, as soon
+    as its last column that is nonzero mod n is set.  Over a stratum F the
+    fiber's N-torsion is such a count, with no Smith form and no abgrp."""
+    due = [[] for _ in range(k)]
+    for row in rows:
+        live = [j for j, a in enumerate(row) if a % n]
+        if live:
+            due[live[-1]].append(row)
+    u = [0] * k
+
+    def count(j):
+        if j == k:
+            return 1
+        total = 0
+        for x in range(n):
+            u[j] = x
+            if all(sum(a * b for a, b in zip(row, u)) % n == 0 for row in due[j]):
+                total += count(j + 1)
+        return total
+
+    return count(0)

@@ -11,6 +11,7 @@ import logcharts.abgrp as abgrp
 import logcharts.fibers as fibers
 import logcharts.monoid as monoid
 from logcharts.abgrp import FgAbelianGroup, _det, cokernel, smith_normal_form, tensor_mod
+from logcharts.errors import InvalidMonoidSpec
 
 from oracles import (coset_count_bfs, coset_count_box, det, diagonal,
                      element_order_multiset, identity, is_unimodular, matmul,
@@ -103,6 +104,13 @@ def test_snf_checks_its_input_once(rows, cols):
     # is truncated to an int
     with pytest.raises(ValueError, match="matrix"):
         smith_normal_form(rows, cols)
+
+
+def test_generator_matrix_takes_vectors_in_z_d_as_columns():
+    assert abgrp.generator_matrix([(1, 0), (1, 2)], 2) == ((1, 1), (0, 2))
+    assert abgrp.generator_matrix([], 2) == ((), ())
+    with pytest.raises(InvalidMonoidSpec, match=r"vector \(1, 0, 0\) does not live in Z\^2"):
+        abgrp.generator_matrix([(1, 0), (1, 0, 0)], 2)
 
 
 def test_cokernel_identity_trivial():
@@ -254,6 +262,8 @@ def test_direct_sum():
     b = FgAbelianGroup(0, (4,))
     assert a.direct_sum(b) == FgAbelianGroup(1, (2, 4))
     assert a.direct_sum() == a
+    assert a.order() is None and b.order() == 4
+    assert str(a) == "Z x Z/2" and str(FgAbelianGroup.free(2)) == "Z^2"
 
 
 def _revalidates(g):

@@ -44,6 +44,10 @@ def test_unknown_chart_fields_rejected():
         ChartDocument.from_json_dict(
             {"name": "x", "ambient_rank": 1, "generators": [[1]],
              "relations": [{"lhs": [1]}]})
+    with pytest.raises(ChartError, match="must be a JSON object"):
+        ChartDocument.from_json_dict([{"name": "x", "ambient_rank": 1, "generators": [[1]]}])
+    with pytest.raises(ChartError, match="missing 'generators'"):
+        ChartDocument.from_json_dict({"name": "x", "ambient_rank": 1})
 
 
 def test_info_log_point(capsys):
@@ -197,6 +201,9 @@ def test_exit_code_2_on_input_errors(tmp_path):
     bad.write_text('{"name": "bad", "ambient_rank": 1, "generators": [[1], [-1]]}')
     code, _, err = run_cli(["info", str(bad)])
     assert code == 2 and "line" in err  # NotSharp message surfaced
+    bad.write_text('{"name": "bad", "ambient_rank": 1,')
+    code, _, err = run_cli(["info", str(bad)])
+    assert code == 2 and err.startswith("error: chart file is not valid JSON: "), err
     cone = corpus_path("a1_cone")
     for args in [
         ["mu", cone, "0"],

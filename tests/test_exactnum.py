@@ -59,6 +59,8 @@ def test_rational_nth_root():
     assert rational_nth_root(Fraction(2), 2) is None
     assert rational_nth_root(Fraction(0), 5) == 0
     assert rational_nth_root(Fraction(10 ** 30), 2) == 10 ** 15
+    with pytest.raises(ValueError, match="negative radicand"):
+        rational_nth_root(Fraction(-8), 3)
 
 
 def test_nth_roots_beyond_float_range():
@@ -85,6 +87,8 @@ def test_nonneg_root_normalization():
     assert not NonnegRoot(Fraction(2), 2).is_rational()
     assert NonnegRoot(Fraction(2), 2) == NonnegRoot(Fraction(4), 4)
     assert NonnegRoot(Fraction(0), 7).is_zero()
+    with pytest.raises(ValueError, match=r"2\^\(1/2\) is irrational"):
+        NonnegRoot(Fraction(2), 2).as_rational()
 
 
 def test_nonneg_root_normal_form_matches_every_integer_scan():
@@ -122,6 +126,9 @@ def test_nonneg_root_arithmetic():
     assert r2 * r2 == NonnegRoot.of(2)
     assert r2 ** 4 == NonnegRoot.of(4)
     assert (r2 ** -2) == NonnegRoot.of(Fraction(1, 2))
+    assert r2 ** 0 == NonnegRoot.of(1)
+    with pytest.raises(ZeroDivisionError, match="zero radius to a negative power"):
+        NonnegRoot.of(0) ** -1
     assert NonnegRoot.of(5).root(3) == NonnegRoot(Fraction(5), 3)
     assert abs(float(r2) - 2 ** 0.5) < 1e-12
 

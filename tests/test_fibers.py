@@ -244,7 +244,7 @@ def test_fibers_refuse_a_point_of_the_wrong_arity():
     kn = KnPoint.exact_point([(1, 0), (2, 0)])
     cx = CxPoint.exact_point([1, 2])
     for run, p in ((kn_kummer_fiber, kn), (algebraic_kummer_fiber, cx), (torsor_check, kn)):
-        with pytest.raises(ArityMismatch, match="point has 2 coordinates, system has 3"):
+        with pytest.raises(ArityMismatch, match="point has 2 coordinates, chart has 3 generators"):
             run(m, p, 2)
     assert issubclass(ArityMismatch, InvalidPoint)
 

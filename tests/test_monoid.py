@@ -57,9 +57,14 @@ def test_validate_rejects_line():
         validate(MonoidSpec.make(1, [[1], [-1]]))
 
 
-def test_validate_rejects_zero_generator():
-    with pytest.raises(InvalidMonoidSpec):
-        validate(MonoidSpec.make(2, [[0, 0], [1, 0]]))
+def test_validate_rejects_a_spec_of_the_wrong_shape():
+    for d, gens, relations, message in [
+            (2, [[0, 0], [1, 0]], None, "zero generator"),
+            (2, [[1, 0], [1]], None, r"generator \(1,\) does not live in Z\^2"),
+            (1, [[1], [2]], [[[2], [1]]], "has wrong arity"),
+            (1, [[1], [2]], [[[2, -1], [0, 0]]], "has negative exponents")]:
+        with pytest.raises(InvalidMonoidSpec, match=message):
+            validate(MonoidSpec.make(d, gens, relations))
 
 
 def test_ambient_rank_above_the_limit_is_refused_before_any_matrix(monkeypatch):

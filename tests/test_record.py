@@ -40,8 +40,9 @@ def _records():
     ``.levels`` (were ``stratum_face`` and ``level_certificate``) and
     ``TorsorReport.n`` (was ``degree``), and that the fields holding no
     computed fact are gone: ``AffineMonoid.is_sharp`` and ``is_saturated``
-    (always true), ``StratumTable.max_rank`` (now a property, the group
-    rank), ``EquivalenceCertificate.bound`` (the number of levels), and
+    (always true), ``StratumTable.max_rank`` (the group rank, which the
+    ``strata`` command reads off the chart), ``EquivalenceCertificate.bound``
+    (the number of levels), and
     ``FiberEquivalenceCertificate.comparison_matrix`` (always the
     identity) and ``maps_realize_levels`` (implied by the verdict)."""
     line = _line()

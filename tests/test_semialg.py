@@ -74,9 +74,9 @@ def test_check_membership_empty_system():
 
 def test_check_membership_arity_errors():
     m = a1_cone()
-    with pytest.raises(ArityMismatch, match="point has 2 coordinates, system has 3"):
+    with pytest.raises(ArityMismatch, match="point has 2 coordinates, chart has 3 generators"):
         check_membership(m, CxPoint.exact_point([1, 2]))
-    with pytest.raises(ArityMismatch, match="point has 4 coordinates, system has 3"):
+    with pytest.raises(ArityMismatch, match="point has 4 coordinates, chart has 3 generators"):
         check_membership(m, KnPoint.exact_point([(1, 0)] * 4))
 
 
