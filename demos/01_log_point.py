@@ -2,14 +2,15 @@
 
 The monoid N has two faces (the vertex and the dense face), so its chart
 has two strata.  Over the vertex the log model fibers in a circle and the
-n-th root construction fibers in B(Z/n); after profinite completion the
-two towers agree: at every level n both read Z/n.
+n-th root construction fibers in B(Z/n), Z/n being mu_n of the stalk as
+``mu`` reads it; after profinite completion the two towers agree: at
+every level n both read Z/n.
 """
 
 from fractions import Fraction
 
-from logcharts import (KnPoint, MonoidSpec, faces, kn_kummer_fiber, mu,
-                       mu_tower, stratify, validate, verify_fiber_equivalence)
+from logcharts import (KnPoint, MonoidSpec, faces, kn_kummer_fiber, mu, stratify,
+                       validate, verify_fiber_equivalence)
 
 m = validate(MonoidSpec.make(1, [[1]]))
 print("chart monoid:", m)
@@ -28,8 +29,7 @@ vertex, quotient, r = next((e.face, e.stalk, e.stalk_rank)
                             for e in entries if not e.face.support)
 print("\nover the vertex:")
 print("  log-model fiber: torus of rank", r)
-tower = mu_tower(quotient)
-print("  root fiber levels:", ", ".join(str(tower.level(n)) for n in (2, 3, 4, 6)))
+print("  root fiber levels:", ", ".join(str(mu(quotient, n)) for n in (2, 3, 4, 6)))
 print("  mu_n of the chart:", ", ".join(str(mu(m, n)) for n in (2, 3, 4, 6)))
 
 print("\nthe degree-3 Kummer cover over the point (radius 2, 1/3 turn):")

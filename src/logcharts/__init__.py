@@ -26,8 +26,7 @@ _HOMES = {
                "verify_fiber_equivalence"),
     "monoid": ("AffineMonoid", "Face", "MonoidSpec", "face_with_support", "faces", "mu",
                "stalk", "validate"),
-    "profin": ("EquivalenceCertificate", "FiniteAbelianProSystem", "completion",
-               "equivalent_up_to", "mu_tower", "product_system"),
+    "profin": ("EquivalenceCertificate", "FiniteAbelianProSystem", "equivalent_up_to"),
     "semialg": ("BinomialSystem", "CxPoint", "KnPoint", "check_membership",
                 "distinguished_point", "emit_equations", "tau"),
     "strata": ("StratumTable", "stratify", "stratum_of_point"),

@@ -160,20 +160,22 @@ class FgAbelianGroup(Record):
     dropped, so equality of normal forms is isomorphism.
 
     ``FgAbelianGroup(...)``, ``free`` and ``cyclic`` validate; ``trivial``,
-    ``from_cyclic_orders``, ``cokernel`` and ``tensor_mod`` build normal
-    forms by construction and skip the checks through ``_normal``.
+    ``cokernel`` and ``tensor_mod`` build normal forms by construction and
+    skip the checks through ``_normal``.  The one general normal form is
+    ``cokernel``'s Smith form: a sum of cyclic groups Z/n (Z/0 = Z) is the
+    cokernel of the diagonal matrix of the orders.
     """
 
     free_rank: int
     torsion: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if self.free_rank < 0:
-            raise ValueError("free rank must be nonnegative")
-        object.__setattr__(self, "torsion", tuple(int(d) for d in self.torsion))
+        if type(self.free_rank) is not int or self.free_rank < 0:
+            raise ValueError(f"free rank {self.free_rank!r} is not a nonnegative int")
+        object.__setattr__(self, "torsion", tuple(self.torsion))
         for d in self.torsion:
-            if d < 2:
-                raise ValueError(f"torsion invariant {d} < 2 (drop trivial factors first)")
+            if type(d) is not int or d < 2:
+                raise ValueError(f"torsion invariant {d!r} is not an int >= 2")
         for a, b in zip(self.torsion, self.torsion[1:]):
             if b % a != 0:
                 raise ValueError(f"torsion invariants {self.torsion} violate the divisibility chain")
@@ -198,41 +200,14 @@ class FgAbelianGroup(Record):
     @staticmethod
     def cyclic(n: int) -> FgAbelianGroup:
         """Z/n, with Z/0 = Z and Z/1 trivial."""
-        n = abs(int(n))
+        if type(n) is not int:
+            raise ValueError(f"cyclic order {n!r} is not an int")
+        n = abs(n)
         if n == 0:
             return FgAbelianGroup(1, ())
         if n == 1:
             return FgAbelianGroup(0, ())
         return FgAbelianGroup(0, (n,))
-
-    @staticmethod
-    def from_cyclic_orders(orders) -> FgAbelianGroup:
-        """Normal form of a direct sum of cyclic groups Z/n (n = 0 means Z).
-
-        Each finite order n >= 2 is swept into the chain from its largest
-        invariant down, by Z/d + Z/n = Z/lcm(d, n) + Z/gcd(d, n): each lcm
-        divides the next, being a divisor of the invariant above it, and
-        the last gcd, unless it is 1, heads the chain.
-        """
-        orders = [abs(int(n)) for n in orders]
-        torsion: tuple[int, ...] = ()
-        for n in orders:
-            if n < 2:
-                continue
-            chain = []
-            for d in reversed(torsion):
-                g = gcd(d, n)
-                chain.append(d // g * n)
-                n = g
-            torsion = tuple(reversed(chain + [n] if n > 1 else chain))
-        return FgAbelianGroup._normal(orders.count(0), torsion)
-
-    def direct_sum(self, *others: FgAbelianGroup) -> FgAbelianGroup:
-        orders = [0] * self.free_rank + list(self.torsion)
-        for g in others:
-            orders.extend([0] * g.free_rank)
-            orders.extend(g.torsion)
-        return FgAbelianGroup.from_cyclic_orders(orders)
 
     def invariant_factors(self) -> list[int]:
         """The chain with zeros for the free part, largest-last torsion."""

@@ -50,7 +50,8 @@ class GaussianRational(Record):
                                 (self.im * other.re - self.re * other.im) / d)
 
     def __pow__(self, exponent: int) -> GaussianRational:
-        exponent = int(exponent)
+        if type(exponent) is not int:
+            raise ValueError(f"exponent {exponent!r} is not an int")
         if exponent < 0:
             return GAUSSIAN_ONE / self ** (-exponent)
         # Multiply in the first needed power as is, and square no further
@@ -139,10 +140,11 @@ class NonnegRoot(Record):
     degree: int = 1
 
     def __post_init__(self):
-        base = Fraction(self.base)
-        degree = int(self.degree)
+        base, degree = Fraction(self.base), self.degree
         if base < 0:
             raise ValueError("radicand must be nonnegative")
+        if type(degree) is not int:
+            raise ValueError(f"root degree {degree!r} is not an int")
         if degree < 1:
             raise ValueError("root degree must be positive")
         if base in (0, 1):
@@ -186,7 +188,8 @@ class NonnegRoot(Record):
         return NonnegRoot(self.base ** (l // self.degree) * other.base ** (l // other.degree), l)
 
     def __pow__(self, exponent: int) -> NonnegRoot:
-        exponent = int(exponent)
+        if type(exponent) is not int:
+            raise ValueError(f"exponent {exponent!r} is not an int")
         if exponent == 0:
             return NonnegRoot(Fraction(1), 1)
         if exponent < 0:
@@ -197,7 +200,9 @@ class NonnegRoot(Record):
 
     def root(self, n: int) -> NonnegRoot:
         """The n-th root of this value."""
-        return NonnegRoot(self.base, self.degree * int(n))
+        if type(n) is not int:
+            raise ValueError(f"root index {n!r} is not an int")
+        return NonnegRoot(self.base, self.degree * n)
 
     def __eq__(self, other):
         if isinstance(other, NonnegRoot):

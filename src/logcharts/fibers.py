@@ -57,16 +57,18 @@ def verify_fiber_equivalence(m: AffineMonoid, f: Face,
                              bound: int) -> tuple[bool, FiberEquivalenceCertificate]:
     """Fiberwise profinite comparison over one stratum.
 
-    Completes the torus fiber's pi1 = Z^r and compares it level by level
-    with the root fiber tower, the mu-tower of the stalk: the verdict is
-    the tower comparison's, isomorphic levels and coherent transitions.
+    Completes the torus fiber's pi1 = Z^r, r the stalk's closed-form rank,
+    and compares it level by level with the root fiber tower, the mu-tower
+    of the stalk's quotient, whose rank is validate's: the verdict is the
+    tower comparison's, isomorphic levels and coherent transitions.
     A bad bound is refused before the stalk is computed.
     """
-    from .profin import _checked_bound, completion, equivalent_up_to, mu_tower
+    from .profin import FiniteAbelianProSystem, _checked_bound, equivalent_up_to
     _checked_bound(bound)
     quotient, r = stalk(m, f)
-    ok, cert = equivalent_up_to(completion(FgAbelianGroup.free(r)),
-                                mu_tower(quotient), bound)
+    torus, root = (FiniteAbelianProSystem(FgAbelianGroup.free(k))
+                   for k in (r, quotient.gp_lattice_rank))
+    ok, cert = equivalent_up_to(torus, root, bound)
     return ok, FiberEquivalenceCertificate(face=f.support, torus_rank=r, bound=bound,
                                            levels=cert)
 

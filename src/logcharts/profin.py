@@ -2,12 +2,12 @@
 
 Every tower the theory produces is the profinite completion of a finitely
 generated abelian group G: the level at n is the truncation G/nG, and for
-n | m the transition G/mG -> G/nG is the natural reduction.  The
-mu-tower of a chart of group rank r is the completion of Z^r, because
-mu_n(P) = (Z/n)^r, and a finite product of completions is the completion
-of the direct sum.  So a tower is held as the group G it completes, is
-equal to another exactly when their groups are, and builds each level as
-the closed form tensor_mod(G, n), once per tower.
+n | m the transition G/mG -> G/nG is the natural reduction.  So a tower
+is built from the group it completes, as ``FiniteAbelianProSystem(G)``,
+is equal to another exactly when their groups are, and builds each level
+as the closed form tensor_mod(G, n), once per tower.  The mu-tower of a
+chart of group rank r is ``FiniteAbelianProSystem(FgAbelianGroup.free(r))``,
+because mu_n(P) = (Z/n)^r, and its level n is ``monoid.mu(P, n)``.
 
 Level-wise comparison of invariant factors plus transition coherence is
 the checkable shadow of pro-equivalence; every certificate's ``note``
@@ -29,7 +29,6 @@ from math import isqrt
 from ._record import Record
 from .abgrp import FgAbelianGroup, _truncation, tensor_mod
 from .errors import ChartError, InvalidLevel
-from .monoid import AffineMonoid
 
 COMPARISON_NOTE = (
     "level-wise invariant-factor comparison with transition coherence up to "
@@ -70,11 +69,6 @@ class FiniteAbelianProSystem(Record):
             raise InvalidLevel(f"transition needs n | m, got n={n}, m={m}")
         high, low = self.level(m), self.level(n)
         return low.free_rank == 0 and low.torsion == _truncation(high, n)
-
-    def check_coherence(self, bound: int) -> bool:
-        """Transition compatibility for every pair n | m <= bound.  A bound
-        below 1 or above 100,000 is refused before any level is computed."""
-        return _first_incoherent(self, _checked_bound(bound)) is None
 
     def __str__(self):
         return f"<completion of {self.group}>"
@@ -119,24 +113,6 @@ def _first_incoherent(tower: FiniteAbelianProSystem, bound: int) -> int | None:
         if not all(coherent(m, n) for n in covers):
             return next(n for n in range(1, m + 1) if m % n == 0 and not coherent(m, n))
     return None
-
-
-def completion(g: FgAbelianGroup) -> FiniteAbelianProSystem:
-    """The profinite completion of G as the tower of truncations G/mG."""
-    return FiniteAbelianProSystem(g)
-
-
-def mu_tower(m: AffineMonoid) -> FiniteAbelianProSystem:
-    """The tower n -> mu_n(P) underlying the infinite root construction:
-    the completion of Z^r for the group rank r of P."""
-    return FiniteAbelianProSystem(FgAbelianGroup.free(m.gp_lattice_rank))
-
-
-def product_system(*systems: FiniteAbelianProSystem) -> FiniteAbelianProSystem:
-    """Level-wise direct product of towers: the completion of the direct
-    sum of the groups they complete."""
-    return FiniteAbelianProSystem(
-        FgAbelianGroup.trivial().direct_sum(*(s.group for s in systems)))
 
 
 class LevelRecord(Record):

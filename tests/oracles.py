@@ -30,8 +30,10 @@ before it scanned each row's interval of nonnegative certificates, and the
 Smith form runs its row and column operations through helper calls, as
 the library did before it ran them in place, and seeded exact points are
 drawn on a stratum from the ambient torus, as the library did before it
-took one distinguished point per stratum.  The N-torsion of a fiber is
-counted by backtracking over (Z/N)^k, with no Smith form.  The quadric
+took one distinguished point per stratum.  The normal form of a direct sum
+of cyclic groups is assembled prime by prime from its elementary divisors,
+with no Smith form.  The N-torsion of a fiber is counted by backtracking
+over (Z/N)^k, with no Smith form.  The quadric
 relations of a cone are listed by comparing every two pairs of
 generators.  Matrix products, identities, diagonals and determinants (by
 rational elimination) act on lists of rows, which is all the Smith forms
@@ -144,6 +146,30 @@ def element_order_multiset(torsion):
             order = order * (d // gcd(x, d)) // gcd(order, d // gcd(x, d))
         orders.append(order)
     return sorted(orders)
+
+
+def cyclic_sum_by_elementary_divisors(orders):
+    """(free rank, torsion) of Z/n_1 + ... + Z/n_k, Z/0 = Z: each finite
+    order is split into prime powers by trial division, and the i-th
+    largest invariant factor is the product of each prime's i-th largest
+    power."""
+    powers = {}
+    for n in (abs(n) for n in orders if n):
+        p = 2
+        while n > 1:
+            p = p if p * p <= n else n
+            e = 1
+            while n % p == 0:
+                n, e = n // p, e * p
+            if e > 1:
+                powers.setdefault(p, []).append(e)
+            p += 1
+    length = max(map(len, powers.values()), default=0)
+    factors = [1] * length
+    for chain in powers.values():
+        for i, e in enumerate(sorted(chain, reverse=True)):
+            factors[length - 1 - i] *= e
+    return sum(1 for n in orders if n == 0), tuple(factors)
 
 
 def bounded_monoid_elements(generators, degree_bound):

@@ -13,8 +13,8 @@ import logcharts.monoid as monoid
 from logcharts.abgrp import FgAbelianGroup, _det, cokernel, smith_normal_form, tensor_mod
 from logcharts.errors import InvalidMonoidSpec
 
-from oracles import (coset_count_bfs, coset_count_box, det, diagonal,
-                     element_order_multiset, identity, is_unimodular, matmul,
+from oracles import (coset_count_bfs, coset_count_box, cyclic_sum_by_elementary_divisors, det,
+                     diagonal, element_order_multiset, identity, is_unimodular, matmul,
                      random_unimodular, smith_normal_form_by_helpers, tensor_mod_by_lists)
 
 
@@ -187,8 +187,8 @@ def test_tensor_mod_level_one_trivial():
 def test_tensor_mod_transition_coherence():
     rng = random.Random(3)
     for _ in range(100):
-        g = FgAbelianGroup.from_cyclic_orders(
-            [rng.randrange(0, 13) for _ in range(rng.randrange(0, 4))])
+        orders = [rng.randrange(0, 13) for _ in range(rng.randrange(0, 4))]
+        g = cokernel(diagonal(orders), len(orders))
         k = rng.randrange(1, 40)
         m = rng.choice([d for d in range(1, k + 1) if k % d == 0])
         assert tensor_mod(tensor_mod(g, k), m) == tensor_mod(g, m)
@@ -203,7 +203,7 @@ def test_tensor_mod_agrees_with_the_list_oracle():
         orders = rng.choices(range(2, 37), k=rng.randint(1, 4))
         groups.append(FgAbelianGroup(
             0 if kind == "torsion" else rng.randint(1, 3),
-            () if kind == "free" else FgAbelianGroup.from_cyclic_orders(orders).torsion))
+            () if kind == "free" else cokernel(diagonal(orders), len(orders)).torsion))
     for g in groups:
         for m in range(1, 61):
             level = tensor_mod(g, m)
@@ -224,6 +224,10 @@ def test_normal_form_equality_examples():
     assert FgAbelianGroup(0, (2, 4)) == FgAbelianGroup(0, (2, 4))
     assert FgAbelianGroup.cyclic(8) != FgAbelianGroup(0, (2, 4))
     assert FgAbelianGroup.free(1) != FgAbelianGroup.cyclic(2)
+    # Z/0 is Z, Z/1 is trivial, and Z/-n is Z/n
+    assert FgAbelianGroup.cyclic(0) == FgAbelianGroup.free(1)
+    assert FgAbelianGroup.cyclic(1) == FgAbelianGroup.trivial()
+    assert FgAbelianGroup.cyclic(-6) == FgAbelianGroup.cyclic(6) == FgAbelianGroup(0, (6,))
 
 
 def test_normal_form_equality_agrees_with_element_orders():
@@ -237,31 +241,40 @@ def test_normal_form_equality_agrees_with_element_orders():
             assert (a == b) == same_orders
 
 
-def test_from_cyclic_orders_normalizes():
-    assert FgAbelianGroup.from_cyclic_orders([6, 4]) == FgAbelianGroup(0, (2, 12))
-    assert FgAbelianGroup.from_cyclic_orders([0, 30, 4]) == FgAbelianGroup(1, (2, 60))
-    assert FgAbelianGroup.from_cyclic_orders([1, 1]) == FgAbelianGroup.trivial()
+def _cyclic_sum(orders):
+    """Z/n_1 + ... + Z/n_k, Z/0 = Z: the cokernel of diag(n_1, ..., n_k)."""
+    return cokernel(diagonal(orders), len(orders))
 
 
-def test_from_cyclic_orders_agrees_with_the_smith_form_oracle():
-    # the gcd/lcm sweep against the Smith form of the diagonal matrix of
-    # the orders, on seeded lists with Zs (0) and trivial factors (1)
+def test_cokernel_of_cyclic_orders_normalizes():
+    assert _cyclic_sum([6, 4]) == FgAbelianGroup(0, (2, 12))
+    assert _cyclic_sum([0, 30, 4]) == FgAbelianGroup(1, (2, 60))
+    assert _cyclic_sum([1, 1]) == FgAbelianGroup.trivial()
+    assert _cyclic_sum([]) == FgAbelianGroup.trivial()
+
+
+def test_cokernel_of_cyclic_orders_agrees_with_the_elementary_divisor_oracle():
+    # the Smith form of the diagonal matrix of the orders against the
+    # normal form assembled prime by prime, on seeded lists with Zs (0)
+    # and trivial factors (1); signs and the order of the list do not count
     rng = random.Random(20151019)
     for _ in range(400):
         orders = rng.choices((0, 1, 2, 3, 4, 5, 6, 8, 9, 10, 12, 16, 18, 25, 27, 30, 36),
                              k=rng.randint(0, 7))
-        g = FgAbelianGroup.from_cyclic_orders(orders)
-        assert g == cokernel(diagonal(orders), len(orders)), orders
+        g = _cyclic_sum(orders)
+        assert (g.free_rank, g.torsion) == cyclic_sum_by_elementary_divisors(orders), orders
         _revalidates(g)
-        assert FgAbelianGroup.from_cyclic_orders([-n for n in orders]) == g
-        assert FgAbelianGroup.from_cyclic_orders(rng.sample(orders, len(orders))) == g
+        assert _cyclic_sum([-n for n in orders]) == g
+        assert _cyclic_sum(rng.sample(orders, len(orders))) == g
 
 
 def test_direct_sum():
+    # a direct sum is the cokernel of the block-diagonal matrix of the
+    # summands' presentations
     a = FgAbelianGroup(1, (2,))
     b = FgAbelianGroup(0, (4,))
-    assert a.direct_sum(b) == FgAbelianGroup(1, (2, 4))
-    assert a.direct_sum() == a
+    assert _cyclic_sum(a.invariant_factors() + b.invariant_factors()) == FgAbelianGroup(1, (2, 4))
+    assert _cyclic_sum(a.invariant_factors()) == a
     assert a.order() is None and b.order() == 4
     assert str(a) == "Z x Z/2" and str(FgAbelianGroup.free(2)) == "Z^2"
 
@@ -280,12 +293,13 @@ def test_trusted_constructors_build_normal_forms():
         orders = rng.choices(range(2, 37), k=rng.randint(1, 4))
         g = FgAbelianGroup(
             0 if kind == "torsion" else rng.randint(1, 3),
-            () if kind == "free" else FgAbelianGroup.from_cyclic_orders(orders).torsion)
+            () if kind == "free" else cokernel(diagonal(orders), len(orders)).torsion)
         for n in range(1, 61):
             _revalidates(tensor_mod(g, n))
         extra = rng.choices((0, 1, 2, 3, 4, 6, 9, 12, 25), k=rng.randint(0, 3))
-        _revalidates(FgAbelianGroup.from_cyclic_orders(g.invariant_factors() + extra))
-        _revalidates(g.direct_sum(FgAbelianGroup.cyclic(rng.randint(0, 12))))
+        _revalidates(_cyclic_sum(g.invariant_factors() + extra))
+        summand = FgAbelianGroup.cyclic(rng.randint(0, 12))
+        _revalidates(_cyclic_sum(g.invariant_factors() + summand.invariant_factors()))
         # a presentation of g, disguised by unimodular changes of basis
         size = len(g.invariant_factors())
         left, right = random_unimodular(rng, size), random_unimodular(rng, size)
@@ -301,3 +315,14 @@ def test_invariant_chain_is_enforced():
         FgAbelianGroup(0, (4, 2))
     with pytest.raises(ValueError):
         FgAbelianGroup(0, (1,))
+    # a float, a string or a bool is not read as the int it rounds or parses to
+    for torsion in ((2.7,), ("6",), (True,), (2, 4.0)):
+        with pytest.raises(ValueError, match=f"torsion invariant {torsion[-1]!r} is not an int"):
+            FgAbelianGroup(0, torsion)
+    for rank in (1.5, 2.0, True, -1):
+        for build in (FgAbelianGroup, FgAbelianGroup.free):
+            with pytest.raises(ValueError, match=f"free rank {rank!r} is not a nonnegative int"):
+                build(rank)
+    for n in (2.5, 2.0, True, "6"):
+        with pytest.raises(ValueError, match=f"cyclic order {n!r} is not an int"):
+            FgAbelianGroup.cyclic(n)

@@ -31,6 +31,10 @@ def test_gaussian_arithmetic_matches_complex():
             power = power * base
     with pytest.raises(ZeroDivisionError):
         zero ** -1
+    # 2.5 was read as 2, so (1 + i) ** 2.5 was 2i
+    for e in (2.5, 2.0, True):
+        with pytest.raises(ValueError, match=f"exponent {e!r} is not an int"):
+            GaussianRational(1, 1) ** e
 
 
 def test_gaussian_power_squares_only_up_to_its_last_bit(monkeypatch):
@@ -89,6 +93,10 @@ def test_nonneg_root_normalization():
     assert NonnegRoot(Fraction(0), 7).is_zero()
     with pytest.raises(ValueError, match=r"2\^\(1/2\) is irrational"):
         NonnegRoot(Fraction(2), 2).as_rational()
+    # 2.7 was read as 2, so 2^(1/2.7) was 2^(1/2)
+    for degree in (2.7, 2.0, True, "2"):
+        with pytest.raises(ValueError, match=f"root degree {degree!r} is not an int"):
+            NonnegRoot(Fraction(2), degree)
 
 
 def test_nonneg_root_normal_form_matches_every_integer_scan():
@@ -130,6 +138,13 @@ def test_nonneg_root_arithmetic():
     with pytest.raises(ZeroDivisionError, match="zero radius to a negative power"):
         NonnegRoot.of(0) ** -1
     assert NonnegRoot.of(5).root(3) == NonnegRoot(Fraction(5), 3)
+    # int(0.5) is 0, so 2 ** 0.5 was 1, and root(2.5) was the square root
+    for e in (0.5, 2.0, True):
+        with pytest.raises(ValueError, match=f"exponent {e!r} is not an int"):
+            NonnegRoot(Fraction(2)) ** e
+    for n in (2.5, 2.0, True):
+        with pytest.raises(ValueError, match=f"root index {n!r} is not an int"):
+            NonnegRoot(Fraction(2)).root(n)
     assert abs(float(r2) - 2 ** 0.5) < 1e-12
 
 

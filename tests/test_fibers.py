@@ -26,8 +26,7 @@ from logcharts.fibers import (algebraic_kummer_fiber, kn_kummer_fiber,
                               torsor_check, verify_fiber_equivalence)
 from logcharts.monoid import (MonoidSpec, face_with_support, faces, mu, stalk,
                               validate)
-from logcharts.profin import (FiniteAbelianProSystem, completion, equivalent_up_to,
-                              mu_tower)
+from logcharts.profin import FiniteAbelianProSystem, equivalent_up_to
 from logcharts.semialg import CxPoint, KnPoint, check_membership, tau
 from logcharts.strata import stratum_of_point
 from oracles import (kn_kummer_fiber_by_fractions, root_choices_by_scan, sample_kn_stratum,
@@ -67,14 +66,16 @@ def test_kn_fiber_ranks():
 def test_root_fiber_tower_levels():
     # level n of the root fiber tower is mu_n of the stalk
     m = n_monoid()
-    tower = mu_tower(stalk(m, face_with_support(m, []))[0])
+    quotient = stalk(m, face_with_support(m, []))[0]
     for n in (1, 3, 8):
-        assert tower.level(n) == FgAbelianGroup.cyclic(n)
+        assert mu(quotient, n) == FgAbelianGroup.cyclic(n)
     q = quadrant()
     edge, _ = stalk(q, face_with_support(q, [0]))
-    assert mu_tower(edge).level(5) == mu(edge, 5) == FgAbelianGroup.cyclic(5)
+    edge_tower = FiniteAbelianProSystem(FgAbelianGroup.free(edge.gp_lattice_rank))
+    assert edge_tower.level(5) == mu(edge, 5) == FgAbelianGroup.cyclic(5)
     dense, _ = stalk(q, face_with_support(q, [0, 1]))
-    assert mu_tower(dense).level(7) == mu(dense, 7) == FgAbelianGroup.trivial()
+    dense_tower = FiniteAbelianProSystem(FgAbelianGroup.free(dense.gp_lattice_rank))
+    assert dense_tower.level(7) == mu(dense, 7) == FgAbelianGroup.trivial()
 
 
 def test_comparison_on_pi1():
@@ -101,8 +102,9 @@ def test_comparison_commutes_with_transitions():
     quotient, r = stalk(m, face_with_support(m, []))
     ok, cert = verify_fiber_equivalence(m, face_with_support(m, []), 19)
     assert ok and r == 2 and levels_read_n_to_the_r(cert, r)
-    tower = mu_tower(quotient)
+    tower = FiniteAbelianProSystem(FgAbelianGroup.free(quotient.gp_lattice_rank))
     for big in range(1, 20):
+        assert tower.level(big) == mu(quotient, big)
         for n in (d for d in range(1, big + 1) if big % d == 0):
             assert tower.transition_consistent(big, n)
             assert tensor_mod(tower.level(big), n) == tower.level(n)
@@ -167,6 +169,26 @@ def test_fiber_comparison_walks_the_coherence_pairs_once(monkeypatch):
     m = a1_cone()
     ok, _ = verify_fiber_equivalence(m, face_with_support(m, []), 100)
     assert ok and len(calls) == 271
+
+
+def test_fiber_comparison_fails_when_its_two_ranks_differ(monkeypatch):
+    # the torus tower completes Z^r for the stalk's closed-form rank r, the
+    # root tower Z^s for the rank validate gives the quotient: a stalk one
+    # rank too high on the A1 cone's vertex is caught at level 2
+    real_stalk = fibers_mod.stalk
+
+    def stalk_one_rank_high(m, f):
+        quotient, r = real_stalk(m, f)
+        return quotient, r + 1
+
+    monkeypatch.setattr(fibers_mod, "stalk", stalk_one_rank_high)
+    m = a1_cone()
+    ok, cert = verify_fiber_equivalence(m, face_with_support(m, []), 10)
+    assert ok is False and cert.torus_rank == 3
+    assert cert.levels.witness_level == 2 and not cert.levels.equivalent
+    level2 = cert.levels.levels[1]
+    assert (level2.n, level2.factors_a, level2.factors_b) == (2, (2, 2, 2), (2, 2))
+    assert not level2.isomorphic and cert.levels.levels[0].isomorphic
 
 
 def test_kn_kummer_fiber_log_point():
@@ -936,9 +958,12 @@ _LEVEL_CALLS = {
     "kn_kummer_fiber": lambda v: kn_kummer_fiber(a1_cone(), _A1_POINT, v),
     "algebraic_kummer_fiber": lambda v: algebraic_kummer_fiber(a1_cone(), tau(_A1_POINT), v),
     "torsor_check": lambda v: torsor_check(a1_cone(), _A1_POINT, v),
-    "equivalent_up_to": lambda v: equivalent_up_to(completion(FgAbelianGroup.free(1)),
-                                                   mu_tower(n_monoid()), v),
-    "check_coherence": lambda v: completion(FgAbelianGroup.free(1)).check_coherence(v),
+    "equivalent_up_to": lambda v: equivalent_up_to(
+        FiniteAbelianProSystem(FgAbelianGroup.free(1)),
+        FiniteAbelianProSystem(FgAbelianGroup.free(n_monoid().gp_lattice_rank)), v),
+    # one tower against itself: its coherence walk alone
+    "equivalent_up_to_one_tower": lambda v: equivalent_up_to(*[FiniteAbelianProSystem(
+        FgAbelianGroup.free(1))] * 2, v),
     "verify_fiber_equivalence": lambda v: verify_fiber_equivalence(
         a1_cone(), face_with_support(a1_cone(), []), v),
 }
@@ -957,7 +982,7 @@ def test_levels_cover_degrees_and_bounds_must_be_positive_ints(name, value):
 def test_every_bad_level_cover_degree_and_bound_is_one_invalid_level():
     # each layer refuses with the one class, an input error that is also a
     # ValueError, in the one message form
-    tower = completion(FgAbelianGroup.free(1))
+    tower = FiniteAbelianProSystem(FgAbelianGroup.free(1))
     calls = {**_LEVEL_CALLS, "level": tower.level,
              "transition_consistent m": lambda v: tower.transition_consistent(v, 1),
              "transition_consistent n": lambda v: tower.transition_consistent(6, v)}

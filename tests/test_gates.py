@@ -28,3 +28,9 @@ def test_a_child_gate_reads_its_own_peak_and_names_its_timeout():
     assert big[2] > 64 > small[2]
     code, seconds, _ = gates.child([sys.executable, "-c", "import time; time.sleep(60)"], 0.5)
     assert code == "timeout" and 0.5 <= seconds < 30
+
+
+def test_the_ledger_counts_the_public_names_without_importing_them(monkeypatch):
+    import logcharts
+    monkeypatch.chdir(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+    assert gates.public_names() == len(logcharts.__all__)

@@ -18,7 +18,7 @@ from logcharts.errors import (ChartError, InvalidMonoidSpec, NotAFace, NotSharp,
                               SaturationFailure)
 from logcharts.monoid import (MonoidSpec, face_with_support, faces, mu, stalk,
                               validate)
-from logcharts.profin import mu_tower
+from logcharts.profin import FiniteAbelianProSystem
 
 from oracles import (congruence_complete_by_vectors, diagonal, face_supports_by_axiom,
                      faces_by_lp, fiber_connected_by_vectors, quadric_relations,
@@ -489,7 +489,7 @@ def test_kummer_inclusion_matrices():
 def test_kummer_composition():
     # the Kummer extensions of index 2 and 3 compose to index 6: mu_6
     # reduces onto mu_2 and mu_3
-    tower = mu_tower(a1_cone())
+    tower = FiniteAbelianProSystem(FgAbelianGroup.free(a1_cone().gp_lattice_rank))
     assert tower.transition_consistent(6, 2) and tower.transition_consistent(6, 3)
 
 

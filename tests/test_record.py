@@ -11,7 +11,7 @@ from logcharts.abgrp import FgAbelianGroup
 from logcharts.exactnum import GaussianRational, NonnegRoot
 from logcharts.fibers import torsor_check, verify_fiber_equivalence
 from logcharts.monoid import MonoidSpec, face_with_support, faces, validate
-from logcharts.profin import EquivalenceCertificate, LevelRecord, completion
+from logcharts.profin import EquivalenceCertificate, FiniteAbelianProSystem, LevelRecord
 from logcharts.semialg import CxPoint, KnPoint, emit_equations
 from logcharts.strata import stratify
 
@@ -60,7 +60,7 @@ def _records():
         (face_with_support(cone, [0]),
          "Face(support=(0,), certificate=(0, 1))"),
         (line, _LINE),
-        (completion(FgAbelianGroup.free(1)),
+        (FiniteAbelianProSystem(FgAbelianGroup.free(1)),
          "FiniteAbelianProSystem(group=FgAbelianGroup(free_rank=1, torsion=()))"),
         (LevelRecord(2, (2,), (2,), True),
          "LevelRecord(n=2, factors_a=(2,), factors_b=(2,), isomorphic=True)"),
@@ -135,9 +135,10 @@ def test_constructors_take_fields_by_position_or_keyword_with_defaults():
     assert EquivalenceCertificate(True, (), None).note == EquivalenceCertificate(
         equivalent=True, levels=(), witness_level=None).note
     # __post_init__ still runs: it normalizes and validates
-    assert FgAbelianGroup(0, [2.0]).torsion == (2,)
-    with pytest.raises(ValueError):
-        FgAbelianGroup(-1)
+    assert FgAbelianGroup(0, [2]).torsion == (2,)
+    for make in (lambda: FgAbelianGroup(-1), lambda: FgAbelianGroup(0, [2.0])):
+        with pytest.raises(ValueError):
+            make()
     for make in (lambda: FgAbelianGroup(), lambda: FgAbelianGroup(1, (), 3),
                  lambda: LevelRecord(1, (), ()), lambda: FgAbelianGroup(1, rank=2),
                  lambda: FgAbelianGroup(1, free_rank=1)):
