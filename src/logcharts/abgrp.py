@@ -39,7 +39,6 @@ def _det(rows) -> int:
         for i in range(k + 1, n):
             for j in range(k + 1, n):
                 a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
         prev = a[k][k]
     return sign * a[n - 1][n - 1]
 
@@ -159,11 +158,12 @@ class FgAbelianGroup(Record):
     d_1 | d_2 | ... | d_t and every d_i >= 2.  Trivial invariants are
     dropped, so equality of normal forms is isomorphism.
 
-    ``FgAbelianGroup(...)``, ``free`` and ``cyclic`` validate; ``trivial``,
-    ``cokernel`` and ``tensor_mod`` build normal forms by construction and
-    skip the checks through ``_normal``.  The one general normal form is
-    ``cokernel``'s Smith form: a sum of cyclic groups Z/n (Z/0 = Z) is the
-    cokernel of the diagonal matrix of the orders.
+    ``FgAbelianGroup(...)`` and ``free`` validate; ``cokernel`` and
+    ``tensor_mod`` build normal forms by construction and skip the checks
+    through ``_normal``.  The one general normal form is ``cokernel``'s
+    Smith form: a sum of cyclic groups Z/n (Z/0 = Z) is the cokernel of the
+    diagonal matrix of the orders, and the trivial group is
+    ``FgAbelianGroup(0)``.
     """
 
     free_rank: int
@@ -190,40 +190,12 @@ class FgAbelianGroup(Record):
         return g
 
     @staticmethod
-    def trivial() -> FgAbelianGroup:
-        return FgAbelianGroup._normal(0, ())
-
-    @staticmethod
     def free(r: int) -> FgAbelianGroup:
         return FgAbelianGroup(r, ())
-
-    @staticmethod
-    def cyclic(n: int) -> FgAbelianGroup:
-        """Z/n, with Z/0 = Z and Z/1 trivial."""
-        if type(n) is not int:
-            raise ValueError(f"cyclic order {n!r} is not an int")
-        n = abs(n)
-        if n == 0:
-            return FgAbelianGroup(1, ())
-        if n == 1:
-            return FgAbelianGroup(0, ())
-        return FgAbelianGroup(0, (n,))
 
     def invariant_factors(self) -> list[int]:
         """The chain with zeros for the free part, largest-last torsion."""
         return [0] * self.free_rank + list(self.torsion)
-
-    def is_finite(self) -> bool:
-        return self.free_rank == 0
-
-    def order(self) -> int | None:
-        """Group order, or None when infinite."""
-        if self.free_rank > 0:
-            return None
-        n = 1
-        for d in self.torsion:
-            n *= d
-        return n
 
     def __str__(self):
         parts = []

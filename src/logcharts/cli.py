@@ -72,7 +72,7 @@ def load_chart(path: str) -> ChartDocument:
             doc = json.load(handle)
     except OSError as err:
         raise ChartError(f"cannot read chart file: {err}") from err
-    except json.JSONDecodeError as err:
+    except ValueError as err:  # not UTF-8 or not JSON, or an int beyond Python's digit limit
         raise ChartError(f"chart file is not valid JSON: {err}") from err
     return ChartDocument.from_json_dict(doc)
 
@@ -113,7 +113,7 @@ def _parse_point(text):
     from .semialg import KnPoint
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as err:
+    except ValueError as err:  # JSONDecodeError, or an int beyond Python's digit limit
         raise ChartError(f"point is not valid JSON: {err}") from err
     if not isinstance(doc, dict) or set(doc) not in _POINT_FIELDS:
         got = sorted(doc) if isinstance(doc, dict) else f"a JSON {type(doc).__name__}"

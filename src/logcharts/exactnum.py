@@ -32,9 +32,6 @@ class GaussianRational(Record):
             return value
         return GaussianRational(Fraction(value))
 
-    def __add__(self, other: GaussianRational) -> GaussianRational:
-        return GaussianRational(self.re + other.re, self.im + other.im)
-
     def __sub__(self, other: GaussianRational) -> GaussianRational:
         return GaussianRational(self.re - other.re, self.im - other.im)
 
@@ -42,18 +39,10 @@ class GaussianRational(Record):
         return GaussianRational(self.re * other.re - self.im * other.im,
                                 self.re * other.im + self.im * other.re)
 
-    def __truediv__(self, other: GaussianRational) -> GaussianRational:
-        d = other.abs2()
-        if d == 0:
-            raise ZeroDivisionError("division by Gaussian-rational zero")
-        return GaussianRational((self.re * other.re + self.im * other.im) / d,
-                                (self.im * other.re - self.re * other.im) / d)
-
     def __pow__(self, exponent: int) -> GaussianRational:
-        if type(exponent) is not int:
-            raise ValueError(f"exponent {exponent!r} is not an int")
-        if exponent < 0:
-            return GAUSSIAN_ONE / self ** (-exponent)
+        # Exponents lie in N; a negative one never ends the loop: -1 >> 1 == -1.
+        if type(exponent) is not int or exponent < 0:
+            raise ValueError(f"exponent {exponent!r} is not an int >= 0")
         # Multiply in the first needed power as is, and square no further
         # than the highest bit.
         out, base = None, self
@@ -64,9 +53,6 @@ class GaussianRational(Record):
             if exponent:
                 base = base * base
         return GAUSSIAN_ONE if out is None else out
-
-    def abs2(self) -> Fraction:
-        return self.re * self.re + self.im * self.im
 
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
@@ -188,14 +174,8 @@ class NonnegRoot(Record):
         return NonnegRoot(self.base ** (l // self.degree) * other.base ** (l // other.degree), l)
 
     def __pow__(self, exponent: int) -> NonnegRoot:
-        if type(exponent) is not int:
-            raise ValueError(f"exponent {exponent!r} is not an int")
-        if exponent == 0:
-            return NonnegRoot(Fraction(1), 1)
-        if exponent < 0:
-            if self.base == 0:
-                raise ZeroDivisionError("zero radius to a negative power")
-            return NonnegRoot(Fraction(1) / self.base ** -exponent, self.degree)
+        if type(exponent) is not int or exponent < 0:
+            raise ValueError(f"exponent {exponent!r} is not an int >= 0")
         return NonnegRoot(self.base ** exponent, self.degree)
 
     def root(self, n: int) -> NonnegRoot:

@@ -124,10 +124,6 @@ class AffineMonoid(Record):
     def generator_count(self) -> int:
         return len(self.spec.generators)
 
-    def degree(self, vector) -> int:
-        """Value of the grading functional; >= 1 on every generator."""
-        return sum(map(operator.mul, self.grading, vector))
-
     def __str__(self):
         gens = ", ".join(str(g) for g in self.generators)
         return f"<affine monoid in Z^{self.ambient_rank} with generators {gens}>"

@@ -20,7 +20,13 @@ degree-2 moves as relations, and the cubic for the triangle of P^2.  Last,
 ``torsor`` refuses a product of five radicals of coprime degrees before
 forming it; ``mu``, ``fiber``, ``torsor`` and ``compare`` refuse a level
 or bound of 0 with the library's message; and ``torsor`` refuses a
-radical of degree 65, above the limit of its text form.
+radical of degree 65, above the limit of its text form.  Then come
+input that Python cannot decode or print, each refused with ``error: ``:
+``info`` on a chart file with the Latin-1 byte 0xE9 and on one whose
+generator is an integer of 5,001 digits, and ``torsor`` on the log point
+at a radius of 5,001 digits, at the radius ``1e9999`` and the turn
+``1e-9999``, whose numerator or denominator has more than 14,284 bits,
+and at the radius ``1e9999999``, refused before its power of ten is built.
 
 An argv names a chart by its file stem (``a1_cone``), which :func:`run`
 replaces by the path of the corpus chart, or else of the chart in
@@ -110,7 +116,16 @@ def argvs() -> list[list[str]]:
                   ["mu", "a1_cone", "0"], ["fiber", "a1_cone", "0"], ["torsor", "a1_cone", "0"],
                   ["compare", "a1_cone", "--bound", "0"],
                   ["torsor", "a1_cone", "2", "--point",
-                   '{"radii": ["1", "2^(1/65)", "2"], "turns": ["0", "0", "0"]}']]
+                   '{"radii": ["1", "2^(1/65)", "2"], "turns": ["0", "0", "0"]}'],
+                  # input Python cannot decode or print: a Latin-1 byte, ints of 5,001
+                  # digits, exact coordinates above 14,284 bits, a decimal exponent of 10^7
+                  ["info", "latin1_name"], ["info", "generator_5001_digits"],
+                  ["torsor", "log_point", "2", "--point",
+                   '{"radii": [' + "1" * 5001 + '], "turns": ["0"]}'],
+                  ["torsor", "log_point", "2", "--point", '{"radii": ["1e9999"], "turns": ["0"]}'],
+                  ["torsor", "log_point", "2", "--point", '{"radii": ["1"], "turns": ["1e-9999"]}'],
+                  ["torsor", "log_point", "2", "--point",
+                   '{"radii": ["1e9999999"], "turns": ["0"]}']]
 
 
 def run(argv) -> dict:

@@ -902,7 +902,7 @@ def tensor_mod_by_lists(g, m):
     if m < 1:
         raise ValueError("level must be a positive integer")
     if m == 1:
-        return FgAbelianGroup.trivial()
+        return FgAbelianGroup(0)
     torsion = [gcd(d, m) for d in g.torsion]
     torsion = [d for d in torsion if d > 1]
     torsion.extend([m] * g.free_rank)

@@ -114,7 +114,7 @@ def test_generator_matrix_takes_vectors_in_z_d_as_columns():
 
 
 def test_cokernel_identity_trivial():
-    assert cokernel(identity(3), 3) == FgAbelianGroup.trivial()
+    assert cokernel(identity(3), 3) == FgAbelianGroup(0)
 
 
 def test_cokernel_scalar_matrix():
@@ -145,7 +145,7 @@ def test_cokernel_order_matches_direct_coset_enumeration():
         if g.free_rank > 0:
             assert counted is None
         else:
-            assert counted == g.order()
+            assert counted == math.prod(g.torsion)
 
 
 def test_cokernel_order_matches_box_enumeration():
@@ -164,7 +164,7 @@ def test_cokernel_order_matches_box_enumeration():
             side = side * d // math.gcd(side, d)
         if side > 10:
             continue
-        assert coset_count_box(rows, r, c, side) == g.order()
+        assert coset_count_box(rows, r, c, side) == math.prod(g.torsion)
         checked += 1
 
 
@@ -175,13 +175,13 @@ def test_tensor_mod_free_rank():
 
 
 def test_tensor_mod_cyclic():
-    assert tensor_mod(FgAbelianGroup.cyclic(6), 4) == FgAbelianGroup.cyclic(2)
+    assert tensor_mod(FgAbelianGroup(0, (6,)), 4) == FgAbelianGroup(0, (2,))
     assert math.gcd(6, 4) == 2
 
 
 def test_tensor_mod_level_one_trivial():
-    for g in [FgAbelianGroup.free(3), FgAbelianGroup(1, (2, 6)), FgAbelianGroup.trivial()]:
-        assert tensor_mod(g, 1) == FgAbelianGroup.trivial()
+    for g in [FgAbelianGroup.free(3), FgAbelianGroup(1, (2, 6)), FgAbelianGroup(0)]:
+        assert tensor_mod(g, 1) == FgAbelianGroup(0)
 
 
 def test_tensor_mod_transition_coherence():
@@ -198,7 +198,7 @@ def test_tensor_mod_agrees_with_the_list_oracle():
     # free, torsion and mixed groups at every level m <= 60, and the
     # truncation of each level at every n | m
     rng = random.Random(20151018)
-    groups = [FgAbelianGroup.trivial()]
+    groups = [FgAbelianGroup(0)]
     for kind in ("free", "torsion", "mixed") * 10:
         orders = rng.choices(range(2, 37), k=rng.randint(1, 4))
         groups.append(FgAbelianGroup(
@@ -222,12 +222,12 @@ def test_tensor_mod_agrees_with_the_list_oracle():
 def test_normal_form_equality_examples():
     # normal forms are canonical, so isomorphism is equality
     assert FgAbelianGroup(0, (2, 4)) == FgAbelianGroup(0, (2, 4))
-    assert FgAbelianGroup.cyclic(8) != FgAbelianGroup(0, (2, 4))
-    assert FgAbelianGroup.free(1) != FgAbelianGroup.cyclic(2)
-    # Z/0 is Z, Z/1 is trivial, and Z/-n is Z/n
-    assert FgAbelianGroup.cyclic(0) == FgAbelianGroup.free(1)
-    assert FgAbelianGroup.cyclic(1) == FgAbelianGroup.trivial()
-    assert FgAbelianGroup.cyclic(-6) == FgAbelianGroup.cyclic(6) == FgAbelianGroup(0, (6,))
+    assert FgAbelianGroup(0, (8,)) != FgAbelianGroup(0, (2, 4))
+    assert FgAbelianGroup.free(1) != FgAbelianGroup(0, (2,))
+    # Z/0 is Z, Z/1 is trivial, and Z/-n is Z/n: the cokernels of 1 x 1 matrices
+    assert cokernel(((0,),), 1) == FgAbelianGroup.free(1)
+    assert cokernel(((1,),), 1) == FgAbelianGroup(0)
+    assert cokernel(((-6,),), 1) == cokernel(((6,),), 1) == FgAbelianGroup(0, (6,))
 
 
 def test_normal_form_equality_agrees_with_element_orders():
@@ -249,8 +249,8 @@ def _cyclic_sum(orders):
 def test_cokernel_of_cyclic_orders_normalizes():
     assert _cyclic_sum([6, 4]) == FgAbelianGroup(0, (2, 12))
     assert _cyclic_sum([0, 30, 4]) == FgAbelianGroup(1, (2, 60))
-    assert _cyclic_sum([1, 1]) == FgAbelianGroup.trivial()
-    assert _cyclic_sum([]) == FgAbelianGroup.trivial()
+    assert _cyclic_sum([1, 1]) == FgAbelianGroup(0)
+    assert _cyclic_sum([]) == FgAbelianGroup(0)
 
 
 def test_cokernel_of_cyclic_orders_agrees_with_the_elementary_divisor_oracle():
@@ -275,7 +275,7 @@ def test_direct_sum():
     b = FgAbelianGroup(0, (4,))
     assert _cyclic_sum(a.invariant_factors() + b.invariant_factors()) == FgAbelianGroup(1, (2, 4))
     assert _cyclic_sum(a.invariant_factors()) == a
-    assert a.order() is None and b.order() == 4
+    assert (a.free_rank, b.free_rank, math.prod(b.torsion)) == (1, 0, 4)
     assert str(a) == "Z x Z/2" and str(FgAbelianGroup.free(2)) == "Z^2"
 
 
@@ -288,7 +288,7 @@ def _revalidates(g):
 
 def test_trusted_constructors_build_normal_forms():
     rng = random.Random(20150921)
-    _revalidates(FgAbelianGroup.trivial())
+    _revalidates(FgAbelianGroup(0))
     for kind in ("free", "torsion", "mixed") * 20:
         orders = rng.choices(range(2, 37), k=rng.randint(1, 4))
         g = FgAbelianGroup(
@@ -298,7 +298,7 @@ def test_trusted_constructors_build_normal_forms():
             _revalidates(tensor_mod(g, n))
         extra = rng.choices((0, 1, 2, 3, 4, 6, 9, 12, 25), k=rng.randint(0, 3))
         _revalidates(_cyclic_sum(g.invariant_factors() + extra))
-        summand = FgAbelianGroup.cyclic(rng.randint(0, 12))
+        summand = _cyclic_sum([rng.randint(0, 12)])
         _revalidates(_cyclic_sum(g.invariant_factors() + summand.invariant_factors()))
         # a presentation of g, disguised by unimodular changes of basis
         size = len(g.invariant_factors())
@@ -324,5 +324,5 @@ def test_invariant_chain_is_enforced():
             with pytest.raises(ValueError, match=f"free rank {rank!r} is not a nonnegative int"):
                 build(rank)
     for n in (2.5, 2.0, True, "6"):
-        with pytest.raises(ValueError, match=f"cyclic order {n!r} is not an int"):
-            FgAbelianGroup.cyclic(n)
+        with pytest.raises(ValueError, match="matrix entries must be exact integers"):
+            cokernel(((n,),), 1)

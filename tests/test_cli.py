@@ -453,6 +453,15 @@ def test_cli_matches_golden_corpus():
         assert cli_golden.run(entry["argv"]) == entry, entry["argv"]
 
 
+def test_golden_input_errors_are_classified():
+    # an exit-2 entry is a classified ChartError, never an internal error,
+    # in every entry the corpus holds now or gains later
+    refused = [entry for entry in cli_golden.load() if entry["exit"] == 2]
+    assert len(refused) >= 20
+    for entry in refused:
+        assert entry["stderr"].startswith("error: "), entry["argv"]
+
+
 def test_exit_code_1_reserved_for_falsified_properties(monkeypatch, capsys):
     # validate refuses every incomplete relation set, so no valid chart
     # falsifies the torsor law; a relation-set bug is injected instead: the

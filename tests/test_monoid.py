@@ -6,6 +6,7 @@ import math
 import random
 import re
 import time
+from operator import mul
 
 import pytest
 
@@ -438,7 +439,7 @@ def test_cube_stalks_keep_the_quadrics(monkeypatch):
 def _assert_presented(q):
     """The stalk's relations connect every fiber of it that the vector
     oracle can list, up to its degree bound."""
-    degrees = [q.degree(g) for g in q.generators]
+    degrees = [sum(map(mul, q.grading, g)) for g in q.generators]
     bound = q.degree_bound
     while _vector_count(degrees, bound) > 3000:
         bound -= 1
@@ -495,7 +496,7 @@ def test_kummer_composition():
 
 def test_mu_examples():
     for n in (1, 2, 5, 8):
-        assert mu(n_monoid(), n) == FgAbelianGroup.cyclic(n)
+        assert mu(n_monoid(), n) == cokernel(((n,),), 1)
     assert mu(quadrant(), 2) == FgAbelianGroup(0, (2, 2))
     assert mu(a1_cone(), 3) == FgAbelianGroup(0, (3, 3))
     # oracle: SNF of n*I_r
@@ -516,7 +517,7 @@ def test_trivial_monoid():
     t = validate(MonoidSpec.make(0, []))
     assert t.gp_lattice_rank == 0
     assert [f.support for f in faces(t)] == [()]
-    assert mu(t, 7) == FgAbelianGroup.trivial()
+    assert mu(t, 7) == FgAbelianGroup(0)
 
 
 def test_face_axiom_on_bounded_elements():
@@ -661,7 +662,7 @@ def test_free_chart_closed_form_agrees_with_the_bounded_checks(monkeypatch):
         assert m.relations == () and m.gp_lattice_rank == len(gens)
         # the bounded checks, up to twice the largest generator degree; the
         # walk lists the elements that the tuple oracle lists, by code
-        degrees = [m.degree(g) for g in gens]
+        degrees = [sum(map(mul, m.grading, g)) for g in gens]
         bound = 2 * max(degrees)
         box = monoid._saturation_box(m.generators, degrees, bound)
         elements = monoid._check_congruence_complete(spec, (), degrees, bound, box)
@@ -1001,7 +1002,7 @@ def test_fallback_gradings_are_pinned():
     # 40: at degree bound 20 the walk lists the origin alone
     m = validate(MonoidSpec.make(3, [[-3, 1, 1], [3, 3, -2], [2, 2, 3], [1, 0, 3]]))
     assert m.grading == ratlp.strict_functional(3, [], list(m.generators)) == (-1, 24, 14)
-    assert [m.degree(g) for g in m.generators] == [41, 41, 88, 41]
+    assert [sum(map(mul, m.grading, g)) for g in m.generators] == [41, 41, 88, 41]
 
 
 def test_validate_solves_the_sharpness_lp_only_where_the_coordinate_sum_fails(monkeypatch):
@@ -1065,6 +1066,6 @@ def test_sharpness_verdict_and_grading_on_random_specs():
             continue
         assert lp is not None, spec
         assert math.gcd(*m.grading) == 1, spec
-        assert all(m.degree(g) >= 1 for g in m.generators), spec
+        assert all(sum(map(mul, m.grading, g)) >= 1 for g in m.generators), spec
         seen["coordinate sum" if m.grading == (1,) * m.ambient_rank else "lp"] += 1
     assert min(seen["not sharp"], seen["coordinate sum"], seen["lp"]) >= 50, seen
