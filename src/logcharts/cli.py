@@ -21,15 +21,19 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
+import re
 import sys
 
 from . import monoid as monoid_mod
 from ._record import Record
-from .errors import ChartError, FalsifiedProperty
+from .errors import ChartError, FalsifiedProperty, InvalidPoint
 from .monoid import DEFAULT_DEGREE_BOUND, MonoidSpec, face_with_support
 
 DEFAULT_BOUND = 100
+MAX_BITS = 14_284  # the most bits that always print in 4,300 digits, Python's default limit
+_EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.I)  # as Fraction reads it
 
 _CHART_FIELDS = {"name", "ambient_rank", "generators", "relations"}
 _RELATION_FIELDS = {"lhs", "rhs"}
@@ -109,7 +113,7 @@ def _parse_point(text):
     radii as exact fraction strings, numbers or radicals in the text
     ``NonnegRoot.of`` reads, and turns as fraction strings or numbers, or
     {"radii": [...], "angles": [[re, im], ...]} with floats, read once as
-    an exact point."""
+    an exact point; an exact coordinate too large to print is refused."""
     from .semialg import KnPoint
     try:
         doc = json.loads(text)
@@ -125,7 +129,17 @@ def _parse_point(text):
                          '(exact) or "angles" (floating)')
     try:
         if "turns" in doc:
-            return KnPoint.exact_point([(str(r), str(t)) for r, t in zip(radii, circle)])
+            bits = min(MAX_BITS, int(sys.get_int_max_str_digits() * math.log2(10)) or MAX_BITS)
+            for i, pair in enumerate(zip(radii, circle)):  # Fraction("1e9999999") takes seconds
+                if any(abs(int(e[1])) > bits for e in map(_EXPONENT.search, map(str, pair)) if e):
+                    raise InvalidPoint(f"exact coordinate {i} has a decimal exponent above {bits}")
+            point = KnPoint.exact_point([(str(r), str(t)) for r, t in zip(radii, circle)])
+            for i, (r, t) in enumerate(point.values):  # a turn lies in [0, 1)
+                if max(n.bit_length() for n in (r.base.numerator, r.base.denominator,
+                                                t.denominator)) > bits:
+                    raise InvalidPoint(f"exact coordinate {i} has a numerator or denominator "
+                                       f"of more than {bits} bits")
+            return point
         return KnPoint.floating([(float(r), complex(a[0], a[1]))
                                  for r, a in zip(radii, circle)])
     except (TypeError, ValueError, IndexError, ZeroDivisionError, OverflowError) as err:

@@ -32,6 +32,9 @@ class GaussianRational(Record):
             return value
         return GaussianRational(Fraction(value))
 
+    def __add__(self, other: GaussianRational) -> GaussianRational:
+        return GaussianRational(self.re + other.re, self.im + other.im)
+
     def __sub__(self, other: GaussianRational) -> GaussianRational:
         return GaussianRational(self.re - other.re, self.im - other.im)
 

@@ -33,7 +33,6 @@ from __future__ import annotations
 import cmath
 import math
 import operator
-import re
 from fractions import Fraction
 
 from ._record import Record
@@ -45,7 +44,6 @@ from .monoid import AffineMonoid, Face
 FLOAT_TOLERANCE = 1e-9  # the residual and modulus a floating complex point may miss by
 _LEAST_RESIDUAL = math.ulp(0.0)  # reported for an exact equation that fails
 POWER_BITS_CAP = 1 << 20  # |e| times the bits of v an exact v ** e may reach: a few ms
-MAX_BITS = 14_284  # the most bits an int may have and always print in 4,300 digits
 
 
 class BinomialSystem(Record):
@@ -69,7 +67,7 @@ class CxPoint(Record):
 
     @staticmethod
     def exact_point(values) -> CxPoint:
-        return CxPoint(tuple(_exact(i, v, GaussianRational.of) for i, v in enumerate(values)), True)
+        return CxPoint(tuple(GaussianRational.of(v) for v in values), True)
 
     @staticmethod
     def floating(values) -> CxPoint:
@@ -97,21 +95,6 @@ class CxPoint(Record):
         return "(" + ", ".join(str(v) for v in self.values) + ")"
 
 
-def _exact(i, value, read):
-    """``read(value)``, exact coordinate i; InvalidPoint names it where a
-    field's numerator or denominator has more than MAX_BITS bits, which
-    Python cannot print, or where its text has a larger decimal exponent."""
-    if isinstance(value, str) and (e := re.search(r"e([-+]?\d+(?:_\d+)*)\s*\Z", value, re.I)):
-        if abs(int(e[1])) > MAX_BITS:  # refused unread: Fraction takes seconds on 1e9999999
-            raise InvalidPoint(f"exact coordinate {i} has a decimal exponent beyond {MAX_BITS}")
-    x = read(value)
-    for q in vars(x).values() if isinstance(x, Record) else (x,):
-        if max(q.numerator.bit_length(), q.denominator.bit_length()) > MAX_BITS:
-            raise InvalidPoint(f"exact coordinate {i} has a numerator or denominator "
-                               f"of more than {MAX_BITS} bits")
-    return x
-
-
 def _float_or_refuse(i, convert):
     """``convert()``, a float form of exact coordinate i, or InvalidPoint
     naming the coordinate where it or its modulus is beyond the float
@@ -136,8 +119,8 @@ class KnPoint(Record):
 
     @staticmethod
     def exact_point(pairs) -> KnPoint:
-        return KnPoint(tuple((_exact(i, r, NonnegRoot.of), turn_mod1(_exact(i, a, Fraction)))
-                             for i, (r, a) in enumerate(pairs)))
+        return KnPoint(tuple((NonnegRoot.of(radius), turn_mod1(Fraction(angle)))
+                             for radius, angle in pairs))
 
     @staticmethod
     def floating(pairs) -> KnPoint:

@@ -17,6 +17,7 @@ def test_gaussian_arithmetic_matches_complex():
     a = GaussianRational(Fraction(1), Fraction(2))
     b = GaussianRational(Fraction(3), Fraction(-1))
     assert (a * b).to_complex() == (1 + 2j) * (3 - 1j)
+    assert (a + b).to_complex() == (1 + 2j) + (3 - 1j)
     assert (a - b).to_complex() == (1 + 2j) - (3 - 1j)
     assert a ** 3 == a * a * a
     assert a ** 0 == GAUSSIAN_ONE
