@@ -91,10 +91,10 @@ class AffineMonoid(Record):
     chart): it spans the kernel of the generator matrix and connects every
     fiber up to ``degree_bound``.  ``grading`` is an integer functional
     >= 1 on every generator, so it certifies that P is sharp: the
-    coordinate sum where that is >= 1 on every generator, else the coprime
-    strict functional the sharpness LP found.  Saturation is proved exactly
-    for a free chart (linearly independent generators) and otherwise by a
-    desk-scale check: every cone lattice point of degree up to
+    coordinate sum where that is >= 1 on every generator, else -1 in rank 1,
+    else the coprime strict functional of the sharpness LP.  Saturation is
+    proved exactly for a free chart (linearly independent generators) and
+    otherwise by a desk-scale check: every cone lattice point of degree up to
     ``degree_bound`` lies in P.  ``_lattice`` is U[:r], r the group rank,
     from the Smith form U G V = D that :func:`validate` ran; :func:`faces`
     reads the facets in these coordinates, and ``_faces`` caches their
@@ -214,8 +214,8 @@ def _check_congruence_complete(spec: MonoidSpec, relations, degrees, bound, box)
     image may leave ``box``).  By induction on b this is union-find over
     every exponent vector, and the least element of the first failing
     degree is the witness; no layer above it is listed, and only the last
-    max deg_i are held.  Returns the codes of the elements listed, points
-    of ``box`` each listed once.
+    min(max deg_i, bound) are held, as none further back is read.  Returns
+    the codes of the elements listed, points of ``box`` each listed once.
     """
     origin, strides = _codec(box)
     steps = [sum(map(operator.mul, g, strides)) for g in spec.generators]
@@ -225,7 +225,7 @@ def _check_congruence_complete(spec: MonoidSpec, relations, degrees, bound, box)
             mask = sum(1 << i for i, (x, y) in enumerate(zip(r, s)) if x or y)
             joins.setdefault(origin + sum(map(operator.mul, r, steps)), []).append(mask)
     moves = [(1 << i, step, deg) for i, (step, deg) in enumerate(zip(steps, degrees))]
-    layers = deque([{origin: 0}], maxlen=max(degrees))
+    layers = deque([{origin: 0}], maxlen=min(max(degrees), bound))
     elements = {origin}
     for b in range(1, bound + 1):
         layer: dict[int, int] = {}
@@ -377,7 +377,8 @@ def validate(spec: MonoidSpec, degree_bound: int = DEFAULT_DEGREE_BOUND) -> Affi
     """Validate a presentation and return the affine monoid it defines.
 
     Sharpness is decided by the coordinate sum when it is >= 1 on every
-    generator, since that sum is then a strict functional, and otherwise
+    generator, since that sum is then a strict functional, in rank 1 by the
+    sign (+1 and -1 are the only coprime functionals on Z^1), and otherwise
     exactly by rational feasibility, an LP whose certificate, in coprime
     integers, becomes the grading.  One Smith form U G V = D of the
     generator matrix gives the group rank r (the nonzero invariant
@@ -391,10 +392,13 @@ def validate(spec: MonoidSpec, degree_bound: int = DEFAULT_DEGREE_BOUND) -> Affi
     Every other chart takes one path, on the integer codes of the bounded
     saturation box: the congruence walk names the least-degree element
     whose presentations R leaves disconnected, a supplied R must also span
-    the integer kernel (one more Smith form), and saturation is checked on
-    the box points of degree 0..bound against the elements the walk
-    listed.  The spec must be a MonoidSpec (:meth:`MonoidSpec.make` builds
-    one from lists) and the bound an int.
+    the integer kernel, and saturation is checked on the box points of
+    degree 0..bound against the elements the walk listed.  The walk joins
+    z+ to z- for each kernel basis vector z = z+ - z- of deg z+ <= bound,
+    so such a z is a sum of relation rows (Diaconis and Sturmfels, 1998),
+    and one more Smith form decides the span only where some basis vector
+    lies above the bound.  The spec must be a MonoidSpec
+    (:meth:`MonoidSpec.make` builds one from lists) and the bound an int.
 
     Raises NotSharp, RelationInconsistent, RelationSynthesisIncomplete,
     SaturationFailure, or InvalidMonoidSpec.
@@ -411,6 +415,8 @@ def validate(spec: MonoidSpec, degree_bound: int = DEFAULT_DEGREE_BOUND) -> Affi
 
     if all(sum(g) >= 1 for g in spec.generators):
         grading = (1,) * d
+    elif d == 1 and all(g[0] < 0 for g in spec.generators):
+        grading = (-1,)  # the only other coprime functional on Z^1
     else:
         grading = ratlp.strict_functional(d, [], list(spec.generators))
         if grading is None:
@@ -433,8 +439,11 @@ def validate(spec: MonoidSpec, degree_bound: int = DEFAULT_DEGREE_BOUND) -> Affi
             raise InvalidMonoidSpec(
                 f"saturation box has {size} points; lower the degree bound")
         elements = _check_congruence_complete(spec, relations, degrees, degree_bound, box)
-        # a synthesized set spans the kernel: its rows are the basis itself
-        if spec.relations is not None:
+        # a synthesized set spans the kernel: its rows are the basis itself; the
+        # walk connected z+ to z- for each basis vector z of degree <= bound
+        if spec.relations is not None and any(
+                sum(x * deg for x, deg in zip(z, degrees) if x > 0) > degree_bound
+                for z in kernel):
             _check_kernel_span(relations, kernel, len(spec.generators))
         _check_saturation(spec.generators, grading, box, elements, degree_bound, u, factors)
     return AffineMonoid(

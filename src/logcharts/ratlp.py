@@ -12,9 +12,9 @@ off its objective row.  Sized for desk-scale cone problems.
 
 ``monoid.validate`` is the only caller: ``strict_functional`` certifies
 sharpness, and so gives the grading, of a chart whose coordinate sum is
-not >= 1 on every generator, and ``in_cone`` serves the saturation check,
-which reuses the checked Farkas certificate of each "outside" answer on
-later points.
+not >= 1 on every generator and, in rank 1, not every generator negative,
+and ``in_cone`` serves the saturation check, which reuses the checked
+Farkas certificate of each "outside" answer on later points.
 """
 
 from __future__ import annotations
@@ -170,8 +170,8 @@ def strict_functional(dim, zero_vectors, positive_vectors):
     u.p > 0 for all p, or None.  The vectors are integer.
 
     This is the sharpness certificate search of ``monoid.validate``, which
-    passes no zero vectors and runs it only where the coordinate sum is
-    not >= 1 on every generator; the certificate becomes the grading.
+    passes no zero vectors and runs it where neither the coordinate sum nor,
+    in rank 1, the sign grades; the certificate becomes the grading.
     Formulated as: maximize t <= 1 subject to u.p_j >= t; by scaling, a
     strictly positive optimum exists iff a strict functional does.
     """

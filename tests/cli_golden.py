@@ -27,6 +27,8 @@ generator is an integer of 5,001 digits, and ``torsor`` on the log point
 at a radius of 5,001 digits, at the radius ``1e9999`` and the turn
 ``1e-9999``, whose numerator or denominator has more than 14,284 bits,
 and at the radius ``1e9999999``, refused before its power of ten is built.
+Last, ``info`` validates a chart with a generator of degree 10^30, above a
+machine word.
 
 An argv names a chart by its file stem (``a1_cone``), which :func:`run`
 replaces by the path of the corpus chart, or else of the chart in
@@ -125,7 +127,8 @@ def argvs() -> list[list[str]]:
                   ["torsor", "log_point", "2", "--point", '{"radii": ["1e9999"], "turns": ["0"]}'],
                   ["torsor", "log_point", "2", "--point", '{"radii": ["1"], "turns": ["1e-9999"]}'],
                   ["torsor", "log_point", "2", "--point",
-                   '{"radii": ["1e9999999"], "turns": ["0"]}']]
+                   '{"radii": ["1e9999999"], "turns": ["0"]}'],
+                  ["info", "generator_degree_10_30"]]
 
 
 def run(argv) -> dict:

@@ -8,11 +8,15 @@ PY, DIRS = sys.executable, ["src", "tests", "perfbench", "demos"]
 SRC = {**os.environ, "PYTHONPATH": "src"}
 PER_OP = {  # (traced workload, metric) -> the largest value per op that passes
     # A charts cycle has a fixed mix and runs whole, so its counts are exact: validate solves
-    # the sharpness LP only where the coordinate sum is not >= 1 on every generator, asks in_cone
-    # only at points no earlier Farkas certificate excludes, and runs one Smith form per matrix.
-    ("charts", "ratlp.strict_functional.calls"): 1,
-    ("charts", "abgrp.snf.calls"): 7.44,
+    # the sharpness LP only where neither the coordinate sum nor, in rank 1, the sign grades
+    # every generator (16 rank-1 stalks made it 26 LPs per 39 ops), asks in_cone only at points
+    # no earlier Farkas certificate excludes, and runs one Smith form per matrix, with none for
+    # the span of a supplied set whose kernel basis lies within the walk's bound (290 per 39).
+    ("charts", "ratlp.strict_functional.calls"): 0.26,
+    ("charts", "abgrp.snf.calls"): 6.34,
     ("charts", "ratlp.in_cone.calls"): 0.667,
+    # An op validates the stalk once: the face's Smith form and the quotient's, no span one.
+    ("compare", "abgrp.snf.calls"): 2,
     # A chart keeps one Smith form of its Kummer congruences per support, which
     # the fibers and the deck group share (3.75 per op when each solved its own).
     ("torsor", "abgrp.snf.calls"): 1,

@@ -97,6 +97,15 @@ def test_a_generator_count_above_the_limit_is_refused_before_any_matrix(monkeypa
     assert validate(MonoidSpec.make(1, [[1]] * 1_000)).gp_lattice_rank == 1
 
 
+def test_a_generator_of_degree_above_a_machine_word_is_validated():
+    # the walk held max(degrees) layers, and a deque's maxlen above 2^63 - 1
+    # raised OverflowError; no layer more than the bound back is ever read
+    for sign in (1, -1):
+        m = validate(MonoidSpec.make(1, [[sign * 10**30], [sign]]))
+        assert m.grading == (sign,) and m.gp_lattice_rank == 1
+        assert m.relations == (((1, 0), (0, 10**30)),)
+
+
 def test_validate_rejects_false_relation():
     with pytest.raises(RelationInconsistent):
         validate(MonoidSpec.make(2, [[1, 0], [1, 1], [1, 2]],
@@ -157,17 +166,21 @@ def test_validate_runs_one_smith_form_and_faces_none(monkeypatch):
     monkeypatch.setattr(monoid, "smith_normal_form", counting)
     index_two = [[2, 0], [1, 1], [0, 2]]  # (1, 0) is in its cone, off its lattice
     square = [[1, 0, 0], [1, 1, 0], [1, 0, 1], [1, 1, 1]]
-    for d, gens, relations in [(2, index_two, None), (2, index_two, [[[1, 0, 1], [0, 2, 0]]]),
-                               (3, square, None), (3, square, [[[1, 0, 0, 1], [0, 1, 1, 0]]]),
-                               (3, [[1, 0, 1], [1, 1, 1], [1, 2, 1]], None),
-                               (2, [[2, 1], [0, 3]], None)]:
-        # a supplied set of a non-free chart adds the Smith form of its
-        # rows, which decides whether they span the integer kernel
-        expected = 1 if relations is None else 2
+    square_moves = [[[1, 0, 0, 1], [0, 1, 1, 0]]]
+    # each kernel basis vector here has degree 4 (z+ of (1, -2, 1) and of
+    # (1, -1, -1, 1)); a supplied set adds the Smith form of its rows,
+    # which decides whether they span the integer kernel, only when some
+    # basis vector lies above the bound, where the walk cannot vouch for it
+    for d, gens, relations, bound, expected in [
+            (2, index_two, None, 6, 1), (2, index_two, [[[1, 0, 1], [0, 2, 0]]], 6, 1),
+            (3, square, None, 6, 1), (3, square, square_moves, 6, 1),
+            (3, square, square_moves, 4, 1), (3, square, square_moves, 3, 2),
+            (3, [[1, 0, 1], [1, 1, 1], [1, 2, 1]], None, 6, 1),
+            (2, [[2, 1], [0, 3]], None, 6, 1)]:
         calls.clear()
-        m = validate(MonoidSpec.make(d, gens, relations), 6)
-        assert len(calls) == expected, (gens, relations)
-        assert faces(m) and len(calls) == expected, (gens, relations)
+        m = validate(MonoidSpec.make(d, gens, relations), bound)
+        assert len(calls) == expected, (gens, relations, bound)
+        assert faces(m) and len(calls) == expected, (gens, relations, bound)
 
 
 @pytest.mark.parametrize("bound", [2.5, 2.0, True, False, "3", None])
@@ -766,11 +779,38 @@ def _vector_count(degrees, bound):
     return sum(ways)
 
 
+def _verdict(check, *args):
+    """(class, message, witness, degree) of the refusal ``check`` raises, or None."""
+    try:
+        check(*args)
+    except (RelationSynthesisIncomplete, SaturationFailure) as err:
+        return type(err), str(err), err.witness, getattr(err, "degree", None)
+    return None
+
+
+def _validate_spanning_always(spec, bound):
+    """validate on a chart whose coordinate sum grades it, with the span
+    Smith form after every walk that passes, where validate skips it when
+    the walk reached every kernel basis vector."""
+    u, factors, v = _smith(spec)
+    kernel = list(zip(*v))[len(factors):]
+    if kernel:
+        degrees = [sum(g) for g in spec.generators]
+        box = monoid._saturation_box(spec.generators, degrees, bound)
+        elements = monoid._check_congruence_complete(spec, spec.relations, degrees, bound, box)
+        monoid._check_kernel_span(spec.relations, kernel, len(spec.generators))
+        monoid._check_saturation(spec.generators, (1,) * spec.ambient_rank, box, elements,
+                                 bound, u, factors)
+
+
 def test_element_oracle_agrees_with_the_vector_oracle():
     # and validate, given each set as supplied relations, refuses it exactly
-    # when the walk does or the rows miss part of the integer kernel
+    # when the walk does or the rows miss part of the integer kernel, with
+    # the class, message, witness and degree of a reference that runs the
+    # span Smith form after every walk, also where each kernel basis vector
+    # lies within the bound and validate skips it
     rng = random.Random(8)
-    failed = unspanned = 0
+    failed = unspanned = vouched = 0
     for _ in range(1000):
         d, k = rng.randint(1, 3), rng.randint(1, 6)
         gens = []
@@ -807,20 +847,23 @@ def test_element_oracle_agrees_with_the_vector_oracle():
         rows = [[a - b for a, b in zip(*rel)] for rel in relations]
         spans = cokernel([[z[j] for z in rows] for j in range(k)], len(rows)) == FgAbelianGroup(r)
         supplied = MonoidSpec.make(d, gens, relations)
-        try:
-            validate(supplied, bound)
-        except RelationSynthesisIncomplete as err:
-            if err.degree is None:
-                unspanned += 1
-                assert walk is None and not spans, (supplied, bound)
-            else:
-                assert (err.witness, err.degree) == walk, (supplied, bound)
-        except SaturationFailure:
-            assert walk is None and spans, (supplied, bound)
-        else:
+        got = _verdict(validate, supplied, bound)
+        assert got == _verdict(_validate_spanning_always, supplied, bound), (supplied, bound)
+        kernel = list(zip(*_smith(spec)[2]))[r:]
+        vouched += walk is None and bool(kernel) and all(
+            sum(x * deg for x, deg in zip(z, degrees) if x > 0) <= bound for z in kernel)
+        if got is None:
             assert r == k or walk is None and spans, (supplied, bound)
-    # both verdicts are well represented
-    assert 200 <= failed <= 800 and unspanned > 50, (failed, unspanned)
+        elif got[0] is SaturationFailure:
+            assert walk is None and spans, (supplied, bound)
+        elif got[3] is None:
+            unspanned += 1
+            assert walk is None and not spans, (supplied, bound)
+        else:
+            assert got[2:] == walk, (supplied, bound)
+    # both verdicts are well represented, and so are the sets whose span
+    # the walk vouches for
+    assert 200 <= failed <= 800 and unspanned > 50 and vouched > 50, (failed, unspanned, vouched)
 
 
 # The non-free charts of the benchmark corpus (the Hilbert cone a = 1 is
@@ -1031,6 +1074,36 @@ def test_validate_solves_the_sharpness_lp_only_where_the_coordinate_sum_fails(mo
     assert len(calls) == 1 and m.grading == (-1, 24, 14)
 
 
+def test_rank_one_gradings_follow_the_sign_of_the_generators(monkeypatch):
+    # the coprime functionals on Z^1 are +1 and -1: generators all negative
+    # take (-1,) with no LP, the certificate the LP finds, and mixed signs
+    # still go to the LP, which refuses them as NotSharp
+    rng = random.Random(45)
+    calls = []
+    solve = ratlp.strict_functional
+
+    def counting(*args):
+        calls.append(args)
+        return solve(*args)
+    monkeypatch.setattr(ratlp, "strict_functional", counting)
+    seen = collections.Counter()
+    for _ in range(300):
+        # the unit generator +-1 keeps the chart saturated, so validate returns it
+        gens = [[rng.choice((-1, 1)) * rng.randint(1, 9)] for _ in range(rng.randint(0, 4))]
+        gens.append([rng.choice((-1, 1))])
+        spec, lp = MonoidSpec.make(1, gens), solve(1, [], gens)
+        calls.clear()
+        if len({g[0] > 0 for g in gens}) == 2:
+            with pytest.raises(NotSharp):
+                validate(spec, 6)
+            assert lp is None and len(calls) == 1, gens
+            seen["mixed"] += 1
+        else:
+            assert validate(spec, 6).grading == lp and calls == [], gens
+            seen[lp] += 1
+    assert min(seen["mixed"], seen[(1,)], seen[(-1,)]) >= 50, seen
+
+
 _NON_SHARP = [
     (1, ((1,), (-1,))),
     (2, ((1, 0), (-1, 0), (0, 1))),
@@ -1067,5 +1140,6 @@ def test_sharpness_verdict_and_grading_on_random_specs():
         assert lp is not None, spec
         assert math.gcd(*m.grading) == 1, spec
         assert all(sum(map(mul, m.grading, g)) >= 1 for g in m.generators), spec
-        seen["coordinate sum" if m.grading == (1,) * m.ambient_rank else "lp"] += 1
+        seen["coordinate sum" if m.grading == (1,) * m.ambient_rank
+             else "sign" if m.ambient_rank == 1 else "lp"] += 1
     assert min(seen["not sharp"], seen["coordinate sum"], seen["lp"]) >= 50, seen
