@@ -28,7 +28,7 @@ import sys
 
 from . import monoid as monoid_mod
 from ._record import Record
-from .errors import ChartError, FalsifiedProperty, InvalidPoint
+from .errors import ChartError, FalsifiedProperty, InvalidPoint, NotAFace
 from .monoid import DEFAULT_DEGREE_BOUND, MonoidSpec, face_with_support
 
 DEFAULT_BOUND = 100
@@ -104,7 +104,7 @@ def _parse_face(text, m):
     try:
         indices = [int(x) for x in text.split(",") if x.strip() != ""]
     except ValueError as err:
-        raise ChartError(f"face {text!r} is not a list of generator indices") from err
+        raise NotAFace(f"face {text!r} is not a list of generator indices") from err
     return face_with_support(m, indices)
 
 
@@ -118,14 +118,14 @@ def _parse_point(text):
     try:
         doc = json.loads(text)
     except ValueError as err:  # JSONDecodeError, or an int beyond Python's digit limit
-        raise ChartError(f"point is not valid JSON: {err}") from err
+        raise InvalidPoint(f"point is not valid JSON: {err}") from err
     if not isinstance(doc, dict) or set(doc) not in _POINT_FIELDS:
         got = sorted(doc) if isinstance(doc, dict) else f"a JSON {type(doc).__name__}"
-        raise ChartError('point must be a JSON object with exactly the fields "radii" '
+        raise InvalidPoint('point must be a JSON object with exactly the fields "radii" '
                          f'and one of "turns" or "angles", got {got}')
     radii, circle = doc["radii"], doc.get("turns", doc.get("angles"))
     if not isinstance(radii, list) or not isinstance(circle, list) or len(radii) != len(circle):
-        raise ChartError('point needs a list "radii" and an equally long list "turns" '
+        raise InvalidPoint('point needs a list "radii" and an equally long list "turns" '
                          '(exact) or "angles" (floating)')
     try:
         if "turns" in doc:
@@ -143,7 +143,7 @@ def _parse_point(text):
         return KnPoint.floating([(float(r), complex(a[0], a[1]))
                                  for r, a in zip(radii, circle)])
     except (TypeError, ValueError, IndexError, ZeroDivisionError, OverflowError) as err:
-        raise ChartError(f"point has a malformed coordinate: {err}") from err
+        raise InvalidPoint(f"point has a malformed coordinate: {err}") from err
 
 
 def _emit(payload, table: bool):
@@ -209,14 +209,15 @@ def cmd_mu(m, args):
 
 def cmd_fiber(m, args):
     face = _parse_face(args.face, m)
-    # The stalk fixes both fiber models: the torus fiber has pi1 = Z^r, and
-    # level n of the root fiber tower is mu_n of the stalk.
+    # The torus fiber's rank and pi0 come from K_F; the root fiber is mu_n of the stalk.
     quotient, r = monoid_mod.stalk(m, face)
+    _, torus_rank, pi0 = monoid_mod._angle_fiber(m, face, r)
     return True, {
         "face": list(face.support),
         "n": args.n,
-        "kn_torus_rank": r,
-        "kn_pi1": {"free_rank": r, "torsion": []},
+        "kn_torus_rank": torus_rank,
+        "kn_pi0": list(pi0),
+        "kn_pi1": {"free_rank": torus_rank, "torsion": []},
         "root_level": _plain(monoid_mod.mu(quotient, args.n)),
     }
 

@@ -1,20 +1,20 @@
 """Kummer-cover fibers over chart points and the fiberwise comparison.
 
-Over a stratum of rank r the log model fibers in an r-torus, while the
-n-th root construction fibers in the classifying stack of a group of
-order n^r.  Both are fixed by the stalk rank r (``monoid.stalk``): the
-torus has pi1 = Z^r, level n of the root tower is ``monoid.mu`` of the
-stalk, and the two towers agree after profinite completion.  This module
-checks that tower equivalence level by level, on invariant factors and
-transition coherence; it does not build a comparison map.  It also
-enumerates actual Kummer-cover fibers over chart points and verifies the
-torsor law for the deck action.
+Over a point of the stratum of face F the Kato-Nakayama fiber is the set
+of angles theta in (R/Z)^k with R theta = 0 for every relation row R and
+theta_i fixed for i in F: a torus of rank k - s times pi0 = the sum of the
+Z/d_j, d_1..d_s the Smith diagonal of K_F, all relation rows plus unit
+rows on F (Kato-Nakayama, Kodai Math. J. 22, 1999).  The root fibers are
+mu_n of the stalk, of order n^r.  So the comparison holds exactly when
+every d_j = 1 and k - s = r, which this module decides, cross-checked by
+the two towers level by level.  It also enumerates actual Kummer-cover
+fibers over chart points and verifies the torsor law for the deck action.
 
 A fiber point is a tuple of root indices u in (Z/n)^k solving K u =
 -offsets (mod n), K the relation rows on the point's support and unit
-rows pinning its other coordinates, kept with its Smith form on the chart
-per support (``_angles``) for the fibers and the deck group (zero
-offsets); every fiber, log or algebraic, is assembled from a table of
+rows pinning its other coordinates, kept with its Smith form in the
+chart's table (``monoid._presentation``) for the fibers and the deck group
+(zero offsets); every fiber, log or algebraic, is assembled from a table of
 each coordinate's n roots, and the torsor check lifts each log fiber
 point to its root indices against the point it covers.  Circle
 coordinates are turns, so the n-th roots of coordinate i are (t_i + j) / n
@@ -34,22 +34,23 @@ import operator
 from fractions import Fraction
 
 from ._record import Record
-from .abgrp import FgAbelianGroup, generator_matrix, rank, smith_normal_form
+from .abgrp import FgAbelianGroup, generator_matrix, rank
 from .errors import ChartError, FalsifiedProperty, InvalidLevel, InvalidPoint
-from .monoid import AffineMonoid, Face, stalk
+from .monoid import AffineMonoid, Face, _angle_fiber, _presentation, stalk
 
 
 class FiberEquivalenceCertificate(Record):
-    """Evidence that the two fiber towers agree after completion over the
-    stratum of ``face`` (a generator support).
-
-    ``levels`` is the tower comparison's certificate: the invariant factors
-    of both towers at every level up to ``bound``, and its ``note`` on what
-    such a level-wise check does not prove."""
+    """The comparison over the stratum of ``face``: its fiber's torus rank
+    and pi0, the Smith factors d_j > 1 of K_F, the exact decision
+    ``proved`` (``monoid._decide``), and ``levels``, the tower comparison
+    up to ``bound``, with its verdict ``checked_to_bound``."""
 
     face: tuple[int, ...]
     torus_rank: int
+    pi0: tuple[int, ...]
+    proved: bool
     bound: int
+    checked_to_bound: bool
     levels: EquivalenceCertificate
 
 
@@ -57,20 +58,23 @@ def verify_fiber_equivalence(m: AffineMonoid, f: Face,
                              bound: int) -> tuple[bool, FiberEquivalenceCertificate]:
     """Fiberwise profinite comparison over one stratum.
 
-    Completes the torus fiber's pi1 = Z^r, r the stalk's closed-form rank,
-    and compares it level by level with the root fiber tower, the mu-tower
-    of the stalk's quotient, whose rank is validate's: the verdict is the
-    tower comparison's, isomorphic levels and coherent transitions.
+    The verdict is the exact decision on K_F, all relation rows and unit
+    rows pinning F's coordinates, against the stalk's closed-form rank r.
+    The level table compares the completion of Z^r with the root fiber
+    tower, the mu-tower of the stalk's quotient, whose rank is validate's:
+    a table that fails where the decision proves raises FalsifiedProperty.
     A bad bound is refused before the stalk is computed.
     """
     from .profin import FiniteAbelianProSystem, _checked_bound, equivalent_up_to
     _checked_bound(bound)
     quotient, r = stalk(m, f)
-    torus, root = (FiniteAbelianProSystem(FgAbelianGroup.free(k))
-                   for k in (r, quotient.gp_lattice_rank))
-    ok, cert = equivalent_up_to(torus, root, bound)
-    return ok, FiberEquivalenceCertificate(face=f.support, torus_rank=r, bound=bound,
-                                           levels=cert)
+    proved, *fiber = _angle_fiber(m, f, r)  # the torus rank and pi0
+    checked, cert = equivalent_up_to(*(FiniteAbelianProSystem(FgAbelianGroup.free(k))
+                                       for k in (r, quotient.gp_lattice_rank)), bound)
+    if proved and not checked:
+        raise FalsifiedProperty(f"over face {f.support} the angle side proves the comparison "
+                                f"but the level table fails at level {cert.witness_level}")
+    return proved, FiberEquivalenceCertificate(f.support, *fiber, proved, bound, checked, cert)
 
 
 # Fibers and deck groups are enumerated in full; refuse sizes beyond this.
@@ -78,23 +82,12 @@ _FIBER_CAP = 100_000
 
 
 def _angles(m: AffineMonoid, support: tuple[int, ...]):
-    """K over points with nonvanishing coordinates ``support``, built once
-    per chart and support into ``m._angles``: the rows r - s of the
-    relations supported there (the others vanish on both sides), the Smith
-    form of those rows plus unit rows pinning the other root indices to 0,
-    and the rank r of the support's generators."""
-    if m._angles is None:
-        object.__setattr__(m, "_angles", {})
-    found = m._angles.get(support)
-    if found is None:
-        k, inside = m.generator_count, set(support)
-        rows = tuple(tuple(rj - sj for rj, sj in zip(r, s)) for r, s in m.relations
-                     if inside.issuperset(j for j in range(k) if r[j] or s[j]))
-        pins = tuple(tuple(int(i == j) for i in range(k)) for j in range(k) if j not in inside)
-        r = m.gp_lattice_rank if len(support) == k else 0 if not support else rank(
-            generator_matrix([m.generators[i] for i in support], m.ambient_rank), len(support))
-        found = m._angles[support] = rows, smith_normal_form(rows + pins, k), r
-    return found
+    """K over points with nonvanishing coordinates ``support``: the relations
+    there (the others vanish), pins off it, and the support's rank."""
+    k = m.generator_count
+    return _presentation(m, support, tuple(j for j in range(k) if j not in support), lambda: (
+        m.gp_lattice_rank if len(support) == k else 0 if not support else rank(
+            generator_matrix([m.generators[i] for i in support], m.ambient_rank), len(support))))
 
 
 def _root_choices(smith, offsets, n: int):

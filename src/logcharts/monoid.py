@@ -98,9 +98,8 @@ class AffineMonoid(Record):
     ``degree_bound`` lies in P.  ``_lattice`` is U[:r], r the group rank,
     from the Smith form U G V = D that :func:`validate` ran; :func:`faces`
     reads the facets in these coordinates, and ``_faces`` caches their
-    answer.  ``_angles`` caches the Kummer fibers' congruence system per
-    support of nonvanishing coordinates: relation rows, one Smith form and
-    the support's rank (``fibers._angles``).
+    answer.  ``_presentations`` keeps each congruence system's Smith form,
+    keyed by kept relation rows and pinned coordinates (``_presentation``).
     """
 
     spec: MonoidSpec
@@ -110,7 +109,7 @@ class AffineMonoid(Record):
     grading: tuple[int, ...]
     _lattice: tuple[tuple[int, ...], ...]
     _faces: tuple[Face, ...] | None = None
-    _angles: dict | None = None
+    _presentations: dict | None = None
 
     @property
     def generators(self) -> tuple[tuple[int, ...], ...]:
@@ -453,6 +452,7 @@ def validate(spec: MonoidSpec, degree_bound: int = DEFAULT_DEGREE_BOUND) -> Affi
         degree_bound=degree_bound,
         grading=grading,
         _lattice=u[:gp_rank],
+        _presentations={},
     )
 
 
@@ -573,6 +573,35 @@ def stalk(m: AffineMonoid, f: Face) -> tuple[AffineMonoid, int]:
     quotient_spec = MonoidSpec.make(d - r, quotient_gens, quotient_rels)
     quotient = validate(quotient_spec, degree_bound=m.degree_bound)
     return quotient, m.gp_lattice_rank - r
+
+
+def _presentation(m: AffineMonoid, kept: tuple[int, ...], pins: tuple[int, ...], rank):
+    """(rows, Smith form of K, ``rank()``) for K the relation rows r - s
+    supported on ``kept`` plus unit rows pinning ``pins``, and the lattice
+    rank its solution torus should have; once per chart and key."""
+    found = m._presentations.get((kept, pins))
+    if found is None:
+        k, inside = m.generator_count, set(kept)
+        rows = tuple(tuple(rj - sj for rj, sj in zip(r, s)) for r, s in m.relations
+                     if inside.issuperset(j for j in range(k) if r[j] or s[j]))
+        units = tuple(tuple(int(i == j) for i in range(k)) for j in pins)
+        found = m._presentations[kept, pins] = rows, smith_normal_form(rows + units, k), rank()
+    return found
+
+
+def _decide(smith, r: int):
+    """{theta in (R/Z)^k : K theta = 0}, for U K V = D with nonzero diagonal
+    d_1..d_s, is a torus of rank k - s times the sum of the Z/d_j: returns
+    (every d_j = 1 and k - s = r, k - s, the d_j > 1)."""
+    _, diag, v = smith
+    factors = [d for d in diag if d]
+    pi0 = tuple(d for d in factors if d > 1)
+    return not pi0 and len(v) - len(factors) == r, len(v) - len(factors), pi0
+
+
+def _angle_fiber(m: AffineMonoid, f: Face, r: int):
+    """``_decide`` on K_F, all rows and pins on F, for the stalk rank r."""
+    return _decide(*_presentation(m, tuple(range(m.generator_count)), f.support, lambda: r)[1:])
 
 
 def mu(m: AffineMonoid, n: int) -> FgAbelianGroup:

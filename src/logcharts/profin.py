@@ -9,17 +9,14 @@ as the closed form tensor_mod(G, n), once per tower.  The mu-tower of a
 chart of group rank r is ``FiniteAbelianProSystem(FgAbelianGroup.free(r))``,
 because mu_n(P) = (Z/n)^r, and its level n is ``monoid.mu(P, n)``.
 
-Level-wise comparison of invariant factors plus transition coherence is
-the checkable shadow of pro-equivalence; every certificate's ``note``
-states the limitation.  Coherence is checked on the pairs (m, m), which
-says level m is m-torsion, and (m, m/p) for each prime p | m:
-(A/(m/p)A)/nA = A/nA for n | m/p, so by induction on m/n these imply
-every pair n | m.  A walk reads each m's covering pairs off one
-least-prime-factor table of 1..bound.  A comparison walks them on one
-tower, as matching levels are equal, and the walk reads the levels its
-certificate reports.  Towers that complete one group have equal levels,
-so a comparison of two such towers builds each level once, in one table
-both read.
+Level-wise comparison of invariant factors plus transition coherence up
+to a bound is the checkable shadow of pro-equivalence, not a categorical
+pro-isomorphism.  Coherence is checked on the pairs (m, m), which says
+level m is m-torsion, and (m, m/p) for each prime p | m: (A/(m/p)A)/nA =
+A/nA for n | m/p, so by induction on m/n these imply every pair n | m.  A
+walk reads each m's covering pairs off one least-prime-factor table of
+1..bound.  A comparison walks them on one tower, as matching levels are
+equal, and the walk reads the levels its certificate reports.
 """
 
 from __future__ import annotations
@@ -30,10 +27,6 @@ from ._record import Record
 from .abgrp import FgAbelianGroup, _truncation, tensor_mod
 from .errors import ChartError, InvalidLevel
 
-COMPARISON_NOTE = (
-    "level-wise invariant-factor comparison with transition coherence up to "
-    "a finite bound; not a categorical pro-isomorphism"
-)
 _LEVEL_CAP = 100_000  # the most levels one comparison computes
 
 
@@ -124,13 +117,11 @@ class LevelRecord(Record):
 
 class EquivalenceCertificate(Record):
     """Per-level evidence for (or against) tower equivalence: one record
-    per level 1..bound, so the bound is ``len(levels)``.  ``note`` states
-    what the comparison does not prove."""
+    per level 1..bound, so the bound is ``len(levels)``."""
 
     equivalent: bool
     levels: tuple[LevelRecord, ...]
     witness_level: int | None
-    note: str = COMPARISON_NOTE
 
 
 def equivalent_up_to(a: FiniteAbelianProSystem, b: FiniteAbelianProSystem,

@@ -1,8 +1,10 @@
 """The CI gates.  .github/workflows/tier1.yml runs `python tests/gates.py` from the repository
 root, as any checkout can.  Each gate prints one line: PASS or FAIL, its name, what it
-measured and its bound.  Every gate runs even after one fails; the exit is 1 if any did."""
+measured and its bound.  Every gate runs even after one fails; the exit is 1 if any did.
+Last, the script writes one summary record of its runs to RECORD, which git ignores, and
+prints a line naming it; a change copies it to BENCH_<n>.json at the root, its "before"."""
 
-import ast, glob, json, os, pathlib, signal, subprocess, sys, tempfile, threading, time
+import ast, glob, json, os, pathlib, platform, signal, subprocess, sys, tempfile, threading, time
 
 PY, DIRS = sys.executable, ["src", "tests", "perfbench", "demos"]
 SRC = {**os.environ, "PYTHONPATH": "src"}
@@ -35,7 +37,14 @@ COMPARE = ("import sys; from logcharts.cli import corpus_path, load_chart; from 
            "; sys.exit(0 if compare(m, face_with_support(m, ()), 100_000)[0] else 1)")
 
 
+RECORD = "out/bench.json"
+RECORD_KEYS = ("commit", "python", "cpus", "indicative", "workloads", "gates")
+WORKLOAD_KEYS = ("ops_per_s", "op_p50_ms", "op_tail_ms", "peak_rss_mb", "shares", "per_op")
+GATES = []  # every gate's record, in the order they ran
+
+
 def gate(ok: bool, name: str, measured: str, bound: str) -> bool:
+    GATES.append({"name": name, "passed": ok, "measured": measured, "bound": bound})
     print(f"{'PASS' if ok else 'FAIL'}  {name}: {measured} (bound: {bound})", flush=True)
     return ok
 
@@ -131,7 +140,35 @@ def main(chart) -> int:
         passed.append(gate(value is not None and value <= bound, f"traced {workload} {metric}",
                            "no result" if value is None else f"{value:.3f} per op", f"<= {bound}"))
     print(f"{passed.count(False)} of {len(passed)} gates failed", flush=True)
+    write_record(runs)
     return 1 if False in passed else 0
+
+
+def write_record(runs):
+    """The summary record: where and on what the gates ran, each workload's untraced
+    end-to-end figures and traced layer shares and per-op counts, and every gate."""
+    try:  # None outside a git checkout
+        git = subprocess.run(["git", "rev-parse", "HEAD"], capture_output=True, text=True)
+        commit = git.stdout.strip() if git.returncode == 0 else None
+    except OSError:
+        commit = None
+    workloads = {}
+    for workload in ("torsor", "compare", "charts", "cli"):
+        plain, traced = runs[workload, 0][1], runs[workload, 1][1]
+        workloads[workload] = {key: plain.get(key, {}).get("value") for key in WORKLOAD_KEYS[:4]}
+        workloads[workload]["shares"] = {k: v["value"] for k, v in traced.items()
+                                         if k.endswith(".share")}
+        workloads[workload]["per_op"] = {k: v["value"] for k, v in traced.items()
+                                         if k.endswith(".calls")}
+    record = {"commit": commit,
+              "python": platform.python_version(), "cpus": os.cpu_count(),
+              "indicative": "one 2 s smoke run per workload, seed 1: indicative only; a "
+                            "claimed gain needs alternating pairs of full runs",
+              "workloads": workloads, "gates": GATES}
+    os.makedirs(os.path.dirname(RECORD), exist_ok=True)
+    pathlib.Path(RECORD).write_text(json.dumps(record, indent=1, sort_keys=True) + "\n",
+                                    encoding="utf-8")
+    print(f"summary record written to {RECORD}", flush=True)
 
 
 if __name__ == "__main__":

@@ -10,8 +10,9 @@ swapped.  The checkout is copied to a temporary directory once, and the checkout
 never written.  Each mutant is written into the copy as ``ast.unparse`` prints the mutated
 tree, and the named test files run against it under a timeout; a timeout counts as killed.
 A mutant that the named tests leave alive runs once more against the whole Tier-1 suite.
-The script prints each survivor, each mutant that only the rest of Tier-1 kills, and
-``K of N killed``.  It is a tool, not a gate: it exits 0 whatever the count, and 2 when
+The script prints and flushes one line per mutant as soon as its verdict is in: ``killed``
+by the named tests, ``tier-1`` when only the rest of Tier-1 kills it, or ``survived``;
+then ``K of N killed``.  It is a tool, not a gate: it exits 0 whatever the count, and 2 when
 the unmutated module fails its tests.
 """
 
@@ -86,8 +87,12 @@ def main(argv) -> int:
         target = copy / "src" / "logcharts" / f"{module}.py"
 
         def write(index=None) -> str:
+            """Write the mutant (the unmutated module for None) and name it."""
             tree = ast.parse(source)
-            label = "" if index is None else mutate(*sites(tree)[index])
+            label = ""
+            if index is not None:
+                node, key = sites(tree)[index]
+                label = f"[{index + 1}/{total}] {module}.py:{node.lineno}: {mutate(node, key)}"
             target.write_text(ast.unparse(tree) + "\n", encoding="utf-8")
             return label
 
@@ -107,21 +112,21 @@ def main(argv) -> int:
         for index in range(total):
             label = write(index)
             if passes(pytest + tests, copy, named):
-                alive.append((index, label))
+                alive.append(index)
+            else:
+                print(f"killed    {label}", flush=True)
         tier1 = timeout(pytest) if alive else None
         if alive and tier1 is None:
             print(f"the unmutated {module} fails Tier-1", file=sys.stderr)
             return 2
-        verdicts = []
-        for index, label in alive:
-            write(index)
-            verdicts.append((index, label, passes(pytest, copy, tier1)))
-    # a mutant only the rest of Tier-1 kills names a gap in the named tests
-    survivors = [v for v in verdicts if v[2]]
-    for index, label, survived in verdicts:
-        node = sites(ast.parse(source))[index][0]
-        print(f"{'survived' if survived else 'tier-1  '}  {module}.py:{node.lineno}: {label}")
-    print(f"{total - len(survivors)} of {total} killed ({len(alive)} alive after "
+        survivors = 0
+        for index in alive:
+            label = write(index)
+            survived = passes(pytest, copy, tier1)
+            survivors += survived
+            # a mutant only the rest of Tier-1 kills names a gap in the named tests
+            print(f"{'survived' if survived else 'tier-1  '}  {label}", flush=True)
+    print(f"{total - survivors} of {total} killed ({len(alive)} alive after "
           f"{' '.join(tests)})")
     return 0
 

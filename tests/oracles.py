@@ -33,7 +33,9 @@ drawn on a stratum from the ambient torus, as the library did before it
 took one distinguished point per stratum.  The normal form of a direct sum
 of cyclic groups is assembled prime by prime from its elementary divisors,
 with no Smith form.  The N-torsion of a fiber is counted by backtracking
-over (Z/N)^k, with no Smith form.  The quadric
+over (Z/N)^k, with no Smith form.  The cyclic-quotient charts 1/n(1, q)
+take their Hilbert basis, continued fraction and relations from closed
+forms, with no library import.  The quadric
 relations of a cone are listed by comparing every two pairs of
 generators.  Matrix products, identities, diagonals and determinants (by
 rational elimination) act on lists of rows, which is all the Smith forms
@@ -1071,3 +1073,37 @@ def torsion_count(rows, k: int, n: int) -> int:
         return total
 
     return count(0)
+
+
+def cyclic_quotient(n: int, q: int):
+    """The chart of the cyclic quotient singularity 1/n(1, q), 0 < q < n
+    coprime: P = {(a, b) in N^2 : a + q b = 0 (mod n)} (Fulton, Introduction
+    to Toric Varieties, 2.2 and 2.6).  Returns (basis, b, relations): the
+    Hilbert basis u_0 = (n, 0), u_1 = (n - q, 1), ..., u_{e-1} = (0, n) in
+    order of slope, with u_{i-1} + u_{i+1} = b_i u_i for the Hirzebruch-Jung
+    continued fraction n / (n - q) = [b_1, ..., b_{e-2}] (Oda, Convex Bodies
+    and Algebraic Geometry, 1.6); and the (e - 1)(e - 2) / 2 relations u_i +
+    u_j = u_{i+1} + u_{j-1} + sum over i < l < j of (b_l - 2) u_l, i < j - 1,
+    of Riemenschneider, Math. Ann. 209 (1974), as exponent vectors."""
+    b, x = [], Fraction(n, n - q)
+    while True:
+        b.append(-(-x.numerator // x.denominator))
+        if x == b[-1]:
+            break
+        x = 1 / (b[-1] - x)
+    basis = [(n, 0), (n - q, 1)]
+    for c in b:
+        basis.append(tuple(c * y - z for y, z in zip(basis[-1], basis[-2])))
+    e, b = len(basis), [None, *b, None]  # b[l] belongs to u_l, 0 < l < e - 1
+    relations = []
+    for i in range(e):
+        for j in range(i + 2, e):
+            lhs, rhs = [0] * e, [0] * e
+            lhs[i] += 1
+            lhs[j] += 1
+            rhs[i + 1] += 1
+            rhs[j - 1] += 1
+            for l in range(i + 1, j):
+                rhs[l] += b[l] - 2
+            relations.append((lhs, rhs))
+    return basis, b[1:-1], relations

@@ -13,8 +13,9 @@ import cli_golden
 import logcharts.fibers as fibers_mod
 import logcharts.monoid as monoid_mod
 from logcharts.abgrp import smith_normal_form
-from logcharts.cli import MAX_BITS, ChartDocument, corpus_path, load_chart, main
-from logcharts.errors import ChartError
+from logcharts.cli import (MAX_BITS, ChartDocument, _parse_face, _parse_point, corpus_path,
+                           load_chart, main)
+from logcharts.errors import ChartError, InvalidPoint, NotAFace
 from logcharts.monoid import faces, stalk, validate
 from logcharts.semialg import KnPoint
 from oracles import quadric_relations
@@ -101,8 +102,8 @@ def test_compare_log_point_vertex(capsys):
 
 
 def test_fiber_output(capsys):
-    # on every face: the torus fiber has pi1 = Z^r, and level n of the root
-    # tower is (Z/n)^r
+    # on every face: the torus fiber has pi1 = Z^r and pi0 trivial, and level
+    # n of the root tower is (Z/n)^r
     for name in CORPUS:
         chart = load_chart(corpus_path(name))
         m = validate(chart.spec)
@@ -117,6 +118,7 @@ def test_fiber_output(capsys):
                     "face": list(face.support),
                     "n": n,
                     "kn_torus_rank": r,
+                    "kn_pi0": [],
                     "kn_pi1": {"free_rank": r, "torsion": []},
                     "root_level": {"free_rank": 0, "torsion": [n] * r if n > 1 else []},
                 }, (name, face.support, n)
@@ -504,6 +506,33 @@ def test_cli_matches_golden_corpus():
         assert cli_golden.run(entry["argv"]) == entry, entry["argv"]
         # bad input is a classified ChartError, never an internal error
         assert entry["exit"] != 2 or entry["stderr"].startswith("error: "), entry["argv"]
+
+
+def test_a_face_that_is_no_list_of_indices_is_not_a_face(capsys):
+    m = validate(load_chart(corpus_path("a1_cone")).spec)
+    with pytest.raises(NotAFace, match="^face '0,x' is not a list of generator indices$"):
+        _parse_face("0,x", m)
+    assert main(["fiber", corpus_path("a1_cone"), "2", "--face", "0,x"]) == 2
+    assert capsys.readouterr().err == (
+        "error: face '0,x' is not a list of generator indices\n")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("{", "point is not valid JSON: Expecting property name enclosed in double quotes: "
+          "line 1 column 2 (char 1)"),
+    ('{"radii": []}', 'point must be a JSON object with exactly the fields "radii" and one '
+                      "of \"turns\" or \"angles\", got ['radii']"),
+    ('{"radii": [1], "turns": []}', 'point needs a list "radii" and an equally long list '
+                                    '"turns" (exact) or "angles" (floating)'),
+    ('{"radii": [1], "turns": ["x"]}', "point has a malformed coordinate: Invalid literal "
+                                       "for Fraction: 'x'"),
+], ids=["json", "fields", "lengths", "coordinate"])
+def test_each_malformed_point_is_an_invalid_point(capsys, text, message):
+    with pytest.raises(InvalidPoint) as caught:
+        _parse_point(text)
+    assert str(caught.value) == message
+    assert main(["torsor", corpus_path("log_point"), "2", "--point", text]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_exit_code_1_reserved_for_falsified_properties(monkeypatch, capsys):

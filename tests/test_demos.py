@@ -10,6 +10,9 @@ import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DEMOS = sorted(glob.glob(os.path.join(ROOT, "demos", "*.py")))
+# Lines a demo must print, as many times as given.
+PINS = {"03_mu_towers_and_completion.py": ("pi0 factors [], proved True, checked to level 10 True",
+                                           4)}
 
 
 def test_demos_are_found():
@@ -24,3 +27,5 @@ def test_demo_runs(path):
     proc = subprocess.run([sys.executable, "-W", "error", path], capture_output=True, text=True,
                           env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
+    text, count = PINS.get(os.path.basename(path), ("", 0))
+    assert proc.stdout.count(text) == count or not text, proc.stdout

@@ -7,6 +7,7 @@ import itertools
 import math
 import operator
 import os
+import glob
 import random
 import time
 from fractions import Fraction
@@ -15,6 +16,7 @@ import pytest
 
 import logcharts.fibers as fibers_mod
 import logcharts.abgrp as abgrp
+import logcharts.monoid as monoid_mod
 import logcharts.exactnum as exactnum
 import logcharts.semialg as semialg
 from logcharts.abgrp import FgAbelianGroup, cokernel, rank, smith_normal_form, tensor_mod
@@ -24,13 +26,13 @@ from logcharts.errors import (ArityMismatch, ChartError, FalsifiedProperty, Inva
 from logcharts.exactnum import GaussianRational, NonnegRoot
 from logcharts.fibers import (algebraic_kummer_fiber, kn_kummer_fiber,
                               torsor_check, verify_fiber_equivalence)
-from logcharts.monoid import (MonoidSpec, face_with_support, faces, mu, stalk,
+from logcharts.monoid import (MonoidSpec, _decide, face_with_support, faces, mu, stalk,
                               validate)
 from logcharts.profin import FiniteAbelianProSystem, equivalent_up_to
 from logcharts.semialg import CxPoint, KnPoint, check_membership, tau
 from logcharts.strata import stratum_of_point
-from oracles import (kn_kummer_fiber_by_fractions, root_choices_by_scan, sample_kn_stratum,
-                     torsor_report_by_fractions)
+from oracles import (kn_kummer_fiber_by_fractions, quadric_relations, root_choices_by_scan,
+                     sample_kn_stratum, torsor_report_by_fractions)
 
 
 def n_monoid():
@@ -174,7 +176,8 @@ def test_fiber_comparison_walks_the_coherence_pairs_once(monkeypatch):
 def test_fiber_comparison_fails_when_its_two_ranks_differ(monkeypatch):
     # the torus tower completes Z^r for the stalk's closed-form rank r, the
     # root tower Z^s for the rank validate gives the quotient: a stalk one
-    # rank too high on the A1 cone's vertex is caught at level 2
+    # rank too high on the A1 cone's vertex is caught at level 2, and the
+    # decision sees the angle side's torus rank 2 below it, with pi0 trivial
     real_stalk = fibers_mod.stalk
 
     def stalk_one_rank_high(m, f):
@@ -184,11 +187,110 @@ def test_fiber_comparison_fails_when_its_two_ranks_differ(monkeypatch):
     monkeypatch.setattr(fibers_mod, "stalk", stalk_one_rank_high)
     m = a1_cone()
     ok, cert = verify_fiber_equivalence(m, face_with_support(m, []), 10)
-    assert ok is False and cert.torus_rank == 3
+    assert ok is False and cert.torus_rank == 2 and cert.pi0 == ()
+    assert not cert.proved and not cert.checked_to_bound
     assert cert.levels.witness_level == 2 and not cert.levels.equivalent
     level2 = cert.levels.levels[1]
     assert (level2.n, level2.factors_a, level2.factors_b) == (2, (2, 2, 2), (2, 2))
     assert not level2.isomorphic and cert.levels.levels[0].isomorphic
+
+
+def test_the_decision_sees_the_z2_of_a_chart_validate_refuses():
+    # <(2,0), (1,1), (0,1)>, with (2,0) + 2 (0,1) = 2 (1,1), is fine but not
+    # saturated: over the ray (2,0) the fiber is a circle times Z/2, so the
+    # comparison fails there with its factor, and holds at the vertex and on
+    # the dense face
+    row, k = (1, -2, 2), 3
+    pins = {support: [tuple(int(i == j) for i in range(k)) for j in support]
+            for support in [(), (0,), (0, 1, 2)]}
+    assert _decide(smith_normal_form([row, *pins[(0,)]], k), 1) == (False, 1, (2,))
+    assert _decide(smith_normal_form([row, *pins[()]], k), 2) == (True, 2, ())
+    assert _decide(smith_normal_form([row, *pins[(0, 1, 2)]], k), 0) == (True, 0, ())
+    # a torus of the wrong rank is no proof either
+    assert _decide(smith_normal_form([row], k), 1) == (False, 2, ())
+
+
+def test_a_doubled_relation_row_fails_the_comparison_with_its_face_and_factor(monkeypatch):
+    # validate refuses the A1 cone's relation doubled, so it is injected into
+    # a validated chart, whose stalks come from an intact twin: at the vertex
+    # and on each ray K_F has the factor 2, and the level table, which reads
+    # ranks only, still passes
+    intact, m = a1_cone(), a1_cone()
+    object.__setattr__(m, "relations", (((2, 0, 2), (0, 4, 0)),))
+    real_stalk = fibers_mod.stalk
+    monkeypatch.setattr(fibers_mod, "stalk", lambda chart, f: real_stalk(intact, f))
+    for support, rank_ in (((), 2), ((0,), 1), ((2,), 1)):
+        ok, cert = verify_fiber_equivalence(m, face_with_support(intact, support), 10)
+        assert not ok and not cert.proved and cert.checked_to_bound
+        assert (cert.face, cert.pi0, cert.torus_rank) == (support, (2,), rank_)
+    ok, cert = verify_fiber_equivalence(m, face_with_support(intact, [0, 1, 2]), 10)
+    assert ok and cert.pi0 == ()
+
+
+def test_a_level_table_failing_where_the_decision_proves_is_falsified(monkeypatch):
+    import logcharts.profin as profin
+    m = a1_cone()
+    real = profin.equivalent_up_to
+
+    def failing(a, b, bound):
+        cert = real(a, b, bound)[1]
+        return False, profin.EquivalenceCertificate(False, cert.levels, 2)
+
+    monkeypatch.setattr(profin, "equivalent_up_to", failing)
+    with pytest.raises(FalsifiedProperty, match=r"^over face \(0,\) the angle side proves the "
+                       r"comparison but the level table fails at level 2$"):
+        verify_fiber_equivalence(m, face_with_support(m, [0]), 10)
+
+
+def _comparison_corpus():
+    """The bundled charts, the square and cube cones and the 16 reflexive
+    cones, each validated."""
+    data = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
+    paths = [corpus_path(name) for name in ("log_point", "affine_line", "plane_axes", "a1_cone")]
+    paths += sorted(glob.glob(os.path.join(data, "reflexive_*.json")))
+    square = [[1, 0, 0], [1, 1, 0], [1, 0, 1], [1, 1, 1]]
+    cube = [[1, x, y, z] for x in (0, 1) for y in (0, 1) for z in (0, 1)]
+    return [validate(load_chart(path).spec) for path in paths] + [
+        validate(MonoidSpec.make(3, square, [[[1, 0, 0, 1], [0, 1, 1, 0]]]), 4),
+        validate(MonoidSpec.make(4, cube, quadric_relations(cube)), 3)]
+
+
+def test_the_decision_agrees_with_the_level_table_on_every_corpus_face():
+    # 12 faces of the bundled charts, 160 of the reflexive cones, 10 of the
+    # square cone and 28 of the cube cone: each proved, checked to bound 100, with a
+    # torus of the stalk's rank and pi0 trivial
+    count = 0
+    for m in _comparison_corpus():
+        for face in faces(m):
+            ok, cert = verify_fiber_equivalence(m, face, 100)
+            assert ok and cert.proved and cert.checked_to_bound and cert.pi0 == (), face
+            assert cert.torus_rank == stalk(m, face)[1]
+            count += 1
+    assert count == 12 + 160 + 10 + 28
+
+
+def test_each_face_builds_its_presentation_once_beside_the_kummer_fibers(monkeypatch):
+    # after the first comparison over a face, an op runs the stalk's two
+    # Smith forms and no third; the vertex's K is the Kummer fibers' own
+    m = a1_cone()
+    calls = []
+
+    def counting(rows, cols):
+        calls.append(cols)
+        return smith_normal_form(rows, cols)
+
+    for module in (abgrp, monoid_mod):
+        monkeypatch.setattr(module, "smith_normal_form", counting)
+    kn_kummer_fiber(m, KnPoint.exact_point([(1, 0), (1, 0), (1, 0)]), 2)
+    tables = len(m._presentations)
+    for face in faces(m):
+        calls.clear()
+        verify_fiber_equivalence(m, face, 5)
+        first = len(calls)
+        calls.clear()
+        verify_fiber_equivalence(m, face, 5)
+        assert len(calls) == 2 and first == 2 + (face.support != ()), face
+    assert len(m._presentations) == tables + 3
 
 
 def test_kn_kummer_fiber_log_point():
@@ -512,7 +614,7 @@ def test_each_chart_and_support_runs_one_smith_form(monkeypatch):
         calls.append(cols)
         return smith_normal_form(rows, cols)
 
-    for module in (abgrp, fibers_mod):
+    for module in (abgrp, monoid_mod):
         monkeypatch.setattr(module, "smith_normal_form", counting)
 
     def count(build):

@@ -1,13 +1,15 @@
 """The CI workflow and tests/gates.py, which holds every check it runs."""
 
+import glob
+import json
 import os
 import re
 import sys
 
 import gates
 
-WORKFLOW = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                        ".github", "workflows", "tier1.yml")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+WORKFLOW = os.path.join(ROOT, ".github", "workflows", "tier1.yml")
 
 
 def test_the_workflow_runs_only_the_gates_script():
@@ -34,3 +36,23 @@ def test_the_ledger_counts_the_public_names_without_importing_them(monkeypatch):
     import logcharts
     monkeypatch.chdir(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
     assert gates.public_names() == len(logcharts.__all__)
+
+
+def test_every_committed_bench_record_has_the_records_keys():
+    # each BENCH_<n>.json at the root is a copy of the record gates.py writes,
+    # whose per-op counts are the ones its PER_OP gates printed
+    paths = glob.glob(os.path.join(ROOT, "BENCH_*.json"))
+    assert paths
+    for path in paths:
+        with open(path, encoding="utf-8") as handle:
+            record = json.load(handle)
+        assert set(gates.RECORD_KEYS) <= set(record), path
+        assert set(record["workloads"]) == {"torsor", "compare", "charts", "cli"}, path
+        for figures in record["workloads"].values():
+            assert set(gates.WORKLOAD_KEYS) <= set(figures), path
+        for entry in record["gates"]:
+            assert set(entry) == {"name", "passed", "measured", "bound"}, path
+            words = entry["name"].split()
+            if words[0] == "traced":
+                value = record["workloads"][words[1]]["per_op"][words[2]]
+                assert entry["measured"] == f"{value:.3f} per op", (path, entry)

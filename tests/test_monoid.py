@@ -63,7 +63,11 @@ def test_validate_rejects_a_spec_of_the_wrong_shape():
             (2, [[0, 0], [1, 0]], None, "zero generator"),
             (2, [[1, 0], [1]], None, r"generator \(1,\) does not live in Z\^2"),
             (1, [[1], [2]], [[[2], [1]]], "has wrong arity"),
-            (1, [[1], [2]], [[[2, -1], [0, 0]]], "has negative exponents")]:
+            (1, [[1], [2]], [[[2, 0], [1]]], "has wrong arity"),
+            (1, [[1], [2]], [[[2], [1, 0]]], "has wrong arity"),
+            (1, [[1], [2]], [[[2, -1], [0, 0]]], "has negative exponents"),
+            (1, [[1], [2]], [[[0, 0], [2, -1]]], "has negative exponents"),
+            (-1, [], None, "ambient rank -1 is not a nonnegative integer")]:
         with pytest.raises(InvalidMonoidSpec, match=message):
             validate(MonoidSpec.make(d, gens, relations))
 
@@ -718,6 +722,20 @@ def test_an_oversized_saturation_box_is_refused_before_enumeration(monkeypatch):
     validate(MonoidSpec.make(1, [[1], [2]]), 9)
     with pytest.raises(InvalidMonoidSpec, match="saturation box has 11 points"):
         validate(MonoidSpec.make(1, [[1], [2]]), 10)
+
+
+def test_the_saturation_box_cap_admits_500000_points_and_no_more(monkeypatch):
+    # <1, 2> in Z at degree bound B has the box [0, B], and <-1, -2> the box
+    # [-B, 0]: B + 1 points each, so 500,000 reach the walk and 500,001 do not
+    def walked(*args):
+        raise LookupError("the walk was reached")
+
+    monkeypatch.setattr(monoid, "_check_congruence_complete", walked)
+    for gens in ([[1], [2]], [[-1], [-2]]):
+        with pytest.raises(LookupError):
+            validate(MonoidSpec.make(1, gens), 499_999)
+        with pytest.raises(InvalidMonoidSpec, match="^saturation box has 500001 points"):
+            validate(MonoidSpec.make(1, gens), 500_000)
 
 
 def test_hilbert_cone_names_the_least_degree_disconnected_fiber():

@@ -24,8 +24,6 @@ _POINT = ("AffineMonoid(spec=MonoidSpec(ambient_rank=0, generators=(), relations
           "grading=())")
 _VERTEX = (f"StratumEntry(face=Face(support=(), certificate=(1,)), stalk_rank=1, "
            f"stalk={_LINE})")
-_NOTE = ("'level-wise invariant-factor comparison with transition coherence up to a finite "
-         "bound; not a categorical pro-isomorphism'")
 
 
 def _line():
@@ -44,7 +42,10 @@ def _records():
     ``strata`` command reads off the chart), ``EquivalenceCertificate.bound``
     (the number of levels), and
     ``FiberEquivalenceCertificate.comparison_matrix`` (always the
-    identity) and ``maps_realize_levels`` (implied by the verdict)."""
+    identity) and ``maps_realize_levels`` (implied by the verdict), and
+    ``EquivalenceCertificate.note`` (a constant).  The fiber certificate
+    gained the angle side's decision: ``pi0``, ``proved`` and
+    ``checked_to_bound``."""
     line = _line()
     faces(line)  # fills the face cache, which the repr leaves out
     cone = validate(MonoidSpec.make(2, [[1, 0], [1, 1], [1, 2]]))
@@ -66,7 +67,7 @@ def _records():
          "LevelRecord(n=2, factors_a=(2,), factors_b=(2,), isomorphic=True)"),
         (EquivalenceCertificate(True, (LevelRecord(1, (), (), True),), None),
          "EquivalenceCertificate(equivalent=True, levels=(LevelRecord(n=1, "
-         f"factors_a=(), factors_b=(), isomorphic=True),), witness_level=None, note={_NOTE})"),
+         f"factors_a=(), factors_b=(), isomorphic=True),), witness_level=None)"),
         (emit_equations(cone, "kn"),
          "BinomialSystem(variable_count=3, equations=(((1, 0, 1), (0, 2, 0)),), "
          "target='kn')"),
@@ -82,10 +83,11 @@ def _records():
          f"StratumTable(monoid={_LINE}, entries=({_VERTEX}, StratumEntry(face=Face("
          f"support=(0,), certificate=(0,)), stalk_rank=0, stalk={_POINT})))"),
         (verify_fiber_equivalence(line, ray, 2)[1],
-         "FiberEquivalenceCertificate(face=(0,), torus_rank=0, bound=2, levels="
+         "FiberEquivalenceCertificate(face=(0,), torus_rank=0, pi0=(), proved=True, bound=2, "
+         "checked_to_bound=True, levels="
          "EquivalenceCertificate(equivalent=True, levels=(LevelRecord(n=1, "
          "factors_a=(), factors_b=(), isomorphic=True), LevelRecord(n=2, factors_a=(), "
-         f"factors_b=(), isomorphic=True)), witness_level=None, note={_NOTE}))"),
+         "factors_b=(), isomorphic=True)), witness_level=None))"),
         (torsor_check(line, KnPoint.exact_point([(1, 0)]), 2)[1],
          "TorsorReport(n=2, group_order=2, fiber_size=2, preserves_fiber=True, "
          "free=True, transitive=True, orbit_table=(0, 1))"),
@@ -132,8 +134,8 @@ def test_affine_monoid_is_hashable_frozen_and_ignores_its_face_cache():
 def test_constructors_take_fields_by_position_or_keyword_with_defaults():
     assert FgAbelianGroup(2) == FgAbelianGroup(free_rank=2, torsion=())
     assert GaussianRational(1) == GaussianRational(re=Fraction(1), im=Fraction(0))
-    assert EquivalenceCertificate(True, (), None).note == EquivalenceCertificate(
-        equivalent=True, levels=(), witness_level=None).note
+    assert MonoidSpec(1, ((1,),)).relations is None
+    assert MonoidSpec(1, ((1,),)) == MonoidSpec(ambient_rank=1, generators=((1,),), relations=None)
     # __post_init__ still runs: it normalizes and validates
     assert FgAbelianGroup(0, [2]).torsion == (2,)
     for make in (lambda: FgAbelianGroup(-1), lambda: FgAbelianGroup(0, [2.0])):

@@ -2,6 +2,7 @@
 
 import functools
 import glob
+import math
 import os
 
 import pytest
@@ -9,7 +10,9 @@ import pytest
 from logcharts.cli import corpus_path, load_chart
 from logcharts.errors import NotOnVariety, SaturationFailure
 from logcharts.fibers import algebraic_kummer_fiber
-from logcharts.monoid import MonoidSpec, face_with_support, faces, stalk, validate
+from logcharts.abgrp import smith_normal_form
+from logcharts.monoid import (MonoidSpec, _angle_fiber, _decide, face_with_support, faces, stalk,
+                              validate)
 from logcharts.semialg import CxPoint, distinguished_point, tau
 from logcharts.strata import stratify, stratum_of_point
 from oracles import sample_stratum, torsion_count
@@ -99,6 +102,29 @@ def test_torsion_counts_match_the_stalks_and_the_algebraic_fibers():
                     algebraic_kummer_fiber(m, point, n))
 
 
+def closed_count(torus_rank, pi0, n):
+    """The N-torsion of a torus of rank t times the sum of the Z/d_j."""
+    return n ** torus_rank * math.prod(math.gcd(d, n) for d in pi0)
+
+
+def test_torsion_counts_are_the_decisions_closed_form():
+    # on every corpus face whose (Z/N)^k holds at most 50,000 points, the
+    # backtracking count of K_F's N-torsion is N^(k - s) prod gcd(d_j, N)
+    # for the torus rank k - s and the factors d_j the decision reads off
+    covered = 0
+    for m in corpus():
+        k = m.generator_count
+        rows = [[a - b for a, b in zip(r, s)] for r, s in m.relations]
+        for e in stratify(m).entries:
+            pins = [[int(i == j) for i in range(k)] for j in e.face.support]
+            _, torus_rank, pi0 = _angle_fiber(m, e.face, e.stalk_rank)
+            for n in (2, 3, 4, 6):
+                if n ** k <= 50_000:
+                    assert torsion_count(rows + pins, k, n) == closed_count(torus_rank, pi0, n)
+                    covered += 1
+    assert covered >= 400, covered
+
+
 def test_torsion_count_shows_the_z2_that_saturation_rules_out():
     # the fine chart <(2,0), (1,1), (0,1)>, with (2,0) + 2 (0,1) = 2 (1,1),
     # is not saturated, and validate refuses it; over the ray (2,0) the
@@ -107,6 +133,8 @@ def test_torsion_count_shows_the_z2_that_saturation_rules_out():
         validate(MonoidSpec.make(2, [[2, 0], [1, 1], [0, 1]]))
     rows = [[1, -2, 2], [1, 0, 0]]
     assert [torsion_count(rows, 3, n) for n in (2, 3, 4, 6)] == [4, 3, 8, 12]
+    _, torus_rank, pi0 = _decide(smith_normal_form(rows, 3), 1)
+    assert [closed_count(torus_rank, pi0, n) for n in (2, 3, 4, 6)] == [4, 3, 8, 12]
 
 
 def test_stratum_of_point_examples():
