@@ -160,8 +160,7 @@ def write_record(runs):
                                          if k.endswith(".share")}
         workloads[workload]["per_op"] = {k: v["value"] for k, v in traced.items()
                                          if k.endswith(".calls")}
-    record = {"commit": commit,
-              "python": platform.python_version(), "cpus": os.cpu_count(),
+    record = {"commit": commit, "python": platform.python_version(), "cpus": os.cpu_count(),
               "indicative": "one 2 s smoke run per workload, seed 1: indicative only; a "
                             "claimed gain needs alternating pairs of full runs",
               "workloads": workloads, "gates": GATES}

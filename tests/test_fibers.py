@@ -890,12 +890,13 @@ def test_exact_algebraic_fibers_match_the_floating_path_point_by_point():
 
 def test_exact_algebraic_roots_on_each_half_axis():
     # at n = 1 the fiber is the point itself: each half-axis keeps its
-    # quarter turn, and every coordinate stays exact
+    # quarter turn, and every coordinate stays exact, above 1 and below
     m = validate(MonoidSpec.make(4, [[int(i == j) for j in range(4)] for i in range(4)]))
-    values = [GaussianRational(3), GaussianRational(-3), GaussianRational(0, 3),
-              GaussianRational(0, -3)]
-    (q,) = algebraic_kummer_fiber(m, CxPoint.exact_point(values), 1)
-    assert q.exact and list(q.values) == values
+    for size in (3, Fraction(1, 3)):
+        values = [GaussianRational(size), GaussianRational(-size), GaussianRational(0, size),
+                  GaussianRational(0, -size)]
+        (q,) = algebraic_kummer_fiber(m, CxPoint.exact_point(values), 1)
+        assert q.exact and list(q.values) == values
     # off the axes, or at a magnitude that is no n-th power, the roots are
     # floating even where they are Gaussian rational: (1+i)^1, sqrt(2i) = 1+i
     for z, n in ((GaussianRational(1, 1), 1), (GaussianRational(0, 2), 2)):
@@ -1051,6 +1052,10 @@ def test_fiber_size_cap_refuses_before_enumerating():
     # Over the vertex the complex fiber is one point at any degree.
     origin = CxPoint.exact_point([0, 0, 0])
     assert len(algebraic_kummer_fiber(m, origin, 10 ** 6)) == 1
+    # the cap admits n^r = 100,000 points and refuses 100,001
+    assert fibers_mod._fiber_size(1, 100_000) == 100_000
+    with pytest.raises(ChartError, match="n\\^1 = 100001 points, above the enumeration cap"):
+        fibers_mod._fiber_size(1, 100_001)
 
 
 _A1_POINT = KnPoint.exact_point([(1, 0), (1, 0), (1, 0)])
