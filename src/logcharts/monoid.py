@@ -251,6 +251,34 @@ def _check_congruence_complete(spec: MonoidSpec, relations, degrees, bound, box)
     return elements
 
 
+def _check_principal(spec: MonoidSpec, relations, z, degrees, bound, box):
+    """The walk's verdict in corank 1, kernel Z z, where the toric ideal is
+    principal, generated by x^z+ - x^z- (Sturmfels, Groebner Bases and Convex
+    Polytopes, 1996, Ch. 4): each fiber below deg z+ is one presentation, the
+    fiber at deg z+ is {z+, z-}, joined only by (z+, z-) or (z-, z+), and that
+    relation connects every fiber above.  So R is refused exactly when deg z+
+    <= bound and holds neither; else the codes of the elements of degree <=
+    bound are returned, layer by layer, from the last max deg_i layers."""
+    plus, minus = tuple(max(x, 0) for x in z), tuple(max(-x, 0) for x in z)
+    top = sum(map(operator.mul, plus, degrees))
+    if top <= bound and not {(plus, minus), (minus, plus)} & {tuple(map(tuple, rel))
+                                                               for rel in relations}:
+        witness = tuple(sum(c * g[a] for c, g in zip(plus, spec.generators))
+                        for a in range(spec.ambient_rank))
+        raise RelationSynthesisIncomplete(
+            f"relation set does not connect the presentations of {witness} at degree {top}; "
+            f"every fiber of lower degree is connected (degree bound {bound})", witness, top)
+    origin, strides = _codec(box)
+    moves = [(sum(map(operator.mul, g, strides)), deg) for g, deg in zip(spec.generators, degrees)]
+    layers = deque([{origin}], maxlen=min(max(degrees), bound))
+    elements = {origin}
+    for b in range(1, bound + 1):
+        layer = {y + step for step, deg in moves if deg <= b for y in layers[-deg]}
+        layers.append(layer)
+        elements |= layer
+    return elements
+
+
 def _check_kernel_span(relations, kernel, k: int):
     """The rows r - s of a supplied relation set must span the integer
     kernel of the generator matrix, with basis ``kernel``, as the moves of
@@ -323,7 +351,7 @@ def _check_saturation(gens, grading, box, elements, bound, u, factors):
     :func:`_saturation_box`, as :func:`_degree_window` lists them, and
     demands each point of the generated sublattice be a nonnegative integer
     combination of generators, i.e. have its code among the ``elements``
-    that :func:`_check_congruence_complete` listed (a code fixes the point,
+    that the walk or :func:`_check_principal` listed (a code fixes the point,
     and so its degree); only a point that does not is built as a tuple.
     The ``grading`` functional gives the generators their degrees.  A
     point off the monoid elements is outside the cone when a Farkas
@@ -385,14 +413,16 @@ def validate(spec: MonoidSpec, degree_bound: int = DEFAULT_DEGREE_BOUND) -> Affi
     membership for the saturation check, and the lattice coordinates U[:r]
     that :func:`faces` reads.  The relation set R is the supplied one,
     each relation verified exactly, or else the kernel basis split into
-    signs.  A free chart (generators linearly independent) is decided in
+    signs.  Relation completeness has three tiers, by the kernel's rank.
+    A free chart (rank 0, generators linearly independent) is decided in
     closed form: P is N^k, so R is complete, and P is saturated because a
     cone lattice point has unique, hence nonnegative integer, coordinates.
-    Every other chart takes one path, on the integer codes of the bounded
-    saturation box: the congruence walk names the least-degree element
-    whose presentations R leaves disconnected, a supplied R must also span
+    Rank 1 is decided in closed form too, by :func:`_check_principal`.
+    Rank 2 and up take the congruence walk, which names the least-degree
+    element whose presentations R leaves disconnected.  Past rank 0, on the
+    integer codes of the bounded saturation box, a supplied R must also span
     the integer kernel, and saturation is checked on the box points of
-    degree 0..bound against the elements the walk listed.  The walk joins
+    degree 0..bound against the elements listed.  Ranks 1 and up join
     z+ to z- for each kernel basis vector z = z+ - z- of deg z+ <= bound,
     so such a z is a sum of relation rows (Diaconis and Sturmfels, 1998),
     and one more Smith form decides the span only where some basis vector
@@ -437,7 +467,10 @@ def validate(spec: MonoidSpec, degree_bound: int = DEFAULT_DEGREE_BOUND) -> Affi
         if size > _BOX_CAP:
             raise InvalidMonoidSpec(
                 f"saturation box has {size} points; lower the degree bound")
-        elements = _check_congruence_complete(spec, relations, degrees, degree_bound, box)
+        if len(kernel) == 1:
+            elements = _check_principal(spec, relations, kernel[0], degrees, degree_bound, box)
+        else:
+            elements = _check_congruence_complete(spec, relations, degrees, degree_bound, box)
         # a synthesized set spans the kernel: its rows are the basis itself; the
         # walk connected z+ to z- for each basis vector z of degree <= bound
         if spec.relations is not None and any(

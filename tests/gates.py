@@ -103,7 +103,7 @@ def public_names() -> int:
     return sum(map(len, ast.literal_eval(homes).values()))
 
 
-def main(chart) -> int:
+def main(chart, walked) -> int:
     # Per-module and total counts, and the public names, for the round's deletion ledger.
     lines = {os.path.basename(p): pathlib.Path(p).read_text(encoding="utf-8").count("\n")
              for p in sorted(glob.glob("src/logcharts/*.py"))}
@@ -116,10 +116,13 @@ def main(chart) -> int:
         ("compile with warnings as errors", [PY, "-W", "error", "-m", "compileall", "-q", *DIRS]),
         ("tier-1 tests", [PY, "-m", "pytest", "-q", "--continue-on-collection-errors",
                           "--durations=10"], SRC),
-        # 499,999 is the largest degree bound the 500,000-point box cap admits for <1, 2>:
-        # a walk growing faster than the bound hits the timeout, one holding every layer the peak.
+        # 499,999 is the largest degree bound the 500,000-point box cap admits for <1, 2> and
+        # <1, 2, 3>: a listing growing faster than the bound hits the timeout, one holding every
+        # layer the peak.  <1, 2> (corank 1) takes the closed-form listing, <1, 2, 3> the walk.
         ("cold info at the largest admitted degree bound",
          [PY, "-m", "logcharts.cli", "info", chart, "--degree-bound", "499999"], SRC, 120, 100),
+        ("cold info on the walk at the largest admitted degree bound",
+         [PY, "-m", "logcharts.cli", "info", walked, "--degree-bound", "499999"], SRC, 120, 100),
         # 99,991 is the largest prime level the fiber cap admits on the log point: a radius
         # test on undivided exponents, or a root's normal form trying all integers, takes minutes.
         ("cold torsor at the largest prime level on a radical radius",
@@ -175,4 +178,7 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         chart = pathlib.Path(tmp, "one_two.json")
         chart.write_text('{"name": "one-two", "ambient_rank": 1, "generators": [[1], [2]]}')
-        sys.exit(main(str(chart)))
+        walked = pathlib.Path(tmp, "one_two_three.json")
+        walked.write_text('{"name": "one-two-three", "ambient_rank": 1, '
+                          '"generators": [[1], [2], [3]]}')
+        sys.exit(main(str(chart), str(walked)))

@@ -21,8 +21,9 @@ from logcharts.monoid import (MonoidSpec, face_with_support, faces, mu, stalk,
                               validate)
 from logcharts.profin import FiniteAbelianProSystem
 
-from oracles import (congruence_complete_by_vectors, diagonal, face_supports_by_axiom,
-                     faces_by_lp, fiber_connected_by_vectors, quadric_relations,
+from oracles import (congruence_complete_by_vectors, cyclic_quotient, diagonal,
+                     face_supports_by_axiom, faces_by_lp, fiber_connected_by_vectors,
+                     quadric_relations,
                      grading_of, random_unimodular, saturation_box_by_lp,
                      saturation_scan_by_certificates, saturation_scan_by_lp,
                      saturation_scan_inputs)
@@ -648,18 +649,21 @@ def test_witnesses_in_boxes_with_negative_lows():
 
 
 def test_the_walk_is_linear_in_the_degree_bound():
-    # the chart <1, 2> has one element per degree: a walk that re-counted
-    # every layer after each degree took minutes at this bound
-    start = time.perf_counter()
-    m = validate(MonoidSpec.make(1, [[1], [2]]), 200_000)
-    assert len(m.relations) == 1
-    assert time.perf_counter() - start < 30
+    # <1, 2, 3> (corank 2, the walk) and <1, 2> (corank 1, the listing) have
+    # one element per degree: a walk that re-counted every layer after each
+    # degree took minutes at this bound
+    for gens, relation_count in (([[1], [2], [3]], 2), ([[1], [2]], 1)):
+        start = time.perf_counter()
+        m = validate(MonoidSpec.make(1, gens), 200_000)
+        assert len(m.relations) == relation_count
+        assert time.perf_counter() - start < 30, gens
 
 
 def _refuse_enumeration(monkeypatch):
     def refuse(*args):
         raise AssertionError("a free chart must not enumerate monoid elements")
     monkeypatch.setattr(monoid, "_check_congruence_complete", refuse)
+    monkeypatch.setattr(monoid, "_check_principal", refuse)
 
 
 def test_free_chart_closed_form_agrees_with_the_bounded_checks(monkeypatch):
@@ -725,14 +729,19 @@ def test_an_oversized_saturation_box_is_refused_before_enumeration(monkeypatch):
 
 
 def test_the_saturation_box_cap_admits_500000_points_and_no_more(monkeypatch):
-    # <1, 2> in Z at degree bound B has the box [0, B], and <-1, -2> the box
-    # [-B, 0]: B + 1 points each, so 500,000 reach the walk and 500,001 do not
-    def walked(*args):
-        raise LookupError("the walk was reached")
+    # <1, 2> and <1, 2, 3> in Z at degree bound B have the box [0, B], and
+    # <-1, -2> and <-1, -2, -3> the box [-B, 0]: B + 1 points each, so
+    # 500,000 reach the corank-1 listing or the walk and 500,001 do not
+    def reached(name):
+        def refuse(*args):
+            raise LookupError(f"{name} was reached")
+        return refuse
 
-    monkeypatch.setattr(monoid, "_check_congruence_complete", walked)
-    for gens in ([[1], [2]], [[-1], [-2]]):
-        with pytest.raises(LookupError):
+    monkeypatch.setattr(monoid, "_check_principal", reached("the listing"))
+    monkeypatch.setattr(monoid, "_check_congruence_complete", reached("the walk"))
+    for gens, reaches in (([[1], [2]], "the listing"), ([[-1], [-2]], "the listing"),
+                          ([[1], [2], [3]], "the walk"), ([[-1], [-2], [-3]], "the walk")):
+        with pytest.raises(LookupError, match=f"^{reaches} was reached$"):
             validate(MonoidSpec.make(1, gens), 499_999)
         with pytest.raises(InvalidMonoidSpec, match="^saturation box has 500001 points"):
             validate(MonoidSpec.make(1, gens), 500_000)
@@ -1017,6 +1026,90 @@ def test_saturation_scan_matches_the_lp_oracle(monkeypatch):
     # and about 100 stalks are not saturated
     assert scanned > 200 and witnesses > 100, (scanned, witnesses)
     assert lps > 300, lps
+
+
+def _corank_one_relation_sets(rng, spec):
+    """The relation sets of a corank-1 spec with integer kernel Z z: the
+    synthesized pair (z+, z-), the pair reversed, (2 z+, 2 z-), (z+ + w,
+    z- + w) for a random w >= 0 other than 0, and the trivial relation (w, w)
+    alone; each in a tuple, or as lists as a MonoidSpec built without
+    ``make`` may hold them."""
+    _, factors, v = _smith(spec)
+    (pair,) = monoid._synthesize_relations(list(zip(*v))[len(factors):])
+    plus, minus = pair
+    w = [rng.randint(0, 1) for _ in plus]
+    w[rng.randrange(len(w))] = 1
+    shifted = (tuple(map(sum, zip(plus, w))), tuple(map(sum, zip(minus, w))))
+    sets = [(pair,), ((minus, plus),), ((tuple(2 * x for x in plus), tuple(2 * x for x in minus)),),
+            (shifted,), ((tuple(w), tuple(w)),)]
+    if rng.random() < 0.2:
+        sets = [[[list(r), list(s)] for r, s in relations] for relations in sets]
+    return sum(plus[j] * sum(g) for j, g in enumerate(spec.generators)), sets
+
+
+def _congruence_outcome(check, *args):
+    """The element codes ``check`` lists, or the class, message, args,
+    witness and degree of its refusal."""
+    try:
+        return check(*args)
+    except RelationSynthesisIncomplete as err:
+        return type(err), str(err), err.args, err.witness, err.degree
+
+
+def test_the_corank_one_rule_matches_the_walk(monkeypatch):
+    # on a chart whose integer kernel has rank 1, the closed-form rule
+    # refuses exactly where the walk does, with its class, message and
+    # args, and otherwise lists the walk's element codes: on the corpus's
+    # corank-1 charts, the cyclic quotients with e = 3 and the square cone's
+    # stalks at bounds 0 to 20, and on 3,000 seeded charts at bounds 0 to 14
+    square = [[1, 0, 0], [1, 1, 0], [1, 0, 1], [1, 1, 1]]
+    named = [MonoidSpec.make(d, gens) for d, gens in CORPUS_CONES
+             if rank(gens, d) == len(gens) - 1]
+    named.append(load_chart(corpus_path("a1_cone")).spec)
+    named += [MonoidSpec.make(2, basis) for n in range(2, 13) for q in range(1, n)
+              if math.gcd(n, q) == 1 and len(basis := cyclic_quotient(n, q)[0]) == 3]
+    stalks = [spec for spec, _ in _stalk_presentations(monkeypatch, [validate(MonoidSpec.make(
+        3, square))]) if rank(spec.generators, spec.ambient_rank) == len(spec.generators) - 1]
+    # the vertex stalk (the square itself, its relations supplied), 4 rays', 4 facets'
+    assert len(named) == 20 and len(stalks) == 9, (len(named), len(stalks))
+    rng = random.Random(47)
+    cases = []
+    for spec in named + stalks:
+        grading = grading_of(spec)
+        degrees = [sum(map(mul, grading, g)) for g in spec.generators]
+        _, sets = _corank_one_relation_sets(rng, spec)
+        sets += [spec.relations] if spec.relations else []
+        cases += [(spec, relations, degrees, bound) for relations in sets for bound in range(21)]
+    seeded = collections.Counter()
+    while seeded.total() < 3000:
+        d = rng.randint(1, 3)
+        gens = []
+        while len(gens) < rng.randint(2, d + 1):
+            g = [rng.randint(-2, 3) for _ in range(d)]
+            if sum(g) >= 1:
+                gens.append(g)
+        if rank(gens, d) != len(gens) - 1:
+            continue
+        spec, bound = MonoidSpec.make(d, gens), rng.randint(0, 14)
+        top, sets = _corank_one_relation_sets(rng, spec)
+        relations = rng.choice(sets)
+        seeded["within" if top <= bound else "above"] += 1
+        cases.append((spec, relations, [sum(g) for g in gens], bound))
+    refused = at_bound = listed = 0
+    for spec, relations, degrees, bound in cases:
+        _, factors, v = _smith(spec)
+        (z,) = list(zip(*v))[len(factors):]
+        box = monoid._saturation_box(spec.generators, degrees, bound)
+        want = _congruence_outcome(monoid._check_congruence_complete, spec, relations, degrees,
+                                   bound, box)
+        got = _congruence_outcome(monoid._check_principal, spec, relations, z, degrees, bound, box)
+        assert got == want, (spec, relations, bound)
+        refused += type(want) is tuple
+        at_bound += type(want) is tuple and want[4] == bound
+        listed += type(want) is set and len(want) > 1
+    assert min(seeded.values()) > 1000 and refused > 1500 and listed > 3000, (
+        seeded, refused, listed)
+    assert at_bound > 100, at_bound
 
 
 # The fallback gradings: (chart, face) -> the sharpness certificate of the
