@@ -1028,23 +1028,23 @@ def test_saturation_scan_matches_the_lp_oracle(monkeypatch):
     assert lps > 300, lps
 
 
-def _corank_one_relation_sets(rng, spec):
-    """The relation sets of a corank-1 spec with integer kernel Z z: the
-    synthesized pair (z+, z-), the pair reversed, (2 z+, 2 z-), (z+ + w,
-    z- + w) for a random w >= 0 other than 0, and the trivial relation (w, w)
-    alone; each in a tuple, or as lists as a MonoidSpec built without
-    ``make`` may hold them."""
+def _corank_one_relation_sets(rng, spec, degrees):
+    """deg z+ and the relation sets of a corank-1 spec with integer kernel
+    Z z: the synthesized pair (z+, z-), the pair reversed, (2 z+, 2 z-),
+    (z+ + w, z- + w) for a random w >= 0 other than 0, and the trivial
+    relation (w, w) alone; each in a tuple, or as lists as a MonoidSpec
+    built without ``make`` may hold them."""
     _, factors, v = _smith(spec)
     (pair,) = monoid._synthesize_relations(list(zip(*v))[len(factors):])
     plus, minus = pair
     w = [rng.randint(0, 1) for _ in plus]
     w[rng.randrange(len(w))] = 1
     shifted = (tuple(map(sum, zip(plus, w))), tuple(map(sum, zip(minus, w))))
-    sets = [(pair,), ((minus, plus),), ((tuple(2 * x for x in plus), tuple(2 * x for x in minus)),),
-            (shifted,), ((tuple(w), tuple(w)),)]
+    doubled = (tuple(2 * x for x in plus), tuple(2 * x for x in minus))
+    sets = [(pair,), ((minus, plus),), (doubled,), (shifted,), ((tuple(w), tuple(w)),)]
     if rng.random() < 0.2:
         sets = [[[list(r), list(s)] for r, s in relations] for relations in sets]
-    return sum(plus[j] * sum(g) for j, g in enumerate(spec.generators)), sets
+    return sum(map(mul, plus, degrees)), sets
 
 
 def _congruence_outcome(check, *args):
@@ -1077,24 +1077,23 @@ def test_the_corank_one_rule_matches_the_walk(monkeypatch):
     for spec in named + stalks:
         grading = grading_of(spec)
         degrees = [sum(map(mul, grading, g)) for g in spec.generators]
-        _, sets = _corank_one_relation_sets(rng, spec)
+        _, sets = _corank_one_relation_sets(rng, spec, degrees)
         sets += [spec.relations] if spec.relations else []
         cases += [(spec, relations, degrees, bound) for relations in sets for bound in range(21)]
     seeded = collections.Counter()
     while seeded.total() < 3000:
         d = rng.randint(1, 3)
-        gens = []
-        while len(gens) < rng.randint(2, d + 1):
+        k, gens = rng.randint(2, d + 1), []
+        while len(gens) < k:
             g = [rng.randint(-2, 3) for _ in range(d)]
             if sum(g) >= 1:
                 gens.append(g)
         if rank(gens, d) != len(gens) - 1:
             continue
-        spec, bound = MonoidSpec.make(d, gens), rng.randint(0, 14)
-        top, sets = _corank_one_relation_sets(rng, spec)
-        relations = rng.choice(sets)
+        spec, degrees, bound = MonoidSpec.make(d, gens), [sum(g) for g in gens], rng.randint(0, 14)
+        top, sets = _corank_one_relation_sets(rng, spec, degrees)
         seeded["within" if top <= bound else "above"] += 1
-        cases.append((spec, relations, [sum(g) for g in gens], bound))
+        cases.append((spec, rng.choice(sets), degrees, bound))
     refused = at_bound = listed = 0
     for spec, relations, degrees, bound in cases:
         _, factors, v = _smith(spec)
