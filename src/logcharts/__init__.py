@@ -18,9 +18,10 @@ __version__ = "0.1.0"
 
 _HOMES = {
     "abgrp": ("FgAbelianGroup", "cokernel", "smith_normal_form", "tensor_mod"),
-    "errors": ("ArityMismatch", "ChartError", "FalsifiedProperty", "InvalidLevel",
-               "InvalidMonoidSpec", "InvalidPoint", "NotAFace", "NotOnVariety", "NotSharp",
-               "RelationInconsistent", "RelationSynthesisIncomplete", "SaturationFailure"),
+    "errors": ("ArityMismatch", "ChartError", "FalsifiedProperty", "InvalidChartFile",
+               "InvalidLevel", "InvalidMonoidSpec", "InvalidPoint", "NotAFace", "NotOnVariety",
+               "NotSharp", "RelationInconsistent", "RelationSynthesisIncomplete",
+               "SaturationFailure"),
     "exactnum": ("GaussianRational", "NonnegRoot"),
     "fibers": ("TorsorReport", "algebraic_kummer_fiber", "kn_kummer_fiber", "torsor_check",
                "verify_fiber_equivalence"),

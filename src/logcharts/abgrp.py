@@ -57,14 +57,20 @@ def smith_normal_form(rows, cols: int):
     operations on A start at column t and the column operations at row t,
     past only zeros.
     """
-    if any(len(row) != cols for row in rows):
-        raise ValueError(f"matrix rows {rows!r} do not all have {cols} entries")
-    if not {type(x) for row in rows for x in row} <= {int}:
+    a, types = [], set()
+    for row in rows:
+        if len(row) != cols:
+            raise ValueError(f"matrix rows {rows!r} do not all have {cols} entries")
+        types.update(map(type, row))
+        a.append(list(row))
+    if not types <= {int}:
         raise ValueError(f"matrix entries must be exact integers, got {rows!r}")
-    a = [list(row) for row in rows]
     rows = len(a)
-    u = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
-    v = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
+    u, v = [], []  # identities, one new list per row
+    for n, eye in (rows, u), (cols, v):
+        for i in range(n):
+            eye.append([0] * n)
+            eye[i][i] = 1
 
     t = 0
     limit = min(rows, cols)

@@ -28,7 +28,7 @@ import sys
 
 from . import monoid as monoid_mod
 from ._record import Record
-from .errors import ChartError, FalsifiedProperty, InvalidPoint, NotAFace
+from .errors import ChartError, FalsifiedProperty, InvalidChartFile, InvalidPoint, NotAFace
 from .monoid import DEFAULT_DEGREE_BOUND, MonoidSpec, face_with_support
 
 DEFAULT_BOUND = 100
@@ -50,21 +50,21 @@ class ChartDocument:
     @staticmethod
     def from_json_dict(doc) -> "ChartDocument":
         if not isinstance(doc, dict):
-            raise ChartError("chart document must be a JSON object")
+            raise InvalidChartFile("chart document must be a JSON object")
         unknown = set(doc) - _CHART_FIELDS
         if unknown:
-            raise ChartError(f"unknown chart fields: {sorted(unknown)}")
+            raise InvalidChartFile(f"unknown chart fields: {sorted(unknown)}")
         for key in ("name", "ambient_rank", "generators"):
             if key not in doc:
-                raise ChartError(f"chart document is missing {key!r}")
+                raise InvalidChartFile(f"chart document is missing {key!r}")
         relations = None
         if "relations" in doc and doc["relations"] is not None:
             if not isinstance(doc["relations"], list):
-                raise ChartError("relations must be a list")
+                raise InvalidChartFile("relations must be a list")
             relations = []
             for rel in doc["relations"]:
                 if not isinstance(rel, dict) or set(rel) != _RELATION_FIELDS:
-                    raise ChartError(f"relation {rel!r} must have exactly lhs and rhs")
+                    raise InvalidChartFile(f"relation {rel!r} must have exactly lhs and rhs")
                 relations.append((rel["lhs"], rel["rhs"]))
         spec = MonoidSpec.make(doc["ambient_rank"], doc["generators"], relations)
         return ChartDocument(str(doc["name"]), spec)
@@ -75,9 +75,9 @@ def load_chart(path: str) -> ChartDocument:
         with open(path, "r", encoding="utf-8") as handle:
             doc = json.load(handle)
     except OSError as err:
-        raise ChartError(f"cannot read chart file: {err}") from err
+        raise InvalidChartFile(f"cannot read chart file: {err}") from err
     except ValueError as err:  # not UTF-8 or not JSON, or an int beyond Python's digit limit
-        raise ChartError(f"chart file is not valid JSON: {err}") from err
+        raise InvalidChartFile(f"chart file is not valid JSON: {err}") from err
     return ChartDocument.from_json_dict(doc)
 
 

@@ -2,15 +2,20 @@
 
 ``ChartError`` is the base of everything the library raises on bad input or
 on a mathematically impossible request; ``InvalidLevel``, a bad level or
-bound, is also a ``ValueError``.  ``FalsifiedProperty`` is reserved
-for the opposite situation: the input was fine but a property that should
-hold (torsor freeness, fiber cardinality, ...) failed to verify.  The CLI
-maps the former to exit code 2 and the latter to exit code 1.
+bound, is also a ``ValueError``; ``InvalidChartFile`` is a chart file that
+cannot be read or holds no chart document.  ``FalsifiedProperty`` is
+reserved for the opposite situation: the input was fine but a property that
+should hold (torsor freeness, fiber cardinality, ...) failed to verify.  The
+CLI maps the former to exit code 2 and the latter to exit code 1.
 """
 
 
 class ChartError(Exception):
     """Base class for input and validation errors."""
+
+
+class InvalidChartFile(ChartError):
+    """A chart file that cannot be read, is not JSON, or holds no chart document."""
 
 
 class InvalidLevel(ChartError, ValueError):

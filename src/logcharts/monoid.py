@@ -58,7 +58,7 @@ def _sequence(values, what) -> tuple:
 def _check_ints(vector, what):
     """Every entry must be an int: any other value, a bool or a float
     included, raises InvalidMonoidSpec instead of being truncated."""
-    if not all(type(x) is int for x in vector):
+    if not {type(x) for x in vector} <= {int}:
         raise InvalidMonoidSpec(f"{what} {vector!r} has an entry that is not an integer")
 
 
@@ -140,7 +140,7 @@ def _check_spec_shape(spec: MonoidSpec):
         _check_ints(g, "generator")
         if len(g) != d:
             raise InvalidMonoidSpec(f"generator {g} does not live in Z^{d}")
-        if all(x == 0 for x in g):
+        if not any(g):
             raise InvalidMonoidSpec("zero generator: sharpness admits no unit besides 0")
     if spec.relations is not None:
         for r, s in spec.relations:
@@ -148,14 +148,15 @@ def _check_spec_shape(spec: MonoidSpec):
             _check_ints(s, "relation side")
             if len(r) != k or len(s) != k:
                 raise InvalidMonoidSpec(f"relation {(r, s)} has wrong arity (expected {k})")
-            if any(x < 0 for x in r) or any(x < 0 for x in s):
+            if k and (min(r) < 0 or min(s) < 0):
                 raise InvalidMonoidSpec(f"relation {(r, s)} has negative exponents")
 
 
-def _verify_relation(spec: MonoidSpec, relation: Relation):
-    lhs, rhs = (tuple(sum(c * g[a] for c, g in zip(side, spec.generators))
-                      for a in range(spec.ambient_rank)) for side in relation)
-    if lhs != rhs:
+def _verify_relation(spec: MonoidSpec, rows, relation: Relation):
+    """G (r - s) = 0 on the rows of G; only a refusal evaluates both sides."""
+    z = tuple(map(operator.sub, *relation))
+    if any(sum(map(operator.mul, row, z)) for row in rows):
+        lhs, rhs = (tuple(sum(map(operator.mul, row, side)) for row in rows) for side in relation)
         raise RelationInconsistent(
             f"relation {relation} fails: sides evaluate to {lhs} and {rhs}")
 
@@ -330,18 +331,25 @@ def _degree_window(grading, box, bound):
     on the first d - 1 axes, p, the code of (p, 0), and the first and last
     t in the box with 0 <= deg + w t <= bound, deg the degree of (p, 0)
     and w = grading[-1], by floor division; (p, t) has code code + t.  A
-    row with no such t has first > last."""
+    row with no such t has first > last (w = 0 leaves it out).  Lazily:
+    along p's last axis, deg and the code step by its weight and stride."""
     (lo, hi), (origin, strides) = box, _codec(box)
     *head, w = grading
-    for prefix in itertools.product(*(range(a, b + 1) for a, b in zip(lo[:-1], hi[:-1]))):
-        deg = sum(map(operator.mul, head, prefix))
-        first, last = lo[-1], hi[-1]
-        if w:  # w t runs from -deg to bound - deg; dividing by w < 0 swaps the ends
-            ends = (-deg, bound - deg) if w > 0 else (bound - deg, -deg)
-            first, last = max(first, -(-ends[0] // w)), min(last, ends[1] // w)
-        elif not 0 <= deg <= bound:
-            continue
-        yield prefix, origin + sum(map(operator.mul, prefix, strides)), first, last
+    # w t runs from -deg to bound - deg; dividing by w < 0 swaps the ends
+    (low, high), first, last = (0, bound) if w > 0 else (bound, 0), lo[-1], hi[-1]
+    # the last axis of p; with one axis there is one row, of the empty prefix
+    step, stride, start = (head[-1], strides[-2], lo[-2]) if head else (0, 0, 0)
+    tails = [(x,) for x in range(start, hi[-2] + 1)] if head else [()]
+    for outer in itertools.product(*(range(a, b + 1) for a, b in zip(lo[:-2], hi[:-2]))):
+        deg = sum(map(operator.mul, head, outer)) + step * start
+        code = origin + sum(map(operator.mul, outer, strides)) + stride * start
+        for tail in tails:
+            if w:
+                yield (outer + tail, code, max(first, -((deg - low) // w)),
+                       min(last, (high - deg) // w))
+            elif 0 <= deg <= bound:
+                yield outer + tail, code, first, last
+            deg, code = deg + step, code + stride
 
 
 def _check_saturation(gens, grading, box, elements, bound, u, factors):
@@ -451,13 +459,14 @@ def validate(spec: MonoidSpec, degree_bound: int = DEFAULT_DEGREE_BOUND) -> Affi
         if grading is None:
             raise NotSharp("the rational cone spanned by the generators contains a line")
 
-    u, diag, v = smith_normal_form(generator_matrix(spec.generators, d), len(spec.generators))
+    matrix = generator_matrix(spec.generators, d)
+    u, diag, v = smith_normal_form(matrix, len(spec.generators))
     factors = [x for x in diag if x != 0]
     gp_rank = len(factors)
     # G V e_j = 0 for j >= r and V is unimodular: a kernel basis, empty when free
     kernel = list(zip(*v))[gp_rank:]
     for rel in spec.relations or ():
-        _verify_relation(spec, rel)
+        _verify_relation(spec, matrix, rel)
     relations = _synthesize_relations(kernel) if spec.relations is None else spec.relations
 
     degrees = [sum(map(operator.mul, grading, g)) for g in spec.generators]
@@ -587,24 +596,25 @@ def stalk(m: AffineMonoid, f: Face) -> tuple[AffineMonoid, int]:
 
     P/F keeps P's relations with F's coordinates deleted: p - q lies in
     F^gp exactly when p + g = q + f for some f, g in F, so these present
-    the quotient; :func:`validate` checks them as a supplied set.
+    the quotient; :func:`validate` checks them as a supplied set.  The
+    dense face, whose support is every generator, runs no Smith form of its
+    own: nothing is left to project and L_F is P^gp, of rank r =
+    gp_lattice_rank(P), so P/F is the trivial monoid in Z^(d - r).
     """
     face_with_support(m, f.support)  # NotAFace unless f is a face of m
     d = m.ambient_rank
     support = set(f.support)
-    face_matrix = generator_matrix([m.generators[i] for i in f.support], d)
-    u, diag, _ = smith_normal_form(face_matrix, len(f.support))
-    r = sum(1 for x in diag if x != 0)
-
-    # x -> last d-r coordinates of U x kills exactly sat(L_F).
-    def project(vec):
-        return [sum(map(operator.mul, row, vec)) for row in u[r:]]
-
-    outside = [j for j in range(len(m.generators)) if j not in support]
-    quotient_gens = [project(m.generators[j]) for j in outside]
-    quotient_rels = [([a[j] for j in outside], [b[j] for j in outside]) for a, b in m.relations]
-    quotient_spec = MonoidSpec.make(d - r, quotient_gens, quotient_rels)
-    quotient = validate(quotient_spec, degree_bound=m.degree_bound)
+    outside = [j for j in range(m.generator_count) if j not in support]
+    r, kill = m.gp_lattice_rank, ()  # the dense face, with nothing to project
+    if outside:
+        face_matrix = generator_matrix([m.generators[i] for i in f.support], d)
+        u, diag, _ = smith_normal_form(face_matrix, len(f.support))
+        r = sum(1 for x in diag if x != 0)
+        kill = u[r:]  # x -> last d-r coordinates of U x kills exactly sat(L_F)
+    gens = tuple(tuple([sum(map(operator.mul, row, m.generators[j])) for row in kill])
+                 for j in outside)
+    rels = tuple(tuple(tuple([side[j] for j in outside]) for side in rel) for rel in m.relations)
+    quotient = validate(MonoidSpec(d - r, gens, rels), degree_bound=m.degree_bound)
     return quotient, m.gp_lattice_rank - r
 
 

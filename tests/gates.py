@@ -13,12 +13,14 @@ PER_OP = {  # (traced workload, metric) -> the largest value per op that passes
     # the sharpness LP only where neither the coordinate sum nor, in rank 1, the sign grades
     # every generator (16 rank-1 stalks made it 26 LPs per 39 ops), asks in_cone only at points
     # no earlier Farkas certificate excludes, and runs one Smith form per matrix, with none for
-    # the span of a supplied set whose kernel basis lies within the walk's bound (290 per 39).
+    # the span of a supplied set whose kernel basis lies within the walk's bound, and none for a
+    # dense face, which leaves nothing to project (225 per 39; 247 with the dense faces' 22).
     ("charts", "ratlp.strict_functional.calls"): 0.26,
-    ("charts", "abgrp.snf.calls"): 6.34,
+    ("charts", "abgrp.snf.calls"): 5.77,
     ("charts", "ratlp.in_cone.calls"): 0.667,
-    # An op validates the stalk once: the face's Smith form and the quotient's, no span one.
-    ("compare", "abgrp.snf.calls"): 2,
+    # An op validates the stalk once: the face's Smith form and the quotient's, no span one, and
+    # on the dense face the empty quotient's alone (39 per 22 ops; 44 with a dense face's own).
+    ("compare", "abgrp.snf.calls"): 1.773,
     # A chart keeps one Smith form of its Kummer congruences per support, which
     # the fibers and the deck group share (3.75 per op when each solved its own).
     ("torsor", "abgrp.snf.calls"): 1,

@@ -28,11 +28,16 @@ library did before it tried only the primes dividing it, and the saturation
 scan tests every certificate on every candidate point, as the library did
 before it scanned each row's interval of nonnegative certificates, and the
 Smith form runs its row and column operations through helper calls, as
-the library did before it ran them in place, and seeded exact points are
-drawn on a stratum from the ambient torus, as the library did before it
-took one distinguished point per stratum.  The normal form of a direct sum
-of cyclic groups is assembled prime by prime from its elementary divisors,
-with no Smith form.  The N-torsion of a fiber is counted by backtracking
+the library did before it ran them in place, and builds its identities
+entry by entry and checks its rows' lengths and types in two passes, as
+the library did before it built them row by row and read each input row
+once, and a stalk projects every face through the Smith form of its
+generators and builds the quotient through ``MonoidSpec.make``, as the
+library did before it read the dense face in closed form, and seeded exact
+points are drawn on a stratum from the ambient torus, as the library did
+before it took one distinguished point per stratum.  The normal form of a
+direct sum of cyclic groups is assembled prime by prime from its elementary
+divisors, with no Smith form.  The N-torsion of a fiber is counted by backtracking
 over (Z/N)^k, with no Smith form.  The cyclic-quotient charts 1/n(1, q)
 take their Hilbert basis, continued fraction and relations from closed
 forms, with no library import.  The quadric
@@ -57,7 +62,7 @@ from logcharts.abgrp import FgAbelianGroup, generator_matrix, smith_normal_form
 from logcharts.errors import InvalidMonoidSpec, RelationSynthesisIncomplete
 from logcharts.exactnum import GaussianRational, rational_nth_root, turn_mod1
 from logcharts.fibers import TorsorReport
-from logcharts.monoid import MonoidSpec
+from logcharts.monoid import MonoidSpec, validate
 from logcharts.profin import EquivalenceCertificate, LevelRecord
 from logcharts.ratlp import INFEASIBLE, OPTIMAL, UNBOUNDED
 from logcharts.semialg import CxPoint, KnPoint
@@ -392,6 +397,115 @@ def smith_normal_form_by_helpers(rows, cols):
             a[i][i] = -a[i][i]
             u[i] = [-x for x in u[i]]
     return tuple(map(tuple, u)), tuple(a[i][i] for i in range(limit)), tuple(map(tuple, v))
+
+
+def smith_normal_form_in_place(rows, cols: int):
+    """(U, diagonal, V) with U A V = D, and the same ValueError messages,
+    as ``logcharts.abgrp.smith_normal_form`` computed them with identities
+    built entry by entry and two passes of input checks: the same pivots."""
+    if any(len(row) != cols for row in rows):
+        raise ValueError(f"matrix rows {rows!r} do not all have {cols} entries")
+    if not {type(x) for row in rows for x in row} <= {int}:
+        raise ValueError(f"matrix entries must be exact integers, got {rows!r}")
+    a = [list(row) for row in rows]
+    rows = len(a)
+    u = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
+    v = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
+
+    t = 0
+    limit = min(rows, cols)
+    while t < limit:
+        # Bring the first entry of least magnitude of the trailing block to
+        # the pivot slot (none is less than 1); if the block is zero we are
+        # done.
+        best = 0
+        for i in range(t, rows):
+            row = a[i]
+            for j in range(t, cols):
+                x = row[j]
+                if x:
+                    size = x if x > 0 else -x
+                    if size < best or not best:
+                        best, pi, pj = size, i, j
+            if best == 1:
+                break
+        if not best:
+            break
+        if pi != t:
+            a[t], a[pi] = a[pi], a[t]
+            u[t], u[pi] = u[pi], u[t]
+        if pj != t:
+            for row in a[t:] + v:
+                row[t], row[pj] = row[pj], row[t]
+
+        dirty = True
+        while dirty:
+            dirty = False
+            for i in range(t + 1, rows):
+                ai = a[i]
+                if ai[t]:
+                    at = a[t]
+                    q = ai[t] // at[t]
+                    if q:
+                        for k in range(t, cols):
+                            ai[k] -= q * at[k]
+                        u[i] = [x - q * y for x, y in zip(u[i], u[t])]
+                    if ai[t]:
+                        # the remainder is less than the pivot in magnitude
+                        a[t], a[i] = ai, at
+                        u[t], u[i] = u[i], u[t]
+                        dirty = True
+            if dirty:
+                continue
+            at = a[t]
+            for j in range(t + 1, cols):
+                if at[j]:
+                    q = at[j] // at[t]
+                    if q:
+                        for row in a[t:] + v:
+                            row[j] -= q * row[t]
+                    if at[j]:
+                        for row in a[t:] + v:
+                            row[t], row[j] = row[j], row[t]
+                        dirty = True
+
+        # Divisibility: the pivot must divide every entry of the trailing
+        # block; if not, add the first offending row to row t and re-clear.
+        d = a[t][t]
+        if d == 1 or d == -1:
+            t += 1
+            continue
+        for i in range(t + 1, rows):
+            ai = a[i]
+            if any(ai[j] % d for j in range(t + 1, cols)):
+                a[t] = [x + y for x, y in zip(a[t], ai)]
+                u[t] = [x + y for x, y in zip(u[t], u[i])]
+                break
+        else:
+            t += 1
+
+    # Row i of the reduced matrix is zero off the diagonal.
+    for i in range(limit):
+        if a[i][i] < 0:
+            a[i][i] = -a[i][i]
+            u[i] = [-x for x in u[i]]
+    return tuple(map(tuple, u)), tuple(a[i][i] for i in range(limit)), tuple(map(tuple, v))
+
+
+def stalk_by_projection(m, f):
+    """(P/F, stalk rank) as ``logcharts.monoid.stalk`` built it on every
+    face: the Smith form U of F's generators, the last d - r rows of U
+    applied to the generators off F, the relations with F's coordinates
+    deleted, all through ``MonoidSpec.make`` and ``validate``."""
+    d, support = m.ambient_rank, set(f.support)
+    face_matrix = generator_matrix([m.generators[i] for i in f.support], d)
+    u, diag, _ = smith_normal_form_in_place(face_matrix, len(f.support))
+    r = sum(1 for x in diag if x != 0)
+    outside = [j for j in range(len(m.generators)) if j not in support]
+    gens = [[sum(map(operator.mul, row, m.generators[j])) for row in u[r:]] for j in outside]
+    rels = [([a[j] for j in outside], [b[j] for j in outside]) for a, b in m.relations]
+    quotient = validate(MonoidSpec.make(d - r, gens, rels), degree_bound=m.degree_bound)
+    return quotient, m.gp_lattice_rank - r
 
 
 def root_choices_by_scan(rows, offsets, n, k):

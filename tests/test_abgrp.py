@@ -1,5 +1,6 @@
 """Exact integer linear algebra: Smith form, cokernels, truncations."""
 
+import collections
 import math
 import random
 from fractions import Fraction
@@ -14,7 +15,8 @@ from logcharts.errors import InvalidMonoidSpec
 
 from oracles import (coset_count_bfs, coset_count_box, cyclic_sum_by_elementary_divisors, det,
                      diagonal, element_order_multiset, identity, is_unimodular, matmul,
-                     random_unimodular, smith_normal_form_by_helpers, tensor_mod_by_lists)
+                     random_unimodular, smith_normal_form_by_helpers, smith_normal_form_in_place,
+                     tensor_mod_by_lists)
 
 
 def snf_checks(rows, cols):
@@ -95,15 +97,45 @@ def test_snf_matches_the_helper_reference_on_the_golden_corpus(monkeypatch):
         assert smith_normal_form(rows, cols) == smith_normal_form_by_helpers(rows, cols), rows
 
 
+def test_snf_matches_the_in_place_reference():
+    # identities built row by row and one pass of input checks keep every
+    # pivot: the same (U, D, V), entry for entry, on entries in -9..9 with
+    # some of magnitude 10^30, and on zero rows and columns
+    rng = random.Random(20261021)
+    seen = collections.Counter()
+    for _ in range(6_000):
+        r, c = rng.randrange(0, 7), rng.randrange(0, 9)
+        rows = [[rng.choice((-1, 1)) * 10**30 if rng.random() < 0.05 else rng.randint(-9, 9)
+                 for _ in range(c)] for _ in range(r)]
+        if r and c and rng.random() < 0.3:
+            rows[rng.randrange(r)] = [0] * c
+        if r and c and rng.random() < 0.3:
+            j = rng.randrange(c)
+            for row in rows:
+                row[j] = 0
+        rows = tuple(map(tuple, rows))
+        assert smith_normal_form(rows, c) == smith_normal_form_in_place(rows, c), rows
+        seen["huge"] += any(abs(x) > 9 for row in rows for x in row)
+        seen["zero row"] += any(not any(row) for row in rows) and c > 0
+        seen["zero column"] += any(not any(col) for col in zip(*rows))
+        seen["empty"] += not r or not c
+    assert min(seen.values()) >= 500, seen
+
+
 @pytest.mark.parametrize("rows, cols", [
     (((1, 2), (3,)), 2), (((1, 2),), 3), (((1.0, 2),), 2), (((True, 2),), 2),
-    (((1, Fraction(2)),), 2), (((1, "2"),), 2),
-], ids=["ragged", "short", "float", "bool", "fraction", "string"])
+    (((1, Fraction(2)),), 2), (((1, "2"),), 2), (((1.0, 2), (3,)), 2), (((3,), (1.0, 2)), 2),
+], ids=["ragged", "short", "float", "bool", "fraction", "string", "float-then-ragged",
+        "ragged-then-float"])
 def test_snf_checks_its_input_once(rows, cols):
-    # the shape and every entry's type are checked on the way in; nothing
-    # is truncated to an int
-    with pytest.raises(ValueError, match="matrix"):
+    # the shape and every entry's type are checked on the way in, the shape
+    # of every row first, with the reference's message; nothing is
+    # truncated to an int
+    with pytest.raises(ValueError, match="matrix") as want:
+        smith_normal_form_in_place(rows, cols)
+    with pytest.raises(ValueError, match="matrix") as got:
         smith_normal_form(rows, cols)
+    assert str(got.value) == str(want.value)
 
 
 def test_generator_matrix_takes_vectors_in_z_d_as_columns():

@@ -10,12 +10,13 @@ from fractions import Fraction
 import pytest
 
 import cli_golden
+import logcharts
 import logcharts.fibers as fibers_mod
 import logcharts.monoid as monoid_mod
 from logcharts.abgrp import smith_normal_form
 from logcharts.cli import (MAX_BITS, ChartDocument, _parse_face, _parse_point, corpus_path,
                            load_chart, main)
-from logcharts.errors import ChartError, InvalidPoint, NotAFace
+from logcharts.errors import ChartError, InvalidChartFile, InvalidPoint, NotAFace
 from logcharts.monoid import faces, stalk, validate
 from logcharts.semialg import KnPoint
 from oracles import quadric_relations
@@ -52,6 +53,35 @@ def test_unknown_chart_fields_rejected():
         ChartDocument.from_json_dict([{"name": "x", "ambient_rank": 1, "generators": [[1]]}])
     with pytest.raises(ChartError, match="missing 'generators'"):
         ChartDocument.from_json_dict({"name": "x", "ambient_rank": 1})
+
+
+@pytest.mark.parametrize("text, message", [
+    (None, "cannot read chart file: "),
+    ('{"name": "x", "ambient_rank": 1,', "chart file is not valid JSON: "),
+    ('[{"name": "x", "ambient_rank": 1, "generators": [[1]]}]',
+     "chart document must be a JSON object"),
+    ('{"name": "x", "ambient_rank": 1, "generators": [[1]], "extra": 1}',
+     "unknown chart fields: ['extra']"),
+    ('{"name": "x", "ambient_rank": 1}', "chart document is missing 'generators'"),
+    ('{"name": "x", "ambient_rank": 1, "generators": [[1]], "relations": {}}',
+     "relations must be a list"),
+    ('{"name": "x", "ambient_rank": 1, "generators": [[1]], "relations": [{"lhs": [1]}]}',
+     "relation {'lhs': [1]} must have exactly lhs and rhs"),
+], ids=["unreadable", "not-json", "not-an-object", "unknown-field", "missing-field",
+        "relations-not-a-list", "relation-not-a-pair"])
+def test_chart_file_refusals_are_invalid_chart_file(tmp_path, capsys, text, message):
+    # each of load_chart's refusals has its own class, a ChartError, and the
+    # CLI still prints its message alone and exits 2
+    path = tmp_path / "chart.json"
+    if text is not None:
+        path.write_text(text, encoding="utf-8")
+    with pytest.raises(InvalidChartFile) as refused:
+        load_chart(str(path))
+    assert type(refused.value) is InvalidChartFile and str(refused.value).startswith(message)
+    assert isinstance(refused.value, ChartError) and logcharts.InvalidChartFile is InvalidChartFile
+    assert main(["info", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {refused.value}\n"
 
 
 def test_info_log_point(capsys):

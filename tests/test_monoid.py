@@ -26,7 +26,7 @@ from oracles import (congruence_complete_by_vectors, cyclic_quotient, diagonal,
                      quadric_relations,
                      grading_of, random_unimodular, saturation_box_by_lp,
                      saturation_scan_by_certificates, saturation_scan_by_lp,
-                     saturation_scan_inputs)
+                     saturation_scan_inputs, stalk_by_projection)
 
 
 def n_monoid():
@@ -430,6 +430,66 @@ def test_stalk_of_nonsaturated_sublattice_presentation():
     assert r == 1 and q.gp_lattice_rank == 1  # stalk's validate returned: sharp
 
 
+def _stalk_path_charts():
+    """The corpus charts, the 45 cyclic-quotient charts 1/n(1, q) with
+    n <= 12 and their relations, and 60 seeded valid charts."""
+    charts = _corpus_charts()
+    for n in range(2, 13):
+        for q in range(1, n):
+            if math.gcd(n, q) == 1:
+                basis, _, relations = cyclic_quotient(n, q)
+                charts.append(validate(MonoidSpec.make(2, basis, relations)))
+    return charts + list(_random_valid_charts(random.Random(48), 60))
+
+
+def test_stalk_matches_the_projection_on_every_face():
+    # the quotient, its lattice coordinates and its rank, or the refusal
+    # with its class, message and witness, are those of the projection
+    # through every face's Smith form and MonoidSpec.make
+    seen = collections.Counter()
+    for m in _stalk_path_charts():
+        for f in faces(m):
+            outcomes = []
+            for build in (stalk, stalk_by_projection):
+                try:
+                    outcomes.append(build(m, f))
+                except ChartError as err:
+                    outcomes.append(err)
+            got, want = outcomes
+            if isinstance(want, ChartError):
+                assert type(got) is type(want) and str(got) == str(want), (m, f, got)
+                assert [getattr(got, key, None) for key in ("witness", "degree")] == [
+                    getattr(want, key, None) for key in ("witness", "degree")], (m, f)
+                seen[type(want).__name__] += 1
+                continue
+            assert got == want and got[0]._lattice == want[0]._lattice, (m, f)
+            dense = len(f.support) == m.generator_count
+            seen["dense" if dense else "vertex" if not f.support else "proper"] += 1
+            seen["dense, group rank below d"] += dense and m.gp_lattice_rank < m.ambient_rank
+    assert seen["dense"] == 4 + 45 + 60 and seen["dense, group rank below d"] >= 20, seen
+    assert seen["proper"] >= 300 and seen["vertex"] == 4 + 45 + 60, seen
+    assert seen["SaturationFailure"] >= 80 and seen["RelationSynthesisIncomplete"] >= 15, seen
+
+
+def test_the_dense_face_runs_no_face_smith_form(monkeypatch):
+    # the dense face leaves nothing to project: the one Smith form is the
+    # empty quotient's, of no columns, in validate
+    calls = []
+
+    def counting(rows, cols):
+        calls.append(cols)
+        return smith_normal_form(rows, cols)
+
+    monkeypatch.setattr(monoid, "smith_normal_form", counting)
+    for m in _stalk_path_charts():
+        dense = faces(m)[-1]
+        assert len(dense.support) == m.generator_count
+        calls.clear()
+        q, r = stalk(m, dense)
+        assert calls == [0] and r == 0 and q.generators == (), m
+        assert q.ambient_rank == m.ambient_rank - m.gp_lattice_rank, m
+
+
 def _refuse_synthesis(monkeypatch):
     def refuse(*args):
         raise AssertionError("a stalk keeps the chart's relations")
@@ -558,7 +618,7 @@ def test_relation_verification_is_exact_on_random_valid_relations():
         c = rng.randrange(1, 4)
         rel = (tuple(c * x for x in base_r), tuple(c * x for x in base_s))
         spec = MonoidSpec.make(2, [[1, 0], [1, 1], [1, 2]], [rel])
-        monoid._verify_relation(spec, rel)
+        monoid._verify_relation(spec, generator_matrix(spec.generators, 2), rel)
         if c == 1:
             assert validate(spec).relations == (rel,)
             continue
