@@ -99,13 +99,14 @@ def _plain(value):
 
 
 def _parse_face(text, m):
+    """The face whose support is the comma-separated indices, each plain
+    ASCII digits once spaces are stripped; blank text is the vertex."""
     if text is None or text.strip() == "":
         return face_with_support(m, [])
-    try:
-        indices = [int(x) for x in text.split(",") if x.strip() != ""]
-    except ValueError as err:
-        raise NotAFace(f"face {text!r} is not a list of generator indices") from err
-    return face_with_support(m, indices)
+    items = [x.strip() for x in text.split(",")]
+    if not all(x.isascii() and x.isdigit() for x in items):
+        raise NotAFace(f"face {text!r} is not a list of generator indices")
+    return face_with_support(m, [int(x) for x in items])
 
 
 def _parse_point(text):

@@ -11,12 +11,17 @@ because mu_n(P) = (Z/n)^r, and its level n is ``monoid.mu(P, n)``.
 
 Level-wise comparison of invariant factors plus transition coherence up
 to a bound is the checkable shadow of pro-equivalence, not a categorical
-pro-isomorphism.  Coherence is checked on the pairs (m, m), which says
-level m is m-torsion, and (m, m/p) for each prime p | m: (A/(m/p)A)/nA =
-A/nA for n | m/p, so by induction on m/n these imply every pair n | m.  A
-walk reads each m's covering pairs off one least-prime-factor table of
-1..bound.  A comparison walks them on one tower, as matching levels are
-equal, and the walk reads the levels its certificate reports.
+pro-isomorphism.  The covering pairs of m are (m, m), which says level m
+is m-torsion, and (m, m/p) for each prime p | m: (A/(m/p)A)/nA = A/nA for
+n | m/p, so by induction on m/n the covering pairs of every m <= bound
+imply every pair n | m.  Truncation composes, (X/kX)/nX = X/nX for n | k,
+so a walk checks fewer pairs: every covering pair of each m above bound/2,
+and below it only (m, m/2) for even m.  Downward from bound, the covering
+pairs of 2m give (m, m) through (2m, m), and (m, m/p) for an odd prime p
+through (2m, m), (2m, 2m/p) and (2m/p, m/p), the last being the checked
+pair of the even level 2m/p.  A walk reads the covering pairs off one
+least-prime-factor table.  A comparison walks one tower, as matching
+levels are equal, and the walk reads the levels its certificate reports.
 """
 
 from __future__ import annotations
@@ -76,8 +81,8 @@ def _checked_bound(bound) -> int:
     return bound
 
 
-def _covering_divisors(bound: int):
-    """For m = 1..bound in turn, the list [m, m/p1, m/p2, ...] over the
+def _covering_divisors(bound: int, start: int = 1):
+    """For m = start..bound in turn, the list [m, m/p1, m/p2, ...] over the
     primes p1 < p2 < ... dividing m, read off one table of least prime
     factors.  Writing each p <= sqrt(bound) at p^2, p^2 + p, ... in
     descending order of p leaves the least p | q with p^2 <= q at every
@@ -85,7 +90,7 @@ def _covering_divisors(bound: int):
     least = list(range(bound + 1))
     for p in range(isqrt(bound), 1, -1):
         least[p * p::p] = [p] * ((bound - p * p) // p + 1)
-    for m in range(1, bound + 1):
+    for m in range(start, bound + 1):
         covers, rest = [m], m
         while rest > 1:
             p = least[rest]
@@ -97,15 +102,23 @@ def _covering_divisors(bound: int):
 
 def _first_incoherent(tower: FiniteAbelianProSystem, bound: int) -> int | None:
     """The target n of one tower's first failing pair n | m <= bound, in
-    order of m then n, or None.  The covering pairs, read off one sieve,
-    find the first failing m; every level below it coheres, so its
-    divisors hold the first pair."""
+    order of m then n, or None.  The walk checks the generating pairs of
+    the module note and stops at its first failing level m'; that pair
+    bounds the first failing pair, so only then do the covering pairs of
+    1..m' find the first failing m, whose divisors hold the first pair."""
     coherent = tower.transition_consistent
-    for covers in _covering_divisors(bound):
-        m = covers[0]
-        if not all(coherent(m, n) for n in covers):
-            return next(n for n in range(1, m + 1) if m % n == 0 and not coherent(m, n))
-    return None
+
+    def first_failing(walk):
+        return next((covers[0] for covers in walk
+                     if not all(coherent(covers[0], n) for n in covers)), None)
+
+    half = bound // 2
+    failed = (next((m for m in range(2, half + 1, 2) if not coherent(m, m // 2)), None)
+              or first_failing(_covering_divisors(bound, half + 1)))
+    if failed is None:
+        return None
+    m = first_failing(_covering_divisors(failed))
+    return next(n for n in range(1, m + 1) if m % n == 0 and not coherent(m, n))
 
 
 class LevelRecord(Record):
@@ -129,12 +142,14 @@ def equivalent_up_to(a: FiniteAbelianProSystem, b: FiniteAbelianProSystem,
     """Level-wise equivalence of two towers up to the bound.
 
     True iff every level n <= bound has isomorphic invariant factors on both
-    sides and a coheres on the covering pairs of the module note; b's levels
-    then equal a's, so b needs no walk.  The walk reads a's levels 1..bound
-    as built for the records.  Towers that complete one group share a's
-    level table, so bound levels are built in all, and 2 * bound otherwise.
-    A bound below 1 or above 100,000 levels is refused before any level is
-    computed.
+    sides and a coheres on the generating pairs of the module note, which
+    imply every pair n | m <= bound; b's levels then equal a's, so b needs
+    no walk.  The witness is the first level that differs, else the target
+    of a's first failing pair in order of m then n.  The walk reads a's
+    levels 1..bound as built for the records.  Towers that complete one
+    group share a's level table, so bound levels are built in all, and
+    2 * bound otherwise.  A bound below 1 or above 100,000 levels is
+    refused before any level is computed.
     """
     bound = _checked_bound(bound)
     if a == b:

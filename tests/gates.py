@@ -21,6 +21,12 @@ PER_OP = {  # (traced workload, metric) -> the largest value per op that passes
     # An op validates the stalk once: the face's Smith form and the quotient's, no span one, and
     # on the dense face the empty quotient's alone (39 per 22 ops; 44 with a dense face's own).
     ("compare", "abgrp.snf.calls"): 1.773,
+    # The coherence walk checks (m, m/2) for even m <= bound/2 and every covering pair above
+    # bound/2 (5,066 per 110 ops); the full covering walk made 72.65 per op.
+    ("compare", "profin.transition.calls"): 46.06,
+    # The records read levels 1..bound and the walk its checks' two levels (16,360 per 110 ops,
+    # 201.9 under the full covering walk).
+    ("compare", "profin.level.calls"): 148.73,
     # A chart keeps one Smith form of its Kummer congruences per support, which
     # the fibers and the deck group share (3.75 per op when each solved its own).
     ("torsor", "abgrp.snf.calls"): 1,

@@ -722,6 +722,15 @@ def covers_by_trial_division(m):
     return out
 
 
+def generating_pairs(bound):
+    """The pairs the coherence walk checks on a coherent tower, in its
+    order: (m, m/2) for each even m <= bound/2, then (m, n) for each n in
+    covers_by_trial_division(m), for m from bound/2 + 1 to bound."""
+    half = bound // 2
+    return ([(m, m // 2) for m in range(2, half + 1, 2)]
+            + [(m, n) for m in range(half + 1, bound + 1) for n in covers_by_trial_division(m)])
+
+
 def _divisor_pairs(bound):
     """Every pair (m, n) with n | m <= bound, in order of m then n, each
     m's divisors found by scanning 1..m."""
@@ -731,6 +740,13 @@ def _divisor_pairs(bound):
 def coherent_by_all_pairs(tower, bound):
     """Transition coherence of one tower on every pair n | m <= bound."""
     return all(tower.transition_consistent(m, n) for m, n in _divisor_pairs(bound))
+
+
+def first_incoherent_by_all_pairs(tower, bound):
+    """The target n of the tower's first failing pair n | m <= bound, in
+    order of m then n, or None."""
+    return next((n for m, n in _divisor_pairs(bound) if not tower.transition_consistent(m, n)),
+                None)
 
 
 def equivalent_by_all_pairs(a, b, bound):

@@ -547,6 +547,28 @@ def test_a_face_that_is_no_list_of_indices_is_not_a_face(capsys):
         "error: face '0,x' is not a list of generator indices\n")
 
 
+@pytest.mark.parametrize("text", [",", "0,,2", "0,", "٢", "1_0", "1 0", "-1", "+1"],
+                         ids=["comma", "empty-item", "trailing-comma", "arabic-indic-digit",
+                              "underscore", "inner-space", "minus", "plus"])
+def test_a_malformed_face_is_refused_as_typed(capsys, text):
+    # int() reads "1_0" as 10 and the Arabic-Indic digit as 2, and empty items
+    # were dropped, so each named a face the user did not type
+    m = validate(load_chart(corpus_path("a1_cone")).spec)
+    message = f"face {text!r} is not a list of generator indices"
+    with pytest.raises(NotAFace) as refused:
+        _parse_face(text, m)
+    assert str(refused.value) == message
+    assert main(["compare", corpus_path("a1_cone"), "--bound", "3", "--face", text]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_blank_face_text_is_the_vertex_and_spaces_around_indices_are_stripped():
+    m = validate(load_chart(corpus_path("a1_cone")).spec)
+    assert _parse_face("", m).support == _parse_face(" ", m).support == ()
+    assert _parse_face(" 0 ", m).support == (0,)
+    assert _parse_face("0, 1 ,2", m).support == (0, 1, 2)
+
+
 @pytest.mark.parametrize("text, message", [
     ("{", "point is not valid JSON: Expecting property name enclosed in double quotes: "
           "line 1 column 2 (char 1)"),

@@ -31,8 +31,8 @@ from logcharts.monoid import (MonoidSpec, _decide, face_with_support, faces, mu,
 from logcharts.profin import FiniteAbelianProSystem, equivalent_up_to
 from logcharts.semialg import CxPoint, KnPoint, check_membership, tau
 from logcharts.strata import stratum_of_point
-from oracles import (kn_kummer_fiber_by_fractions, quadric_relations, root_choices_by_scan,
-                     sample_kn_stratum, torsor_report_by_fractions)
+from oracles import (generating_pairs, kn_kummer_fiber_by_fractions, quadric_relations,
+                     root_choices_by_scan, sample_kn_stratum, torsor_report_by_fractions)
 
 
 def n_monoid():
@@ -157,7 +157,7 @@ def test_fiber_comparison_computes_the_stalk_once(monkeypatch):
 
 
 def test_fiber_comparison_walks_the_coherence_pairs_once(monkeypatch):
-    # the covering pairs up to 100 are 271, and the stalk's tower, whose
+    # the generating pairs up to 100 are 169, and the stalk's tower, whose
     # levels the level table has shown equal, is not walked a second time
     calls = []
     real_transition = FiniteAbelianProSystem.transition_consistent
@@ -170,7 +170,7 @@ def test_fiber_comparison_walks_the_coherence_pairs_once(monkeypatch):
                         counting_transition)
     m = a1_cone()
     ok, _ = verify_fiber_equivalence(m, face_with_support(m, []), 100)
-    assert ok and len(calls) == 271
+    assert ok and calls == generating_pairs(100) and len(calls) == 169
 
 
 def test_fiber_comparison_fails_when_its_two_ranks_differ(monkeypatch):

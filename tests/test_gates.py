@@ -56,3 +56,24 @@ def test_every_committed_bench_record_has_the_records_keys():
             if words[0] == "traced":
                 value = record["workloads"][words[1]]["per_op"][words[2]]
                 assert entry["measured"] == f"{value:.3f} per op", (path, entry)
+
+
+def test_every_mutant_ledger_entry_has_a_module_a_label_and_a_verdict():
+    # tests/data/mutants.json holds one entry per surviving mutant, labelled as
+    # tests/mutants.py prints it: equivalent with its argument, a gap with the
+    # test that now kills it, or dead once its code is deleted
+    with open(os.path.join(ROOT, "tests", "data", "mutants.json"), encoding="utf-8") as handle:
+        ledger = json.load(handle)
+    assert ledger
+    for entry in ledger:
+        module = entry["module"]
+        assert os.path.isfile(os.path.join(ROOT, "src", "logcharts", f"{module}.py")), entry
+        assert re.fullmatch(rf"{module}\.py:\d+: \S.* -> \S.*", entry["mutant"]), entry
+        reason = {"equivalent": "argument", "gap": "test", "dead": "argument"}[entry["verdict"]]
+        assert entry.get(reason), entry
+        if entry["verdict"] == "gap":
+            path, name = entry["test"].split("::")
+            with open(os.path.join(ROOT, path), encoding="utf-8") as handle:
+                assert f"def {name}(" in handle.read(), entry
+    labels = [(entry["module"], entry["mutant"]) for entry in ledger]
+    assert len(labels) == len(set(labels))

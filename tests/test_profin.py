@@ -13,7 +13,8 @@ from logcharts.fibers import verify_fiber_equivalence
 from logcharts.monoid import MonoidSpec, face_with_support, mu, validate
 from logcharts.profin import FiniteAbelianProSystem, _first_incoherent, equivalent_up_to
 from oracles import (coherent_by_all_pairs, covers_by_trial_division, diagonal,
-                     equivalent_by_all_pairs, transition_consistent_by_groups)
+                     equivalent_by_all_pairs, first_incoherent_by_all_pairs, generating_pairs,
+                     transition_consistent_by_groups)
 
 Z = FgAbelianGroup.free(1)
 
@@ -207,6 +208,93 @@ def test_covering_pair_coherence_matches_all_pairs_oracle(monkeypatch):
     assert not tally[False, True, 1] and not tally[False, True, 2]
 
 
+def _corrupted_level(g, n, rng):
+    """A wrong value for level n of the completion of g: another group's
+    truncation at n, a group with free rank, or g's truncation at k != n."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        return tensor_mod(rng.choice(COHERENCE_GROUPS), n)
+    if kind == 1:
+        return _cyclic_sum([0] + rng.choices(range(7), k=rng.randint(0, 2)))
+    return tensor_mod(g, rng.choice([k for k in range(1, 2 * n + 2) if k != n]))
+
+
+def test_many_corrupted_levels_give_the_all_pairs_witness(monkeypatch):
+    # up to three wrong levels per tower, each on a, on b or on both
+    rng = random.Random(20151149)
+    true_level = FiniteAbelianProSystem.level
+    wrong = {}
+
+    def level(self, n):
+        found = wrong.get(id(self), {}).get(n)
+        return true_level(self, n) if found is None else found
+
+    monkeypatch.setattr(FiniteAbelianProSystem, "level", level)
+    tally = Counter()
+    for _ in range(2_000):
+        g, bound = rng.choice(COHERENCE_GROUPS), rng.randint(1, 48)
+        a = FiniteAbelianProSystem(g)
+        b = FiniteAbelianProSystem(g if rng.random() < 0.8 else rng.choice(COHERENCE_GROUPS))
+        wrong.clear()
+        for n in rng.sample(range(1, bound + 1), min(bound, rng.randint(0, 3))):
+            value = _corrupted_level(g, n, rng)
+            for tower in rng.choice(((a,), (b,), (a, b))):
+                wrong.setdefault(id(tower), {})[n] = value
+        witness = _first_incoherent(a, bound)
+        assert witness == first_incoherent_by_all_pairs(a, bound), (g, bound, wrong)
+        assert _first_incoherent(b, bound) == first_incoherent_by_all_pairs(b, bound)
+        result = equivalent_up_to(a, b, bound)
+        assert result == equivalent_by_all_pairs(a, b, bound), (g, bound, wrong)
+        corrupted = sorted(wrong.get(id(a), {}))
+        tally[len(corrupted), witness is None] += 1
+        # the witness is not always the least wrong level, nor at the first failing m
+        if witness is not None and corrupted:
+            tally["below the least wrong level"] += witness < corrupted[0]
+            tally["above the least wrong level"] += witness > corrupted[0]
+    assert all(tally[k, False] for k in (1, 2, 3)) and tally[0, True], tally
+    assert tally[1, True] and sum(tally[k, False] for k in (1, 2, 3)) >= 500, tally
+    assert tally["below the least wrong level"] and tally["above the least wrong level"], tally
+
+
+@pytest.mark.parametrize("w, wrong, witness", [
+    # 50,004 = 2^2 3^3 463 read as its truncation at 50,004 / 3: (w, 27) is the
+    # first failing pair, and (w, 25,002) the first the walk checks
+    (50_004, FgAbelianGroup(0, (16_668,)), 27),
+    # a trivial level 3 is 3-torsion and passes (3, 1); (6, 3) fails first
+    (3, FgAbelianGroup(0), 3),
+])
+def test_a_wrong_level_at_the_cap_costs_one_covering_walk_to_it(monkeypatch, w, wrong, witness):
+    true_level = FiniteAbelianProSystem.level
+    monkeypatch.setattr(FiniteAbelianProSystem, "level",
+                        lambda self, n: wrong if n == w else true_level(self, n))
+    calls = []
+    original = FiniteAbelianProSystem.transition_consistent
+
+    def recording(self, m, n):
+        calls.append((m, n))
+        return original(self, m, n)
+
+    monkeypatch.setattr(FiniteAbelianProSystem, "transition_consistent", recording)
+    tower, bound = FiniteAbelianProSystem(Z), 100_000
+    assert _first_incoherent(tower, bound) == witness
+    failing_level = max(m for m, n in calls)
+    walked = len(calls)
+    # the true levels cohere, so only the pairs that touch w can fail; in
+    # the all-pairs order they are (w, n) for n | w, then (k w, w)
+    touching = ([(w, n) for n in range(1, w + 1) if w % n == 0]
+                + [(m, w) for m in range(2 * w, bound + 1, w)])
+    assert next(n for m, n in touching if not original(tower, m, n)) == witness
+    # the all-pairs scan tries every n <= m before its first failing pair:
+    # cheap for w = 3, about 1.25e9 candidates for w = 50,004
+    if w < 10:
+        assert first_incoherent_by_all_pairs(tower, bound) == witness
+    # at most the generating pairs, one covering walk up to the failing
+    # level and that level's divisors, not every pair below it
+    covering = sum(len(covers) for covers in profin._covering_divisors(failing_level))
+    divisors = sum(1 for n in range(1, failing_level + 1) if failing_level % n == 0)
+    assert walked <= len(generating_pairs(bound)) + covering + divisors, walked
+
+
 def test_coherence_needs_the_torsion_pair_m_m(monkeypatch):
     # level(n) = Z/2n above bound/2 passes every prime step (m, m/p), since
     # m/p <= bound/2, but level m is not m-torsion
@@ -222,25 +310,28 @@ def test_coherence_needs_the_torsion_pair_m_m(monkeypatch):
     assert (ok, cert) == equivalent_by_all_pairs(a, b, bound)
 
 
-def test_coherence_checks_only_the_covering_pairs(monkeypatch):
-    # the pair (m, m) and one pair (m, m/p) per prime p | m
-    calls = Counter()
+def test_coherence_walks_the_generating_pairs(monkeypatch):
+    # (m, m/2) for each even m <= bound/2, and above bound/2 the pair (m, m)
+    # and one pair (m, m/p) per prime p | m, each once and in that order
+    calls = []
     original = FiniteAbelianProSystem.transition_consistent
 
-    def counting(self, m, n):
-        calls[id(self)] += 1
+    def recording(self, m, n):
+        calls.append((id(self), m, n))
         return original(self, m, n)
 
-    monkeypatch.setattr(FiniteAbelianProSystem, "transition_consistent", counting)
+    monkeypatch.setattr(FiniteAbelianProSystem, "transition_consistent", recording)
     log_point = validate(MonoidSpec.make(1, [[1]]))
     a = FiniteAbelianProSystem(Z)
     b = FiniteAbelianProSystem(FgAbelianGroup.free(log_point.gp_lattice_rank))
     ok, _ = equivalent_up_to(a, b, 100)
     # the level check has shown b's levels equal to a's, so b is not walked
-    assert ok and calls == {id(a): 271}
-    for bound, pairs in ((10, 21), (30, 73), (100, 271)):
+    assert ok and calls == [(id(a), m, n) for m, n in generating_pairs(100)]
+    for bound, pairs in ((1, 1), (2, 2), (3, 4), (10, 14), (30, 46), (100, 169)):
         calls.clear()
-        assert _first_incoherent(a, bound) is None and calls == {id(a): pairs}
+        assert _first_incoherent(a, bound) is None
+        assert calls == [(id(a), m, n) for m, n in generating_pairs(bound)]
+        assert len(calls) == pairs, bound
 
 
 def test_sieved_covers_match_trial_division():
