@@ -16,7 +16,8 @@ rows pinning its other coordinates, kept with its Smith form in the
 chart's table (``monoid._presentation``) for the fibers and the deck group
 (zero offsets); every fiber, log or algebraic, is assembled from a table of
 each coordinate's n roots, and the torsor check lifts each log fiber
-point to its root indices against the point it covers.  Circle
+point to its root indices against the point it covers, codes them as one
+mixed-radix integer, and moves codes by translation tables.  Circle
 coordinates are turns, so the n-th roots of coordinate i are (t_i + j) / n
 turns.  A relation's offset is the point's turn sum, a whole number of
 turns.  The point rules live in the point layer, and the fibers read
@@ -217,11 +218,12 @@ def algebraic_kummer_fiber(m: AffineMonoid, p: CxPoint, n: int) -> list[CxPoint]
         fiber = _assemble(table, choices)
         if all(c is not None for coords in fiber for c in coords):
             return [CxPoint(coords, True) for coords in fiber]
-    # Coordinate i takes only the n roots |z_i|^(1/n) exp(2 pi i (t_i + j)/n).
+    # Coordinate i takes only the n roots |z_i|^(1/n) exp(2 pi i (t_i + j)/n),
+    # finite since p's modulus is, so the points are built with no re-check.
     magnitudes = [abs(z) ** (1.0 / n) for z in values]
     table = [[magnitudes[i] * unit_from_turn_float(turns[i] / n + j / n) for j in range(n)]
              if i in face.support else [0j] for i in range(k)]
-    return [CxPoint.floating(coords) for coords in _assemble(table, choices)]
+    return [CxPoint(coords, False) for coords in _assemble(table, choices)]
 
 
 def _exact_algebraic_table(p, n, support):
@@ -269,28 +271,39 @@ class TorsorReport(Record):
 def _root_indices(fiber, p: KnPoint, roots, n: int):
     """Root indices c of each fiber point, pt_i = (roots_i, (t_i + c_i) / n
     turns) for p's turns t_i, read once: n a_i - t_i must be whole, checked
-    on integers.  Radii must be roots_i, compared by identity first."""
-    turns = [t.as_integer_ratio() for _, t in p.values]
-    lifts = []
+    on integers.  Radii must be roots_i, compared by identity first.  Also
+    each point's code, the mixed-radix integer sum of c_i n^(k-1-i)."""
+    turns = [(n * v, u, v) for u, v in (t.as_integer_ratio() for _, t in p.values)]
+    lifts, codes = [], []
     for pt in fiber:
-        indices = []
-        for (rho, a), (u, v), root in zip(pt.values, turns, roots):
+        indices, code = [], 0
+        for (rho, a), (nv, u, v), root in zip(pt.values, turns, roots):
             (x, y) = a.as_integer_ratio()
-            c, off = divmod(n * x * v - u * y, y * v)
+            c, off = divmod(nv * x - u * y, y * v)
             if off or rho is not root and rho != root:
                 raise _not_a_root(pt, p, n, "radii or turns")
-            indices.append(c % n)
-        lifts.append(tuple(indices))
-    return lifts
+            c %= n
+            indices.append(c)
+            code = code * n + c
+        lifts.append(indices)
+        codes.append(code)
+    return lifts, codes
 
 
 def _not_a_root(pt, p, n: int, what: str):
     return FalsifiedProperty(f"fiber point {pt} is not a degree-{n} root of {p} ({what})")
 
 
-def _act(c, u, n: int):
-    """The deck element u on root indices c: u_i / n turns on circle i."""
-    return tuple([(a + b) % n for a, b in zip(c, u)])
+def _act(u, n: int):
+    """The deck element u, u_i / n turns on circle i, as a translation
+    table on codes: row i sends a to (a + u_i mod n) n^(k-1-i), so the code
+    of c + u mod n is the sum of the rows' entries at c."""
+    table, place = [], 1
+    for b in reversed(u):
+        digits = list(range(0, n * place, place))
+        table.append(digits[b:] + digits[:b])
+        place *= n
+    return table[::-1]
 
 
 def torsor_check(m: AffineMonoid, p: KnPoint, n: int) -> tuple[bool, TorsorReport]:
@@ -301,9 +314,12 @@ def torsor_check(m: AffineMonoid, p: KnPoint, n: int) -> tuple[bool, TorsorRepor
     acting on root indices by c + u mod n.  The base point's radii are
     checked to be n-th roots of p's, the fiber is lifted against them and
     p's turns (``_root_indices``), and the base must solve K c = -offsets
-    mod n.  The flags, read off the orbit map u -> u . base, carry this to
-    the coset base + u: ``transitive`` iff the map is onto, ``free`` iff it
-    is injective (an abelian group's stabilizers are constant on an orbit),
+    mod n.  Lifts are coded as the integers sum c_i n^(k-1-i), and a vector
+    acts on codes by its translation table of k n integers (``_act``): the
+    base's for the orbit map, one per Smith-form generator for the sweep.
+    The flags, read off the orbit map u -> u . base, carry this to the
+    coset base + u: ``transitive`` iff the map is onto, ``free`` iff it is
+    injective (an abelian group's stabilizers are constant on an orbit),
     ``preserves_fiber`` iff every image and every Smith-form generator's
     image of a point lies in the fiber.  A failing point raises
     FalsifiedProperty naming it.  The orbit table gives, per fiber point,
@@ -319,12 +335,13 @@ def torsor_check(m: AffineMonoid, p: KnPoint, n: int) -> tuple[bool, TorsorRepor
                for rho, (r, _) in zip(roots, p.values)
                for g in [math.gcd(n * r.degree, rho.degree)]):
         raise _not_a_root(fiber[0], p, n, "radii or relation congruences")
-    lifts = _root_indices(fiber, p, roots, n)
+    lifts, codes = _root_indices(fiber, p, roots, n)
     offsets = [c for c, _ in _turn_offsets(rows, [t for _, t in p.values])]
     if any((sum(map(operator.mul, row, lifts[0])) + b) % n for row, b in zip(rows, offsets)):
         raise _not_a_root(fiber[0], p, n, "radii or relation congruences")
-    index = {c: i for i, c in enumerate(lifts)}
-    images = [index.get(_act(lifts[0], u, n)) for u in chars]
+    index = {c: i for i, c in enumerate(codes)}
+    base = _act(lifts[0], n)  # base + u is u translated by the base
+    images = [index.get(sum(map(list.__getitem__, base, u))) for u in chars]
     located = [i for i in images if i is not None]
     first = {where: ci for ci, where in reversed(list(enumerate(images)))}
     report = TorsorReport(
@@ -332,7 +349,8 @@ def torsor_check(m: AffineMonoid, p: KnPoint, n: int) -> tuple[bool, TorsorRepor
         group_order=len(chars),
         fiber_size=len(fiber),
         preserves_fiber=len(located) == len(images) and all(
-            _act(c, g, n) in index for g in generators for c in lifts),
+            sum(map(list.__getitem__, table, c)) in index
+            for table in (_act(g, n) for g in generators) for c in lifts),
         free=len(set(located)) == len(located),
         transitive=all(i in first for i in range(len(fiber))),
         orbit_table=tuple(first.get(i, -1) for i in range(len(fiber))),

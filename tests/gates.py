@@ -111,7 +111,7 @@ def public_names() -> int:
     return sum(map(len, ast.literal_eval(homes).values()))
 
 
-def main(chart, walked) -> int:
+def main(chart, walked, square) -> int:
     # Per-module and total counts, and the public names, for the round's deletion ledger.
     lines = {os.path.basename(p): pathlib.Path(p).read_text(encoding="utf-8").count("\n")
              for p in sorted(glob.glob("src/logcharts/*.py"))}
@@ -136,6 +136,10 @@ def main(chart, walked) -> int:
         ("cold torsor at the largest prime level on a radical radius",
          [PY, "-m", "logcharts.cli", "torsor", "src/logcharts/data/charts/log_point.json", "99991",
           "--point", '{"radii": ["(99999999/99999998)^(1/64)"], "turns": ["1/3"]}'], SRC, 60, 150),
+        # 46^3 = 97,336 is the largest rank-3 fiber the cap admits: the lifts, their codes and
+        # the deck action's translation tables are largest on the square cone's vertex there.
+        ("cold torsor at the rank-3 fiber cap",
+         [PY, "-m", "logcharts.cli", "torsor", square, "46"], SRC, 30, 110),
         ("comparison at the level cap", [PY, "-c", COMPARE], SRC, 60, 80),
         # A changed CLI output fails with a unified diff of each differing entry; a hanging
         # entry fails at the timeout, 30 times the corpus's 2 s.
@@ -189,4 +193,8 @@ if __name__ == "__main__":
         walked = pathlib.Path(tmp, "one_two_three.json")
         walked.write_text('{"name": "one-two-three", "ambient_rank": 1, '
                           '"generators": [[1], [2], [3]]}')
-        sys.exit(main(str(chart), str(walked)))
+        square = pathlib.Path(tmp, "square_cone.json")
+        square.write_text('{"name": "square-cone", "ambient_rank": 3, "generators": [[1, 0, 0], '
+                          '[1, 1, 0], [1, 0, 1], [1, 1, 1]], "relations": [{"lhs": [1, 0, 0, 1], '
+                          '"rhs": [0, 1, 1, 0]}]}')
+        sys.exit(main(str(chart), str(walked), str(square)))

@@ -10,7 +10,9 @@ are solved by the Fraction-tableau simplex the library used to run, and
 Kummer fibers and torsor checks act on Fraction turns as the library did
 before it moved exact angles to integer residues, and tower coherence is
 checked on every divisor pair n | m, as the library did before it checked
-only the covering pairs, and relation completeness is decided by
+only the covering pairs, and the deck action moves root-index tuples and
+looks each image up by its tuple, as the library did before it acted on
+integer codes through translation tables, and relation completeness is decided by
 union-find over every degree-bounded exponent vector, as the library did
 before it walked the monoid's elements degree by degree, and the
 saturation box is bounded by one exact LP per axis and direction, as the
@@ -57,7 +59,7 @@ from collections import deque
 from fractions import Fraction
 from math import gcd
 
-from logcharts import ratlp
+from logcharts import fibers, ratlp
 from logcharts.abgrp import FgAbelianGroup, generator_matrix, smith_normal_form
 from logcharts.errors import InvalidMonoidSpec, RelationSynthesisIncomplete
 from logcharts.exactnum import GaussianRational, rational_nth_root, turn_mod1
@@ -65,7 +67,7 @@ from logcharts.fibers import TorsorReport
 from logcharts.monoid import MonoidSpec, validate
 from logcharts.profin import EquivalenceCertificate, LevelRecord
 from logcharts.ratlp import INFEASIBLE, OPTIMAL, UNBOUNDED
-from logcharts.semialg import CxPoint, KnPoint
+from logcharts.semialg import CxPoint, KnPoint, _turn_offsets
 
 
 def hnf_column_basis(entries, rows, cols):
@@ -705,6 +707,61 @@ def torsor_report_by_fractions(m, p, n):
         free=len(set(located)) == len(located),
         transitive=all(x >= 0 for x in orbit_table),
         orbit_table=tuple(orbit_table),
+    )
+
+
+def _root_indices_as_tuples(fiber, p, roots, n):
+    """Root indices c of each fiber point as a tuple, pt_i = (roots_i,
+    (t_i + c_i) / n turns) for p's turns t_i, as the library lifted them
+    before it coded them as integers."""
+    turns = [t.as_integer_ratio() for _, t in p.values]
+    lifts = []
+    for pt in fiber:
+        indices = []
+        for (rho, a), (u, v), root in zip(pt.values, turns, roots):
+            (x, y) = a.as_integer_ratio()
+            c, off = divmod(n * x * v - u * y, y * v)
+            if off or rho is not root and rho != root:
+                raise fibers._not_a_root(pt, p, n, "radii or turns")
+            indices.append(c % n)
+        lifts.append(tuple(indices))
+    return lifts
+
+
+def act_on_tuples(c, u, n):
+    """The deck element u on root indices c: u_i / n turns on circle i."""
+    return tuple([(a + b) % n for a, b in zip(c, u)])
+
+
+def torsor_report_by_tuples(m, p, n, act=act_on_tuples):
+    """torsor_check's TorsorReport with the deck action ``act`` on
+    root-index tuples, each image looked up by its tuple, as the library
+    did before it acted on integer codes through translation tables."""
+    fiber = fibers.kn_kummer_fiber(m, p, n)
+    angles = fibers._angles(m, tuple(range(m.generator_count)))
+    chars, generators = fibers._solve(angles, n, "deck group")
+    rows, roots = angles[0], [rho for rho, _ in fiber[0].values]
+    if not all(rho.base ** (n * r.degree // g) == r.base ** (rho.degree // g)
+               for rho, (r, _) in zip(roots, p.values)
+               for g in [math.gcd(n * r.degree, rho.degree)]):
+        raise fibers._not_a_root(fiber[0], p, n, "radii or relation congruences")
+    lifts = _root_indices_as_tuples(fiber, p, roots, n)
+    offsets = [c for c, _ in _turn_offsets(rows, [t for _, t in p.values])]
+    if any((sum(map(operator.mul, row, lifts[0])) + b) % n for row, b in zip(rows, offsets)):
+        raise fibers._not_a_root(fiber[0], p, n, "radii or relation congruences")
+    index = {c: i for i, c in enumerate(lifts)}
+    images = [index.get(act(lifts[0], u, n)) for u in chars]
+    located = [i for i in images if i is not None]
+    first = {where: ci for ci, where in reversed(list(enumerate(images)))}
+    return TorsorReport(
+        n=n,
+        group_order=len(chars),
+        fiber_size=len(fiber),
+        preserves_fiber=len(located) == len(images) and all(
+            act(c, g, n) in index for g in generators for c in lifts),
+        free=len(set(located)) == len(located),
+        transitive=all(i in first for i in range(len(fiber))),
+        orbit_table=tuple(first.get(i, -1) for i in range(len(fiber))),
     )
 
 

@@ -9,6 +9,7 @@ import operator
 import os
 import glob
 import random
+import sys
 import time
 from fractions import Fraction
 
@@ -31,8 +32,9 @@ from logcharts.monoid import (MonoidSpec, _decide, face_with_support, faces, mu,
 from logcharts.profin import FiniteAbelianProSystem, equivalent_up_to
 from logcharts.semialg import CxPoint, KnPoint, check_membership, tau
 from logcharts.strata import stratum_of_point
-from oracles import (generating_pairs, kn_kummer_fiber_by_fractions, quadric_relations,
-                     root_choices_by_scan, sample_kn_stratum, torsor_report_by_fractions)
+from oracles import (act_on_tuples, generating_pairs, kn_kummer_fiber_by_fractions,
+                     quadric_relations, root_choices_by_scan, sample_kn_stratum,
+                     torsor_report_by_fractions, torsor_report_by_tuples)
 
 
 def n_monoid():
@@ -638,12 +640,15 @@ def test_each_chart_and_support_runs_one_smith_form(monkeypatch):
 
 
 def test_torsor_check_acts_once_per_group_element_and_generator(monkeypatch):
+    # The deck action is one translation table per vector: the base's, for
+    # the orbit map over every group element, and one per Smith-form
+    # generator, at most r of them, for the sweep over every point.
     calls = []
     real_act = fibers_mod._act
 
-    def counting_act(c, u, n):
+    def counting_act(u, n):
         calls.append(u)
-        return real_act(c, u, n)
+        return real_act(u, n)
 
     monkeypatch.setattr(fibers_mod, "_act", counting_act)
     m = a1_cone()
@@ -651,7 +656,64 @@ def test_torsor_check_acts_once_per_group_element_and_generator(monkeypatch):
     ok, report = torsor_check(m, p, 6)
     assert ok and report.group_order == 36
     assert sorted(report.orbit_table) == list(range(36))
-    assert 36 <= len(calls) <= 3 * 36
+    assert 2 <= len(calls) <= 1 + m.gp_lattice_rank
+    fiber = kn_kummer_fiber(m, p, 6)
+    assert calls[0] == fibers_mod._root_indices(fiber, p, [rho for rho, _ in fiber[0].values],
+                                                6)[0][0]
+
+
+def _fixing(real_act):
+    """Tables of the action that fixes every point: the orbit map's table,
+    the first one built, holds the base's code digits in every entry, and
+    each generator's is the identity's."""
+    built = []
+
+    def tables(u, n):
+        built.append(u)
+        if len(built) == 1:
+            return [[row[0]] * n for row in real_act(u, n)]
+        return real_act([0] * len(u), n)
+    return tables
+
+
+def _leaving(real_act):
+    """Tables of the action that moves every image half a step on the last
+    circle, off the 1/n grid and so out of the fiber."""
+    def tables(u, n):
+        *rows, last = real_act(u, n)
+        return rows + [[x + Fraction(1, 2) for x in last]]
+    return tables
+
+
+def _right_at_base_only(real_act):
+    """The right tables for the orbit map, the first one built, and the
+    leaving ones for every generator."""
+    built, leaving = [], _leaving(real_act)
+
+    def tables(u, n):
+        built.append(u)
+        return real_act(u, n) if len(built) == 1 else leaving(u, n)
+    return tables
+
+
+def _tuple_faults():
+    """The three faults as actions on root-index tuples, for the oracle."""
+    acted_on = []
+
+    def leaving(c, u, n):
+        moved = act_on_tuples(c, u, n)
+        return moved[:-1] + (moved[-1] + Fraction(1, 2),)
+
+    def right_at_base_only(c, u, n):
+        acted_on.append(c)
+        return act_on_tuples(c, u, n) if c == acted_on[0] else leaving(c, u, n)
+
+    return {"fixing": lambda c, u, n: c, "leaving": leaving,
+            "right at the base only": right_at_base_only}
+
+
+TABLE_FAULTS = {"fixing": _fixing, "leaving": _leaving,
+                "right at the base only": _right_at_base_only}
 
 
 def test_torsor_flags_are_decided_by_the_action(monkeypatch):
@@ -659,27 +721,20 @@ def test_torsor_flags_are_decided_by_the_action(monkeypatch):
     m = a1_cone()
     p = sample_kn_stratum(m, face_with_support(m, [0, 1, 2]), 1, seed=42)[0]
     # An action that fixes every point is neither free nor transitive.
-    monkeypatch.setattr(fibers_mod, "_act", lambda c, u, n: c)
+    monkeypatch.setattr(fibers_mod, "_act", _fixing(real_act))
     ok, report = torsor_check(m, p, 3)
     assert not ok and report.preserves_fiber
     assert not report.free and not report.transitive
     # Every character carries the base to itself, so no other point is reached.
     assert report.orbit_table == (0,) + (-1,) * 8
     # An action by half-steps leaves the fiber.
-    monkeypatch.setattr(fibers_mod, "_act", lambda c, u, n: tuple(
-        (a + Fraction(sum(u), 2)) % n for a in c))
+    monkeypatch.setattr(fibers_mod, "_act", _leaving(real_act))
     ok, report = torsor_check(m, p, 3)
     assert not ok and not report.preserves_fiber
+    assert report.orbit_table == (-1,) * 9
     # An action that is right at the base point only leaves the fiber in
     # the generator sweep, while the orbit map stays onto and injective.
-    acted_on = []
-
-    def right_at_base_only(c, u, n):
-        acted_on.append(c)
-        moved = real_act(c, u, n)
-        return moved if c == acted_on[0] else tuple(a + Fraction(1, 2) for a in moved)
-
-    monkeypatch.setattr(fibers_mod, "_act", right_at_base_only)
+    monkeypatch.setattr(fibers_mod, "_act", _right_at_base_only(real_act))
     ok, report = torsor_check(m, p, 3)
     assert report.free and report.transitive and not report.preserves_fiber
 
@@ -702,13 +757,29 @@ def test_a_repeated_deck_element_leaves_one_point_unreached(monkeypatch):
     m = a1_cone()
     p = sample_kn_stratum(m, face_with_support(m, [0, 1, 2]), 1, seed=42)[0]
     fiber = kn_kummer_fiber(m, p, 3)
-    lifts = fibers_mod._root_indices(fiber, p, [rho for rho, _ in fiber[0].values], 3)
+    lifts, codes = fibers_mod._root_indices(fiber, p, [rho for rho, _ in fiber[0].values], 3)
     monkeypatch.setattr(fibers_mod, "_root_choices", repeat_one)
     ok, report = torsor_check(m, p, 3)
     assert report.group_order == report.fiber_size == 9 and report.preserves_fiber
     assert not report.free and not report.transitive and not ok
     (unreached,) = [i for i, c in enumerate(report.orbit_table) if c == -1]
-    assert lifts[unreached] == fibers_mod._act(lifts[0], lost[0], 3)
+    assert lifts[unreached] == list(act_on_tuples(lifts[0], lost[0], 3))
+    assert codes[unreached] == sum(map(list.__getitem__, fibers_mod._act(lifts[0], 3), lost[0]))
+    assert report == torsor_report_by_tuples(m, p, 3)
+
+
+def test_translation_tables_code_the_tuple_action():
+    # A code is the mixed-radix integer of the root indices, so codes sort
+    # as the vectors do; the table of u sends the code of c to that of
+    # c + u mod n, on every vector of (Z/n)^k.
+    for n, k in ((1, 3), (2, 3), (3, 2), (5, 1), (4, 4)):
+        vectors = list(itertools.product(range(n), repeat=k))
+        code = {c: i for i, c in enumerate(vectors)}
+        for u in vectors:
+            table = fibers_mod._act(u, n)
+            assert len(table) == k and all(len(row) == n for row in table)
+            assert all(sum(map(list.__getitem__, table, c)) == code[act_on_tuples(c, u, n)]
+                       for c in vectors), (n, u)
 
 
 # The torsor workload's charts and cover degrees per group rank.
@@ -755,6 +826,81 @@ def test_exact_fibers_and_torsor_reports_match_the_fraction_oracle():
                     ok, report = torsor_check(m, p, n)
                     assert ok and report == torsor_report_by_fractions(m, p, n), (p, n)
     assert mixed > 50
+
+
+def test_torsor_reports_match_the_tuple_oracle(monkeypatch):
+    # On every stratum of the torsor workload's charts, at every cover
+    # degree it runs, with an exact point and the same point read from
+    # floats, the report of the action on codes is the tuple action's field
+    # by field; so it is under three faulty actions, injected as tables
+    # into the library and as tuple actions into the oracle.
+    rng = random.Random(20261024)
+    real_act = fibers_mod._act
+    cases = 0
+    for ambient, gens, rels in TORSOR_CHARTS.values():
+        m = validate(MonoidSpec.make(ambient, gens, rels))
+        k = m.generator_count
+        for face in faces(m):
+            for n in DEGREES[m.gp_lattice_rank]:
+                exact = _homomorphism_point(m, face.support, rng,
+                                            [rng.choice((1, 2, 3, 4, 6, 8)) for _ in range(ambient)])
+                floating = KnPoint.floating([(float(r), cmath.exp(2j * cmath.pi * float(a)))
+                                             for r, a in exact.values])
+                for p in (exact, floating):
+                    ok, report = torsor_check(m, p, n)
+                    assert ok and report == torsor_report_by_tuples(m, p, n), (p, n)
+                    for name, fault in _tuple_faults().items():
+                        monkeypatch.setattr(fibers_mod, "_act", TABLE_FAULTS[name](real_act))
+                        _, faulty = torsor_check(m, p, n)
+                        monkeypatch.setattr(fibers_mod, "_act", real_act)
+                        assert not faulty.ok and faulty == torsor_report_by_tuples(
+                            m, p, n, fault), (name, p, n)
+                    cases += 1
+                # the fiber comes in lexicographic order of root indices, so
+                # its mixed-radix codes increase
+                fiber = kn_kummer_fiber(m, exact, n)
+                lifts, codes = fibers_mod._root_indices(
+                    fiber, exact, [rho for rho, _ in fiber[0].values], n)
+                assert codes == [sum(c * n ** (k - 1 - i) for i, c in enumerate(lift))
+                                 for lift in lifts]
+                assert all(a < b for a, b in zip(codes, codes[1:]))
+    assert cases == 2 * 124
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_floating_algebraic_fibers_at_the_largest_modulus_are_finite(n):
+    # A floating algebraic fiber point is built with no CxPoint.floating
+    # re-check: each coordinate is |z|^(1/n) exp(2 pi i turn), and both
+    # factors are finite once p is accepted.  At the largest finite modulus,
+    # over many turns, the re-check passes every point unchanged; a modulus
+    # beyond the float range is refused before any root, as an input error.
+    big = sys.float_info.max
+    m = validate(MonoidSpec.make(2, [[1, 0], [0, 1]]))
+    rng = random.Random(20261025)
+    turns = [j / 8 for j in range(8)] + [rng.random() for _ in range(400)]
+    for t, s in zip(turns, turns[1:] + turns[:1]):
+        p = CxPoint.floating([complex(big * math.cos(2 * math.pi * x),
+                                      big * math.sin(2 * math.pi * x)) for x in (t, s)])
+        fiber = algebraic_kummer_fiber(m, p, n)
+        assert len(fiber) == n ** 2 and not any(q.exact for q in fiber)
+        assert all(math.hypot(z.real, z.imag) < math.inf for q in fiber for z in q.values)
+        assert [CxPoint.floating(q.values) for q in fiber] == fiber, p
+    with pytest.raises(InvalidPoint, match="complex coordinate 1 is .*, not of finite modulus"):
+        CxPoint.floating([big, complex(big, big)])
+    # exact points: on the axes at the largest modulus, and off them,
+    # where a modulus beyond the float range is refused
+    exact = [GaussianRational(Fraction(big)), GaussianRational(0, Fraction(-big)),
+             GaussianRational(Fraction(big) * Fraction(3, 5), Fraction(big) * Fraction(4, 5))]
+    for values in itertools.product(exact, repeat=2):
+        fiber = algebraic_kummer_fiber(m, CxPoint.exact_point(values), n)
+        assert len(fiber) == n ** 2
+        floating = [q for q in fiber if not q.exact]
+        assert all(math.hypot(z.real, z.imag) < math.inf for q in floating for z in q.values)
+        assert [CxPoint.floating(q.values) for q in floating] == floating, values
+        assert bool(floating) == (n == 2 or exact[2] in values), values
+    off = GaussianRational(Fraction(big), Fraction(big))
+    with pytest.raises(InvalidPoint, match="exact coordinate 1 is beyond the float range"):
+        algebraic_kummer_fiber(m, CxPoint.exact_point([exact[0], off]), n)
 
 
 def test_floating_input_reads_back_as_the_exact_point_it_was_written_from():
@@ -942,13 +1088,13 @@ def test_root_indices_refuse_points_off_the_radii_or_the_grid():
     def lift(radius, turn):
         return fibers_mod._root_indices([KnPoint(((radius, turn),))], p, [r], 2)
 
-    assert lift(r, Fraction(5, 12)) == [(0,)]
-    assert lift(r, Fraction(11, 12)) == [(1,)]
+    assert lift(r, Fraction(5, 12)) == ([[0]], [0])
+    assert lift(r, Fraction(11, 12)) == ([[1]], [1])
     # an equal radius that is another object lifts the same way
-    assert lift(NonnegRoot.of(2), Fraction(5, 12)) == [(0,)]
+    assert lift(NonnegRoot.of(2), Fraction(5, 12)) == ([[0]], [0])
     # the whole fiber lifts in one call; a point off it is named
     points = [KnPoint(((r, a),)) for a in (Fraction(11, 12), Fraction(5, 12))]
-    assert fibers_mod._root_indices(points, p, [r], 2) == [(1,), (0,)]
+    assert fibers_mod._root_indices(points, p, [r], 2) == ([[1], [0]], [1, 0])
     off = KnPoint(((r, Fraction(1, 5)),))
     with pytest.raises(FalsifiedProperty) as err:
         fibers_mod._root_indices(points + [off], p, [r], 2)
@@ -1001,14 +1147,19 @@ def test_torsor_check_falsifies_a_fiber_turned_off_the_model(monkeypatch, exact)
     # as the fiber's own formula gives it, is still an n-th root of p, and
     # the turned fiber is still a coset of the deck group, so the action
     # flags all hold; but the points miss z0 z2 = z1^2, which the base
-    # point's relation congruence finds.
+    # point's relation congruence finds.  With the base point turned alone,
+    # the other points solve the congruences, and the base is still named.
     m, p = _a1_point(exact)
     t = p.values[0][1]
+    fiber = fibers_mod.kn_kummer_fiber(m, p, 3)
     turned = [KnPoint(((r, (t + (round(3 * a - t) + 1) % 3) / 3 % 1), *rest))
-              for q in fibers_mod.kn_kummer_fiber(m, p, 3) for (r, a), *rest in [q.values]]
-    monkeypatch.setattr(fibers_mod, "kn_kummer_fiber", lambda m, p, n: turned)
-    with pytest.raises(FalsifiedProperty, match="root of .* [(]radii or relation congruences"):
-        torsor_check(m, p, 3)
+              for q in fiber for (r, a), *rest in [q.values]]
+    for moved in (turned, turned[:1] + fiber[1:]):
+        monkeypatch.setattr(fibers_mod, "kn_kummer_fiber", lambda m, p, n: moved)
+        with pytest.raises(FalsifiedProperty) as err:
+            torsor_check(m, p, 3)
+        assert str(err.value) == (f"fiber point {turned[0]} is not a degree-3 root of {p} "
+                                  f"(radii or relation congruences)")
 
 
 @pytest.mark.parametrize("exact", [True, False], ids=["exact", "floating"])
